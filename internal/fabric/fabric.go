@@ -14,6 +14,17 @@
 //   - FIFO: a single queue in arrival order, which lets a burst of a large
 //     message head-of-line-block small flows. The difference between the two
 //     is an ablation benchmark.
+//
+// The per-MTU path allocates nothing in steady state. A link serializes one
+// packet at a time, so the packet on the wire lives in a field and its
+// completion is a callback bound once at construction. Propagation delay
+// and switch forwarding latency are constants, so packets leave those
+// stages in the order they entered them: each stage is a FIFO whose head
+// one pre-bound callback pops, firing at exactly the instants (and with the
+// same event sequence numbers) a per-packet closure would. Queues are ring
+// buffers that reuse their storage. Packets themselves belong to their
+// producer (package hca recycles them); this package never retains one
+// after handing it to the next stage.
 package fabric
 
 import (
@@ -44,7 +55,8 @@ type Packet struct {
 	// request that produced the message).
 	Meta any
 	// Sent is stamped by the first link the packet enters.
-	Sent sim.Time
+	Sent    sim.Time
+	stamped bool // Sent has been set (Sent == 0 is a valid stamp)
 }
 
 // Discipline selects how a link arbitrates among flows.
@@ -88,15 +100,20 @@ type Link struct {
 	disc    Discipline
 	deliver func(*Packet)
 
-	busy    bool
-	fifo    []*Packet
-	flows   map[uint32]*flowQueue
-	ring    []*flowQueue // active flows, round-robin order
-	rrNext  int
-	queued  int
-	perFlow map[uint32]int64 // bytes per flow, for IOShare accounting
-	stats   LinkStats
-	wakeup  sim.Timer // pending retry for rate-limited flows
+	busy     bool
+	cur      *Packet        // on the wire while busy
+	curQ     *flowQueue     // cur's flow, charged when it finishes
+	inflight queue[*Packet] // serialized and propagating, in send order
+	fifo     queue[*Packet]
+	flows    map[uint32]*flowQueue
+	ring     []*flowQueue // active flows, round-robin order
+	rrNext   int
+	queued   int
+	stats    LinkStats
+	wakeup   sim.Timer // pending retry for rate-limited flows
+
+	// Event callbacks, bound once so scheduling them allocates nothing.
+	onSerialized, onArrive, onWake func()
 
 	// Fault state (driven by the faults package).
 	degrade float64 // bandwidth multiplier in (0,1]; 0 means healthy (×1)
@@ -105,9 +122,10 @@ type Link struct {
 
 type flowQueue struct {
 	id     uint32
-	pkts   []*Packet
+	pkts   queue[*Packet]
 	limit  float64  // bytes/second; 0 = unlimited
 	nextAt sim.Time // earliest time the next packet may start (pacing)
+	bytes  int64    // carried so far, for IOShare accounting
 }
 
 // NewLink creates a link. bandwidth is in bytes/second; prop is the
@@ -120,7 +138,7 @@ func NewLink(eng *sim.Engine, name string, bandwidth float64, prop sim.Time, dis
 	if deliver == nil {
 		panic("fabric: link needs a deliver function")
 	}
-	return &Link{
+	l := &Link{
 		eng:     eng,
 		name:    name,
 		bps:     bandwidth,
@@ -128,8 +146,9 @@ func NewLink(eng *sim.Engine, name string, bandwidth float64, prop sim.Time, dis
 		disc:    disc,
 		deliver: deliver,
 		flows:   make(map[uint32]*flowQueue),
-		perFlow: make(map[uint32]int64),
 	}
+	l.onSerialized, l.onArrive, l.onWake = l.serialized, l.arrive, l.wake
+	return l
 }
 
 // Name returns the link's diagnostic name.
@@ -146,7 +165,12 @@ func (l *Link) Propagation() sim.Time { return l.prop }
 func (l *Link) Stats() LinkStats { return l.stats }
 
 // FlowBytes returns cumulative bytes carried for a flow.
-func (l *Link) FlowBytes(flow uint32) int64 { return l.perFlow[flow] }
+func (l *Link) FlowBytes(flow uint32) int64 {
+	if q, ok := l.flows[flow]; ok {
+		return q.bytes
+	}
+	return 0
+}
 
 // Queued returns the number of packets waiting or in flight on the wire.
 func (l *Link) Queued() int { return l.queued }
@@ -198,11 +222,7 @@ func (l *Link) Down() bool { return l.down }
 // hardware support; the rate-limit ablation benchmark compares it against
 // ResEx's CPU-cap mechanism. Only meaningful with RoundRobin discipline.
 func (l *Link) SetFlowRateLimit(flow uint32, bytesPerSec float64) {
-	q, ok := l.flows[flow]
-	if !ok {
-		q = &flowQueue{id: flow}
-		l.flows[flow] = q
-	}
+	q := l.flow(flow)
 	if bytesPerSec < 0 {
 		bytesPerSec = 0
 	}
@@ -223,10 +243,20 @@ func (l *Link) FlowRateLimit(flow uint32) float64 {
 	return 0
 }
 
+// flow returns the per-flow state for id, creating it on first use.
+func (l *Link) flow(id uint32) *flowQueue {
+	q, ok := l.flows[id]
+	if !ok {
+		q = &flowQueue{id: id}
+		l.flows[id] = q
+	}
+	return q
+}
+
 // Send enqueues a packet for transmission.
 func (l *Link) Send(pkt *Packet) {
-	if pkt.Sent == 0 {
-		pkt.Sent = l.eng.Now()
+	if !pkt.stamped {
+		pkt.Sent, pkt.stamped = l.eng.Now(), true
 	}
 	l.queued++
 	if l.queued > l.stats.MaxQueued {
@@ -234,17 +264,13 @@ func (l *Link) Send(pkt *Packet) {
 	}
 	switch l.disc {
 	case FIFO:
-		l.fifo = append(l.fifo, pkt)
+		l.fifo.push(pkt)
 	default:
-		q, ok := l.flows[pkt.Flow]
-		if !ok {
-			q = &flowQueue{id: pkt.Flow}
-			l.flows[pkt.Flow] = q
-		}
-		if len(q.pkts) == 0 {
+		q := l.flow(pkt.Flow)
+		if q.pkts.len() == 0 {
 			l.ring = append(l.ring, q)
 		}
-		q.pkts = append(q.pkts, pkt)
+		q.pkts.push(pkt)
 	}
 	if !l.busy {
 		l.transmitNext()
@@ -252,16 +278,16 @@ func (l *Link) Send(pkt *Packet) {
 }
 
 // next pops the next packet according to the discipline, honoring per-flow
-// pacing. It returns nil when nothing is eligible right now.
-func (l *Link) next() *Packet {
+// pacing, and returns it with its flow's state. It returns a nil packet when
+// nothing is eligible right now.
+func (l *Link) next() (*Packet, *flowQueue) {
 	switch l.disc {
 	case FIFO:
-		if len(l.fifo) == 0 {
-			return nil
+		if l.fifo.len() == 0 {
+			return nil, nil
 		}
-		pkt := l.fifo[0]
-		l.fifo = l.fifo[1:]
-		return pkt
+		pkt := l.fifo.pop()
+		return pkt, l.flow(pkt.Flow)
 	default:
 		now := l.eng.Now()
 		for scanned, n := 0, len(l.ring); scanned < n; scanned++ {
@@ -273,8 +299,7 @@ func (l *Link) next() *Packet {
 				l.rrNext++ // paced out: try the next flow
 				continue
 			}
-			pkt := q.pkts[0]
-			q.pkts = q.pkts[1:]
+			pkt := q.pkts.pop()
 			if q.limit > 0 {
 				start := now
 				if q.nextAt > start {
@@ -282,15 +307,15 @@ func (l *Link) next() *Packet {
 				}
 				q.nextAt = start + sim.DurationOfBytes(int64(pkt.Bytes), q.limit)
 			}
-			if len(q.pkts) == 0 {
+			if q.pkts.len() == 0 {
 				l.ring = append(l.ring[:l.rrNext], l.ring[l.rrNext+1:]...)
 				// rrNext now points at the flow after the removed one.
 			} else {
 				l.rrNext++
 			}
-			return pkt
+			return pkt, q
 		}
-		return nil // every queued flow is paced out
+		return nil, nil // every queued flow is paced out
 	}
 }
 
@@ -299,7 +324,7 @@ func (l *Link) next() *Packet {
 func (l *Link) armWakeup() {
 	var at sim.Time = -1
 	for _, q := range l.ring {
-		if len(q.pkts) > 0 && q.limit > 0 && (at < 0 || q.nextAt < at) {
+		if q.pkts.len() > 0 && q.limit > 0 && (at < 0 || q.nextAt < at) {
 			at = q.nextAt
 		}
 	}
@@ -307,11 +332,14 @@ func (l *Link) armWakeup() {
 		return
 	}
 	l.wakeup.Stop()
-	l.wakeup = l.eng.Schedule(at, func() {
-		if !l.busy {
-			l.transmitNext()
-		}
-	})
+	l.wakeup = l.eng.Schedule(at, l.onWake)
+}
+
+// wake is the pacing retry armed by armWakeup.
+func (l *Link) wake() {
+	if !l.busy {
+		l.transmitNext()
+	}
 }
 
 // transmitNext serializes the next queued packet.
@@ -320,38 +348,61 @@ func (l *Link) transmitNext() {
 		l.busy = false
 		return
 	}
-	pkt := l.next()
+	pkt, q := l.next()
 	if pkt == nil {
 		l.busy = false
 		l.armWakeup()
 		return
 	}
 	l.busy = true
+	l.cur, l.curQ = pkt, q
 	ser := sim.DurationOfBytes(int64(pkt.Bytes), l.effectiveBps())
 	l.stats.BusyTime += ser
-	l.eng.After(ser, func() {
-		l.stats.Packets++
-		l.stats.Bytes += int64(pkt.Bytes)
-		l.perFlow[pkt.Flow] += int64(pkt.Bytes)
-		l.queued--
-		l.eng.After(l.prop, func() { l.deliver(pkt) })
-		l.transmitNext()
-	})
+	l.eng.After(ser, l.onSerialized)
 }
+
+// serialized fires when cur has left the wire: it starts propagating and the
+// next packet starts serializing.
+func (l *Link) serialized() {
+	pkt, q := l.cur, l.curQ
+	l.cur, l.curQ = nil, nil
+	l.stats.Packets++
+	l.stats.Bytes += int64(pkt.Bytes)
+	q.bytes += int64(pkt.Bytes)
+	l.queued--
+	l.inflight.push(pkt)
+	l.eng.After(l.prop, l.onArrive)
+	l.transmitNext()
+}
+
+// arrive delivers the oldest propagating packet. The propagation delay is
+// constant, so arrivals fire in the order serialized pushed them.
+func (l *Link) arrive() { l.deliver(l.inflight.pop()) }
 
 // Switch is an output-queued crossbar: packets injected from host uplinks
 // are forwarded, after a fixed forwarding latency, onto the egress link of
 // their destination node.
 type Switch struct {
-	eng      *sim.Engine
-	latency  sim.Time
-	ports    map[int]*Link
-	defRoute func(pkt *Packet)
+	eng       *sim.Engine
+	latency   sim.Time
+	ports     map[int]*Link
+	defRoute  func(pkt *Packet)
+	pending   queue[hop] // injected, awaiting forwarding, in inject order
+	onForward func()     // s.forward, bound once
+}
+
+// hop is a packet inside the switch and the egress link it was routed to
+// (nil: the default route).
+type hop struct {
+	pkt    *Packet
+	egress *Link
 }
 
 // NewSwitch creates a switch with the given forwarding latency.
 func NewSwitch(eng *sim.Engine, latency sim.Time) *Switch {
-	return &Switch{eng: eng, latency: latency, ports: make(map[int]*Link)}
+	s := &Switch{eng: eng, latency: latency, ports: make(map[int]*Link)}
+	s.onForward = s.forward
+	return s
 }
 
 // Latency returns the fixed forwarding latency. Together with
@@ -364,6 +415,9 @@ func (s *Switch) Latency() sim.Time { return s.latency }
 
 // AttachNode connects node's downlink (switch→host egress link).
 func (s *Switch) AttachNode(node int, egress *Link) {
+	if egress == nil {
+		panic(fmt.Sprintf("fabric: node %d attached without an egress link", node))
+	}
 	if _, dup := s.ports[node]; dup {
 		panic(fmt.Sprintf("fabric: node %d already attached", node))
 	}
@@ -381,12 +435,20 @@ func (s *Switch) SetDefaultRoute(f func(pkt *Packet)) { s.defRoute = f }
 // cluster is statically wired.
 func (s *Switch) Inject(pkt *Packet) {
 	egress, ok := s.ports[pkt.DstNode]
-	if !ok {
-		if s.defRoute != nil {
-			s.eng.After(s.latency, func() { s.defRoute(pkt) })
-			return
-		}
+	if !ok && s.defRoute == nil {
 		panic(fmt.Sprintf("fabric: packet for unattached node %d", pkt.DstNode))
 	}
-	s.eng.After(s.latency, func() { egress.Send(pkt) })
+	s.pending.push(hop{pkt: pkt, egress: egress})
+	s.eng.After(s.latency, s.onForward)
+}
+
+// forward hands the oldest pending packet to its egress. The forwarding
+// latency is constant, so forwards fire in the order Inject queued them.
+func (s *Switch) forward() {
+	h := s.pending.pop()
+	if h.egress == nil {
+		s.defRoute(h.pkt)
+		return
+	}
+	h.egress.Send(h.pkt)
 }

@@ -249,6 +249,15 @@ func TestSwitchDuplicateAttachPanics(t *testing.T) {
 	sw := NewSwitch(eng, 0)
 	l := NewLink(eng, "l", gbps1, 0, RoundRobin, func(*Packet) {})
 	sw.AttachNode(1, l)
+	func() {
+		// A nil egress would otherwise read as "use the default route".
+		defer func() {
+			if recover() == nil {
+				t.Error("attaching a nil egress should panic")
+			}
+		}()
+		sw.AttachNode(2, nil)
+	}()
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate attach should panic")

@@ -106,9 +106,51 @@ type HCA struct {
 	nextCQN uint32
 	nextPD  uint32
 
+	// free holds zeroed packets for sendMsg; see newPacket and recycle.
+	free []*fabric.Packet
+
 	// Stats.
 	msgsSent  int64
 	bytesSent int64
+}
+
+// packetSlabSize is how many packets one free-list refill allocates at once.
+const packetSlabSize = 256
+
+// maxFreePackets bounds the free list, as the event pool is bounded: a
+// burst that briefly had many MTUs in flight does not pin that memory for
+// the rest of the run.
+const maxFreePackets = 1 << 15
+
+// newPacket returns a zeroed packet from the free list, refilling it a slab
+// at a time.
+func (h *HCA) newPacket() *fabric.Packet {
+	if n := len(h.free); n > 0 {
+		pkt := h.free[n-1]
+		h.free[n-1] = nil
+		h.free = h.free[:n-1]
+		return pkt
+	}
+	slab := make([]fabric.Packet, packetSlabSize)
+	for i := 1; i < packetSlabSize; i++ {
+		h.free = append(h.free, &slab[i])
+	}
+	return &slab[0]
+}
+
+// recycle zeroes a delivered packet and returns it to the free list of the
+// HCA that sent it. With an ack path installed the sender may run on another
+// engine and goroutine, so — as completeSender does for acks — the packet
+// stays with this, the receiving, HCA instead.
+func (h *HCA) recycle(pkt *fabric.Packet) {
+	owner := h
+	if h.ackPath == nil {
+		owner = h.peerHCA(pkt.SrcNode)
+	}
+	*pkt = fabric.Packet{}
+	if len(owner.free) < maxFreePackets {
+		owner.free = append(owner.free, pkt)
+	}
 }
 
 // New creates an HCA. Wire it with SetUplink and SetPeerResolver before use.

@@ -765,3 +765,49 @@ func TestAckPathRoutesRemoteCompletions(t *testing.T) {
 	r.h1.ApplyAck(Ack{SrcQPN: 0xdead, Op: OpSend, Status: StatusOK, WRID: 1})
 	r.eng.Shutdown()
 }
+
+// TestDeliveredPacketsRecycle: Deliver zeroes each packet and hands it back
+// to the sending HCA's free list, unless an ack path is installed — then
+// the sender may run on another engine, so the receiver keeps it.
+func TestDeliveredPacketsRecycle(t *testing.T) {
+	r := newRig(t)
+	qp1, _, _, _, _, _ := r.connect(t, 16)
+	src := r.mem1.Alloc(8192, 64)
+	dst := r.mem2.Alloc(8192, 64)
+	mr1, _ := r.pd1.RegisterMR(src, 8192, 0)
+	mr2, _ := r.pd2.RegisterMR(dst, 8192, AccessRemoteWrite)
+	write := func() {
+		t.Helper()
+		err := qp1.PostSend(SendWR{
+			ID: 1, Op: OpRDMAWrite, LocalAddr: src, LKey: mr1.Key(),
+			Len: 8192, RemoteAddr: dst, RKey: mr2.Key(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.eng.Run()
+	}
+	zeroed := func(h *HCA) {
+		t.Helper()
+		for _, p := range h.free {
+			if *p != (fabric.Packet{}) {
+				t.Fatalf("%s free list holds a non-zero packet %+v", h.Name(), *p)
+			}
+		}
+	}
+
+	write() // 8 MTUs out of one fresh slab, all returned to the sender
+	if len(r.h1.free) != packetSlabSize || len(r.h2.free) != 0 {
+		t.Fatalf("free lists after a write = %d/%d, want %d/0", len(r.h1.free), len(r.h2.free), packetSlabSize)
+	}
+	zeroed(r.h1)
+
+	r.h2.SetAckPath(func(srcNode int, a Ack) {
+		r.eng.After(sim.Microsecond, func() { r.h1.ApplyAck(a) })
+	})
+	write()
+	if len(r.h1.free) != packetSlabSize-8 || len(r.h2.free) != 8 {
+		t.Fatalf("free lists with an ack path = %d/%d, want %d/8", len(r.h1.free), len(r.h2.free), packetSlabSize-8)
+	}
+	zeroed(r.h2)
+}

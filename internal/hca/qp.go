@@ -119,6 +119,7 @@ type QP struct {
 	sqHead           uint64        // posted count
 	uar              guestmem.Addr // doorbell page
 	processing       bool
+	onProcess        func() // qp.processHead, bound once
 
 	remoteNode int
 	remoteQPN  uint32
@@ -154,6 +155,7 @@ func (pd *PD) CreateQP(sendCQ, recvCQ *CQ, sqDepth, rqDepth int) *QP {
 		sqRing:  pd.space.Alloc(uint64(sqDepth)*sqWQESize, 64),
 		uar:     pd.space.AllocPage(),
 	}
+	qp.onProcess = qp.processHead
 	h.nextQPN++
 	h.qps[qp.qpn] = qp
 	pd.qps = append(pd.qps, qp)
@@ -330,7 +332,7 @@ func (qp *QP) kick() {
 	}
 	qp.processing = true
 	h := qp.pd.hca
-	h.eng.After(h.cfg.ProcDelay, qp.processHead)
+	h.eng.After(h.cfg.ProcDelay, qp.onProcess)
 }
 
 // processHead takes the WQE at the head of the send queue, segments it and
@@ -371,7 +373,7 @@ func (qp *QP) processHead() {
 		qp.sendMsg(m, wr.Len)
 	}
 	if len(qp.sq) > 0 {
-		h.eng.After(h.cfg.ProcDelay, qp.processHead)
+		h.eng.After(h.cfg.ProcDelay, qp.onProcess)
 	} else {
 		qp.processing = false
 	}
@@ -403,7 +405,8 @@ func (qp *QP) sendMsg(m *wireMsg, byteLen int) {
 			sz = 64 // control-only packet (zero-length send, read request)
 		}
 		rem -= sz
-		h.uplink.Send(&fabric.Packet{
+		pkt := h.newPacket()
+		*pkt = fabric.Packet{
 			Flow:    qp.qpn,
 			SrcNode: h.cfg.Node,
 			DstNode: qp.remoteNode,
@@ -412,19 +415,22 @@ func (qp *QP) sendMsg(m *wireMsg, byteLen int) {
 			Index:   i,
 			Last:    i == m.total-1,
 			Meta:    m,
-		})
+		}
+		h.uplink.Send(pkt)
 	}
 }
 
 // Deliver is the downlink receiver for a host: the cluster wiring points
-// the switch→host link's deliver function here.
+// the switch→host link's deliver function here. It is the packet's terminal
+// consumer and recycles it before acting on the message.
 func (h *HCA) Deliver(pkt *fabric.Packet) {
-	m := pkt.Meta.(*wireMsg)
+	m, dstQPN := pkt.Meta.(*wireMsg), pkt.DstFlow
+	h.recycle(pkt)
 	m.got++
 	if m.got < m.total {
 		return
 	}
-	qp, ok := h.qps[pkt.DstFlow]
+	qp, ok := h.qps[dstQPN]
 	if !ok {
 		// Stale packet for a destroyed QP: drop, complete sender with error.
 		h.completeSender(m, StatusRemoteAccessErr)
