@@ -2,8 +2,6 @@ package resex
 
 import (
 	"container/heap"
-	"encoding/json"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -87,7 +85,7 @@ func (e *legacyEngine) run() {
 
 // ---------------------------------------------------------------------------
 // BenchmarkEngineCore: before/after event-core comparison + parallel-sweep
-// speedup, persisted to BENCH_core.json for the CI bench gate.
+// speedup, recorded in BENCH_core.json and checked against the limits below.
 // ---------------------------------------------------------------------------
 
 // coreEvents is the fixed self-tick chain length both engines execute per
@@ -95,9 +93,18 @@ func (e *legacyEngine) run() {
 // CI smoke runs.
 const coreEvents = 2_000_000
 
+// minCoreSpeedup is the event-core floor: the 2x throughput target over the
+// container/heap queue with a 10% regression budget.
+const minCoreSpeedup = 1.8
+
+// maxAllocsPerEvent tolerates runtime-internal allocations (GC bookkeeping,
+// timer goroutines) that can land between the MemStats samples; the event
+// path itself contributes ~1 alloc/event when it regresses, far above this.
+const maxAllocsPerEvent = 0.001
+
 // measureLegacy runs the chain on the container/heap replica, returning wall
-// ns and allocation deltas.
-func measureLegacy() (elapsed time.Duration, mallocs, bytes uint64) {
+// time and the allocation count.
+func measureLegacy() (elapsed time.Duration, mallocs uint64) {
 	eng := &legacyEngine{}
 	var tick func()
 	n := 0
@@ -115,11 +122,11 @@ func measureLegacy() (elapsed time.Duration, mallocs, bytes uint64) {
 	eng.run()
 	elapsed = time.Since(start)
 	runtime.ReadMemStats(&m1)
-	return elapsed, m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
+	return elapsed, m1.Mallocs - m0.Mallocs
 }
 
 // measureCurrent runs the identical chain on the production engine.
-func measureCurrent() (elapsed time.Duration, mallocs, bytes uint64) {
+func measureCurrent() (elapsed time.Duration, mallocs uint64) {
 	eng := sim.New()
 	var tick func()
 	n := 0
@@ -141,69 +148,22 @@ func measureCurrent() (elapsed time.Duration, mallocs, bytes uint64) {
 	eng.Run()
 	elapsed = time.Since(start)
 	runtime.ReadMemStats(&m1)
-	return elapsed, m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
-}
-
-// benchEngineJSON is the BENCH_core.json schema; cmd/benchgate reads it.
-type benchEngineJSON struct {
-	Benchmark string          `json:"benchmark"`
-	Events    int             `json:"events"`
-	Baseline  benchEngineSide `json:"baseline"`
-	Current   benchEngineSide `json:"current"`
-	Speedup   float64         `json:"speedup"`
-	Sweep     benchSweepJSON  `json:"sweep"`
-}
-
-type benchEngineSide struct {
-	Engine         string  `json:"engine"`
-	NsPerEvent     float64 `json:"ns_per_event"`
-	EventsPerSec   float64 `json:"events_per_sec"`
-	AllocsPerEvent float64 `json:"allocs_per_event"`
-	BytesPerEvent  float64 `json:"bytes_per_event"`
-}
-
-type benchSweepJSON struct {
-	Experiment string `json:"experiment"`
-	Workers    int    `json:"workers"`
-	// CPUs is the machine's core count: the sweep ratio can only beat 1.0
-	// when there are cores for the workers to land on.
-	CPUs       int     `json:"cpus"`
-	SerialMs   float64 `json:"serial_ms"`
-	ParallelMs float64 `json:"parallel_ms"`
-	Speedup    float64 `json:"speedup"`
-	// Note flags records whose ratio is not meaningful on the recording
-	// machine (single-core runners). benchgate prints it instead of
-	// silently treating such a sweep as a pass.
-	Note string `json:"note,omitempty"`
+	return elapsed, m1.Mallocs - m0.Mallocs
 }
 
 // BenchmarkEngineCore measures the zero-alloc event core against the legacy
 // container/heap queue it replaced, plus the parallel sweep runner against
 // the serial loop, and records everything in BENCH_core.json. The CI bench
-// smoke job runs this at -benchtime=1x and gates on the recorded ratios via
-// cmd/benchgate.
+// smoke job runs this at -benchtime=1x; a speedup under minCoreSpeedup or
+// an allocating event path fails it.
 func BenchmarkEngineCore(b *testing.B) {
-	var out benchEngineJSON
+	var recs []benchRecord
 	for i := 0; i < b.N; i++ {
-		lElapsed, lMallocs, lBytes := measureLegacy()
-		cElapsed, cMallocs, cBytes := measureCurrent()
-		side := func(name string, d time.Duration, mallocs, bytes uint64) benchEngineSide {
-			ns := float64(d.Nanoseconds()) / coreEvents
-			return benchEngineSide{
-				Engine:         name,
-				NsPerEvent:     ns,
-				EventsPerSec:   1e9 / ns,
-				AllocsPerEvent: float64(mallocs) / coreEvents,
-				BytesPerEvent:  float64(bytes) / coreEvents,
-			}
-		}
-		out = benchEngineJSON{
-			Benchmark: "BenchmarkEngineCore",
-			Events:    coreEvents,
-			Baseline:  side("container/heap", lElapsed, lMallocs, lBytes),
-			Current:   side("indexed-4ary+pool+wheel", cElapsed, cMallocs, cBytes),
-		}
-		out.Speedup = out.Baseline.NsPerEvent / out.Current.NsPerEvent
+		lElapsed, lMallocs := measureLegacy()
+		cElapsed, cMallocs := measureCurrent()
+		lNs := float64(lElapsed.Nanoseconds()) / coreEvents
+		cNs := float64(cElapsed.Nanoseconds()) / coreEvents
+		cAllocs := float64(cMallocs) / coreEvents
 
 		// Sweep runner: the same figure serially and on 4 workers. Identical
 		// output is asserted by the experiments tests; here we record the
@@ -223,27 +183,27 @@ func BenchmarkEngineCore(b *testing.B) {
 			b.Fatal(err)
 		}
 		par := time.Since(parStart)
-		out.Sweep = benchSweepJSON{
-			Experiment: "abl-capacity",
-			Workers:    4,
-			CPUs:       runtime.NumCPU(),
-			SerialMs:   float64(serial.Nanoseconds()) / 1e6,
-			ParallelMs: float64(par.Nanoseconds()) / 1e6,
-			Speedup:    serial.Seconds() / par.Seconds(),
+		sweepNote := "abl-capacity serially vs on 4 workers; the ratio depends on the cores available, so it is not a contract"
+		if runtime.NumCPU() == 1 {
+			sweepNote = "single-core machine: 4 workers share 1 CPU, ratio reflects goroutine overhead, not sweep scaling"
 		}
-		if out.Sweep.CPUs == 1 {
-			out.Sweep.Note = "single-core machine: 4 workers share 1 CPU, ratio reflects goroutine overhead, not sweep scaling"
-		}
+
+		recs = []benchRecord{{
+			Name: "core.speedup", Unit: "ns/event",
+			Baseline: lNs, Current: cNs, Value: lNs / cNs,
+			Floor: limit(minCoreSpeedup),
+			Note:  "indexed 4-ary heap + pool + wheel vs container/heap on a 2M-event self-tick chain; 2x target minus a 10% regression budget",
+		}, {
+			Name: "core.allocs_per_event", Unit: "allocs/event",
+			Baseline: float64(lMallocs) / coreEvents, Current: cAllocs, Value: cAllocs,
+			Ceiling: limit(maxAllocsPerEvent),
+			Note:    "the steady-state event path must not allocate; the ceiling absorbs runtime background allocations only",
+		}, {
+			Name: "core.sweep_speedup", Unit: "ms",
+			Baseline: float64(serial.Nanoseconds()) / 1e6, Current: float64(par.Nanoseconds()) / 1e6,
+			Value: serial.Seconds() / par.Seconds(),
+			Note:  sweepNote,
+		}}
 	}
-	b.ReportMetric(out.Current.EventsPerSec, "events/sec")
-	b.ReportMetric(out.Speedup, "core_speedup")
-	b.ReportMetric(out.Current.AllocsPerEvent, "allocs/event")
-	b.ReportMetric(out.Sweep.Speedup, "sweep_speedup")
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_core.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeBenchRecords(b, "BENCH_core.json", recs)
 }

@@ -1,9 +1,7 @@
 package resex
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"testing"
@@ -32,8 +30,8 @@ import (
 // Both sides score the same number of (host, spec) pairs; the measured
 // difference is what the snapshot/delta-commit store eliminates: the
 // per-placement O(hosts) rebuild and the per-call trace/sort allocations.
-// Ratios are same-process and machine-independent; cmd/benchgate -kind
-// shardsched gates on them.
+// Ratios are same-process and machine-independent, so the benchmark checks
+// them against fixed limits on any machine.
 // ---------------------------------------------------------------------------
 
 // shardBenchHosts/shardBenchVMs size the fleet. 2000 hosts is the ROADMAP
@@ -45,6 +43,18 @@ const (
 	shardBenchVMs   = 2500
 	shardBenchWave  = 125
 )
+
+// minShardSpeedup is the placement-round floor. The recorded
+// BENCH_shardsched.json shows ~5x on the 2k-host fleet; 3x leaves a wide
+// regression budget while still catching a reintroduced per-placement
+// rebuild (which lands at 1x by construction).
+const minShardSpeedup = 3.0
+
+// maxAllocsPerPlacement budgets the copy-on-write commit path: a commit
+// clones each touched host once per round and the requeue/merge buffers
+// amortize to near zero, so steady state measures ~2 allocs/placement. The
+// legacy full-rebuild path costs thousands; 16 cleanly separates the two.
+const maxAllocsPerPlacement = 16.0
 
 type shardBenchArrival struct {
 	spec schedshard.Spec
@@ -194,28 +204,11 @@ func measureShardCurrent(arrivals []shardBenchArrival) (elapsed time.Duration, m
 	return elapsed, m1.Mallocs - m0.Mallocs, len(sched.Bound())
 }
 
-// benchShardJSON is the BENCH_shardsched.json schema; cmd/benchgate -kind
-// shardsched reads it.
-type benchShardJSON struct {
-	Benchmark  string         `json:"benchmark"`
-	Hosts      int            `json:"hosts"`
-	VMs        int            `json:"vms"`
-	Placements int            `json:"placements"`
-	Baseline   benchShardSide `json:"baseline"`
-	Current    benchShardSide `json:"current"`
-	Speedup    float64        `json:"speedup"`
-}
-
-type benchShardSide struct {
-	Scheduler          string  `json:"scheduler"`
-	NsPerPlacement     float64 `json:"ns_per_placement"`
-	AllocsPerPlacement float64 `json:"allocs_per_placement"`
-}
-
-// BenchmarkShardSched measures the placement round at fleet scale and
-// records BENCH_shardsched.json for the CI bench gate.
+// BenchmarkShardSched measures the placement round at fleet scale, records
+// BENCH_shardsched.json, and fails under minShardSpeedup or over
+// maxAllocsPerPlacement.
 func BenchmarkShardSched(b *testing.B) {
-	var out benchShardJSON
+	var recs []benchRecord
 	for i := 0; i < b.N; i++ {
 		arrivals := shardBenchArrivals(7)
 		lElapsed, lMallocs, lPlaced := measureShardBaseline(arrivals)
@@ -223,30 +216,20 @@ func BenchmarkShardSched(b *testing.B) {
 		if lPlaced != len(arrivals) || cPlaced != len(arrivals) {
 			b.Fatalf("placed baseline=%d current=%d, want %d", lPlaced, cPlaced, len(arrivals))
 		}
-		side := func(name string, d time.Duration, mallocs uint64) benchShardSide {
-			return benchShardSide{
-				Scheduler:          name,
-				NsPerPlacement:     float64(d.Nanoseconds()) / float64(len(arrivals)),
-				AllocsPerPlacement: float64(mallocs) / float64(len(arrivals)),
-			}
-		}
-		out = benchShardJSON{
-			Benchmark:  "BenchmarkShardSched",
-			Hosts:      shardBenchHosts,
-			VMs:        shardBenchVMs,
-			Placements: len(arrivals),
-			Baseline:   side("rebuild+select", lElapsed, lMallocs),
-			Current:    side("snapshot-store+1shard", cElapsed, cMallocs),
-		}
-		out.Speedup = out.Baseline.NsPerPlacement / out.Current.NsPerPlacement
+		per := func(v float64) float64 { return v / float64(len(arrivals)) }
+		lNs, cNs := per(float64(lElapsed.Nanoseconds())), per(float64(cElapsed.Nanoseconds()))
+		cAllocs := per(float64(cMallocs))
+		recs = []benchRecord{{
+			Name: "shardsched.speedup", Unit: "ns/placement",
+			Baseline: lNs, Current: cNs, Value: lNs / cNs,
+			Floor: limit(minShardSpeedup),
+			Note:  "snapshot store + 1 shard vs rebuild+select, 2000 hosts, 2500 placements",
+		}, {
+			Name: "shardsched.allocs_per_placement", Unit: "allocs/placement",
+			Baseline: per(float64(lMallocs)), Current: cAllocs, Value: cAllocs,
+			Ceiling: limit(maxAllocsPerPlacement),
+			Note:    "copy-on-write commit path: zero-alloc hot path plus per-round host clones",
+		}}
 	}
-	b.ReportMetric(out.Speedup, "placement_speedup")
-	b.ReportMetric(out.Current.AllocsPerPlacement, "allocs/placement")
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_shardsched.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeBenchRecords(b, "BENCH_shardsched.json", recs)
 }

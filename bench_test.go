@@ -1,9 +1,8 @@
 package resex
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -500,13 +499,81 @@ func BenchmarkFullStackSimSecond(b *testing.B) {
 // (naive and degradation-aware stacks across the intensity sweep).
 func BenchmarkAblFaults(b *testing.B) { runFigure(b, "abl-faults") }
 
+// maxOverheadPct is the hot-loop budget of an observer that must not
+// change what it observes: the fault injector armed with an empty schedule,
+// and the invariant auditor.
+const maxOverheadPct = 2.0
+
+// minOverheadIters is the fewest iterations whose slice ratios are held to
+// maxOverheadPct. Fewer — the -bench runner's N=1 probe before an -Nx run —
+// are recorded as informational.
+const minOverheadIters = 16
+
+// overheadSlice is how far one side of an overhead pair advances before the
+// other side takes its turn.
+const overheadSlice = 10 * sim.Millisecond
+
+// pairedOverhead builds the scenario unarmed and armed b.N times, advances
+// the two side by side to one simulated second in overheadSlice steps, and
+// records in file the median over all slices of armed/unarmed wall time, as
+// an overhead percent.
+//
+// A shared machine's speed drifts by tens of percent over seconds, so
+// comparing whole runs, even their minima, cannot resolve a 2% budget.
+// Adjacent slices run a few milliseconds apart and see the same machine; the
+// order within a slice alternates so that neither side always runs second;
+// and the median drops the slices a GC cycle or a preemption landed in.
+// The observers' cost is per event, so it shows in every slice.
+func pairedOverhead(b *testing.B, file, name string, rig func(armed bool) (*sim.Engine, func())) {
+	b.Helper()
+	var ratios []float64
+	var sides [2]time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var engs [2]*sim.Engine
+		var dones [2]func()
+		engs[0], dones[0] = rig(false)
+		engs[1], dones[1] = rig(true)
+		for k, at := 0, overheadSlice; at <= sim.Second; k, at = k+1, at+overheadSlice {
+			var d [2]time.Duration
+			for j := range 2 {
+				side := (j + k) % 2
+				start := time.Now()
+				engs[side].RunUntil(at)
+				d[side] = time.Since(start)
+			}
+			sides[0] += d[0]
+			sides[1] += d[1]
+			ratios = append(ratios, d[1].Seconds()/d[0].Seconds())
+		}
+		dones[0]()
+		dones[1]()
+	}
+	b.StopTimer()
+	slices.Sort(ratios)
+	median := (ratios[(len(ratios)-1)/2] + ratios[len(ratios)/2]) / 2
+	rec := benchRecord{
+		Name: name + ".overhead_pct", Unit: "ns/sim_s",
+		Baseline: float64(sides[0].Nanoseconds()) / float64(b.N),
+		Current:  float64(sides[1].Nanoseconds()) / float64(b.N),
+		Value:    100 * (median - 1),
+		Note:     fmt.Sprintf("median armed/unarmed wall-time ratio over %d interleaved %gms slices in %d iterations", len(ratios), overheadSlice.Milliseconds(), b.N),
+	}
+	if b.N >= minOverheadIters {
+		rec.Ceiling = limit(maxOverheadPct)
+	} else {
+		rec.Note += fmt.Sprintf("; fewer than %d iterations, too noisy to hold to the budget", minOverheadIters)
+	}
+	writeBenchRecords(b, file, []benchRecord{rec})
+}
+
 // BenchmarkFaultsEmptyScheduleOverhead measures what merely wiring the
 // injector — hosts attached, empty schedule armed — costs the hot event
-// loop, against the ≤2% budget. One simulated second of the full
-// ResEx/IOShares scenario per configuration per iteration; the paired
-// timings and overhead are written to BENCH_faults.json.
+// loop, against the maxOverheadPct budget, on one simulated second of the
+// full ResEx/IOShares scenario per side per iteration. The record lands in
+// BENCH_faults.json.
 func BenchmarkFaultsEmptyScheduleOverhead(b *testing.B) {
-	run := func(withInjector bool) time.Duration {
+	pairedOverhead(b, "BENCH_faults.json", "faults", func(withInjector bool) (*sim.Engine, func()) {
 		s, err := experiments.Build(experiments.ScenarioConfig{
 			IntfBuffer: experiments.IntfBuffer,
 			Policy:     resex.NewIOShares(),
@@ -525,51 +592,8 @@ func BenchmarkFaultsEmptyScheduleOverhead(b *testing.B) {
 			inj.Arm(faults.Schedule{})
 		}
 		s.Start()
-		start := time.Now()
-		s.TB.Eng.RunUntil(sim.Second)
-		elapsed := time.Since(start)
-		s.Shutdown()
-		return elapsed
-	}
-	// Compare the fastest observed run per configuration: the injector
-	// adds no events for an empty schedule, so the minimum strips GC and
-	// scheduler noise that a sum would count against one side.
-	min := func(a, b time.Duration) time.Duration {
-		if b < a {
-			return b
-		}
-		return a
-	}
-	base, armed := time.Duration(1<<62), time.Duration(1<<62)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Alternate which configuration runs first so allocator/GC drift
-		// within an iteration cancels instead of biasing one side.
-		if i%2 == 0 {
-			base = min(base, run(false))
-			armed = min(armed, run(true))
-		} else {
-			armed = min(armed, run(true))
-			base = min(base, run(false))
-		}
-	}
-	b.StopTimer()
-	overhead := 100 * (armed.Seconds() - base.Seconds()) / base.Seconds()
-	b.ReportMetric(overhead, "overhead_%")
-	out, err := json.MarshalIndent(map[string]any{
-		"benchmark":             "BenchmarkFaultsEmptyScheduleOverhead",
-		"iterations":            b.N,
-		"baseline_ns_per_sim_s": base.Nanoseconds(),
-		"armed_ns_per_sim_s":    armed.Nanoseconds(),
-		"overhead_pct":          overhead,
-		"budget_pct":            2.0,
-	}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_faults.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+		return s.TB.Eng, s.Shutdown
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -591,13 +615,11 @@ func BenchmarkAblWorkloadMix(b *testing.B) { runFigure(b, "abl-workload-mix") }
 // BenchmarkAuditOverhead measures what -audit costs the hot event loop —
 // the per-event stride mask plus the sampled predicate passes — on the full
 // ResEx/IOShares interference scenario (the same rig `benchex -intf-buffer
-// 2MB -policy ioshares -audit` runs), against the ≤2% budget. Same-process
-// paired minima, alternating order, exactly like the faults overhead gate:
-// batch-to-batch wall-clock comparisons on a shared machine drown a
-// few-percent effect in noise, while the paired minimum strips it. The
-// timings land in BENCH_invariant.json.
+// 2MB -policy ioshares -audit` runs), against the maxOverheadPct budget,
+// with the same interleaved slices as the faults overhead. The record lands
+// in BENCH_invariant.json.
 func BenchmarkAuditOverhead(b *testing.B) {
-	run := func(audited bool) time.Duration {
+	pairedOverhead(b, "BENCH_invariant.json", "invariant", func(audited bool) (*sim.Engine, func()) {
 		s, err := experiments.Build(experiments.ScenarioConfig{
 			IntfBuffer: experiments.IntfBuffer,
 			Policy:     resex.NewIOShares(),
@@ -606,60 +628,19 @@ func BenchmarkAuditOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var closeAudit func()
-		if audited {
-			a := invariant.New(s.TB.Eng, invariant.NewCollector(invariant.Audit))
-			for _, h := range s.TB.Hosts {
-				a.WatchXen(h.HV)
-				a.WatchHCA(h.HCA)
-			}
-			if s.Mgr != nil {
-				a.WatchManager(s.Mgr)
-			}
-			closeAudit = a.Close
+		if !audited {
+			s.Start()
+			return s.TB.Eng, s.Shutdown
+		}
+		a := invariant.New(s.TB.Eng, invariant.NewCollector(invariant.Audit))
+		for _, h := range s.TB.Hosts {
+			a.WatchXen(h.HV)
+			a.WatchHCA(h.HCA)
+		}
+		if s.Mgr != nil {
+			a.WatchManager(s.Mgr)
 		}
 		s.Start()
-		start := time.Now()
-		s.TB.Eng.RunUntil(sim.Second)
-		elapsed := time.Since(start)
-		if closeAudit != nil {
-			closeAudit()
-		}
-		s.Shutdown()
-		return elapsed
-	}
-	min := func(a, b time.Duration) time.Duration {
-		if b < a {
-			return b
-		}
-		return a
-	}
-	base, audited := time.Duration(1<<62), time.Duration(1<<62)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			base = min(base, run(false))
-			audited = min(audited, run(true))
-		} else {
-			audited = min(audited, run(true))
-			base = min(base, run(false))
-		}
-	}
-	b.StopTimer()
-	overhead := 100 * (audited.Seconds() - base.Seconds()) / base.Seconds()
-	b.ReportMetric(overhead, "overhead_%")
-	out, err := json.MarshalIndent(map[string]any{
-		"benchmark":             "BenchmarkAuditOverhead",
-		"iterations":            b.N,
-		"baseline_ns_per_sim_s": base.Nanoseconds(),
-		"audited_ns_per_sim_s":  audited.Nanoseconds(),
-		"overhead_pct":          overhead,
-		"budget_pct":            2.0,
-	}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_invariant.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+		return s.TB.Eng, func() { a.Close(); s.Shutdown() }
+	})
 }

@@ -117,7 +117,7 @@ func (p *progress) interrupt(sig os.Signal) {
 
 func main() {
 	var (
-		fig        = flag.String("fig", "", "figure to reproduce (fig1..fig9)")
+		fig        = flag.String("fig", "", "experiment id to reproduce (see -list for all ids)")
 		all        = flag.Bool("all", false, "reproduce every figure")
 		list       = flag.Bool("list", false, "list available figures")
 		csv        = flag.Bool("csv", false, "emit CSV instead of text")

@@ -6,6 +6,7 @@ import (
 
 	"resex/internal/faults"
 	"resex/internal/placement"
+	"resex/internal/schedshard"
 	"resex/internal/sim"
 	"resex/internal/stats"
 )
@@ -130,7 +131,7 @@ func runFaultsRow(o Options, stormsPerSec float64, aware bool) (AblFaultsRow, er
 	cfg := placement.Config{
 		Hosts:       faultsHosts,
 		ClientPCPUs: 2*faultsHosts + 2,
-		Strategy:    placement.PipelineStrategy{Label: "spread", P: placement.NewSpreadPipeline()},
+		Strategy:    placement.PipelineStrategy{Label: "spread", P: schedshard.NewSpreadPipeline()},
 		Seed:        o.Seed,
 	}
 	if aware {

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"resex/internal/placement"
+	"resex/internal/schedshard"
 	"resex/internal/sim"
 	"resex/internal/stats"
 )
@@ -129,10 +130,10 @@ func placementStrategies() []placementStrategy {
 	return []placementStrategy{
 		{name: "random", make: func() placement.Strategy { return placement.RandomStrategy{} }},
 		{name: "spread", make: func() placement.Strategy {
-			return placement.PipelineStrategy{Label: "spread", P: placement.NewSpreadPipeline()}
+			return placement.PipelineStrategy{Label: "spread", P: schedshard.NewSpreadPipeline()}
 		}},
 		{name: "intf-aware", make: func() placement.Strategy {
-			return placement.PipelineStrategy{Label: "intf-aware", P: placement.NewInterferencePipeline()}
+			return placement.PipelineStrategy{Label: "intf-aware", P: schedshard.NewInterferencePipeline()}
 		}},
 		{name: "random+rb", rebalance: true, make: func() placement.Strategy { return placement.RandomStrategy{} }},
 	}

@@ -9,6 +9,7 @@ import (
 	"resex/internal/invariant"
 	"resex/internal/placement"
 	"resex/internal/resex"
+	"resex/internal/schedshard"
 	"resex/internal/sim"
 	"resex/internal/workload"
 )
@@ -212,7 +213,7 @@ func TestFaultPlansAudited(t *testing.T) {
 				Hosts:               hosts,
 				ClientPCPUs:         2*hosts + 2,
 				IntervalsPerEpoch:   50,
-				Strategy:            placement.PipelineStrategy{Label: "spread", P: placement.NewSpreadPipeline()},
+				Strategy:            placement.PipelineStrategy{Label: "spread", P: schedshard.NewSpreadPipeline()},
 				Seed:                seed,
 				ConfidenceGate:      0.7,
 				QuarantineBlackouts: true,

@@ -6,6 +6,7 @@ import (
 
 	"resex/internal/faults"
 	"resex/internal/resex"
+	"resex/internal/schedshard"
 	"resex/internal/sim"
 )
 
@@ -240,7 +241,7 @@ func TestQuarantineBlackedOutHostSteersPlacement(t *testing.T) {
 	run := func(quarantine bool) int {
 		f := NewFleet(Config{
 			Hosts: 2, Seed: 5,
-			Strategy:            PipelineStrategy{Label: "spread", P: NewSpreadPipeline()},
+			Strategy:            PipelineStrategy{Label: "spread", P: schedshard.NewSpreadPipeline()},
 			QuarantineBlackouts: quarantine,
 		})
 		inj := faults.NewInjector(f.TB.Eng)

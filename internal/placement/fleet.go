@@ -38,7 +38,7 @@ type Config struct {
 	IntervalsPerEpoch int
 	// Policy builds the per-host pricing policy. Default NewIOShares.
 	Policy func() resex.Policy
-	// Strategy decides placements. Default NewInterferencePipeline.
+	// Strategy decides placements. Default schedshard.NewInterferencePipeline.
 	Strategy Strategy
 	// IntfThresholdPct is the epoch IntfPercent above which a
 	// latency-sensitive VM counts as breached (feeds the rebalancer's
@@ -76,7 +76,7 @@ func (c Config) withDefaults() Config {
 		c.Policy = func() resex.Policy { return resex.NewIOShares() }
 	}
 	if c.Strategy == nil {
-		c.Strategy = PipelineStrategy{Label: "intf-aware", P: NewInterferencePipeline()}
+		c.Strategy = PipelineStrategy{Label: "intf-aware", P: schedshard.NewInterferencePipeline()}
 	}
 	if c.IntfThresholdPct <= 0 {
 		c.IntfThresholdPct = 5
@@ -116,7 +116,7 @@ type Workload struct {
 
 // Placement is one workload's current binding.
 type Placement struct {
-	Spec     Spec
+	Spec     schedshard.Spec
 	Workload Workload
 	App      *cluster.App
 	Agent    *benchex.Agent
@@ -235,17 +235,17 @@ func (f *Fleet) WireFaults(inj *faults.Injector) {
 // monitor's observability: quarantined when blacked out and quarantining is
 // enabled, degraded when the monitor is blind or low-confidence for any
 // target, OK otherwise.
-func (f *Fleet) HostHealth(i int) HostHealth {
+func (f *Fleet) HostHealth(i int) schedshard.HostHealth {
 	switch f.Mons[i].Health() {
 	case ibmon.HealthBlackout:
 		if f.cfg.QuarantineBlackouts {
-			return HealthQuarantined
+			return schedshard.HealthQuarantined
 		}
-		return HealthDegraded
+		return schedshard.HealthDegraded
 	case ibmon.HealthDegraded:
-		return HealthDegraded
+		return schedshard.HealthDegraded
 	default:
-		return HealthOK
+		return schedshard.HealthOK
 	}
 }
 
@@ -310,10 +310,10 @@ func (f *Fleet) refresh() *schedshard.Snapshot {
 }
 
 // buildView constructs the per-host state the published snapshot holds.
-func (f *Fleet) buildView() []*HostInfo {
-	out := make([]*HostInfo, 0, len(f.Workers))
+func (f *Fleet) buildView() []*schedshard.HostInfo {
+	out := make([]*schedshard.HostInfo, 0, len(f.Workers))
 	for i, h := range f.Workers {
-		hi := &HostInfo{
+		hi := &schedshard.HostInfo{
 			Node:            h.Node,
 			FreePCPUs:       h.FreePCPUs(),
 			TotalPCPUs:      f.cfg.PCPUsPerHost - 1, // dom0 owns PCPU 0
@@ -330,7 +330,7 @@ func (f *Fleet) buildView() []*HostInfo {
 			if pl.HostIdx != i {
 				continue
 			}
-			vi := VMInfo{Spec: pl.Spec, IntfPercent: pl.lastIntf, CapPct: pl.lastCap}
+			vi := schedshard.VMInfo{Spec: pl.Spec, IntfPercent: pl.lastIntf, CapPct: pl.lastCap}
 			if prof, ok := f.Mons[i].ProfileOf(pl.App.ServerVM.Dom.ID()); ok {
 				vi.MTUsPerSec = prof.MTUsPerSec
 				vi.BytesPerSec = prof.BytesPerSec
@@ -355,7 +355,7 @@ func (f *Fleet) buildView() []*HostInfo {
 // current snapshot with one placement's VM elided, as if it were not
 // running — the rebalancer scores "where should this VM be?" without the
 // VM's own footprint biasing its current host.
-func (f *Fleet) whatIf(skip *Placement) []*HostInfo {
+func (f *Fleet) whatIf(skip *Placement) []*schedshard.HostInfo {
 	return f.refresh().WithoutVM(f.Workers[skip.HostIdx].Node, skip.Spec.Name)
 }
 
@@ -376,13 +376,13 @@ func (f *Fleet) workerIdx(node int) int {
 // on the chosen host, puts the server VM under the host's ResEx manager and
 // starts server, client and monitoring agent.
 func (f *Fleet) Place(w Workload) (*Placement, error) {
-	spec := Spec{Name: w.Name, LatencySensitive: w.LatencySensitive, BufferSize: w.BufferSize}
+	spec := schedshard.Spec{Name: w.Name, LatencySensitive: w.LatencySensitive, BufferSize: w.BufferSize}
 	host, _, err := f.cfg.Strategy.Pick(f.refresh().Hosts, spec, f.rng)
 	if err != nil {
 		return nil, err
 	}
 	f.placeSeq++
-	bind := schedshard.Bind{Key: f.placeSeq, Node: host.Node, VM: VMInfo{Spec: spec}}
+	bind := schedshard.Bind{Key: f.placeSeq, Node: host.Node, VM: schedshard.VMInfo{Spec: spec}}
 	if _, conflicted := f.store.CommitRound([]schedshard.Bind{bind}); len(conflicted) != 0 {
 		return nil, fmt.Errorf("placement: bind of %q onto node%d conflicted at commit", w.Name, host.Node)
 	}

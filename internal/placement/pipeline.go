@@ -20,10 +20,12 @@
 //
 // The cluster-state model and the pipeline itself live in
 // internal/schedshard — the shared-state multi-shard scheduler built for
-// thousand-host fleets — and are aliased here, so fleet code and the
-// scale-out scheduler operate on the same types. The fleet publishes its
-// live state into a schedshard.Store and commits every bind through it,
-// which is also where placement-vs-headroom conflicts are counted.
+// thousand-host fleets — and fleet code uses those types directly, so it
+// and the scale-out scheduler operate on the same values. Only the
+// Strategy seam (pipeline or random baseline) is placement's own. The
+// fleet publishes its live state into a schedshard.Store and commits every
+// bind through it, which is also where placement-vs-headroom conflicts are
+// counted.
 //
 // Everything is deterministic: the same seed yields identical placement
 // decisions and an identical migration schedule.
@@ -36,66 +38,6 @@ import (
 	"resex/internal/sim"
 )
 
-// The scheduling vocabulary is shared with the multi-shard scheduler:
-// specs, VM and host views, health states, plugin interfaces and the
-// pipeline all live in internal/schedshard and keep their original
-// placement API here as aliases.
-type (
-	// Spec is what the scheduler knows about a VM before it runs.
-	Spec = schedshard.Spec
-	// VMInfo is the scheduler's view of one resident VM.
-	VMInfo = schedshard.VMInfo
-	// HostHealth classifies a host for scheduling purposes.
-	HostHealth = schedshard.HostHealth
-	// HostInfo is one host's state snapshot, the unit filters and scorers
-	// operate on.
-	HostInfo = schedshard.HostInfo
-	// FilterPlugin rules hosts in or out for a spec.
-	FilterPlugin = schedshard.FilterPlugin
-	// ScorePlugin ranks a feasible host for a spec in [0, 1].
-	ScorePlugin = schedshard.ScorePlugin
-	// Pipeline is the filter → score → bind decision chain.
-	Pipeline = schedshard.Pipeline
-	// HostScore is one host's pipeline outcome.
-	HostScore = schedshard.HostScore
-	// FitsPCPUs is the capacity filter.
-	FitsPCPUs = schedshard.FitsPCPUs
-	// HealthyHost filters out quarantined hosts.
-	HealthyHost = schedshard.HealthyHost
-	// SpreadByCPU scores hosts by free PCPU fraction.
-	SpreadByCPU = schedshard.SpreadByCPU
-	// ResoHeadroom scores hosts by remaining economic room.
-	ResoHeadroom = schedshard.ResoHeadroom
-	// InterferenceAware penalizes fatal colocations.
-	InterferenceAware = schedshard.InterferenceAware
-	// RateWeightedHeadroom discounts free capacity by congestion quotes.
-	RateWeightedHeadroom = schedshard.RateWeightedHeadroom
-)
-
-// Health states (see schedshard.HostHealth).
-const (
-	HealthOK          = schedshard.HealthOK
-	HealthDegraded    = schedshard.HealthDegraded
-	HealthQuarantined = schedshard.HealthQuarantined
-)
-
-// NewPipeline creates an empty pipeline; compose it with AddFilter and
-// AddScorer.
-func NewPipeline() *Pipeline { return schedshard.NewPipeline() }
-
-// NewSpreadPipeline is the CPU-only spreading scheduler: capacity and
-// health filters plus SpreadByCPU.
-func NewSpreadPipeline() *Pipeline { return schedshard.NewSpreadPipeline() }
-
-// NewInterferencePipeline is the full scheduler: capacity and health
-// filters, then interference avoidance dominating, with Reso headroom and
-// CPU spreading as tie-breakers.
-func NewInterferencePipeline() *Pipeline { return schedshard.NewInterferencePipeline() }
-
-// NewRatePipeline is the exchange-priced scheduler: interference avoidance
-// dominating, with rate-weighted headroom packing load onto cheap hosts.
-func NewRatePipeline() *Pipeline { return schedshard.NewRatePipeline() }
-
 // ---------------------------------------------------------------------------
 // Strategies.
 // ---------------------------------------------------------------------------
@@ -104,20 +46,20 @@ func NewRatePipeline() *Pipeline { return schedshard.NewRatePipeline() }
 // RandomStrategy is the experiment baseline.
 type Strategy interface {
 	Name() string
-	Pick(hosts []*HostInfo, s Spec, rng *sim.Rand) (*HostInfo, []HostScore, error)
+	Pick(hosts []*schedshard.HostInfo, s schedshard.Spec, rng *sim.Rand) (*schedshard.HostInfo, []schedshard.HostScore, error)
 }
 
 // PipelineStrategy runs a plugin pipeline.
 type PipelineStrategy struct {
 	Label string
-	P     *Pipeline
+	P     *schedshard.Pipeline
 }
 
 // Name implements Strategy.
 func (ps PipelineStrategy) Name() string { return ps.Label }
 
 // Pick implements Strategy.
-func (ps PipelineStrategy) Pick(hosts []*HostInfo, s Spec, _ *sim.Rand) (*HostInfo, []HostScore, error) {
+func (ps PipelineStrategy) Pick(hosts []*schedshard.HostInfo, s schedshard.Spec, _ *sim.Rand) (*schedshard.HostInfo, []schedshard.HostScore, error) {
 	return ps.P.Select(hosts, s)
 }
 
@@ -129,10 +71,10 @@ type RandomStrategy struct{}
 func (RandomStrategy) Name() string { return "random" }
 
 // Pick implements Strategy.
-func (RandomStrategy) Pick(hosts []*HostInfo, s Spec, rng *sim.Rand) (*HostInfo, []HostScore, error) {
-	var feasible []*HostInfo
+func (RandomStrategy) Pick(hosts []*schedshard.HostInfo, s schedshard.Spec, rng *sim.Rand) (*schedshard.HostInfo, []schedshard.HostScore, error) {
+	var feasible []*schedshard.HostInfo
 	for _, h := range hosts {
-		if (FitsPCPUs{}).Filter(h, s) && (HealthyHost{}).Filter(h, s) {
+		if (schedshard.FitsPCPUs{}).Filter(h, s) && (schedshard.HealthyHost{}).Filter(h, s) {
 			feasible = append(feasible, h)
 		}
 	}

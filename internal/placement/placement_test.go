@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"resex/internal/resex"
+	"resex/internal/schedshard"
 	"resex/internal/sim"
 )
 
@@ -28,7 +29,7 @@ func bulkWorkload(name string, seed int64) Workload {
 type pinStrategy struct{ node int }
 
 func (s pinStrategy) Name() string { return "pin" }
-func (s pinStrategy) Pick(hosts []*HostInfo, sp Spec, _ *sim.Rand) (*HostInfo, []HostScore, error) {
+func (s pinStrategy) Pick(hosts []*schedshard.HostInfo, sp schedshard.Spec, _ *sim.Rand) (*schedshard.HostInfo, []schedshard.HostScore, error) {
 	for _, h := range hosts {
 		if h.Node == s.node {
 			return h, nil, nil
@@ -38,15 +39,15 @@ func (s pinStrategy) Pick(hosts []*HostInfo, sp Spec, _ *sim.Rand) (*HostInfo, [
 }
 
 func TestPipelineSelectTieBreakAndDeterminism(t *testing.T) {
-	mk := func() []*HostInfo {
-		return []*HostInfo{
+	mk := func() []*schedshard.HostInfo {
+		return []*schedshard.HostInfo{
 			{Node: 3, FreePCPUs: 4, TotalPCPUs: 7, ResoHeadroom: 1},
 			{Node: 1, FreePCPUs: 4, TotalPCPUs: 7, ResoHeadroom: 1},
 			{Node: 2, FreePCPUs: 0, TotalPCPUs: 7, ResoHeadroom: 1},
 		}
 	}
-	pipe := NewInterferencePipeline()
-	spec := Spec{Name: "ls", LatencySensitive: true, BufferSize: 64 << 10}
+	pipe := schedshard.NewInterferencePipeline()
+	spec := schedshard.Spec{Name: "ls", LatencySensitive: true, BufferSize: 64 << 10}
 	best, trace, err := pipe.Select(mk(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -66,37 +67,37 @@ func TestPipelineSelectTieBreakAndDeterminism(t *testing.T) {
 	}
 
 	// No feasible host at all.
-	if _, _, err := pipe.Select([]*HostInfo{{Node: 1, TotalPCPUs: 7}}, spec); err == nil {
+	if _, _, err := pipe.Select([]*schedshard.HostInfo{{Node: 1, TotalPCPUs: 7}}, spec); err == nil {
 		t.Error("expected error with no feasible host")
 	}
 }
 
 func TestInterferenceAwareBeatsSpreadOnContaminatedHost(t *testing.T) {
-	bulk := VMInfo{
-		Spec:        Spec{Name: "bulk", BufferSize: 2 << 20},
+	bulk := schedshard.VMInfo{
+		Spec:        schedshard.Spec{Name: "bulk", BufferSize: 2 << 20},
 		BytesPerSec: 500e6, MTUsPerSec: 500e3, BufferSize: 2 << 20,
 	}
-	ls := VMInfo{Spec: Spec{Name: "ls", LatencySensitive: true, BufferSize: 64 << 10}}
-	mk := func() []*HostInfo {
-		return []*HostInfo{
+	ls := schedshard.VMInfo{Spec: schedshard.Spec{Name: "ls", LatencySensitive: true, BufferSize: 64 << 10}}
+	mk := func() []*schedshard.HostInfo {
+		return []*schedshard.HostInfo{
 			// Emptier but contaminated by a hard-driving bulk sender.
 			{Node: 1, FreePCPUs: 6, TotalPCPUs: 7, LinkBytesPerSec: 1e9,
-				IOCommitted: 0.5, ResoHeadroom: 0.8, VMs: []VMInfo{bulk}},
+				IOCommitted: 0.5, ResoHeadroom: 0.8, VMs: []schedshard.VMInfo{bulk}},
 			// Fuller but clean.
 			{Node: 2, FreePCPUs: 4, TotalPCPUs: 7, LinkBytesPerSec: 1e9,
-				IOCommitted: 0.3, ResoHeadroom: 0.8, VMs: []VMInfo{ls, ls, ls}},
+				IOCommitted: 0.3, ResoHeadroom: 0.8, VMs: []schedshard.VMInfo{ls, ls, ls}},
 		}
 	}
-	spec := Spec{Name: "ls-new", LatencySensitive: true, BufferSize: 64 << 10}
+	spec := schedshard.Spec{Name: "ls-new", LatencySensitive: true, BufferSize: 64 << 10}
 
-	spread, _, err := NewSpreadPipeline().Select(mk(), spec)
+	spread, _, err := schedshard.NewSpreadPipeline().Select(mk(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spread.Node != 1 {
 		t.Errorf("spread should chase free CPUs onto node1, got %d", spread.Node)
 	}
-	aware, _, err := NewInterferencePipeline().Select(mk(), spec)
+	aware, _, err := schedshard.NewInterferencePipeline().Select(mk(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,14 +107,14 @@ func TestInterferenceAwareBeatsSpreadOnContaminatedHost(t *testing.T) {
 
 	// Symmetric: an arriving bulk VM should avoid the latency-sensitive
 	// crowd even though their host has more free CPUs.
-	bulkSpec := Spec{Name: "bulk-new", BufferSize: 2 << 20}
-	hosts := []*HostInfo{
+	bulkSpec := schedshard.Spec{Name: "bulk-new", BufferSize: 2 << 20}
+	hosts := []*schedshard.HostInfo{
 		{Node: 1, FreePCPUs: 4, TotalPCPUs: 7, LinkBytesPerSec: 1e9, ResoHeadroom: 1,
-			VMs: []VMInfo{ls, ls, ls}},
+			VMs: []schedshard.VMInfo{ls, ls, ls}},
 		{Node: 2, FreePCPUs: 3, TotalPCPUs: 7, LinkBytesPerSec: 1e9, ResoHeadroom: 1,
-			VMs: []VMInfo{bulk}},
+			VMs: []schedshard.VMInfo{bulk}},
 	}
-	got, _, err := NewInterferencePipeline().Select(hosts, bulkSpec)
+	got, _, err := schedshard.NewInterferencePipeline().Select(hosts, bulkSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"resex/internal/exchange"
+	"resex/internal/schedshard"
 	"resex/internal/sim"
 )
 
@@ -70,19 +71,19 @@ func (c RebalanceConfig) withDefaults() RebalanceConfig {
 type Rebalancer struct {
 	f       *Fleet
 	cfg     RebalanceConfig
-	pipe    *Pipeline
+	pipe    *schedshard.Pipeline
 	proc    *sim.Proc
 	running bool
 }
 
 // NewRebalancer creates a rebalancer using the interference-aware pipeline
-// to pick migration targets — rate-weighted (NewRatePipeline) when the
+// to pick migration targets — rate-weighted (schedshard.NewRatePipeline) when the
 // fleet's policy prices through the exchange, so migration targets are
 // scored with the same economics new placements are.
 func NewRebalancer(f *Fleet, cfg RebalanceConfig) *Rebalancer {
-	pipe := NewInterferencePipeline()
+	pipe := schedshard.NewInterferencePipeline()
 	if len(f.Market().Hosts()) > 0 {
-		pipe = NewRatePipeline()
+		pipe = schedshard.NewRatePipeline()
 	}
 	return &Rebalancer{f: f, cfg: cfg.withDefaults(), pipe: pipe}
 }
