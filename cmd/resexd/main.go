@@ -7,7 +7,7 @@
 //	resexd -socket /tmp/resexd.sock
 //	resexd -policy fungible -tenant lat:latency -tenant bulk:bulk
 //	resexd -restore run.snap           # resume a snapshotted session
-//	resexd -log commands.jsonl         # durable command log
+//	resexd -log commands.jsonl         # durable copy of the replay log
 //
 // Clients: resexctl sends commands (status, pause/run/step, add-tenant,
 // remove-tenant, policy, snapshot, restore, quit); resextop -attach renders
@@ -66,7 +66,7 @@ func main() {
 		policy    = flag.String("policy", "none", "initial pricing policy: none, freemarket, ioshares or fungible")
 		quantum   = flag.Duration("quantum", 100*time.Millisecond, "virtual time per step; commands land on these boundaries")
 		throttle  = flag.Duration("throttle", 100*time.Millisecond, "wall-clock pause between quanta while running (0 = free-run)")
-		cmdLog    = flag.String("log", "", "append every received command to this file (JSON lines)")
+		cmdLog    = flag.String("log", "", "keep this file equal to the session's replay log (JSON lines), rewritten after every state command and restore")
 		restore   = flag.String("restore", "", "resume from a snapshot file instead of starting fresh")
 		simShards = flag.Int("simshards", 1, "worker width for sharded simulation; wall-clock only, output is byte-identical at any value")
 	)

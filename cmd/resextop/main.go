@@ -8,16 +8,18 @@
 //	resextop                       # IOShares, 2s, 100ms refresh
 //	resextop -policy freemarket -duration 3s -refresh 250ms
 //	resextop -faults 4             # inject 4 fault storms/s; watch health
-//	resextop -workload             # multi-tenant traffic engine instead
+//	resextop -workload             # resexd's default session, in process
 //	resextop -exchange             # fungible economy: rates + positions
 //	resextop -attach /tmp/resexd.sock   # render a live resexd session
 //
 // Each refresh also shows the host's health (OK/degraded/blackout) and every
 // VM's IBMon telemetry confidence, which matter once faults are injected.
-// With -workload the rig is the traffic engine's mixed-class scenario (a
-// closed-loop latency tenant against a bursty 2 MB bulk tenant) and every
-// refresh adds per-tenant columns: offered load, inflight, p99 and SLO
-// attainment over the refresh window. With -exchange the rig is a
+// With -workload resextop runs resexd's default session in process (a
+// closed-loop latency tenant against a bursty 2 MB bulk tenant, one quantum
+// per refresh) and prints every quantum with the -attach columns: per-VM
+// rate, cap, Resos, MTU rate, confidence and interference flag, plus
+// per-tenant offered and completed rates, inflight, queue, p99 and SLO
+// attainment. With -exchange the rig is a
 // two-generation heterogeneous fleet under the Fungible policy, and each
 // refresh prints every host's rate board (per-dimension prices, settlement
 // epoch, trades) plus every holder's per-dimension book position. With
@@ -51,8 +53,8 @@ func main() {
 		duration   = flag.Duration("duration", 2*time.Second, "virtual run time")
 		refresh    = flag.Duration("refresh", 100*time.Millisecond, "virtual time between table prints")
 		storms     = flag.Float64("faults", 0, "fault storms per second to inject (0 = none)")
-		seed       = flag.Int64("seed", 0, "fault schedule seed")
-		useWL      = flag.Bool("workload", false, "drive the multi-tenant traffic engine instead of the benchex scenario")
+		seed       = flag.Int64("seed", 0, "fault schedule seed; the session seed with -workload")
+		useWL      = flag.Bool("workload", false, "run resexd's default session (lat + bulk tenants) in process instead of the benchex scenario")
 		exchTop    = flag.Bool("exchange", false, "drive the fungible Reso economy on a heterogeneous two-host fleet and print per-host rates plus per-holder book positions")
 		shardTop   = flag.Bool("shardsched", false, "drive the multi-shard placement scheduler on a synthetic fleet and print shard/conflict counters")
 		shards     = flag.Int("shards", 4, "logical shard count for -shardsched")
@@ -88,37 +90,26 @@ func main() {
 		return
 	}
 
-	mkPolicy := func() resex.Policy {
-		switch strings.ToLower(*policyName) {
-		case "freemarket", "fm":
-			return resex.NewFreeMarket()
-		case "fungible", "fun":
-			return resex.NewFungible()
-		case "ioshares", "ios":
-			if *useWL {
-				// Same tuning as the abl-workload experiments: open-loop
-				// arrival jitter defeats the deviation trigger.
-				p := resex.NewIOShares()
-				p.UseDeviation = false
-				p.WarmupIntervals = 100
-				return p
-			}
-			return resex.NewIOShares()
-		default:
-			fmt.Fprintf(os.Stderr, "resextop: unknown policy %q\n", *policyName)
-			os.Exit(2)
-			return nil
-		}
-	}
-	policy := mkPolicy()
-
 	if *useWL {
 		if *storms > 0 {
 			fmt.Fprintln(os.Stderr, "resextop: -faults is only supported in scenario mode")
 			os.Exit(2)
 		}
-		runWorkloadTop(mkPolicy, policy.Name(), *duration, *refresh, *seed)
+		runSession(*policyName, *duration, *refresh, *seed)
 		return
+	}
+
+	var policy resex.Policy
+	switch strings.ToLower(*policyName) {
+	case "freemarket", "fm":
+		policy = resex.NewFreeMarket()
+	case "fungible", "fun":
+		policy = resex.NewFungible()
+	case "ioshares", "ios":
+		policy = resex.NewIOShares()
+	default:
+		fmt.Fprintf(os.Stderr, "resextop: unknown policy %q\n", *policyName)
+		os.Exit(2)
 	}
 
 	s, err := experiments.Build(experiments.ScenarioConfig{
@@ -205,86 +196,30 @@ func main() {
 	s.Shutdown()
 }
 
-// runWorkloadTop drives the traffic engine's mixed-class rig and prints the
-// per-VM manager table plus per-tenant workload columns every refresh.
-func runWorkloadTop(mkPolicy func() resex.Policy, policyName string, duration, refresh time.Duration, seed int64) {
-	e := workload.New(workload.Config{Hosts: 1, ClientPCPUs: 8, Policy: mkPolicy})
-	if _, err := e.AddTenant(workload.TenantSpec{
-		Name:             "lat",
-		Closed:           workload.ClosedLoop{Concurrency: 1},
-		SLO:              workload.SLOSpec{P99Us: 1.5 * experiments.BaseSLAUs},
-		SLAUs:            experiments.BaseSLAUs,
-		LatencySensitive: true,
-		Seed:             seed + 1,
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "resextop:", err)
-		os.Exit(1)
-	}
-	if _, err := e.AddTenant(workload.TenantSpec{
-		Name:       "bulk",
-		BufferSize: experiments.IntfBuffer,
-		Arrivals: &workload.MMPP2{
-			CalmRate: 150, BurstRate: 800,
-			CalmDwell: 40 * sim.Millisecond, BurstDwell: 10 * sim.Millisecond,
+// runSession runs resexd's default session in process — tenants
+// lat:latency and bulk:bulk under the named policy, one quantum per refresh
+// — and renders every quantum with the -attach columns.
+func runSession(policy string, duration, refresh time.Duration, seed int64) {
+	s, err := daemon.New(daemon.Config{
+		Seed:      seed,
+		Policy:    policy,
+		QuantumNs: refresh.Nanoseconds(),
+		Tenants: []daemon.TenantConfig{
+			{Name: "lat", Class: "latency"},
+			{Name: "bulk", Class: "bulk"},
 		},
-		Window:         16,
-		ProcessTime:    2 * sim.Millisecond,
-		PipelineServer: true,
-		Seed:           seed + 999,
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "resextop:", err)
-		os.Exit(1)
-	}
-
-	mgr := e.Mgrs[0]
-	interval := mgr.Config().Interval
-	every := int64(sim.Time(refresh.Nanoseconds()) / interval)
-	if every < 1 {
-		every = 1
-	}
-
-	fmt.Printf("resextop — workload mode, policy %s, refresh %v (virtual)\n", policyName, refresh)
-	mgr.Observe(func(d *resex.IntervalData) {
-		if d.Index%every != 0 {
-			return
-		}
-		fmt.Printf("\n[t=%v]\n", d.Now)
-		fmt.Printf("%-18s %7s %7s %6s %8s\n", "VM", "CPU%", "rate", "cap%", "intf?")
-		for i := range d.VMs {
-			t := &d.VMs[i]
-			capStr := "-"
-			if c := t.VM.Dom.Cap(); c > 0 {
-				capStr = fmt.Sprintf("%d", c)
-			}
-			intf := ""
-			if t.VM.Interfered() {
-				intf = "victim"
-			} else if t.VM.Rate() > 1 {
-				intf = "taxed"
-			}
-			fmt.Printf("%-18s %7.1f %7.2f %6s %8s\n",
-				t.VM.Dom.Name(), t.CPUPct, t.VM.Rate(), capStr, intf)
-		}
-		fmt.Printf("%-10s %10s %11s %8s %7s %9s %7s\n",
-			"tenant", "offered/s", "completed/s", "inflight", "queued", "p99(µs)", "SLO%")
-		for _, tn := range e.Tenants() {
-			st := tn.Stats()
-			slo := "-"
-			if tn.Spec.SLO.Constrained() {
-				slo = fmt.Sprintf("%.1f", st.AttainPct)
-			}
-			fmt.Printf("%-10s %10.0f %11.0f %8d %7d %9.0f %7s\n",
-				tn.Spec.Name, st.OfferedPerSec, st.CompletedPerSec,
-				st.Inflight, st.Queued, st.P99, slo)
-			// Reset so the next refresh shows that window, not the cumulative
-			// run — top semantics.
-			tn.ResetStats()
-		}
 	})
-
-	e.Start()
-	e.TB.Eng.RunUntil(sim.Time(duration.Nanoseconds()))
-	e.Shutdown()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "resextop:", err)
+		os.Exit(2)
+	}
+	defer s.Shutdown()
+	fmt.Printf("resextop — workload mode (in-process resexd session), policy %s, refresh %v (virtual)\n",
+		s.PolicyName(), time.Duration(s.Quantum()))
+	for end := sim.Time(duration.Nanoseconds()); s.Now() < end; {
+		s.Step()
+		render(s.Telemetry())
+	}
 }
 
 // runExchangeTop drives the fungible Reso economy on a two-generation

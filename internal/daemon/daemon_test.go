@@ -163,7 +163,10 @@ func TestSessionCommandValidation(t *testing.T) {
 }
 
 // TestServerEndToEnd drives a live daemon over its unix socket: status,
-// stepping, a live tenant add, snapshot to disk, restore, and quit.
+// stepping, a live tenant add, snapshot to disk, restore, and quit. The
+// durable command log must hold exactly the session's replay log throughout:
+// no read-only, pacing or failed verbs, and a restore rolls it back to the
+// restored session's log.
 func TestServerEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	sock := filepath.Join(dir, "resexd.sock")
@@ -219,6 +222,27 @@ func TestServerEndToEnd(t *testing.T) {
 		}
 		return rep
 	}
+	logJSON := func(log []snapshot.LogEntry) string {
+		j, _ := json.Marshal(log) // log entries always marshal
+		return string(j)
+	}
+	// durable decodes the command-log file, one LogEntry per line.
+	durable := func() string {
+		t.Helper()
+		data, err := os.ReadFile(cmdlog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log []snapshot.LogEntry
+		for dec := json.NewDecoder(bytes.NewReader(data)); dec.More(); {
+			var e snapshot.LogEntry
+			if err := dec.Decode(&e); err != nil {
+				t.Fatalf("command log: %v", err)
+			}
+			log = append(log, e)
+		}
+		return logJSON(log)
+	}
 
 	rep := mustOK(Command{Cmd: "status"})
 	if rep.Status == nil || !rep.Status.Paused || rep.Status.Epoch != 0 {
@@ -228,6 +252,13 @@ func TestServerEndToEnd(t *testing.T) {
 	mustOK(Command{Cmd: "add-tenant", Name: "open1", Class: "open", Rate: 300})
 	mustOK(Command{Cmd: "step", N: 2})
 	mustOK(Command{Cmd: "snapshot", Path: snap})
+	saved, err := snapshot.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(saved.Log) != 1 || durable() != logJSON(saved.Log) {
+		t.Fatalf("command log %s, want the snapshot's replay log %s", durable(), logJSON(saved.Log))
+	}
 	rep = mustOK(Command{Cmd: "status"})
 	if rep.Status.Epoch != 5 || len(rep.Status.Tenants) != 3 {
 		t.Fatalf("post-step status: %+v", rep.Status)
@@ -235,7 +266,14 @@ func TestServerEndToEnd(t *testing.T) {
 	if bad := send(Command{Cmd: "run-until", TNs: 1}); bad.OK {
 		t.Fatal("run-until into the past succeeded")
 	}
+	mustOK(Command{Cmd: "policy", Name: "ioshares"})
+	if got := durable(); strings.Count(got, `"idx"`) != 2 {
+		t.Fatalf("command log after a policy swap: %s", got)
+	}
 	mustOK(Command{Cmd: "restore", Path: snap})
+	if got := durable(); got != logJSON(saved.Log) {
+		t.Fatalf("command log after restore %s, want the restored log %s", got, logJSON(saved.Log))
+	}
 	rep = mustOK(Command{Cmd: "status"})
 	if rep.Status.Epoch != 5 {
 		t.Fatalf("restored status: %+v", rep.Status)
@@ -245,12 +283,12 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("Serve: %v", err)
 	}
 
-	// The snapshot must also restore out-of-process.
-	b, err := snapshot.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
+	if got, want := durable(), logJSON(srv.session.Log()); got != want {
+		t.Fatalf("command log %s, want the session's replay log %s", got, want)
 	}
-	s2, err := Restore(b)
+
+	// The snapshot must also restore out-of-process.
+	s2, err := Restore(saved)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,20 +296,7 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("offline restore epoch = %d, want 5", s2.Epoch())
 	}
 	s2.Shutdown()
-
-	// Every command the server received is in the durable log.
-	logBytes, err := readFileAll(cmdlog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, verb := range []string{"status", "step", "add-tenant", "snapshot", "restore", "quit"} {
-		if !strings.Contains(string(logBytes), `"cmd":"`+verb+`"`) {
-			t.Errorf("command log missing %q", verb)
-		}
-	}
 }
-
-func readFileAll(path string) ([]byte, error) { return os.ReadFile(path) }
 
 // TestSimShardsConfig pins the -simshards mirror: the width is a wall-clock
 // knob that rides in the session config (and so in snapshot metadata), it

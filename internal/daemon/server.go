@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -60,8 +61,10 @@ type ServerConfig struct {
 	// free-runs (tests, batch), 100ms makes an attached resextop read like
 	// live top output.
 	Throttle time.Duration
-	// CommandLog, when non-empty, appends every received command — state,
-	// pacing and I/O verbs alike — as one JSON line {at_ns, epoch, cmd}.
+	// CommandLog, when non-empty, names the durable copy of the session's
+	// replay log: one JSON line {idx, at_ns, cmd} per applied state command,
+	// exactly the log a snapshot carries. The server rewrites it at start,
+	// after every successful state command and after a restore.
 	CommandLog string
 	// Logf receives daemon diagnostics; nil discards them.
 	Logf func(format string, args ...any)
@@ -85,7 +88,6 @@ type Server struct {
 	ln      net.Listener
 	reqs    chan request
 	done    chan struct{}
-	cmdLog  *os.File
 	logf    func(string, ...any)
 	session *Session
 
@@ -116,13 +118,9 @@ func NewServer(s *Session, cfg ServerConfig) (*Server, error) {
 		session:  s,
 		watchers: make(map[net.Conn]*json.Encoder),
 	}
-	if cfg.CommandLog != "" {
-		f, err := os.OpenFile(cfg.CommandLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		srv.cmdLog = f
+	if err := srv.saveLog(); err != nil {
+		ln.Close()
+		return nil, err
 	}
 	return srv, nil
 }
@@ -141,9 +139,6 @@ func (srv *Server) Serve() error {
 		c.Close()
 	}
 	srv.mu.Unlock()
-	if srv.cmdLog != nil {
-		srv.cmdLog.Close()
-	}
 	srv.session.Shutdown()
 	return nil
 }
@@ -278,26 +273,31 @@ func (srv *Server) broadcast(paused bool) {
 	}
 }
 
-// logCommand appends the command to the durable command log, stamped with
-// the quantum boundary it executed at.
-func (srv *Server) logCommand(c Command) {
-	if srv.cmdLog == nil {
-		return
+// saveLog rewrites the durable command log from the session's replay log.
+// It writes a temporary file and renames it over the log, so a reader never
+// sees a half-written file.
+func (srv *Server) saveLog() error {
+	if srv.cfg.CommandLog == "" {
+		return nil
 	}
-	wire, _ := json.Marshal(c)
-	entry, _ := json.Marshal(snapshot.LogEntry{
-		Idx:  srv.session.Epoch(),
-		AtNs: int64(srv.session.Now()),
-		Cmd:  wire,
-	})
-	fmt.Fprintf(srv.cmdLog, "%s\n", entry)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, e := range srv.session.Log() {
+		if err := enc.Encode(e); err != nil {
+			return err
+		}
+	}
+	tmp := srv.cfg.CommandLog + ".tmp"
+	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, srv.cfg.CommandLog)
 }
 
 // handle executes one command at the current boundary. Returns true on
 // quit.
 func (srv *Server) handle(req request, paused *bool, until *sim.Time) bool {
 	c := req.cmd
-	srv.logCommand(c)
 	ok := func(format string, args ...any) {
 		req.reply <- Reply{OK: true, Msg: fmt.Sprintf(format, args...)}
 	}
@@ -396,10 +396,18 @@ func (srv *Server) handle(req request, paused *bool, until *sim.Time) bool {
 		old.Shutdown()
 		*paused, *until = true, 0
 		srv.broadcast(true)
+		if err := srv.saveLog(); err != nil {
+			fail(fmt.Errorf("daemon: restored %s, but the command log was not written: %w", c.Path, err))
+			break
+		}
 		ok("restored %s: verified at %v (epoch %d)", c.Path, s.Now(), s.Epoch())
 	case "add-tenant", "remove-tenant", "policy":
 		if err := srv.session.Apply(c); err != nil {
 			fail(err)
+			break
+		}
+		if err := srv.saveLog(); err != nil {
+			fail(fmt.Errorf("daemon: %s applied, but the command log was not written: %w", c.Cmd, err))
 			break
 		}
 		ok("%s applied at %v (epoch %d)", c.Cmd, srv.session.Now(), srv.session.Epoch())

@@ -91,28 +91,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// mkPolicy builds a pricing policy by name. IOShares carries the same
-// open-loop tuning the workload experiments use (deviation trigger off,
-// longer attribution warmup) — see workloadPolicy in internal/experiments.
-func mkPolicy(name string) (func() resex.Policy, error) {
-	switch strings.ToLower(name) {
-	case "none", "passive":
-		return func() resex.Policy { return resex.NewPassive() }, nil
-	case "freemarket", "fm":
-		return func() resex.Policy { return resex.NewFreeMarket() }, nil
-	case "ioshares", "ios":
-		return func() resex.Policy {
-			p := resex.NewIOShares()
-			p.UseDeviation = false
-			p.WarmupIntervals = 100
-			return p
-		}, nil
-	case "fungible", "fun":
-		return func() resex.Policy { return resex.NewFungible() }, nil
-	}
-	return nil, fmt.Errorf("daemon: unknown policy %q (none, freemarket, ioshares, fungible)", name)
-}
-
 // Command is the wire form of every resexd control verb. State commands
 // (add-tenant, remove-tenant, policy) mutate the session and enter the
 // replay log; the rest are pacing and I/O verbs the server interprets.
@@ -161,7 +139,7 @@ type Session struct {
 // policy, initial tenants booted, drivers started, virtual clock at zero.
 func New(cfg Config) (*Session, error) {
 	cfg = cfg.withDefaults()
-	pol, err := mkPolicy(cfg.Policy)
+	pol, err := workload.Policy(cfg.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +263,7 @@ func (s *Session) Apply(c Command) error {
 		err = s.wl.StopTenant(c.Name)
 	case "policy":
 		var mk func() resex.Policy
-		if mk, err = mkPolicy(c.Name); err == nil {
+		if mk, err = workload.Policy(c.Name); err == nil {
 			for _, m := range s.wl.Mgrs {
 				m.SwapPolicyAtEpoch(mk())
 			}
@@ -306,28 +284,8 @@ func (s *Session) Apply(c Command) error {
 }
 
 // Books returns the hosts' trade books in manager order — empty unless the
-// active policy keeps one (Fungible). Live views and snapshots both read
-// them through this accessor.
-func (s *Session) Books() []*exchange.Book {
-	var books []*exchange.Book
-	for _, m := range s.wl.Mgrs {
-		if bk, ok := m.Policy().(exchange.BookKeeper); ok {
-			books = append(books, bk.Book())
-		}
-	}
-	return books
-}
-
-// source enumerates the session's snapshot-visible state.
-func (s *Session) source() *snapshot.Source {
-	return &snapshot.Source{
-		TB:       s.wl.TB,
-		Managers: s.wl.Mgrs,
-		Monitors: s.wl.Mons,
-		Workload: s.wl,
-		Books:    s.Books(),
-	}
-}
+// active policy keeps one (Fungible).
+func (s *Session) Books() []*exchange.Book { return resex.Books(s.wl.Mgrs) }
 
 // Snapshot captures the session at the current quantum boundary: the
 // original config (Apply never mutates it — swaps and live tenants travel
@@ -348,7 +306,7 @@ func (s *Session) Snapshot() *snapshot.Bundle {
 		Snaps: []snapshot.Snapshot{{
 			Key:   snapshot.Key{PointSeed: cfg.Seed},
 			AtNs:  now,
-			State: s.source().Capture(s.wl.TB.Eng),
+			State: snapshot.ForWorkload(s.wl).Capture(s.wl.TB.Eng),
 		}},
 	}
 }
@@ -406,7 +364,7 @@ func Restore(b *snapshot.Bundle) (*Session, error) {
 	if len(b.Snaps) != 1 {
 		return nil, fmt.Errorf("daemon: snapshot holds %d engine exports, want 1", len(b.Snaps))
 	}
-	got := s.source().Capture(s.wl.TB.Eng)
+	got := snapshot.ForWorkload(s.wl).Capture(s.wl.TB.Eng)
 	if bad := snapshot.Diverging(got, b.Snaps[0].State); len(bad) > 0 {
 		return nil, fmt.Errorf("daemon: replayed state diverges from snapshot in: %s", strings.Join(bad, ", "))
 	}

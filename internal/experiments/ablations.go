@@ -7,6 +7,7 @@ import (
 	"resex/internal/benchex"
 	"resex/internal/cluster"
 	"resex/internal/fabric"
+	"resex/internal/snapshot"
 	"resex/internal/stats"
 )
 
@@ -221,7 +222,7 @@ func AblEvents(o Options) (*AblEventsResult, error) {
 					if cap > 0 {
 						app.ServerVM.Dom.SetCap(cap)
 					}
-					stopAudit := o.auditTestbed(tb)
+					stopAudit := o.observe(tb.Eng, &snapshot.Source{TB: tb})
 					app.Start()
 					tb.Eng.RunUntil(o.Duration)
 					stopAudit()

@@ -8,6 +8,7 @@ import (
 	"resex/internal/placement"
 	"resex/internal/schedshard"
 	"resex/internal/sim"
+	"resex/internal/snapshot"
 	"resex/internal/stats"
 )
 
@@ -140,7 +141,8 @@ func runFaultsRow(o Options, stormsPerSec float64, aware bool) (AblFaultsRow, er
 		cfg.QuarantineBlackouts = true
 	}
 	f := placement.NewFleet(cfg)
-	stopAudit, snapSrc := o.auditFleet(f)
+	snapSrc := snapshot.ForFleet(f)
+	stopAudit := o.observe(f.TB.Eng, snapSrc)
 	defer stopAudit()
 	ws := faultsWorkloads(o.Seed)
 

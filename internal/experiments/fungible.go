@@ -8,6 +8,7 @@ import (
 	"resex/internal/resex"
 	"resex/internal/resos"
 	"resex/internal/sim"
+	"resex/internal/snapshot"
 	"resex/internal/workload"
 )
 
@@ -95,7 +96,10 @@ func (r *AblFungibleResult) WriteCSV(w io.Writer) error {
 // runFungibleCell runs one cell: the two-generation fleet at one bulk
 // utilization under one policy.
 func runFungibleCell(o Options, utilPct int, policy string) (AblFungibleRow, error) {
-	mkPolicy := workloadPolicy(policy)
+	mkPolicy, err := workload.Policy(policy)
+	if err != nil {
+		return AblFungibleRow{}, err
+	}
 	if policy == "fungible" {
 		// Calibrate each host's board to its own fabric generation: the
 		// engine builds policies in worker order, so the closure counts
@@ -169,7 +173,7 @@ func runFungibleCell(o Options, utilPct int, policy string) (AblFungibleRow, err
 		}
 		bulks = append(bulks, t)
 	}
-	stopAudit := o.auditWorkload(e)
+	stopAudit := o.observe(e.TB.Eng, snapshot.ForWorkload(e))
 	e.RunMeasured(o.Warmup, o.Duration)
 	stopAudit()
 
@@ -184,7 +188,7 @@ func runFungibleCell(o Options, utilPct int, policy string) (AblFungibleRow, err
 	for _, t := range bulks {
 		row.BulkMBps += t.Stats().CompletedPerSec * float64(IntfBuffer) / 1e6
 	}
-	if books := booksOf(e.Mgrs); len(books) > 0 {
+	if books := resex.Books(e.Mgrs); len(books) > 0 {
 		for _, bk := range books {
 			row.Trades += bk.TradeCount()
 		}

@@ -12,6 +12,7 @@ import (
 	"resex/internal/resex"
 	"resex/internal/sim"
 	"resex/internal/simpar"
+	"resex/internal/snapshot"
 	"resex/internal/workload"
 )
 
@@ -361,10 +362,18 @@ func RunGeoDiurnalCell(o Options, zones, shards, shift int) (AblGeoDiurnalRow, e
 	if err != nil {
 		return AblGeoDiurnalRow{}, err
 	}
-	stop := o.auditGeo(f)
+	var stops []func()
+	for _, z := range f.zones {
+		stops = append(stops, o.observe(z.tb.Eng, &snapshot.Source{
+			TB: z.tb, Managers: []*resex.Manager{z.mgr},
+			Monitors: []*ibmon.Monitor{z.mon}, SimPar: z.h,
+		}))
+	}
 	f.start(o)
 	f.Co.RunUntil(o.Warmup + o.Duration)
-	stop()
+	for _, stop := range stops {
+		stop()
+	}
 	f.Co.Shutdown()
 	return f.Row(shards), nil
 }

@@ -8,6 +8,7 @@ import (
 	"resex/internal/resex"
 	"resex/internal/resos"
 	"resex/internal/sim"
+	"resex/internal/snapshot"
 	"resex/internal/workload"
 )
 
@@ -174,7 +175,7 @@ func runMixedCritCell(o Options, pressPct int, priced bool) (AblMixedCritRow, er
 	if err != nil {
 		return AblMixedCritRow{}, err
 	}
-	stopAudit := o.auditWorkload(e)
+	stopAudit := o.observe(e.TB.Eng, snapshot.ForWorkload(e))
 	e.RunMeasured(o.Warmup, o.Duration)
 	stopAudit()
 
@@ -188,7 +189,7 @@ func runMixedCritCell(o Options, pressPct int, priced bool) (AblMixedCritRow, er
 			row.BulkCapPct = mvm.Cap()
 		}
 	}
-	if books := booksOf(e.Mgrs); len(books) > 0 {
+	if books := resex.Books(e.Mgrs); len(books) > 0 {
 		for _, bk := range books {
 			row.Trades += bk.TradeCount()
 		}

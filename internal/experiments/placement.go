@@ -7,6 +7,7 @@ import (
 	"resex/internal/placement"
 	"resex/internal/schedshard"
 	"resex/internal/sim"
+	"resex/internal/snapshot"
 	"resex/internal/stats"
 )
 
@@ -149,7 +150,7 @@ func runPlacementRow(o Options, hosts, vms int, strat placementStrategy) (AblPla
 		Strategy:    strat.make(),
 		Seed:        o.Seed + int64(hosts)*1000 + int64(vms),
 	})
-	stopAudit, _ := o.auditFleet(f)
+	stopAudit := o.observe(f.TB.Eng, snapshot.ForFleet(f))
 	defer stopAudit()
 	ws := placementWorkloads(vms, o.Seed)
 

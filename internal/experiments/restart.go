@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"resex/internal/resex"
 	"resex/internal/sim"
 	"resex/internal/snapshot"
 	"resex/internal/workload"
@@ -26,16 +25,6 @@ import (
 // table shows the flipped runs inheriting the tail behaviour of whichever
 // policy governs the second half.
 // ---------------------------------------------------------------------------
-
-// restartPolicy extends workloadPolicy with the passive "none" policy (still
-// managed — telemetry keeps flowing — but charging at rate 1 with caps
-// lifted), which the daemon's policy-swap command also uses.
-func restartPolicy(name string) func() resex.Policy {
-	if name == "none" {
-		return func() resex.Policy { return resex.NewPassive() }
-	}
-	return workloadPolicy(name)
-}
 
 // AblRestartRow is one run of the mixed-class scenario.
 type AblRestartRow struct {
@@ -117,7 +106,11 @@ func (r *AblRestartResult) WriteCSV(w io.Writer) error {
 // engine breakpoint — the run is event-identical to an unflipped one up to
 // the swap.
 func runRestartCell(o Options, label, policy, flipTo string, flipAt sim.Time) (AblRestartRow, error) {
-	e := workload.New(workload.Config{Hosts: 1, ClientPCPUs: 8, Policy: restartPolicy(policy)})
+	mk, err := workload.Policy(policy)
+	if err != nil {
+		return AblRestartRow{}, err
+	}
+	e := workload.New(workload.Config{Hosts: 1, ClientPCPUs: 8, Policy: mk})
 	lat, err := e.AddTenant(workload.TenantSpec{
 		Name:             "lat",
 		Closed:           workload.ClosedLoop{Concurrency: 1},
@@ -145,16 +138,19 @@ func runRestartCell(o Options, label, policy, flipTo string, flipAt sim.Time) (A
 		return AblRestartRow{}, err
 	}
 	if flipTo != "" {
-		mk := restartPolicy(flipTo)
+		flip, err := workload.Policy(flipTo)
+		if err != nil {
+			return AblRestartRow{}, err
+		}
 		e.TB.Eng.Breakpoint(flipAt, func() {
 			for _, m := range e.Mgrs {
 				if m != nil {
-					m.SwapPolicyAtEpoch(mk())
+					m.SwapPolicyAtEpoch(flip())
 				}
 			}
 		})
 	}
-	stopAudit := o.auditWorkload(e)
+	stopAudit := o.observe(e.TB.Eng, snapshot.ForWorkload(e))
 	e.RunMeasured(o.Warmup, o.Duration)
 	stopAudit()
 	lst, bst := lat.Stats(), bulk.Stats()

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"resex/internal/invariant"
 	"resex/internal/sim"
 	"resex/internal/snapshot"
 )
@@ -18,8 +19,10 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/golden_digests.json from this run")
 
 // goldenDigests pins every driver's result text across commits: one FNV-64a
-// digest per (driver, seed) of the uninterrupted run below. After an
-// intentional output change, regenerate it with
+// digest per (driver, seed) of the uninterrupted run below, plus one per
+// encoded capture bundle ("<id>/seed<N>/bundle"), so a change that drops or
+// reorders an exported state section fails too. After an intentional output
+// or wire-format change, regenerate it with
 //
 //	go test ./internal/experiments -run TestResumeSweepAllDrivers -update
 const goldenDigests = "testdata/golden_digests.json"
@@ -30,10 +33,13 @@ const goldenDigests = "testdata/golden_digests.json"
 // T = warmup + duration/2, and (3) a run restored from that snapshot —
 // rebuilt, replayed to T under byte-for-byte state verification, and run to
 // the end. This is the same property the CI crash-restart gate diffs on
-// resexsim stdout; here it covers the full driver matrix. The uninterrupted
-// run's text is also held to its checked-in golden digest, so a refactor
-// that moves any driver's output fails here even when it moves it the same
-// way at every width.
+// resexsim stdout; here it covers the full driver matrix. The capture and
+// restore runs are audited, each with its own collector, so the bundle
+// carries the auditor's accumulators and the matrix also checks that audit
+// plus capture leaves the output unchanged. The uninterrupted run's text and
+// the encoded bundle are held to their checked-in golden digests, so a
+// refactor that moves any driver's output or snapshot fails here even when
+// it moves it the same way at every width.
 func TestResumeSweepAllDrivers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full driver matrix; skipped in -short")
@@ -52,13 +58,14 @@ func TestResumeSweepAllDrivers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				run := func(plan *snapshot.Plan) string {
+				run := func(plan *snapshot.Plan, col *invariant.Collector) string {
 					res, err := entry.Run(Options{
 						Duration:   dur,
 						Warmup:     warm,
 						Seed:       seed,
 						Parallel:   2,
 						Checkpoint: plan,
+						Audit:      col,
 					})
 					if err != nil {
 						t.Fatalf("%s seed %d: %v", id, seed, err)
@@ -70,12 +77,15 @@ func TestResumeSweepAllDrivers(t *testing.T) {
 					return b.String()
 				}
 
-				base := run(nil)
-				h := fnv.New64a()
-				h.Write([]byte(base))
-				mu.Lock()
-				got[key] = fmt.Sprintf("%016x", h.Sum64())
-				mu.Unlock()
+				base := run(nil, nil)
+				record := func(key string, data []byte) {
+					h := fnv.New64a()
+					h.Write(data)
+					mu.Lock()
+					got[key] = fmt.Sprintf("%016x", h.Sum64())
+					mu.Unlock()
+				}
+				record(key, []byte(base))
 				if id == "abl-restart" {
 					// Runs this exact capture/verify loop internally,
 					// self-gating, and would triple-nest it here.
@@ -83,8 +93,8 @@ func TestResumeSweepAllDrivers(t *testing.T) {
 				}
 
 				capture := snapshot.NewCapture(warm + dur/2)
-				if got := run(capture); got != base {
-					t.Fatalf("arming the capture breakpoint changed the output:\n--- plain\n%s\n--- captured\n%s", base, got)
+				if got := run(capture, invariant.NewCollector(invariant.Audit)); got != base {
+					t.Fatalf("auditing and arming the capture breakpoint changed the output:\n--- plain\n%s\n--- captured\n%s", base, got)
 				}
 				bundle, err := capture.Bundle(snapshot.Meta{
 					Kind:       "experiment",
@@ -92,6 +102,7 @@ func TestResumeSweepAllDrivers(t *testing.T) {
 					Seed:       seed,
 					DurationNs: int64(dur),
 					WarmupNs:   int64(warm),
+					Audit:      true,
 				})
 				if err != nil {
 					t.Fatalf("bundle: %v", err)
@@ -102,13 +113,14 @@ func TestResumeSweepAllDrivers(t *testing.T) {
 				if err := snapshot.Encode(&buf, bundle); err != nil {
 					t.Fatal(err)
 				}
+				record(bundleKey(key), buf.Bytes())
 				decoded, err := snapshot.Decode(bytes.NewReader(buf.Bytes()))
 				if err != nil {
 					t.Fatal(err)
 				}
 
 				verify := snapshot.NewVerify(decoded)
-				if got := run(verify); got != base {
+				if got := run(verify, invariant.NewCollector(invariant.Audit)); got != base {
 					t.Fatalf("restored run's output diverged:\n--- plain\n%s\n--- restored\n%s", base, got)
 				}
 				if err := verify.Err(); err != nil {
@@ -120,6 +132,8 @@ func TestResumeSweepAllDrivers(t *testing.T) {
 }
 
 func digestKey(id string, seed int64) string { return fmt.Sprintf("%s/seed%d", id, seed) }
+
+func bundleKey(runKey string) string { return runKey + "/bundle" }
 
 // checkGoldenDigests compares the digests the sweep computed against the
 // checked-in file, or rewrites the file under -update. Every registered
@@ -139,6 +153,9 @@ func checkGoldenDigests(t *testing.T, seeds []int64, got map[string]string) {
 	for _, id := range IDs() {
 		for _, seed := range seeds {
 			registered[digestKey(id, seed)] = true
+			if id != "abl-restart" {
+				registered[bundleKey(digestKey(id, seed))] = true
+			}
 		}
 	}
 	if *update {

@@ -6,6 +6,7 @@ import (
 
 	"resex/internal/schedshard"
 	"resex/internal/sim"
+	"resex/internal/snapshot"
 	"resex/internal/workload"
 )
 
@@ -203,7 +204,7 @@ func runScaleSetPoint(o Options, shards int, avoid bool) (AblScaleSetRow, error)
 		Seed:           o.Seed,
 		AvoidConflicts: avoid,
 	})
-	stopAudit := o.auditShardSched(eng, sched)
+	stopAudit := o.observe(eng, &snapshot.Source{Sched: sched})
 
 	items, gangs, _, _ := scaleSetArrivals(hosts, o.Seed)
 	perWave := (len(items) + shardSchedWaves - 1) / shardSchedWaves

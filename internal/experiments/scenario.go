@@ -257,7 +257,8 @@ func (s *Scenario) Start() {
 // the convergence transient), then the measured duration, and shuts the
 // simulation down.
 func (s *Scenario) RunMeasured(o Options) {
-	stopAudit := o.auditTestbed(s.TB, s.Mgr)
+	// The paper scenario exports its testbed and manager, not its monitor.
+	stopAudit := o.observe(s.TB.Eng, &snapshot.Source{TB: s.TB, Managers: []*resex.Manager{s.Mgr}})
 	s.Start()
 	s.TB.Eng.RunUntil(o.Warmup)
 	if !o.Timeline {

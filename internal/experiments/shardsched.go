@@ -6,6 +6,7 @@ import (
 
 	"resex/internal/schedshard"
 	"resex/internal/sim"
+	"resex/internal/snapshot"
 )
 
 // ---------------------------------------------------------------------------
@@ -186,7 +187,7 @@ func runShardSchedPoint(o Options, shards int, avoid bool) (AblShardSchedRow, er
 		Seed:           o.Seed,
 		AvoidConflicts: avoid,
 	})
-	stopAudit := o.auditShardSched(eng, sched)
+	stopAudit := o.observe(eng, &snapshot.Source{Sched: sched})
 
 	arrivals := shardSchedArrivals(vms, o.Seed)
 	perWave := (len(arrivals) + shardSchedWaves - 1) / shardSchedWaves

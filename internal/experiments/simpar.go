@@ -11,6 +11,7 @@ import (
 	"resex/internal/resex"
 	"resex/internal/sim"
 	"resex/internal/simpar"
+	"resex/internal/snapshot"
 )
 
 // ---------------------------------------------------------------------------
@@ -316,10 +317,18 @@ func runSimParPoint(o Options, sites, shards int) (AblSimParRow, error) {
 	if err != nil {
 		return AblSimParRow{}, err
 	}
-	stop := o.auditSimPar(f)
+	var stops []func()
+	for _, s := range f.sites {
+		stops = append(stops, o.observe(s.tb.Eng, &snapshot.Source{
+			TB: s.tb, Managers: []*resex.Manager{s.mgr},
+			Monitors: []*ibmon.Monitor{s.mon}, SimPar: s.h,
+		}))
+	}
 	f.start(o)
 	f.Co.RunUntil(o.Warmup + o.Duration)
-	stop()
+	for _, stop := range stops {
+		stop()
+	}
 	f.Co.Shutdown()
 	return f.Row(sites, shards), nil
 }

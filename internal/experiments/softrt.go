@@ -9,6 +9,7 @@ import (
 	"resex/internal/ibmon"
 	"resex/internal/resex"
 	"resex/internal/sim"
+	"resex/internal/snapshot"
 	"resex/internal/softrt"
 )
 
@@ -105,7 +106,7 @@ func SoftRT(o Options) (*SoftRTResult, error) {
 			}
 			bulk.Start()
 		}
-		stopAudit := o.auditTestbed(tb, mgr)
+		stopAudit := o.observe(tb.Eng, &snapshot.Source{TB: tb, Managers: []*resex.Manager{mgr}})
 		st.Start()
 		tb.Eng.RunUntil(o.Duration)
 		stopAudit()

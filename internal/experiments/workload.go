@@ -6,6 +6,7 @@ import (
 
 	"resex/internal/resex"
 	"resex/internal/sim"
+	"resex/internal/snapshot"
 	"resex/internal/stats"
 	"resex/internal/workload"
 )
@@ -15,32 +16,6 @@ import (
 // abl-workload-mix: mixed tenant classes, SLO attainment per policy.
 // abl-workload-burst: burstiness vs tail latency, with and without shedding.
 // ---------------------------------------------------------------------------
-
-// workloadPolicy maps a policy label to its constructor (nil = unmanaged).
-//
-// IOShares runs with its deviation trigger disabled and a longer attribution
-// warmup. The paper's closed-loop reporters emit near-constant latency, so
-// jitter is evidence of interference there; open-loop Poisson arrivals carry
-// inherent jitter (a handful of requests per 1 ms interval), and with it the
-// std/mean trigger fires at 30% load, the noisy per-interval MTU counts clear
-// the MinShare guard, and two identical tenants cap each other into a death
-// spiral. Mean-over-SLA detection is the honest signal for this traffic.
-func workloadPolicy(name string) func() resex.Policy {
-	switch name {
-	case "freemarket":
-		return func() resex.Policy { return resex.NewFreeMarket() }
-	case "ioshares":
-		return func() resex.Policy {
-			p := resex.NewIOShares()
-			p.UseDeviation = false
-			p.WarmupIntervals = 100
-			return p
-		}
-	case "fungible":
-		return func() resex.Policy { return resex.NewFungible() }
-	}
-	return nil
-}
 
 // workloadCapacity measures one tenant's saturated completion rate (req/s)
 // with a closed-loop run: n tenants at concurrency 8 keep their servers
@@ -63,7 +38,7 @@ func workloadCapacity(o Options, n int) (float64, error) {
 	if dur > 400*sim.Millisecond {
 		dur = 400 * sim.Millisecond
 	}
-	stopAudit := o.auditWorkload(e)
+	stopAudit := o.observe(e.TB.Eng, snapshot.ForWorkload(e))
 	e.RunMeasured(o.Warmup, dur)
 	stopAudit()
 	var sum float64
@@ -142,7 +117,11 @@ const workloadSLAUs = 4 * BaseSLAUs
 // runWorkloadRow runs one hockey-stick cell: two identical Poisson tenants on
 // one managed host, each offered loadPct percent of the calibrated capacity.
 func runWorkloadRow(o Options, perTenant float64, loadPct int, policy string) (AblWorkloadRow, error) {
-	e := workload.New(workload.Config{Hosts: 1, ClientPCPUs: 8, Policy: workloadPolicy(policy)})
+	mk, err := workload.Policy(policy)
+	if err != nil {
+		return AblWorkloadRow{}, err
+	}
+	e := workload.New(workload.Config{Hosts: 1, ClientPCPUs: 8, Policy: mk})
 	rate := perTenant * float64(loadPct) / 100
 	for i := 0; i < 2; i++ {
 		if _, err := e.AddTenant(workload.TenantSpec{
@@ -156,7 +135,7 @@ func runWorkloadRow(o Options, perTenant float64, loadPct int, policy string) (A
 			return AblWorkloadRow{}, err
 		}
 	}
-	stopAudit := o.auditWorkload(e)
+	stopAudit := o.observe(e.TB.Eng, snapshot.ForWorkload(e))
 	e.RunMeasured(o.Warmup, o.Duration)
 	stopAudit()
 	row := AblWorkloadRow{LoadPct: loadPct, Policy: policy}
@@ -259,7 +238,14 @@ func (r *AblWorkloadMixResult) WriteCSV(w io.Writer) error {
 // BaseSLAUs (healthy steady state ~234 µs), and the SLO target sits at 1.5× —
 // attainable when the bulk tenant is held to its share, blown when it is not.
 func runWorkloadMixRow(o Options, policy string) (AblWorkloadMixRow, error) {
-	e := workload.New(workload.Config{Hosts: 1, ClientPCPUs: 8, Policy: workloadPolicy(policy)})
+	var mk func() resex.Policy // "none" is the unmanaged row here, not Passive
+	if policy != "none" {
+		var err error
+		if mk, err = workload.Policy(policy); err != nil {
+			return AblWorkloadMixRow{}, err
+		}
+	}
+	e := workload.New(workload.Config{Hosts: 1, ClientPCPUs: 8, Policy: mk})
 	lat, err := e.AddTenant(workload.TenantSpec{
 		Name:             "lat",
 		Closed:           workload.ClosedLoop{Concurrency: 1},
@@ -286,7 +272,7 @@ func runWorkloadMixRow(o Options, policy string) (AblWorkloadMixRow, error) {
 	if err != nil {
 		return AblWorkloadMixRow{}, err
 	}
-	stopAudit := o.auditWorkload(e)
+	stopAudit := o.observe(e.TB.Eng, snapshot.ForWorkload(e))
 	e.RunMeasured(o.Warmup, o.Duration)
 	stopAudit()
 	lst, bst := lat.Stats(), bulk.Stats()
@@ -389,7 +375,7 @@ func runWorkloadBurstRow(o Options, meanRate float64, factor int, admit workload
 	if err != nil {
 		return AblWorkloadBurstRow{}, err
 	}
-	stopAudit := o.auditWorkload(e)
+	stopAudit := o.observe(e.TB.Eng, snapshot.ForWorkload(e))
 	e.RunMeasured(o.Warmup, o.Duration)
 	stopAudit()
 	st := tn.Stats()

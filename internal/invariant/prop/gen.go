@@ -1,11 +1,12 @@
 // Package prop is the property/metamorphic layer on top of the invariant
-// auditor: seed-driven generators for clusters, tenant mixes and fault plans,
-// plus the wiring helper that attaches an auditor to a generated rig. The
-// tests in this package assert *relations between runs* — scale the offered
-// load to zero and nothing may be charged, permute tenant declaration order
-// and per-tenant results must only relabel, double the horizon and the epoch
-// ledger prefix must not move — rather than absolute numbers, which makes
-// them robust to retuning while still pinning the simulator's physics.
+// auditor: seed-driven generators for clusters, tenant mixes and fault plans.
+// The tests attach the auditor to a generated rig through the same
+// snapshot.Source wiring the experiment drivers use, and assert *relations
+// between runs* — scale the offered load to zero and nothing may be charged,
+// permute tenant declaration order and per-tenant results must only
+// relabel, double the horizon and the epoch ledger prefix must not move —
+// rather than absolute numbers, which makes them robust to retuning while
+// still pinning the simulator's physics.
 //
 // Every generator is a pure function of the *sim.Rand it is handed, so a
 // failing property reproduces from its seed alone.
@@ -15,8 +16,6 @@ import (
 	"fmt"
 
 	"resex/internal/faults"
-	"resex/internal/invariant"
-	"resex/internal/placement"
 	"resex/internal/schedshard"
 	"resex/internal/sim"
 	"resex/internal/workload"
@@ -187,39 +186,4 @@ func FaultPlan(rng *sim.Rand, hosts []int, start, horizon sim.Time) faults.Sched
 		cfg.FlapEvery = 2 + rng.Intn(3)
 	}
 	return faults.Generate(rng.Int63n(1<<31), cfg)
-}
-
-// Audit attaches an invariant auditor to a generated workload engine —
-// every worker and client host's hypervisor and adapter, every per-host
-// manager, and the engine's SLO ledgers — and returns the closer. It is the
-// test-side mirror of the experiment drivers' opt-in wiring.
-func Audit(e *workload.Engine, col *invariant.Collector) func() {
-	a := invariant.New(e.TB.Eng, col)
-	for _, h := range e.TB.Hosts {
-		a.WatchXen(h.HV)
-		a.WatchHCA(h.HCA)
-	}
-	for _, m := range e.Mgrs {
-		if m != nil {
-			a.WatchManager(m)
-		}
-	}
-	a.WatchWorkload(e)
-	return a.Close
-}
-
-// AuditFleet is Audit for a placement fleet: hosts and per-host managers
-// (fleets have no workload-engine SLO ledger to watch).
-func AuditFleet(f *placement.Fleet, col *invariant.Collector) func() {
-	a := invariant.New(f.TB.Eng, col)
-	for _, h := range f.TB.Hosts {
-		a.WatchXen(h.HV)
-		a.WatchHCA(h.HCA)
-	}
-	for _, m := range f.Mgrs {
-		if m != nil {
-			a.WatchManager(m)
-		}
-	}
-	return a.Close
 }

@@ -9,6 +9,7 @@ import (
 	"resex/internal/resex"
 	"resex/internal/resos"
 	"resex/internal/sim"
+	"resex/internal/snapshot"
 	"resex/internal/workload"
 )
 
@@ -107,7 +108,7 @@ func TestMixedCritRigStrict(t *testing.T) {
 		cfg.Policy = membwPolicy(true)
 		e := buildEngine(t, cfg, specs)
 		col := invariant.NewCollector(invariant.Strict)
-		stop := Audit(e, col)
+		stop := snapshot.ForWorkload(e).Audit(e.TB.Eng, col).Close
 		func() {
 			defer func() {
 				if r := recover(); r != nil {

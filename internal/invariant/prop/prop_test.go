@@ -11,6 +11,7 @@ import (
 	"resex/internal/resex"
 	"resex/internal/schedshard"
 	"resex/internal/sim"
+	"resex/internal/snapshot"
 	"resex/internal/workload"
 )
 
@@ -49,7 +50,7 @@ func TestZeroRateMeansZeroWork(t *testing.T) {
 	}
 	e := buildEngine(t, cfg, specs)
 	col := invariant.NewCollector(invariant.Strict)
-	stop := Audit(e, col)
+	stop := snapshot.ForWorkload(e).Audit(e.TB.Eng, col).Close
 	defer func() {
 		if r := recover(); r != nil {
 			t.Fatalf("strict violation under zero load: %v", r)
@@ -180,7 +181,7 @@ func TestRandomRigsStrict(t *testing.T) {
 			specs := Tenants(rng, 2+rng.Intn(3))
 			e := buildEngine(t, cfg, specs)
 			col := invariant.NewCollector(invariant.Strict)
-			stop := Audit(e, col)
+			stop := snapshot.ForWorkload(e).Audit(e.TB.Eng, col).Close
 			defer func() {
 				if r := recover(); r != nil {
 					t.Fatalf("seed %d: strict violation: %v", seed, r)
@@ -219,7 +220,7 @@ func TestFaultPlansAudited(t *testing.T) {
 				QuarantineBlackouts: true,
 			})
 			col := invariant.NewCollector(invariant.Audit)
-			stop := AuditFleet(f, col)
+			stop := snapshot.ForFleet(f).Audit(f.TB.Eng, col).Close
 
 			var ws []placement.Workload
 			for i := 0; i < 2*hosts; i++ {

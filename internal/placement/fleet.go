@@ -290,19 +290,6 @@ func (f *Fleet) Store() *schedshard.Store { return f.store }
 // views read per-host quotes from it and the rebalancer reads gradients.
 func (f *Fleet) Market() *exchange.Market { return f.market }
 
-// Books returns every worker's trade book in host order (nil-free; empty on
-// fleets whose policy does not keep books). Snapshot sources and invariant
-// audits consume it.
-func (f *Fleet) Books() []*exchange.Book {
-	var out []*exchange.Book
-	for _, h := range f.Workers {
-		if bk := f.market.BookOf(h.Node); bk != nil {
-			out = append(out, bk)
-		}
-	}
-	return out
-}
-
 // refresh rebuilds the scheduler's view of every worker host from live
 // fleet state and publishes it as the store's next snapshot version.
 func (f *Fleet) refresh() *schedshard.Snapshot {

@@ -270,7 +270,8 @@ func TestRebalancerEvacuatesThrottleProofInterferer(t *testing.T) {
 
 // TestFleetMarketWiring: a fleet whose policy keeps trade books lists every
 // worker on the market, publishes live quotes into scheduler snapshots, and
-// exposes the books for snapshots/audits; a non-pricing fleet stays dark.
+// its managers expose the books for snapshots/audits; a non-pricing fleet
+// stays dark.
 func TestFleetMarketWiring(t *testing.T) {
 	f := NewFleet(Config{
 		Hosts: 3, Seed: 1,
@@ -280,8 +281,8 @@ func TestFleetMarketWiring(t *testing.T) {
 	if got := len(f.Market().Hosts()); got != 3 {
 		t.Fatalf("market lists %d hosts, want 3", got)
 	}
-	if got := len(f.Books()); got != 3 {
-		t.Fatalf("Books() returned %d, want 3", got)
+	if got := len(resex.Books(f.Mgrs)); got != 3 {
+		t.Fatalf("resex.Books returned %d, want 3", got)
 	}
 	if _, err := f.Place(bulkWorkload("bulk-a", 7)); err != nil {
 		t.Fatal(err)
@@ -307,7 +308,7 @@ func TestFleetMarketWiring(t *testing.T) {
 	if got := len(bare.Market().Hosts()); got != 0 {
 		t.Fatalf("IOShares fleet lists %d hosts on the market, want 0", got)
 	}
-	if got := len(bare.Books()); got != 0 {
+	if got := len(resex.Books(bare.Mgrs)); got != 0 {
 		t.Fatalf("IOShares fleet has %d books, want 0", got)
 	}
 }

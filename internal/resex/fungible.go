@@ -99,6 +99,23 @@ func (f *Fungible) Book() *exchange.Book {
 	return f.book
 }
 
+// Books returns the trade book of every non-nil manager whose active policy
+// keeps one (exchange.BookKeeper), in manager order. It is empty unless a
+// manager prices with the exchange, so audits and snapshots of the other
+// policies carry no book section.
+func Books(mgrs []*Manager) []*exchange.Book {
+	var out []*exchange.Book
+	for _, m := range mgrs {
+		if m == nil {
+			continue
+		}
+		if bk, ok := m.Policy().(exchange.BookKeeper); ok {
+			out = append(out, bk.Book())
+		}
+	}
+	return out
+}
+
 // baseGrant splits a VM's Reso allocation into per-dimension entitlements
 // exactly as Manager.reallocate splits the supply: the whole per-VM CPU
 // grant, plus the share-weighted slice of the link. When the exchange is

@@ -10,7 +10,10 @@ import (
 	"testing"
 
 	"resex/internal/exchange"
+	"resex/internal/invariant"
+	"resex/internal/resex"
 	"resex/internal/sim"
+	"resex/internal/workload"
 )
 
 func sampleBundle() *Bundle {
@@ -303,11 +306,45 @@ func TestExchangeSectionRoundTrips(t *testing.T) {
 	}
 }
 
+// TestCaptureSkipsNilBooks: books come from the managers, so nil managers
+// and managers whose policy keeps no book add no exchange section.
 func TestCaptureSkipsNilBooks(t *testing.T) {
-	bk := exchange.NewBook(exchange.BookConfig{})
-	src := Source{Books: []*exchange.Book{nil, bk, nil}}
+	fungible := workload.New(workload.Config{Hosts: 1, Policy: func() resex.Policy { return resex.NewFungible() }})
+	defer fungible.Shutdown()
+	plain := workload.New(workload.Config{Hosts: 1, Policy: func() resex.Policy { return resex.NewFreeMarket() }})
+	defer plain.Shutdown()
+	src := Source{Managers: []*resex.Manager{nil, plain.Mgrs[0], fungible.Mgrs[0], nil}}
 	st := src.Capture(sim.New())
-	if len(st.Exchange) != 1 {
-		t.Fatalf("captured %d books, want 1", len(st.Exchange))
+	if len(st.Exchange) != 1 || len(st.Managers) != 2 {
+		t.Fatalf("captured %d books and %d managers, want 1 and 2", len(st.Exchange), len(st.Managers))
+	}
+}
+
+// TestAuditSetsSourceAuditor: Audit hands the source its auditor, so the
+// next capture exports the auditor's accumulators, and the auditor watches
+// the rig's objects from the first sampled pass.
+func TestAuditSetsSourceAuditor(t *testing.T) {
+	e := workload.New(workload.Config{Hosts: 1, Policy: func() resex.Policy { return resex.NewFungible() }})
+	if _, err := e.AddTenant(workload.TenantSpec{Name: "t", Closed: workload.ClosedLoop{Concurrency: 1}, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	src := ForWorkload(e)
+	if st := src.Capture(e.TB.Eng); st.Auditor != nil {
+		t.Fatal("unaudited source exported an auditor section")
+	}
+	col := invariant.NewCollector(invariant.Strict)
+	a := src.Audit(e.TB.Eng, col)
+	if src.Auditor != a {
+		t.Fatal("Audit did not set Source.Auditor")
+	}
+	e.RunMeasured(10*sim.Millisecond, 50*sim.Millisecond)
+	st := src.Capture(e.TB.Eng)
+	a.Close()
+	if st.Auditor == nil || len(st.Exchange) != 1 || st.Workload == nil {
+		t.Fatalf("audited capture missing sections: auditor %v, %d books, workload %v",
+			st.Auditor != nil, len(st.Exchange), st.Workload != nil)
+	}
+	if r := col.Report(); r.Total != 0 || r.Checks == 0 {
+		t.Fatalf("audit report off: %+v", r)
 	}
 }

@@ -48,11 +48,14 @@ type State struct {
 	Exchange []exchange.State        `json:"exchange,omitempty"`
 }
 
-// Source enumerates the live objects a capture exports. All fields are
-// optional and filled per rig (testbed runs have hosts and managers, fleet
-// runs add monitors and placements, workload runs add tenants, fault runs
-// add the injector cursor, audited runs add the auditor); the engine itself
-// is supplied at capture time by the armed breakpoint.
+// Source enumerates a rig's observable objects: the one list both pure
+// observers read. Capture exports it and Audit attaches an invariant auditor
+// over it. All fields are optional and filled per rig (testbed runs have
+// hosts and managers, fleet runs add monitors and placements, workload runs
+// add tenants, fault runs add the injector cursor, audited runs add the
+// auditor); the engine itself is supplied at capture time by the armed
+// breakpoint. Trade books are not listed: both observers derive them from
+// Managers (resex.Books).
 type Source struct {
 	TB       *cluster.Testbed
 	Managers []*resex.Manager
@@ -66,9 +69,51 @@ type Source struct {
 	// state is shard-invariant by construction (see simpar.HostState), so
 	// bundles stay byte-identical across -simshards values.
 	SimPar *simpar.Host
-	// Books are the per-host fungible-market trade books (in host order)
-	// when the run prices with the exchange; nil entries are skipped.
-	Books []*exchange.Book
+}
+
+// ForWorkload lists a workload engine's rig: its hosts, managers, monitors
+// and tenants.
+func ForWorkload(e *workload.Engine) *Source {
+	return &Source{TB: e.TB, Managers: e.Mgrs, Monitors: e.Mons, Workload: e}
+}
+
+// ForFleet lists a placement fleet's rig: its hosts, per-host managers and
+// monitors, and its placement bindings.
+func ForFleet(f *placement.Fleet) *Source {
+	return &Source{TB: f.TB, Managers: f.Mgrs, Monitors: f.Mons, Fleet: f}
+}
+
+// Audit attaches an invariant auditor to eng over the source's objects:
+// every testbed host's hypervisor and adapter, each non-nil manager, the
+// managers' trade books, the workload's SLO ledgers and the shard
+// scheduler's bind log. It sets s.Auditor, so a later capture exports the
+// auditor's accumulators (an audited capture must be restored under audit,
+// and vice versa). Monitors, the fleet, the injector and the simpar host
+// are exported but not audited.
+func (s *Source) Audit(eng *sim.Engine, col *invariant.Collector) *invariant.Auditor {
+	a := invariant.New(eng, col)
+	if s.TB != nil {
+		for _, h := range s.TB.Hosts {
+			a.WatchXen(h.HV)
+			a.WatchHCA(h.HCA)
+		}
+	}
+	for _, m := range s.Managers {
+		if m != nil {
+			a.WatchManager(m)
+		}
+	}
+	for _, bk := range resex.Books(s.Managers) {
+		a.WatchBook(bk)
+	}
+	if s.Workload != nil {
+		a.WatchWorkload(s.Workload)
+	}
+	if s.Sched != nil {
+		a.WatchSched(s.Sched)
+	}
+	s.Auditor = a
+	return a
 }
 
 // Capture exports the source's full state under eng. Pure observer: it
@@ -115,10 +160,8 @@ func (s Source) Capture(eng *sim.Engine) State {
 		as := s.Auditor.Checkpoint()
 		st.Auditor = &as
 	}
-	for _, bk := range s.Books {
-		if bk != nil {
-			st.Exchange = append(st.Exchange, bk.Checkpoint())
-		}
+	for _, bk := range resex.Books(s.Managers) {
+		st.Exchange = append(st.Exchange, bk.Checkpoint())
 	}
 	return st
 }
