@@ -126,6 +126,29 @@ func TestWindowedClientKeepsRequestsOutstanding(t *testing.T) {
 	}
 }
 
+func TestWindowedRequestsKeepTheirOwnBytes(t *testing.T) {
+	// Four 64 KB requests are posted back to back, so later ones are
+	// encoded while earlier ones are still on the wire. The server must
+	// still decode each request exactly once, not the latest one again.
+	tb, app := newPair(t,
+		benchex.ServerConfig{BufferSize: 64 << 10, RecordTimeline: true},
+		benchex.ClientConfig{BufferSize: 64 << 10, Window: 4, Requests: 40})
+	app.Start()
+	tb.Eng.RunUntil(100 * sim.Millisecond)
+	tl := app.Server.Stats().Timeline
+	if len(tl) != 40 {
+		t.Fatalf("served %d of 40", len(tl))
+	}
+	seen := map[uint64]bool{}
+	for i, rec := range tl {
+		if seen[rec.Seq] {
+			t.Fatalf("record %d: request %d decoded twice", i, rec.Seq)
+		}
+		seen[rec.Seq] = true
+	}
+	tb.Eng.Shutdown()
+}
+
 func TestPipelinedServerThroughput(t *testing.T) {
 	run := func(pipeline bool) int64 {
 		tb, app := newPair(t,

@@ -52,7 +52,6 @@ type Client struct {
 	running bool
 	proc    *sim.Proc
 	done    *sim.Signal
-	scratch []byte
 }
 
 // NewClient creates a client on the given VCPU and PD. Connect its QP
@@ -60,14 +59,13 @@ type Client struct {
 func NewClient(eng *sim.Engine, vcpu *xen.VCPU, pd *hca.PD, cfg ClientConfig) (*Client, error) {
 	cfg = cfg.withDefaults()
 	c := &Client{
-		cfg:     cfg,
-		eng:     eng,
-		vcpu:    vcpu,
-		pd:      pd,
-		gen:     cfg.Source,
-		rng:     sim.NewRand(cfg.Seed ^ 0x5eed),
-		done:    sim.NewSignal(eng),
-		scratch: make([]byte, trace.RequestSize),
+		cfg:  cfg,
+		eng:  eng,
+		vcpu: vcpu,
+		pd:   pd,
+		gen:  cfg.Source,
+		rng:  sim.NewRand(cfg.Seed ^ 0x5eed),
+		done: sim.NewSignal(eng),
 	}
 	if c.gen == nil {
 		c.gen = trace.NewGenerator(cfg.Seed, trace.GeneratorConfig{})
@@ -274,17 +272,20 @@ func (c *Client) issue(p *sim.Proc) {
 	}
 	c.vcpu.Use(p, prep)
 	req.SentAt = c.eng.Now() // timestamp after marshaling, right at post
-	if err := req.Encode(c.scratch); err != nil {
+	// The HCA holds the payload until delivery and Window requests may be
+	// in flight, so each request is encoded into its own buffer.
+	buf := make([]byte, trace.RequestSize)
+	if err := req.Encode(buf); err != nil {
 		panic(err)
 	}
-	c.pd.Space().Write(c.sendBuf, c.scratch)
+	c.pd.Space().Write(c.sendBuf, buf)
 	err := c.qp.PostSend(hca.SendWR{
 		ID:        req.Seq,
 		Op:        hca.OpSend,
 		LocalAddr: c.sendBuf,
 		LKey:      c.sendMR.Key(),
 		Len:       c.cfg.BufferSize,
-		Payload:   c.scratch,
+		Payload:   buf,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("benchex: client post: %v", err))

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"resex/internal/sim"
+	"resex/internal/snapshot"
+	"resex/internal/stats"
 )
 
 // quick returns small-scale options: enough virtual time for stable shapes,
@@ -30,6 +32,7 @@ func renderBoth(t *testing.T, r Result) (string, string) {
 }
 
 func TestFig1Shape(t *testing.T) {
+	t.Parallel()
 	r, err := Fig1(quick())
 	if err != nil {
 		t.Fatal(err)
@@ -54,6 +57,7 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestFig2Shape(t *testing.T) {
+	t.Parallel()
 	r, err := Fig2(quick())
 	if err != nil {
 		t.Fatal(err)
@@ -95,6 +99,7 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
+	t.Parallel()
 	r, err := Fig3(quick())
 	if err != nil {
 		t.Fatal(err)
@@ -124,6 +129,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
+	t.Parallel()
 	r, err := Fig4(quick())
 	if err != nil {
 		t.Fatal(err)
@@ -152,6 +158,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5FreeMarketShape(t *testing.T) {
+	t.Parallel()
 	r, err := Fig5(Options{Duration: 1200 * sim.Millisecond, Warmup: 50 * sim.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -174,6 +181,7 @@ func TestFig5FreeMarketShape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
+	t.Parallel()
 	r, err := Fig6(Options{Duration: 1200 * sim.Millisecond, Warmup: 50 * sim.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +202,64 @@ func TestFig6Shape(t *testing.T) {
 	renderBoth(t, r)
 }
 
+// TestFig5CaptureKeysPerPoint pins the capture keys of the three timeline
+// legs: each leg arms its engine under its own point seed, so the keys do
+// not depend on which leg reaches Arm first under -parallel.
+func TestFig5CaptureKeysPerPoint(t *testing.T) {
+	t.Parallel()
+	const seed = 11
+	o := Options{Duration: 20 * sim.Millisecond, Warmup: 10 * sim.Millisecond, Seed: seed, Parallel: 1}
+	o.Checkpoint = snapshot.NewCapture(o.Warmup + o.Duration/2)
+	if _, err := Fig5(o); err != nil {
+		t.Fatal(err)
+	}
+	b, err := o.Checkpoint.Bundle(snapshot.Meta{Kind: "experiment", Experiment: "fig5", Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[snapshot.Key]bool{}
+	for i := 0; i < 3; i++ {
+		want[snapshot.Key{PointSeed: DeriveSeed(seed, i), Ordinal: 0}] = true
+	}
+	var got []snapshot.Key
+	for _, s := range b.Snaps {
+		got = append(got, s.Key)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("captured keys %+v, want one per leg: %+v", got, want)
+	}
+	for _, k := range got {
+		if !want[k] {
+			t.Errorf("captured key %+v, want one of %+v", k, want)
+		}
+	}
+}
+
+// TestFig6CSVColumnOrder renders the same result repeatedly: the header must
+// list the series in their declared order every time.
+func TestFig6CSVColumnOrder(t *testing.T) {
+	t.Parallel()
+	series := func() *stats.Series {
+		s := stats.NewSeries("")
+		s.Add(0, 1)
+		return s
+	}
+	r := &Fig6Result{Timeline: &TimelineResult{
+		RepResos: series(), IntfResos: series(), RepCap: series(), IntfCap: series(),
+	}}
+	for i := 0; i < 20; i++ {
+		var b strings.Builder
+		if err := r.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		if header, _, _ := strings.Cut(b.String(), "\n"); header != "x,rep_resos,intf_resos,rep_cap,intf_cap" {
+			t.Fatalf("render %d: header %q", i, header)
+		}
+	}
+}
+
 func TestFig7IOSharesShape(t *testing.T) {
+	t.Parallel()
 	r, err := Fig7(Options{Duration: 500 * sim.Millisecond, Warmup: 50 * sim.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -220,6 +285,7 @@ func TestFig7IOSharesShape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
+	t.Parallel()
 	r, err := Fig8(quick())
 	if err != nil {
 		t.Fatal(err)
@@ -239,6 +305,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
+	t.Parallel()
 	r, err := Fig9(Options{Duration: 400 * sim.Millisecond, Warmup: 50 * sim.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -266,6 +333,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
+	t.Parallel()
 	ids := IDs()
 	if len(ids) != 26 { // 9 figures + 13 ablations + 3 workload studies + softrt
 		t.Fatalf("IDs = %v", ids)
@@ -285,6 +353,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestAblArbShape(t *testing.T) {
+	t.Parallel()
 	r, err := AblArb(quick())
 	if err != nil {
 		t.Fatal(err)
@@ -303,6 +372,7 @@ func TestAblArbShape(t *testing.T) {
 }
 
 func TestAblMechShape(t *testing.T) {
+	t.Parallel()
 	r, err := AblMech(quick())
 	if err != nil {
 		t.Fatal(err)
@@ -323,6 +393,7 @@ func TestAblMechShape(t *testing.T) {
 }
 
 func TestAblEventsShape(t *testing.T) {
+	t.Parallel()
 	r, err := AblEvents(quick())
 	if err != nil {
 		t.Fatal(err)
@@ -353,6 +424,7 @@ func TestAblEventsShape(t *testing.T) {
 }
 
 func TestAblCapacityShape(t *testing.T) {
+	t.Parallel()
 	r, err := AblCapacity(quick())
 	if err != nil {
 		t.Fatal(err)
@@ -375,6 +447,7 @@ func TestAblCapacityShape(t *testing.T) {
 }
 
 func TestAblPlacementShape(t *testing.T) {
+	t.Parallel()
 	r, err := AblPlacement(quick())
 	if err != nil {
 		t.Fatal(err)
@@ -412,6 +485,7 @@ func TestAblPlacementShape(t *testing.T) {
 }
 
 func TestSoftRTShape(t *testing.T) {
+	t.Parallel()
 	r, err := SoftRT(Options{Duration: 500 * sim.Millisecond, Warmup: 50 * sim.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -433,6 +507,7 @@ func TestSoftRTShape(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
+	t.Parallel()
 	o := Options{}.WithDefaults()
 	if o.Duration != 2*sim.Second || o.Warmup != 100*sim.Millisecond {
 		t.Errorf("defaults: %+v", o)
@@ -440,6 +515,7 @@ func TestOptionsDefaults(t *testing.T) {
 }
 
 func TestAblFaultsShape(t *testing.T) {
+	t.Parallel()
 	r, err := AblFaults(Options{Duration: 400 * sim.Millisecond, Warmup: 50 * sim.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -491,22 +567,8 @@ func TestAblFaultsShape(t *testing.T) {
 	}
 }
 
-func TestAblFaultsDeterministic(t *testing.T) {
-	o := Options{Duration: 300 * sim.Millisecond, Warmup: 50 * sim.Millisecond, Seed: 9}
-	a, err := runFaultsRow(o, 12, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := runFaultsRow(o, 12, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("same seed diverged:\n  %+v\n  %+v", a, b)
-	}
-}
-
 func TestAblWorkloadShape(t *testing.T) {
+	t.Parallel()
 	r, err := AblWorkload(Options{Duration: 500 * sim.Millisecond, Warmup: 50 * sim.Millisecond, Parallel: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -549,6 +611,7 @@ func TestAblWorkloadShape(t *testing.T) {
 }
 
 func TestAblWorkloadMixShape(t *testing.T) {
+	t.Parallel()
 	r, err := AblWorkloadMix(Options{Duration: 500 * sim.Millisecond, Warmup: 50 * sim.Millisecond, Parallel: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -580,6 +643,7 @@ func TestAblWorkloadMixShape(t *testing.T) {
 }
 
 func TestAblWorkloadBurstShape(t *testing.T) {
+	t.Parallel()
 	r, err := AblWorkloadBurst(Options{Duration: 500 * sim.Millisecond, Warmup: 50 * sim.Millisecond, Parallel: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -617,27 +681,4 @@ func TestAblWorkloadBurstShape(t *testing.T) {
 		t.Error("f=8: queue-cap shed nothing")
 	}
 	renderBoth(t, r)
-}
-
-// TestAblWorkloadParallelDeterminism renders the same sweep at two
-// parallelism levels; per-point forked seeds make the outputs byte-identical.
-func TestAblWorkloadParallelDeterminism(t *testing.T) {
-	render := func(parallel int) string {
-		r, err := AblWorkload(Options{
-			Duration: 150 * sim.Millisecond, Warmup: 30 * sim.Millisecond,
-			Seed: 7, Parallel: parallel,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		if err := r.WriteText(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	serial, parallel := render(1), render(8)
-	if serial != parallel {
-		t.Errorf("-parallel changed the output:\n--- serial ---\n%s--- parallel ---\n%s", serial, parallel)
-	}
 }

@@ -93,7 +93,9 @@ func runTimeline(o Options, figure int, mkPolicy func() resex.Policy) (*Timeline
 	o = o.WithDefaults()
 	o.Timeline = true
 
-	meanStd := func(cfg ScenarioConfig) (tlSide, error) {
+	// Each leg runs under its own point's options, so its engine arms the
+	// capture breakpoint under that point's seed at any -parallel width.
+	meanStd := func(o Options, cfg ScenarioConfig) (tlSide, error) {
 		s, err := Build(cfg)
 		if err != nil {
 			return tlSide{}, err
@@ -104,10 +106,10 @@ func runTimeline(o Options, figure int, mkPolicy func() resex.Policy) (*Timeline
 	}
 	points := []SweepPoint[tlSide]{
 		Point("base", func(o Options) (tlSide, error) {
-			return meanStd(ScenarioConfig{Timeline: true, Seed: o.Seed})
+			return meanStd(o, ScenarioConfig{Timeline: true, Seed: o.Seed})
 		}),
 		Point("interfered", func(o Options) (tlSide, error) {
-			return meanStd(ScenarioConfig{Timeline: true, IntfBuffer: IntfBuffer, Seed: o.Seed})
+			return meanStd(o, ScenarioConfig{Timeline: true, IntfBuffer: IntfBuffer, Seed: o.Seed})
 		}),
 		Point("policy", func(o Options) (tlSide, error) {
 			// Policy run with observers.
@@ -221,12 +223,15 @@ func (r *Fig6Result) WriteText(w io.Writer) error {
 // WriteCSV implements Result.
 func (r *Fig6Result) WriteCSV(w io.Writer) error {
 	set := stats.NewSeriesSet(r.Title())
-	for name, s := range map[string]*stats.Series{
-		"rep_resos": r.Timeline.RepResos, "intf_resos": r.Timeline.IntfResos,
-		"rep_cap": r.Timeline.RepCap, "intf_cap": r.Timeline.IntfCap,
+	for _, col := range []struct {
+		name string
+		s    *stats.Series
+	}{
+		{"rep_resos", r.Timeline.RepResos}, {"intf_resos", r.Timeline.IntfResos},
+		{"rep_cap", r.Timeline.RepCap}, {"intf_cap", r.Timeline.IntfCap},
 	} {
-		dst := set.Add(name)
-		for _, p := range s.Points() {
+		dst := set.Add(col.name)
+		for _, p := range col.s.Points() {
 			dst.Add(p.X, p.Y)
 		}
 	}

@@ -1,33 +1,22 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"resex/internal/sim"
 )
 
-func runFungible(t *testing.T, o Options) (*AblFungibleResult, string) {
-	t.Helper()
-	res, err := AblFungible(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := res.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	return res, b.String()
-}
-
 // TestAblFungibleSeparation is the experiment-level acceptance gate at
 // reduced scale: at every swept utilization the fungible economy's SLO
 // attainment must be at least IOShares', the congested slow host must quote
-// a fabric price above par under fungible, and the whole table must be
-// byte-identical when re-run on a 3-worker pool.
+// a fabric price above par under fungible, and bookless policies must settle
+// no trades.
 func TestAblFungibleSeparation(t *testing.T) {
-	base := Options{Duration: 300 * sim.Millisecond, Seed: 7}
-	res, ref := runFungible(t, base)
+	t.Parallel()
+	res, err := AblFungible(Options{Duration: 300 * sim.Millisecond, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	byUtil := map[int]map[string]AblFungibleRow{}
 	for _, r := range res.Rows {
@@ -58,11 +47,5 @@ func TestAblFungibleSeparation(t *testing.T) {
 		if ios.Trades != 0 || rows["freemarket"].Trades != 0 {
 			t.Errorf("util=%d: bookless policy settled trades: %v", util, rows)
 		}
-	}
-
-	wide := base
-	wide.Parallel = 3
-	if _, got := runFungible(t, wide); got != ref {
-		t.Fatalf("Parallel=3 changed the table:\n--- serial\n%s\n--- wide\n%s", ref, got)
 	}
 }

@@ -25,6 +25,7 @@ func runGeoCell(t *testing.T, zones, shards, shift int) AblGeoDiurnalRow {
 // sun-chaser's decisions and the epoch fingerprint must come out identical
 // under any shift. Only node ids (not part of the row) change.
 func TestGeoDiurnalPhaseShiftPermutation(t *testing.T) {
+	t.Parallel()
 	const zones, shards = 4, 2
 	ref := runGeoCell(t, zones, shards, 0)
 	if len(ref.PerZone) != zones || ref.Received == 0 || ref.OnTime == 0 || ref.Windows == 0 {
@@ -55,6 +56,7 @@ func TestGeoDiurnalPhaseShiftPermutation(t *testing.T) {
 // around the ring, the sun chaser must actually migrate capacity (moves),
 // while conserving its unit pool across zones.
 func TestGeoDiurnalChaserFollowsPeak(t *testing.T) {
+	t.Parallel()
 	row := runGeoCell(t, 4, 1, 0)
 	if row.Moves == 0 {
 		t.Fatalf("walking diurnal peak generated no migrations: %+v", row)

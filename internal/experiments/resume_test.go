@@ -1,4 +1,6 @@
-package experiments
+// External test package: the sweep renders every result through
+// internal/report, which imports this package.
+package experiments_test
 
 import (
 	"bytes"
@@ -11,36 +13,56 @@ import (
 	"sync"
 	"testing"
 
+	"resex/internal/experiments"
 	"resex/internal/invariant"
+	"resex/internal/report"
 	"resex/internal/sim"
 	"resex/internal/snapshot"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden_digests.json from this run")
 
-// goldenDigests pins every driver's result text across commits: one FNV-64a
-// digest per (driver, seed) of the uninterrupted run below, plus one per
-// encoded capture bundle ("<id>/seed<N>/bundle"), so a change that drops or
-// reorders an exported state section fails too. After an intentional output
-// or wire-format change, regenerate it with
+// goldenDigests pins every driver's output across commits: one FNV-64a
+// digest per (driver, seed) of the plain run's result text, one of the SVG
+// rendered from that result ("<id>/seed<N>/svg"), and one per encoded
+// capture bundle ("<id>/seed<N>/bundle"), so a change that moves a figure,
+// its plot, or an exported state section fails too. After an intentional
+// output, plot or wire-format change, regenerate it with
 //
 //	go test ./internal/experiments -run TestResumeSweepAllDrivers -update
 const goldenDigests = "testdata/golden_digests.json"
 
-// TestResumeSweepAllDrivers is the crash-restart determinism matrix: every
-// registered driver, at two seeds, must produce byte-identical result text
-// across (1) an uninterrupted run, (2) a run with a snapshot captured at
-// T = warmup + duration/2, and (3) a run restored from that snapshot —
-// rebuilt, replayed to T under byte-for-byte state verification, and run to
-// the end. This is the same property the CI crash-restart gate diffs on
-// resexsim stdout; here it covers the full driver matrix. The capture and
-// restore runs are audited, each with its own collector, so the bundle
-// carries the auditor's accumulators and the matrix also checks that audit
-// plus capture leaves the output unchanged. The uninterrupted run's text and
-// the encoded bundle are held to their checked-in golden digests, so a
-// refactor that moves any driver's output or snapshot fails here even when
-// it moves it the same way at every width.
+// width is one setting of the three wall-clock-only knobs.
+type width struct{ parallel, shardWorkers, simShards int }
+
+// The three runs of a sweep cell each use a different width, so the sweep's
+// text and CSV equality checks also prove width invariance for every driver.
+var (
+	plainWidth   = width{1, 1, 1}
+	captureWidth = width{4, 8, 4}
+	verifyWidth  = width{2, 3, 2}
+)
+
+// rendered is one run's result with its text and CSV renderings.
+type rendered struct {
+	res       experiments.Result
+	text, csv string
+}
+
+// TestResumeSweepAllDrivers is the one full-driver matrix: every registered
+// driver, at two seeds, must produce byte-identical text and CSV across
+// (1) a plain run, (2) an audited run with a snapshot captured at
+// T = warmup + duration/2, and (3) an audited run restored from that
+// snapshot — rebuilt, replayed to T under byte-for-byte state verification,
+// and run to the end. Each run uses a different Parallel/ShardWorkers/
+// SimShards width. Both audited runs must attach an auditor to at least
+// one engine, observe events, report zero invariant violations and render
+// equal summaries. The plain run's text, its SVG rendering and the encoded
+// bundle are held to their checked-in golden digests, so a refactor that
+// moves any driver's output, plot or snapshot fails here even when it moves
+// it the same way at every width.
 func TestResumeSweepAllDrivers(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("full driver matrix; skipped in -short")
 	}
@@ -49,35 +71,38 @@ func TestResumeSweepAllDrivers(t *testing.T) {
 	var mu sync.Mutex
 	got := map[string]string{}
 	t.Cleanup(func() { checkGoldenDigests(t, seeds, got) })
-	for _, id := range IDs() {
+	for _, id := range experiments.IDs() {
 		for _, seed := range seeds {
 			id, seed, key := id, seed, digestKey(id, seed)
 			t.Run(key, func(t *testing.T) {
 				t.Parallel()
-				entry, err := Lookup(id)
+				entry, err := experiments.Lookup(id)
 				if err != nil {
 					t.Fatal(err)
 				}
-				run := func(plan *snapshot.Plan, col *invariant.Collector) string {
-					res, err := entry.Run(Options{
-						Duration:   dur,
-						Warmup:     warm,
-						Seed:       seed,
-						Parallel:   2,
-						Checkpoint: plan,
-						Audit:      col,
+				run := func(w width, plan *snapshot.Plan, col *invariant.Collector) rendered {
+					res, err := entry.Run(experiments.Options{
+						Duration:     dur,
+						Warmup:       warm,
+						Seed:         seed,
+						Parallel:     w.parallel,
+						ShardWorkers: w.shardWorkers,
+						SimShards:    w.simShards,
+						Checkpoint:   plan,
+						Audit:        col,
 					})
 					if err != nil {
-						t.Fatalf("%s seed %d: %v", id, seed, err)
+						t.Fatalf("%s seed %d width %+v: %v", id, seed, w, err)
 					}
-					var b strings.Builder
-					if err := res.WriteText(&b); err != nil {
+					var text, csv strings.Builder
+					if err := res.WriteText(&text); err != nil {
 						t.Fatal(err)
 					}
-					return b.String()
+					if err := res.WriteCSV(&csv); err != nil {
+						t.Fatal(err)
+					}
+					return rendered{res, text.String(), csv.String()}
 				}
-
-				base := run(nil, nil)
 				record := func(key string, data []byte) {
 					h := fnv.New64a()
 					h.Write(data)
@@ -85,17 +110,46 @@ func TestResumeSweepAllDrivers(t *testing.T) {
 					got[key] = fmt.Sprintf("%016x", h.Sum64())
 					mu.Unlock()
 				}
-				record(key, []byte(base))
-				if id == "abl-restart" {
-					// Runs this exact capture/verify loop internally,
-					// self-gating, and would triple-nest it here.
+
+				// abl-restart runs this exact capture/verify loop internally,
+				// self-gating, and would triple-nest it here, so its one run
+				// is the audited one.
+				restart := id == "abl-restart"
+				var plainAudit *invariant.Collector
+				if restart {
+					plainAudit = invariant.NewCollector(invariant.Audit)
+				}
+				plain := run(plainWidth, nil, plainAudit)
+				record(key, []byte(plain.text))
+				svg, err := report.RenderSVG(plain.res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.HasPrefix(svg, "<svg ") || !strings.HasSuffix(svg, "</svg>\n") {
+					t.Fatalf("not a well-formed SVG document: %.60q...", svg)
+				}
+				if len(svg) < 2000 {
+					t.Errorf("suspiciously small SVG (%d bytes)", len(svg))
+				}
+				record(svgKey(key), []byte(svg))
+				if restart {
+					auditSummary(t, "plain", plainAudit)
 					return
 				}
 
-				capture := snapshot.NewCapture(warm + dur/2)
-				if got := run(capture, invariant.NewCollector(invariant.Audit)); got != base {
-					t.Fatalf("auditing and arming the capture breakpoint changed the output:\n--- plain\n%s\n--- captured\n%s", base, got)
+				same := func(run string, r rendered) {
+					t.Helper()
+					if r.text != plain.text {
+						t.Fatalf("%s run's text differs from the plain run's:\n--- plain\n%s\n--- %s\n%s", run, plain.text, run, r.text)
+					}
+					if r.csv != plain.csv {
+						t.Fatalf("%s run's CSV differs from the plain run's", run)
+					}
 				}
+
+				capture := snapshot.NewCapture(warm + dur/2)
+				captureAudit := invariant.NewCollector(invariant.Audit)
+				same("captured", run(captureWidth, capture, captureAudit))
 				bundle, err := capture.Bundle(snapshot.Meta{
 					Kind:       "experiment",
 					Experiment: id,
@@ -120,20 +174,43 @@ func TestResumeSweepAllDrivers(t *testing.T) {
 				}
 
 				verify := snapshot.NewVerify(decoded)
-				if got := run(verify, invariant.NewCollector(invariant.Audit)); got != base {
-					t.Fatalf("restored run's output diverged:\n--- plain\n%s\n--- restored\n%s", base, got)
-				}
+				verifyAudit := invariant.NewCollector(invariant.Audit)
+				same("restored", run(verifyWidth, verify, verifyAudit))
 				if err := verify.Err(); err != nil {
 					t.Fatalf("state verification at T failed: %v", err)
+				}
+				if c, v := auditSummary(t, "captured", captureAudit), auditSummary(t, "restored", verifyAudit); c != v {
+					t.Fatalf("audit summaries differ:\n--- captured\n%s--- restored\n%s", c, v)
 				}
 			})
 		}
 	}
 }
 
+// auditSummary fails the test unless the audited run attached an auditor,
+// observed events and found no violations, and returns its summary text.
+func auditSummary(t *testing.T, run string, col *invariant.Collector) string {
+	t.Helper()
+	var b strings.Builder
+	if err := col.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	switch r := col.Report(); {
+	case r.Engines == 0:
+		t.Fatalf("%s run: no auditor attached — driver lost its audit wiring", run)
+	case r.Events == 0:
+		t.Fatalf("%s run: auditor observed no events", run)
+	case r.Total != 0:
+		t.Fatalf("%s run: invariant violations:\n%s", run, b.String())
+	}
+	return b.String()
+}
+
 func digestKey(id string, seed int64) string { return fmt.Sprintf("%s/seed%d", id, seed) }
 
 func bundleKey(runKey string) string { return runKey + "/bundle" }
+
+func svgKey(runKey string) string { return runKey + "/svg" }
 
 // checkGoldenDigests compares the digests the sweep computed against the
 // checked-in file, or rewrites the file under -update. Every registered
@@ -150,11 +227,13 @@ func checkGoldenDigests(t *testing.T, seeds []int64, got map[string]string) {
 		return
 	}
 	registered := map[string]bool{}
-	for _, id := range IDs() {
+	for _, id := range experiments.IDs() {
 		for _, seed := range seeds {
-			registered[digestKey(id, seed)] = true
+			key := digestKey(id, seed)
+			registered[key] = true
+			registered[svgKey(key)] = true
 			if id != "abl-restart" {
-				registered[bundleKey(digestKey(id, seed))] = true
+				registered[bundleKey(key)] = true
 			}
 		}
 	}

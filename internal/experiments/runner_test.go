@@ -3,11 +3,8 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
-
-	"resex/internal/sim"
 )
 
 // sleepPoint returns a point that records nothing but takes real time, to
@@ -20,6 +17,7 @@ func sleepPoint(i int) SweepPoint[int] {
 }
 
 func TestRunSweepOrderPreserved(t *testing.T) {
+	t.Parallel()
 	var points []SweepPoint[int]
 	for i := 0; i < 12; i++ {
 		points = append(points, sleepPoint(i))
@@ -41,6 +39,7 @@ func TestRunSweepOrderPreserved(t *testing.T) {
 }
 
 func TestRunSweepErrorDeclaredOrder(t *testing.T) {
+	t.Parallel()
 	errA := errors.New("a failed")
 	errB := errors.New("b failed")
 	points := []SweepPoint[int]{
@@ -61,6 +60,7 @@ func TestRunSweepErrorDeclaredOrder(t *testing.T) {
 }
 
 func TestRunSweepPointOptions(t *testing.T) {
+	t.Parallel()
 	base := Options{Seed: 42, Parallel: 8}
 	var seen []Options
 	var points []SweepPoint[Options]
@@ -87,6 +87,7 @@ func TestRunSweepPointOptions(t *testing.T) {
 }
 
 func TestDeriveSeedDistinct(t *testing.T) {
+	t.Parallel()
 	seen := map[int64]bool{}
 	for _, base := range []int64{0, 1, 2, 42, -7} {
 		for i := 0; i < 64; i++ {
@@ -98,44 +99,6 @@ func TestDeriveSeedDistinct(t *testing.T) {
 			if s2 := DeriveSeed(base, i); s2 != s {
 				t.Fatalf("DeriveSeed not deterministic: %d vs %d", s, s2)
 			}
-		}
-	}
-}
-
-// TestParallelByteIdentity is the sweep runner's core contract at the figure
-// level: the same experiment rendered from a serial run and from a 4-worker
-// run must be byte-identical. CI checks the same property across every
-// registered experiment via `resexsim -all -parallel {1,8}`.
-func TestParallelByteIdentity(t *testing.T) {
-	small := Options{Duration: 100 * sim.Millisecond, Warmup: 25 * sim.Millisecond, Seed: 7}
-	for _, id := range []string{"fig3", "abl-capacity"} {
-		e, err := Lookup(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		render := func(par int) (string, string) {
-			o := small
-			o.Parallel = par
-			r, err := e.Run(o)
-			if err != nil {
-				t.Fatalf("%s Parallel=%d: %v", id, par, err)
-			}
-			var txt, csv strings.Builder
-			if err := r.WriteText(&txt); err != nil {
-				t.Fatalf("%s WriteText: %v", id, err)
-			}
-			if err := r.WriteCSV(&csv); err != nil {
-				t.Fatalf("%s WriteCSV: %v", id, err)
-			}
-			return txt.String(), csv.String()
-		}
-		txt1, csv1 := render(1)
-		txt4, csv4 := render(4)
-		if txt1 != txt4 {
-			t.Errorf("%s: text output differs between Parallel=1 and Parallel=4", id)
-		}
-		if csv1 != csv4 {
-			t.Errorf("%s: CSV output differs between Parallel=1 and Parallel=4", id)
 		}
 	}
 }

@@ -1,40 +1,10 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"resex/internal/sim"
 )
-
-func runShardSched(t *testing.T, o Options) string {
-	t.Helper()
-	res, err := AblShardSched(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := res.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.String()
-}
-
-// TestAblShardSchedWorkerInvariance is the tentpole determinism gate at the
-// experiment level: ShardWorkers (and the sweep's Parallel) are wall-clock
-// knobs only, so the whole conflict-rate table — counters, colocations and
-// bind fingerprints — must be byte-identical at any width.
-func TestAblShardSchedWorkerInvariance(t *testing.T) {
-	base := Options{Duration: 80 * sim.Millisecond, Warmup: 10 * sim.Millisecond, Seed: 7}
-	ref := runShardSched(t, base)
-
-	wide := base
-	wide.ShardWorkers = 8
-	wide.Parallel = 4
-	if got := runShardSched(t, wide); got != ref {
-		t.Fatalf("ShardWorkers=8/Parallel=4 changed the table:\n--- workers=1\n%s\n--- workers=8\n%s", ref, got)
-	}
-}
 
 // TestAblShardSchedCurveShape pins the experiment's semantic claims on a
 // small fleet: every cell places the full workload, one shard never
@@ -42,6 +12,7 @@ func TestAblShardSchedWorkerInvariance(t *testing.T) {
 // in naive mode, and the rotated tie-break conflicts no more than naive at
 // every shard count.
 func TestAblShardSchedCurveShape(t *testing.T) {
+	t.Parallel()
 	o := Options{Duration: 80 * sim.Millisecond, Warmup: 10 * sim.Millisecond, Seed: 7}
 	res, err := AblShardSched(o)
 	if err != nil {

@@ -131,7 +131,9 @@ func ImpliedVol(o Option, price float64) (float64, error) {
 	} else {
 		intrinsic = math.Max(0, o.Strike*disc-o.Spot)
 	}
-	if price < intrinsic {
+	// Deep in the money, Price() itself can round a few ulps below the
+	// bound, so only a shortfall beyond rounding is an arbitrage.
+	if price < intrinsic-1e-12*(1+intrinsic) {
 		return 0, ErrBadOption
 	}
 	sigma := 0.3 // starting guess

@@ -160,6 +160,25 @@ func TestImpliedVolRoundTrip(t *testing.T) {
 	}
 }
 
+// A deep in-the-money put prices at its discounted intrinsic value, and
+// Price() can land a few ulps below the bound ImpliedVol checks against.
+// That rounding must not be rejected as an arbitrage.
+func TestImpliedVolDeepITMAtBound(t *testing.T) {
+	o := Option{Kind: Put, Spot: 100, Strike: 180, Rate: 0.02, Vol: 0.05 + 10.0/300, Expiry: 0.75}
+	price, err := o.Price()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ImpliedVol(o, price)
+	if err != nil {
+		t.Fatalf("ImpliedVol(%.17g): %v", price, err)
+	}
+	o.Vol = got
+	if re, _ := o.Price(); math.Abs(re-price) > 1e-6*(1+price) {
+		t.Fatalf("repriced %.17g, want %.17g", re, price)
+	}
+}
+
 func TestImpliedVolRejectsArbitrage(t *testing.T) {
 	o := Option{Kind: Call, Spot: 100, Strike: 50, Rate: 0.05, Expiry: 1}
 	// Below intrinsic value (~52.4): no vol can produce it.

@@ -60,7 +60,10 @@ type SendWR struct {
 	Imm uint32
 	// Payload, if non-nil, is the actual data deposited at the destination.
 	// It may be shorter than Len (the rest is undefined padding, charged on
-	// the wire but not copied). Nil means "bytes don't matter".
+	// the wire but not copied). Nil means "bytes don't matter". The device
+	// reads it only at delivery, possibly on another simpar shard's
+	// goroutine, so the caller must not modify it before the send
+	// completes, as with a real verbs send buffer.
 	Payload []byte
 }
 

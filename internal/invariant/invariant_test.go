@@ -40,15 +40,18 @@ func runStrict(t *testing.T, id string, seed int64, d, w sim.Time) invariant.Rep
 	return col.Report()
 }
 
-// TestStrictSweepAllExperiments is the correctness backstop: the whole
-// registered experiment surface must run violation-free under Strict
-// auditing at two seeds.
+// TestStrictSweepAllExperiments checks that every registered driver runs
+// under a Strict collector, at two seeds, without a violation panic. The
+// runs are short: the full-length zero-violation check is the audited runs
+// of the experiments package's resume sweep. Drivers with a fixed minimum
+// warm-up or arrival schedule (abl-fungible, abl-mixedcrit, abl-placement,
+// abl-faults) still cost seconds each.
 func TestStrictSweepAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep; skipped in -short")
 	}
 	seeds := []int64{3, 11}
-	dur, warm := 100*sim.Millisecond, 40*sim.Millisecond
+	dur, warm := 10*sim.Millisecond, 5*sim.Millisecond
 	for _, id := range experiments.IDs() {
 		for _, seed := range seeds {
 			id, seed := id, seed

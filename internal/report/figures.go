@@ -351,16 +351,18 @@ func RenderSVG(res experiments.Result) (string, error) {
 }
 
 // resampleToIterations maps an interval-indexed series onto the iteration
-// axis so it can share a frame with the latency timeline.
+// axis so it can share a frame with the latency timeline. Each of the (at
+// most 400) output points takes the interval at the same fraction of the
+// run, so a short series still spans the whole axis.
 func resampleToIterations(s *stats.Series, iterations int) *stats.Series {
 	out := stats.NewSeries(s.Name)
 	n := s.Len()
 	if n == 0 || iterations <= 0 {
 		return out
 	}
-	for i, p := range s.Downsample(400).Points() {
-		_ = p
-		frac := float64(i) / 400
+	m := min(n, 400)
+	for i := 0; i < m; i++ {
+		frac := float64(i) / float64(m)
 		idx := int(frac * float64(n))
 		if idx >= n {
 			idx = n - 1

@@ -1,11 +1,10 @@
 package report
 
 import (
+	"math"
 	"strings"
 	"testing"
 
-	"resex/internal/experiments"
-	"resex/internal/sim"
 	"resex/internal/stats"
 )
 
@@ -111,28 +110,21 @@ func TestHistogramChart(t *testing.T) {
 	checkSVG(t, HistogramChart("e", "x", []*stats.Histogram{stats.NewHistogram(0, 1, 2)}, []string{"none"}), "e")
 }
 
-func TestRenderSVGAllFigures(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every figure at reduced scale")
+// TestResampleShortTimelineSpansAxis maps a timeline with fewer intervals
+// than the 400-point plot budget onto the iteration axis: the cap line must
+// still run to the last interval at the end of the axis.
+func TestResampleShortTimelineSpansAxis(t *testing.T) {
+	s := stats.NewSeries("cap")
+	for i := 0; i < 100; i++ {
+		s.Add(float64(i), float64(i))
 	}
-	opts := experiments.Options{Duration: 120 * sim.Millisecond, Warmup: 30 * sim.Millisecond}
-	for _, id := range experiments.IDs() {
-		e, err := experiments.Lookup(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.Run(opts)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		svg, err := RenderSVG(res)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		checkSVG(t, svg)
-		if len(svg) < 2000 {
-			t.Errorf("%s: suspiciously small SVG (%d bytes)", id, len(svg))
-		}
+	out := resampleToIterations(s, 1000)
+	last, ok := out.Last()
+	if !ok || out.Len() != 100 {
+		t.Fatalf("resampled to %d points, want 100", out.Len())
+	}
+	if math.Abs(last.X-990) > 1e-9 || last.Y != 99 {
+		t.Errorf("last point (%g, %g), want (990, 99)", last.X, last.Y)
 	}
 }
 
