@@ -45,9 +45,10 @@ const (
 )
 
 // minShardSpeedup is the placement-round floor. The recorded
-// BENCH_shardsched.json shows ~5x on the 2k-host fleet; 3x leaves a wide
-// regression budget while still catching a reintroduced per-placement
-// rebuild (which lands at 1x by construction).
+// BENCH_shardsched.json holds 4.75x on the 2k-host fleet, the median of
+// five runs on 2 CPUs (4.5–5.1x); 3x leaves a wide regression budget while
+// still catching a reintroduced per-placement rebuild (which lands at 1x by
+// construction).
 const minShardSpeedup = 3.0
 
 // maxAllocsPerPlacement budgets the copy-on-write commit path: a commit

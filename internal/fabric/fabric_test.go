@@ -28,6 +28,33 @@ func TestLinkSerializationTime(t *testing.T) {
 	}
 }
 
+// TestLinkSerializationFollowsDegrade: a degrade between two equal packets
+// changes the second one's wire time to exactly DurationOfBytes at the
+// degraded rate, and healing changes it back.
+func TestLinkSerializationFollowsDegrade(t *testing.T) {
+	const bps, size = 3e9 / 7, 2048
+	eng := sim.New()
+	var arrivals []sim.Time
+	l := NewLink(eng, "l", bps, 0, RoundRobin, func(p *Packet) { arrivals = append(arrivals, eng.Now()) })
+	wire := []sim.Time{
+		sim.DurationOfBytes(size, bps),
+		sim.DurationOfBytes(size, bps*0.5),
+		sim.DurationOfBytes(size, bps),
+	}
+	for i, factor := range []float64{1, 0.5, 1} {
+		l.SetDegrade(factor)
+		start := eng.Now()
+		l.Send(&Packet{Flow: 1, Bytes: size, Index: i})
+		eng.Run()
+		if len(arrivals) != i+1 {
+			t.Fatalf("packet %d: %d arrivals", i, len(arrivals))
+		}
+		if got := arrivals[i] - start; got != wire[i] {
+			t.Errorf("packet %d at degrade %v took %v, want DurationOfBytes = %v", i, factor, got, wire[i])
+		}
+	}
+}
+
 func TestLinkPropagationDelay(t *testing.T) {
 	eng := sim.New()
 	var arrived sim.Time

@@ -22,6 +22,10 @@ type ScorePlugin interface {
 type weightedScorer struct {
 	plugin ScorePlugin
 	weight float64
+	// key is the plugin's penaltyKey when it is an InterferenceAware, whose
+	// score a lane's penaltyMemo with an equal key can serve; zero (which
+	// matches no memo) for every other plugin.
+	key penaltyKey
 }
 
 // Pipeline is the filter → score → bind decision chain.
@@ -48,8 +52,24 @@ func (p *Pipeline) AddFilter(f FilterPlugin) *Pipeline {
 
 // AddScorer appends a score plugin with the given weight.
 func (p *Pipeline) AddScorer(s ScorePlugin, weight float64) *Pipeline {
-	p.scorers = append(p.scorers, weightedScorer{s, weight})
+	ws := weightedScorer{plugin: s, weight: weight}
+	if ia, ok := s.(InterferenceAware); ok {
+		ws.key = ia.key()
+	}
+	p.scorers = append(p.scorers, ws)
 	return p
+}
+
+// penaltyKey returns the key of the pipeline's first InterferenceAware
+// scorer: the key a lane arms its penalty memo with. ok is false when the
+// pipeline has no such scorer and a memo would serve nothing.
+func (p *Pipeline) penaltyKey() (k penaltyKey, ok bool) {
+	for i := range p.scorers {
+		if k := p.scorers[i].key; k != (penaltyKey{}) {
+			return k, true
+		}
+	}
+	return penaltyKey{}, false
 }
 
 // HostScore is one host's pipeline outcome, kept for decision logging.
@@ -119,7 +139,20 @@ func (p *Pipeline) Select(hosts []*HostInfo, s Spec) (*HostInfo, []HostScore, er
 // pipelines stop all herding onto the same host when scores tie. Allocates
 // nothing. Returns -1 when no host is feasible.
 func (p *Pipeline) Pick(hosts []*HostInfo, s Spec, off int) int {
+	return p.pick(hosts, nil, s, off)
+}
+
+// pick is Pick with an optional penalty memo over hosts (memo index i is
+// hosts[i]). InterferenceAware scorers whose key matches the memo's read
+// their host penalty from it instead of walking the host's resident VMs;
+// the memo holds the same float the walk sums, so the decision is
+// bit-identical to the memo-free path.
+func (p *Pipeline) pick(hosts []*HostInfo, memo *penaltyMemo, s Spec, off int) int {
 	n := len(hosts)
+	var class penaltyClass
+	if memo != nil {
+		class = memo.key.class(s)
+	}
 	best := -1
 	bestScore := 0.0
 	bestRank := 0
@@ -135,8 +168,13 @@ func (p *Pipeline) Pick(hosts []*HostInfo, s Spec, off int) int {
 			continue
 		}
 		score := 0.0
-		for _, ws := range p.scorers {
-			score += ws.weight * ws.plugin.Score(h, s)
+		for k := range p.scorers {
+			ws := &p.scorers[k]
+			if memo != nil && ws.key == memo.key {
+				score += ws.weight * interferenceScore(memo.penalty(i, h, class))
+			} else {
+				score += ws.weight * ws.plugin.Score(h, s)
+			}
 		}
 		rank := i - off
 		if rank < 0 {
@@ -254,38 +292,139 @@ type InterferenceAware struct {
 // Name implements ScorePlugin.
 func (ia InterferenceAware) Name() string { return "interference-aware" }
 
-// Score implements ScorePlugin.
-func (ia InterferenceAware) Score(h *HostInfo, s Spec) float64 {
-	large := ia.LargeBuffer
-	if large <= 0 {
-		large = 256 << 10
+// penaltyKey is an InterferenceAware plugin's effective parameters, its
+// defaults applied: two plugins with equal keys score every host alike.
+type penaltyKey struct {
+	large  int
+	static float64
+}
+
+func (ia InterferenceAware) key() penaltyKey {
+	k := penaltyKey{large: ia.LargeBuffer, static: ia.StaticPenalty}
+	if k.large <= 0 {
+		k.large = 256 << 10
 	}
-	static := ia.StaticPenalty
-	if static <= 0 {
-		static = 1
+	if k.static <= 0 {
+		k.static = 1
 	}
-	penalty := 0.0
-	if s.LatencySensitive {
+	return k
+}
+
+// penaltyClass is what InterferenceAware's score depends on in an arriving
+// spec: latency-sensitive, bulk (buffer at or above LargeBuffer), or neither.
+type penaltyClass int
+
+const (
+	classNone penaltyClass = iota
+	classLatency
+	classBulk
+)
+
+func (k penaltyKey) class(s Spec) penaltyClass {
+	switch {
+	case s.LatencySensitive:
+		return classLatency
+	case s.BufferSize >= k.large:
+		return classBulk
+	}
+	return classNone
+}
+
+// of selects class c's penalty from a host's two sums; classNone is never
+// penalized.
+func (c penaltyClass) of(lat, bulk float64) float64 {
+	switch c {
+	case classLatency:
+		return lat
+	case classBulk:
+		return bulk
+	}
+	return 0
+}
+
+// penalties sums h's risky colocations in one walk over its resident VMs,
+// in residence order: lat for an arriving latency-sensitive VM, bulk for an
+// arriving bulk VM.
+func (k penaltyKey) penalties(h *HostInfo) (lat, bulk float64) {
+	for i := range h.VMs {
+		vm := &h.VMs[i]
 		// Placing a latency-sensitive VM: every resident bulk sender hurts,
 		// proportionally to its profiled wire pressure (MTUs/s × buffer,
 		// i.e. bytes/s) relative to the uplink.
-		for _, vm := range h.VMs {
-			if vm.EffectiveBuffer() >= large {
-				penalty += static
-				if h.LinkBytesPerSec > 0 {
-					penalty += vm.BytesPerSec / h.LinkBytesPerSec
-				}
+		if vm.EffectiveBuffer() >= k.large {
+			lat += k.static
+			if h.LinkBytesPerSec > 0 {
+				lat += vm.BytesPerSec / h.LinkBytesPerSec
 			}
 		}
-	} else if s.BufferSize >= large {
 		// Placing a bulk VM: penalize hosts running latency-sensitive VMs.
-		for _, vm := range h.VMs {
-			if vm.Spec.LatencySensitive {
-				penalty += static
-			}
+		if vm.Spec.LatencySensitive {
+			bulk += k.static
 		}
 	}
-	return 1 / (1 + penalty)
+	return lat, bulk
+}
+
+// interferenceScore turns a host's penalty into InterferenceAware's score;
+// Score and a memo-armed pick both go through it.
+func interferenceScore(penalty float64) float64 { return 1 / (1 + penalty) }
+
+// Score implements ScorePlugin.
+func (ia InterferenceAware) Score(h *HostInfo, s Spec) float64 {
+	k := ia.key()
+	c := k.class(s)
+	if c == classNone {
+		return interferenceScore(0)
+	}
+	return interferenceScore(c.of(k.penalties(h)))
+}
+
+// penaltyMemo caches InterferenceAware penalties for the hosts of one
+// lane-private view, one entry per view index. It is the per-host summary
+// the arktos design keeps beside its scheduling view (SNIPPETS.md
+// §2.5.2.1): a penalty depends only on a host's resident VMs, and a lane's
+// view never changes those within a round — local claims move FreePCPUs,
+// IOCommitted and MemBWCommitted only — so each host is walked at most once
+// per round and every later pick reads its penalty in O(1).
+//
+// The memo lives in the lane, never on HostInfo: published snapshot hosts
+// are not written, and a host clone that changes VMs (CommitRound,
+// Snapshot.WithoutVM) reaches a lane only through the next round's view,
+// which arm resets.
+type penaltyMemo struct {
+	key  penaltyKey
+	pens []hostPenalties
+}
+
+// hostPenalties is one view host's memo entry: both class sums, filled
+// together on first use.
+type hostPenalties struct {
+	lat, bulk float64
+	have      bool
+}
+
+// arm empties the memo for a fresh view of n hosts scored under key k.
+func (m *penaltyMemo) arm(n int, k penaltyKey) {
+	m.key = k
+	if cap(m.pens) < n {
+		m.pens = make([]hostPenalties, n)
+	}
+	m.pens = m.pens[:n]
+	clear(m.pens)
+}
+
+// penalty returns view host i's penalty for class c (h is that host),
+// walking its resident VMs on first use.
+func (m *penaltyMemo) penalty(i int, h *HostInfo, c penaltyClass) float64 {
+	if c == classNone {
+		return 0
+	}
+	e := &m.pens[i]
+	if !e.have {
+		e.lat, e.bulk = m.key.penalties(h)
+		e.have = true
+	}
+	return c.of(e.lat, e.bulk)
 }
 
 // RateWeightedHeadroom is the exchange-priced headroom scorer: free

@@ -93,6 +93,7 @@ type lane struct {
 	pipe    *Pipeline
 	view    []HostInfo  // snapshot copy the shard claims against
 	ptrs    []*HostInfo // pointers into view, what the pipeline scores
+	memo    penaltyMemo // view hosts' interference penalties, reset per round
 	work    []Pending   // this round's partition slice (reused)
 	props   []Bind      // this round's proposals (reused)
 	starved []Pending   // this round's infeasible requests (reused)
@@ -388,6 +389,11 @@ func (s *Scheduler) runLane(ln *lane, shardIdx int, snap *Snapshot) {
 		ln.view[i] = *h // VMs slice aliases the snapshot's: read-only by contract
 		ln.ptrs[i] = &ln.view[i]
 	}
+	var memo *penaltyMemo
+	if k, ok := ln.pipe.penaltyKey(); ok {
+		ln.memo.arm(len(ln.view), k)
+		memo = &ln.memo
+	}
 	off := 0
 	if s.cfg.AvoidConflicts && s.cfg.Shards > 1 {
 		off = shardIdx * len(ln.view) / s.cfg.Shards
@@ -397,14 +403,15 @@ func (s *Scheduler) runLane(ln *lane, shardIdx int, snap *Snapshot) {
 	// MemBWCommitted but never the resident-VM list — same-round
 	// interference between a shard's own proposals becomes visible only
 	// after commit, like every other shard's. Never mutate h.VMs: it
-	// aliases the shared snapshot. The recorded exact prior values let a
-	// failed gang unwind with no float residue.
+	// aliases the shared snapshot, and the penalty memo relies on it staying
+	// fixed for the round. The recorded exact prior values let a failed
+	// gang unwind with no float residue.
 	type claim struct {
 		idx, free int
 		io, mem   float64
 	}
 	apply := func(p Pending) (claim, bool) {
-		idx := ln.pipe.Pick(ln.ptrs, p.Spec, off)
+		idx := ln.pipe.pick(ln.ptrs, memo, p.Spec, off)
 		if idx < 0 {
 			return claim{}, false
 		}

@@ -195,7 +195,8 @@ func (s *Snapshot) WithoutVM(node int, name string) []*HostInfo {
 		clone.VMs = make([]VMInfo, 0, len(h.VMs))
 		clone.IOCommitted = 0
 		clone.MemBWCommitted = 0
-		for _, vm := range h.VMs {
+		for k := range h.VMs {
+			vm := &h.VMs[k]
 			if vm.Spec.Name == name {
 				continue
 			}
@@ -205,7 +206,7 @@ func (s *Snapshot) WithoutVM(node int, name string) []*HostInfo {
 			if clone.MemBWBytesPerSec > 0 {
 				clone.MemBWCommitted += vm.MemBytesPerSec / clone.MemBWBytesPerSec
 			}
-			clone.VMs = append(clone.VMs, vm)
+			clone.VMs = append(clone.VMs, *vm)
 		}
 		if len(clone.VMs) < len(h.VMs) && clone.FreePCPUs < clone.TotalPCPUs {
 			clone.FreePCPUs++ // the elided VM would vacate its PCPU

@@ -91,6 +91,7 @@ type Engine struct {
 	now      Time
 	events   eventHeap
 	wheel    []*periodic
+	wmin     *periodic // earliest wheel entry, nil when empty (wheelMin)
 	free     []*event
 	seq      uint64
 	procs    map[*Proc]struct{}
@@ -195,6 +196,7 @@ func (e *Engine) Every(d Time, fn func()) Timer {
 	e.seq++
 	p := &periodic{eng: e, period: d, nextAt: e.now + d, seq: e.seq, fn: fn}
 	e.wheel = append(e.wheel, p)
+	e.wmin = e.wheelMin()
 	return Timer{per: p}
 }
 
@@ -254,12 +256,10 @@ func (e *Engine) fireBreaksBefore(limit Time) {
 // Step executes the single earliest pending event. It reports false when no
 // events remain.
 func (e *Engine) Step() bool {
-	if len(e.wheel) > 0 {
-		wi := e.wheelMin()
-		w := e.wheel[wi]
+	if w := e.wmin; w != nil {
 		if len(e.events) == 0 || w.nextAt < e.events[0].at ||
 			(w.nextAt == e.events[0].at && w.seq < e.events[0].seq) {
-			e.fireWheel(wi)
+			e.fireWheel(w)
 			return true
 		}
 	}
@@ -286,8 +286,8 @@ func (e *Engine) peek() (Time, bool) {
 	if len(e.events) > 0 {
 		at, ok = e.events[0].at, true
 	}
-	if len(e.wheel) > 0 {
-		if w := e.wheel[e.wheelMin()].nextAt; !ok || w < at {
+	if e.wmin != nil {
+		if w := e.wmin.nextAt; !ok || w < at {
 			at, ok = w, true
 		}
 	}

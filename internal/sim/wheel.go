@@ -15,15 +15,18 @@ type periodic struct {
 	firing  bool // true while fn runs, so Stop-from-inside-the-tick is safe
 }
 
-// wheelMin returns the index of the earliest pending periodic by (nextAt,
-// seq), or -1 when the wheel is empty. The wheel holds a handful of tickers,
-// so a linear scan beats any ordered structure's maintenance cost.
-func (e *Engine) wheelMin() int {
-	best := -1
-	for i, p := range e.wheel {
-		if best < 0 || p.nextAt < e.wheel[best].nextAt ||
-			(p.nextAt == e.wheel[best].nextAt && p.seq < e.wheel[best].seq) {
-			best = i
+// wheelMin returns the earliest pending periodic by (nextAt, seq), or nil
+// when the wheel is empty. The wheel holds a handful of tickers, so a linear
+// scan beats any ordered structure's maintenance cost. The engine caches the
+// result in wmin for Step and peek, and rescans only when the wheel changes:
+// Every adding a timer, wheelRemove dropping one, a fired tick moving its
+// nextAt.
+func (e *Engine) wheelMin() *periodic {
+	var best *periodic
+	for _, p := range e.wheel {
+		if best == nil || p.nextAt < best.nextAt ||
+			(p.nextAt == best.nextAt && p.seq < best.seq) {
+			best = p
 		}
 	}
 	return best
@@ -38,18 +41,18 @@ func (e *Engine) wheelRemove(p *periodic) {
 			e.wheel[i] = e.wheel[n]
 			e.wheel[n] = nil
 			e.wheel = e.wheel[:n]
+			e.wmin = e.wheelMin()
 			return
 		}
 	}
 }
 
-// fireWheel executes the pending tick of e.wheel[i]: run the callback, then
+// fireWheel executes the pending tick of p: run the callback, then
 // reschedule in place unless the timer stopped itself. The seq for the next
 // occurrence is assigned after fn runs — exactly where the old
 // heap-rescheduling implementation assigned it — so event ordering, and with
 // it every seeded experiment output, is unchanged byte for byte.
-func (e *Engine) fireWheel(i int) {
-	p := e.wheel[i]
+func (e *Engine) fireWheel(p *periodic) {
 	e.now = p.nextAt
 	e.stepped++
 	if e.stepHook != nil && e.stepped&e.hookMask == 0 {
@@ -65,4 +68,5 @@ func (e *Engine) fireWheel(i int) {
 	e.seq++
 	p.seq = e.seq
 	p.nextAt += p.period
+	e.wmin = e.wheelMin()
 }
