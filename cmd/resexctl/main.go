@@ -13,7 +13,8 @@
 //	                              trades) when the exchange has settled
 //	run                           resume stepping from the current boundary
 //	pause                         hold at the next boundary
-//	step [n]                      advance n quanta (default 1), then pause
+//	step [n]                      advance n quanta (default 1, at most 10 s
+//	                              of virtual time), then pause
 //	run-until <duration>          run to a virtual-time target (e.g. 2s)
 //	add-tenant <name> <class> [rate]   class: latency, bulk or open
 //	remove-tenant <name>          stop a tenant's traffic

@@ -1,30 +1,32 @@
-// Command resextop is a xentop-style monitor for the simulated platform:
-// it runs the standard interference scenario and prints a per-VM table —
-// CPU%, MTUs/s, charging rate, CPU cap, Reso balance — every reporting
-// period of virtual time, straight from the ResEx manager's observer hook.
+// Command resextop is a xentop-style monitor for the simulated platform. It
+// renders one of three sources, every refresh period of virtual time:
 //
-// Usage:
-//
-//	resextop                       # IOShares, 2s, 100ms refresh
+//	resextop                            # resexd's default session, in process
 //	resextop -policy freemarket -duration 3s -refresh 250ms
-//	resextop -faults 4             # inject 4 fault storms/s; watch health
-//	resextop -workload             # resexd's default session, in process
-//	resextop -exchange             # fungible economy: rates + positions
-//	resextop -attach /tmp/resexd.sock   # render a live resexd session
+//	resextop -fig fig7                  # any registered experiment
+//	resextop -attach /tmp/resexd.sock   # a running resexd session
 //
-// Each refresh also shows the host's health (OK/degraded/blackout) and every
-// VM's IBMon telemetry confidence, which matter once faults are injected.
-// With -workload resextop runs resexd's default session in process (a
-// closed-loop latency tenant against a bursty 2 MB bulk tenant, one quantum
-// per refresh) and prints every quantum with the -attach columns: per-VM
-// rate, cap, Resos, MTU rate, confidence and interference flag, plus
+// With no -fig or -attach resextop runs resexd's default session in process
+// (a closed-loop latency tenant against a bursty 2 MB bulk tenant, one
+// quantum per refresh) and prints every quantum with the -attach columns:
+// per-VM rate, cap, Resos, MTU rate, confidence and interference flag, plus
 // per-tenant offered and completed rates, inflight, queue, p99 and SLO
-// attainment. With -exchange the rig is a
-// two-generation heterogeneous fleet under the Fungible policy, and each
-// refresh prints every host's rate board (per-dimension prices, settlement
-// epoch, trades) plus every holder's per-dimension book position. With
-// -attach, resextop runs nothing itself: it subscribes to a running resexd
-// daemon's telemetry stream and renders each sample with the same columns.
+// attainment. With -attach it runs nothing itself: it subscribes to a
+// running resexd daemon's telemetry stream and renders each sample with the
+// same columns.
+//
+// With -fig it runs the registered experiment's driver under a watch plan
+// (snapshot.NewWatch) and renders every engine the driver builds from that
+// engine's snapshot.Source, skipping the sections the rig does not list:
+// per-VM CPU%, MTUs/s, rate, cap, Resos, confidence and victim/taxed flag
+// (Managers); per-host telemetry health (Monitors, e.g. -fig abl-faults);
+// per-book epoch, trades, prices and holder positions (the managers'
+// exchange books, e.g. -fig abl-fungible); and scheduler rounds, binds,
+// conflicts and per-shard counter deltas (Sched, e.g. -fig abl-shardsched).
+// The watch is seq-neutral, so the driver's result, printed at the end, is
+// byte-identical to resexsim's. Drivers that arm their own snapshot plans
+// (abl-restart's capture and restore runs) are watched only on the engines
+// they leave unplanned.
 package main
 
 import (
@@ -33,167 +35,52 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"resex/internal/daemon"
 	"resex/internal/exchange"
 	"resex/internal/experiments"
-	"resex/internal/faults"
 	"resex/internal/resex"
-	"resex/internal/resos"
 	"resex/internal/schedshard"
 	"resex/internal/sim"
-	"resex/internal/workload"
+	"resex/internal/snapshot"
 )
 
 func main() {
 	var (
-		policyName = flag.String("policy", "ioshares", "pricing policy: freemarket, ioshares or fungible")
-		duration   = flag.Duration("duration", 2*time.Second, "virtual run time")
+		fig        = flag.String("fig", "", "run and render this registered experiment (resexsim -list names them)")
+		policyName = flag.String("policy", "ioshares", "default session only: pricing policy freemarket, ioshares or fungible")
+		duration   = flag.Duration("duration", 2*time.Second, "virtual run time (the experiment's measured duration with -fig)")
 		refresh    = flag.Duration("refresh", 100*time.Millisecond, "virtual time between table prints")
-		storms     = flag.Float64("faults", 0, "fault storms per second to inject (0 = none)")
-		seed       = flag.Int64("seed", 0, "fault schedule seed; the session seed with -workload")
-		useWL      = flag.Bool("workload", false, "run resexd's default session (lat + bulk tenants) in process instead of the benchex scenario")
-		exchTop    = flag.Bool("exchange", false, "drive the fungible Reso economy on a heterogeneous two-host fleet and print per-host rates plus per-holder book positions")
-		shardTop   = flag.Bool("shardsched", false, "drive the multi-shard placement scheduler on a synthetic fleet and print shard/conflict counters")
-		shards     = flag.Int("shards", 4, "logical shard count for -shardsched")
+		seed       = flag.Int64("seed", 0, "session or experiment seed")
 		attach     = flag.String("attach", "", "render a running resexd daemon's telemetry stream from this unix socket")
 		samples    = flag.Int("samples", 0, "with -attach: exit after this many samples (0 = stream forever)")
 	)
 	flag.Parse()
+	policySet := false
+	flag.Visit(func(f *flag.Flag) { policySet = policySet || f.Name == "policy" })
+	switch {
+	case *fig != "" && *attach != "":
+		usageErr("-fig and -attach are exclusive")
+	case policySet && (*fig != "" || *attach != ""):
+		usageErr("-policy applies only to the default session")
+	case *refresh <= 0:
+		usageErr("-refresh must be positive")
+	}
 
-	if *attach != "" {
+	switch {
+	case *attach != "":
 		runAttached(*attach, *samples)
-		return
-	}
-
-	if *exchTop {
-		if *storms > 0 || *useWL || *shardTop {
-			fmt.Fprintln(os.Stderr, "resextop: -exchange does not combine with -faults, -workload or -shardsched")
-			os.Exit(2)
-		}
-		runExchangeTop(*duration, *refresh, *seed)
-		return
-	}
-
-	if *shardTop {
-		if *storms > 0 || *useWL {
-			fmt.Fprintln(os.Stderr, "resextop: -shardsched does not combine with -faults or -workload")
-			os.Exit(2)
-		}
-		if *shards < 1 {
-			fmt.Fprintf(os.Stderr, "resextop: -shards must be >= 1 (got %d)\n", *shards)
-			os.Exit(2)
-		}
-		runShardTop(*shards, *seed, *duration, *refresh)
-		return
-	}
-
-	if *useWL {
-		if *storms > 0 {
-			fmt.Fprintln(os.Stderr, "resextop: -faults is only supported in scenario mode")
-			os.Exit(2)
-		}
-		runSession(*policyName, *duration, *refresh, *seed)
-		return
-	}
-
-	var policy resex.Policy
-	switch strings.ToLower(*policyName) {
-	case "freemarket", "fm":
-		policy = resex.NewFreeMarket()
-	case "fungible", "fun":
-		policy = resex.NewFungible()
-	case "ioshares", "ios":
-		policy = resex.NewIOShares()
+	case *fig != "":
+		runFig(*fig, *duration, *refresh, *seed)
 	default:
-		fmt.Fprintf(os.Stderr, "resextop: unknown policy %q\n", *policyName)
-		os.Exit(2)
+		runSession(*policyName, *duration, *refresh, *seed)
 	}
+}
 
-	s, err := experiments.Build(experiments.ScenarioConfig{
-		IntfBuffer: experiments.IntfBuffer,
-		Policy:     policy,
-		SLAUs:      experiments.BaseSLAUs,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "resextop:", err)
-		os.Exit(1)
-	}
-
-	runFor := sim.Time(duration.Nanoseconds())
-	if *storms > 0 {
-		h := s.TB.Host(1)
-		inj := faults.NewInjector(s.TB.Eng)
-		inj.AttachHost(faults.HostPorts{
-			Node: h.Node, Uplink: h.Uplink, Downlink: h.Downlink,
-			HCA: h.HCA, Mon: s.Mon,
-		})
-		inj.Arm(faults.Generate(*seed, faults.GenConfig{
-			Hosts:        []int{h.Node},
-			Start:        200 * sim.Millisecond,
-			Horizon:      runFor,
-			StormsPerSec: *storms,
-		}))
-	}
-
-	period := sim.Time(refresh.Nanoseconds())
-	interval := s.Mgr.Config().Interval
-	every := int64(period / interval)
-	if every < 1 {
-		every = 1
-	}
-
-	fmt.Printf("resextop — policy %s, refresh %v (virtual)\n", policy.Name(), *refresh)
-	type accum struct {
-		mtus int64
-		cpu  float64
-		n    int64
-	}
-	acc := map[string]*accum{}
-	s.Mgr.Observe(func(d *resex.IntervalData) {
-		for i := range d.VMs {
-			t := &d.VMs[i]
-			a := acc[t.VM.Dom.Name()]
-			if a == nil {
-				a = &accum{}
-				acc[t.VM.Dom.Name()] = a
-			}
-			a.mtus += t.MTUs
-			a.cpu += t.CPUPct
-			a.n++
-		}
-		if d.Index%every != 0 {
-			return
-		}
-		fmt.Printf("\n[t=%v]  host1 health: %s\n", d.Now, s.Mon.Health())
-		fmt.Printf("%-18s %7s %10s %7s %6s %12s %6s %8s\n",
-			"VM", "CPU%", "MTUs/s", "rate", "cap%", "resos", "conf", "intf?")
-		for i := range d.VMs {
-			t := &d.VMs[i]
-			a := acc[t.VM.Dom.Name()]
-			capStr := "-"
-			if c := t.VM.Dom.Cap(); c > 0 {
-				capStr = fmt.Sprintf("%d", c)
-			}
-			intf := ""
-			if t.VM.Interfered() {
-				intf = "victim"
-			} else if t.VM.Rate() > 1 {
-				intf = "taxed"
-			}
-			perSec := float64(a.mtus) / (float64(a.n) * interval.Seconds())
-			fmt.Printf("%-18s %7.1f %10.0f %7.2f %6s %12d %6.2f %8s\n",
-				t.VM.Dom.Name(), a.cpu/float64(a.n), perSec,
-				t.VM.Rate(), capStr, t.VM.Account.Balance(), t.Confidence, intf)
-			*a = accum{}
-		}
-	})
-
-	s.Start()
-	s.TB.Eng.RunUntil(runFor)
-	s.Shutdown()
+func usageErr(msg string) {
+	fmt.Fprintln(os.Stderr, "resextop:", msg)
+	os.Exit(2)
 }
 
 // runSession runs resexd's default session in process — tenants
@@ -210,11 +97,10 @@ func runSession(policy string, duration, refresh time.Duration, seed int64) {
 		},
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "resextop:", err)
-		os.Exit(2)
+		usageErr(err.Error())
 	}
 	defer s.Shutdown()
-	fmt.Printf("resextop — workload mode (in-process resexd session), policy %s, refresh %v (virtual)\n",
+	fmt.Printf("resextop — resexd default session (in process), policy %s, refresh %v (virtual)\n",
 		s.PolicyName(), time.Duration(s.Quantum()))
 	for end := sim.Time(duration.Nanoseconds()); s.Now() < end; {
 		s.Step()
@@ -222,107 +108,159 @@ func runSession(policy string, duration, refresh time.Duration, seed int64) {
 	}
 }
 
-// runExchangeTop drives the fungible Reso economy on a two-generation
-// heterogeneous fleet — the abl-fungible scenario's shape — and prints each
-// host's rate board and every holder's book position every refresh period.
-func runExchangeTop(duration, refresh time.Duration, seed int64) {
-	bws := []float64{1e9, 500e6}
-	next := 0
-	e := workload.New(workload.Config{
-		Hosts:          2,
-		ClientPCPUs:    16,
-		LinkBandwidths: bws,
-		Policy: func() resex.Policy {
-			p := resex.NewFungible()
-			// Pin each board's utilization reference to its own link's MTUs
-			// per 250 ms epoch, as the abl-fungible experiment does.
-			p.Exchange.Capacity[exchange.DimFabric] = resos.Amount(bws[next] * 0.25 / 1024)
-			next++
-			return p
-		},
+// runFig runs one registered experiment serially under a watch plan,
+// rendering every engine's source each refresh, then prints the result.
+func runFig(id string, duration, refresh time.Duration, seed int64) {
+	e, err := experiments.Lookup(id)
+	if err != nil {
+		usageErr(err.Error())
+	}
+	w := watcher{}
+	fmt.Printf("resextop — %s (%s), refresh %v (virtual)\n", e.ID, e.Title, refresh)
+	res, err := e.Run(experiments.Options{
+		Duration: sim.Time(duration.Nanoseconds()),
+		Seed:     seed,
+		// One worker everywhere keeps the watch callbacks serial.
+		Parallel: 1, ShardWorkers: 1, SimShards: 1,
+		Checkpoint: snapshot.NewWatch(sim.Time(refresh.Nanoseconds()), w.watch),
 	})
-	for i, bw := range bws {
-		gen := bws[0] / bw
-		if _, err := e.AddTenant(workload.TenantSpec{
-			Name:             fmt.Sprintf("lat%d", i),
-			Closed:           workload.ClosedLoop{Concurrency: 1},
-			SLO:              workload.SLOSpec{P99Us: 1.5 * gen * experiments.BaseSLAUs},
-			SLAUs:            gen * experiments.BaseSLAUs,
-			LatencySensitive: true,
-			Share:            3,
-			Seed:             seed + int64(i) + 1,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "resextop:", err)
-			os.Exit(1)
-		}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "resextop: %s: %v\n", id, err)
+		os.Exit(1)
 	}
-	for i, bw := range bws {
-		// Offer ~90% of each host's link as 4× bursts.
-		mean := 0.9 * bw / float64(experiments.IntfBuffer)
-		calm := mean / 1.75
-		if _, err := e.AddTenant(workload.TenantSpec{
-			Name:       fmt.Sprintf("bulk%d", i),
-			BufferSize: experiments.IntfBuffer,
-			Arrivals: &workload.MMPP2{
-				CalmRate: calm, BurstRate: 4 * calm,
-				CalmDwell: 30 * sim.Millisecond, BurstDwell: 10 * sim.Millisecond,
-			},
-			Window:         16,
-			ProcessTime:    2 * sim.Millisecond,
-			PipelineServer: true,
-			Seed:           seed + 100 + int64(i),
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "resextop:", err)
-			os.Exit(1)
-		}
+	fmt.Println()
+	if err := res.WriteText(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "resextop:", err)
+		os.Exit(1)
 	}
+}
 
-	period := sim.Time(refresh.Nanoseconds())
-	if period <= 0 {
-		period = 100 * sim.Millisecond
+// watcher renders watched engines, keeping each one's previous readings.
+// Engines are numbered in the order they first fire.
+type watcher map[snapshot.Key]*seen
+
+// seen is one engine's readings at its previous refresh, the baseline for
+// the per-period CPU% and shard-counter deltas.
+type seen struct {
+	n      int
+	at     sim.Time
+	cpu    map[*resex.ManagedVM]sim.Time
+	shards []schedshard.ShardCounters
+}
+
+// watch renders one engine's source. It only reads, so the watched run
+// stays event-identical to an unwatched one.
+func (w watcher) watch(k snapshot.Key, eng *sim.Engine, src *snapshot.Source) {
+	last := w[k]
+	if last == nil {
+		last = &seen{n: len(w), cpu: map[*resex.ManagedVM]sim.Time{}}
+		w[k] = last
 	}
-	fmt.Printf("resextop — exchange mode, policy Fungible, refresh %v (virtual)\n", refresh)
-	e.TB.Eng.Every(period, func() {
-		fmt.Printf("\n[t=%v]\n", e.TB.Eng.Now())
-		for hi, m := range e.Mgrs {
-			keeper, ok := m.Policy().(exchange.BookKeeper)
-			if !ok {
-				continue
-			}
-			bk := keeper.Book()
-			board := bk.Board()
-			fmt.Printf("host%d  epoch %-4d trades %-4d price cpu %.2f fabric %.2f membw %.2f  rate fabric/cpu %.2f\n",
-				hi, bk.Epoch(), bk.TradeCount(),
-				board.Price(exchange.DimCPU), board.Price(exchange.DimFabric),
-				board.Price(exchange.DimMemBW),
-				board.Rate(exchange.DimFabric, exchange.DimCPU))
-			fmt.Printf("  %-18s %9s %9s %9s %9s %8s %8s %7s %6s\n",
-				"holder", "cpu-ent", "cpu-spent", "fab-ent", "fab-spent", "fab-buy", "fab-sell", "rate", "cap%")
-			for _, h := range bk.Holders() {
-				var rate float64 = 1
-				capStr := "-"
-				for _, vm := range m.VMs() {
-					if vm.Dom.Name() == h.Name() {
-						rate = vm.Rate()
-						if c := vm.Dom.Cap(); c > 0 {
-							capStr = fmt.Sprintf("%d", c)
-						}
-						break
-					}
-				}
-				fmt.Printf("  %-18s %9d %9d %9d %9d %8d %8d %7.2f %6s\n",
-					h.Name(),
-					h.Entitlement(exchange.DimCPU), h.Spent(exchange.DimCPU),
-					h.Entitlement(exchange.DimFabric), h.Spent(exchange.DimFabric),
-					h.Bought(exchange.DimFabric), h.Sold(exchange.DimFabric),
-					rate, capStr)
+	now := eng.Now()
+	fmt.Printf("\n[t=%v  engine %d]\n", now, last.n)
+	if len(src.Monitors) > 0 {
+		fmt.Print("health:")
+		for i, mon := range src.Monitors {
+			if mon != nil {
+				fmt.Printf("  host%d %s", i, mon.Health())
 			}
 		}
-	})
+		fmt.Println()
+	}
+	renderVMs(src.Managers, last, now)
+	for i, bk := range resex.Books(src.Managers) {
+		renderBook(i, bk)
+	}
+	if src.Sched != nil {
+		last.shards = renderSched(src.Sched, last.shards)
+	}
+	last.at = now
+}
 
-	e.Start()
-	e.TB.Eng.RunUntil(sim.Time(duration.Nanoseconds()))
-	e.Shutdown()
+// renderVMs prints every managed VM: CPU% since the last refresh, smoothed
+// MTUs/s, charging rate, cap, Reso balance, IBMon confidence and the
+// interference flag. Prints nothing when no manager has a VM.
+func renderVMs(mgrs []*resex.Manager, last *seen, now sim.Time) {
+	header := false
+	for hi, m := range mgrs {
+		if m == nil {
+			continue
+		}
+		interval := m.Config().Interval.Seconds()
+		for _, vm := range m.VMs() {
+			if !header {
+				fmt.Printf("%-4s %-22s %7s %10s %7s %6s %12s %6s %8s\n",
+					"host", "VM", "CPU%", "MTUs/s", "rate", "cap%", "resos", "conf", "intf?")
+				header = true
+			}
+			cpu := vm.Dom.CPUTime()
+			pct := 100 * float64(cpu-last.cpu[vm]) / float64(now-last.at)
+			last.cpu[vm] = cpu
+			fmt.Printf("%-4d %-22s %7.1f %10.0f %7.2f %6s %12d %6.2f %8s\n",
+				hi, vm.Dom.Name(), pct, vm.MTURate()/interval, vm.Rate(),
+				capStr(vm.Dom.Cap()), vm.Account.Balance(), vm.Confidence(),
+				intfFlag(vm.Interfered(), vm.Rate()))
+		}
+	}
+}
+
+// renderBook prints one exchange book's rate board and every holder's
+// per-dimension position.
+func renderBook(i int, bk *exchange.Book) {
+	board := bk.Board()
+	fmt.Printf("book%d  epoch %-4d trades %-4d price cpu %.2f fabric %.2f membw %.2f  rate fabric/cpu %.2f\n",
+		i, bk.Epoch(), bk.TradeCount(),
+		board.Price(exchange.DimCPU), board.Price(exchange.DimFabric),
+		board.Price(exchange.DimMemBW),
+		board.Rate(exchange.DimFabric, exchange.DimCPU))
+	fmt.Printf("  %-22s %9s %9s %9s %9s %8s %8s\n",
+		"holder", "cpu-ent", "cpu-spent", "fab-ent", "fab-spent", "fab-buy", "fab-sell")
+	for _, h := range bk.Holders() {
+		fmt.Printf("  %-22s %9d %9d %9d %9d %8d %8d\n", h.Name(),
+			h.Entitlement(exchange.DimCPU), h.Spent(exchange.DimCPU),
+			h.Entitlement(exchange.DimFabric), h.Spent(exchange.DimFabric),
+			h.Bought(exchange.DimFabric), h.Sold(exchange.DimFabric))
+	}
+}
+
+// renderSched prints the scheduler's lifetime totals and each shard's
+// counters since the previous refresh, and returns the current counters.
+func renderSched(s *schedshard.Scheduler, last []schedshard.ShardCounters) []schedshard.ShardCounters {
+	fmt.Printf("sched: round %d  bound %d  failed %d  pending %d  conflicts %d  retries %d\n",
+		s.Rounds(), len(s.Bound()), len(s.Failed()), s.PendingLen(), s.Conflicts(), s.Retries())
+	fmt.Printf("%6s %9s %9s %10s %8s   (since last refresh)\n",
+		"shard", "proposed", "committed", "conflicted", "starved")
+	cur := s.Shards()
+	for i, sc := range cur {
+		var p schedshard.ShardCounters
+		if i < len(last) {
+			p = last[i]
+		}
+		fmt.Printf("%6d %9d %9d %10d %8d\n", sc.Shard,
+			sc.Proposed-p.Proposed, sc.Committed-p.Committed,
+			sc.Conflicted-p.Conflicted, sc.Starved-p.Starved)
+	}
+	return cur
+}
+
+// capStr formats a CPU cap in percent; 0 means uncapped.
+func capStr(pct int) string {
+	if pct > 0 {
+		return fmt.Sprintf("%d", pct)
+	}
+	return "-"
+}
+
+// intfFlag marks a VM judged interfered-with as the victim and one charged
+// above the base rate as taxed.
+func intfFlag(interfered bool, rate float64) string {
+	switch {
+	case interfered:
+		return "victim"
+	case rate > 1:
+		return "taxed"
+	}
+	return ""
 }
 
 // runAttached subscribes to a resexd daemon's telemetry stream and renders
@@ -374,18 +312,9 @@ func render(t daemon.Telemetry) {
 	fmt.Printf("%-18s %7s %6s %12s %7s %6s %8s\n",
 		"VM", "rate", "cap%", "resos", "MTU/s", "conf", "intf?")
 	for _, vm := range t.VMs {
-		capStr := "-"
-		if vm.CapPct > 0 {
-			capStr = fmt.Sprintf("%d", vm.CapPct)
-		}
-		intf := ""
-		if vm.Interfered {
-			intf = "victim"
-		} else if vm.Rate > 1 {
-			intf = "taxed"
-		}
 		fmt.Printf("%-18s %7.2f %6s %12d %7.0f %6.2f %8s\n",
-			vm.Name, vm.Rate, capStr, vm.Resos, vm.MTURate, vm.Confidence, intf)
+			vm.Name, vm.Rate, capStr(vm.CapPct), vm.Resos, vm.MTURate, vm.Confidence,
+			intfFlag(vm.Interfered, vm.Rate))
 	}
 	fmt.Printf("%-10s %10s %11s %8s %7s %9s %7s\n",
 		"tenant", "offered/s", "completed/s", "inflight", "queued", "p99(µs)", "SLO%")
@@ -402,75 +331,4 @@ func render(t daemon.Telemetry) {
 			name, tn.OfferedPerSec, tn.CompletedPerSec,
 			tn.Inflight, tn.Queued, tn.P99, slo)
 	}
-}
-
-// runShardTop drives the schedshard scheduler over a synthetic 128-host
-// fleet: every refresh period one arrival wave is enqueued and one
-// propose→merge→commit round runs, and the round's conflict accounting is
-// printed as it happens. The final table breaks the lifetime counters down
-// per logical shard.
-func runShardTop(shards int, seed int64, duration, refresh time.Duration) {
-	const hosts = 128
-	vms := 25 * hosts
-
-	eng := sim.New()
-	store := schedshard.NewStore()
-	fleet := make([]*schedshard.HostInfo, hosts)
-	for i := range fleet {
-		fleet[i] = &schedshard.HostInfo{
-			Node: i + 1, FreePCPUs: 31, TotalPCPUs: 31,
-			LinkBytesPerSec: 1e9, ResoHeadroom: 1,
-		}
-	}
-	store.Publish(fleet)
-	sched := schedshard.NewScheduler(store, schedshard.Config{
-		Shards: shards, Workers: shards, Seed: seed, AvoidConflicts: true,
-	})
-
-	runFor := sim.Time(duration.Nanoseconds())
-	period := sim.Time(refresh.Nanoseconds())
-	if period <= 0 {
-		period = 100 * sim.Millisecond
-	}
-	ticks := int(runFor / period)
-	if ticks < 1 {
-		ticks = 1
-	}
-	perWave := (vms + ticks - 1) / ticks
-	rng := sim.NewRand(seed)
-	next := 0
-
-	fmt.Printf("schedshard: %d hosts, %d VMs, %d logical shards (conflict avoidance on)\n\n", hosts, vms, shards)
-	fmt.Printf("%10s %6s %9s %9s %10s %8s %8s %9s\n",
-		"time", "round", "proposed", "committed", "conflicted", "starved", "pending", "store-ver")
-	eng.Every(period, func() {
-		for i := 0; i < perWave && next < vms; i++ {
-			var spec schedshard.Spec
-			var vm schedshard.VMInfo
-			if rng.Intn(4) == 0 {
-				spec = schedshard.Spec{Name: fmt.Sprintf("bulk%d", next), BufferSize: 2 << 20}
-				vm = schedshard.VMInfo{Spec: spec, BytesPerSec: 60e6, BufferSize: 2 << 20}
-			} else {
-				spec = schedshard.Spec{Name: fmt.Sprintf("ls%d", next), LatencySensitive: true, BufferSize: 64 << 10}
-				vm = schedshard.VMInfo{Spec: spec, BytesPerSec: 2e6, BufferSize: 64 << 10}
-			}
-			sched.Enqueue(spec, vm)
-			next++
-		}
-		rs := sched.Round()
-		fmt.Printf("%10v %6d %9d %9d %10d %8d %8d %9d\n",
-			eng.Now(), rs.Round, rs.Proposed, rs.Committed, rs.Conflicted,
-			rs.Starved, rs.Pending, store.Version())
-	})
-	eng.RunUntil(runFor)
-	eng.Shutdown()
-
-	fmt.Printf("\nper-shard lifetime counters:\n%6s %9s %9s %10s %8s\n",
-		"shard", "proposed", "committed", "conflicted", "starved")
-	for _, sc := range sched.Shards() {
-		fmt.Printf("%6d %9d %9d %10d %8d\n",
-			sc.Shard, sc.Proposed, sc.Committed, sc.Conflicted, sc.Starved)
-	}
-	fmt.Printf("\ntotal: %d bound, %d failed, %d conflicts, %d retries, bind-fnv %016x\n",
-		len(sched.Bound()), len(sched.Failed()), sched.Conflicts(), sched.Retries(), sched.BindFNV())
 }

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -167,30 +169,25 @@ func TestSessionCommandValidation(t *testing.T) {
 // durable command log must hold exactly the session's replay log throughout:
 // no read-only, pacing or failed verbs, and a restore rolls it back to the
 // restored session's log.
-func TestServerEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	sock := filepath.Join(dir, "resexd.sock")
-	snap := filepath.Join(dir, "run.snap")
-	cmdlog := filepath.Join(dir, "commands.jsonl")
-
+// serveTest boots a server over a fresh default session and dials it. It
+// returns the server, the channel Serve's result arrives on, and a send
+// function that writes one command and reads its reply.
+func serveTest(t *testing.T, cfg ServerConfig) (*Server, <-chan error, func(Command) Reply) {
+	t.Helper()
 	s, err := New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(s, ServerConfig{Socket: sock, CommandLog: cmdlog})
+	srv, err := NewServer(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve() }()
 
-	var conn interface {
-		Write([]byte) (int, error)
-		Read([]byte) (int, error)
-		Close() error
-	}
+	var conn net.Conn
 	for i := 0; ; i++ {
-		c, err := Dial(sock)
+		c, err := Dial(cfg.Socket)
 		if err == nil {
 			conn = c
 			break
@@ -200,7 +197,7 @@ func TestServerEndToEnd(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	defer conn.Close()
+	t.Cleanup(func() { conn.Close() })
 	r := bufio.NewReader(conn)
 	send := func(c Command) Reply {
 		t.Helper()
@@ -214,6 +211,40 @@ func TestServerEndToEnd(t *testing.T) {
 		}
 		return rep
 	}
+	return srv, served, send
+}
+
+// TestServerRejectsUnboundedStep: step runs on the session goroutine, so a
+// step past the per-command bound (or one whose target time overflows) must
+// be refused up front, leaving the daemon free to answer status and quit.
+func TestServerRejectsUnboundedStep(t *testing.T) {
+	_, served, send := serveTest(t, ServerConfig{Socket: filepath.Join(t.TempDir(), "resexd.sock")})
+	for _, n := range []int64{1 << 40, math.MaxInt64, int64(maxStepSpan/DefaultQuantum) + 1} {
+		if rep := send(Command{Cmd: "step", N: n}); rep.OK || !strings.Contains(rep.Error, "would advance more than") {
+			t.Errorf("step %d: got %+v, want a bound error", n, rep)
+		}
+	}
+	if rep := send(Command{Cmd: "status"}); !rep.OK || rep.Status == nil || rep.Status.Epoch != 0 {
+		t.Fatalf("status after the refused steps: %+v", rep)
+	}
+	if rep := send(Command{Cmd: "step", N: 2}); !rep.OK {
+		t.Fatalf("in-bound step refused: %s", rep.Error)
+	}
+	if rep := send(Command{Cmd: "quit"}); !rep.OK {
+		t.Fatalf("quit: %s", rep.Error)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+}
+
+func TestServerEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	sock := filepath.Join(dir, "resexd.sock")
+	snap := filepath.Join(dir, "run.snap")
+	cmdlog := filepath.Join(dir, "commands.jsonl")
+
+	srv, served, send := serveTest(t, ServerConfig{Socket: sock, CommandLog: cmdlog})
 	mustOK := func(c Command) Reply {
 		t.Helper()
 		rep := send(c)

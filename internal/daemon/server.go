@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"sync"
@@ -294,6 +295,12 @@ func (srv *Server) saveLog() error {
 	return os.Rename(tmp, srv.cfg.CommandLog)
 }
 
+// maxStepSpan bounds the virtual time one step command may advance. A step
+// runs all its quanta inside handle on the session goroutine, so an
+// unbounded n would hold off pause, status and quit until it finished; a
+// longer advance is run-until, which yields between quanta.
+const maxStepSpan = 10 * sim.Second
+
 // handle executes one command at the current boundary. Returns true on
 // quit.
 func (srv *Server) handle(req request, paused *bool, until *sim.Time) bool {
@@ -359,6 +366,11 @@ func (srv *Server) handle(req request, paused *bool, until *sim.Time) bool {
 		n := c.N
 		if n <= 0 {
 			n = 1
+		}
+		q := srv.session.Quantum()
+		if n > max(1, int64(maxStepSpan/q)) || srv.session.Now() > math.MaxInt64-sim.Time(n)*q {
+			fail(fmt.Errorf("daemon: step %d would advance more than %v (%d quanta of %v)", n, maxStepSpan, n, q))
+			break
 		}
 		for i := int64(0); i < n; i++ {
 			srv.session.Step()

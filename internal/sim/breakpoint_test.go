@@ -152,3 +152,61 @@ func TestEngineCheckpointEquality(t *testing.T) {
 		t.Fatal("export holds no pending work; load did not exercise the queue")
 	}
 }
+
+// TestBreakpointReArm covers a breakpoint that arms its successor, as a
+// periodic watch does: under RunUntil(t) a 1 ms self-re-arming breakpoint
+// fires exactly ⌊t/1ms⌋ times, under Run it stops once the last event has
+// run, and in both cases the executed (at, seq) stream equals the unarmed
+// one.
+func TestBreakpointReArm(t *testing.T) {
+	type key struct {
+		at  Time
+		seq uint64
+	}
+	run := func(arm bool, drive func(*Engine)) ([]key, int) {
+		eng := New()
+		var hop func(at Time, depth int)
+		hop = func(at Time, depth int) {
+			eng.Schedule(at, func() {
+				if depth > 0 {
+					hop(at+3*Millisecond+Microsecond, depth-1)
+				}
+			})
+		}
+		hop(Millisecond, 8)
+		hop(2*Millisecond, 5)
+		var stream []key
+		eng.SetStepHook(func(at Time, seq uint64) { stream = append(stream, key{at, seq}) })
+		fired := 0
+		if arm {
+			var tick func()
+			tick = func() {
+				fired++
+				eng.Breakpoint(eng.Now()+Millisecond, tick)
+			}
+			eng.Breakpoint(Millisecond, tick)
+		}
+		drive(eng)
+		return stream, fired
+	}
+	const until = 40*Millisecond + 500*Microsecond
+	for _, tc := range []struct {
+		name  string
+		drive func(*Engine)
+		want  int
+	}{
+		// The last event runs at 1ms + 8·3.001ms = 25.008ms; the breakpoints
+		// at 1..25ms precede it, the one re-armed at 26ms never fires.
+		{"Run", func(e *Engine) { e.Run() }, 25},
+		{"RunUntil", func(e *Engine) { e.RunUntil(until) }, int(until / Millisecond)},
+	} {
+		plain, _ := run(false, tc.drive)
+		armed, fired := run(true, tc.drive)
+		if fired != tc.want {
+			t.Errorf("%s: re-arming breakpoint fired %d times, want %d", tc.name, fired, tc.want)
+		}
+		if !reflect.DeepEqual(plain, armed) {
+			t.Errorf("%s: armed (at, seq) stream diverged:\nunarmed %v\narmed   %v", tc.name, plain, armed)
+		}
+	}
+}

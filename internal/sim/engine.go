@@ -204,9 +204,12 @@ func (e *Engine) Every(d Time, fn func()) Timer {
 // executed — the same boundary RunUntil(at) stops on. Unlike Schedule it
 // consumes no seq number and places nothing on the heap, so an armed engine
 // runs event-for-event identically to an unarmed one; fn must not schedule,
-// cancel, or otherwise drive the engine. Breakpoints fire from Run and
-// RunUntil only (single-Step loops never cross them), in (at, arming order).
-// Arming in the past panics like Schedule does.
+// cancel, or otherwise drive the engine. fn may arm a later breakpoint (a
+// periodic observer re-arms itself at Now()+period this way): one due
+// before the next event fires in the same pass, and Run still returns once
+// its last event has run, leaving the re-armed one unfired. Breakpoints
+// fire from Run and RunUntil only (single-Step loops never cross them), in
+// (at, arming order). Arming in the past panics like Schedule does.
 func (e *Engine) Breakpoint(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: breakpoint at %v before now %v", at, e.now))

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -246,6 +247,46 @@ func TestBundleOnVerifyPlanErrors(t *testing.T) {
 	v := NewVerify(&Bundle{})
 	if _, err := v.Bundle(Meta{}); err == nil {
 		t.Fatal("Bundle on a verify plan should error")
+	}
+}
+
+// TestWatchPlanFiresPeriodically: a watch plan hands each armed engine's
+// key and source to its callback every period up to the run's end, leaves
+// the engine export equal to an unwatched run's, and records nothing.
+func TestWatchPlanFiresPeriodically(t *testing.T) {
+	type fire struct {
+		key Key
+		at  sim.Time
+	}
+	var fires []fire
+	src := &Source{}
+	w := NewWatch(sim.Millisecond, func(k Key, eng *sim.Engine, s *Source) {
+		if s != src {
+			t.Errorf("watch got source %p, want the armed %p", s, src)
+		}
+		fires = append(fires, fire{k, eng.Now()})
+	})
+	run := func(p *Plan) sim.EngineState {
+		eng := sim.New()
+		eng.Every(300*sim.Microsecond, func() {})
+		if p != nil {
+			p.Arm(eng, 7, src)
+		}
+		eng.RunUntil(3*sim.Millisecond + 500*sim.Microsecond)
+		return eng.Checkpoint()
+	}
+	if got, want := run(w), run(nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("watched engine export %+v, unwatched %+v", got, want)
+	}
+	want := []fire{{Key{7, 0}, sim.Millisecond}, {Key{7, 0}, 2 * sim.Millisecond}, {Key{7, 0}, 3 * sim.Millisecond}}
+	if !reflect.DeepEqual(fires, want) {
+		t.Fatalf("watch fired %+v, want %+v", fires, want)
+	}
+	if _, err := w.Bundle(Meta{}); err == nil {
+		t.Fatal("Bundle on a watch plan should error")
+	}
+	if err := w.Err(); err != nil {
+		t.Fatalf("watch plan Err = %v, want nil", err)
 	}
 }
 

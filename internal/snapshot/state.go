@@ -225,9 +225,15 @@ func diff(got, want State) []string {
 // key; any divergence, missing key, or leftover key surfaces through Err.
 // Engines whose runs end before T never fire — symmetric in both modes, so
 // such engines simply have no snapshot entry.
+//
+// A watch plan (NewWatch) records nothing: it hands each armed engine's
+// source to a callback every period, for live views such as resextop.
 type Plan struct {
 	at     sim.Time
 	verify bool
+	// watch, when set, makes at a period: the armed breakpoint calls watch
+	// and re-arms itself at now+at instead of capturing.
+	watch func(Key, *sim.Engine, *Source)
 
 	mu       sync.Mutex
 	ordinals map[int64]int
@@ -264,14 +270,22 @@ func NewVerify(b *Bundle) *Plan {
 	return p
 }
 
-// At reports the capture point T.
-func (p *Plan) At() sim.Time { return p.at }
-
-// Verifying reports whether the plan checks against a recorded bundle.
-func (p *Plan) Verifying() bool { return p.verify }
+// NewWatch returns a plan that calls fn(key, eng, src) on every armed
+// engine at every, 2·every, ... of virtual time after arming, until the
+// engine's run ends. Its breakpoint re-arms itself and consumes no seq
+// number, so a watched run executes event for event like an unwatched one
+// as long as fn only reads. It records nothing: Bundle fails and Err is
+// nil.
+func NewWatch(every sim.Time, fn func(Key, *sim.Engine, *Source)) *Plan {
+	if every <= 0 {
+		panic("snapshot: NewWatch requires a positive period")
+	}
+	return &Plan{at: every, watch: fn, ordinals: make(map[int64]int)}
+}
 
 // Arm registers one engine: a seq-neutral breakpoint at T that captures (or
-// verifies) the source's state. Must be called before the engine runs past
+// verifies) the source's state, or on a watch plan one every period that
+// passes the source to the watch. Must be called before the engine runs past
 // T. The source is read when the breakpoint fires, so callers may keep
 // filling fields (e.g. a fault injector built later in setup) after arming.
 // Safe for concurrent use across sweep points; within one point, arm
@@ -283,14 +297,20 @@ func (p *Plan) Arm(eng *sim.Engine, pointSeed int64, src *Source) {
 	p.ordinals[pointSeed] = ord + 1
 	p.mu.Unlock()
 	key := Key{PointSeed: pointSeed, Ordinal: ord}
-	eng.Breakpoint(p.at, func() {
-		var st State
-		if src != nil {
-			st = src.Capture(eng)
-		} else {
-			st = Source{}.Capture(eng)
+	if src == nil {
+		src = &Source{}
+	}
+	if p.watch != nil {
+		var tick func()
+		tick = func() {
+			p.watch(key, eng, src)
+			eng.Breakpoint(eng.Now()+p.at, tick)
 		}
-		p.record(key, int64(eng.Now()), st)
+		eng.Breakpoint(eng.Now()+p.at, tick)
+		return
+	}
+	eng.Breakpoint(p.at, func() {
+		p.record(key, int64(eng.Now()), src.Capture(eng))
 	})
 }
 
@@ -328,8 +348,8 @@ func (p *Plan) fail(msg string) {
 // Bundle assembles the captured snapshots (sorted by key) under the given
 // meta. Capture mode only.
 func (p *Plan) Bundle(meta Meta) (*Bundle, error) {
-	if p.verify {
-		return nil, errors.New("snapshot: Bundle called on a verify plan")
+	if p.verify || p.watch != nil {
+		return nil, errors.New("snapshot: Bundle called on a verify or watch plan")
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
