@@ -1,17 +1,22 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
+	"resex/internal/fabric"
 	"resex/internal/hca"
 )
 
-func TestRDMAWritePerMTUAllocs(t *testing.T) {
-	// A 2 MB RDMA write end to end — PostSend, uplink, switch, downlink,
-	// HCA.Deliver, sender completion — allocates per message, not per MTU:
-	// packets are recycled and every per-MTU event is a pre-bound callback.
-	const msgLen = 2 << 20
-	tb := New(Config{Hosts: 2})
+// msgLen is the size of the interferer's RDMA write in the paper.
+const msgLen = 2 << 20
+
+// writeRig is a fresh 2-host testbed with one connected QP pair, ready to
+// RDMA-write msgLen bytes from host 1 to host 2. write posts one write and
+// steps the engine until its sender completion.
+func writeRig(t *testing.T) (tb *Testbed, write func()) {
+	tb = New(Config{Hosts: 2})
 	a, b := tb.Hosts[0], tb.Hosts[1]
 	va, vb := a.NewVM("writer"), b.NewVM("target")
 	src := va.PD.Space().Alloc(msgLen, 64)
@@ -31,7 +36,7 @@ func TestRDMAWritePerMTUAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	write := func() {
+	write = func() {
 		err := qpa.PostSend(hca.SendWR{
 			ID: 1, Op: hca.OpRDMAWrite, LocalAddr: src, LKey: mra.Key(),
 			Len: msgLen, RemoteAddr: dst, RKey: mrb.Key(),
@@ -48,6 +53,15 @@ func TestRDMAWritePerMTUAllocs(t *testing.T) {
 			t.Fatalf("completion = %+v", e)
 		}
 	}
+	return tb, write
+}
+
+func TestRDMAWritePerMTUAllocs(t *testing.T) {
+	// A 2 MB RDMA write end to end — PostSend, uplink, switch, downlink,
+	// HCA.Deliver, sender completion — allocates per message, not per MTU:
+	// packets are recycled and every per-MTU event is a pre-bound callback.
+	tb, write := writeRig(t)
+	a := tb.Hosts[0]
 	// AllocsPerRun's own warm-up call is the warm-up message.
 	allocs := testing.AllocsPerRun(10, write)
 	mtus := float64(msgLen / a.HCA.MTU())
@@ -56,6 +70,25 @@ func TestRDMAWritePerMTUAllocs(t *testing.T) {
 	}
 	if got := a.Uplink.Stats().Packets; got != 11*int64(mtus) {
 		t.Errorf("uplink carried %d packets, want %d", got, 11*int64(mtus))
+	}
+	tb.Eng.Shutdown()
+}
+
+func TestColdRDMAWriteAllocs(t *testing.T) {
+	// The first 2 MB write on a fresh testbed allocates fewer bytes than 256
+	// Packets occupy: the uplink builds each MTU's packet only when it
+	// starts serializing, so the sender's free list grows to the few MTUs
+	// on the wire, not to the 2048 queued behind them.
+	tb, write := writeRig(t)
+	budget := 256 * unsafe.Sizeof(fabric.Packet{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	write()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(budget) {
+		t.Errorf("first 2 MB write on a fresh testbed allocated %d bytes, want under %d (256 packets)", got, budget)
+	} else {
+		t.Logf("first 2 MB write allocated %d bytes", got)
 	}
 	tb.Eng.Shutdown()
 }

@@ -22,28 +22,32 @@
 // stages in the order they entered them: each stage is a FIFO whose head
 // one pre-bound callback pops, firing at exactly the instants (and with the
 // same event sequence numbers) a per-packet closure would. Queues are ring
-// buffers that reuse their storage. Packets themselves belong to their
-// producer (package hca recycles them); this package never retains one
-// after handing it to the next stage.
+// buffers (package ring) that reuse their storage. A whole message waits in a link's queue
+// as one entry, a Train, and each MTU's Packet is built only when it starts
+// serializing, so a message's packets exist only while they are on the
+// wire. Packets themselves belong to their producer (package hca recycles
+// them); this package never retains one after handing it to the next stage.
 package fabric
 
 import (
 	"fmt"
 
+	"resex/internal/ring"
 	"resex/internal/sim"
 )
 
 // DefaultMTU is the IB MTU used throughout the paper: 1 KB.
 const DefaultMTU = 1024
 
-// Packet is one MTU on the wire.
+// Packet is one MTU on the wire. Its fields are ordered to pack it into
+// 80 bytes.
 type Packet struct {
 	// Flow keys arbitration on the egress link; sources use their QPN.
 	Flow uint32
-	// SrcNode and DstNode identify hosts (switch ports).
-	SrcNode, DstNode int
 	// DstFlow is the destination QPN.
 	DstFlow uint32
+	// SrcNode and DstNode identify hosts (switch ports).
+	SrcNode, DstNode int
 	// Bytes is the wire size of this packet (≤ MTU).
 	Bytes int
 	// Msg identifies the message this MTU belongs to; Index is the MTU's
@@ -51,12 +55,67 @@ type Packet struct {
 	Msg   uint64
 	Index int
 	Last  bool
+	// stamped records that Sent has been set (Sent == 0 is a valid stamp).
+	stamped bool
 	// Meta carries an opaque reference for the consumer (e.g. the work
 	// request that produced the message).
 	Meta any
 	// Sent is stamped by the first link the packet enters.
-	Sent    sim.Time
-	stamped bool // Sent has been set (Sent == 0 is a valid stamp)
+	Sent sim.Time
+}
+
+// Train is one message queued on a link as a single entry: MTUs packets,
+// each a copy of Template whose Bytes is MTU, except the last, which
+// carries LastBytes. Index and Last are set per packet. The link builds each
+// packet with New only when it starts serializing, so a train of 2048 MTUs
+// waiting behind other traffic holds no Packet at all. A train is
+// arbitrated exactly like MTUs consecutive Sends of those packets at the
+// moment SendTrain is called: Sent is that moment for every packet.
+//
+// The producer owns the Train and must not change it before its last packet
+// has been built.
+type Train struct {
+	Template  Packet
+	MTUs      int
+	MTU       int
+	LastBytes int
+	New       func() *Packet
+}
+
+// entry is one item of a link queue: a train whose first next packets have
+// left, or (tr nil) a single packet handed to Send, a train of one that is
+// already built.
+type entry struct {
+	tr   *Train
+	pkt  *Packet
+	next int
+}
+
+// take returns the entry's next packet, building it if the entry is a
+// train, and reports whether it was the entry's last.
+func (e *entry) take() (*Packet, bool) {
+	t := e.tr
+	if t == nil {
+		return e.pkt, true
+	}
+	pkt := t.New()
+	*pkt = t.Template
+	pkt.Index, pkt.Last, pkt.Bytes = e.next, e.next == t.MTUs-1, t.MTU
+	if pkt.Last {
+		pkt.Bytes = t.LastBytes
+	}
+	e.next++
+	return pkt, pkt.Last
+}
+
+// popPacket removes the next packet from the queue's head entry, popping
+// the entry once its last packet is out.
+func popPacket(q *ring.Queue[entry]) *Packet {
+	pkt, last := q.Front().take()
+	if last {
+		q.Pop()
+	}
+	return pkt
 }
 
 // Discipline selects how a link arbitrates among flows.
@@ -91,7 +150,9 @@ type LinkStats struct {
 
 // Link is a unidirectional serializing channel: packets occupy the wire for
 // Bytes/Bandwidth seconds each, then arrive at the receiver after the
-// propagation delay. Queued packets wait according to the discipline.
+// propagation delay. Queued packets wait according to the discipline; the
+// queues hold trains (see Train), and every count a link reports is in
+// packets.
 type Link struct {
 	eng     *sim.Engine
 	name    string
@@ -101,10 +162,10 @@ type Link struct {
 	deliver func(*Packet)
 
 	busy     bool
-	cur      *Packet        // on the wire while busy
-	curQ     *flowQueue     // cur's flow, charged when it finishes
-	inflight queue[*Packet] // serialized and propagating, in send order
-	fifo     queue[*Packet]
+	cur      *Packet             // on the wire while busy
+	curQ     *flowQueue          // cur's flow, charged when it finishes
+	inflight ring.Queue[*Packet] // serialized and propagating, in send order
+	fifo     ring.Queue[entry]
 	flows    map[uint32]*flowQueue
 	ring     []*flowQueue // active flows, round-robin order
 	rrNext   int
@@ -122,7 +183,7 @@ type Link struct {
 
 type flowQueue struct {
 	id     uint32
-	pkts   queue[*Packet]
+	trains ring.Queue[entry]
 	limit  float64  // bytes/second; 0 = unlimited
 	nextAt sim.Time // earliest time the next packet may start (pacing)
 	bytes  int64    // carried so far, for IOShare accounting
@@ -253,27 +314,62 @@ func (l *Link) flow(id uint32) *flowQueue {
 	return q
 }
 
-// Send enqueues a packet for transmission.
+// Send enqueues a packet for transmission: a train of one.
 func (l *Link) Send(pkt *Packet) {
 	if !pkt.stamped {
 		pkt.Sent, pkt.stamped = l.eng.Now(), true
 	}
-	l.queued++
+	l.enqueue(entry{pkt: pkt}, pkt.Flow, 1)
+}
+
+// SendTrain enqueues every packet of tr for transmission, in order, as
+// consecutive Sends of them would. tr must hold at least one packet.
+func (l *Link) SendTrain(tr *Train) {
+	if tr.MTUs < 1 {
+		panic(fmt.Sprintf("fabric: train of %d packets", tr.MTUs))
+	}
+	tr.Template.Sent, tr.Template.stamped = l.eng.Now(), true
+	l.enqueue(entry{tr: tr}, tr.Template.Flow, tr.MTUs)
+}
+
+// enqueue queues e, which holds n packets of flow, and starts the wire if it
+// is idle.
+func (l *Link) enqueue(e entry, flow uint32, n int) {
+	l.queued += n
 	if l.queued > l.stats.MaxQueued {
 		l.stats.MaxQueued = l.queued
 	}
+	var fresh *flowQueue // flow that e brought onto the ring
 	switch l.disc {
 	case FIFO:
-		l.fifo.push(pkt)
+		l.fifo.Push(e)
 	default:
-		q := l.flow(pkt.Flow)
-		if q.pkts.len() == 0 {
+		q := l.flow(flow)
+		if q.trains.Len() == 0 {
 			l.ring = append(l.ring, q)
+			fresh = q
 		}
-		q.pkts.push(pkt)
+		q.trains.Push(e)
 	}
-	if !l.busy {
-		l.transmitNext()
+	if l.busy {
+		return
+	}
+	l.transmitNext()
+	if n > 1 && fresh != nil && l.curQ == fresh {
+		// e's first packet went straight onto the wire. One Send per
+		// packet would have emptied the flow with it, dropping it from
+		// the ring, and put it back at the end with the second packet:
+		// move it there, with rrNext on the flow that followed it.
+		k := l.rrNext - 1
+		copy(l.ring[k:], l.ring[k+1:])
+		l.ring[len(l.ring)-1] = fresh
+		l.rrNext = k
+	}
+	// An idle link whose flows are all paced out re-arms its wake-up once
+	// per packet queued, as one Send per packet does: each re-arm takes an
+	// event sequence number.
+	for i := 1; i < n && !l.busy && !l.down; i++ {
+		l.armWakeup()
 	}
 }
 
@@ -283,10 +379,10 @@ func (l *Link) Send(pkt *Packet) {
 func (l *Link) next() (*Packet, *flowQueue) {
 	switch l.disc {
 	case FIFO:
-		if l.fifo.len() == 0 {
+		if l.fifo.Len() == 0 {
 			return nil, nil
 		}
-		pkt := l.fifo.pop()
+		pkt := popPacket(&l.fifo)
 		return pkt, l.flow(pkt.Flow)
 	default:
 		now := l.eng.Now()
@@ -299,7 +395,7 @@ func (l *Link) next() (*Packet, *flowQueue) {
 				l.rrNext++ // paced out: try the next flow
 				continue
 			}
-			pkt := q.pkts.pop()
+			pkt := popPacket(&q.trains)
 			if q.limit > 0 {
 				start := now
 				if q.nextAt > start {
@@ -307,7 +403,7 @@ func (l *Link) next() (*Packet, *flowQueue) {
 				}
 				q.nextAt = start + sim.DurationOfBytes(int64(pkt.Bytes), q.limit)
 			}
-			if q.pkts.len() == 0 {
+			if q.trains.Len() == 0 {
 				l.ring = append(l.ring[:l.rrNext], l.ring[l.rrNext+1:]...)
 				// rrNext now points at the flow after the removed one.
 			} else {
@@ -324,7 +420,7 @@ func (l *Link) next() (*Packet, *flowQueue) {
 func (l *Link) armWakeup() {
 	var at sim.Time = -1
 	for _, q := range l.ring {
-		if q.pkts.len() > 0 && q.limit > 0 && (at < 0 || q.nextAt < at) {
+		if q.trains.Len() > 0 && q.limit > 0 && (at < 0 || q.nextAt < at) {
 			at = q.nextAt
 		}
 	}
@@ -370,14 +466,14 @@ func (l *Link) serialized() {
 	l.stats.Bytes += int64(pkt.Bytes)
 	q.bytes += int64(pkt.Bytes)
 	l.queued--
-	l.inflight.push(pkt)
+	l.inflight.Push(pkt)
 	l.eng.After(l.prop, l.onArrive)
 	l.transmitNext()
 }
 
 // arrive delivers the oldest propagating packet. The propagation delay is
 // constant, so arrivals fire in the order serialized pushed them.
-func (l *Link) arrive() { l.deliver(l.inflight.pop()) }
+func (l *Link) arrive() { l.deliver(l.inflight.Pop()) }
 
 // Switch is an output-queued crossbar: packets injected from host uplinks
 // are forwarded, after a fixed forwarding latency, onto the egress link of
@@ -387,8 +483,8 @@ type Switch struct {
 	latency   sim.Time
 	ports     map[int]*Link
 	defRoute  func(pkt *Packet)
-	pending   queue[hop] // injected, awaiting forwarding, in inject order
-	onForward func()     // s.forward, bound once
+	pending   ring.Queue[hop] // injected, awaiting forwarding, in inject order
+	onForward func()          // s.forward, bound once
 }
 
 // hop is a packet inside the switch and the egress link it was routed to
@@ -438,14 +534,14 @@ func (s *Switch) Inject(pkt *Packet) {
 	if !ok && s.defRoute == nil {
 		panic(fmt.Sprintf("fabric: packet for unattached node %d", pkt.DstNode))
 	}
-	s.pending.push(hop{pkt: pkt, egress: egress})
+	s.pending.Push(hop{pkt: pkt, egress: egress})
 	s.eng.After(s.latency, s.onForward)
 }
 
 // forward hands the oldest pending packet to its egress. The forwarding
 // latency is constant, so forwards fire in the order Inject queued them.
 func (s *Switch) forward() {
-	h := s.pending.pop()
+	h := s.pending.Pop()
 	if h.egress == nil {
 		s.defRoute(h.pkt)
 		return

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"resex/internal/ring"
 	"resex/internal/sim"
 )
 
@@ -82,7 +83,7 @@ func eventStreamScenario(t *testing.T) uint64 {
 	}
 	var inflightAtFlap int
 	eng.Schedule(30_000, func() {
-		inflightAtFlap = upRR.inflight.len()
+		inflightAtFlap = upRR.inflight.Len()
 		upRR.SetDown(true)
 	})
 	eng.Schedule(30_500, func() { upFIFO.SetDown(true) })
@@ -172,15 +173,15 @@ func TestBackloggedFlowReusesQueueStorage(t *testing.T) {
 	for _, disc := range []Discipline{RoundRobin, FIFO} {
 		eng := sim.New()
 		var l *Link
-		backing := func() *queue[*Packet] {
+		backing := func() *ring.Queue[entry] {
 			if disc == FIFO {
 				return &l.fifo
 			}
-			return &l.flows[1].pkts
+			return &l.flows[1].trains
 		}
 		sent, peak := 0, 0
 		l = NewLink(eng, "l", gbps1, 100, disc, func(p *Packet) {
-			if n := backing().len(); n > peak {
+			if n := backing().Len(); n > peak {
 				peak = n
 			}
 			if sent < total {
@@ -202,7 +203,7 @@ func TestBackloggedFlowReusesQueueStorage(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%v: %.0f allocs over a %d-packet backlog, want 0", disc, allocs, total)
 		}
-		if c := len(backing().buf); peak < depth-2 || c > 2*peak {
+		if c := backing().Cap(); peak < depth-2 || c > 2*peak {
 			t.Errorf("%v: backing capacity %d for peak depth %d, want at most twice the peak", disc, c, peak)
 		}
 		if l.Stats().Packets != 2*total {

@@ -33,6 +33,7 @@ import (
 
 	"resex/internal/fabric"
 	"resex/internal/guestmem"
+	"resex/internal/ring"
 	"resex/internal/sim"
 )
 
@@ -106,8 +107,16 @@ type HCA struct {
 	nextCQN uint32
 	nextPD  uint32
 
-	// free holds zeroed packets for sendMsg; see newPacket and recycle.
+	// free holds zeroed packets for the uplink to build trains from; see
+	// newPacket and recycle.
 	free []*fabric.Packet
+
+	// acks holds sender completions waiting out AckLatency, oldest first.
+	acks ring.Queue[pendingAck]
+
+	// Callbacks bound once, so trains and acks allocate no closure.
+	onNewPacket func() *fabric.Packet
+	onAck       func()
 
 	// Stats.
 	msgsSent  int64
@@ -115,7 +124,9 @@ type HCA struct {
 }
 
 // packetSlabSize is how many packets one free-list refill allocates at once.
-const packetSlabSize = 256
+// The uplink builds a packet only when it starts serializing it, so an HCA's
+// live packets are the few on the wire, not the MTUs queued behind them.
+const packetSlabSize = 32
 
 // maxFreePackets bounds the free list, as the event pool is bounded: a
 // burst that briefly had many MTUs in flight does not pin that memory for
@@ -153,10 +164,17 @@ func (h *HCA) recycle(pkt *fabric.Packet) {
 	}
 }
 
+// pendingAck is a sender completion waiting out the RC ack latency.
+type pendingAck struct {
+	src    *HCA
+	m      *wireMsg
+	status Status
+}
+
 // New creates an HCA. Wire it with SetUplink and SetPeerResolver before use.
 func New(eng *sim.Engine, cfg Config) *HCA {
 	cfg = cfg.withDefaults()
-	return &HCA{
+	h := &HCA{
 		eng:     eng,
 		cfg:     cfg,
 		tpt:     make(map[uint32]*MR),
@@ -166,6 +184,8 @@ func New(eng *sim.Engine, cfg Config) *HCA {
 		nextCQN: 1,
 		nextPD:  1,
 	}
+	h.onNewPacket, h.onAck = h.newPacket, h.ack
+	return h
 }
 
 // Engine returns the simulation engine.

@@ -92,18 +92,22 @@ const (
 // message carries a pointer to it, so reassembly is a counter.
 type wireMsg struct {
 	op       Opcode
-	srcNode  int
+	imm      uint32
+	rkey     uint32
 	srcQPN   uint32
 	dstQPN   uint32
+	srcNode  int
 	wrID     uint64
 	len      int
-	total    int // MTUs
-	got      int
-	imm      uint32
+	got      int // MTUs delivered
 	payload  []byte
 	remote   guestmem.Addr
-	rkey     uint32
 	readback *SendWR // for READ: the original request (completion target)
+
+	// train is how the message waits on the uplink; the link builds each
+	// MTU's packet from it when that MTU starts serializing. train.MTUs is
+	// the message's MTU count.
+	train fabric.Train
 }
 
 // QP is a reliable-connected queue pair.
@@ -357,10 +361,11 @@ func (qp *QP) processHead() {
 		// responder streams the data back.
 		m := &wireMsg{
 			op: OpRDMARead, srcNode: h.cfg.Node, srcQPN: qp.qpn,
-			dstQPN: qp.remoteQPN, wrID: wr.ID, len: wr.Len, total: 1,
+			dstQPN: qp.remoteQPN, wrID: wr.ID, len: wr.Len,
 			remote: wr.RemoteAddr, rkey: wr.RKey,
 		}
-		m.readback = &wr
+		rb := wr // copied here so that only reads put a SendWR on the heap
+		m.readback = &rb
 		qp.sendMsg(m, 0)
 	default:
 		var payload []byte
@@ -369,8 +374,7 @@ func (qp *QP) processHead() {
 		}
 		m := &wireMsg{
 			op: wr.Op, srcNode: h.cfg.Node, srcQPN: qp.qpn,
-			dstQPN: qp.remoteQPN, wrID: wr.ID, len: wr.Len,
-			total: mtuCount(wr.Len, h.cfg.MTU), imm: wr.Imm,
+			dstQPN: qp.remoteQPN, wrID: wr.ID, len: wr.Len, imm: wr.Imm,
 			payload: payload, remote: wr.RemoteAddr, rkey: wr.RKey,
 		}
 		qp.sendMsg(m, wr.Len)
@@ -390,37 +394,33 @@ func mtuCount(n, mtu int) int {
 	return (n + mtu - 1) / mtu
 }
 
-// sendMsg enqueues all MTUs of m onto the uplink.
+// sendMsg queues m on the uplink as one train of MTUs.
 func (qp *QP) sendMsg(m *wireMsg, byteLen int) {
 	h := qp.pd.hca
 	h.msgsSent++
 	h.bytesSent += int64(byteLen)
-	rem := m.len
-	if m.op == OpRDMARead {
-		rem = 0 // the read request itself carries no payload
+	mtus, last := 1, 0 // a read request carries no payload
+	if m.op != OpRDMARead {
+		mtus = mtuCount(m.len, h.cfg.MTU)
+		last = m.len - (mtus-1)*h.cfg.MTU
 	}
-	for i := 0; i < m.total; i++ {
-		sz := rem
-		if sz > h.cfg.MTU {
-			sz = h.cfg.MTU
-		}
-		if sz <= 0 {
-			sz = 64 // control-only packet (zero-length send, read request)
-		}
-		rem -= sz
-		pkt := h.newPacket()
-		*pkt = fabric.Packet{
+	if last <= 0 {
+		last = 64 // control-only packet (zero-length send, read request)
+	}
+	m.train = fabric.Train{
+		Template: fabric.Packet{
 			Flow:    qp.qpn,
 			SrcNode: h.cfg.Node,
 			DstNode: qp.remoteNode,
 			DstFlow: m.dstQPN,
-			Bytes:   sz,
-			Index:   i,
-			Last:    i == m.total-1,
 			Meta:    m,
-		}
-		h.uplink.Send(pkt)
+		},
+		MTUs:      mtus,
+		MTU:       h.cfg.MTU,
+		LastBytes: last,
+		New:       h.onNewPacket,
 	}
+	h.uplink.SendTrain(&m.train)
 }
 
 // Deliver is the downlink receiver for a host: the cluster wiring points
@@ -430,7 +430,7 @@ func (h *HCA) Deliver(pkt *fabric.Packet) {
 	m, dstQPN := pkt.Meta.(*wireMsg), pkt.DstFlow
 	h.recycle(pkt)
 	m.got++
-	if m.got < m.total {
+	if m.got < m.train.MTUs {
 		return
 	}
 	qp, ok := h.qps[dstQPN]
@@ -513,14 +513,19 @@ func (h *HCA) completeSender(m *wireMsg, status Status) {
 		})
 		return
 	}
-	src := h.peerHCA(m.srcNode)
-	h.eng.After(h.cfg.AckLatency, func() {
-		srcQP, ok := src.qps[m.srcQPN]
-		if !ok {
-			return
-		}
-		srcQP.completeSend(m.op, status, uint32(m.len), m.wrID)
-	})
+	h.acks.Push(pendingAck{src: h.peerHCA(m.srcNode), m: m, status: status})
+	h.eng.After(h.cfg.AckLatency, h.onAck)
+}
+
+// ack completes the oldest pending sender completion. AckLatency is fixed,
+// so acks fire in the order completeSender queued them.
+func (h *HCA) ack() {
+	a := h.acks.Pop()
+	srcQP, ok := a.src.qps[a.m.srcQPN]
+	if !ok {
+		return
+	}
+	srcQP.completeSend(a.m.op, a.status, uint32(a.m.len), a.m.wrID)
 }
 
 // handleReadRequest streams read-response data back to the requester.
@@ -535,8 +540,7 @@ func (qp *QP) handleReadRequest(m *wireMsg) {
 	qp.pd.space.Read(m.remote, payload)
 	resp := &wireMsg{
 		op: opReadResp, srcNode: h.cfg.Node, srcQPN: qp.qpn,
-		dstQPN: m.srcQPN, wrID: m.wrID, len: m.len,
-		total: mtuCount(m.len, h.cfg.MTU), payload: payload,
+		dstQPN: m.srcQPN, wrID: m.wrID, len: m.len, payload: payload,
 		readback: m.readback,
 	}
 	qp.sendMsg(resp, m.len)
