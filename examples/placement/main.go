@@ -19,6 +19,7 @@ import (
 
 	"resex/internal/placement"
 	"resex/internal/sim"
+	"resex/internal/workload"
 )
 
 func main() {
@@ -26,7 +27,10 @@ func main() {
 	//    sized to hold every workload's client VM, one ResEx manager and
 	//    IBMon monitor per worker, and the interference-aware pipeline as
 	//    the placement strategy (the default).
-	f := placement.NewFleet(placement.Config{Hosts: 4, ClientPCPUs: 10, Seed: 1})
+	f := placement.NewFleet(placement.Config{
+		Config: workload.Config{Hosts: 4, ClientPCPUs: 10},
+		Seed:   1,
+	})
 
 	// 2. The workload mix, in arrival order: trading servers with a latency
 	//    SLA interleaved with 2 MB bulk movers — the colocation the paper

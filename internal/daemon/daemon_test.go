@@ -169,12 +169,12 @@ func TestSessionCommandValidation(t *testing.T) {
 // durable command log must hold exactly the session's replay log throughout:
 // no read-only, pacing or failed verbs, and a restore rolls it back to the
 // restored session's log.
-// serveTest boots a server over a fresh default session and dials it. It
-// returns the server, the channel Serve's result arrives on, and a send
-// function that writes one command and reads its reply.
-func serveTest(t *testing.T, cfg ServerConfig) (*Server, <-chan error, func(Command) Reply) {
+// serveTest boots a server over a fresh session and dials it. It returns
+// the server, the channel Serve's result arrives on, and a send function
+// that writes one command and reads its reply.
+func serveTest(t *testing.T, sc Config, cfg ServerConfig) (*Server, <-chan error, func(Command) Reply) {
 	t.Helper()
-	s, err := New(testConfig())
+	s, err := New(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,19 +185,7 @@ func serveTest(t *testing.T, cfg ServerConfig) (*Server, <-chan error, func(Comm
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve() }()
 
-	var conn net.Conn
-	for i := 0; ; i++ {
-		c, err := Dial(cfg.Socket)
-		if err == nil {
-			conn = c
-			break
-		}
-		if i > 100 {
-			t.Fatalf("daemon never came up: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Cleanup(func() { conn.Close() })
+	conn := dialTest(t, cfg.Socket)
 	r := bufio.NewReader(conn)
 	send := func(c Command) Reply {
 		t.Helper()
@@ -214,11 +202,63 @@ func serveTest(t *testing.T, cfg ServerConfig) (*Server, <-chan error, func(Comm
 	return srv, served, send
 }
 
+// dialTest connects to a daemon socket, waiting for it to come up, and
+// closes the connection when the test ends.
+func dialTest(t *testing.T, socket string) net.Conn {
+	t.Helper()
+	for i := 0; ; i++ {
+		conn, err := Dial(socket)
+		if err == nil {
+			t.Cleanup(func() { conn.Close() })
+			return conn
+		}
+		if i > 100 {
+			t.Fatalf("daemon never came up: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestServerWatchAckFirst: on a running session the loop broadcasts
+// telemetry between quanta, concurrently with subscriptions. A watcher must
+// still read the "watching" ack before any telemetry line; otherwise
+// ReadReply decodes a sample as a refusal and resextop -attach exits. A
+// 10 µs quantum with no throttle broadcasts often enough that, without the
+// fix, a telemetry line slipped ahead of the ack in 19 of 20 runs of 200
+// subscriptions (2 CPUs).
+func TestServerWatchAckFirst(t *testing.T) {
+	sc := testConfig()
+	sc.QuantumNs = int64(10 * time.Microsecond)
+	sock := filepath.Join(t.TempDir(), "resexd.sock")
+	_, served, send := serveTest(t, sc, ServerConfig{Socket: sock})
+	if rep := send(Command{Cmd: "run"}); !rep.OK {
+		t.Fatalf("run: %s", rep.Error)
+	}
+	watch, _ := json.Marshal(Command{Cmd: "watch"})
+	for i := 0; i < 200; i++ {
+		conn := dialTest(t, sock)
+		if _, err := conn.Write(append(watch, '\n')); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := ReadReply(bufio.NewReader(conn))
+		if err != nil || !rep.OK || rep.Msg != "watching" {
+			t.Fatalf("subscription %d: first line %+v (err %v), want the watching ack", i, rep, err)
+		}
+		conn.Close()
+	}
+	if rep := send(Command{Cmd: "quit"}); !rep.OK {
+		t.Fatalf("quit: %s", rep.Error)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+}
+
 // TestServerRejectsUnboundedStep: step runs on the session goroutine, so a
 // step past the per-command bound (or one whose target time overflows) must
 // be refused up front, leaving the daemon free to answer status and quit.
 func TestServerRejectsUnboundedStep(t *testing.T) {
-	_, served, send := serveTest(t, ServerConfig{Socket: filepath.Join(t.TempDir(), "resexd.sock")})
+	_, served, send := serveTest(t, testConfig(), ServerConfig{Socket: filepath.Join(t.TempDir(), "resexd.sock")})
 	for _, n := range []int64{1 << 40, math.MaxInt64, int64(maxStepSpan/DefaultQuantum) + 1} {
 		if rep := send(Command{Cmd: "step", N: n}); rep.OK || !strings.Contains(rep.Error, "would advance more than") {
 			t.Errorf("step %d: got %+v, want a bound error", n, rep)
@@ -244,7 +284,7 @@ func TestServerEndToEnd(t *testing.T) {
 	snap := filepath.Join(dir, "run.snap")
 	cmdlog := filepath.Join(dir, "commands.jsonl")
 
-	srv, served, send := serveTest(t, ServerConfig{Socket: sock, CommandLog: cmdlog})
+	srv, served, send := serveTest(t, testConfig(), ServerConfig{Socket: sock, CommandLog: cmdlog})
 	mustOK := func(c Command) Reply {
 		t.Helper()
 		rep := send(c)

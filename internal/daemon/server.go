@@ -189,10 +189,13 @@ func (srv *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		if cmd.Cmd == "watch" {
+			// Ack inside the critical section that registers the watcher,
+			// so no broadcast can put a telemetry line ahead of it.
 			srv.mu.Lock()
 			srv.watchers[conn] = enc
+			err := enc.Encode(Reply{OK: true, Msg: "watching"})
 			srv.mu.Unlock()
-			if err := enc.Encode(Reply{OK: true, Msg: "watching"}); err != nil {
+			if err != nil {
 				return
 			}
 			continue

@@ -10,6 +10,7 @@ import (
 	"resex/internal/sim"
 	"resex/internal/snapshot"
 	"resex/internal/stats"
+	"resex/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -130,10 +131,9 @@ func faultsWorkloads(seed int64) []placement.Workload {
 func runFaultsRow(o Options, stormsPerSec float64, aware bool) (AblFaultsRow, error) {
 	row := AblFaultsRow{StormsPerSec: stormsPerSec, Stack: "naive"}
 	cfg := placement.Config{
-		Hosts:       faultsHosts,
-		ClientPCPUs: 2*faultsHosts + 2,
-		Strategy:    placement.PipelineStrategy{Label: "spread", P: schedshard.NewSpreadPipeline()},
-		Seed:        o.Seed,
+		Config:   workload.Config{Hosts: faultsHosts, ClientPCPUs: 2*faultsHosts + 2},
+		Strategy: placement.PipelineStrategy{Label: "spread", P: schedshard.NewSpreadPipeline()},
+		Seed:     o.Seed,
 	}
 	if aware {
 		row.Stack = "aware"

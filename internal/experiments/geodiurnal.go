@@ -6,13 +6,8 @@ import (
 	"math"
 
 	"resex/internal/benchex"
-	"resex/internal/cluster"
-	"resex/internal/ibmon"
 	"resex/internal/placement"
-	"resex/internal/resex"
 	"resex/internal/sim"
-	"resex/internal/simpar"
-	"resex/internal/snapshot"
 	"resex/internal/workload"
 )
 
@@ -20,12 +15,12 @@ import (
 // abl-geodiurnal: availability zones with phase-shifted diurnal load over
 // the simpar backbone — the rebalancer chases the sun.
 //
-// Each zone is a single-host site in a replication ring (the abl-simpar
-// topology), but its local trading app runs open loop, paced by a Diurnal
-// arrival curve whose phase lags the previous zone's by 2π/zones: as
-// virtual time advances, the peak walks around the ring like daylight. At
-// every telemetry epoch the driver re-paces each zone's client from the
-// curve's instantaneous rate and feeds the per-zone pressure vector to a
+// Each zone is a single-host site of abl-simpar's geo ring (buildGeoRing),
+// but its local trading app runs open loop, paced by a Diurnal arrival
+// curve whose phase lags the previous zone's by 2π/zones: as virtual time
+// advances, the peak walks around the ring like daylight. At every
+// telemetry epoch the driver re-paces each zone's client from the curve's
+// instantaneous rate and feeds the per-zone pressure vector to a
 // placement.SunChaser, whose movable capacity units migrate toward the
 // zones under peak — the migration-pressure counters in the table.
 //
@@ -137,36 +132,16 @@ func (r *AblGeoDiurnalResult) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// geoZone is one availability zone: a single-host site (the simpar shape)
-// whose local app is paced by a slot-keyed diurnal curve.
-type geoZone struct {
-	slot int
-	tb   *cluster.Testbed
-	host *cluster.Host
-	h    *simpar.Host
-	mgr  *resex.Manager
-	mon  *ibmon.Monitor
-
-	local   *cluster.App
-	agent   *benchex.Agent
-	diurnal workload.Diurnal
-
-	replServer *benchex.Server
-	replClient *benchex.Client
-}
-
-// GeoFleet is a built geo-diurnal ring. Exported for the metamorphic test.
+// GeoFleet is a built geo-diurnal ring: abl-simpar's geo ring keyed by slot,
+// with a diurnal curve per slot and the sun chaser.
 type GeoFleet struct {
-	Co     *simpar.Coordinator
-	Ic     *simpar.Interconnect
-	zones  []*geoZone // physical (ring) order
-	slots  []*geoZone // slot order — the canonical iteration order
-	chaser *placement.SunChaser
+	*geoRing
+	slots   []*geoSite         // slot order — the canonical iteration order
+	diurnal []workload.Diurnal // by slot
+	chaser  *placement.SunChaser
 
-	period sim.Time
-	epochD sim.Time
-	epoch  uint64
-	fp     uint64
+	epoch uint64
+	fp    uint64
 }
 
 // geoPeriod derives the compressed day length from the run window: two full
@@ -183,125 +158,54 @@ func geoPeriod(o Options) sim.Time {
 // BuildGeoFleet assembles the ring. Zone z (node z+1, streaming replication
 // to zone z+1 mod zones) hosts slot (z+shift) mod zones: the slot carries
 // the diurnal phase, every seed, and the SLA, so shifting the phase
-// globally only re-maps slots onto physical zones. Pacing starts at each
-// curve's t=0 rate; boundary callbacks re-pace as the day advances.
+// globally only re-maps slots onto physical zones — slot s always streams
+// to slot s+1, so the ring too is slot-invariant. Pacing starts at each
+// curve's t=0 rate; the telemetry epoch re-paces each zone from its curve
+// as the day advances, rebalances the chaser, and folds the slot-ordered
+// counters into the fingerprint.
 func BuildGeoFleet(zones, shards, workers, shift int, seed int64, period sim.Time) (*GeoFleet, error) {
-	own := placement.NewOwnership(nodesFor(zones), shards)
-	co := simpar.New(simpar.Config{
-		Lookahead: SimParBackbone,
-		Shards:    own.Shards(),
-		Workers:   workers,
-		ShardOf:   own.ShardOf(),
-	})
 	f := &GeoFleet{
-		Co: co, Ic: simpar.NewInterconnect(co, SimParBackbone),
-		slots:  make([]*geoZone, zones),
-		chaser: placement.NewSunChaser(zones, geoUnitsPerZone*zones),
-		period: period, epochD: period / 16, fp: fnvOffset,
+		slots:   make([]*geoSite, zones),
+		diurnal: make([]workload.Diurnal, zones),
+		chaser:  placement.NewSunChaser(zones, geoUnitsPerZone*zones),
+		fp:      fnvOffset,
 	}
-	if f.epochD <= 0 {
-		f.epochD = 1
-	}
-
-	for i := 0; i < zones; i++ {
+	specs := make([]geoSiteSpec, zones)
+	for i := range specs {
 		slot := (i + shift) % zones
-		tb := cluster.New(cluster.Config{})
-		host := tb.AddHost(i + 1)
-		z := &geoZone{slot: slot, tb: tb, host: host, h: f.Ic.AddSite(tb, host)}
-		z.diurnal = workload.Diurnal{
+		d := workload.Diurnal{
 			MeanRate: geoMeanRate, Amplitude: geoAmp, Period: period,
 			Phase: -2 * math.Pi * float64(slot) / float64(zones),
 		}
-
-		dom0 := host.Dom0VCPU()
-		z.mon = ibmon.New(host.HV, dom0, ibmon.Config{})
-		z.mgr = resex.New(tb.Eng, host.HV, z.mon, dom0, resex.NewFreeMarket(), resex.Config{})
-
-		local, err := tb.NewApp(fmt.Sprintf("zone%d-local", slot), host, host,
-			benchex.ServerConfig{BufferSize: BaseBuffer},
-			benchex.ClientConfig{
+		f.diurnal[slot] = d
+		specs[i] = geoSiteSpec{
+			name: fmt.Sprintf("zone%d", slot),
+			local: benchex.ClientConfig{
 				BufferSize: BaseBuffer, Window: 4,
-				Interval:        sim.Time(float64(sim.Second) / z.diurnal.RateAt(0)),
+				Interval:        sim.Time(float64(sim.Second) / d.RateAt(0)),
 				PoissonArrivals: true,
 				SLAUs:           BaseSLAUs,
 				Seed:            seed + int64(slot)*17 + 1,
-			})
-		if err != nil {
-			return nil, err
+			},
+			replSeed: seed + 7919*int64(slot+1),
 		}
-		z.local = local
-		if _, err := z.mgr.Manage(local.ServerVM.Dom, local.Server.SendCQ(), BaseSLAUs); err != nil {
-			return nil, err
-		}
-		z.agent = benchex.NewAgent(local.Server, local.ServerVM.Dom.ID(), z.mgr, benchex.AgentConfig{})
-		f.zones = append(f.zones, z)
-		f.slots[slot] = z
 	}
-
-	// Replication ring, as in abl-simpar; slot s always streams to slot
-	// s+1 regardless of shift, so the ring too is slot-invariant. Seeds and
-	// names key by the source slot.
-	for i, src := range f.zones {
-		dst := f.zones[(i+1)%zones]
-		sVM := dst.host.NewVM(fmt.Sprintf("zone%d-repl-in", dst.slot))
-		server := benchex.NewServer(dst.tb.Eng, sVM.VCPU, sVM.PD, benchex.ServerConfig{
-			Name: fmt.Sprintf("zone%d-repl-srv", dst.slot), BufferSize: simParReplBuffer,
-		})
-		cVM := src.host.NewVM(fmt.Sprintf("zone%d-repl-out", src.slot))
-		client, err := benchex.NewClient(src.tb.Eng, cVM.VCPU, cVM.PD, benchex.ClientConfig{
-			Name: fmt.Sprintf("zone%d-repl-cli", src.slot), BufferSize: simParReplBuffer,
-			Window: 4, Interval: 250 * sim.Microsecond, PoissonArrivals: true,
-			Seed: seed + 7919*int64(src.slot+1),
-		})
-		if err != nil {
-			return nil, err
-		}
-		sqp, err := server.NewEndpoint()
-		if err != nil {
-			return nil, err
-		}
-		if err := cluster.ConnectQPs(sqp, client.Endpoint(), dst.host, src.host); err != nil {
-			return nil, err
-		}
-		if _, err := dst.mgr.Manage(sVM.Dom, server.SendCQ(), 0); err != nil {
-			return nil, err
-		}
-		dst.replServer = server
-		src.replClient = client
+	r, err := buildGeoRing(specs, shards, workers)
+	if err != nil {
+		return nil, err
 	}
-	return f, nil
-}
-
-// start launches every zone and arms the global boundaries: the warmup
-// stats reset, and the telemetry epoch that re-paces each zone from its
-// curve, rebalances the chaser, and folds the slot-ordered counters into
-// the fingerprint. Boundary callbacks run at coordinator barriers — every
-// site engine is stopped — so cross-engine mutation (SetInterval, resets)
-// is safe, exactly like abl-simpar's.
-func (f *GeoFleet) start(o Options) {
-	for _, z := range f.zones {
-		z.local.Start()
-		z.replServer.Start()
-		z.replClient.Start()
-		z.agent.Start()
-		z.mon.Start(z.tb.Eng)
-		z.mgr.Start()
+	f.geoRing = r
+	for i, s := range r.sites {
+		f.slots[(i+shift)%zones] = s
 	}
-	f.Co.At(o.Warmup, func() {
-		for _, z := range f.slots {
-			z.local.Server.ResetStats()
-			z.local.Client.ResetStats()
-			z.replServer.ResetStats()
-			z.replClient.ResetStats()
-		}
-	})
-	pressure := make([]float64, len(f.slots))
-	f.Co.Every(f.epochD, func() bool {
+	r.tickEvery = max(period/16, 1)
+	pressure := make([]float64, zones)
+	r.tick = func() {
 		f.epoch++
-		t := sim.Time(f.epoch) * f.epochD
+		t := sim.Time(f.epoch) * r.tickEvery
 		f.fp = fnvMix(f.fp, f.epoch)
 		for s, z := range f.slots {
-			rate := z.diurnal.RateAt(t)
+			rate := f.diurnal[s].RateAt(t)
 			pressure[s] = rate
 			z.local.Client.SetInterval(sim.Time(float64(sim.Second) / rate))
 		}
@@ -315,8 +219,8 @@ func (f *GeoFleet) start(o Options) {
 		for _, n := range f.chaser.ZoneCounts() {
 			f.fp = fnvMix(f.fp, uint64(n))
 		}
-		return true
-	})
+	}
+	return f, nil
 }
 
 // Row extracts the cell summary and the slot-keyed zone rows.
@@ -362,19 +266,7 @@ func RunGeoDiurnalCell(o Options, zones, shards, shift int) (AblGeoDiurnalRow, e
 	if err != nil {
 		return AblGeoDiurnalRow{}, err
 	}
-	var stops []func()
-	for _, z := range f.zones {
-		stops = append(stops, o.observe(z.tb.Eng, &snapshot.Source{
-			TB: z.tb, Managers: []*resex.Manager{z.mgr},
-			Monitors: []*ibmon.Monitor{z.mon}, SimPar: z.h,
-		}))
-	}
-	f.start(o)
-	f.Co.RunUntil(o.Warmup + o.Duration)
-	for _, stop := range stops {
-		stop()
-	}
-	f.Co.Shutdown()
+	f.Run(o)
 	return f.Row(shards), nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"resex/internal/sim"
 	"resex/internal/snapshot"
 	"resex/internal/stats"
+	"resex/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -145,10 +146,9 @@ func placementStrategies() []placementStrategy {
 func runPlacementRow(o Options, hosts, vms int, strat placementStrategy) (AblPlacementRow, error) {
 	row := AblPlacementRow{Strategy: strat.name, Hosts: hosts, VMs: vms}
 	f := placement.NewFleet(placement.Config{
-		Hosts:       hosts,
-		ClientPCPUs: vms + 2,
-		Strategy:    strat.make(),
-		Seed:        o.Seed + int64(hosts)*1000 + int64(vms),
+		Config:   workload.Config{Hosts: hosts, ClientPCPUs: vms + 2},
+		Strategy: strat.make(),
+		Seed:     o.Seed + int64(hosts)*1000 + int64(vms),
 	})
 	stopAudit := o.observe(f.TB.Eng, snapshot.ForFleet(f))
 	defer stopAudit()

@@ -7,7 +7,6 @@ import (
 	"resex/internal/benchex"
 	"resex/internal/cluster"
 	"resex/internal/ibmon"
-	"resex/internal/placement"
 	"resex/internal/resex"
 	"resex/internal/sim"
 	"resex/internal/simpar"
@@ -101,10 +100,11 @@ func (r *AblSimParResult) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// simParSite is one geo site: a single-host testbed with its own engine,
-// manager and monitor, a local trading app, and its half of two
-// replication streams (serving the previous site, streaming to the next).
-type simParSite struct {
+// geoSite is one site of the sharded geo ring: a single-host testbed with
+// its own engine, manager and monitor, a local trading app, and its half of
+// two replication streams (serving the previous site, streaming to the
+// next).
+type geoSite struct {
 	tb    *cluster.Testbed
 	host  *cluster.Host
 	h     *simpar.Host
@@ -117,13 +117,152 @@ type simParSite struct {
 	replClient *benchex.Client // streams to site (i+1)
 }
 
-// SimParFleet is a built geo-fleet: the coordinator, the backbone, and the
-// per-site rigs. Exported so BenchmarkSimPar can drive the identical
-// scenario it reports on.
-type SimParFleet struct {
+// geoSiteSpec is what a ring's driver decides for one site: the name
+// prefix of its apps and VMs, its local trading client, and the seed of the
+// replication stream it sends.
+type geoSiteSpec struct {
+	name     string
+	local    benchex.ClientConfig
+	replSeed int64
+}
+
+// geoRing is the sharded geo fleet abl-simpar and abl-geodiurnal share: the
+// coordinator, the backbone, and the per-site rigs in ring order. Its
+// driver sets the telemetry epoch: tick runs at every tickEvery boundary.
+type geoRing struct {
 	Co    *simpar.Coordinator
 	Ic    *simpar.Interconnect
-	sites []*simParSite
+	sites []*geoSite
+
+	tickEvery sim.Time
+	tick      func()
+}
+
+// buildGeoRing assembles n single-host testbeds (nodes 1..n) in a ring,
+// joined by a 200 µs backbone, partitioned into shards run by at most
+// workers goroutines. Per site: a closed- or open-loop 64 KB local trading
+// app (server and client VMs on the same host, traffic hairpinned through
+// the site switch), a FreeMarket ResEx manager + IBMon over the site's
+// domains, a paced 8 KB replication stream to the next site, and the
+// serving end of the previous site's stream. Site i (node i+1) is named and
+// seeded by specs[i].
+func buildGeoRing(specs []geoSiteSpec, shards, workers int) (*geoRing, error) {
+	n := len(specs)
+	nodes := make([]int, n)
+	for i := range nodes {
+		nodes[i] = i + 1
+	}
+	shardOf := cluster.ShardMap(nodes, shards)
+	co := simpar.New(simpar.Config{
+		Lookahead: SimParBackbone,
+		Shards:    shards,
+		Workers:   workers,
+		ShardOf:   func(node int) int { return shardOf[node] },
+	})
+	r := &geoRing{Co: co, Ic: simpar.NewInterconnect(co, SimParBackbone)}
+
+	for i := range specs {
+		tb := cluster.New(cluster.Config{})
+		host := tb.AddHost(i + 1)
+		s := &geoSite{tb: tb, host: host, h: r.Ic.AddSite(tb, host)}
+
+		dom0 := host.Dom0VCPU()
+		s.mon = ibmon.New(host.HV, dom0, ibmon.Config{})
+		s.mgr = resex.New(tb.Eng, host.HV, s.mon, dom0, resex.NewFreeMarket(), resex.Config{})
+
+		local, err := tb.NewApp(specs[i].name+"-local", host, host,
+			benchex.ServerConfig{BufferSize: BaseBuffer}, specs[i].local)
+		if err != nil {
+			return nil, err
+		}
+		s.local = local
+		if _, err := s.mgr.Manage(local.ServerVM.Dom, local.Server.SendCQ(), BaseSLAUs); err != nil {
+			return nil, err
+		}
+		s.agent = benchex.NewAgent(local.Server, local.ServerVM.Dom.ID(), s.mgr, benchex.AgentConfig{})
+		r.sites = append(r.sites, s)
+	}
+
+	// Replication ring: site i streams to site (i+1) mod n. The VM pair
+	// spans two testbeds, so it is assembled by hand — each end on its own
+	// engine, joined only by QP numbers and the backbone.
+	for i, src := range r.sites {
+		dst := r.sites[(i+1)%n]
+		srcName, dstName := specs[i].name, specs[(i+1)%n].name
+		sVM := dst.host.NewVM(dstName + "-repl-in")
+		server := benchex.NewServer(dst.tb.Eng, sVM.VCPU, sVM.PD, benchex.ServerConfig{
+			Name: dstName + "-repl-srv", BufferSize: simParReplBuffer,
+		})
+		cVM := src.host.NewVM(srcName + "-repl-out")
+		client, err := benchex.NewClient(src.tb.Eng, cVM.VCPU, cVM.PD, benchex.ClientConfig{
+			Name: srcName + "-repl-cli", BufferSize: simParReplBuffer,
+			Window: 4, Interval: 250 * sim.Microsecond, PoissonArrivals: true,
+			Seed: specs[i].replSeed,
+		})
+		if err != nil {
+			return nil, err
+		}
+		sqp, err := server.NewEndpoint()
+		if err != nil {
+			return nil, err
+		}
+		if err := cluster.ConnectQPs(sqp, client.Endpoint(), dst.host, src.host); err != nil {
+			return nil, err
+		}
+		if _, err := dst.mgr.Manage(sVM.Dom, server.SendCQ(), 0); err != nil {
+			return nil, err
+		}
+		dst.replServer = server
+		src.replClient = client
+	}
+	return r, nil
+}
+
+// Run arms o's observers on every site, launches every site's components,
+// arms the global boundaries — the warmup stats reset, then the driver's
+// telemetry epoch — runs warmup plus the measured window, closes the
+// audits and shuts the ring down (worker pool included). Boundary
+// callbacks run at coordinator barriers, with every site engine stopped,
+// so they may read and mutate any site.
+func (r *geoRing) Run(o Options) {
+	var stops []func()
+	for _, s := range r.sites {
+		stops = append(stops, o.observe(s.tb.Eng, &snapshot.Source{
+			TB: s.tb, Managers: []*resex.Manager{s.mgr},
+			Monitors: []*ibmon.Monitor{s.mon}, SimPar: s.h,
+		}))
+	}
+	for _, s := range r.sites {
+		s.local.Start()
+		s.replServer.Start()
+		s.replClient.Start()
+		s.agent.Start()
+		s.mon.Start(s.tb.Eng)
+		s.mgr.Start()
+	}
+	r.Co.At(o.Warmup, func() {
+		for _, s := range r.sites {
+			s.local.Server.ResetStats()
+			s.local.Client.ResetStats()
+			s.replServer.ResetStats()
+			s.replClient.ResetStats()
+		}
+	})
+	r.Co.Every(r.tickEvery, func() bool {
+		r.tick()
+		return true
+	})
+	r.Co.RunUntil(o.Warmup + o.Duration)
+	for _, stop := range stops {
+		stop()
+	}
+	r.Co.Shutdown()
+}
+
+// SimParFleet is a built abl-simpar geo fleet. Exported so BenchmarkSimPar
+// can drive (Run) the identical scenario it reports on.
+type SimParFleet struct {
+	*geoRing
 
 	epoch uint64
 	fp    uint64
@@ -144,112 +283,27 @@ func fnvMix(h, x uint64) uint64 {
 	return h
 }
 
-// BuildSimParFleet assembles sites single-host testbeds in a ring, joined
-// by a 200 µs backbone, partitioned into shards run by at most workers
-// goroutines. Per site: a closed-loop 64 KB local trading app (server and
-// client VMs on the same host, traffic hairpinned through the site
-// switch), a FreeMarket ResEx manager + IBMon over the site's domains, a
-// paced 8 KB replication stream to the next site, and the serving end of
-// the previous site's stream. Seeding depends only on (seed, site), never
-// on the shard axis, so every (sites, shards) cell simulates the identical
-// fleet.
+// BuildSimParFleet assembles a geo ring of sites sites whose local apps run
+// closed loop. Seeding depends only on (seed, site), never on the shard
+// axis, so every (sites, shards) cell simulates the identical fleet. The
+// telemetry epoch samples every site's counters into the run fingerprint.
 func BuildSimParFleet(sites, shards, workers int, seed int64) (*SimParFleet, error) {
-	own := placement.NewOwnership(nodesFor(sites), shards)
-	co := simpar.New(simpar.Config{
-		Lookahead: SimParBackbone,
-		Shards:    own.Shards(),
-		Workers:   workers,
-		ShardOf:   own.ShardOf(),
-	})
-	f := &SimParFleet{Co: co, Ic: simpar.NewInterconnect(co, SimParBackbone), fp: fnvOffset}
-
-	for i := 0; i < sites; i++ {
-		node := i + 1
-		tb := cluster.New(cluster.Config{})
-		host := tb.AddHost(node)
-		s := &simParSite{tb: tb, host: host, h: f.Ic.AddSite(tb, host)}
-
-		dom0 := host.Dom0VCPU()
-		s.mon = ibmon.New(host.HV, dom0, ibmon.Config{})
-		s.mgr = resex.New(tb.Eng, host.HV, s.mon, dom0, resex.NewFreeMarket(), resex.Config{})
-
-		local, err := tb.NewApp(fmt.Sprintf("site%d-local", node), host, host,
-			benchex.ServerConfig{BufferSize: BaseBuffer},
-			benchex.ClientConfig{BufferSize: BaseBuffer, Seed: seed + int64(node)*17})
-		if err != nil {
-			return nil, err
+	specs := make([]geoSiteSpec, sites)
+	for i := range specs {
+		node := int64(i + 1)
+		specs[i] = geoSiteSpec{
+			name:     fmt.Sprintf("site%d", node),
+			local:    benchex.ClientConfig{BufferSize: BaseBuffer, Seed: seed + node*17},
+			replSeed: seed + 7919*node,
 		}
-		s.local = local
-		if _, err := s.mgr.Manage(local.ServerVM.Dom, local.Server.SendCQ(), BaseSLAUs); err != nil {
-			return nil, err
-		}
-		s.agent = benchex.NewAgent(local.Server, local.ServerVM.Dom.ID(), s.mgr, benchex.AgentConfig{})
-		f.sites = append(f.sites, s)
 	}
-
-	// Replication ring: site i streams to site (i+1) mod sites. The VM
-	// pair spans two testbeds, so it is assembled by hand — each end on
-	// its own engine, joined only by QP numbers and the backbone.
-	for i, src := range f.sites {
-		dst := f.sites[(i+1)%sites]
-		sVM := dst.host.NewVM(fmt.Sprintf("site%d-repl-in", dst.host.Node))
-		server := benchex.NewServer(dst.tb.Eng, sVM.VCPU, sVM.PD, benchex.ServerConfig{
-			Name: fmt.Sprintf("site%d-repl-srv", dst.host.Node), BufferSize: simParReplBuffer,
-		})
-		cVM := src.host.NewVM(fmt.Sprintf("site%d-repl-out", src.host.Node))
-		client, err := benchex.NewClient(src.tb.Eng, cVM.VCPU, cVM.PD, benchex.ClientConfig{
-			Name: fmt.Sprintf("site%d-repl-cli", src.host.Node), BufferSize: simParReplBuffer,
-			Window: 4, Interval: 250 * sim.Microsecond, PoissonArrivals: true,
-			Seed: seed + 7919*int64(src.host.Node),
-		})
-		if err != nil {
-			return nil, err
-		}
-		sqp, err := server.NewEndpoint()
-		if err != nil {
-			return nil, err
-		}
-		if err := cluster.ConnectQPs(sqp, client.Endpoint(), dst.host, src.host); err != nil {
-			return nil, err
-		}
-		if _, err := dst.mgr.Manage(sVM.Dom, server.SendCQ(), 0); err != nil {
-			return nil, err
-		}
-		dst.replServer = server
-		src.replClient = client
+	r, err := buildGeoRing(specs, shards, workers)
+	if err != nil {
+		return nil, err
 	}
-	return f, nil
-}
-
-// nodesFor lists the fleet's node ids (1..n) for the ownership map.
-func nodesFor(n int) []int {
-	nodes := make([]int, n)
-	for i := range nodes {
-		nodes[i] = i + 1
-	}
-	return nodes
-}
-
-// start launches every site's components and arms the global boundaries:
-// the warmup stats reset and the telemetry epoch.
-func (f *SimParFleet) start(o Options) {
-	for _, s := range f.sites {
-		s.local.Start()
-		s.replServer.Start()
-		s.replClient.Start()
-		s.agent.Start()
-		s.mon.Start(s.tb.Eng)
-		s.mgr.Start()
-	}
-	f.Co.At(o.Warmup, func() {
-		for _, s := range f.sites {
-			s.local.Server.ResetStats()
-			s.local.Client.ResetStats()
-			s.replServer.ResetStats()
-			s.replClient.ResetStats()
-		}
-	})
-	f.Co.Every(simParEpoch, func() bool {
+	f := &SimParFleet{geoRing: r, fp: fnvOffset}
+	r.tickEvery = simParEpoch
+	r.tick = func() {
 		f.epoch++
 		f.fp = fnvMix(f.fp, f.epoch)
 		for _, s := range f.sites {
@@ -257,16 +311,8 @@ func (f *SimParFleet) start(o Options) {
 			f.fp = fnvMix(f.fp, uint64(s.local.Client.Stats().Received))
 			f.fp = fnvMix(f.fp, uint64(s.replServer.Stats().Served))
 		}
-		return true
-	})
-}
-
-// Run drives the fleet through warmup plus the measured window and shuts
-// it down (worker pool included).
-func (f *SimParFleet) Run(o Options) {
-	f.start(o)
-	f.Co.RunUntil(o.Warmup + o.Duration)
-	f.Co.Shutdown()
+	}
+	return f, nil
 }
 
 // Row extracts the deterministic cell for the result table (exported so
@@ -317,19 +363,7 @@ func runSimParPoint(o Options, sites, shards int) (AblSimParRow, error) {
 	if err != nil {
 		return AblSimParRow{}, err
 	}
-	var stops []func()
-	for _, s := range f.sites {
-		stops = append(stops, o.observe(s.tb.Eng, &snapshot.Source{
-			TB: s.tb, Managers: []*resex.Manager{s.mgr},
-			Monitors: []*ibmon.Monitor{s.mon}, SimPar: s.h,
-		}))
-	}
-	f.start(o)
-	f.Co.RunUntil(o.Warmup + o.Duration)
-	for _, stop := range stops {
-		stop()
-	}
-	f.Co.Shutdown()
+	f.Run(o)
 	return f.Row(sites, shards), nil
 }
 

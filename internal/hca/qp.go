@@ -175,6 +175,9 @@ func (qp *QP) QPN() uint32 { return qp.qpn }
 // State returns the connection state.
 func (qp *QP) State() QPState { return qp.state }
 
+// Remote returns the node and QP number the QP is connected to.
+func (qp *QP) Remote() (node int, qpn uint32) { return qp.remoteNode, qp.remoteQPN }
+
 // UARAddr returns the guest-physical address of the QP's doorbell page.
 func (qp *QP) UARAddr() guestmem.Addr { return qp.uar }
 

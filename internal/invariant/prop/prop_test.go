@@ -211,12 +211,14 @@ func TestFaultPlansAudited(t *testing.T) {
 			t.Parallel()
 			const hosts = 2
 			f := placement.NewFleet(placement.Config{
-				Hosts:               hosts,
-				ClientPCPUs:         2*hosts + 2,
-				IntervalsPerEpoch:   50,
+				Config: workload.Config{
+					Hosts:             hosts,
+					ClientPCPUs:       2*hosts + 2,
+					IntervalsPerEpoch: 50,
+					ConfidenceGate:    0.7,
+				},
 				Strategy:            placement.PipelineStrategy{Label: "spread", P: schedshard.NewSpreadPipeline()},
 				Seed:                seed,
-				ConfidenceGate:      0.7,
 				QuarantineBlackouts: true,
 			})
 			col := invariant.NewCollector(invariant.Audit)

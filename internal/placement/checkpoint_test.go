@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"resex/internal/sim"
+	"resex/internal/workload"
 )
 
 // runFleet places three workloads on a two-host fleet, lets the rebalancer
 // observe a few epochs, and returns the fleet's binding export at 300ms.
 func runFleet(t *testing.T, midCheckpoint bool) State {
 	t.Helper()
-	f := NewFleet(Config{Hosts: 2, Seed: 3})
+	f := NewFleet(Config{Config: workload.Config{Hosts: 2}, Seed: 3})
 	for _, w := range []Workload{
 		bulkWorkload("bulk0", 101),
 		lsWorkload("ls0", 1),

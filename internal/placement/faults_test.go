@@ -8,6 +8,7 @@ import (
 	"resex/internal/resex"
 	"resex/internal/schedshard"
 	"resex/internal/sim"
+	"resex/internal/workload"
 )
 
 // TestMigrationPreCopyAbortRollsBackCleanly drives a migration straight into
@@ -15,7 +16,7 @@ import (
 // never stops serving, nothing leaks on the target, the failure is recorded,
 // and the same placement migrates cleanly once the window has passed.
 func TestMigrationPreCopyAbortRollsBackCleanly(t *testing.T) {
-	f := NewFleet(Config{Hosts: 2, Seed: 3})
+	f := NewFleet(Config{Config: workload.Config{Hosts: 2}, Seed: 3})
 	inj := faults.NewInjector(f.TB.Eng)
 	f.WireFaults(inj)
 	var s faults.Schedule
@@ -113,11 +114,13 @@ func TestMigrationPreCopyAbortRollsBackCleanly(t *testing.T) {
 // and complete the evacuation once the window lifts.
 func TestRebalancerBacksOffAfterAbortThenSucceeds(t *testing.T) {
 	f := NewFleet(Config{
-		Hosts:             2,
-		Seed:              11,
-		IntervalsPerEpoch: 100,
-		Strategy:          pinStrategy{node: 1},
-		Policy:            func() resex.Policy { return resex.NewFreeMarket() },
+		Config: workload.Config{
+			Hosts:             2,
+			IntervalsPerEpoch: 100,
+			Policy:            func() resex.Policy { return resex.NewFreeMarket() },
+		},
+		Seed:     11,
+		Strategy: pinStrategy{node: 1},
 	})
 	inj := faults.NewInjector(f.TB.Eng)
 	f.WireFaults(inj)
@@ -169,11 +172,13 @@ func TestRebalancerBacksOffAfterAbortThenSucceeds(t *testing.T) {
 // still complete the evacuation once a window lifts.
 func TestRebalancerRetriesThroughFaultStorm(t *testing.T) {
 	f := NewFleet(Config{
-		Hosts:             2,
-		Seed:              13,
-		IntervalsPerEpoch: 100,
-		Strategy:          pinStrategy{node: 1},
-		Policy:            func() resex.Policy { return resex.NewFreeMarket() },
+		Config: workload.Config{
+			Hosts:             2,
+			IntervalsPerEpoch: 100,
+			Policy:            func() resex.Policy { return resex.NewFreeMarket() },
+		},
+		Seed:     13,
+		Strategy: pinStrategy{node: 1},
 	})
 	inj := faults.NewInjector(f.TB.Eng)
 	f.WireFaults(inj)
@@ -240,7 +245,8 @@ func TestRebalancerRetriesThroughFaultStorm(t *testing.T) {
 func TestQuarantineBlackedOutHostSteersPlacement(t *testing.T) {
 	run := func(quarantine bool) int {
 		f := NewFleet(Config{
-			Hosts: 2, Seed: 5,
+			Config:              workload.Config{Hosts: 2},
+			Seed:                5,
 			Strategy:            PipelineStrategy{Label: "spread", P: schedshard.NewSpreadPipeline()},
 			QuarantineBlackouts: quarantine,
 		})

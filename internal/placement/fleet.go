@@ -11,33 +11,15 @@ import (
 	"resex/internal/resex"
 	"resex/internal/schedshard"
 	"resex/internal/sim"
+	"resex/internal/workload"
 )
 
-// Config parameterizes a fleet.
+// Config parameterizes a fleet. The embedded worker-rig config sizes the
+// hosts; a fleet's defaults differ from a traffic engine's in three places:
+// Hosts 2, ClientPCPUs 64 (one client VM per workload) and Policy
+// NewIOShares — every fleet host is managed.
 type Config struct {
-	// Hosts is the number of worker hosts (nodes 1..Hosts). One extra
-	// client host (node Hosts+1) is added to run every workload's client —
-	// the paper's client-machine/server-machine split scaled out.
-	Hosts int
-	// PCPUsPerHost sizes the workers. Default 8 (7 guest slots + dom0).
-	PCPUsPerHost int
-	// ClientPCPUs sizes the client host; it must hold one VM per workload.
-	// Default 64.
-	ClientPCPUs int
-	// LinkBandwidth is the per-worker uplink, bytes/second. The client
-	// host's link is scaled by Hosts so it never becomes the bottleneck.
-	// Default 1 GB/s.
-	LinkBandwidth float64
-	// LinkBandwidths optionally overrides individual workers' uplinks
-	// (indexed by worker, bytes/second; zero entries and workers past the
-	// end fall back to LinkBandwidth). This is how heterogeneous fleets —
-	// fast and slow fabric generations side by side — are built.
-	LinkBandwidths []float64
-	// IntervalsPerEpoch shortens the ResEx epoch so fleets converge inside
-	// short simulations. Default 250 (250 ms epochs).
-	IntervalsPerEpoch int
-	// Policy builds the per-host pricing policy. Default NewIOShares.
-	Policy func() resex.Policy
+	workload.Config
 	// Strategy decides placements. Default schedshard.NewInterferencePipeline.
 	Strategy Strategy
 	// IntfThresholdPct is the epoch IntfPercent above which a
@@ -46,10 +28,6 @@ type Config struct {
 	IntfThresholdPct float64
 	// Seed drives the fleet RNG (random strategy, workload shuffling).
 	Seed int64
-	// ConfidenceGate is handed to every host's ResEx manager: when
-	// positive, caps are never tightened on stale IBMon evidence (see
-	// resex.Config.ConfidenceGate). 0 = naive.
-	ConfidenceGate float64
 	// QuarantineBlackouts, when true, marks hosts whose monitor is blacked
 	// out as quarantined in scheduler snapshots: no new VM binds there and
 	// the rebalancer will not pick them as migration targets.
@@ -60,17 +38,8 @@ func (c Config) withDefaults() Config {
 	if c.Hosts <= 0 {
 		c.Hosts = 2
 	}
-	if c.PCPUsPerHost <= 0 {
-		c.PCPUsPerHost = 8
-	}
 	if c.ClientPCPUs <= 0 {
 		c.ClientPCPUs = 64
-	}
-	if c.LinkBandwidth <= 0 {
-		c.LinkBandwidth = 1e9
-	}
-	if c.IntervalsPerEpoch <= 0 {
-		c.IntervalsPerEpoch = 250
 	}
 	if c.Policy == nil {
 		c.Policy = func() resex.Policy { return resex.NewIOShares() }
@@ -82,14 +51,6 @@ func (c Config) withDefaults() Config {
 		c.IntfThresholdPct = 5
 	}
 	return c
-}
-
-// workerLink returns worker i's uplink bandwidth, bytes/second.
-func (c Config) workerLink(i int) float64 {
-	if i < len(c.LinkBandwidths) && c.LinkBandwidths[i] > 0 {
-		return c.LinkBandwidths[i]
-	}
-	return c.LinkBandwidth
 }
 
 // Workload describes one application to place: a BenchEx server VM plus its
@@ -152,12 +113,8 @@ func (pl *Placement) Records() []benchex.RequestRecord {
 // Fleet is an N-worker-host cluster with one ResEx manager and IBMon
 // monitor per host, a shared client host, and a placement strategy.
 type Fleet struct {
-	TB      *cluster.Testbed
-	Client  *cluster.Host
-	Workers []*cluster.Host
-	Mons    []*ibmon.Monitor
-	Mgrs    []*resex.Manager
-	Log     *EventLog
+	*workload.Rig
+	Log *EventLog
 
 	cfg        Config
 	rng        *sim.Rand
@@ -168,49 +125,26 @@ type Fleet struct {
 	faults     *faults.Injector // nil = no injection wired
 }
 
-// NewFleet assembles the testbed, one monitor+manager per worker, and the
-// client host.
+// NewFleet assembles the worker rig (one monitor+manager per worker, and
+// the client host), then subscribes the fleet to every manager's epoch
+// summaries and lists every trade book on the fleet market.
 func NewFleet(cfg Config) *Fleet {
 	cfg = cfg.withDefaults()
-	tb := cluster.New(cluster.Config{
-		LinkBandwidth: cfg.LinkBandwidth,
-		PCPUsPerHost:  cfg.PCPUsPerHost,
-	})
-	clientBW := 0.0
-	for n := 1; n <= cfg.Hosts; n++ {
-		tb.AddHostOpts(n, cluster.HostOptions{LinkBandwidth: cfg.workerLink(n - 1)})
-		clientBW += cfg.workerLink(n - 1)
-	}
+	rig := workload.NewRig(cfg.Config)
+	cfg.Config = rig.Config()
 	f := &Fleet{
-		TB: tb,
-		Client: tb.AddHostOpts(cfg.Hosts+1, cluster.HostOptions{
-			LinkBandwidth: clientBW,
-			PCPUs:         cfg.ClientPCPUs,
-		}),
+		Rig:    rig,
 		Log:    &EventLog{},
 		cfg:    cfg,
 		rng:    sim.NewRand(cfg.Seed),
 		store:  schedshard.NewStore(),
 		market: exchange.NewMarket(),
 	}
-	for n := 1; n <= cfg.Hosts; n++ {
-		h := tb.Host(n)
-		f.Workers = append(f.Workers, h)
-		mon := ibmon.New(h.HV, h.Dom0VCPU(), ibmon.Config{MTU: tb.Config().MTU})
-		mon.Start(tb.Eng)
-		mgr := resex.New(tb.Eng, h.HV, mon, h.Dom0VCPU(), cfg.Policy(),
-			resex.Config{
-				IntervalsPerEpoch: cfg.IntervalsPerEpoch,
-				ConfidenceGate:    cfg.ConfidenceGate,
-			})
-		mgr.Start()
-		idx := n - 1
-		mgr.ObserveEpoch(func(es resex.EpochSummary) { f.onEpoch(idx, es) })
+	for i, mgr := range f.Mgrs {
+		mgr.ObserveEpoch(func(es resex.EpochSummary) { f.onEpoch(i, es) })
 		if bp, ok := mgr.Policy().(exchange.BookKeeper); ok {
-			f.market.Add(n, bp.Book())
+			f.market.Add(f.Workers[i].Node, bp.Book())
 		}
-		f.Mons = append(f.Mons, mon)
-		f.Mgrs = append(f.Mgrs, mgr)
 	}
 	return f
 }
@@ -304,7 +238,7 @@ func (f *Fleet) buildView() []*schedshard.HostInfo {
 			Node:            h.Node,
 			FreePCPUs:       h.FreePCPUs(),
 			TotalPCPUs:      f.cfg.PCPUsPerHost - 1, // dom0 owns PCPU 0
-			LinkBytesPerSec: f.cfg.workerLink(i),
+			LinkBytesPerSec: f.cfg.WorkerLink(i),
 			ResoHeadroom:    1,
 			Health:          f.HostHealth(i),
 		}
@@ -323,7 +257,7 @@ func (f *Fleet) buildView() []*schedshard.HostInfo {
 				vi.BytesPerSec = prof.BytesPerSec
 				vi.BufferSize = prof.BufferSize
 			}
-			hi.IOCommitted += vi.BytesPerSec / f.cfg.workerLink(i)
+			hi.IOCommitted += vi.BytesPerSec / f.cfg.WorkerLink(i)
 			hi.VMs = append(hi.VMs, vi)
 		}
 		if vms := f.Mgrs[i].VMs(); len(vms) > 0 {

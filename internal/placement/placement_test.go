@@ -7,6 +7,7 @@ import (
 	"resex/internal/resex"
 	"resex/internal/schedshard"
 	"resex/internal/sim"
+	"resex/internal/workload"
 )
 
 func lsWorkload(name string, seed int64) Workload {
@@ -124,7 +125,7 @@ func TestInterferenceAwareBeatsSpreadOnContaminatedHost(t *testing.T) {
 }
 
 func TestFleetPlacementSegregatesClasses(t *testing.T) {
-	f := NewFleet(Config{Hosts: 2, Seed: 7})
+	f := NewFleet(Config{Config: workload.Config{Hosts: 2}, Seed: 7})
 	bulk, err := f.Place(bulkWorkload("bulk0", 101))
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +160,7 @@ func TestFleetPlacementSegregatesClasses(t *testing.T) {
 func TestMigrationMovesStateOverFabricAndResumes(t *testing.T) {
 	const state = 8 << 20
 	run := func() (MigrationRecord, string) {
-		f := NewFleet(Config{Hosts: 2, Seed: 3})
+		f := NewFleet(Config{Config: workload.Config{Hosts: 2}, Seed: 3})
 		pl, err := f.Place(lsWorkload("ls0", 1))
 		if err != nil {
 			t.Fatal(err)
@@ -227,11 +228,13 @@ func TestRebalancerEvacuatesThrottleProofInterferer(t *testing.T) {
 	// on latency): the only way out for the latency-sensitive VM is the
 	// rebalancer migrating the interferer away.
 	f := NewFleet(Config{
-		Hosts:             2,
-		Seed:              11,
-		IntervalsPerEpoch: 100,
-		Strategy:          pinStrategy{node: 1},
-		Policy:            func() resex.Policy { return resex.NewFreeMarket() },
+		Config: workload.Config{
+			Hosts:             2,
+			IntervalsPerEpoch: 100,
+			Policy:            func() resex.Policy { return resex.NewFreeMarket() },
+		},
+		Seed:     11,
+		Strategy: pinStrategy{node: 1},
 	})
 	ls, err := f.Place(lsWorkload("ls0", 1))
 	if err != nil {
@@ -274,9 +277,12 @@ func TestRebalancerEvacuatesThrottleProofInterferer(t *testing.T) {
 // stays dark.
 func TestFleetMarketWiring(t *testing.T) {
 	f := NewFleet(Config{
-		Hosts: 3, Seed: 1,
-		LinkBandwidths: []float64{1e9, 0, 500e6}, // heterogeneous: node3 is half-rate
-		Policy:         func() resex.Policy { return resex.NewFungible() },
+		Config: workload.Config{
+			Hosts:          3,
+			LinkBandwidths: []float64{1e9, 0, 500e6}, // heterogeneous: node3 is half-rate
+			Policy:         func() resex.Policy { return resex.NewFungible() },
+		},
+		Seed: 1,
 	})
 	if got := len(f.Market().Hosts()); got != 3 {
 		t.Fatalf("market lists %d hosts, want 3", got)
@@ -295,7 +301,7 @@ func TestFleetMarketWiring(t *testing.T) {
 				t.Fatalf("host %d dim %d price %.2f, want >= 1", h.Node, d, h.Prices[d])
 			}
 		}
-		want := f.cfg.workerLink(i)
+		want := f.cfg.WorkerLink(i)
 		if h.LinkBytesPerSec != want {
 			t.Fatalf("host %d link %.0f, want %.0f", h.Node, h.LinkBytesPerSec, want)
 		}
@@ -304,7 +310,7 @@ func TestFleetMarketWiring(t *testing.T) {
 		t.Fatalf("heterogeneous link override lost: %.0f", hosts[2].LinkBytesPerSec)
 	}
 
-	bare := NewFleet(Config{Hosts: 2, Seed: 1})
+	bare := NewFleet(Config{Config: workload.Config{Hosts: 2}, Seed: 1})
 	if got := len(bare.Market().Hosts()); got != 0 {
 		t.Fatalf("IOShares fleet lists %d hosts on the market, want 0", got)
 	}

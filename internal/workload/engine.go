@@ -10,7 +10,7 @@ import (
 	"resex/internal/sim"
 )
 
-// Config parameterizes a traffic engine.
+// Config parameterizes a worker rig (and the traffic engine on it).
 type Config struct {
 	// Hosts is the number of worker (server) hosts, nodes 1..Hosts. One
 	// extra client host (node Hosts+1) runs every tenant's client with a
@@ -34,6 +34,10 @@ type Config struct {
 	// IntervalsPerEpoch shortens the ResEx epoch so managed runs converge
 	// inside short simulations. Default 250 (250 ms epochs).
 	IntervalsPerEpoch int
+	// ConfidenceGate is handed to every host's ResEx manager: when
+	// positive, caps are never tightened on stale IBMon evidence (see
+	// resex.Config.ConfidenceGate). 0 = naive.
+	ConfidenceGate float64
 }
 
 func (c Config) withDefaults() Config {
@@ -55,35 +59,31 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// workerLink returns worker i's uplink bandwidth, bytes/second.
-func (c Config) workerLink(i int) float64 {
+// WorkerLink returns worker i's uplink bandwidth, bytes/second.
+func (c Config) WorkerLink(i int) float64 {
 	if i < len(c.LinkBandwidths) && c.LinkBandwidths[i] > 0 {
 		return c.LinkBandwidths[i]
 	}
 	return c.LinkBandwidth
 }
 
-// Engine is the assembled multi-tenant rig: worker hosts (each optionally
-// under its own IBMon monitor + ResEx manager), a shared client host, and
-// the tenants driving traffic between them.
-type Engine struct {
+// Rig is the multi-host testbed the traffic engine and the placement fleet
+// both run on: worker hosts on nodes 1..Hosts, each (when a policy is
+// configured) under its own IBMon monitor and ResEx manager, plus one
+// shared client host on node Hosts+1.
+type Rig struct {
 	TB      *cluster.Testbed
 	Client  *cluster.Host
 	Workers []*cluster.Host
 	Mons    []*ibmon.Monitor
 	Mgrs    []*resex.Manager
 
-	cfg     Config
-	tenants []*Tenant
-	servers []*benchex.Server
-	agents  []*benchex.Agent
-	started bool
+	cfg Config
 }
 
-// New assembles the testbed: workers on nodes 1..Hosts, the client host on
-// node Hosts+1, and (when a policy is configured) one monitor and manager
-// per worker, already started.
-func New(cfg Config) *Engine {
+// NewRig assembles the testbed, the client host and, when a policy is
+// configured, one monitor and manager per worker, already started.
+func NewRig(cfg Config) *Rig {
 	cfg = cfg.withDefaults()
 	tb := cluster.New(cluster.Config{
 		LinkBandwidth: cfg.LinkBandwidth,
@@ -91,10 +91,10 @@ func New(cfg Config) *Engine {
 	})
 	clientBW := 0.0
 	for n := 1; n <= cfg.Hosts; n++ {
-		tb.AddHostOpts(n, cluster.HostOptions{LinkBandwidth: cfg.workerLink(n - 1)})
-		clientBW += cfg.workerLink(n - 1)
+		tb.AddHostOpts(n, cluster.HostOptions{LinkBandwidth: cfg.WorkerLink(n - 1)})
+		clientBW += cfg.WorkerLink(n - 1)
 	}
-	e := &Engine{
+	r := &Rig{
 		TB: tb,
 		Client: tb.AddHostOpts(cfg.Hosts+1, cluster.HostOptions{
 			LinkBandwidth: clientBW,
@@ -104,23 +104,42 @@ func New(cfg Config) *Engine {
 	}
 	for n := 1; n <= cfg.Hosts; n++ {
 		h := tb.Host(n)
-		e.Workers = append(e.Workers, h)
+		r.Workers = append(r.Workers, h)
 		if cfg.Policy == nil {
 			continue
 		}
 		mon := ibmon.New(h.HV, h.Dom0VCPU(), ibmon.Config{MTU: tb.Config().MTU})
 		mon.Start(tb.Eng)
-		mgr := resex.New(tb.Eng, h.HV, mon, h.Dom0VCPU(), cfg.Policy(),
-			resex.Config{IntervalsPerEpoch: cfg.IntervalsPerEpoch})
+		mgr := resex.New(tb.Eng, h.HV, mon, h.Dom0VCPU(), cfg.Policy(), resex.Config{
+			IntervalsPerEpoch: cfg.IntervalsPerEpoch,
+			ConfidenceGate:    cfg.ConfidenceGate,
+		})
 		mgr.Start()
-		e.Mons = append(e.Mons, mon)
-		e.Mgrs = append(e.Mgrs, mgr)
+		r.Mons = append(r.Mons, mon)
+		r.Mgrs = append(r.Mgrs, mgr)
 	}
-	return e
+	return r
 }
 
 // Config returns the effective configuration.
-func (e *Engine) Config() Config { return e.cfg }
+func (r *Rig) Config() Config { return r.cfg }
+
+// Engine is the multi-tenant traffic engine: a worker rig and the tenants
+// driving traffic between its workers and its client host.
+type Engine struct {
+	*Rig
+
+	tenants []*Tenant
+	servers []*benchex.Server
+	agents  []*benchex.Agent
+	started bool
+}
+
+// New assembles the rig (see NewRig) for a traffic engine with no tenants
+// yet.
+func New(cfg Config) *Engine {
+	return &Engine{Rig: NewRig(cfg)}
+}
 
 // Tenants returns every tenant in AddTenant order.
 func (e *Engine) Tenants() []*Tenant { return e.tenants }
