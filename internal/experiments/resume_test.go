@@ -23,10 +23,11 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/golden_digests.json from this run")
 
 // goldenDigests pins every driver's output across commits: one FNV-64a
-// digest per (driver, seed) of the plain run's result text, one of the SVG
-// rendered from that result ("<id>/seed<N>/svg"), and one per encoded
-// capture bundle ("<id>/seed<N>/bundle"), so a change that moves a figure,
-// its plot, or an exported state section fails too. After an intentional
+// digest per (driver, seed) of the plain run's result text, one of its CSV
+// ("<id>/seed<N>/csv"), one of the SVG rendered from that result
+// ("<id>/seed<N>/svg"), and one per encoded capture bundle
+// ("<id>/seed<N>/bundle"), so a change that moves a figure, its CSV, its
+// plot, or an exported state section fails too. After an intentional
 // output, plot or wire-format change, regenerate it with
 //
 //	go test ./internal/experiments -run TestResumeSweepAllDrivers -update
@@ -57,10 +58,10 @@ type rendered struct {
 // and run to the end. Each run uses a different Parallel/ShardWorkers/
 // SimShards width. Both audited runs must attach an auditor to at least
 // one engine, observe events, report zero invariant violations and render
-// equal summaries. The plain run's text, its SVG rendering and the encoded
-// bundle are held to their checked-in golden digests, so a refactor that
-// moves any driver's output, plot or snapshot fails here even when it moves
-// it the same way at every width.
+// equal summaries. The plain run's text, its CSV, its SVG rendering and the
+// encoded bundle are held to their checked-in golden digests, so a refactor
+// that moves any driver's output, plot or snapshot fails here even when it
+// moves it the same way at every width.
 func TestResumeSweepAllDrivers(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -121,6 +122,7 @@ func TestResumeSweepAllDrivers(t *testing.T) {
 				}
 				plain := run(plainWidth, nil, plainAudit)
 				record(key, []byte(plain.text))
+				record(csvKey(key), []byte(plain.csv))
 				svg, err := report.RenderSVG(plain.res)
 				if err != nil {
 					t.Fatal(err)
@@ -212,6 +214,8 @@ func bundleKey(runKey string) string { return runKey + "/bundle" }
 
 func svgKey(runKey string) string { return runKey + "/svg" }
 
+func csvKey(runKey string) string { return runKey + "/csv" }
+
 // checkGoldenDigests compares the digests the sweep computed against the
 // checked-in file, or rewrites the file under -update. Every registered
 // (driver, seed) must have an entry and every entry must name one; a run
@@ -231,6 +235,7 @@ func checkGoldenDigests(t *testing.T, seeds []int64, got map[string]string) {
 		for _, seed := range seeds {
 			key := digestKey(id, seed)
 			registered[key] = true
+			registered[csvKey(key)] = true
 			registered[svgKey(key)] = true
 			if id != "abl-restart" {
 				registered[bundleKey(key)] = true
