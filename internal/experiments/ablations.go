@@ -22,8 +22,9 @@ import (
 
 // AblArbRow is one discipline's victim measurement.
 type AblArbRow struct {
-	Discipline string
-	Mean, P99  float64
+	Discipline string  `col:"discipline,%-12s,discipline"`
+	Mean       float64 `col:"mean(µs),%12.1f,mean_us"`
+	P99        float64 `col:"p99(µs),%12.1f,p99_us"`
 }
 
 // AblArbResult compares per-MTU round-robin vs FIFO arbitration.
@@ -35,22 +36,10 @@ func (r *AblArbResult) Title() string {
 }
 
 // WriteText implements Result.
-func (r *AblArbResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s\n\n%-12s %12s %12s\n", r.Title(), "discipline", "mean(µs)", "p99(µs)")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-12s %12.1f %12.1f\n", row.Discipline, row.Mean, row.P99)
-	}
-	return nil
-}
+func (r *AblArbResult) WriteText(w io.Writer) error { return writeTable(w, r.Title(), r.Rows) }
 
 // WriteCSV implements Result.
-func (r *AblArbResult) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "discipline,mean_us,p99_us")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%s,%g,%g\n", row.Discipline, row.Mean, row.P99)
-	}
-	return nil
-}
+func (r *AblArbResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows) }
 
 // AblArb measures how much of the platform's latency tolerance comes from
 // VL-style round-robin arbitration rather than from ResEx.
@@ -90,10 +79,10 @@ func AblArb(o Options) (*AblArbResult, error) {
 
 // AblMechRow is one mechanism's outcome.
 type AblMechRow struct {
-	Mechanism  string
-	VictimMean float64
-	IntfCPU    float64 // seconds of CPU the interferer got
-	IntfMBs    float64 // interferer egress throughput
+	Mechanism  string  `col:"mechanism,%-16s,mechanism"`
+	VictimMean float64 `col:"victim(µs),%12.1f,victim_us"`
+	IntfCPU    float64 `col:"intf CPU(s),%12.4f,intf_cpu_s"` // seconds of CPU the interferer got
+	IntfMBs    float64 `col:"intf MB/s,%14.1f,intf_mb_s"`    // interferer egress throughput
 }
 
 // AblMechResult compares the hypervisor's only lever (CPU caps) against
@@ -106,22 +95,10 @@ func (r *AblMechResult) Title() string {
 }
 
 // WriteText implements Result.
-func (r *AblMechResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s\n\n%-16s %12s %12s %14s\n", r.Title(), "mechanism", "victim(µs)", "intf CPU(s)", "intf MB/s")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-16s %12.1f %12.4f %14.1f\n", row.Mechanism, row.VictimMean, row.IntfCPU, row.IntfMBs)
-	}
-	return nil
-}
+func (r *AblMechResult) WriteText(w io.Writer) error { return writeTable(w, r.Title(), r.Rows) }
 
 // WriteCSV implements Result.
-func (r *AblMechResult) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "mechanism,victim_us,intf_cpu_s,intf_mb_s")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%s,%g,%g,%g\n", row.Mechanism, row.VictimMean, row.IntfCPU, row.IntfMBs)
-	}
-	return nil
-}
+func (r *AblMechResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows) }
 
 // AblMech runs the 2MB interference scenario unthrottled, CPU-capped at 3%,
 // and NIC-limited to 30 MB/s.
@@ -249,9 +226,9 @@ func AblEvents(o Options) (*AblEventsResult, error) {
 
 // AblCapacityRow is the worst latency at a given density.
 type AblCapacityRow struct {
-	Apps      int
-	WorstMean float64
-	WithinSLA bool
+	Apps      int     `col:"apps,%-6d,apps"`
+	WorstMean float64 `col:"worst(µs),%14.1f,worst_mean_us"`
+	WithinSLA bool    `col:"in SLA,%10v,within_sla"`
 }
 
 // AblCapacityResult is the paper's motivating consolidation question made
@@ -268,21 +245,11 @@ func (r *AblCapacityResult) Title() string {
 
 // WriteText implements Result.
 func (r *AblCapacityResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s (SLA %.0f µs)\n\n%-6s %14s %10s\n", r.Title(), r.SLA, "apps", "worst(µs)", "in SLA")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-6d %14.1f %10v\n", row.Apps, row.WorstMean, row.WithinSLA)
-	}
-	return nil
+	return writeTable(w, fmt.Sprintf("%s (SLA %.0f µs)", r.Title(), r.SLA), r.Rows)
 }
 
 // WriteCSV implements Result.
-func (r *AblCapacityResult) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "apps,worst_mean_us,within_sla")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%d,%g,%v\n", row.Apps, row.WorstMean, row.WithinSLA)
-	}
-	return nil
-}
+func (r *AblCapacityResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows) }
 
 // AblCapacity packs 1..6 identical 64KB apps onto host A and reports the
 // worst per-app mean latency at each density.

@@ -316,11 +316,11 @@ func TestFig9Shape(t *testing.T) {
 	for _, row := range r.Rows {
 		// IOShares tracks base closely at every buffer size...
 		if row.IOShares > row.Base*1.30 {
-			t.Errorf("%s: IOShares %.1f vs base %.1f", byteSize(row.Buffer), row.IOShares, row.Base)
+			t.Errorf("%s: IOShares %.1f vs base %.1f", ByteSize(row.Buffer), row.IOShares, row.Base)
 		}
 		// ...and is never meaningfully worse than FreeMarket.
 		if row.IOShares > row.FreeMarket*1.1 {
-			t.Errorf("%s: IOShares %.1f above FreeMarket %.1f", byteSize(row.Buffer), row.IOShares, row.FreeMarket)
+			t.Errorf("%s: IOShares %.1f above FreeMarket %.1f", ByteSize(row.Buffer), row.IOShares, row.FreeMarket)
 		}
 	}
 	// For large buffers FreeMarket is clearly above IOShares (the paper's

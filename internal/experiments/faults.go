@@ -20,10 +20,10 @@ import (
 // AblFaultsRow is one (intensity, stack) outcome.
 type AblFaultsRow struct {
 	// StormsPerSec is the injected fault intensity across the fleet.
-	StormsPerSec float64
+	StormsPerSec float64 `col:"storms/s,%-10.1f,storms_per_sec"`
 	// Stack is "naive" (unconditional caps, no quarantine) or "aware"
 	// (confidence-gated caps, blackout quarantine, migration backoff).
-	Stack string
+	Stack string `col:"stack,%-7s,stack"`
 	// SLAPct is the mean per-app *time-weighted* SLA attainment (%): the
 	// fraction of the measured window each app spent serving within the SLA.
 	// Every completion covers the wall time since the previous one, so a
@@ -31,17 +31,17 @@ type AblFaultsRow struct {
 	// among thousands — without this, a throttled-to-the-floor VM barely
 	// dents a request-weighted average because it also barely serves
 	// (coordinated omission).
-	SLAPct float64
+	SLAPct float64 `col:"SLA(%),%8.1f,sla_pct"`
 	// WorstMean is the worst per-app mean service time (µs).
-	WorstMean float64
+	WorstMean float64 `col:"worst(µs),%11.1f,worst_mean_us"`
 	// Wrongful counts cap decreases applied while the evidence behind them
 	// was stale (blackout or low IBMon confidence) — zero by construction
 	// for the aware stack.
-	Wrongful int64
+	Wrongful int64 `col:"wrongful,%9d,wrongful_throttles"`
 	// Held counts cap decreases the aware stack refused on stale evidence.
-	Held int64
+	Held int64 `col:"held,%6d,held_tightenings"`
 	// Faults is how many fault events actually fired during the run.
-	Faults int
+	Faults int `col:"faults,%7d,faults_fired"`
 }
 
 // AblFaultsResult sweeps fault intensity over an identical fleet and workload
@@ -65,26 +65,11 @@ func (r *AblFaultsResult) Title() string {
 
 // WriteText implements Result.
 func (r *AblFaultsResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s (SLA %.0f µs)\n\n%-10s %-7s %8s %11s %9s %6s %7s\n",
-		r.Title(), r.SLA, "storms/s", "stack", "SLA(%)", "worst(µs)", "wrongful", "held", "faults")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-10.1f %-7s %8.1f %11.1f %9d %6d %7d\n",
-			row.StormsPerSec, row.Stack, row.SLAPct, row.WorstMean,
-			row.Wrongful, row.Held, row.Faults)
-	}
-	return nil
+	return writeTable(w, fmt.Sprintf("%s (SLA %.0f µs)", r.Title(), r.SLA), r.Rows)
 }
 
 // WriteCSV implements Result.
-func (r *AblFaultsResult) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "storms_per_sec,stack,sla_pct,worst_mean_us,wrongful_throttles,held_tightenings,faults_fired")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%g,%s,%g,%g,%d,%d,%d\n",
-			row.StormsPerSec, row.Stack, row.SLAPct, row.WorstMean,
-			row.Wrongful, row.Held, row.Faults)
-	}
-	return nil
-}
+func (r *AblFaultsResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows) }
 
 // faultsSLAUs is the attainment bar: generous enough (2.5× the healthy base)
 // that the fault physics alone — a serialization slowdown during a 100 ms

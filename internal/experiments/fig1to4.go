@@ -215,7 +215,7 @@ func (r *Fig3Result) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "%-14s %-5s %10s %10s %10s %10s\n", "ratio(buffer)", "cap%", "CTime", "WTime", "PTime", "total(µs)")
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%3d(%-8s) %-5d %10.1f %10.1f %10.1f %10.1f\n",
-			row.BufferRatio, byteSize(row.IntfBuffer), row.Cap, row.CTime, row.WTime, row.PTime, row.Total())
+			row.BufferRatio, ByteSize(row.IntfBuffer), row.Cap, row.CTime, row.WTime, row.PTime, row.Total())
 	}
 	return nil
 }
@@ -238,7 +238,7 @@ func Fig3(o Options) (*Fig3Result, error) {
 		buf := buf
 		ratio := buf / BaseBuffer
 		cap := 100 / ratio
-		points = append(points, Point(byteSize(buf), func(o Options) (Fig3Row, error) {
+		points = append(points, Point(ByteSize(buf), func(o Options) (Fig3Row, error) {
 			cfg := ScenarioConfig{IntfBuffer: buf, Seed: o.Seed}
 			if cap < 100 {
 				cfg.IntfCap = cap
@@ -337,8 +337,8 @@ func Fig4(o Options) (*Fig4Result, error) {
 	return &Fig4Result{Rows: rows}, nil
 }
 
-// byteSize renders a buffer size like the paper's axis labels.
-func byteSize(n int) string {
+// ByteSize renders a buffer size like the paper's axis labels.
+func ByteSize(n int) string {
 	switch {
 	case n >= 1<<20 && n%(1<<20) == 0:
 		return fmt.Sprintf("%dMB", n>>20)

@@ -266,9 +266,9 @@ func Fig6(o Options) (*Fig6Result, error) {
 
 // Fig8Row is one configuration bar.
 type Fig8Row struct {
-	Config string
-	Mean   float64
-	Std    float64
+	Config string  `col:"configuration,%-28s,configuration"`
+	Mean   float64 `col:"latency(µs),%12.1f,latency_us"`
+	Std    float64 `col:"std,%10.1f,std_us"`
 }
 
 // Fig8Result holds all configurations.
@@ -280,23 +280,10 @@ func (r *Fig8Result) Title() string {
 }
 
 // WriteText implements Result.
-func (r *Fig8Result) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s\n\n", r.Title())
-	fmt.Fprintf(w, "%-28s %12s %10s\n", "configuration", "latency(µs)", "std")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-28s %12.1f %10.1f\n", row.Config, row.Mean, row.Std)
-	}
-	return nil
-}
+func (r *Fig8Result) WriteText(w io.Writer) error { return writeTable(w, r.Title(), r.Rows) }
 
 // WriteCSV implements Result.
-func (r *Fig8Result) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "configuration,latency_us,std_us")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%s,%g,%g\n", row.Config, row.Mean, row.Std)
-	}
-	return nil
-}
+func (r *Fig8Result) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows) }
 
 // Fig8 runs the paper's five bars: Base, FreeMarket and IOShares with a
 // twin 64KB VM, and FreeMarket and IOShares with a quiet 2MB VM (paced to
@@ -375,7 +362,7 @@ func (r *Fig9Result) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "%s\n\n", r.Title())
 	fmt.Fprintf(w, "%-10s %12s %12s %12s\n", "buffer", "Base(µs)", "FreeMarket", "IOShares")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-10s %12.1f %12.1f %12.1f\n", byteSize(row.Buffer), row.Base, row.FreeMarket, row.IOShares)
+		fmt.Fprintf(w, "%-10s %12.1f %12.1f %12.1f\n", ByteSize(row.Buffer), row.Base, row.FreeMarket, row.IOShares)
 	}
 	return nil
 }
@@ -417,10 +404,10 @@ func Fig9(o Options) (*Fig9Result, error) {
 	for _, buf := range buffers {
 		buf := buf
 		points = append(points,
-			Point("fm-"+byteSize(buf), func(o Options) (float64, error) {
+			Point("fm-"+ByteSize(buf), func(o Options) (float64, error) {
 				return runPolicy(o, buf, func() resex.Policy { return resex.NewFreeMarket() })
 			}),
-			Point("ios-"+byteSize(buf), func(o Options) (float64, error) {
+			Point("ios-"+ByteSize(buf), func(o Options) (float64, error) {
 				return runPolicy(o, buf, func() resex.Policy { return resex.NewIOShares() })
 			}))
 	}

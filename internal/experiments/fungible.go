@@ -43,21 +43,21 @@ const (
 type AblFungibleRow struct {
 	// UtilPct is the bulk tenants' offered load as a percent of their
 	// host's link capacity.
-	UtilPct int
+	UtilPct int `col:"util%,%-6d,util_pct"`
 	// Policy is "fungible", "ioshares" or "freemarket".
-	Policy string
+	Policy string `col:"policy,%-11s,policy"`
 	// LatP99 is the latency tenants' merged p99 (µs, worst host).
-	LatP99 float64
+	LatP99 float64 `col:"lat p99(µs),%12.0f,lat_p99_us"`
 	// AttainPct is the mean time-weighted SLO attainment across the
 	// latency-sensitive tenants.
-	AttainPct float64
+	AttainPct float64 `col:"SLO(%),%9.1f,slo_attain_pct"`
 	// BulkMBps is the bulk tenants' combined goodput (MB/s).
-	BulkMBps float64
+	BulkMBps float64 `col:"bulk(MB/s),%11.1f,bulk_mbps"`
 	// Trades and TradedResos count the epoch-settlement activity across
 	// both hosts' books (zero for bookless policies).
-	Trades int64
+	Trades int64 `col:"trades,%7d,trades"`
 	// FabricPrice is the slow host's final fabric quote.
-	FabricPrice float64
+	FabricPrice float64 `col:"slow price,%10.2f,slow_fabric_price"`
 }
 
 // AblFungibleResult is the fungibility ablation table.
@@ -71,27 +71,10 @@ func (r *AblFungibleResult) Title() string {
 }
 
 // WriteText implements Result.
-func (r *AblFungibleResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s\n\n%-6s %-11s %12s %9s %11s %7s %10s\n", r.Title(),
-		"util%", "policy", "lat p99(µs)", "SLO(%)", "bulk(MB/s)", "trades", "slow price")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-6d %-11s %12.0f %9.1f %11.1f %7d %10.2f\n",
-			row.UtilPct, row.Policy, row.LatP99, row.AttainPct,
-			row.BulkMBps, row.Trades, row.FabricPrice)
-	}
-	return nil
-}
+func (r *AblFungibleResult) WriteText(w io.Writer) error { return writeTable(w, r.Title(), r.Rows) }
 
 // WriteCSV implements Result.
-func (r *AblFungibleResult) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "util_pct,policy,lat_p99_us,slo_attain_pct,bulk_mbps,trades,slow_fabric_price")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%d,%s,%g,%g,%g,%d,%g\n",
-			row.UtilPct, row.Policy, row.LatP99, row.AttainPct,
-			row.BulkMBps, row.Trades, row.FabricPrice)
-	}
-	return nil
-}
+func (r *AblFungibleResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows) }
 
 // runFungibleCell runs one cell: the two-generation fleet at one bulk
 // utilization under one policy.

@@ -64,22 +64,22 @@ const (
 type AblMixedCritRow struct {
 	// PressPct is the bulk tenant's offered memory traffic as a percent of
 	// the host's membw budget.
-	PressPct int
+	PressPct int `col:"mem%,%-6d,mem_press_pct"`
 	// Mode is "priced" (three-dimension economy) or "blind" (membw
 	// unpriced, the exact two-dimension ledger).
-	Mode string
+	Mode string `col:"mode,%-7s,mode"`
 	// LatP99 and AttainPct are the critical tenant's p99 (µs) and
 	// time-weighted SLO attainment.
-	LatP99    float64
-	AttainPct float64
+	LatP99    float64 `col:"lat p99(µs),%12.0f,lat_p99_us"`
+	AttainPct float64 `col:"SLO(%),%9.1f,slo_attain_pct"`
 	// BulkMBps is the bulk mover's goodput; BulkCapPct its final VCPU cap
 	// (100 = never throttled).
-	BulkMBps   float64
-	BulkCapPct float64
+	BulkMBps   float64 `col:"bulk(MB/s),%11.1f,bulk_mbps"`
+	BulkCapPct float64 `col:"cap(%),%8.0f,bulk_cap_pct"`
 	// Trades counts epoch-settlement trades on the host's book; MemPrice is
 	// the board's final membw quote (1 = base, uncongested or unpriced).
-	Trades   int64
-	MemPrice float64
+	Trades   int64   `col:"trades,%7d,trades"`
+	MemPrice float64 `col:"mem price,%10.2f,mem_price"`
 }
 
 // AblMixedCritResult is the pressure × economy table.
@@ -93,27 +93,10 @@ func (r *AblMixedCritResult) Title() string {
 }
 
 // WriteText implements Result.
-func (r *AblMixedCritResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s\n\n%-6s %-7s %12s %9s %11s %8s %7s %10s\n", r.Title(),
-		"mem%", "mode", "lat p99(µs)", "SLO(%)", "bulk(MB/s)", "cap(%)", "trades", "mem price")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-6d %-7s %12.0f %9.1f %11.1f %8.0f %7d %10.2f\n",
-			row.PressPct, row.Mode, row.LatP99, row.AttainPct,
-			row.BulkMBps, row.BulkCapPct, row.Trades, row.MemPrice)
-	}
-	return nil
-}
+func (r *AblMixedCritResult) WriteText(w io.Writer) error { return writeTable(w, r.Title(), r.Rows) }
 
 // WriteCSV implements Result.
-func (r *AblMixedCritResult) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "mem_press_pct,mode,lat_p99_us,slo_attain_pct,bulk_mbps,bulk_cap_pct,trades,mem_price")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%d,%s,%g,%g,%g,%g,%d,%g\n",
-			row.PressPct, row.Mode, row.LatP99, row.AttainPct,
-			row.BulkMBps, row.BulkCapPct, row.Trades, row.MemPrice)
-	}
-	return nil
-}
+func (r *AblMixedCritResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows) }
 
 // runMixedCritCell runs one (pressure, economy) cell.
 func runMixedCritCell(o Options, pressPct int, priced bool) (AblMixedCritRow, error) {

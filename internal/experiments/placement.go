@@ -18,23 +18,23 @@ import (
 
 // AblPlacementRow is one (strategy, scale) outcome.
 type AblPlacementRow struct {
-	Strategy string
-	Hosts    int
-	VMs      int
+	Strategy string `col:"strategy,%-14s,strategy"`
+	Hosts    int    `col:"hosts,%6d,hosts"`
+	VMs      int    `col:"vms,%5d,vms"`
 	// SLAPct is the mean per-app SLA attainment (%) over the
 	// latency-sensitive apps: each app contributes the fraction of its own
 	// measured requests served within the SLA, so a drowned app that barely
 	// serves counts fully against the strategy instead of vanishing from a
 	// request-weighted average.
-	SLAPct float64
+	SLAPct float64 `col:"SLA(%),%10.1f,sla_pct"`
 	// WorstMean is the worst per-app mean service time (µs).
-	WorstMean float64
+	WorstMean float64 `col:"worst(µs),%12.1f,worst_mean_us"`
 	// BulkMBs is the aggregate bulk-class egress during the measured
 	// window (MB/s): what the interferers still get. Throttling buys SLA by
 	// destroying this; good placement keeps both.
-	BulkMBs float64
+	BulkMBs float64 `col:"bulk MB/s,%10.1f,bulk_mb_s"`
 	// Migrations is how many live migrations the rebalancer performed.
-	Migrations int
+	Migrations int `col:"migrations,%11d,migrations"`
 }
 
 // AblPlacementResult compares placement strategies across fleet scales. All
@@ -54,24 +54,11 @@ func (r *AblPlacementResult) Title() string {
 
 // WriteText implements Result.
 func (r *AblPlacementResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s (SLA %.0f µs)\n\n%-14s %6s %5s %10s %12s %10s %11s\n",
-		r.Title(), r.SLA, "strategy", "hosts", "vms", "SLA(%)", "worst(µs)", "bulk MB/s", "migrations")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-14s %6d %5d %10.1f %12.1f %10.1f %11d\n",
-			row.Strategy, row.Hosts, row.VMs, row.SLAPct, row.WorstMean, row.BulkMBs, row.Migrations)
-	}
-	return nil
+	return writeTable(w, fmt.Sprintf("%s (SLA %.0f µs)", r.Title(), r.SLA), r.Rows)
 }
 
 // WriteCSV implements Result.
-func (r *AblPlacementResult) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "strategy,hosts,vms,sla_pct,worst_mean_us,bulk_mb_s,migrations")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%s,%d,%d,%g,%g,%g,%d\n",
-			row.Strategy, row.Hosts, row.VMs, row.SLAPct, row.WorstMean, row.BulkMBs, row.Migrations)
-	}
-	return nil
-}
+func (r *AblPlacementResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows) }
 
 // placementSLAUs is the attainment SLA: measured base latency plus the
 // same 25%% guard band abl-capacity uses (a per-request bar, so it must

@@ -32,35 +32,35 @@ import (
 type AblScaleSetRow struct {
 	// Mode is the score-tie-break policy, exactly as in abl-shardsched:
 	// "naive" herds, "avoid" rotates per shard.
-	Mode string
+	Mode string `col:"mode,%-6s,mode"`
 	// Shards is the logical shard count (the semantic axis).
-	Shards int
+	Shards int `col:"shards,%7d,shards"`
 	// Rounds is how many propose→merge→commit cycles draining the stream
 	// took.
-	Rounds uint64
+	Rounds uint64 `col:"rounds,%7d,rounds"`
 	// Placed and Failed partition the individual binds (gang members and
 	// singletons alike).
-	Placed int
-	Failed int
+	Placed int `col:"placed,%7d,placed"`
+	Failed int `col:"failed,%7d,failed"`
 	// GangsPlaced/GangsFailed/GangsPartial are the scheduler's lifetime gang
 	// accounting: placed whole, declared unplaceable, or — the invariant
 	// violation this table exists to rule out — committed at partial
 	// strength. Partial must be 0 in every row.
-	GangsPlaced  uint64
-	GangsFailed  uint64
-	GangsPartial uint64
+	GangsPlaced  uint64 `col:"gangs+,%7d,gangs_placed"`
+	GangsFailed  uint64 `col:"gangs-,%7d,gangs_failed"`
+	GangsPartial uint64 `col:"partial,%8d,gangs_partial"`
 	// AttainPct is gang admission attainment: placed gangs over all gangs.
-	AttainPct float64
+	AttainPct float64 `col:"attain%,%8.1f,attain_pct"`
 	// Conflicts counts binds rejected at commit (a whole gang rejection
 	// counts every member); ConflictPct is conflicts over all proposals.
-	Conflicts   uint64
-	ConflictPct float64
+	Conflicts   uint64  `col:"conflicts,%10d,conflicts"`
+	ConflictPct float64 `col:"conflict%,%10.2f,conflict_pct"`
 	// Retries counts requeued requests (conflict losers + starved, gang
 	// members individually).
-	Retries uint64
+	Retries uint64 `col:"retries,%8d,retries"`
 	// BindFNV fingerprints the full bind sequence, hex — compared across
 	// worker counts and restore paths by the determinism gates.
-	BindFNV string
+	BindFNV string `col:"bind-fnv,%17s,bind_fnv"`
 }
 
 // AblScaleSetResult is the admission table across shard counts and modes.
@@ -79,30 +79,11 @@ func (r *AblScaleSetResult) Title() string {
 
 // WriteText implements Result.
 func (r *AblScaleSetResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s (%d hosts, %d gangs / %d gang VMs, %d singletons)\n\n%-6s %7s %7s %7s %7s %7s %7s %8s %8s %10s %10s %8s %17s\n",
-		r.Title(), r.Hosts, r.Gangs, r.GangVMs, r.Singles,
-		"mode", "shards", "rounds", "placed", "failed",
-		"gangs+", "gangs-", "partial", "attain%", "conflicts", "conflict%", "retries", "bind-fnv")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-6s %7d %7d %7d %7d %7d %7d %8d %8.1f %10d %10.2f %8d %17s\n",
-			row.Mode, row.Shards, row.Rounds, row.Placed, row.Failed,
-			row.GangsPlaced, row.GangsFailed, row.GangsPartial, row.AttainPct,
-			row.Conflicts, row.ConflictPct, row.Retries, row.BindFNV)
-	}
-	return nil
+	return writeTable(w, fmt.Sprintf("%s (%d hosts, %d gangs / %d gang VMs, %d singletons)", r.Title(), r.Hosts, r.Gangs, r.GangVMs, r.Singles), r.Rows)
 }
 
 // WriteCSV implements Result.
-func (r *AblScaleSetResult) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "mode,shards,rounds,placed,failed,gangs_placed,gangs_failed,gangs_partial,attain_pct,conflicts,conflict_pct,retries,bind_fnv")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%d,%d,%g,%d,%g,%d,%s\n",
-			row.Mode, row.Shards, row.Rounds, row.Placed, row.Failed,
-			row.GangsPlaced, row.GangsFailed, row.GangsPartial, row.AttainPct,
-			row.Conflicts, row.ConflictPct, row.Retries, row.BindFNV)
-	}
-	return nil
-}
+func (r *AblScaleSetResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows) }
 
 // scaleSetScale sizes the synthetic fleet from the run duration, exactly as
 // shardSchedScale does: the full 2 s window gets 600 hosts; short CI and

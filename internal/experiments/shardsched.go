@@ -20,32 +20,32 @@ type AblShardSchedRow struct {
 	// Mode is the tie-break policy: "naive" (every shard breaks score ties
 	// toward the lowest node — maximal herding) or "avoid" (per-shard
 	// rotated tie-break, the smart conflict avoidance).
-	Mode string
+	Mode string `col:"mode,%-6s,mode"`
 	// Shards is the logical shard count the pending queue is partitioned
 	// into. This is the semantic axis of the experiment — unlike the
 	// resexsim -shards worker width, which never changes output.
-	Shards int
+	Shards int `col:"shards,%7d,shards"`
 	// Rounds is how many propose→merge→commit cycles draining the arrival
 	// sequence took.
-	Rounds uint64
+	Rounds uint64 `col:"rounds,%7d,rounds"`
 	// Placed and Failed partition the arrivals.
-	Placed int
-	Failed int
+	Placed int `col:"placed,%7d,placed"`
+	Failed int `col:"failed,%7d,failed"`
 	// Conflicts counts binds rejected at commit (a shard bound into
 	// headroom an earlier-keyed bind had exhausted); ConflictPct is
 	// conflicts over all proposals (commits + conflicts).
-	Conflicts   uint64
-	ConflictPct float64
+	Conflicts   uint64  `col:"conflicts,%10d,conflicts"`
+	ConflictPct float64 `col:"conflict%,%10.2f,conflict_pct"`
 	// Retries counts requeued requests (conflict losers + starved).
-	Retries uint64
+	Retries uint64 `col:"retries,%8d,retries"`
 	// Coloc counts latency-sensitive VMs sharing a host with at least one
 	// large-buffer bulk VM in the final state — the placement-quality
 	// check that more shards must not quietly trade quality for speed.
-	Coloc int
+	Coloc int `col:"coloc,%7d,coloc"`
 	// BindFNV fingerprints the full bind sequence (key, node, in commit
 	// order), hex. The determinism gates compare it across worker counts
 	// and restore paths.
-	BindFNV string
+	BindFNV string `col:"bind-fnv,%17s,bind_fnv"`
 }
 
 // AblShardSchedResult is the conflict-rate curve across shard counts, for
@@ -63,27 +63,11 @@ func (r *AblShardSchedResult) Title() string {
 
 // WriteText implements Result.
 func (r *AblShardSchedResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s (%d hosts, %d VMs)\n\n%-6s %7s %7s %7s %7s %10s %10s %8s %7s %17s\n",
-		r.Title(), r.Hosts, r.VMs,
-		"mode", "shards", "rounds", "placed", "failed", "conflicts", "conflict%", "retries", "coloc", "bind-fnv")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-6s %7d %7d %7d %7d %10d %10.2f %8d %7d %17s\n",
-			row.Mode, row.Shards, row.Rounds, row.Placed, row.Failed,
-			row.Conflicts, row.ConflictPct, row.Retries, row.Coloc, row.BindFNV)
-	}
-	return nil
+	return writeTable(w, fmt.Sprintf("%s (%d hosts, %d VMs)", r.Title(), r.Hosts, r.VMs), r.Rows)
 }
 
 // WriteCSV implements Result.
-func (r *AblShardSchedResult) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "mode,shards,rounds,placed,failed,conflicts,conflict_pct,retries,coloc,bind_fnv")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%g,%d,%d,%s\n",
-			row.Mode, row.Shards, row.Rounds, row.Placed, row.Failed,
-			row.Conflicts, row.ConflictPct, row.Retries, row.Coloc, row.BindFNV)
-	}
-	return nil
-}
+func (r *AblShardSchedResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows) }
 
 // shardSchedScale sizes the synthetic fleet from the run duration: the
 // default 2 s window gets the full 2k-host / 50k-VM fleet; short CI and

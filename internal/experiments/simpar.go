@@ -41,27 +41,27 @@ const simParReplBuffer = 8 << 10
 type AblSimParRow struct {
 	// Sites is the fleet size: geo-distributed sites, each a full host
 	// (Xen + HCA + ResEx + IBMon) on its own engine.
-	Sites int
+	Sites int `col:"sites,%5d,sites"`
 	// Shards is the logical shard count the site population is partitioned
 	// into (the -simshards axis; workers are bounded by Options.SimShards).
-	Shards int
+	Shards int `col:"shards,%6d,shards"`
 	// Windows and Boundaries are the coordinator's conservative sync
 	// counts; Messages is the cross-site deliveries merged (packets, acks).
-	Windows    uint64
-	Boundaries uint64
-	Messages   uint64
+	Windows    uint64 `col:"windows,%8d,windows"`
+	Boundaries uint64 `col:"bounds,%8d,boundaries"`
+	Messages   uint64 `col:"msgs,%9d,messages"`
 	// Steps is the fleet-total executed event count.
-	Steps uint64
+	Steps uint64 `col:"steps,%10d,steps"`
 	// LocalServed and ReplServed total the intra-site trading requests and
 	// the cross-site replication requests completed in the measured window.
-	LocalServed int64
-	ReplServed  int64
+	LocalServed int64 `col:"local_srv,%12d,local_served"`
+	ReplServed  int64 `col:"repl_srv,%11d,repl_served"`
 	// LocalMeanUs is the fleet-mean intra-site request latency (µs).
-	LocalMeanUs float64
+	LocalMeanUs float64 `col:"local_mean_us,%13.1f,local_mean_us"`
 	// FP fingerprints every telemetry epoch's per-site counters (hex
 	// FNV-1a). Equal fingerprints mean the runs agreed at every 2 ms
 	// boundary, not just at the end.
-	FP string
+	FP string `col:"epoch-fnv,%17s,epoch_fnv"`
 }
 
 // AblSimParResult is the (fleet size × shard count) grid.
@@ -77,28 +77,11 @@ func (r *AblSimParResult) Title() string {
 
 // WriteText implements Result.
 func (r *AblSimParResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s (lookahead %.0f µs)\n\n%5s %6s %8s %8s %9s %10s %12s %11s %13s %17s\n",
-		r.Title(), r.LookaheadUs,
-		"sites", "shards", "windows", "bounds", "msgs", "steps",
-		"local_srv", "repl_srv", "local_mean_us", "epoch-fnv")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%5d %6d %8d %8d %9d %10d %12d %11d %13.1f %17s\n",
-			row.Sites, row.Shards, row.Windows, row.Boundaries, row.Messages,
-			row.Steps, row.LocalServed, row.ReplServed, row.LocalMeanUs, row.FP)
-	}
-	return nil
+	return writeTable(w, fmt.Sprintf("%s (lookahead %.0f µs)", r.Title(), r.LookaheadUs), r.Rows)
 }
 
 // WriteCSV implements Result.
-func (r *AblSimParResult) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "sites,shards,windows,boundaries,messages,steps,local_served,repl_served,local_mean_us,epoch_fnv")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d,%d,%d,%g,%s\n",
-			row.Sites, row.Shards, row.Windows, row.Boundaries, row.Messages,
-			row.Steps, row.LocalServed, row.ReplServed, row.LocalMeanUs, row.FP)
-	}
-	return nil
-}
+func (r *AblSimParResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows) }
 
 // geoSite is one site of the sharded geo ring: a single-host testbed with
 // its own engine, manager and monitor, a local trading app, and its half of

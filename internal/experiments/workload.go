@@ -54,15 +54,18 @@ func workloadCapacity(o Options, n int) (float64, error) {
 // AblWorkloadRow is one (offered load, policy) cell.
 type AblWorkloadRow struct {
 	// LoadPct is offered load as a percent of calibrated per-tenant capacity.
-	LoadPct int
+	LoadPct int `col:"load%,%-6d,load_pct"`
 	// Policy is "freemarket" or "ioshares".
-	Policy string
+	Policy string `col:"policy,%-11s,policy"`
 	// OfferedPerSec and CompletedPerSec aggregate both tenants.
-	OfferedPerSec, CompletedPerSec float64
+	OfferedPerSec   float64 `col:"offered/s,%10.0f,offered_per_sec"`
+	CompletedPerSec float64 `col:"completed/s,%11.0f,completed_per_sec"`
 	// P50, P99, P999 are merged-sketch latency quantiles (µs).
-	P50, P99, P999 float64
+	P50  float64 `col:"p50(µs),%9.0f,p50_us"`
+	P99  float64 `col:"p99(µs),%9.0f,p99_us"`
+	P999 float64 `col:"p999(µs),%9.0f,p999_us"`
 	// AttainPct is the mean time-weighted SLO attainment across tenants.
-	AttainPct float64
+	AttainPct float64 `col:"SLO(%),%8.1f,slo_attain_pct"`
 }
 
 // AblWorkloadResult is the open-loop hockey stick: two Poisson tenants sweep
@@ -83,27 +86,11 @@ func (r *AblWorkloadResult) Title() string {
 
 // WriteText implements Result.
 func (r *AblWorkloadResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s (capacity %.0f req/s per tenant)\n\n%-6s %-11s %10s %11s %9s %9s %9s %8s\n",
-		r.Title(), r.CapacityPerTenant,
-		"load%", "policy", "offered/s", "completed/s", "p50(µs)", "p99(µs)", "p999(µs)", "SLO(%)")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-6d %-11s %10.0f %11.0f %9.0f %9.0f %9.0f %8.1f\n",
-			row.LoadPct, row.Policy, row.OfferedPerSec, row.CompletedPerSec,
-			row.P50, row.P99, row.P999, row.AttainPct)
-	}
-	return nil
+	return writeTable(w, fmt.Sprintf("%s (capacity %.0f req/s per tenant)", r.Title(), r.CapacityPerTenant), r.Rows)
 }
 
 // WriteCSV implements Result.
-func (r *AblWorkloadResult) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "load_pct,policy,offered_per_sec,completed_per_sec,p50_us,p99_us,p999_us,slo_attain_pct")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%d,%s,%g,%g,%g,%g,%g,%g\n",
-			row.LoadPct, row.Policy, row.OfferedPerSec, row.CompletedPerSec,
-			row.P50, row.P99, row.P999, row.AttainPct)
-	}
-	return nil
-}
+func (r *AblWorkloadResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows) }
 
 // workloadSLAUs is the SLA reference handed to ResEx in the open-loop sweep.
 // It needs headroom above the light-load baseline (~250 µs p50 with two
@@ -180,15 +167,15 @@ func AblWorkload(o Options) (*AblWorkloadResult, error) {
 // AblWorkloadMixRow is one policy's outcome for the mixed-class scenario.
 type AblWorkloadMixRow struct {
 	// Policy is "none", "freemarket" or "ioshares".
-	Policy string
+	Policy string `col:"policy,%-11s,policy"`
 	// LatP99 is the latency-sensitive tenant's p99 (µs).
-	LatP99 float64
+	LatP99 float64 `col:"lat p99(µs),%12.0f,lat_p99_us"`
 	// LatAttainPct is its time-weighted SLO attainment.
-	LatAttainPct float64
+	LatAttainPct float64 `col:"lat SLO(%),%11.1f,lat_slo_attain_pct"`
 	// LatCompletedPerSec is its completion rate.
-	LatCompletedPerSec float64
+	LatCompletedPerSec float64 `col:"lat/s,%9.0f,lat_completed_per_sec"`
 	// BulkMBps is the bulk tenant's goodput (MB/s).
-	BulkMBps float64
+	BulkMBps float64 `col:"bulk(MB/s),%12.1f,bulk_mbps"`
 }
 
 // AblWorkloadMixResult co-locates a latency-sensitive Poisson tenant with a
@@ -207,25 +194,10 @@ func (r *AblWorkloadMixResult) Title() string {
 }
 
 // WriteText implements Result.
-func (r *AblWorkloadMixResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s\n\n%-11s %12s %11s %9s %12s\n", r.Title(),
-		"policy", "lat p99(µs)", "lat SLO(%)", "lat/s", "bulk(MB/s)")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-11s %12.0f %11.1f %9.0f %12.1f\n",
-			row.Policy, row.LatP99, row.LatAttainPct, row.LatCompletedPerSec, row.BulkMBps)
-	}
-	return nil
-}
+func (r *AblWorkloadMixResult) WriteText(w io.Writer) error { return writeTable(w, r.Title(), r.Rows) }
 
 // WriteCSV implements Result.
-func (r *AblWorkloadMixResult) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "policy,lat_p99_us,lat_slo_attain_pct,lat_completed_per_sec,bulk_mbps")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%s,%g,%g,%g,%g\n",
-			row.Policy, row.LatP99, row.LatAttainPct, row.LatCompletedPerSec, row.BulkMBps)
-	}
-	return nil
-}
+func (r *AblWorkloadMixResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows) }
 
 // runWorkloadMixRow runs one policy cell of the mixed-class scenario.
 //
@@ -305,15 +277,15 @@ func AblWorkloadMix(o Options) (*AblWorkloadMixResult, error) {
 // AblWorkloadBurstRow is one (burst factor, admission) cell.
 type AblWorkloadBurstRow struct {
 	// Factor is the burst-to-calm rate ratio; mean rate is held constant.
-	Factor int
+	Factor int `col:"factor,%-7d,burst_factor"`
 	// Admission is the shedding policy's name.
-	Admission string
+	Admission string `col:"admission,%-14s,admission"`
 	// P99 is the admitted requests' p99 latency (µs).
-	P99 float64
+	P99 float64 `col:"p99(µs),%9.0f,p99_us"`
 	// AttainPct is time-weighted SLO attainment.
-	AttainPct float64
+	AttainPct float64 `col:"SLO(%),%8.1f,slo_attain_pct"`
 	// ShedPct is the percentage of arrivals shed.
-	ShedPct float64
+	ShedPct float64 `col:"shed(%),%8.1f,shed_pct"`
 }
 
 // AblWorkloadBurstResult holds mean offered load at 65% of capacity and
@@ -336,24 +308,11 @@ func (r *AblWorkloadBurstResult) Title() string {
 
 // WriteText implements Result.
 func (r *AblWorkloadBurstResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s (mean %.0f req/s)\n\n%-7s %-14s %9s %8s %8s\n",
-		r.Title(), r.MeanRate, "factor", "admission", "p99(µs)", "SLO(%)", "shed(%)")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-7d %-14s %9.0f %8.1f %8.1f\n",
-			row.Factor, row.Admission, row.P99, row.AttainPct, row.ShedPct)
-	}
-	return nil
+	return writeTable(w, fmt.Sprintf("%s (mean %.0f req/s)", r.Title(), r.MeanRate), r.Rows)
 }
 
 // WriteCSV implements Result.
-func (r *AblWorkloadBurstResult) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "burst_factor,admission,p99_us,slo_attain_pct,shed_pct")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%d,%s,%g,%g,%g\n",
-			row.Factor, row.Admission, row.P99, row.AttainPct, row.ShedPct)
-	}
-	return nil
-}
+func (r *AblWorkloadBurstResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows) }
 
 // runWorkloadBurstRow runs one cell: a single tenant whose MMPP2 arrivals
 // keep mean rate meanRate while the burst phase runs factor× the calm phase.

@@ -90,61 +90,41 @@ func RenderSVG(res experiments.Result) (string, error) {
 			"interval", "Resos", []*stats.Series{rep, intf, cap}), nil
 
 	case *experiments.Fig8Result:
-		groups := make([]string, 0, len(r.Rows))
-		vals := make([][]float64, 0, len(r.Rows))
-		for _, row := range r.Rows {
-			groups = append(groups, row.Config)
-			vals = append(vals, []float64{row.Mean})
-		}
+		groups, vals := bars(r.Rows, func(row experiments.Fig8Row) (string, []float64) {
+			return row.Config, []float64{row.Mean}
+		})
 		return GroupedBarChart("Figure 8: Non-interference cases",
 			"average latency (µs)", groups, []string{"latency"}, vals), nil
 
 	case *experiments.Fig9Result:
-		groups := make([]string, 0, len(r.Rows))
-		vals := make([][]float64, 0, len(r.Rows))
-		for _, row := range r.Rows {
-			groups = append(groups, byteLabel(row.Buffer))
-			vals = append(vals, []float64{row.Base, row.FreeMarket, row.IOShares})
-		}
+		groups, vals := bars(r.Rows, func(row experiments.Fig9Row) (string, []float64) {
+			return experiments.ByteSize(row.Buffer), []float64{row.Base, row.FreeMarket, row.IOShares}
+		})
 		return GroupedBarChart("Figure 9: Policies vs interfering buffer size",
 			"average latency (µs)", groups, []string{"Base", "FreeMarket", "IOShares"}, vals), nil
 
 	case *experiments.AblArbResult:
-		groups := make([]string, 0, len(r.Rows))
-		vals := make([][]float64, 0, len(r.Rows))
-		for _, row := range r.Rows {
-			groups = append(groups, row.Discipline)
-			vals = append(vals, []float64{row.Mean, row.P99})
-		}
+		groups, vals := bars(r.Rows, func(row experiments.AblArbRow) (string, []float64) {
+			return row.Discipline, []float64{row.Mean, row.P99}
+		})
 		return GroupedBarChart("Ablation: link arbitration discipline",
 			"victim latency (µs)", groups, []string{"mean", "p99"}, vals), nil
 
 	case *experiments.AblMechResult:
-		groups := make([]string, 0, len(r.Rows))
-		vals := make([][]float64, 0, len(r.Rows))
-		for _, row := range r.Rows {
-			groups = append(groups, row.Mechanism)
-			vals = append(vals, []float64{row.VictimMean})
-		}
+		groups, vals := bars(r.Rows, func(row experiments.AblMechRow) (string, []float64) {
+			return row.Mechanism, []float64{row.VictimMean}
+		})
 		return GroupedBarChart("Ablation: throttling mechanism",
 			"victim latency (µs)", groups, []string{"victim latency"}, vals), nil
 
 	case *experiments.AblEventsResult:
-		byMode := map[string]*stats.Series{}
-		var order []*stats.Series
-		for _, row := range r.Rows {
-			s := byMode[row.Mode]
-			if s == nil {
-				s = stats.NewSeries(row.Mode)
-				byMode[row.Mode] = s
-				order = append(order, s)
-			}
+		order := seriesBy(r.Rows, func(row experiments.AblEventsRow) (string, float64, float64) {
 			cap := row.Cap
 			if cap == 0 {
 				cap = 100
 			}
-			s.Add(float64(cap), row.ReqPerS)
-		}
+			return row.Mode, float64(cap), row.ReqPerS
+		})
 		return LineChart("Ablation: completion mode vs CPU cap",
 			"CPU cap (%)", "requests/s", order), nil
 
@@ -159,84 +139,46 @@ func RenderSVG(res experiments.Result) (string, error) {
 			"collocated apps", "latency (µs)", []*stats.Series{s, sla}), nil
 
 	case *experiments.AblPlacementResult:
-		groups := make([]string, 0, len(r.Rows))
-		vals := make([][]float64, 0, len(r.Rows))
-		for _, row := range r.Rows {
-			groups = append(groups, fmt.Sprintf("%s %dx%d", row.Strategy, row.Hosts, row.VMs))
-			vals = append(vals, []float64{row.SLAPct, row.BulkMBs / 10})
-		}
+		groups, vals := bars(r.Rows, func(row experiments.AblPlacementRow) (string, []float64) {
+			return fmt.Sprintf("%s %dx%d", row.Strategy, row.Hosts, row.VMs), []float64{row.SLAPct, row.BulkMBs / 10}
+		})
 		return GroupedBarChart("Ablation: placement strategy vs SLA attainment",
 			"SLA attainment (%) / bulk egress (10 MB/s)", groups,
 			[]string{"SLA %", "bulk 10MB/s"}, vals), nil
 
 	case *experiments.AblFaultsResult:
-		byStack := map[string]*stats.Series{}
-		var order []*stats.Series
-		for _, row := range r.Rows {
-			s := byStack[row.Stack]
-			if s == nil {
-				s = stats.NewSeries(row.Stack)
-				byStack[row.Stack] = s
-				order = append(order, s)
-			}
-			s.Add(row.StormsPerSec, row.SLAPct)
-		}
+		order := seriesBy(r.Rows, func(row experiments.AblFaultsRow) (string, float64, float64) {
+			return row.Stack, row.StormsPerSec, row.SLAPct
+		})
 		return LineChart("Ablation: fault intensity vs SLA attainment",
 			"fault storms/s", "SLA attainment (%)", order), nil
 
 	case *experiments.AblWorkloadResult:
-		byPolicy := map[string]*stats.Series{}
-		var order []*stats.Series
-		for _, row := range r.Rows {
-			s := byPolicy[row.Policy]
-			if s == nil {
-				s = stats.NewSeries(row.Policy)
-				byPolicy[row.Policy] = s
-				order = append(order, s)
-			}
-			s.Add(float64(row.LoadPct), row.P99)
-		}
+		order := seriesBy(r.Rows, func(row experiments.AblWorkloadRow) (string, float64, float64) {
+			return row.Policy, float64(row.LoadPct), row.P99
+		})
 		return LineChart("Workload: p99 latency vs offered load",
 			"offered load (% of capacity)", "p99 latency (µs)", order), nil
 
 	case *experiments.AblWorkloadMixResult:
-		groups := make([]string, 0, len(r.Rows))
-		vals := make([][]float64, 0, len(r.Rows))
-		for _, row := range r.Rows {
-			groups = append(groups, row.Policy)
-			vals = append(vals, []float64{row.LatAttainPct, row.BulkMBps / 10})
-		}
+		groups, vals := bars(r.Rows, func(row experiments.AblWorkloadMixRow) (string, []float64) {
+			return row.Policy, []float64{row.LatAttainPct, row.BulkMBps / 10}
+		})
 		return GroupedBarChart("Workload: mixed tenant classes per policy",
 			"lat SLO attainment (%) / bulk goodput (10 MB/s)", groups,
 			[]string{"lat SLO %", "bulk 10MB/s"}, vals), nil
 
 	case *experiments.AblWorkloadBurstResult:
-		byAdmit := map[string]*stats.Series{}
-		var order []*stats.Series
-		for _, row := range r.Rows {
-			s := byAdmit[row.Admission]
-			if s == nil {
-				s = stats.NewSeries(row.Admission)
-				byAdmit[row.Admission] = s
-				order = append(order, s)
-			}
-			s.Add(float64(row.Factor), row.P99)
-		}
+		order := seriesBy(r.Rows, func(row experiments.AblWorkloadBurstRow) (string, float64, float64) {
+			return row.Admission, float64(row.Factor), row.P99
+		})
 		return LineChart("Workload: burstiness vs tail latency",
 			"burst factor (mean rate constant)", "p99 latency (µs)", order), nil
 
 	case *experiments.AblFungibleResult:
-		byPolicy := map[string]*stats.Series{}
-		var order []*stats.Series
-		for _, row := range r.Rows {
-			s := byPolicy[row.Policy]
-			if s == nil {
-				s = stats.NewSeries(row.Policy)
-				byPolicy[row.Policy] = s
-				order = append(order, s)
-			}
-			s.Add(float64(row.UtilPct), row.AttainPct)
-		}
+		order := seriesBy(r.Rows, func(row experiments.AblFungibleRow) (string, float64, float64) {
+			return row.Policy, float64(row.UtilPct), row.AttainPct
+		})
 		return LineChart("Fungible: SLO attainment vs bulk utilization",
 			"bulk offered load (% of link)", "SLO attainment (%)", order), nil
 
@@ -244,60 +186,33 @@ func RenderSVG(res experiments.Result) (string, error) {
 		// Crash-restart rows and policy-flip rows share the mixed-class
 		// columns, so one grouped frame covers both halves of the report.
 		rows := append(append([]experiments.AblRestartRow{}, r.Restart...), r.Flip...)
-		groups := make([]string, 0, len(rows))
-		vals := make([][]float64, 0, len(rows))
-		for _, row := range rows {
-			groups = append(groups, row.Config)
-			vals = append(vals, []float64{row.LatAttainPct, row.BulkMBps / 10})
-		}
+		groups, vals := bars(rows, func(row experiments.AblRestartRow) (string, []float64) {
+			return row.Config, []float64{row.LatAttainPct, row.BulkMBps / 10}
+		})
 		return GroupedBarChart("Restart: crash-restart and policy flip at T",
 			"lat SLO attainment (%) / bulk goodput (10 MB/s)", groups,
 			[]string{"lat SLO %", "bulk 10MB/s"}, vals), nil
 
 	case *experiments.AblShardSchedResult:
-		byMode := map[string]*stats.Series{}
-		var order []*stats.Series
-		for _, row := range r.Rows {
-			s := byMode[row.Mode]
-			if s == nil {
-				s = stats.NewSeries(row.Mode)
-				byMode[row.Mode] = s
-				order = append(order, s)
-			}
-			s.Add(float64(row.Shards), row.ConflictPct)
-		}
+		order := seriesBy(r.Rows, func(row experiments.AblShardSchedRow) (string, float64, float64) {
+			return row.Mode, float64(row.Shards), row.ConflictPct
+		})
 		return LineChart("Shard: conflict rate vs shard count",
 			"logical shards", "conflict rate (%)", order), nil
 
 	case *experiments.AblSimParResult:
 		// One series per shard count; the lines overlap exactly because
 		// the sharded runs are byte-identical — that overlap is the result.
-		byShards := map[int]*stats.Series{}
-		var order []*stats.Series
-		for _, row := range r.Rows {
-			s := byShards[row.Shards]
-			if s == nil {
-				s = stats.NewSeries(fmt.Sprintf("%d shards", row.Shards))
-				byShards[row.Shards] = s
-				order = append(order, s)
-			}
-			s.Add(float64(row.Sites), float64(row.Steps)/1e6)
-		}
+		order := seriesBy(r.Rows, func(row experiments.AblSimParRow) (string, float64, float64) {
+			return fmt.Sprintf("%d shards", row.Shards), float64(row.Sites), float64(row.Steps) / 1e6
+		})
 		return LineChart("SimPar: executed events vs fleet size per shard count",
 			"sites", "events (millions)", order), nil
 
 	case *experiments.AblScaleSetResult:
-		byMode := map[string]*stats.Series{}
-		var order []*stats.Series
-		for _, row := range r.Rows {
-			s := byMode[row.Mode]
-			if s == nil {
-				s = stats.NewSeries(row.Mode)
-				byMode[row.Mode] = s
-				order = append(order, s)
-			}
-			s.Add(float64(row.Shards), row.ConflictPct)
-		}
+		order := seriesBy(r.Rows, func(row experiments.AblScaleSetRow) (string, float64, float64) {
+			return row.Mode, float64(row.Shards), row.ConflictPct
+		})
 		return LineChart("ScaleSet: gang conflict rate vs shard count (admission 100%, partials 0)",
 			"logical shards", "conflict rate (%)", order), nil
 
@@ -321,27 +236,16 @@ func RenderSVG(res experiments.Result) (string, error) {
 			"diurnal slot", "requests received", order), nil
 
 	case *experiments.AblMixedCritResult:
-		byMode := map[string]*stats.Series{}
-		var order []*stats.Series
-		for _, row := range r.Rows {
-			s := byMode[row.Mode]
-			if s == nil {
-				s = stats.NewSeries(row.Mode)
-				byMode[row.Mode] = s
-				order = append(order, s)
-			}
-			s.Add(float64(row.PressPct), row.AttainPct)
-		}
+		order := seriesBy(r.Rows, func(row experiments.AblMixedCritRow) (string, float64, float64) {
+			return row.Mode, float64(row.PressPct), row.AttainPct
+		})
 		return LineChart("MixedCrit: critical SLO attainment vs memory pressure",
 			"offered memory traffic (% of budget)", "SLO attainment (%)", order), nil
 
 	case *experiments.SoftRTResult:
-		groups := make([]string, 0, len(r.Rows))
-		vals := make([][]float64, 0, len(r.Rows))
-		for _, row := range r.Rows {
-			groups = append(groups, row.Config)
-			vals = append(vals, []float64{row.MissRate * 100})
-		}
+		groups, vals := bars(r.Rows, func(row experiments.SoftRTRow) (string, []float64) {
+			return row.Config, []float64{row.MissRate * 100}
+		})
 		return GroupedBarChart("Extension: soft-real-time deadline misses",
 			"miss rate (%)", groups, []string{"miss rate"}, vals), nil
 
@@ -372,14 +276,32 @@ func resampleToIterations(s *stats.Series, iterations int) *stats.Series {
 	return out
 }
 
-// byteLabel renders a size like the paper's axis labels.
-func byteLabel(n int) string {
-	switch {
-	case n >= 1<<20 && n%(1<<20) == 0:
-		return fmt.Sprintf("%dMB", n>>20)
-	case n >= 1<<10:
-		return fmt.Sprintf("%dKB", n>>10)
-	default:
-		return fmt.Sprintf("%dB", n)
+// seriesBy groups rows into one line per key, in first-seen key order; each
+// row adds its (x, y) point to its key's series, named by the key.
+func seriesBy[R any](rows []R, point func(R) (key string, x, y float64)) []*stats.Series {
+	byKey := map[string]*stats.Series{}
+	var order []*stats.Series
+	for _, row := range rows {
+		key, x, y := point(row)
+		s := byKey[key]
+		if s == nil {
+			s = stats.NewSeries(key)
+			byKey[key] = s
+			order = append(order, s)
+		}
+		s.Add(x, y)
 	}
+	return order
+}
+
+// bars maps rows to a grouped bar chart's group labels and per-group values.
+func bars[R any](rows []R, group func(R) (label string, vals []float64)) ([]string, [][]float64) {
+	labels := make([]string, 0, len(rows))
+	vals := make([][]float64, 0, len(rows))
+	for _, row := range rows {
+		l, v := group(row)
+		labels = append(labels, l)
+		vals = append(vals, v)
+	}
+	return labels, vals
 }
