@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	benchex -buffer 64KB -requests 10000
+//	benchex -buffer 64KB -duration 500ms
 //	benchex -buffer 64KB -intf-buffer 2MB            # with interference
 //	benchex -buffer 64KB -intf-buffer 2MB -cap 3     # and a static cap
 //	benchex -policy ioshares -intf-buffer 2MB        # under ResEx
@@ -26,8 +26,9 @@ import (
 	"resex/internal/sim"
 )
 
-func parseSize(s string) (int, error) {
-	s = strings.ToUpper(strings.TrimSpace(s))
+// parseSize reads a positive byte size such as "64KB", "2MB" or "512B".
+func parseSize(arg string) (int, error) {
+	s := strings.ToUpper(strings.TrimSpace(arg))
 	mult := 1
 	switch {
 	case strings.HasSuffix(s, "MB"):
@@ -39,7 +40,10 @@ func parseSize(s string) (int, error) {
 	}
 	n, err := strconv.Atoi(s)
 	if err != nil {
-		return 0, fmt.Errorf("bad size %q", s)
+		return 0, fmt.Errorf("bad size %q", arg)
+	}
+	if n <= 0 {
+		return 0, fmt.Errorf("size %q is not positive", arg)
 	}
 	return n * mult, nil
 }

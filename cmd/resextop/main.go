@@ -186,7 +186,7 @@ func renderVMs(mgrs []*resex.Manager, last *seen, now sim.Time) {
 		if m == nil {
 			continue
 		}
-		interval := m.Config().Interval.Seconds()
+		interval := resex.Interval.Seconds()
 		for _, vm := range m.VMs() {
 			if !header {
 				fmt.Printf("%-4s %-22s %7s %10s %7s %6s %12s %6s %8s\n",

@@ -94,7 +94,7 @@ func run(policy resex.Policy) (repLatency float64, intfThroughputMBs float64) {
 	if _, err := mgr.Manage(intf.ServerVM.Dom, intf.Server.SendCQ(), 0); err != nil {
 		log.Fatal(err)
 	}
-	benchex.NewAgent(rep.Server, rep.ServerVM.Dom.ID(), mgr, benchex.AgentConfig{}).Start()
+	benchex.NewAgent(rep.Server, rep.ServerVM.Dom.ID(), mgr).Start()
 	rep.Start()
 	intf.Start()
 	mon.Start(tb.Eng)

@@ -54,7 +54,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// The trading VM's in-guest agent feeds latency reports to ResEx.
-	agent := benchex.NewAgent(trading.Server, trading.ServerVM.Dom.ID(), mgr, benchex.AgentConfig{})
+	agent := benchex.NewAgent(trading.Server, trading.ServerVM.Dom.ID(), mgr)
 
 	// 5. Run one virtual second.
 	trading.Start()

@@ -50,7 +50,7 @@ func deployment(consolidated bool, policy resex.Policy) benchex.ClientStats {
 		if _, err := mgr.Manage(gateway.ServerVM.Dom, gateway.Server.SendCQ(), 250); err != nil {
 			log.Fatal(err)
 		}
-		benchex.NewAgent(gateway.Server, gateway.ServerVM.Dom.ID(), mgr, benchex.AgentConfig{}).Start()
+		benchex.NewAgent(gateway.Server, gateway.ServerVM.Dom.ID(), mgr).Start()
 		mon.Start(tb.Eng)
 		mgr.Start()
 	}

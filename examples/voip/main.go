@@ -53,7 +53,7 @@ func run(withBulk, managed bool) softrt.Stats {
 		if _, err := mgr.Manage(trading.ServerVM.Dom, trading.Server.SendCQ(), 240); err != nil {
 			log.Fatal(err)
 		}
-		benchex.NewAgent(trading.Server, trading.ServerVM.Dom.ID(), mgr, benchex.AgentConfig{}).Start()
+		benchex.NewAgent(trading.Server, trading.ServerVM.Dom.ID(), mgr).Start()
 		trading.Start()
 		mon.Start(tb.Eng)
 		mgr.Start()

@@ -21,29 +21,18 @@ type ReportSink interface {
 	LatencyReport(r LatencyReport)
 }
 
-// AgentConfig parameterizes the in-VM monitoring agent.
-type AgentConfig struct {
-	// Period between reports. Default 1 ms (one ResEx charge interval).
-	Period sim.Time
+// The in-VM monitoring agent's fixed timing.
+const (
+	// AgentPeriod is the time between reports: one ResEx charge interval.
+	AgentPeriod = sim.Millisecond
 	// ReportCost is the CPU charged per report; the paper measures ~10 µs.
-	ReportCost sim.Time
-}
-
-func (c AgentConfig) withDefaults() AgentConfig {
-	if c.Period <= 0 {
-		c.Period = sim.Millisecond
-	}
-	if c.ReportCost == 0 {
-		c.ReportCost = 10 * sim.Microsecond
-	}
-	return c
-}
+	ReportCost = 10 * sim.Microsecond
+)
 
 // Agent runs inside the server VM, sharing its VCPU with the server loop,
 // and periodically forwards latency summaries to ResEx. Its CPU cost rides
 // on the VM like any other guest work.
 type Agent struct {
-	cfg     AgentConfig
 	server  *Server
 	dom     xen.DomID
 	sink    ReportSink
@@ -54,8 +43,8 @@ type Agent struct {
 
 // NewAgent creates an agent for the given server, reporting as the given
 // domain to the sink.
-func NewAgent(server *Server, dom xen.DomID, sink ReportSink, cfg AgentConfig) *Agent {
-	return &Agent{cfg: cfg.withDefaults(), server: server, dom: dom, sink: sink}
+func NewAgent(server *Server, dom xen.DomID, sink ReportSink) *Agent {
+	return &Agent{server: server, dom: dom, sink: sink}
 }
 
 // Reports returns how many reports the agent has sent.
@@ -69,14 +58,14 @@ func (a *Agent) Start() {
 	a.running = true
 	a.proc = a.server.eng.Go(a.server.cfg.Name+"-agent", func(p *sim.Proc) {
 		for a.running {
-			p.Sleep(a.cfg.Period)
+			p.Sleep(AgentPeriod)
 			w := a.server.drainWindow()
 			if w.Count() == 0 {
 				continue
 			}
 			// Reporting costs the VM CPU (the paper's ~10µs), so heavy
 			// reporting shows up as guest overhead, not as magic.
-			a.server.vcpu.Use(p, a.cfg.ReportCost)
+			a.server.vcpu.Use(p, ReportCost)
 			a.reports++
 			a.sink.LatencyReport(LatencyReport{
 				Domain: a.dom,

@@ -30,7 +30,7 @@ func TestConfigDefaults(t *testing.T) {
 		t.Errorf("64KB ProcessTime = %v, want 90µs", scfg.ProcessTime)
 	}
 	ccfg := app.Client.Config()
-	if ccfg.Window != 1 || ccfg.PrepTime != 5*sim.Microsecond {
+	if ccfg.Window != 1 || ccfg.BufferSize != 64<<10 {
 		t.Errorf("client defaults: %+v", ccfg)
 	}
 	tb.Eng.Shutdown()

@@ -263,12 +263,9 @@ func (c *Client) drawGap() sim.Time {
 // issue builds, encodes and posts one request.
 func (c *Client) issue(p *sim.Proc) {
 	req := c.gen.Next(c.eng.Now())
-	prep := c.cfg.PrepTime
-	if c.cfg.PrepJitter > 0 {
-		prep = sim.Time(float64(prep) * c.rng.Uniform(1-c.cfg.PrepJitter, 1+c.cfg.PrepJitter))
-		if prep < 1 {
-			prep = 1
-		}
+	prep := sim.Time(float64(PrepTime) * c.rng.Uniform(1-PrepJitter, 1+PrepJitter))
+	if prep < 1 {
+		prep = 1
 	}
 	c.vcpu.Use(p, prep)
 	req.SentAt = c.eng.Now() // timestamp after marshaling, right at post
@@ -314,8 +311,5 @@ func (c *Client) complete(p *sim.Proc, cqe hca.CQE) {
 	}
 	if err := c.postRecv(slot); err != nil {
 		panic(fmt.Sprintf("benchex: client repost: %v", err))
-	}
-	if c.cfg.ThinkTime > 0 {
-		c.vcpu.Use(p, c.cfg.ThinkTime)
 	}
 }

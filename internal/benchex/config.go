@@ -5,9 +5,10 @@
 // the simulated InfiniBand fabric. Clients generate timestamped transaction
 // requests (package trace), encode them into guest memory and SEND them to
 // the server; the server reaps requests FCFS from its receive completion
-// queue, runs real financial processing per request (package finance),
-// SENDs back a response of the application's configured buffer size, and
-// the client computes the end-to-end latency from its original timestamp.
+// queue, charges its VCPU a per-request processing time standing in for the
+// financial computation (ServerConfig.ProcessTime), SENDs back a response of
+// the application's configured buffer size, and the client computes the
+// end-to-end latency from its original timestamp.
 //
 // Server-side latency decomposes into the paper's three components
 // (Figure 2):
@@ -15,8 +16,8 @@
 //   - PTime: CQ polling time — from finishing the previous request to
 //     reaping the next one. Spinning burns VCPU; when the VM is capped or
 //     the incoming request is stuck behind fabric congestion, PTime grows.
-//   - CTime: compute time — financial processing, charged to the VCPU.
-//     Pinned VMs keep CTime constant under I/O interference.
+//   - CTime: compute time — the charged processing time. Pinned VMs keep
+//     CTime constant under I/O interference.
 //   - WTime: I/O wait — from posting the response until its send
 //     completion (RC ack), i.e. the time the HCA needs to push the
 //     response through the shared link. Congestion shows up here first.
@@ -28,6 +29,22 @@ package benchex
 import (
 	"resex/internal/sim"
 	"resex/internal/trace"
+)
+
+// The fixed CPU costs of BenchEx's guest-side work.
+const (
+	// PostCost is the server CPU charged per verbs post (doorbell + WQE
+	// build).
+	PostCost = 2 * sim.Microsecond
+	// InterruptCost is the server CPU charged per event-driven wakeup
+	// (interrupt + context switch).
+	InterruptCost = 5 * sim.Microsecond
+	// PrepTime is the client CPU charged to build and marshal one request.
+	PrepTime = 5 * sim.Microsecond
+	// PrepJitter adds a uniform ±fraction to PrepTime per request, modeling
+	// guest OS noise; it prevents unrealistic deterministic phase-locking
+	// between collocated closed loops.
+	PrepJitter = 0.1
 )
 
 // ServerConfig parameterizes a BenchEx server.
@@ -46,18 +63,11 @@ type ServerConfig struct {
 	// 100/BufferRatio exactly neutralizes an interferer, which requires the
 	// interferer's I/O rate to be proportional to its CPU rate.
 	ProcessTime sim.Time
-	// PostCost is the CPU charged per verbs post (doorbell + WQE build).
-	// Default 2 µs.
-	PostCost sim.Time
 	// RecvSlots is the number of receive buffers posted per client
 	// endpoint. Default 8.
 	RecvSlots int
 	// CQDepth sizes the completion queues. Default 1024.
 	CQDepth int
-	// ComputePrices enables real Black–Scholes evaluation of each request
-	// (the result is returned in the response). Default true; benchmarks
-	// that only shape traffic can disable it.
-	ComputePrices bool
 	// EventDriven makes the server block on completion events (the
 	// ibv_req_notify_cq interrupt path) instead of busy-polling. Each
 	// wakeup costs InterruptCost of CPU, but waiting consumes none — so an
@@ -65,9 +75,6 @@ type ServerConfig struct {
 	// work, at the price of per-event latency. The polling-vs-events
 	// ablation benchmark quantifies the trade.
 	EventDriven bool
-	// InterruptCost is the CPU charged per event-driven wakeup (interrupt
-	// + context switch). Default 5 µs.
-	InterruptCost sim.Time
 	// PipelineResponses makes the server fire-and-forget its responses:
 	// instead of spinning for each send completion (WTime), it reaps
 	// completions opportunistically and immediately polls for the next
@@ -102,17 +109,11 @@ func (c ServerConfig) withDefaults() ServerConfig {
 			c.ProcessTime = 10 * sim.Microsecond
 		}
 	}
-	if c.PostCost == 0 {
-		c.PostCost = 2 * sim.Microsecond
-	}
 	if c.RecvSlots <= 0 {
 		c.RecvSlots = 8
 	}
 	if c.CQDepth <= 0 {
 		c.CQDepth = 1024
-	}
-	if c.InterruptCost == 0 {
-		c.InterruptCost = 5 * sim.Microsecond
 	}
 	return c
 }
@@ -133,12 +134,6 @@ type ClientConfig struct {
 	// BufferSize is the request size in bytes (the application's buffer);
 	// must match the server's expectation. Default 64 KB.
 	BufferSize int
-	// PrepTime is the CPU charged to build and marshal one request.
-	// Default 5 µs.
-	PrepTime sim.Time
-	// ThinkTime is the CPU charged to process a response after measuring
-	// its latency. Default 0.
-	ThinkTime sim.Time
 	// Window is the number of outstanding requests (1 = strict closed
 	// loop; interference generators use more). Default 1.
 	Window int
@@ -155,11 +150,6 @@ type ClientConfig struct {
 	// the victim run at base latency — the bimodal spread of Figure 1.
 	// Implies open-loop pacing; overrides PoissonArrivals.
 	BurstyArrivals bool
-	// PrepJitter adds a uniform ±fraction to PrepTime per request (e.g.
-	// 0.1 = ±10%), modeling guest OS noise; it prevents unrealistic
-	// deterministic phase-locking between collocated closed loops.
-	// Default 0.1.
-	PrepJitter float64
 	// SLAUs, when positive, is the client's end-to-end latency SLA in µs:
 	// responses at or under it count toward ClientStats.OnTime, giving the
 	// geo/scenario experiments an exact integer attainment counter (float
@@ -181,20 +171,11 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	if c.BufferSize <= 0 {
 		c.BufferSize = 64 << 10
 	}
-	if c.PrepTime == 0 {
-		c.PrepTime = 5 * sim.Microsecond
-	}
 	if c.Window <= 0 {
 		c.Window = 1
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.PrepJitter == 0 {
-		c.PrepJitter = 0.1
-	}
-	if c.PrepJitter < 0 {
-		c.PrepJitter = 0
 	}
 	return c
 }

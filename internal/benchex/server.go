@@ -173,7 +173,7 @@ func (s *Server) awaitCQE(p *sim.Proc, cq *hca.CQ) (hca.CQE, bool) {
 	}
 	for s.running {
 		if e, ok := cq.Poll(); ok {
-			s.vcpu.Use(p, s.cfg.InterruptCost)
+			s.vcpu.Use(p, InterruptCost)
 			return e, true
 		}
 		cq.Signal().Wait(p) // blocked, VCPU idle: no budget burned
@@ -216,11 +216,6 @@ func (s *Server) run(p *sim.Proc) {
 			resp.Seq = req.Seq
 			resp.SentAt = req.SentAt
 			resp.Status = 0
-			if s.cfg.ComputePrices && req.Option.Valid() {
-				if price, perr := req.Option.Price(); perr == nil {
-					resp.Price = price
-				}
-			}
 		}
 		s.vcpu.Use(p, s.cfg.ProcessTime)
 		resp.ServerAt = s.eng.Now()
@@ -230,7 +225,7 @@ func (s *Server) run(p *sim.Proc) {
 		s.pd.Space().Write(ep.sendBuf, s.respScratch)
 		// Recycle the receive slot before responding, so a pipelined client
 		// always finds a buffer.
-		s.vcpu.Use(p, s.cfg.PostCost)
+		s.vcpu.Use(p, PostCost)
 		if err := s.postRecv(ep, slot); err != nil {
 			panic(fmt.Sprintf("benchex: repost recv: %v", err))
 		}
@@ -239,7 +234,7 @@ func (s *Server) run(p *sim.Proc) {
 		// ---- WTime: post the response; either spin on its completion or
 		// (pipelined) reap completions opportunistically.
 		t2 := s.eng.Now()
-		s.vcpu.Use(p, s.cfg.PostCost)
+		s.vcpu.Use(p, PostCost)
 		wr := hca.SendWR{
 			ID:        resp.Seq,
 			Op:        hca.OpSend,

@@ -18,6 +18,14 @@ import (
 	"resex/internal/xen"
 )
 
+// The fabric's fixed timing; every link carries fabric.DefaultMTU packets.
+const (
+	// LinkPropagation is the delay per hop.
+	LinkPropagation = 100 * sim.Nanosecond
+	// SwitchLatency is the forwarding delay.
+	SwitchLatency = 200 * sim.Nanosecond
+)
+
 // Config parameterizes a testbed.
 type Config struct {
 	// Hosts, when positive, pre-builds that many hosts (node ids 1..Hosts)
@@ -27,17 +35,11 @@ type Config struct {
 	// LinkBandwidth in bytes/second. Default 1 GB/s (8 Gbps effective
 	// payload rate of the paper's DDR link after 8b/10b).
 	LinkBandwidth float64
-	// LinkPropagation per hop. Default 100 ns.
-	LinkPropagation sim.Time
-	// SwitchLatency is the forwarding delay. Default 200 ns.
-	SwitchLatency sim.Time
 	// Discipline is the link arbitration (RoundRobin models IB virtual
 	// lanes; FIFO is the head-of-line-blocking ablation).
 	Discipline fabric.Discipline
 	// PCPUsPerHost sizes each host. Default 8.
 	PCPUsPerHost int
-	// MTU in bytes. Default 1024.
-	MTU int
 }
 
 // HostOptions overrides per-host parameters at AddHostOpts time. Zero
@@ -55,17 +57,8 @@ func (c Config) withDefaults() Config {
 	if c.LinkBandwidth <= 0 {
 		c.LinkBandwidth = 1e9
 	}
-	if c.LinkPropagation == 0 {
-		c.LinkPropagation = 100 * sim.Nanosecond
-	}
-	if c.SwitchLatency == 0 {
-		c.SwitchLatency = 200 * sim.Nanosecond
-	}
 	if c.PCPUsPerHost <= 0 {
 		c.PCPUsPerHost = 8
-	}
-	if c.MTU <= 0 {
-		c.MTU = fabric.DefaultMTU
 	}
 	return c
 }
@@ -108,7 +101,7 @@ func New(cfg Config) *Testbed {
 	eng := sim.New()
 	tb := &Testbed{
 		Eng:    eng,
-		Switch: fabric.NewSwitch(eng, cfg.SwitchLatency),
+		Switch: fabric.NewSwitch(eng, SwitchLatency),
 		cfg:    cfg,
 		hosts:  make(map[int]*hca.HCA),
 	}
@@ -117,9 +110,6 @@ func New(cfg Config) *Testbed {
 	}
 	return tb
 }
-
-// Config returns the effective testbed configuration.
-func (tb *Testbed) Config() Config { return tb.cfg }
 
 // AddHost creates a physical machine and attaches it to the switch. Node
 // ids must be unique.
@@ -148,15 +138,15 @@ func (tb *Testbed) AddHostOpts(node int, o HostOptions) *Host {
 	for i := 1; i < pcpus; i++ { // PCPU 0 is dom0's
 		h.free = append(h.free, i)
 	}
-	h.HCA = hca.New(tb.Eng, hca.Config{Node: node, MTU: tb.cfg.MTU})
+	h.HCA = hca.New(tb.Eng, hca.Config{Node: node})
 	h.HCA.SetPeerResolver(func(n int) *hca.HCA { return tb.hosts[n] })
 	h.Uplink = fabric.NewLink(tb.Eng, fmt.Sprintf("up%d", node), bw,
-		tb.cfg.LinkPropagation, tb.cfg.Discipline, tb.Switch.Inject)
+		LinkPropagation, tb.cfg.Discipline, tb.Switch.Inject)
 	h.Downlink = fabric.NewLink(tb.Eng, fmt.Sprintf("down%d", node), bw,
-		tb.cfg.LinkPropagation, tb.cfg.Discipline, h.HCA.Deliver)
+		LinkPropagation, tb.cfg.Discipline, h.HCA.Deliver)
 	h.HCA.SetUplink(h.Uplink)
 	tb.Switch.AttachNode(node, h.Downlink)
-	h.Backend = splitdriver.NewBackend(tb.Eng, h.HCA, h.Dom0VCPU(), splitdriver.Costs{})
+	h.Backend = splitdriver.NewBackend(tb.Eng, h.HCA, h.Dom0VCPU())
 	tb.hosts[node] = h.HCA
 	tb.Hosts = append(tb.Hosts, h)
 	return h

@@ -379,7 +379,7 @@ func TestAgentReporting(t *testing.T) {
 	}
 	var reports []benchex.LatencyReport
 	sink := sinkFunc(func(r benchex.LatencyReport) { reports = append(reports, r) })
-	agent := benchex.NewAgent(app.Server, app.ServerVM.Dom.ID(), sink, benchex.AgentConfig{})
+	agent := benchex.NewAgent(app.Server, app.ServerVM.Dom.ID(), sink)
 	app.Start()
 	agent.Start()
 	tb.Eng.RunUntil(50 * sim.Millisecond)

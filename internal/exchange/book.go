@@ -6,21 +6,25 @@ import (
 	"resex/internal/resos"
 )
 
-// BookConfig parameterizes a host's trade book.
-type BookConfig struct {
-	// Board configures the host's rate board.
-	Board BoardConfig
+// The trade book's fixed market rules.
+const (
 	// Reserve is the fraction of an unspent surplus a holder keeps off the
 	// market at the price floor (headroom against its own demand growing).
 	// The kept fraction scales with the dimension's price — min(1,
 	// Reserve·price) — so sellers hoard as congestion prices the asset:
 	// under slack, surplus trades freely; under real scarcity the market
 	// dries up and an overdrafted spender cannot buy its overdraft legal,
-	// leaving it exposed to the policy's pace enforcement. Default 0.25.
-	Reserve float64
+	// leaving it exposed to the policy's pace enforcement.
+	Reserve = 0.25
 	// MinTrade is the smallest entitlement block worth trading; smaller
-	// deficits and offers are ignored. Default 64 Resos.
-	MinTrade resos.Amount
+	// deficits and offers are ignored.
+	MinTrade resos.Amount = 64
+)
+
+// BookConfig parameterizes a host's trade book.
+type BookConfig struct {
+	// Board configures the host's rate board.
+	Board BoardConfig
 	// Capacity optionally pins a dimension's utilization reference to the
 	// host's physical per-epoch capacity (e.g. link bytes per epoch in
 	// MTUs). Zero entries fall back to the holders' total base grant —
@@ -32,12 +36,6 @@ type BookConfig struct {
 
 func (c BookConfig) withDefaults() BookConfig {
 	c.Board = c.Board.withDefaults()
-	if c.Reserve <= 0 || c.Reserve >= 1 {
-		c.Reserve = 0.25
-	}
-	if c.MinTrade <= 0 {
-		c.MinTrade = 64
-	}
 	return c
 }
 
@@ -239,7 +237,7 @@ func (bk *Book) CloseEpoch() EpochReport {
 			if diff > 0 {
 				p.deficit[d] = diff
 			} else {
-				keepFrac := bk.cfg.Reserve * rep.Price[d]
+				keepFrac := Reserve * rep.Price[d]
 				if keepFrac > 1 {
 					keepFrac = 1
 				}
@@ -280,11 +278,11 @@ func (bk *Book) CloseEpoch() EpochReport {
 				if si == bi {
 					continue
 				}
-				if b.deficit[buy] < bk.cfg.MinTrade || b.sellable[pay] < bk.cfg.MinTrade {
+				if b.deficit[buy] < MinTrade || b.sellable[pay] < MinTrade {
 					break
 				}
 				s := &pos[si]
-				if s.sellable[buy] < bk.cfg.MinTrade {
+				if s.sellable[buy] < MinTrade {
 					continue
 				}
 				budget := resos.Amount(float64(b.sellable[pay]) / rate)
@@ -295,7 +293,7 @@ func (bk *Book) CloseEpoch() EpochReport {
 				if budget < q {
 					q = budget
 				}
-				if q < bk.cfg.MinTrade {
+				if q < MinTrade {
 					continue
 				}
 				payAmt := resos.Amount(math.Ceil(float64(q) * rate))

@@ -154,24 +154,26 @@ func (r *AblEventsResult) Title() string {
 
 // WriteText implements Result.
 func (r *AblEventsResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s\n\n%-10s %-6s %12s %12s\n", r.Title(), "mode", "cap%", "latency(µs)", "req/s")
+	ew := &errWriter{w: w}
+	ew.printf("%s\n\n%-10s %-6s %12s %12s\n", r.Title(), "mode", "cap%", "latency(µs)", "req/s")
 	for _, row := range r.Rows {
 		cap := fmt.Sprintf("%d", row.Cap)
 		if row.Cap == 0 {
 			cap = "-"
 		}
-		fmt.Fprintf(w, "%-10s %-6s %12.1f %12.0f\n", row.Mode, cap, row.Mean, row.ReqPerS)
+		ew.printf("%-10s %-6s %12.1f %12.0f\n", row.Mode, cap, row.Mean, row.ReqPerS)
 	}
-	return nil
+	return ew.err
 }
 
 // WriteCSV implements Result.
 func (r *AblEventsResult) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "mode,cap_pct,latency_us,req_per_s")
+	ew := &errWriter{w: w}
+	ew.printf("mode,cap_pct,latency_us,req_per_s\n")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%s,%d,%g,%g\n", row.Mode, row.Cap, row.Mean, row.ReqPerS)
+		ew.printf("%s,%d,%g,%g\n", row.Mode, row.Cap, row.Mean, row.ReqPerS)
 	}
-	return nil
+	return ew.err
 }
 
 // AblEvents sweeps caps {0, 25, 10} over the two completion modes of a

@@ -26,23 +26,25 @@ func (r *Fig1Result) Title() string {
 
 // WriteText implements Result.
 func (r *Fig1Result) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s\n\n", r.Title())
-	fmt.Fprintf(w, "Normal server:     mean %.1f µs, std %.1f µs, mode %.0f µs\n",
+	ew := &errWriter{w: w}
+	ew.printf("%s\n\n", r.Title())
+	ew.printf("Normal server:     mean %.1f µs, std %.1f µs, mode %.0f µs\n",
 		r.NormalMean, r.NormalStd, r.Normal.Mode())
-	fmt.Fprint(w, r.Normal.Render(50))
-	fmt.Fprintf(w, "\nInterfered server: mean %.1f µs, std %.1f µs, mode %.0f µs\n",
+	ew.printf("%s", r.Normal.Render(50))
+	ew.printf("\nInterfered server: mean %.1f µs, std %.1f µs, mode %.0f µs\n",
 		r.InterferedMean, r.InterferedStd, r.Interfered.Mode())
-	fmt.Fprint(w, r.Interfered.Render(50))
-	return nil
+	ew.printf("%s", r.Interfered.Render(50))
+	return ew.err
 }
 
 // WriteCSV implements Result.
 func (r *Fig1Result) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "latency_us,normal_count,interfered_count")
+	ew := &errWriter{w: w}
+	ew.printf("latency_us,normal_count,interfered_count\n")
 	for i := 0; i < r.Normal.Buckets(); i++ {
-		fmt.Fprintf(w, "%g,%d,%d\n", r.Normal.BucketLo(i), r.Normal.BucketCount(i), r.Interfered.BucketCount(i))
+		ew.printf("%g,%d,%d\n", r.Normal.BucketLo(i), r.Normal.BucketCount(i), r.Interfered.BucketCount(i))
 	}
-	return nil
+	return ew.err
 }
 
 // fig1Side is one half of Figure 1: the latency distribution of the
@@ -120,27 +122,29 @@ func (r *Fig2Result) Title() string {
 
 // WriteText implements Result.
 func (r *Fig2Result) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s\n\n", r.Title())
-	fmt.Fprintf(w, "%-8s %-6s %12s %12s %12s %10s\n", "servers", "load", "CTime(µs)", "WTime(µs)", "PTime(µs)", "total")
+	ew := &errWriter{w: w}
+	ew.printf("%s\n\n", r.Title())
+	ew.printf("%-8s %-6s %12s %12s %12s %10s\n", "servers", "load", "CTime(µs)", "WTime(µs)", "PTime(µs)", "total")
 	for _, row := range r.Rows {
 		load := "-"
 		if row.Loaded {
 			load = "yes"
 		}
-		fmt.Fprintf(w, "%-8d %-6s %7.1f±%-4.0f %7.1f±%-4.0f %7.1f±%-4.0f %10.1f\n",
+		ew.printf("%-8d %-6s %7.1f±%-4.0f %7.1f±%-4.0f %7.1f±%-4.0f %10.1f\n",
 			row.Servers, load, row.CTime, row.CStd, row.WTime, row.WStd, row.PTime, row.PStd, row.Total())
 	}
-	return nil
+	return ew.err
 }
 
 // WriteCSV implements Result.
 func (r *Fig2Result) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "servers,loaded,ctime_us,ctime_std,wtime_us,wtime_std,ptime_us,ptime_std")
+	ew := &errWriter{w: w}
+	ew.printf("servers,loaded,ctime_us,ctime_std,wtime_us,wtime_std,ptime_us,ptime_std\n")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%d,%v,%g,%g,%g,%g,%g,%g\n",
+		ew.printf("%d,%v,%g,%g,%g,%g,%g,%g\n",
 			row.Servers, row.Loaded, row.CTime, row.CStd, row.WTime, row.WStd, row.PTime, row.PStd)
 	}
-	return nil
+	return ew.err
 }
 
 // Fig2 sweeps 1–3 collocated 64KB servers, each with its own client,
@@ -211,22 +215,24 @@ func (r *Fig3Result) Title() string {
 
 // WriteText implements Result.
 func (r *Fig3Result) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s\n\n", r.Title())
-	fmt.Fprintf(w, "%-14s %-5s %10s %10s %10s %10s\n", "ratio(buffer)", "cap%", "CTime", "WTime", "PTime", "total(µs)")
+	ew := &errWriter{w: w}
+	ew.printf("%s\n\n", r.Title())
+	ew.printf("%-14s %-5s %10s %10s %10s %10s\n", "ratio(buffer)", "cap%", "CTime", "WTime", "PTime", "total(µs)")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%3d(%-8s) %-5d %10.1f %10.1f %10.1f %10.1f\n",
+		ew.printf("%3d(%-8s) %-5d %10.1f %10.1f %10.1f %10.1f\n",
 			row.BufferRatio, ByteSize(row.IntfBuffer), row.Cap, row.CTime, row.WTime, row.PTime, row.Total())
 	}
-	return nil
+	return ew.err
 }
 
 // WriteCSV implements Result.
 func (r *Fig3Result) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "buffer_ratio,intf_buffer,cap_pct,ctime_us,wtime_us,ptime_us")
+	ew := &errWriter{w: w}
+	ew.printf("buffer_ratio,intf_buffer,cap_pct,ctime_us,wtime_us,ptime_us\n")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%d,%d,%d,%g,%g,%g\n", row.BufferRatio, row.IntfBuffer, row.Cap, row.CTime, row.WTime, row.PTime)
+		ew.printf("%d,%d,%d,%g,%g,%g\n", row.BufferRatio, row.IntfBuffer, row.Cap, row.CTime, row.WTime, row.PTime)
 	}
-	return nil
+	return ew.err
 }
 
 // Fig3 sweeps the interferer buffer from 2MB down to 64KB, statically
@@ -285,25 +291,27 @@ func (r *Fig4Result) Title() string {
 
 // WriteText implements Result.
 func (r *Fig4Result) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s\n\n", r.Title())
-	fmt.Fprintf(w, "%-8s %10s %10s %10s %10s\n", "cap%", "CTime", "WTime", "PTime", "total(µs)")
+	ew := &errWriter{w: w}
+	ew.printf("%s\n\n", r.Title())
+	ew.printf("%-8s %10s %10s %10s %10s\n", "cap%", "CTime", "WTime", "PTime", "total(µs)")
 	for _, row := range r.Rows {
 		label := fmt.Sprintf("%d", row.Cap)
 		if row.Cap == 0 {
 			label = "Base"
 		}
-		fmt.Fprintf(w, "%-8s %10.1f %10.1f %10.1f %10.1f\n", label, row.CTime, row.WTime, row.PTime, row.Total())
+		ew.printf("%-8s %10.1f %10.1f %10.1f %10.1f\n", label, row.CTime, row.WTime, row.PTime, row.Total())
 	}
-	return nil
+	return ew.err
 }
 
 // WriteCSV implements Result.
 func (r *Fig4Result) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "cap_pct,ctime_us,wtime_us,ptime_us")
+	ew := &errWriter{w: w}
+	ew.printf("cap_pct,ctime_us,wtime_us,ptime_us\n")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%d,%g,%g,%g\n", row.Cap, row.CTime, row.WTime, row.PTime)
+		ew.printf("%d,%g,%g,%g\n", row.Cap, row.CTime, row.WTime, row.PTime)
 	}
-	return nil
+	return ew.err
 }
 
 // Fig4 sweeps the interferer's static cap 100,90,…,10,3 and adds the Base

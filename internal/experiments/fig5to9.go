@@ -42,23 +42,24 @@ func (r *TimelineResult) Title() string {
 
 // WriteText implements Result.
 func (r *TimelineResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s\n\n", r.Title())
-	fmt.Fprintf(w, "Base latency 64KB VM:        %8.1f µs (std %.1f)\n", r.BaseMean, r.BaseStd)
-	fmt.Fprintf(w, "Interfered latency 64KB VM:  %8.1f µs (std %.1f)\n", r.IntfMean, r.IntfStd)
-	fmt.Fprintf(w, "%s latency 64KB VM:  %8.1f µs (std %.1f)\n", r.PolicyName, r.PolicyMean, r.PolicyStd)
+	ew := &errWriter{w: w}
+	ew.printf("%s\n\n", r.Title())
+	ew.printf("Base latency 64KB VM:        %8.1f µs (std %.1f)\n", r.BaseMean, r.BaseStd)
+	ew.printf("Interfered latency 64KB VM:  %8.1f µs (std %.1f)\n", r.IntfMean, r.IntfStd)
+	ew.printf("%s latency 64KB VM:  %8.1f µs (std %.1f)\n", r.PolicyName, r.PolicyMean, r.PolicyStd)
 	if r.IntfMean > r.BaseMean {
 		rec := (r.IntfMean - r.PolicyMean) / (r.IntfMean - r.BaseMean) * 100
-		fmt.Fprintf(w, "Interference recovered:      %8.0f %%\n", rec)
+		ew.printf("Interference recovered:      %8.0f %%\n", rec)
 	}
-	fmt.Fprintf(w, "\nLatency vs iteration (downsampled to 20 buckets, µs):\n")
+	ew.printf("\nLatency vs iteration (downsampled to 20 buckets, µs):\n")
 	for _, p := range r.Latency.Downsample(20).Points() {
-		fmt.Fprintf(w, "  iter %7.0f: %7.1f\n", p.X, p.Y)
+		ew.printf("  iter %7.0f: %7.1f\n", p.X, p.Y)
 	}
 	if last, ok := r.IntfCap.Last(); ok {
 		caps := r.IntfCap.YSummary()
-		fmt.Fprintf(w, "\n2MB VM cap: min %.0f%%, mean %.0f%%, final %.0f%%\n", caps.Min(), caps.Mean(), last.Y)
+		ew.printf("\n2MB VM cap: min %.0f%%, mean %.0f%%, final %.0f%%\n", caps.Min(), caps.Mean(), last.Y)
 	}
-	return nil
+	return ew.err
 }
 
 // WriteCSV implements Result.
@@ -203,21 +204,22 @@ func (r *Fig6Result) Title() string {
 
 // WriteText implements Result.
 func (r *Fig6Result) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s\n\n", r.Title())
-	fmt.Fprintf(w, "Per-epoch allocation per VM: %.0f Resos\n", r.Allocation)
-	fmt.Fprintf(w, "64KB VM minimum balance:  %6.1f%% of allocation (never capped: %v)\n",
+	ew := &errWriter{w: w}
+	ew.printf("%s\n\n", r.Title())
+	ew.printf("Per-epoch allocation per VM: %.0f Resos\n", r.Allocation)
+	ew.printf("64KB VM minimum balance:  %6.1f%% of allocation (never capped: %v)\n",
 		r.RepMinFraction*100, r.Timeline.RepCap.YSummary().Min() >= 100)
-	fmt.Fprintf(w, "2MB  VM minimum balance:  %6.1f%% of allocation (cap engaged: %v)\n",
+	ew.printf("2MB  VM minimum balance:  %6.1f%% of allocation (cap engaged: %v)\n",
 		r.IntfMinFraction*100, r.IntfCapEngaged)
-	fmt.Fprintf(w, "\nInterval series (downsampled, balance Resos / cap %%):\n")
+	ew.printf("\nInterval series (downsampled, balance Resos / cap %%):\n")
 	rr := r.Timeline.RepResos.Downsample(20).Points()
 	ir := r.Timeline.IntfResos.Downsample(20).Points()
 	ic := r.Timeline.IntfCap.Downsample(20).Points()
-	fmt.Fprintf(w, "  %-10s %12s %12s %10s\n", "interval", "64KB resos", "2MB resos", "2MB cap%")
+	ew.printf("  %-10s %12s %12s %10s\n", "interval", "64KB resos", "2MB resos", "2MB cap%")
 	for i := range rr {
-		fmt.Fprintf(w, "  %-10.0f %12.0f %12.0f %10.0f\n", rr[i].X, rr[i].Y, ir[i].Y, ic[i].Y)
+		ew.printf("  %-10.0f %12.0f %12.0f %10.0f\n", rr[i].X, rr[i].Y, ir[i].Y, ic[i].Y)
 	}
-	return nil
+	return ew.err
 }
 
 // WriteCSV implements Result.
@@ -359,21 +361,23 @@ func (r *Fig9Result) Title() string {
 
 // WriteText implements Result.
 func (r *Fig9Result) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s\n\n", r.Title())
-	fmt.Fprintf(w, "%-10s %12s %12s %12s\n", "buffer", "Base(µs)", "FreeMarket", "IOShares")
+	ew := &errWriter{w: w}
+	ew.printf("%s\n\n", r.Title())
+	ew.printf("%-10s %12s %12s %12s\n", "buffer", "Base(µs)", "FreeMarket", "IOShares")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-10s %12.1f %12.1f %12.1f\n", ByteSize(row.Buffer), row.Base, row.FreeMarket, row.IOShares)
+		ew.printf("%-10s %12.1f %12.1f %12.1f\n", ByteSize(row.Buffer), row.Base, row.FreeMarket, row.IOShares)
 	}
-	return nil
+	return ew.err
 }
 
 // WriteCSV implements Result.
 func (r *Fig9Result) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "buffer,base_us,freemarket_us,ioshares_us")
+	ew := &errWriter{w: w}
+	ew.printf("buffer,base_us,freemarket_us,ioshares_us\n")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%d,%g,%g,%g\n", row.Buffer, row.Base, row.FreeMarket, row.IOShares)
+		ew.printf("%d,%g,%g,%g\n", row.Buffer, row.Base, row.FreeMarket, row.IOShares)
 	}
-	return nil
+	return ew.err
 }
 
 // Fig9 sweeps the interferer buffer (64KB–1MB, as in the paper) under no

@@ -105,31 +105,33 @@ func (r *AblGeoDiurnalResult) Title() string {
 
 // WriteText implements Result.
 func (r *AblGeoDiurnalResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s (%d zones, period %.1f ms)\n", r.Title(), r.Zones, r.PeriodMs)
+	ew := &errWriter{w: w}
+	ew.printf("%s (%d zones, period %.1f ms)\n", r.Title(), r.Zones, r.PeriodMs)
 	for _, c := range r.Cells {
-		fmt.Fprintf(w, "\nshards=%d windows=%d msgs=%d received=%d ontime=%d attain=%.1f%% moves=%d stays=%d fp=%s\n",
+		ew.printf("\nshards=%d windows=%d msgs=%d received=%d ontime=%d attain=%.1f%% moves=%d stays=%d fp=%s\n",
 			c.Shards, c.Windows, c.Messages, c.Received, c.OnTime, c.AttainPct, c.Moves, c.Stays, c.FP)
-		fmt.Fprintf(w, "  %4s %9s %8s %8s %8s %9s %6s\n",
+		ew.printf("  %4s %9s %8s %8s %8s %9s %6s\n",
 			"slot", "received", "ontime", "attain%", "served", "repl_srv", "units")
 		for _, z := range c.PerZone {
-			fmt.Fprintf(w, "  %4d %9d %8d %8.1f %8d %9d %6d\n",
+			ew.printf("  %4d %9d %8d %8.1f %8d %9d %6d\n",
 				z.Slot, z.Received, z.OnTime, z.AttainPct, z.Served, z.ReplServed, z.Units)
 		}
 	}
-	return nil
+	return ew.err
 }
 
 // WriteCSV implements Result.
 func (r *AblGeoDiurnalResult) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "shards,slot,received,ontime,attain_pct,served,repl_served,units,windows,messages,moves,stays,fleet_received,fleet_ontime,fp")
+	ew := &errWriter{w: w}
+	ew.printf("shards,slot,received,ontime,attain_pct,served,repl_served,units,windows,messages,moves,stays,fleet_received,fleet_ontime,fp\n")
 	for _, c := range r.Cells {
 		for _, z := range c.PerZone {
-			fmt.Fprintf(w, "%d,%d,%d,%d,%g,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s\n",
+			ew.printf("%d,%d,%d,%d,%g,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s\n",
 				c.Shards, z.Slot, z.Received, z.OnTime, z.AttainPct, z.Served, z.ReplServed, z.Units,
 				c.Windows, c.Messages, c.Moves, c.Stays, c.Received, c.OnTime, c.FP)
 		}
 	}
-	return nil
+	return ew.err
 }
 
 // GeoFleet is a built geo-diurnal ring: abl-simpar's geo ring keyed by slot,

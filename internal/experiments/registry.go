@@ -15,63 +15,38 @@ type Entry struct {
 // registry maps figure ids to drivers.
 var registry = map[string]Entry{}
 
-func register(id, title string, run func(Options) (Result, error)) {
-	registry[id] = Entry{ID: id, Title: title, Run: run}
+// register adds a driver, whatever concrete result type it returns.
+func register[R Result](id, title string, run func(Options) (R, error)) {
+	registry[id] = Entry{ID: id, Title: title, Run: func(o Options) (Result, error) { return run(o) }}
 }
 
 func init() {
-	register("fig1", "Latency distribution, Normal vs Interfered",
-		func(o Options) (Result, error) { return Fig1(o) })
-	register("fig2", "Latency components vs number of servers",
-		func(o Options) (Result, error) { return Fig2(o) })
-	register("fig3", "Latency vs buffer ratio with cap = 100/BR",
-		func(o Options) (Result, error) { return Fig3(o) })
-	register("fig4", "Latency vs interferer CPU cap",
-		func(o Options) (Result, error) { return Fig4(o) })
-	register("fig5", "FreeMarket timeline",
-		func(o Options) (Result, error) { return Fig5(o) })
-	register("fig6", "Reso depletion under FreeMarket",
-		func(o Options) (Result, error) { return Fig6(o) })
-	register("fig7", "IOShares timeline",
-		func(o Options) (Result, error) { return Fig7(o) })
-	register("fig8", "Non-interference cases",
-		func(o Options) (Result, error) { return Fig8(o) })
-	register("fig9", "Policies vs interfering buffer size",
-		func(o Options) (Result, error) { return Fig9(o) })
-	register("abl-arb", "Ablation: link arbitration discipline",
-		func(o Options) (Result, error) { return AblArb(o) })
-	register("abl-mech", "Ablation: CPU cap vs NIC rate limit",
-		func(o Options) (Result, error) { return AblMech(o) })
-	register("abl-events", "Ablation: polling vs event-driven completions",
-		func(o Options) (Result, error) { return AblEvents(o) })
-	register("abl-capacity", "Ablation: consolidation density within SLA",
-		func(o Options) (Result, error) { return AblCapacity(o) })
-	register("abl-placement", "Ablation: interference-aware placement and live migration",
-		func(o Options) (Result, error) { return AblPlacement(o) })
-	register("abl-faults", "Ablation: fault injection and graceful degradation",
-		func(o Options) (Result, error) { return AblFaults(o) })
-	register("abl-workload", "Workload: p99 latency vs offered load (open loop)",
-		func(o Options) (Result, error) { return AblWorkload(o) })
-	register("abl-workload-burst", "Workload: SLO attainment vs burstiness and shedding",
-		func(o Options) (Result, error) { return AblWorkloadBurst(o) })
-	register("abl-workload-mix", "Workload: mixed tenant classes, SLO attainment per policy",
-		func(o Options) (Result, error) { return AblWorkloadMix(o) })
-	register("abl-fungible", "Fungible: congestion-priced Reso economy vs IOShares/FreeMarket on a heterogeneous fleet",
-		func(o Options) (Result, error) { return AblFungible(o) })
-	register("abl-restart", "Restart: crash-restart determinism and mid-run policy flip",
-		func(o Options) (Result, error) { return AblRestart(o) })
-	register("abl-shardsched", "Shard: optimistic multi-shard placement, conflict rate vs shard count",
-		func(o Options) (Result, error) { return AblShardSched(o) })
-	register("abl-simpar", "SimPar: host-sharded conservative simulation, determinism across shard counts",
-		func(o Options) (Result, error) { return AblSimPar(o) })
-	register("abl-scaleset", "ScaleSet: gang-placed scale-sets, all-or-nothing admission vs shard count",
-		func(o Options) (Result, error) { return AblScaleSet(o) })
-	register("abl-geodiurnal", "GeoDiurnal: phase-shifted diurnal zones over the simpar backbone, sun-chasing rebalancer",
-		func(o Options) (Result, error) { return AblGeoDiurnal(o) })
-	register("abl-mixedcrit", "MixedCrit: memory-bandwidth third dimension on a mixed-criticality host",
-		func(o Options) (Result, error) { return AblMixedCrit(o) })
-	register("softrt", "Extension: soft-real-time stream deadline misses",
-		func(o Options) (Result, error) { return SoftRT(o) })
+	register("fig1", "Latency distribution, Normal vs Interfered", Fig1)
+	register("fig2", "Latency components vs number of servers", Fig2)
+	register("fig3", "Latency vs buffer ratio with cap = 100/BR", Fig3)
+	register("fig4", "Latency vs interferer CPU cap", Fig4)
+	register("fig5", "FreeMarket timeline", Fig5)
+	register("fig6", "Reso depletion under FreeMarket", Fig6)
+	register("fig7", "IOShares timeline", Fig7)
+	register("fig8", "Non-interference cases", Fig8)
+	register("fig9", "Policies vs interfering buffer size", Fig9)
+	register("abl-arb", "Ablation: link arbitration discipline", AblArb)
+	register("abl-mech", "Ablation: CPU cap vs NIC rate limit", AblMech)
+	register("abl-events", "Ablation: polling vs event-driven completions", AblEvents)
+	register("abl-capacity", "Ablation: consolidation density within SLA", AblCapacity)
+	register("abl-placement", "Ablation: interference-aware placement and live migration", AblPlacement)
+	register("abl-faults", "Ablation: fault injection and graceful degradation", AblFaults)
+	register("abl-workload", "Workload: p99 latency vs offered load (open loop)", AblWorkload)
+	register("abl-workload-burst", "Workload: SLO attainment vs burstiness and shedding", AblWorkloadBurst)
+	register("abl-workload-mix", "Workload: mixed tenant classes, SLO attainment per policy", AblWorkloadMix)
+	register("abl-fungible", "Fungible: congestion-priced Reso economy vs IOShares/FreeMarket on a heterogeneous fleet", AblFungible)
+	register("abl-restart", "Restart: crash-restart determinism and mid-run policy flip", AblRestart)
+	register("abl-shardsched", "Shard: optimistic multi-shard placement, conflict rate vs shard count", AblShardSched)
+	register("abl-simpar", "SimPar: host-sharded conservative simulation, determinism across shard counts", AblSimPar)
+	register("abl-scaleset", "ScaleSet: gang-placed scale-sets, all-or-nothing admission vs shard count", AblScaleSet)
+	register("abl-geodiurnal", "GeoDiurnal: phase-shifted diurnal zones over the simpar backbone, sun-chasing rebalancer", AblGeoDiurnal)
+	register("abl-mixedcrit", "MixedCrit: memory-bandwidth third dimension on a mixed-criticality host", AblMixedCrit)
+	register("softrt", "Extension: soft-real-time stream deadline misses", SoftRT)
 }
 
 // Lookup returns the entry for an id ("fig1".."fig9").

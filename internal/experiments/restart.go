@@ -66,37 +66,39 @@ func (r *AblRestartResult) Title() string {
 
 // WriteText implements Result.
 func (r *AblRestartResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s (T=%s)\n", r.Title(), sim.Time(r.SnapshotAtNs))
-	fmt.Fprintf(w, "\ncrash-restart (kill at T, snapshot, restore, run to end):\n")
-	fmt.Fprintf(w, "%-21s %12s %11s %9s %12s\n",
+	ew := &errWriter{w: w}
+	ew.printf("%s (T=%s)\n", r.Title(), sim.Time(r.SnapshotAtNs))
+	ew.printf("\ncrash-restart (kill at T, snapshot, restore, run to end):\n")
+	ew.printf("%-21s %12s %11s %9s %12s\n",
 		"run", "lat p99(µs)", "lat SLO(%)", "lat/s", "bulk(MB/s)")
 	for _, row := range r.Restart {
-		fmt.Fprintf(w, "%-21s %12.0f %11.1f %9.0f %12.1f\n",
+		ew.printf("%-21s %12.0f %11.1f %9.0f %12.1f\n",
 			row.Config, row.LatP99, row.LatAttainPct, row.LatCompletedPerSec, row.BulkMBps)
 	}
-	fmt.Fprintf(w, "resume byte-identical to uninterrupted run: %v\n", r.Identical)
-	fmt.Fprintf(w, "\npolicy flip at T (epoch-aligned swap):\n")
-	fmt.Fprintf(w, "%-21s %12s %11s %9s %12s\n",
+	ew.printf("resume byte-identical to uninterrupted run: %v\n", r.Identical)
+	ew.printf("\npolicy flip at T (epoch-aligned swap):\n")
+	ew.printf("%-21s %12s %11s %9s %12s\n",
 		"config", "lat p99(µs)", "lat SLO(%)", "lat/s", "bulk(MB/s)")
 	for _, row := range r.Flip {
-		fmt.Fprintf(w, "%-21s %12.0f %11.1f %9.0f %12.1f\n",
+		ew.printf("%-21s %12.0f %11.1f %9.0f %12.1f\n",
 			row.Config, row.LatP99, row.LatAttainPct, row.LatCompletedPerSec, row.BulkMBps)
 	}
-	return nil
+	return ew.err
 }
 
 // WriteCSV implements Result.
 func (r *AblRestartResult) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "section,config,lat_p99_us,lat_slo_attain_pct,lat_completed_per_sec,bulk_mbps,identical")
+	ew := &errWriter{w: w}
+	ew.printf("section,config,lat_p99_us,lat_slo_attain_pct,lat_completed_per_sec,bulk_mbps,identical\n")
 	for _, row := range r.Restart {
-		fmt.Fprintf(w, "restart,%s,%g,%g,%g,%g,%v\n",
+		ew.printf("restart,%s,%g,%g,%g,%g,%v\n",
 			row.Config, row.LatP99, row.LatAttainPct, row.LatCompletedPerSec, row.BulkMBps, r.Identical)
 	}
 	for _, row := range r.Flip {
-		fmt.Fprintf(w, "flip,%s,%g,%g,%g,%g,\n",
+		ew.printf("flip,%s,%g,%g,%g,%g,\n",
 			row.Config, row.LatP99, row.LatAttainPct, row.LatCompletedPerSec, row.BulkMBps)
 	}
-	return nil
+	return ew.err
 }
 
 // runRestartCell runs the mixed-class scenario (one latency-sensitive

@@ -198,7 +198,7 @@ func Build(cfg ScenarioConfig) (*Scenario, error) {
 				return nil, err
 			}
 			s.agents = append(s.agents,
-				benchex.NewAgent(app.Server, app.ServerVM.Dom.ID(), s.Mgr, benchex.AgentConfig{}))
+				benchex.NewAgent(app.Server, app.ServerVM.Dom.ID(), s.Mgr))
 		}
 	}
 

@@ -162,7 +162,7 @@ func buildGeoRing(specs []geoSiteSpec, shards, workers int) (*geoRing, error) {
 		if _, err := s.mgr.Manage(local.ServerVM.Dom, local.Server.SendCQ(), BaseSLAUs); err != nil {
 			return nil, err
 		}
-		s.agent = benchex.NewAgent(local.Server, local.ServerVM.Dom.ID(), s.mgr, benchex.AgentConfig{})
+		s.agent = benchex.NewAgent(local.Server, local.ServerVM.Dom.ID(), s.mgr)
 		r.sites = append(r.sites, s)
 	}
 

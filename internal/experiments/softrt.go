@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 
 	"resex/internal/benchex"
@@ -38,22 +37,24 @@ func (r *SoftRTResult) Title() string {
 
 // WriteText implements Result.
 func (r *SoftRTResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "%s (deadline %.0f µs)\n\n", r.Title(), r.DeadlineUs)
-	fmt.Fprintf(w, "%-24s %10s %12s %12s\n", "deployment", "miss rate", "latency(µs)", "jitter(µs)")
+	ew := &errWriter{w: w}
+	ew.printf("%s (deadline %.0f µs)\n\n", r.Title(), r.DeadlineUs)
+	ew.printf("%-24s %10s %12s %12s\n", "deployment", "miss rate", "latency(µs)", "jitter(µs)")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-24s %9.1f%% %12.1f %12.1f\n",
+		ew.printf("%-24s %9.1f%% %12.1f %12.1f\n",
 			row.Config, row.MissRate*100, row.MeanUs, row.JitterUs)
 	}
-	return nil
+	return ew.err
 }
 
 // WriteCSV implements Result.
 func (r *SoftRTResult) WriteCSV(w io.Writer) error {
-	fmt.Fprintln(w, "deployment,miss_rate,latency_us,jitter_us")
+	ew := &errWriter{w: w}
+	ew.printf("deployment,miss_rate,latency_us,jitter_us\n")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%s,%g,%g,%g\n", row.Config, row.MissRate, row.MeanUs, row.JitterUs)
+		ew.printf("%s,%g,%g,%g\n", row.Config, row.MissRate, row.MeanUs, row.JitterUs)
 	}
-	return nil
+	return ew.err
 }
 
 // SoftRT runs the three deployments.
@@ -89,7 +90,7 @@ func SoftRT(o Options) (*SoftRTResult, error) {
 			if _, err := mgr.Manage(trading.ServerVM.Dom, trading.Server.SendCQ(), BaseSLAUs); err != nil {
 				return SoftRTRow{}, err
 			}
-			benchex.NewAgent(trading.Server, trading.ServerVM.Dom.ID(), mgr, benchex.AgentConfig{}).Start()
+			benchex.NewAgent(trading.Server, trading.ServerVM.Dom.ID(), mgr).Start()
 			trading.Start()
 		}
 		if withBulk {

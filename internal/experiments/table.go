@@ -90,3 +90,16 @@ func writeRows[R any](w io.Writer, fields []int, head, format string, rows []R) 
 	}
 	return nil
 }
+
+// errWriter is a sticky-error writer for hand-written result writers: once
+// a write fails it drops every later one, and err holds the first failure.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) printf(format string, args ...any) {
+	if e.err == nil {
+		_, e.err = fmt.Fprintf(e.w, format, args...)
+	}
+}

@@ -3,8 +3,11 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
+
+	"resex/internal/stats"
 )
 
 // failAfter accepts n writes, then fails every one after.
@@ -20,23 +23,66 @@ func (f *failAfter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// countWrites accepts every write and counts them.
+type countWrites struct{ n int }
+
+func (c *countWrites) Write(p []byte) (int, error) {
+	c.n++
+	return len(p), nil
+}
+
 func TestTableWritersReturnWriteErrors(t *testing.T) {
-	r := &AblArbResult{Rows: []AblArbRow{
-		{Discipline: "rr", Mean: 250.5, P99: 310},
-		{Discipline: "fifo", Mean: 900.25, P99: 2400},
-	}}
-	// One header write plus one per row: failing at any of them must
-	// surface, in both formats.
-	for ok := 0; ok <= len(r.Rows); ok++ {
-		if err := r.WriteCSV(&failAfter{n: ok}); !errors.Is(err, errWrite) {
-			t.Errorf("WriteCSV failing after %d writes: err = %v, want %v", ok, err, errWrite)
+	hist := stats.NewHistogram(0, 100, 4)
+	hist.Add(10)
+	series := func(ys ...float64) *stats.Series {
+		s := stats.NewSeries("s")
+		for i, y := range ys {
+			s.Add(float64(i), y)
 		}
-		if err := r.WriteText(&failAfter{n: ok}); !errors.Is(err, errWrite) {
-			t.Errorf("WriteText failing after %d writes: err = %v, want %v", ok, err, errWrite)
-		}
+		return s
 	}
-	if err := r.WriteCSV(&failAfter{n: len(r.Rows) + 1}); err != nil {
-		t.Errorf("WriteCSV with every write accepted: %v", err)
+	timeline := &TimelineResult{
+		PolicyName: "IOShares", Figure: 7, BaseMean: 100, IntfMean: 300, PolicyMean: 150,
+		Latency: series(120, 180), IntfCap: series(100, 40),
+		RepResos: series(9e5, 8e5), IntfResos: series(9e5, 1e5), RepCap: series(100, 100),
+	}
+	// One small literal per result type: a row-table result and every
+	// hand-written writer.
+	results := []Result{
+		&AblArbResult{Rows: []AblArbRow{
+			{Discipline: "rr", Mean: 250.5, P99: 310},
+			{Discipline: "fifo", Mean: 900.25, P99: 2400},
+		}},
+		&Fig1Result{Normal: hist, Interfered: hist, NormalMean: 90, InterferedMean: 400},
+		&Fig2Result{Rows: []Fig2Row{{Servers: 1, CTime: 90}, {Servers: 1, Loaded: true, CTime: 90, WTime: 300}}},
+		&Fig3Result{Rows: []Fig3Row{{BufferRatio: 32, IntfBuffer: 2 << 20, Cap: 3, CTime: 90}}},
+		&Fig4Result{Rows: []Fig4Row{{Cap: 50, CTime: 90}, {Cap: 0, CTime: 90}}},
+		timeline,
+		&Fig6Result{Timeline: timeline, IntfMinFraction: 0.1, IntfCapEngaged: true, RepMinFraction: 0.8, Allocation: 1e6},
+		&Fig9Result{Rows: []Fig9Row{{Buffer: 64 << 10, Base: 100, FreeMarket: 300, IOShares: 150}}},
+		&AblEventsResult{Rows: []AblEventsRow{{Mode: "polling", Mean: 100}, {Mode: "events", Cap: 25, Mean: 150}}},
+		&SoftRTResult{DeadlineUs: 100, Rows: []SoftRTRow{{Config: "alone", MeanUs: 40}}},
+		&AblRestartResult{SnapshotAtNs: 5e6, Identical: true,
+			Restart: []AblRestartRow{{Config: "restart", LatP99: 200}},
+			Flip:    []AblRestartRow{{Config: "flip", LatP99: 300}}},
+		&AblGeoDiurnalResult{Zones: 2, PeriodMs: 10, Cells: []AblGeoDiurnalRow{
+			{Zones: 2, Shards: 1, Received: 10, PerZone: []GeoZoneRow{{Slot: 0, Received: 5}, {Slot: 1, Received: 5}}},
+		}},
+	}
+	writers := map[string]func(Result, io.Writer) error{"WriteText": Result.WriteText, "WriteCSV": Result.WriteCSV}
+	for _, r := range results {
+		for name, write := range writers {
+			var all countWrites
+			if err := write(r, &all); err != nil {
+				t.Errorf("%T.%s with every write accepted: %v", r, name, err)
+			}
+			// Failing at any one of the writes must surface.
+			for ok := 0; ok < all.n; ok++ {
+				if err := write(r, &failAfter{n: ok}); !errors.Is(err, errWrite) {
+					t.Errorf("%T.%s failing after %d of %d writes: err = %v, want %v", r, name, ok, all.n, err, errWrite)
+				}
+			}
+		}
 	}
 }
 

@@ -4,6 +4,25 @@ import (
 	"resex/internal/sim"
 )
 
+// The shape of one generated storm.
+const (
+	// DegradeFactor is the bandwidth multiplier during a storm's link
+	// degradation.
+	DegradeFactor = 0.45
+	// DegradeDuration is the degraded window per storm.
+	DegradeDuration = 100 * sim.Millisecond
+	// BlackoutLead starts the telemetry blackout before the degrade so the
+	// stale-evidence window covers the whole latency excursion.
+	// BlackoutTail extends it past the degrade end so elevation drains
+	// before fresh evidence returns.
+	BlackoutLead = 5 * sim.Millisecond
+	BlackoutTail = 60 * sim.Millisecond
+	// StallDuration is the length of a storm's HCAStall.
+	StallDuration = 2 * sim.Millisecond
+	// FlapDuration is the length of a storm's full link flap.
+	FlapDuration = 2 * sim.Millisecond
+)
+
 // GenConfig parameterizes the deterministic storm generator.
 type GenConfig struct {
 	// Hosts are the node ids faults may target (must be attached before
@@ -15,57 +34,26 @@ type GenConfig struct {
 	// StormsPerSec is the fault intensity: the mean rate of storms across
 	// the whole fleet (exponential inter-arrivals).
 	StormsPerSec float64
-	// DegradeFactor is the bandwidth multiplier during a storm's link
-	// degradation. Default 0.45.
-	DegradeFactor float64
-	// DegradeDuration is the degraded window per storm. Default 100 ms.
-	DegradeDuration sim.Time
-	// BlackoutLead starts the telemetry blackout before the degrade so the
-	// stale-evidence window covers the whole latency excursion; default
-	// 5 ms. BlackoutTail extends it past the degrade end so elevation
-	// drains before fresh evidence returns; default 60 ms.
-	BlackoutLead, BlackoutTail sim.Time
 	// StallEvery adds an HCAStall to every Nth storm (0 disables).
-	// Default 3. StallDuration defaults to 2 ms.
-	StallEvery    int
-	StallDuration sim.Time
+	// Default 3.
+	StallEvery int
 	// InvalidateEvery adds a MapInvalidate (all watched domains) to every
 	// Nth storm (0 disables). Default 4.
 	InvalidateEvery int
 	// FlapEvery turns every Nth storm's degrade into a short full flap at
-	// the degrade midpoint (0 disables). Default 0. FlapDuration defaults
-	// to 2 ms.
-	FlapEvery    int
-	FlapDuration sim.Time
+	// the degrade midpoint (0 disables). Default 0.
+	FlapEvery int
 	// MigrateFailEvery covers every Nth storm with a MigrationFail window
 	// (0 disables). Default 2.
 	MigrateFailEvery int
 }
 
 func (c GenConfig) withDefaults() GenConfig {
-	if c.DegradeFactor <= 0 || c.DegradeFactor >= 1 {
-		c.DegradeFactor = 0.45
-	}
-	if c.DegradeDuration <= 0 {
-		c.DegradeDuration = 100 * sim.Millisecond
-	}
-	if c.BlackoutLead <= 0 {
-		c.BlackoutLead = 5 * sim.Millisecond
-	}
-	if c.BlackoutTail <= 0 {
-		c.BlackoutTail = 60 * sim.Millisecond
-	}
 	if c.StallEvery == 0 {
 		c.StallEvery = 3
 	}
-	if c.StallDuration <= 0 {
-		c.StallDuration = 2 * sim.Millisecond
-	}
 	if c.InvalidateEvery == 0 {
 		c.InvalidateEvery = 4
-	}
-	if c.FlapDuration <= 0 {
-		c.FlapDuration = 2 * sim.Millisecond
 	}
 	if c.MigrateFailEvery == 0 {
 		c.MigrateFailEvery = 2
@@ -92,37 +80,37 @@ func Generate(seed int64, cfg GenConfig) Schedule {
 	for t := cfg.Start + rng.ExpDuration(gap); t < cfg.Horizon; t += rng.ExpDuration(gap) {
 		storm++
 		host := cfg.Hosts[rng.Intn(len(cfg.Hosts))]
-		lead := t - cfg.BlackoutLead
+		lead := t - BlackoutLead
 		if lead < cfg.Start {
 			lead = cfg.Start // never schedule before the window opens
 		}
 		s.Add(Event{
 			At: lead, Kind: TelemetryBlackout, Host: host,
-			Duration: t - lead + cfg.DegradeDuration + cfg.BlackoutTail,
+			Duration: t - lead + DegradeDuration + BlackoutTail,
 		})
 		s.Add(Event{
 			At: t, Kind: LinkDegrade, Host: host,
-			Duration: cfg.DegradeDuration, Factor: cfg.DegradeFactor,
+			Duration: DegradeDuration, Factor: DegradeFactor,
 		})
 		if cfg.StallEvery > 0 && storm%cfg.StallEvery == 0 {
-			s.Add(Event{At: t, Kind: HCAStall, Host: host, Duration: cfg.StallDuration})
+			s.Add(Event{At: t, Kind: HCAStall, Host: host, Duration: StallDuration})
 		}
 		if cfg.InvalidateEvery > 0 && storm%cfg.InvalidateEvery == 0 {
 			s.Add(Event{
-				At: t + cfg.DegradeDuration/4, Kind: MapInvalidate, Host: host,
-				Duration: cfg.DegradeDuration / 2,
+				At: t + DegradeDuration/4, Kind: MapInvalidate, Host: host,
+				Duration: DegradeDuration / 2,
 			})
 		}
 		if cfg.FlapEvery > 0 && storm%cfg.FlapEvery == 0 {
 			s.Add(Event{
-				At: t + cfg.DegradeDuration/2, Kind: LinkFlap, Host: host,
-				Duration: cfg.FlapDuration,
+				At: t + DegradeDuration/2, Kind: LinkFlap, Host: host,
+				Duration: FlapDuration,
 			})
 		}
 		if cfg.MigrateFailEvery > 0 && storm%cfg.MigrateFailEvery == 0 {
 			s.Add(Event{
 				At: lead, Kind: MigrationFail, Host: host,
-				Duration: t - lead + cfg.DegradeDuration + cfg.BlackoutTail,
+				Duration: t - lead + DegradeDuration + BlackoutTail,
 			})
 		}
 	}

@@ -59,42 +59,28 @@ const (
 	AccessRemoteRead
 )
 
+// The adapter's fixed latencies; messages are segmented into
+// fabric.DefaultMTU packets (the paper's 1 KB MTU).
+const (
+	// ProcDelay is the doorbell-to-wire latency per work request (WQE
+	// fetch, TPT lookup).
+	ProcDelay = 300 * sim.Nanosecond
+	// AckLatency is the delay between last-MTU delivery at the responder
+	// and the sender-side completion (RC ack).
+	AckLatency = 1500 * sim.Nanosecond
+)
+
 // Config parameterizes an HCA.
 type Config struct {
 	// Node is this host's fabric node id.
 	Node int
-	// Name appears in diagnostics.
-	Name string
-	// MTU is the wire packet payload size. Default 1024 (the paper's MTU).
-	MTU int
-	// ProcDelay is the doorbell-to-wire latency per work request (WQE
-	// fetch, TPT lookup). Default 300 ns.
-	ProcDelay sim.Time
-	// AckLatency is the delay between last-MTU delivery at the responder
-	// and the sender-side completion (RC ack). Default 1500 ns.
-	AckLatency sim.Time
-}
-
-func (c Config) withDefaults() Config {
-	if c.MTU <= 0 {
-		c.MTU = fabric.DefaultMTU
-	}
-	if c.ProcDelay <= 0 {
-		c.ProcDelay = 300 * sim.Nanosecond
-	}
-	if c.AckLatency <= 0 {
-		c.AckLatency = 1500 * sim.Nanosecond
-	}
-	if c.Name == "" {
-		c.Name = fmt.Sprintf("hca%d", c.Node)
-	}
-	return c
 }
 
 // HCA is one host channel adapter.
 type HCA struct {
 	eng     *sim.Engine
 	cfg     Config
+	name    string
 	uplink  *fabric.Link
 	peer    func(node int) *HCA
 	ackPath func(srcNode int, ack Ack)
@@ -173,10 +159,10 @@ type pendingAck struct {
 
 // New creates an HCA. Wire it with SetUplink and SetPeerResolver before use.
 func New(eng *sim.Engine, cfg Config) *HCA {
-	cfg = cfg.withDefaults()
 	h := &HCA{
 		eng:     eng,
 		cfg:     cfg,
+		name:    fmt.Sprintf("hca%d", cfg.Node),
 		tpt:     make(map[uint32]*MR),
 		qps:     make(map[uint32]*QP),
 		nextKey: 0x1000,
@@ -195,10 +181,7 @@ func (h *HCA) Engine() *sim.Engine { return h.eng }
 func (h *HCA) Node() int { return h.cfg.Node }
 
 // Name returns the HCA's diagnostic name.
-func (h *HCA) Name() string { return h.cfg.Name }
-
-// MTU returns the wire MTU in bytes.
-func (h *HCA) MTU() int { return h.cfg.MTU }
+func (h *HCA) Name() string { return h.name }
 
 // SetUplink attaches the host's egress link (host → switch).
 func (h *HCA) SetUplink(l *fabric.Link) { h.uplink = l }

@@ -473,7 +473,7 @@ func TestHCAStats(t *testing.T) {
 	if r.h1.MessagesSent() != 1 || r.h1.BytesSent() != 65536 {
 		t.Errorf("stats: %d msgs %d bytes", r.h1.MessagesSent(), r.h1.BytesSent())
 	}
-	if r.h1.MTU() != 1024 || r.h1.Node() != 1 || r.h1.Name() != "hca1" {
+	if r.h1.Node() != 1 || r.h1.Name() != "hca1" {
 		t.Error("accessors")
 	}
 	if r.h1.QP(qp1.QPN()) != qp1 || r.h1.QP(0xffff) != nil {

@@ -342,7 +342,7 @@ func (qp *QP) kick() {
 	}
 	qp.processing = true
 	h := qp.pd.hca
-	h.eng.After(h.cfg.ProcDelay, qp.onProcess)
+	h.eng.After(ProcDelay, qp.onProcess)
 }
 
 // processHead takes the WQE at the head of the send queue, segments it and
@@ -383,18 +383,18 @@ func (qp *QP) processHead() {
 		qp.sendMsg(m, wr.Len)
 	}
 	if len(qp.sq) > 0 {
-		h.eng.After(h.cfg.ProcDelay, qp.onProcess)
+		h.eng.After(ProcDelay, qp.onProcess)
 	} else {
 		qp.processing = false
 	}
 }
 
 // mtuCount returns the number of MTUs needed for n bytes (min 1).
-func mtuCount(n, mtu int) int {
+func mtuCount(n int) int {
 	if n <= 0 {
 		return 1
 	}
-	return (n + mtu - 1) / mtu
+	return (n + fabric.DefaultMTU - 1) / fabric.DefaultMTU
 }
 
 // sendMsg queues m on the uplink as one train of MTUs.
@@ -404,8 +404,8 @@ func (qp *QP) sendMsg(m *wireMsg, byteLen int) {
 	h.bytesSent += int64(byteLen)
 	mtus, last := 1, 0 // a read request carries no payload
 	if m.op != OpRDMARead {
-		mtus = mtuCount(m.len, h.cfg.MTU)
-		last = m.len - (mtus-1)*h.cfg.MTU
+		mtus = mtuCount(m.len)
+		last = m.len - (mtus-1)*fabric.DefaultMTU
 	}
 	if last <= 0 {
 		last = 64 // control-only packet (zero-length send, read request)
@@ -419,7 +419,7 @@ func (qp *QP) sendMsg(m *wireMsg, byteLen int) {
 			Meta:    m,
 		},
 		MTUs:      mtus,
-		MTU:       h.cfg.MTU,
+		MTU:       fabric.DefaultMTU,
 		LastBytes: last,
 		New:       h.onNewPacket,
 	}
@@ -517,7 +517,7 @@ func (h *HCA) completeSender(m *wireMsg, status Status) {
 		return
 	}
 	h.acks.Push(pendingAck{src: h.peerHCA(m.srcNode), m: m, status: status})
-	h.eng.After(h.cfg.AckLatency, h.onAck)
+	h.eng.After(AckLatency, h.onAck)
 }
 
 // ack completes the oldest pending sender completion. AckLatency is fixed,

@@ -26,6 +26,7 @@ package ibmon
 import (
 	"fmt"
 
+	"resex/internal/fabric"
 	"resex/internal/guestmem"
 	"resex/internal/hca"
 	"resex/internal/sim"
@@ -57,55 +58,38 @@ type Usage struct {
 	QPN uint32
 }
 
+// The monitor's fixed sampling costs and recovery parameters.
+const (
+	// SampleBaseCost is dom0 CPU charged per pass.
+	SampleBaseCost = sim.Microsecond
+	// SampleEntryCost is dom0 CPU charged per parsed CQE.
+	SampleEntryCost = 50 * sim.Nanosecond
+	// RemapBackoff is the first retry delay after an introspection mapping
+	// is invalidated (grant revoked, P2M changed under the monitor);
+	// subsequent retries double it up to RemapBackoffMax.
+	RemapBackoff    = sim.Millisecond
+	RemapBackoffMax = 64 * sim.Millisecond
+	// DegradedConfidence is the per-target confidence below which the
+	// monitor reports itself degraded for that VM.
+	DegradedConfidence = 0.7
+)
+
 // Config parameterizes a Monitor.
 type Config struct {
 	// Period between sampling passes. Default 250 µs.
 	Period sim.Time
-	// MTU used to convert bytes to MTUs. Default 1024.
-	MTU int
-	// SampleBaseCost is dom0 CPU charged per pass. Default 1 µs.
-	SampleBaseCost sim.Time
-	// SampleEntryCost is dom0 CPU charged per parsed CQE. Default 50 ns.
-	SampleEntryCost sim.Time
-	// RemapBackoff is the first retry delay after an introspection mapping
-	// is invalidated (grant revoked, P2M changed under the monitor);
-	// subsequent retries double it up to RemapBackoffMax. Defaults
-	// 1 ms / 64 ms.
-	RemapBackoff    sim.Time
-	RemapBackoffMax sim.Time
-	// DegradedConfidence is the per-target confidence below which the
-	// monitor reports itself degraded for that VM. Default 0.7.
-	DegradedConfidence float64
 }
 
 func (c Config) withDefaults() Config {
 	if c.Period <= 0 {
 		c.Period = 250 * sim.Microsecond
 	}
-	if c.MTU <= 0 {
-		c.MTU = 1024
-	}
-	if c.SampleBaseCost <= 0 {
-		c.SampleBaseCost = sim.Microsecond
-	}
-	if c.SampleEntryCost <= 0 {
-		c.SampleEntryCost = 50 * sim.Nanosecond
-	}
-	if c.RemapBackoff <= 0 {
-		c.RemapBackoff = sim.Millisecond
-	}
-	if c.RemapBackoffMax <= 0 {
-		c.RemapBackoffMax = 64 * sim.Millisecond
-	}
-	if c.DegradedConfidence <= 0 {
-		c.DegradedConfidence = 0.7
-	}
 	return c
 }
 
 // confAlpha is the EWMA weight of one sampling pass in the per-target
 // confidence score: a blind pass (invalid mapping, blackout) drags the score
-// below the default DegradedConfidence threshold within ~3 passes, and ~3
+// below the DegradedConfidence threshold within ~3 passes, and ~3
 // clean passes pull it back above.
 const confAlpha = 0.15
 
@@ -259,7 +243,7 @@ func (m *Monitor) Watch(dom xen.DomID, ringAddr guestmem.Addr, depth int, dbrecA
 		// Watching a domain whose mappings are currently revoked: start in
 		// the retry path instead of reading stale bytes.
 		t.invalid = true
-		t.backoff = m.cfg.RemapBackoff
+		t.backoff = RemapBackoff
 		t.nextRemap = m.hv.Engine().Now() + t.backoff
 	}
 	m.targets = append(m.targets, t)
@@ -390,7 +374,7 @@ func (m *Monitor) InvalidateDomain(dom xen.DomID) {
 			continue
 		}
 		t.invalid = true
-		t.backoff = m.cfg.RemapBackoff
+		t.backoff = RemapBackoff
 		t.nextRemap = now + t.backoff
 		t.remapTries = 0
 	}
@@ -453,7 +437,7 @@ func (m *Monitor) Health() Health {
 		return HealthBlackout
 	}
 	for _, t := range m.targets {
-		if t.invalid || t.conf < m.cfg.DegradedConfidence {
+		if t.invalid || t.conf < DegradedConfidence {
 			return HealthDegraded
 		}
 	}
@@ -481,15 +465,15 @@ func (m *Monitor) SampleAll(p *sim.Proc) {
 			t.observePass(0)
 			continue
 		}
-		n := t.sample(m.cfg)
+		n := t.sample()
 		if m.vcpu != nil {
-			m.vcpu.Use(p, m.cfg.SampleBaseCost+sim.Time(n)*m.cfg.SampleEntryCost)
+			m.vcpu.Use(p, SampleBaseCost+sim.Time(n)*SampleEntryCost)
 		}
 	}
 	for _, t := range m.qpTargets {
 		n := t.sample()
 		if m.vcpu != nil {
-			m.vcpu.Use(p, m.cfg.SampleBaseCost/2+sim.Time(n)*m.cfg.SampleEntryCost)
+			m.vcpu.Use(p, SampleBaseCost/2+sim.Time(n)*SampleEntryCost)
 		}
 	}
 }
@@ -504,13 +488,13 @@ func (m *Monitor) retryRemap(p *sim.Proc, t *Target, now sim.Time) {
 	if m.vcpu != nil {
 		// A remap attempt is a hypercall; it costs dom0 CPU whether or not
 		// it succeeds.
-		m.vcpu.Use(p, m.cfg.SampleBaseCost)
+		m.vcpu.Use(p, SampleBaseCost)
 	}
 	if m.revoked[t.dom] {
 		t.remapTries++
 		t.backoff *= 2
-		if t.backoff > m.cfg.RemapBackoffMax {
-			t.backoff = m.cfg.RemapBackoffMax
+		if t.backoff > RemapBackoffMax {
+			t.backoff = RemapBackoffMax
 		}
 		t.nextRemap = now + t.backoff
 		return
@@ -531,12 +515,12 @@ func (m *Monitor) retryRemap(p *sim.Proc, t *Target, now sim.Time) {
 	}
 	t.ring, t.dbrec = ring, dbrec
 	t.invalid = false
-	t.backoff = m.cfg.RemapBackoff
+	t.backoff = RemapBackoff
 }
 
 // sample reads the doorbell record and any new CQEs; it returns the number
 // of entries parsed.
-func (t *Target) sample(cfg Config) int {
+func (t *Target) sample() int {
 	t.usage.Samples++
 	produced := t.dbrec.ReadU64(0)
 	if produced == t.seen {
@@ -565,7 +549,7 @@ func (t *Target) sample(cfg Config) int {
 		byteLen := t.ring.ReadU32(base + 8)
 		opst := t.ring.ReadU32(base + 12)
 		op := hca.Opcode(opst & 0xffff)
-		t.account(cfg, op, qpn, int64(byteLen))
+		t.account(op, qpn, int64(byteLen))
 		parsed++
 	}
 	if lost > 0 {
@@ -575,7 +559,7 @@ func (t *Target) sample(cfg Config) int {
 		if t.avgLen > 0 {
 			estBytes := int64(t.avgLen * float64(lost))
 			t.usage.BytesSent += estBytes
-			t.usage.MTUsSent += mtusFor(estBytes, cfg.MTU)
+			t.usage.MTUsSent += mtusFor(estBytes)
 		}
 	}
 	t.seen = produced
@@ -584,7 +568,7 @@ func (t *Target) sample(cfg Config) int {
 }
 
 // account folds one parsed CQE into the usage estimate.
-func (t *Target) account(cfg Config, op hca.Opcode, qpn uint32, byteLen int64) {
+func (t *Target) account(op hca.Opcode, qpn uint32, byteLen int64) {
 	t.usage.Completions++
 	t.usage.QPN = qpn
 	if op == hca.OpRecv {
@@ -592,7 +576,7 @@ func (t *Target) account(cfg Config, op hca.Opcode, qpn uint32, byteLen int64) {
 		return
 	}
 	t.usage.BytesSent += byteLen
-	t.usage.MTUsSent += mtusFor(byteLen, cfg.MTU)
+	t.usage.MTUsSent += mtusFor(byteLen)
 	if int(byteLen) > t.usage.BufferSize {
 		t.usage.BufferSize = int(byteLen)
 	}
@@ -605,11 +589,11 @@ func (t *Target) account(cfg Config, op hca.Opcode, qpn uint32, byteLen int64) {
 }
 
 // mtusFor converts bytes to MTU packets (minimum 1 per completion).
-func mtusFor(bytes int64, mtu int) int64 {
+func mtusFor(bytes int64) int64 {
 	if bytes <= 0 {
 		return 1
 	}
-	return (bytes + int64(mtu) - 1) / int64(mtu)
+	return (bytes + fabric.DefaultMTU - 1) / fabric.DefaultMTU
 }
 
 // Profile is a per-VM I/O rate snapshot, aggregated across every watched

@@ -290,8 +290,7 @@ func effCap(pct int) int {
 // are pre-charged at issuance, so budget ≥ 0 always (the scheduler's
 // documented bound is exactly zero); windowUsed ∈ [0, CapPeriod].
 func (a *Auditor) checkXen(w *hvWatch) {
-	cfg := w.hv.Config()
-	cur := a.eng.Now() / cfg.CapPeriod
+	cur := a.eng.Now() / xen.CapPeriod
 	for _, d := range w.hv.Domains() {
 		d := d
 		a.checks++
@@ -308,8 +307,8 @@ func (a *Auditor) checkXen(w *hvWatch) {
 		}
 		delta := d.CPUTime() - st.consumed
 		k := int64(cur-st.windowIdx) + 1
-		quota := cfg.CapPeriod * sim.Time(st.maxCap) / 100
-		if bound := sim.Time(k)*quota + cfg.Tick; delta > bound {
+		quota := xen.CapPeriod * sim.Time(st.maxCap) / 100
+		if bound := sim.Time(k)*quota + xen.Tick; delta > bound {
 			a.violate("xen-cap", d.Name(),
 				fmt.Sprintf("consumed %d ns over %d windows exceeds cap %d%% bound %d ns", delta, k, st.maxCap, bound))
 		}
@@ -318,9 +317,9 @@ func (a *Auditor) checkXen(w *hvWatch) {
 				a.violate("xen-cap", d.Name(),
 					fmt.Sprintf("vcpu %d window budget %d < 0 (credits below documented bound)", v.ID(), v.WindowBudget()))
 			}
-			if u := v.WindowUsed(); u < 0 || u > cfg.CapPeriod {
+			if u := v.WindowUsed(); u < 0 || u > xen.CapPeriod {
 				a.violate("xen-cap", d.Name(),
-					fmt.Sprintf("vcpu %d windowUsed %d outside [0, %d]", v.ID(), u, cfg.CapPeriod))
+					fmt.Sprintf("vcpu %d windowUsed %d outside [0, %d]", v.ID(), u, xen.CapPeriod))
 			}
 		}
 		st.consumed, st.windowIdx, st.maxCap = d.CPUTime(), cur, effCap(d.Cap())

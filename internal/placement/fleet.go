@@ -14,6 +14,10 @@ import (
 	"resex/internal/workload"
 )
 
+// IntfThresholdPct is the epoch IntfPercent above which a latency-sensitive
+// VM counts as breached (feeds the rebalancer's patience counter).
+const IntfThresholdPct = 5.0
+
 // Config parameterizes a fleet. The embedded worker-rig config sizes the
 // hosts; a fleet's defaults differ from a traffic engine's in three places:
 // Hosts 2, ClientPCPUs 64 (one client VM per workload) and Policy
@@ -22,10 +26,6 @@ type Config struct {
 	workload.Config
 	// Strategy decides placements. Default schedshard.NewInterferencePipeline.
 	Strategy Strategy
-	// IntfThresholdPct is the epoch IntfPercent above which a
-	// latency-sensitive VM counts as breached (feeds the rebalancer's
-	// patience counter). Default 5.
-	IntfThresholdPct float64
 	// Seed drives the fleet RNG (random strategy, workload shuffling).
 	Seed int64
 	// QuarantineBlackouts, when true, marks hosts whose monitor is blacked
@@ -46,9 +46,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Strategy == nil {
 		c.Strategy = PipelineStrategy{Label: "intf-aware", P: schedshard.NewInterferencePipeline()}
-	}
-	if c.IntfThresholdPct <= 0 {
-		c.IntfThresholdPct = 5
 	}
 	return c
 }
@@ -188,8 +185,7 @@ func (f *Fleet) Placements() []*Placement { return f.placements }
 
 // EpochDuration is one ResEx epoch of the fleet's managers.
 func (f *Fleet) EpochDuration() sim.Time {
-	c := f.Mgrs[0].Config()
-	return c.Interval * sim.Time(c.IntervalsPerEpoch)
+	return resex.Interval * sim.Time(f.Mgrs[0].Config().IntervalsPerEpoch)
 }
 
 // onEpoch folds one host's epoch summary into the placement records: the
@@ -205,7 +201,7 @@ func (f *Fleet) onEpoch(hostIdx int, es resex.EpochSummary) {
 		}
 		pl.lastIntf = s.IntfPercent
 		pl.lastCap = s.Cap
-		if pl.Spec.LatencySensitive && s.IntfPercent >= f.cfg.IntfThresholdPct {
+		if pl.Spec.LatencySensitive && s.IntfPercent >= IntfThresholdPct {
 			pl.intfEpochs++
 		} else {
 			pl.intfEpochs = 0
@@ -237,7 +233,7 @@ func (f *Fleet) buildView() []*schedshard.HostInfo {
 		hi := &schedshard.HostInfo{
 			Node:            h.Node,
 			FreePCPUs:       h.FreePCPUs(),
-			TotalPCPUs:      f.cfg.PCPUsPerHost - 1, // dom0 owns PCPU 0
+			TotalPCPUs:      workload.PCPUsPerHost - 1, // dom0 owns PCPU 0
 			LinkBytesPerSec: f.cfg.WorkerLink(i),
 			ResoHeadroom:    1,
 			Health:          f.HostHealth(i),
@@ -349,6 +345,6 @@ func (f *Fleet) manage(pl *Placement) error {
 	if err != nil {
 		return err
 	}
-	pl.Agent = benchex.NewAgent(pl.App.Server, dom.ID(), f.Mgrs[pl.HostIdx], benchex.AgentConfig{})
+	pl.Agent = benchex.NewAgent(pl.App.Server, dom.ID(), f.Mgrs[pl.HostIdx])
 	return nil
 }

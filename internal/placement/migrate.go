@@ -17,46 +17,38 @@ import (
 // discarded and the transfer channel's resources are released.
 var ErrPreCopyAborted = errors.New("placement: migration pre-copy aborted")
 
+// The live-migration cost model's fixed parameters.
+const (
+	// DirtyFraction of StateBytes is re-sent in the stop-and-copy round —
+	// pages the still-running guest dirtied during pre-copy.
+	DirtyFraction = 0.05
+	// Downtime is the fixed blackout on top of the dirty transfer (arch
+	// state hand-off, device re-plumbing, connection rebinding).
+	Downtime = 2 * sim.Millisecond
+	// ChunkBytes is the migration transfer granularity (one SEND work
+	// request, MTU-segmented on the wire like any other message).
+	ChunkBytes = 1 << 20
+	// MigrationWindow is the number of outstanding migration chunks.
+	MigrationWindow = 4
+)
+
 // MigrationConfig parameterizes the live-migration cost model.
 type MigrationConfig struct {
 	// StateBytes is the VM state moved in the pre-copy round (memory image
 	// working set). Default 64 MB.
 	StateBytes int64
-	// DirtyFraction of StateBytes is re-sent in the stop-and-copy round —
-	// pages the still-running guest dirtied during pre-copy. Default 0.05.
-	DirtyFraction float64
-	// Downtime is the fixed blackout on top of the dirty transfer (arch
-	// state hand-off, device re-plumbing, connection rebinding). Default 2 ms.
-	Downtime sim.Time
-	// ChunkBytes is the migration transfer granularity (one SEND work
-	// request, MTU-segmented on the wire like any other message). Default 1 MB.
-	ChunkBytes int
-	// Window is the number of outstanding migration chunks. Default 4.
-	Window int
 }
 
 func (c MigrationConfig) withDefaults() MigrationConfig {
 	if c.StateBytes <= 0 {
 		c.StateBytes = 64 << 20
 	}
-	if c.DirtyFraction <= 0 {
-		c.DirtyFraction = 0.05
-	}
-	if c.Downtime <= 0 {
-		c.Downtime = 2 * sim.Millisecond
-	}
-	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = 1 << 20
-	}
-	if c.Window <= 0 {
-		c.Window = 4
-	}
 	return c
 }
 
 // chunks converts a byte volume to whole transfer chunks.
-func (c MigrationConfig) chunks(bytes int64) int {
-	n := int((bytes + int64(c.ChunkBytes) - 1) / int64(c.ChunkBytes))
+func chunks(bytes int64) int {
+	n := int((bytes + ChunkBytes - 1) / ChunkBytes)
 	if n < 1 {
 		n = 1
 	}
@@ -70,41 +62,39 @@ type migrationChannel struct {
 	scq          *hca.CQ
 	srcBuf       guestmem.Addr
 	srcMR        *hca.MR
-	chunk        int
-	window       int
 }
 
 // newMigrationChannel builds the transfer path: a protection domain on each
 // host's dom0, a connected QP pair, and one chunk buffer per side. The
 // destination posts every receive up front (all aimed at the same staging
 // buffer — the model cares about wire traffic, not byte placement).
-func newMigrationChannel(src, dst *cluster.Host, mc MigrationConfig, totalChunks int) (*migrationChannel, error) {
-	ch := &migrationChannel{chunk: mc.ChunkBytes, window: mc.Window}
+func newMigrationChannel(src, dst *cluster.Host, totalChunks int) (*migrationChannel, error) {
+	ch := &migrationChannel{}
 	ch.srcPD = src.HCA.AllocPD(src.HV.Dom0().Memory())
 	ch.dstPD = dst.HCA.AllocPD(dst.HV.Dom0().Memory())
 
-	ch.srcBuf = ch.srcPD.Space().Alloc(uint64(mc.ChunkBytes), 64)
+	ch.srcBuf = ch.srcPD.Space().Alloc(uint64(ChunkBytes), 64)
 	var err error
-	ch.srcMR, err = ch.srcPD.RegisterMR(ch.srcBuf, uint64(mc.ChunkBytes), 0)
+	ch.srcMR, err = ch.srcPD.RegisterMR(ch.srcBuf, uint64(ChunkBytes), 0)
 	if err != nil {
 		return nil, fmt.Errorf("placement: migration source MR: %w", err)
 	}
-	dstBuf := ch.dstPD.Space().Alloc(uint64(mc.ChunkBytes), 64)
-	dstMR, err := ch.dstPD.RegisterMR(dstBuf, uint64(mc.ChunkBytes), hca.AccessLocalWrite)
+	dstBuf := ch.dstPD.Space().Alloc(uint64(ChunkBytes), 64)
+	dstMR, err := ch.dstPD.RegisterMR(dstBuf, uint64(ChunkBytes), hca.AccessLocalWrite)
 	if err != nil {
 		return nil, fmt.Errorf("placement: migration dest MR: %w", err)
 	}
 
-	ch.scq = ch.srcPD.CreateCQ(mc.Window + 4)
+	ch.scq = ch.srcPD.CreateCQ(MigrationWindow + 4)
 	srcRCQ := ch.srcPD.CreateCQ(4)
-	ch.srcQP = ch.srcPD.CreateQP(ch.scq, srcRCQ, mc.Window+2, 1)
+	ch.srcQP = ch.srcPD.CreateQP(ch.scq, srcRCQ, MigrationWindow+2, 1)
 
 	dstSCQ := ch.dstPD.CreateCQ(4)
 	dstRCQ := ch.dstPD.CreateCQ(totalChunks + 4)
 	ch.dstQP = ch.dstPD.CreateQP(dstSCQ, dstRCQ, 2, totalChunks+2)
 	for i := 0; i < totalChunks; i++ {
 		err := ch.dstQP.PostRecv(hca.RecvWR{
-			ID: uint64(i), Addr: dstBuf, LKey: dstMR.Key(), Len: mc.ChunkBytes,
+			ID: uint64(i), Addr: dstBuf, LKey: dstMR.Key(), Len: ChunkBytes,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("placement: migration recv ring: %w", err)
@@ -141,10 +131,10 @@ func (ch *migrationChannel) transfer(p *sim.Proc, n int, abort func() bool) erro
 			}
 			return ErrPreCopyAborted
 		}
-		if posted < n && outstanding < ch.window {
+		if posted < n && outstanding < MigrationWindow {
 			err := ch.srcQP.PostSend(hca.SendWR{
 				ID: uint64(posted), Op: hca.OpSend,
-				LocalAddr: ch.srcBuf, LKey: ch.srcMR.Key(), Len: ch.chunk,
+				LocalAddr: ch.srcBuf, LKey: ch.srcMR.Key(), Len: ChunkBytes,
 			})
 			if err != nil {
 				return fmt.Errorf("placement: migration post: %w", err)
@@ -198,9 +188,9 @@ func (f *Fleet) Migrate(p *sim.Proc, pl *Placement, to *cluster.Host, mc Migrati
 	f.Log.Add(rec.Start, "migrate", "%s node%d->node%d: pre-copy %d MB",
 		pl.Spec.Name, src.Node, to.Node, mc.StateBytes>>20)
 
-	preChunks := mc.chunks(mc.StateBytes)
-	dirtyChunks := mc.chunks(int64(mc.DirtyFraction * float64(mc.StateBytes)))
-	ch, err := newMigrationChannel(src, to, mc, preChunks+dirtyChunks)
+	preChunks := chunks(mc.StateBytes)
+	dirtyChunks := chunks(int64(DirtyFraction * float64(mc.StateBytes)))
+	ch, err := newMigrationChannel(src, to, preChunks+dirtyChunks)
 	if err != nil {
 		return rec, err
 	}
@@ -240,7 +230,7 @@ func (f *Fleet) Migrate(p *sim.Proc, pl *Placement, to *cluster.Host, mc Migrati
 	if err := ch.transfer(p, dirtyChunks, nil); err != nil {
 		return rec, err
 	}
-	p.Sleep(mc.Downtime)
+	p.Sleep(Downtime)
 
 	// Phase 3: resume on the target.
 	pl.Migrations++
@@ -272,7 +262,7 @@ func (f *Fleet) Migrate(p *sim.Proc, pl *Placement, to *cluster.Host, mc Migrati
 
 	rec.End = f.TB.Eng.Now()
 	rec.Downtime = rec.End - downStart
-	rec.BytesMoved = int64(preChunks+dirtyChunks) * int64(mc.ChunkBytes)
+	rec.BytesMoved = int64(preChunks+dirtyChunks) * int64(ChunkBytes)
 	rec.FlowBytes = src.Uplink.FlowBytes(ch.srcQP.QPN())
 	f.Log.Migrations = append(f.Log.Migrations, rec)
 	f.Log.Add(rec.End, "migrate", "%s resumed on node%d (moved %d MB, blackout %v)",

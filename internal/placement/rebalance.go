@@ -3,9 +3,21 @@ package placement
 import (
 	"errors"
 
-	"resex/internal/exchange"
 	"resex/internal/schedshard"
 	"resex/internal/sim"
+)
+
+// The rebalancer's fixed thresholds.
+const (
+	// CapFloorPct: an interferer whose CPU cap is at or below this is
+	// considered fully throttled; if the victim still breaches, the only
+	// remedy left is moving someone.
+	CapFloorPct = 5.0
+	// LargeBuffer classifies interferer candidates, like the scorer's
+	// threshold.
+	LargeBuffer = 256 << 10
+	// MaxRetryBackoffs caps the abort backoff at this many RetryBackoffs.
+	MaxRetryBackoffs = 8
 )
 
 // RebalanceConfig parameterizes the rebalancer loop.
@@ -16,13 +28,6 @@ type RebalanceConfig struct {
 	// VM must accumulate before the rebalancer acts — throttling gets that
 	// long to fix the problem in place. Default 2.
 	Patience int
-	// CapFloorPct: an interferer whose CPU cap is at or below this is
-	// considered fully throttled; if the victim still breaches, the only
-	// remedy left is moving someone. Default 5.
-	CapFloorPct float64
-	// LargeBuffer classifies interferer candidates, like the scorer's
-	// threshold. Default 256 KB.
-	LargeBuffer int
 	// MaxMigrations bounds total migrations (safety valve against
 	// thrashing). Default 8.
 	MaxMigrations int
@@ -30,16 +35,10 @@ type RebalanceConfig struct {
 	Migration MigrationConfig
 	// RetryBackoff is the pause before re-attempting a placement whose
 	// migration aborted, doubled per consecutive failure up to
-	// MaxRetryBackoff. Zero keeps the naive behavior: the very next pass may
-	// retry immediately, even into the same failure window.
-	RetryBackoff    sim.Time
-	MaxRetryBackoff sim.Time
-	// GradientThreshold enables exchange-priced proactive rebalancing: when
-	// no latency victim needs help, a host whose fabric quote sits this
-	// fraction above the fleet mean (see exchange.Market.Gradient) sheds its
-	// hardest-driving bulk VM toward a strictly cheaper host. Zero disables
-	// gradient moves; fleets without a market never make them.
-	GradientThreshold float64
+	// MaxRetryBackoffs×RetryBackoff. Zero keeps the naive behavior: the
+	// very next pass may retry immediately, even into the same failure
+	// window.
+	RetryBackoff sim.Time
 }
 
 func (c RebalanceConfig) withDefaults() RebalanceConfig {
@@ -49,17 +48,8 @@ func (c RebalanceConfig) withDefaults() RebalanceConfig {
 	if c.Patience <= 0 {
 		c.Patience = 2
 	}
-	if c.CapFloorPct <= 0 {
-		c.CapFloorPct = 5
-	}
-	if c.LargeBuffer <= 0 {
-		c.LargeBuffer = 256 << 10
-	}
 	if c.MaxMigrations <= 0 {
 		c.MaxMigrations = 8
-	}
-	if c.RetryBackoff > 0 && c.MaxRetryBackoff <= 0 {
-		c.MaxRetryBackoff = 8 * c.RetryBackoff
 	}
 	return c
 }
@@ -131,7 +121,6 @@ func (r *Rebalancer) pass(p *sim.Proc) {
 		}
 	}
 	if victim == nil {
-		r.gradientPass(p)
 		return
 	}
 	srcIdx := victim.HostIdx
@@ -145,7 +134,7 @@ func (r *Rebalancer) pass(p *sim.Proc) {
 		if pl.HostIdx != srcIdx || pl.Spec.LatencySensitive {
 			continue
 		}
-		if pl.Spec.BufferSize < r.cfg.LargeBuffer {
+		if pl.Spec.BufferSize < LargeBuffer {
 			continue
 		}
 		rate := 0.0
@@ -160,7 +149,7 @@ func (r *Rebalancer) pass(p *sim.Proc) {
 	now := f.TB.Eng.Now()
 	mover := victim
 	if intf != nil {
-		if intf.lastCap > r.cfg.CapFloorPct && victim.intfEpochs < 2*r.cfg.Patience {
+		if intf.lastCap > CapFloorPct && victim.intfEpochs < 2*r.cfg.Patience {
 			// The host policy still has throttle headroom; give it until
 			// 2×Patience epochs before forcing a move anyway (a policy like
 			// FreeMarket may never throttle on latency at all).
@@ -203,62 +192,6 @@ func (r *Rebalancer) pass(p *sim.Proc) {
 	victim.intfEpochs = 0
 }
 
-// gradientPass is the proactive, economics-driven half of the loop: with no
-// latency victim to rescue, it reads the fleet market's price gradients and
-// drains the hardest-driving bulk VM off the host whose fabric quote sits
-// furthest above the fleet mean — onto a strictly cheaper, strictly
-// better-scoring host. This is migration pressure from prices alone: load
-// spreads off congested (expensive) fabrics before anyone's SLA breaks.
-func (r *Rebalancer) gradientPass(p *sim.Proc) {
-	f := r.f
-	mk := f.Market()
-	if r.cfg.GradientThreshold <= 0 || len(mk.Hosts()) == 0 {
-		return
-	}
-	srcIdx, worst := -1, 0.0
-	for i, h := range f.Workers {
-		g := mk.Gradient(h.Node, exchange.DimFabric)
-		if g >= r.cfg.GradientThreshold && (srcIdx < 0 || g > worst) {
-			srcIdx, worst = i, g
-		}
-	}
-	if srcIdx < 0 {
-		return
-	}
-	src := f.Workers[srcIdx]
-	var mover *Placement
-	var moverRate float64
-	for _, pl := range f.placements {
-		if pl.HostIdx != srcIdx || pl.Spec.LatencySensitive {
-			continue
-		}
-		if pl.Spec.BufferSize < r.cfg.LargeBuffer {
-			continue
-		}
-		rate := 0.0
-		if prof, ok := f.Mons[srcIdx].ProfileOf(pl.App.ServerVM.Dom.ID()); ok {
-			rate = prof.BytesPerSec
-		}
-		if mover == nil || rate > moverRate {
-			mover, moverRate = pl, rate
-		}
-	}
-	if mover == nil || f.TB.Eng.Now() < mover.retryAt {
-		return
-	}
-	target, _, err := r.pipe.Select(f.whatIf(mover), mover.Spec)
-	if err != nil || target.Node == src.Node {
-		return
-	}
-	if mk.Price(target.Node, exchange.DimFabric) >= mk.Price(src.Node, exchange.DimFabric) {
-		return // moving toward an equal-or-pricier fabric is churn
-	}
-	f.Log.Add(f.TB.Eng.Now(), "rebalance",
-		"fabric gradient +%.0f%% on node%d -> migrating %s node%d->node%d",
-		worst*100, src.Node, mover.Spec.Name, src.Node, target.Node)
-	r.migrate(p, mover, target.Node)
-}
-
 // migrate performs one move with abort backoff; reports success.
 func (r *Rebalancer) migrate(p *sim.Proc, mover *Placement, targetNode int) bool {
 	f := r.f
@@ -266,8 +199,8 @@ func (r *Rebalancer) migrate(p *sim.Proc, mover *Placement, targetNode int) bool
 		if errors.Is(err, ErrPreCopyAborted) && r.cfg.RetryBackoff > 0 {
 			mover.migFailures++
 			backoff := r.cfg.RetryBackoff << (mover.migFailures - 1)
-			if backoff > r.cfg.MaxRetryBackoff {
-				backoff = r.cfg.MaxRetryBackoff
+			if max := MaxRetryBackoffs * r.cfg.RetryBackoff; backoff > max {
+				backoff = max
 			}
 			mover.retryAt = f.TB.Eng.Now() + backoff
 			f.Log.Add(f.TB.Eng.Now(), "rebalance",

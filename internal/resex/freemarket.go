@@ -40,7 +40,7 @@ func (f *FreeMarket) Interval(m *Manager, d *IntervalData) {
 		t := &d.VMs[i]
 		t.VM.Account.ChargeIO(t.MTUs, ioRate)
 		t.VM.Account.ChargeCPU(t.CPUPct, cpuRate)
-		if !m.applyLowResoDecay(t.VM) && t.VM.capForced && t.VM.Account.Fraction() >= m.cfg.MinResoFraction {
+		if !m.applyLowResoDecay(t.VM) && t.VM.capForced && t.VM.Account.Fraction() >= MinResoFraction {
 			// Balance recovered (epoch rolled): lift the cap.
 			m.ApplyCap(t.VM, 100)
 		}

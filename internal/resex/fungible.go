@@ -131,12 +131,12 @@ func (f *Fungible) baseGrant(m *Manager, vm *ManagedVM) exchange.Vec {
 	if total == 0 {
 		total = 1
 	}
-	io := resos.Amount(m.cfg.Supply.LinkMTUsPerEpoch)
+	io := resos.Amount(resos.DefaultSupply().LinkMTUsPerEpoch)
 	if c := f.Exchange.Capacity[exchange.DimFabric]; c > 0 {
 		io = c
 	}
 	v := exchange.Vec{
-		exchange.DimCPU:    m.cfg.Supply.CPUAllocation(),
+		exchange.DimCPU:    resos.DefaultSupply().CPUAllocation(),
 		exchange.DimFabric: io * resos.Amount(vm.share) / resos.Amount(total),
 	}
 	// The memory-bandwidth dimension only exists on hosts that declare a

@@ -35,29 +35,35 @@ import (
 	"resex/internal/xen"
 )
 
-// Config parameterizes the manager.
-type Config struct {
-	// Interval is the charging interval. Default 1 ms (paper §VI-A).
-	Interval sim.Time
-	// IntervalsPerEpoch sets the epoch length. Default 1000 (1 s epoch).
-	IntervalsPerEpoch int
-	// Supply describes the platform resources converted to Resos.
-	Supply resos.Supply
+// The manager's platform constants (paper §VI).
+const (
+	// Interval is the charging interval (paper §VI-A).
+	Interval = sim.Millisecond
 	// MinResoFraction is the balance fraction below which the graceful cap
 	// decay engages (paper: 10%).
-	MinResoFraction float64
+	MinResoFraction = 0.10
 	// MinEpochRemaining is the fraction of the epoch that must remain for
 	// the decay to engage (paper: 10%).
-	MinEpochRemaining float64
+	MinEpochRemaining = 0.10
 	// CapDecay is the multiplicative cap decrease applied per interval
 	// while a VM is out of Resos (paper: decrement by 10% → 0.9).
-	CapDecay float64
+	CapDecay = 0.9
 	// MinCap floors enforced caps, in percent.
-	MinCap int
+	MinCap = 1
 	// TickCost is dom0 CPU charged per manager interval, plus PerVMCost
 	// per monitored VM.
-	TickCost  sim.Time
-	PerVMCost sim.Time
+	TickCost  = 2 * sim.Microsecond
+	PerVMCost = sim.Microsecond
+	// StaleConfidence is the confidence below which evidence counts as
+	// stale for the wrongful-throttle accounting (tracked whether or not
+	// the confidence gate is enabled).
+	StaleConfidence = 0.7
+)
+
+// Config parameterizes the manager.
+type Config struct {
+	// IntervalsPerEpoch sets the epoch length. Default 1000 (1 s epoch).
+	IntervalsPerEpoch int
 	// ConfidenceGate, when positive, enables degraded-mode cap holding: a
 	// VM's cap is never *tightened* while the host monitor is blacked out
 	// or the VM's IBMon confidence is below the gate — the last-known cap
@@ -65,42 +71,11 @@ type Config struct {
 	// telemetry). 0 (the default) disables the gate: caps apply
 	// unconditionally, as the paper's original policies do.
 	ConfidenceGate float64
-	// StaleConfidence is the confidence below which evidence counts as
-	// stale for the wrongful-throttle accounting (tracked whether or not
-	// the gate is enabled). Default 0.7.
-	StaleConfidence float64
 }
 
 func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = sim.Millisecond
-	}
 	if c.IntervalsPerEpoch <= 0 {
 		c.IntervalsPerEpoch = 1000
-	}
-	if c.Supply == (resos.Supply{}) {
-		c.Supply = resos.DefaultSupply()
-	}
-	if c.MinResoFraction == 0 {
-		c.MinResoFraction = 0.10
-	}
-	if c.MinEpochRemaining == 0 {
-		c.MinEpochRemaining = 0.10
-	}
-	if c.CapDecay == 0 {
-		c.CapDecay = 0.9
-	}
-	if c.MinCap <= 0 {
-		c.MinCap = 1
-	}
-	if c.TickCost == 0 {
-		c.TickCost = 2 * sim.Microsecond
-	}
-	if c.PerVMCost == 0 {
-		c.PerVMCost = sim.Microsecond
-	}
-	if c.StaleConfidence <= 0 {
-		c.StaleConfidence = 0.7
 	}
 	return c
 }
@@ -270,7 +245,7 @@ func (m *Manager) TelemetryStale(vm *ManagedVM) bool {
 	if m.mon != nil && m.mon.BlackedOut() {
 		return true
 	}
-	return vm.confidence < m.cfg.StaleConfidence
+	return vm.confidence < StaleConfidence
 }
 
 // AllowTighten reports whether the active configuration permits tightening
@@ -448,8 +423,8 @@ func (m *Manager) reallocate() {
 	if total == 0 {
 		return
 	}
-	io := m.cfg.Supply.LinkMTUsPerEpoch
-	cpu := m.cfg.Supply.CPUAllocation()
+	io := resos.DefaultSupply().LinkMTUsPerEpoch
+	cpu := resos.DefaultSupply().CPUAllocation()
 	for _, v := range m.vms {
 		alloc := cpu + resos.Amount(io*int64(v.share)/int64(total))
 		fresh := v.Account.Balance() == v.Account.Allocation()
@@ -493,9 +468,9 @@ func (m *Manager) Stop() {
 // run is the dom0 interval loop.
 func (m *Manager) run(p *sim.Proc) {
 	for m.running {
-		p.Sleep(m.cfg.Interval)
+		p.Sleep(Interval)
 		if m.vcpu != nil {
-			m.vcpu.Use(p, m.cfg.TickCost+sim.Time(len(m.vms))*m.cfg.PerVMCost)
+			m.vcpu.Use(p, TickCost+sim.Time(len(m.vms))*PerVMCost)
 		}
 		m.tick()
 	}
@@ -521,7 +496,7 @@ func (m *Manager) tick() {
 			}
 		}
 		cpu := vm.Dom.CPUTime()
-		pct := 100 * float64(cpu-vm.lastCPU) / float64(m.cfg.Interval)
+		pct := 100 * float64(cpu-vm.lastCPU) / float64(Interval)
 		vm.lastCPU = cpu
 		var memUnits int64
 		if vm.memMeter != nil {
@@ -608,8 +583,8 @@ func (m *Manager) EpochFraction() float64 {
 // VM never needs evidence). Applied decreases made on stale evidence are
 // counted as wrongful throttles either way.
 func (m *Manager) ApplyCap(vm *ManagedVM, cap float64) {
-	if cap < float64(m.cfg.MinCap) {
-		cap = float64(m.cfg.MinCap)
+	if cap < MinCap {
+		cap = MinCap
 	}
 	if cap >= 100 {
 		vm.cap = 100
@@ -640,12 +615,12 @@ func (m *Manager) ApplyCap(vm *ManagedVM, cap float64) {
 // than MinEpochRemaining of the epoch left, its cap decays multiplicatively
 // each interval instead of cutting the VM off abruptly.
 func (m *Manager) applyLowResoDecay(vm *ManagedVM) bool {
-	if vm.Account.Fraction() >= m.cfg.MinResoFraction {
+	if vm.Account.Fraction() >= MinResoFraction {
 		return false
 	}
-	if 1-m.EpochFraction() <= m.cfg.MinEpochRemaining {
+	if 1-m.EpochFraction() <= MinEpochRemaining {
 		return false
 	}
-	m.ApplyCap(vm, vm.cap*m.cfg.CapDecay)
+	m.ApplyCap(vm, vm.cap*CapDecay)
 	return true
 }

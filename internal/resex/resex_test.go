@@ -42,7 +42,7 @@ func newRig(t *testing.T, policy Policy, withIntf bool, slaUs float64) *testRig 
 	if _, err := mgr.Manage(rep.ServerVM.Dom, rep.Server.SendCQ(), slaUs); err != nil {
 		t.Fatal(err)
 	}
-	agent := benchex.NewAgent(rep.Server, rep.ServerVM.Dom.ID(), mgr, benchex.AgentConfig{})
+	agent := benchex.NewAgent(rep.Server, rep.ServerVM.Dom.ID(), mgr)
 
 	r := &testRig{tb: tb, rep: rep, mgr: mgr, mon: mon}
 	if withIntf {
@@ -254,8 +254,8 @@ func TestIOSharesNoPenaltyForTwins(t *testing.T) {
 	mgr := New(tb.Eng, hostA.HV, mon, dom0, NewIOShares(), Config{})
 	vmA, _ := mgr.Manage(a.ServerVM.Dom, a.Server.SendCQ(), 230)
 	vmB, _ := mgr.Manage(b.ServerVM.Dom, b.Server.SendCQ(), 230)
-	agA := benchex.NewAgent(a.Server, a.ServerVM.Dom.ID(), mgr, benchex.AgentConfig{})
-	agB := benchex.NewAgent(b.Server, b.ServerVM.Dom.ID(), mgr, benchex.AgentConfig{})
+	agA := benchex.NewAgent(a.Server, a.ServerVM.Dom.ID(), mgr)
+	agB := benchex.NewAgent(b.Server, b.ServerVM.Dom.ID(), mgr)
 	a.Start()
 	b.Start()
 	agA.Start()
@@ -288,7 +288,7 @@ func TestIOSharesBacksOffQuietInterferer(t *testing.T) {
 	mgr := New(tb.Eng, hostA.HV, mon, dom0, NewIOShares(), Config{})
 	_, _ = mgr.Manage(rep.ServerVM.Dom, rep.Server.SendCQ(), 230)
 	quietVM, _ := mgr.Manage(quiet.ServerVM.Dom, quiet.Server.SendCQ(), 0)
-	ag := benchex.NewAgent(rep.Server, rep.ServerVM.Dom.ID(), mgr, benchex.AgentConfig{})
+	ag := benchex.NewAgent(rep.Server, rep.ServerVM.Dom.ID(), mgr)
 	rep.Start()
 	quiet.Start()
 	ag.Start()

@@ -41,7 +41,7 @@ func TestEpochSummaryLedger(t *testing.T) {
 	if _, err := mgr.Manage(intf.ServerVM.Dom, intf.Server.SendCQ(), 0); err != nil {
 		t.Fatal(err)
 	}
-	agent := benchex.NewAgent(rep.Server, rep.ServerVM.Dom.ID(), mgr, benchex.AgentConfig{})
+	agent := benchex.NewAgent(rep.Server, rep.ServerVM.Dom.ID(), mgr)
 
 	type cum struct{ io, cpu resos.Amount }
 	running := map[xen.DomID]*cum{}

@@ -18,6 +18,9 @@ import (
 	"resex/internal/stats"
 )
 
+// PrepTime is sender CPU per frame.
+const PrepTime = 10 * sim.Microsecond
+
 // Config parameterizes a stream.
 type Config struct {
 	// Name labels diagnostics.
@@ -29,8 +32,6 @@ type Config struct {
 	// Deadline after send time by which the frame must arrive. Default:
 	// half the period.
 	Deadline sim.Time
-	// PrepTime is sender CPU per frame. Default 10 µs.
-	PrepTime sim.Time
 	// Frames bounds the stream (0 = run forever).
 	Frames int
 }
@@ -47,9 +48,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Deadline <= 0 {
 		c.Deadline = c.Period / 2
-	}
-	if c.PrepTime <= 0 {
-		c.PrepTime = 10 * sim.Microsecond
 	}
 	return c
 }
@@ -181,7 +179,7 @@ func (st *Stream) sendLoop(p *sim.Proc) {
 			p.Sleep(next - now)
 		}
 		next += st.cfg.Period
-		st.sxvm.VCPU.Use(p, st.cfg.PrepTime)
+		st.sxvm.VCPU.Use(p, PrepTime)
 		st.stats.Sent++
 		seq := uint64(st.stats.Sent)
 		putU64(frame[0:], seq)

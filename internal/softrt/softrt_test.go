@@ -128,7 +128,7 @@ func TestResExProtectsStream(t *testing.T) {
 			if _, err := mgr.Manage(bulk.ServerVM.Dom, bulk.Server.SendCQ(), 0); err != nil {
 				t.Fatal(err)
 			}
-			benchex.NewAgent(trading.Server, trading.ServerVM.Dom.ID(), mgr, benchex.AgentConfig{}).Start()
+			benchex.NewAgent(trading.Server, trading.ServerVM.Dom.ID(), mgr).Start()
 			mon.Start(tb.Eng)
 			mgr.Start()
 		}

@@ -26,49 +26,33 @@ import (
 	"resex/internal/xen"
 )
 
-// Costs parameterizes control-path overheads.
-type Costs struct {
-	// GuestCPU per control op (frontend marshaling, hypercall). Default
-	// 10 µs.
-	GuestCPU sim.Time
-	// Dom0CPU per control op (backend handler). Default 15 µs.
-	Dom0CPU sim.Time
+// Control-path overheads.
+const (
+	// GuestCPU per control op (frontend marshaling, hypercall).
+	GuestCPU = 10 * sim.Microsecond
+	// Dom0CPU per control op (backend handler).
+	Dom0CPU = 15 * sim.Microsecond
 	// RoundTrip is the event-channel round-trip latency added on top of
-	// the CPU costs. Default 20 µs.
-	RoundTrip sim.Time
-}
-
-func (c Costs) withDefaults() Costs {
-	if c.GuestCPU == 0 {
-		c.GuestCPU = 10 * sim.Microsecond
-	}
-	if c.Dom0CPU == 0 {
-		c.Dom0CPU = 15 * sim.Microsecond
-	}
-	if c.RoundTrip == 0 {
-		c.RoundTrip = 20 * sim.Microsecond
-	}
-	return c
-}
+	// the CPU costs.
+	RoundTrip = 20 * sim.Microsecond
+)
 
 // Backend is the dom0 side of the split driver: it owns the HCA control
 // path and the per-domain resource registry.
 type Backend struct {
-	eng   *sim.Engine
-	hca   *hca.HCA
-	dom0  *xen.VCPU // nil = don't charge dom0 CPU
-	costs Costs
-	pds   map[xen.DomID]*hca.PD
+	eng  *sim.Engine
+	hca  *hca.HCA
+	dom0 *xen.VCPU // nil = don't charge dom0 CPU
+	pds  map[xen.DomID]*hca.PD
 }
 
 // NewBackend creates the dom0 backend for one host's HCA.
-func NewBackend(eng *sim.Engine, h *hca.HCA, dom0 *xen.VCPU, costs Costs) *Backend {
+func NewBackend(eng *sim.Engine, h *hca.HCA, dom0 *xen.VCPU) *Backend {
 	return &Backend{
-		eng:   eng,
-		hca:   h,
-		dom0:  dom0,
-		costs: costs.withDefaults(),
-		pds:   make(map[xen.DomID]*hca.PD),
+		eng:  eng,
+		hca:  h,
+		dom0: dom0,
+		pds:  make(map[xen.DomID]*hca.PD),
 	}
 }
 
@@ -104,12 +88,12 @@ func (f *Frontend) charge(p *sim.Proc) {
 		return
 	}
 	if f.vcpu != nil {
-		f.vcpu.Use(p, f.be.costs.GuestCPU)
+		f.vcpu.Use(p, GuestCPU)
 	}
 	if f.be.dom0 != nil {
-		f.be.dom0.Use(p, f.be.costs.Dom0CPU)
+		f.be.dom0.Use(p, Dom0CPU)
 	}
-	p.Sleep(f.be.costs.RoundTrip)
+	p.Sleep(RoundTrip)
 }
 
 // CreateCQ creates a completion queue through the control path.

@@ -31,7 +31,7 @@ func newEnv(t *testing.T) *env {
 	dom0 := hv.Dom0().AddVCPU(hv.PCPU(0))
 	guest := hv.CreateDomain("guest", 64<<20, 0)
 	gvcpu := guest.AddVCPU(hv.PCPU(1))
-	be := NewBackend(eng, h, dom0, Costs{})
+	be := NewBackend(eng, h, dom0)
 	return &env{eng: eng, hv: hv, h: h, be: be, guest: guest, gvcpu: gvcpu,
 		fe: be.Connect(guest, gvcpu)}
 }

@@ -17,6 +17,17 @@ type Instrument struct {
 	Expiry float64
 }
 
+// Mix weights for request types: an order-gateway-like mix.
+const (
+	MixNewOrder = 55
+	MixCancel   = 15
+	MixQuote    = 20
+	MixFeed     = 10
+)
+
+// RiskFreeRate is the rate stamped on options.
+const RiskFreeRate = 0.03
+
 // GeneratorConfig parameterizes the workload.
 type GeneratorConfig struct {
 	// Symbols is the instrument universe size. Default 64.
@@ -28,22 +39,11 @@ type GeneratorConfig struct {
 	// which arrivals slow 10×, alternating with fast phases. 0 = plain
 	// Poisson. Models the open/close bursts of exchange traffic.
 	Burstiness float64
-	// Mix weights for request types (NewOrder, Cancel, Quote, Feed);
-	// zero-valued defaults to 55/15/20/10, an order-gateway-like mix.
-	MixNewOrder, MixCancel, MixQuote, MixFeed int
-	// Rate is the risk-free rate stamped on options. Default 3%.
-	Rate float64
 }
 
 func (c GeneratorConfig) withDefaults() GeneratorConfig {
 	if c.Symbols <= 0 {
 		c.Symbols = 64
-	}
-	if c.MixNewOrder == 0 && c.MixCancel == 0 && c.MixQuote == 0 && c.MixFeed == 0 {
-		c.MixNewOrder, c.MixCancel, c.MixQuote, c.MixFeed = 55, 15, 20, 10
-	}
-	if c.Rate == 0 {
-		c.Rate = 0.03
 	}
 	if c.Burstiness < 0 {
 		c.Burstiness = 0
@@ -120,21 +120,20 @@ func (g *Generator) Next(now sim.Time) Request {
 			Strike: ins.Strike,
 			Vol:    ins.Vol,
 			Expiry: ins.Expiry,
-			Rate:   g.cfg.Rate,
+			Rate:   RiskFreeRate,
 		},
 	}
 }
 
-// pickType draws a request type from the configured mix.
+// pickType draws a request type from the mix.
 func (g *Generator) pickType() RequestType {
-	total := g.cfg.MixNewOrder + g.cfg.MixCancel + g.cfg.MixQuote + g.cfg.MixFeed
-	n := g.rng.Intn(total)
+	n := g.rng.Intn(MixNewOrder + MixCancel + MixQuote + MixFeed)
 	switch {
-	case n < g.cfg.MixNewOrder:
+	case n < MixNewOrder:
 		return NewOrder
-	case n < g.cfg.MixNewOrder+g.cfg.MixCancel:
+	case n < MixNewOrder+MixCancel:
 		return CancelOrder
-	case n < g.cfg.MixNewOrder+g.cfg.MixCancel+g.cfg.MixQuote:
+	case n < MixNewOrder+MixCancel+MixQuote:
 		return QuoteRequest
 	default:
 		return FeedRequest

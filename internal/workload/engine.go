@@ -10,14 +10,15 @@ import (
 	"resex/internal/sim"
 )
 
+// PCPUsPerHost sizes the workers: 7 guest slots + dom0.
+const PCPUsPerHost = 8
+
 // Config parameterizes a worker rig (and the traffic engine on it).
 type Config struct {
 	// Hosts is the number of worker (server) hosts, nodes 1..Hosts. One
 	// extra client host (node Hosts+1) runs every tenant's client with a
 	// link scaled by Hosts so the client side never bottlenecks. Default 1.
 	Hosts int
-	// PCPUsPerHost sizes the workers. Default 8 (7 guest slots + dom0).
-	PCPUsPerHost int
 	// ClientPCPUs sizes the client host; it must hold one VM per tenant.
 	// Default 32.
 	ClientPCPUs int
@@ -43,9 +44,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Hosts <= 0 {
 		c.Hosts = 1
-	}
-	if c.PCPUsPerHost <= 0 {
-		c.PCPUsPerHost = 8
 	}
 	if c.ClientPCPUs <= 0 {
 		c.ClientPCPUs = 32
@@ -87,7 +85,7 @@ func NewRig(cfg Config) *Rig {
 	cfg = cfg.withDefaults()
 	tb := cluster.New(cluster.Config{
 		LinkBandwidth: cfg.LinkBandwidth,
-		PCPUsPerHost:  cfg.PCPUsPerHost,
+		PCPUsPerHost:  PCPUsPerHost,
 	})
 	clientBW := 0.0
 	for n := 1; n <= cfg.Hosts; n++ {
@@ -108,7 +106,7 @@ func NewRig(cfg Config) *Rig {
 		if cfg.Policy == nil {
 			continue
 		}
-		mon := ibmon.New(h.HV, h.Dom0VCPU(), ibmon.Config{MTU: tb.Config().MTU})
+		mon := ibmon.New(h.HV, h.Dom0VCPU(), ibmon.Config{})
 		mon.Start(tb.Eng)
 		mgr := resex.New(tb.Eng, h.HV, mon, h.Dom0VCPU(), cfg.Policy(), resex.Config{
 			IntervalsPerEpoch: cfg.IntervalsPerEpoch,
@@ -220,7 +218,7 @@ func (e *Engine) AddTenant(spec TenantSpec) (*Tenant, error) {
 		// co-tenant throttled. Same asymmetry as the paper's scenario: victims
 		// are self-declared via reports, culprits are found by attribution.
 		if spec.SLAUs > 0 {
-			agent = benchex.NewAgent(server, dom.ID(), e.Mgrs[hostIdx], benchex.AgentConfig{})
+			agent = benchex.NewAgent(server, dom.ID(), e.Mgrs[hostIdx])
 			e.agents = append(e.agents, agent)
 		}
 	}

@@ -5,14 +5,14 @@ import (
 	"resex/internal/stats"
 )
 
-// SLOSpec declares a tenant's latency objectives in microseconds. Zero
-// targets are unconstrained; a tenant with no targets always attains.
+// SLOSpec declares a tenant's latency objective in microseconds. A zero
+// target is unconstrained; a tenant with no target always attains.
 type SLOSpec struct {
-	// P50Us, P99Us, P999Us are per-window quantile targets (µs).
-	P50Us, P99Us, P999Us float64
+	// P99Us is the per-window p99 target (µs).
+	P99Us float64
 	// Window is the attainment evaluation period: at each boundary the
-	// window's latency sketch is scored against every configured target
-	// and the whole window counts as attained or violated. Default 20 ms.
+	// window's latency sketch is scored against the target and the whole
+	// window counts as attained or violated. Default 20 ms.
 	Window sim.Time
 }
 
@@ -23,21 +23,8 @@ func (s SLOSpec) withDefaults() SLOSpec {
 	return s
 }
 
-// Constrained reports whether any target is set.
-func (s SLOSpec) Constrained() bool { return s.P50Us > 0 || s.P99Us > 0 || s.P999Us > 0 }
-
-// bound is the loosest configured target (µs) — once an outstanding request
-// is older than this, it has blown every objective it is subject to.
-func (s SLOSpec) bound() float64 {
-	b := s.P50Us
-	if s.P99Us > b {
-		b = s.P99Us
-	}
-	if s.P999Us > b {
-		b = s.P999Us
-	}
-	return b
-}
+// Constrained reports whether the target is set.
+func (s SLOSpec) Constrained() bool { return s.P99Us > 0 }
 
 // sloTracker scores time-weighted SLO attainment: virtual time is divided
 // into evaluation windows, each window is attained or violated as a whole,
@@ -81,15 +68,13 @@ func (t *sloTracker) endWindow(now, oldest sim.Time, has bool) {
 	viol := false
 	switch {
 	case t.win.Count() > 0:
-		viol = (t.spec.P50Us > 0 && t.win.Quantile(0.5) > t.spec.P50Us) ||
-			(t.spec.P99Us > 0 && t.win.Quantile(0.99) > t.spec.P99Us) ||
-			(t.spec.P999Us > 0 && t.win.Quantile(0.999) > t.spec.P999Us)
+		viol = t.spec.P99Us > 0 && t.win.Quantile(0.99) > t.spec.P99Us
 	case has && t.spec.Constrained():
 		// Nothing completed all window. If the oldest waiting request has
-		// already outlived the loosest target, the tenant is stalled and
-		// the window is a violation — without this, a wedged tenant would
-		// score perfect attainment by never completing anything.
-		viol = (now - oldest).Microseconds() > t.spec.bound()
+		// already outlived the target, the tenant is stalled and the window
+		// is a violation — without this, a wedged tenant would score
+		// perfect attainment by never completing anything.
+		viol = (now - oldest).Microseconds() > t.spec.P99Us
 	}
 	if viol {
 		t.violated += dur

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 
+	"resex/internal/benchex"
 	"resex/internal/guestmem"
 	"resex/internal/hca"
 	"resex/internal/sim"
@@ -256,12 +257,9 @@ func (t *Tenant) issue(p *sim.Proc) {
 	arrivedAt := t.queue[0]
 	t.queue = t.queue[1:]
 	req := t.gen.Next(t.eng.Now())
-	prep := t.Spec.PrepTime
-	if t.Spec.PrepJitter > 0 {
-		prep = sim.Time(float64(prep) * t.rng.Uniform(1-t.Spec.PrepJitter, 1+t.Spec.PrepJitter))
-		if prep < 1 {
-			prep = 1
-		}
+	prep := sim.Time(float64(benchex.PrepTime) * t.rng.Uniform(1-benchex.PrepJitter, 1+benchex.PrepJitter))
+	if prep < 1 {
+		prep = 1
 	}
 	t.vcpu.Use(p, prep)
 	// Stamp the request with its arrival time, not the post time: measured
@@ -293,9 +291,7 @@ func (t *Tenant) complete(p *sim.Proc, cqe hca.CQE) {
 	slot := int(cqe.WRID)
 	t.pd.Space().Read(t.recvBuf+guestmem.Addr(slot*t.Spec.BufferSize), t.resp)
 	resp, err := trace.DecodeResponse(t.resp)
-	if t.Spec.InterruptCost > 0 {
-		t.vcpu.Use(p, t.Spec.InterruptCost)
-	}
+	t.vcpu.Use(p, InterruptCost)
 	now := t.eng.Now()
 	if len(t.outstanding) > 0 {
 		t.outstanding = t.outstanding[1:]

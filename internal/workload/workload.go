@@ -22,7 +22,7 @@
 // textbook hockey stick instead of being hidden by the issue window
 // (coordinated omission).
 //
-// Per-tenant SLOSpecs (p50/p99/p999 targets) are scored as time-weighted
+// Per-tenant SLOSpecs (p99 targets) are scored as time-weighted
 // attainment over fixed evaluation windows, and a pluggable Admission hook
 // can shed arrivals before they enter the queue. Unlike benchex.Client,
 // which busy-polls its completion queue, the tenant driver is event-driven
@@ -46,6 +46,11 @@ type ClosedLoop struct {
 	// using the fixed value.
 	ThinkExp bool
 }
+
+// InterruptCost is tenant client CPU per reaped completion — the
+// event-driven wakeup price. Request builds cost benchex.PrepTime, jittered
+// by ±benchex.PrepJitter against phase-locking, as a BenchEx client's do.
+const InterruptCost = 2 * sim.Microsecond
 
 // TenantSpec declares one tenant of the traffic engine.
 type TenantSpec struct {
@@ -86,13 +91,6 @@ type TenantSpec struct {
 	// PipelineServer makes the server fire-and-forget its responses (bulk
 	// movers that keep the link saturated).
 	PipelineServer bool
-	// PrepTime is client CPU per request build (default 5 µs), jittered by
-	// ±PrepJitter (default 0.1) against phase-locking.
-	PrepTime   sim.Time
-	PrepJitter float64
-	// InterruptCost is client CPU per reaped completion — the event-driven
-	// wakeup price (default 2 µs; negative disables).
-	InterruptCost sim.Time
 	// MemBytesPerReq is the server-side memory traffic each request incurs,
 	// in bytes — the mixed-criticality knob: on a managed host it feeds the
 	// ResEx memory-bandwidth meter (resex.Manager.SetMemMeter), so the
@@ -122,21 +120,6 @@ func (s TenantSpec) withDefaults() TenantSpec {
 	s.SLO = s.SLO.withDefaults()
 	if s.Admission == nil {
 		s.Admission = AdmitAll{}
-	}
-	if s.PrepTime <= 0 {
-		s.PrepTime = 5 * sim.Microsecond
-	}
-	if s.PrepJitter == 0 {
-		s.PrepJitter = 0.1
-	}
-	if s.PrepJitter < 0 {
-		s.PrepJitter = 0
-	}
-	if s.InterruptCost == 0 {
-		s.InterruptCost = 2 * sim.Microsecond
-	}
-	if s.InterruptCost < 0 {
-		s.InterruptCost = 0
 	}
 	if s.Seed == 0 {
 		s.Seed = 1

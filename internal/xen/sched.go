@@ -64,12 +64,12 @@ func (c *PCPU) reschedule() {
 		return
 	}
 	now := c.hv.eng.Now()
-	window := now / c.hv.cfg.CapPeriod
+	window := now / CapPeriod
 	for _, v := range c.vcpus {
 		v.refresh(window)
 	}
 	v := c.pick()
-	windowEnd := (window + 1) * c.hv.cfg.CapPeriod
+	windowEnd := (window + 1) * CapPeriod
 	if v == nil {
 		// Idle. If a capped-out VCPU still has demand, retry at the next
 		// window boundary, when its budget refills.
@@ -81,7 +81,7 @@ func (c *PCPU) reschedule() {
 		}
 		return
 	}
-	g := c.hv.cfg.Tick
+	g := Tick
 	if v.budget < g {
 		g = v.budget
 	}
@@ -202,9 +202,9 @@ func (v *VCPU) refresh(window sim.Time) {
 // capShare returns the per-window budget implied by the domain cap.
 func (v *VCPU) capShare() sim.Time {
 	if v.dom.cap <= 0 {
-		return v.pcpu.hv.cfg.CapPeriod
+		return CapPeriod
 	}
-	return v.pcpu.hv.cfg.CapPeriod * sim.Time(v.dom.cap) / 100
+	return CapPeriod * sim.Time(v.dom.cap) / 100
 }
 
 // demand reports whether any guest thread currently wants the VCPU.

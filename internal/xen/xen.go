@@ -8,10 +8,10 @@
 // proportional to its weight every accounting period and enforces an
 // optional cap: a domain may not exceed cap% of a CPU per period even when
 // the CPU is otherwise idle. We reproduce that contract: time is divided
-// into cap windows (default 10 ms, the paper's time slice); at each window
+// into cap windows (CapPeriod, 10 ms, the paper's time slice); at each window
 // boundary every VCPU's budget is refilled to cap% of the window (full
 // window when uncapped); the per-PCPU scheduler hands out grants of at most
-// one tick (default 1 ms) to the runnable VCPU with the smallest
+// one Tick (1 ms) to the runnable VCPU with the smallest
 // weight-normalized consumption. Grants are not preempted mid-flight — a
 // waking VCPU waits for the current grant to expire (≤ 1 tick), which is a
 // finer preemption granularity than real Xen's 10 ms ticker.
@@ -29,30 +29,25 @@ import (
 	"resex/internal/sim"
 )
 
+// The credit scheduler's time constants.
+const (
+	// CapPeriod is the window over which CPU caps are enforced (the
+	// scheduler time slice of the paper).
+	CapPeriod = 10 * sim.Millisecond
+	// Tick is the maximum length of a single scheduling grant; it bounds
+	// how stale a scheduling decision can get.
+	Tick = sim.Millisecond
+)
+
 // Config parameterizes the hypervisor.
 type Config struct {
 	// NumPCPUs is the number of physical CPUs. Default 4.
 	NumPCPUs int
-	// CapPeriod is the window over which CPU caps are enforced (the
-	// scheduler time slice of the paper). Default 10 ms.
-	CapPeriod sim.Time
-	// Tick is the maximum length of a single scheduling grant; it bounds
-	// how stale a scheduling decision can get. Default 1 ms.
-	Tick sim.Time
 }
 
 func (c Config) withDefaults() Config {
 	if c.NumPCPUs <= 0 {
 		c.NumPCPUs = 4
-	}
-	if c.CapPeriod <= 0 {
-		c.CapPeriod = 10 * sim.Millisecond
-	}
-	if c.Tick <= 0 {
-		c.Tick = sim.Millisecond
-	}
-	if c.Tick > c.CapPeriod {
-		c.Tick = c.CapPeriod
 	}
 	return c
 }
@@ -63,7 +58,6 @@ type DomID int
 // Hypervisor is one physical machine's VMM instance.
 type Hypervisor struct {
 	eng     *sim.Engine
-	cfg     Config
 	pcpus   []*PCPU
 	domains []*Domain
 	nextID  DomID
@@ -72,7 +66,7 @@ type Hypervisor struct {
 // New creates a hypervisor with a dom0 (512 MB, weight 256) already booted.
 func New(eng *sim.Engine, cfg Config) *Hypervisor {
 	cfg = cfg.withDefaults()
-	hv := &Hypervisor{eng: eng, cfg: cfg}
+	hv := &Hypervisor{eng: eng}
 	for i := 0; i < cfg.NumPCPUs; i++ {
 		hv.pcpus = append(hv.pcpus, &PCPU{hv: hv, id: i})
 	}
@@ -82,9 +76,6 @@ func New(eng *sim.Engine, cfg Config) *Hypervisor {
 
 // Engine returns the simulation engine.
 func (hv *Hypervisor) Engine() *sim.Engine { return hv.eng }
-
-// Config returns the effective configuration.
-func (hv *Hypervisor) Config() Config { return hv.cfg }
 
 // PCPU returns physical CPU i.
 func (hv *Hypervisor) PCPU(i int) *PCPU { return hv.pcpus[i] }
@@ -190,7 +181,7 @@ func (d *Domain) SetCap(pct int) {
 		d.onCap(old, pct)
 	}
 	for _, v := range d.vcpus {
-		v.refresh(d.hv.eng.Now() / d.hv.cfg.CapPeriod)
+		v.refresh(d.hv.eng.Now() / CapPeriod)
 		v.budget = v.capShare() - v.windowUsed
 		if v.budget < 0 {
 			v.budget = 0

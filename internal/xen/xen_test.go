@@ -18,9 +18,6 @@ func TestDefaults(t *testing.T) {
 	if hv.NumPCPUs() != 4 {
 		t.Errorf("NumPCPUs = %d", hv.NumPCPUs())
 	}
-	if hv.Config().CapPeriod != 10*sim.Millisecond || hv.Config().Tick != sim.Millisecond {
-		t.Errorf("config = %+v", hv.Config())
-	}
 	if hv.Dom0() == nil || hv.Dom0().ID() != 0 || hv.Dom0().Name() != "Domain-0" {
 		t.Error("dom0 not booted")
 	}
@@ -118,7 +115,7 @@ func TestCapNeverExceeded(t *testing.T) {
 		}
 		// And the cap should be approximately achieved (within one window's
 		// share + one Use chunk of slack).
-		slack := hv.Config().CapPeriod*sim.Time(cap)/100 + 500*sim.Microsecond
+		slack := CapPeriod*sim.Time(cap)/100 + 500*sim.Microsecond
 		if got < want-slack {
 			t.Errorf("cap=%d%%: consumed %v, expected close to %v", cap, got, want)
 		}
@@ -478,7 +475,7 @@ func TestCPUTimeConservation(t *testing.T) {
 		got := s.dom.CPUTime()
 		total += got
 		if s.cap > 0 {
-			allowed := elapsed*sim.Time(s.cap)/100 + hv.Config().CapPeriod
+			allowed := elapsed*sim.Time(s.cap)/100 + CapPeriod
 			if got > allowed {
 				t.Errorf("dom cap=%d consumed %v > allowed %v", s.cap, got, allowed)
 			}
