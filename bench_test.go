@@ -9,7 +9,6 @@ import (
 	"resex/internal/benchex"
 	"resex/internal/cluster"
 	"resex/internal/experiments"
-	"resex/internal/fabric"
 	"resex/internal/faults"
 	"resex/internal/ibmon"
 	"resex/internal/invariant"
@@ -169,29 +168,10 @@ func BenchmarkFig9BufferSweep(b *testing.B) {
 // Ablations: design choices DESIGN.md calls out.
 // ---------------------------------------------------------------------------
 
-// BenchmarkAblationLinkDiscipline compares per-MTU round-robin arbitration
-// (IB virtual lanes) against FIFO head-of-line blocking for the reporting
-// VM under interference.
-func BenchmarkAblationLinkDiscipline(b *testing.B) {
-	for _, disc := range []fabric.Discipline{fabric.RoundRobin, fabric.FIFO} {
-		disc := disc
-		b.Run(disc.String(), func(b *testing.B) {
-			var lat float64
-			for i := 0; i < b.N; i++ {
-				s, err := experiments.Build(experiments.ScenarioConfig{
-					IntfBuffer: experiments.IntfBuffer,
-					Discipline: disc,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				s.RunMeasured(benchOpts())
-				lat = s.RepStats().Total.Mean()
-			}
-			b.ReportMetric(lat, "latency_us")
-		})
-	}
-}
+// BenchmarkAblationLinkDiscipline runs abl-arb: per-MTU round-robin
+// arbitration (IB virtual lanes) against FIFO head-of-line blocking for the
+// reporting VM under interference.
+func BenchmarkAblationLinkDiscipline(b *testing.B) { runFigure(b, "abl-arb") }
 
 // BenchmarkAblationIBMonPeriod sweeps the introspection sampling period and
 // reports the byte-estimation error on a deliberately small (16-entry) CQ,
@@ -256,36 +236,10 @@ func BenchmarkAblationInterfererRate(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNICRateLimit compares ResEx's CPU-cap mechanism against
-// the per-flow NIC rate limiting of newer adapters (which the paper's
-// introduction anticipates): both throttle the 2MB interferer to ~3% of the
-// link, but the NIC limit leaves the interferer's CPU untouched. Reported
-// metrics: the victim's latency and the interferer's achieved compute.
-func BenchmarkAblationNICRateLimit(b *testing.B) {
-	run := func(b *testing.B, useNIC bool) {
-		var lat, intfCPU float64
-		for i := 0; i < b.N; i++ {
-			s, err := experiments.Build(experiments.ScenarioConfig{IntfBuffer: experiments.IntfBuffer})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if useNIC {
-				// The server endpoint QP is the interferer's only sender
-				// on host A; pace it to ~3% of the link directly.
-				s.Intf.ServerQP.SetRateLimit(30e6)
-			} else {
-				s.Intf.ServerVM.Dom.SetCap(3)
-			}
-			s.RunMeasured(benchOpts())
-			lat = s.RepStats().Total.Mean()
-			intfCPU = s.Intf.ServerVM.Dom.CPUTime().Seconds()
-		}
-		b.ReportMetric(lat, "victim_latency_us")
-		b.ReportMetric(intfCPU, "intf_cpu_s")
-	}
-	b.Run("cpu-cap-3pct", func(b *testing.B) { run(b, false) })
-	b.Run("nic-30MBps", func(b *testing.B) { run(b, true) })
-}
+// BenchmarkAblationNICRateLimit runs abl-mech: ResEx's CPU-cap mechanism
+// against the per-flow NIC rate limiting of newer adapters (which the
+// paper's introduction anticipates), both throttling the 2MB interferer.
+func BenchmarkAblationNICRateLimit(b *testing.B) { runFigure(b, "abl-mech") }
 
 // BenchmarkAblationEpochLength sweeps FreeMarket's epoch length: shorter
 // epochs replenish the interferer sooner and weaken the policy.
@@ -332,35 +286,10 @@ func BenchmarkAblationEpochLength(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPollingVsEvents compares busy-polling against
-// event-driven completions for a server capped at 10%: spinning burns the
-// cap budget, events preserve it for real work.
-func BenchmarkAblationPollingVsEvents(b *testing.B) {
-	run := func(b *testing.B, eventDriven bool) {
-		var served int64
-		var lat float64
-		for i := 0; i < b.N; i++ {
-			tb := cluster.New(cluster.Config{})
-			hostA, hostB := tb.AddHost(1), tb.AddHost(2)
-			app, err := tb.NewApp("app", hostA, hostB,
-				benchex.ServerConfig{BufferSize: 64 << 10, EventDriven: eventDriven},
-				benchex.ClientConfig{BufferSize: 64 << 10, Window: 4})
-			if err != nil {
-				b.Fatal(err)
-			}
-			app.ServerVM.Dom.SetCap(10)
-			app.Start()
-			tb.Eng.RunUntil(300 * sim.Millisecond)
-			served = app.Server.Stats().Served
-			lat = app.Server.Stats().Total.Mean()
-			tb.Eng.Shutdown()
-		}
-		b.ReportMetric(float64(served)/0.3, "req/s")
-		b.ReportMetric(lat, "latency_us")
-	}
-	b.Run("polling", func(b *testing.B) { run(b, false) })
-	b.Run("events", func(b *testing.B) { run(b, true) })
-}
+// BenchmarkAblationPollingVsEvents runs abl-events: busy-polling against
+// event-driven completions for a capped server — spinning burns the cap
+// budget, events preserve it for real work.
+func BenchmarkAblationPollingVsEvents(b *testing.B) { runFigure(b, "abl-events") }
 
 // BenchmarkAblPlacement regenerates the placement ablation and reports the
 // SLA-attainment gap between interference-aware and random placement at the
@@ -388,45 +317,10 @@ func BenchmarkAblPlacement(b *testing.B) {
 	b.ReportMetric(rd, "random_sla_pct")
 }
 
-// BenchmarkConsolidationCapacity answers the paper's motivating question —
-// exchanges run below 10% utilization, so how many latency-sensitive
-// applications can share a host within an SLA? It packs 64KB apps onto
-// host A until the first app's mean latency exceeds SLA (base × 1.25) and
-// reports the achieved density.
-func BenchmarkConsolidationCapacity(b *testing.B) {
-	var density int
-	for i := 0; i < b.N; i++ {
-		density = 0
-		for n := 1; n <= 6; n++ {
-			tb := cluster.New(cluster.Config{PCPUsPerHost: 8})
-			hostA, hostB := tb.AddHost(1), tb.AddHost(2)
-			apps := make([]*cluster.App, n)
-			for j := range apps {
-				app, err := tb.NewApp(fmt.Sprintf("a%d", j), hostA, hostB,
-					benchex.ServerConfig{BufferSize: 64 << 10},
-					benchex.ClientConfig{BufferSize: 64 << 10, Seed: int64(j + 1)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				apps[j] = app
-				app.Start()
-			}
-			tb.Eng.RunUntil(200 * sim.Millisecond)
-			worst := 0.0
-			for _, app := range apps {
-				if m := app.Server.Stats().Total.Mean(); m > worst {
-					worst = m
-				}
-			}
-			tb.Eng.Shutdown()
-			if worst > 233.5*1.25 {
-				break
-			}
-			density = n
-		}
-	}
-	b.ReportMetric(float64(density), "apps_within_sla")
-}
+// BenchmarkConsolidationCapacity runs abl-capacity, the paper's motivating
+// question: exchanges run below 10% utilization, so how many
+// latency-sensitive applications can share a host within an SLA?
+func BenchmarkConsolidationCapacity(b *testing.B) { runFigure(b, "abl-capacity") }
 
 // ---------------------------------------------------------------------------
 // Microbenchmarks: simulator core performance (events/sec, messages/sec).

@@ -32,7 +32,7 @@ func main() {
 
 	switch {
 	case *gen > 0:
-		g := trace.NewGenerator(*seed, trace.GeneratorConfig{})
+		g := trace.NewGenerator(*seed)
 		reqs := trace.Record(g, *gen)
 		f, err := os.Create(*out)
 		if err != nil {
@@ -45,7 +45,10 @@ func main() {
 		fmt.Printf("wrote %d requests (%d bytes) to %s\n", len(reqs), 16+len(reqs)*trace.RequestSize, *out)
 
 	case *info != "":
-		reqs := load(*info)
+		reqs, err := load(*info)
+		if err != nil {
+			fatal(err)
+		}
 		counts := map[trace.RequestType]int{}
 		symbols := map[uint32]bool{}
 		for _, r := range reqs {
@@ -58,7 +61,10 @@ func main() {
 		}
 
 	case *replay != "":
-		reqs := load(*replay)
+		reqs, err := load(*replay)
+		if err != nil {
+			fatal(err)
+		}
 		tb := cluster.New(cluster.Config{})
 		hostA, hostB := tb.AddHost(1), tb.AddHost(2)
 		app, err := tb.NewApp("replay", hostA, hostB,
@@ -86,17 +92,22 @@ func main() {
 	}
 }
 
-func load(path string) []trace.Request {
+// load reads a workload log, rejecting one with no requests: -info has no
+// mix to report and -replay no request to send.
+func load(path string) ([]trace.Request, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	defer f.Close()
 	reqs, err := trace.ReadLog(f)
 	if err != nil {
-		fatal(err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return reqs
+	if len(reqs) == 0 {
+		return nil, fmt.Errorf("%s: workload log holds no requests", path)
+	}
+	return reqs, nil
 }
 
 func fatal(err error) {

@@ -27,9 +27,6 @@ var unsetConfigFields = map[string]string{
 	"placement.RebalanceConfig.RetryBackoff": "fault tests exercise the abort backoff, off by default",
 	"schedshard.Config.NewPipeline":          "tests substitute pipelines",
 	"softrt.Config.Frames":                   "tests bound the stream to a fixed frame count",
-	"trace.GeneratorConfig.Burstiness":       "trace tests check the bursty interarrival phases",
-	"trace.GeneratorConfig.MeanInterarrival": "trace tests check the open-loop interarrival pacing",
-	"trace.GeneratorConfig.Symbols":          "trace tests size a small instrument universe",
 	"workload.SLOSpec.Window":                "TestSLOTrackerWindows shortens the evaluation window",
 }
 

@@ -16,7 +16,6 @@
 //   - internal/ibmon      out-of-band I/O monitoring via introspection
 //   - internal/resos      the Reso currency: accounts, epochs, charging
 //   - internal/resex      the ResEx manager, FreeMarket and IOShares
-//   - internal/finance    Black–Scholes & friends (option pricing models)
 //   - internal/trace      synthetic exchange workload + wire protocol
 //   - internal/benchex    the BenchEx benchmark: server, client, agent
 //   - internal/cluster    testbed assembly (hosts, VMs, wiring)

@@ -54,27 +54,25 @@ func TestProcessTimeScalesWithBuffer(t *testing.T) {
 	tb2.Eng.Shutdown()
 }
 
-func TestResponsesCarryRealPrices(t *testing.T) {
-	// The server runs real Black–Scholes on the decoded request; responses
-	// carry the price back through guest memory. We verify end to end by
-	// re-deriving prices from the client's own generator stream.
+func TestResponsesEchoRequests(t *testing.T) {
+	// The server decodes each request out of guest memory and echoes its
+	// sequence number and client timestamp back in the response, so every
+	// response the client parses matches a request it sent.
 	tb, app := newPair(t,
 		benchex.ServerConfig{BufferSize: 64 << 10},
-		benchex.ClientConfig{BufferSize: 64 << 10, Requests: 10, Seed: 7})
+		benchex.ClientConfig{BufferSize: 64 << 10, Requests: 10, Seed: 7, RecordTimeline: true})
 	app.Start()
 	tb.Eng.RunUntil(50 * sim.Millisecond)
-	cs := app.Client.Stats()
-	if cs.Received != 10 {
-		t.Fatalf("received %d", cs.Received)
+	tl := app.Client.Stats().Timeline
+	if len(tl) != 10 {
+		t.Fatalf("received %d responses, want 10", len(tl))
 	}
-	// Regenerate the same request stream.
-	gen := trace.NewGenerator(7, trace.GeneratorConfig{})
-	for i := 0; i < 10; i++ {
-		req := gen.Next(0)
-		if req.Option.Valid() {
-			if _, err := req.Option.Price(); err != nil {
-				t.Fatalf("request %d unpriceable: %v", i, err)
-			}
+	for i, rec := range tl {
+		if rec.Seq != uint64(i+1) {
+			t.Errorf("response %d echoes seq %d", i, rec.Seq)
+		}
+		if rec.Latency <= 0 {
+			t.Errorf("response %d: latency %v from echoed timestamp %v", i, rec.Latency, rec.SentAt)
 		}
 	}
 	tb.Eng.Shutdown()
@@ -298,7 +296,7 @@ func TestStopIsIdempotentAndHalts(t *testing.T) {
 func TestClientReplaySource(t *testing.T) {
 	// A client driven by a recorded workload replays exactly that stream:
 	// two runs over the same log produce identical latency sequences.
-	reqs := trace.Record(trace.NewGenerator(77, trace.GeneratorConfig{}), 30)
+	reqs := trace.Record(trace.NewGenerator(77), 30)
 	run := func() []float64 {
 		tb := cluster.New(cluster.Config{})
 		hostA, hostB := tb.AddHost(1), tb.AddHost(2)

@@ -68,7 +68,7 @@ func NewClient(eng *sim.Engine, vcpu *xen.VCPU, pd *hca.PD, cfg ClientConfig) (*
 		done: sim.NewSignal(eng),
 	}
 	if c.gen == nil {
-		c.gen = trace.NewGenerator(cfg.Seed, trace.GeneratorConfig{})
+		c.gen = trace.NewGenerator(cfg.Seed)
 	}
 	c.stats.Sample = stats.NewSample(4096)
 	c.slots = cfg.Window + 2

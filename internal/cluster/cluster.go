@@ -76,13 +76,12 @@ type Host struct {
 }
 
 // VM is a guest with one VCPU pinned to its own PCPU and a protection
-// domain on the host HCA (obtained through its split-driver frontend).
+// domain on the host HCA (obtained through the dom0 split-driver backend).
 type VM struct {
-	Host     *Host
-	Dom      *xen.Domain
-	VCPU     *xen.VCPU
-	PD       *hca.PD
-	Frontend *splitdriver.Frontend
+	Host *Host
+	Dom  *xen.Domain
+	VCPU *xen.VCPU
+	PD   *hca.PD
 }
 
 // Testbed is the assembled cluster.
@@ -146,7 +145,8 @@ func (tb *Testbed) AddHostOpts(node int, o HostOptions) *Host {
 		LinkPropagation, tb.cfg.Discipline, h.HCA.Deliver)
 	h.HCA.SetUplink(h.Uplink)
 	tb.Switch.AttachNode(node, h.Downlink)
-	h.Backend = splitdriver.NewBackend(tb.Eng, h.HCA, h.Dom0VCPU())
+	h.Dom0VCPU() // boot dom0's VCPU with the host, ahead of any guest's
+	h.Backend = splitdriver.NewBackend(h.HCA)
 	tb.hosts[node] = h.HCA
 	tb.Hosts = append(tb.Hosts, h)
 	return h
@@ -177,10 +177,10 @@ func (h *Host) Dom0VCPU() *xen.VCPU {
 func (h *Host) FreePCPUs() int { return len(h.free) }
 
 // NewVM boots a guest with 512 MB, one VCPU pinned to a dedicated PCPU, and
-// a paravirtual IB frontend connected to the host's dom0 backend — the
-// paper's guest configuration. Because the PD comes from the backend, every
-// verbs resource the guest creates is visible in the dom0 registry (for
-// IBMon discovery), even though the data path bypasses the VMM.
+// a paravirtual IB connection to the host's dom0 backend — the paper's guest
+// configuration. Because the PD comes from the backend, every verbs resource
+// the guest creates is visible in the dom0 registry (for IBMon discovery),
+// even though the data path bypasses the VMM.
 func (h *Host) NewVM(name string) *VM {
 	if len(h.free) == 0 {
 		panic(fmt.Sprintf("cluster: host %d out of PCPUs for %q", h.Node, name))
@@ -189,8 +189,7 @@ func (h *Host) NewVM(name string) *VM {
 	h.free = h.free[1:]
 	dom := h.HV.CreateDomain(name, 512<<20, 0)
 	vcpu := dom.AddVCPU(h.HV.PCPU(pcpu))
-	fe := h.Backend.Connect(dom, vcpu)
-	return &VM{Host: h, Dom: dom, VCPU: vcpu, PD: fe.PD(), Frontend: fe}
+	return &VM{Host: h, Dom: dom, VCPU: vcpu, PD: h.Backend.Connect(dom)}
 }
 
 // RemoveVM tears a guest down and returns its PCPU to the host's free pool
@@ -262,8 +261,6 @@ type App struct {
 	// ServerQP is the server-side endpoint queue pair (e.g. for applying
 	// per-flow NIC rate limits).
 	ServerQP *hca.QP
-	// ExtraClients holds additional clients attached with AddClient.
-	ExtraClients []*benchex.Client
 }
 
 // NewApp boots a server VM on serverHost and a client VM on clientHost,
@@ -302,47 +299,14 @@ func (tb *Testbed) NewApp(name string, serverHost, clientHost *Host, scfg benche
 	return app, nil
 }
 
-// Start launches the server and all clients.
+// Start launches the server and the client.
 func (a *App) Start() {
 	a.Server.Start()
 	a.Client.Start()
-	for _, c := range a.ExtraClients {
-		c.Start()
-	}
 }
 
-// Stop halts all sides.
+// Stop halts both sides.
 func (a *App) Stop() {
 	a.Client.Stop()
-	for _, c := range a.ExtraClients {
-		c.Stop()
-	}
 	a.Server.Stop()
-}
-
-// AddClient attaches another client VM (on clientHost) to the app's server
-// — the paper's "multiple clients post transactions and request feeds from
-// a trading server" topology. The server serves all clients FCFS through
-// its shared receive completion queue.
-func (tb *Testbed) AddClient(a *App, clientHost *Host, ccfg benchex.ClientConfig) (*benchex.Client, error) {
-	if ccfg.Name == "" {
-		ccfg.Name = fmt.Sprintf("%s-client%d", a.Name, len(a.ExtraClients)+2)
-	}
-	if ccfg.BufferSize == 0 {
-		ccfg.BufferSize = a.Server.Config().BufferSize
-	}
-	vm := clientHost.NewVM(ccfg.Name + "-vm")
-	c, err := benchex.NewClient(tb.Eng, vm.VCPU, vm.PD, ccfg)
-	if err != nil {
-		return nil, err
-	}
-	sqp, err := a.Server.NewEndpoint()
-	if err != nil {
-		return nil, err
-	}
-	if err := ConnectQPs(sqp, c.Endpoint(), a.ServerVM.Host, clientHost); err != nil {
-		return nil, err
-	}
-	a.ExtraClients = append(a.ExtraClients, c)
-	return c, nil
 }

@@ -91,7 +91,7 @@ func TestBenchExEndToEnd(t *testing.T) {
 	if r := cs.Latency.Mean() / mean; r < 0.7 || r > 1.5 {
 		t.Errorf("client latency %.1f vs server %.1f out of regime", cs.Latency.Mean(), mean)
 	}
-	// Responses carried real Black-Scholes prices: spot-check timeline.
+	// Both sides recorded every request.
 	if len(ss.Timeline) != 50 || len(cs.Timeline) != 50 {
 		t.Errorf("timelines: %d/%d", len(ss.Timeline), len(cs.Timeline))
 	}
@@ -264,13 +264,26 @@ func TestMultipleClientsPerServer(t *testing.T) {
 	}
 	var extras []*benchex.Client
 	for i := 0; i < 2; i++ {
-		c, err := tb.AddClient(app, hostB, benchex.ClientConfig{Requests: 50, Seed: int64(i + 10)})
+		name := fmt.Sprintf("exch-client%d", i+2)
+		vm := hostB.NewVM(name + "-vm")
+		c, err := benchex.NewClient(tb.Eng, vm.VCPU, vm.PD,
+			benchex.ClientConfig{Name: name, BufferSize: 64 << 10, Requests: 50, Seed: int64(i + 10)})
 		if err != nil {
+			t.Fatal(err)
+		}
+		sqp, err := app.Server.NewEndpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ConnectQPs(sqp, c.Endpoint(), hostA, hostB); err != nil {
 			t.Fatal(err)
 		}
 		extras = append(extras, c)
 	}
 	app.Start()
+	for _, c := range extras {
+		c.Start()
+	}
 	tb.Eng.RunUntil(200 * sim.Millisecond)
 	if got := app.Client.Stats().Received; got != 50 {
 		t.Errorf("primary client received %d/50", got)

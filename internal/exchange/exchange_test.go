@@ -213,27 +213,17 @@ func TestJoinLeave(t *testing.T) {
 
 func TestMarketAggregation(t *testing.T) {
 	mk := NewMarket()
-	if mk.MeanPrice(DimFabric) != 1 || mk.Price(7, DimFabric) != 1 || mk.Epoch() != 0 {
-		t.Fatal("empty market should quote base prices at epoch 0")
+	if mk.BookOf(7) != nil || len(mk.Hosts()) != 0 {
+		t.Fatal("empty market should list no books")
 	}
 	hot, cold := NewBook(BookConfig{}), NewBook(BookConfig{})
-	for i := 0; i < 20; i++ {
-		hot.Board().Observe([NumDims]float64{DimFabric: 0.95})
-		cold.Board().Observe([NumDims]float64{DimFabric: 0.1})
-	}
 	mk.Add(0, hot)
 	mk.Add(1, cold)
-	if mk.Price(0, DimFabric) <= mk.Price(1, DimFabric) {
-		t.Fatal("hot host should out-price cold host")
+	if mk.BookOf(0) != hot || mk.BookOf(1) != cold {
+		t.Fatal("BookOf does not return the listed books")
 	}
-	if g := mk.Gradient(0, DimFabric); g <= 0 {
-		t.Fatalf("hot gradient %v, want > 0", g)
-	}
-	if g := mk.Gradient(1, DimFabric); g >= 0 {
-		t.Fatalf("cold gradient %v, want < 0", g)
-	}
-	if mk.BookOf(1) != cold {
-		t.Fatal("BookOf(1) != cold")
+	if hs := mk.Hosts(); len(hs) != 2 || hs[0].Node != 0 || hs[1].Node != 1 {
+		t.Fatalf("hosts %+v, want nodes 0 and 1 in Add order", hs)
 	}
 	other := NewBook(BookConfig{})
 	mk.Add(1, other)

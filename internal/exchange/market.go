@@ -14,11 +14,11 @@ type MarketHost struct {
 	Book *Book
 }
 
-// Market aggregates per-host books into one fleet-level view: placement
-// scoring reads per-host prices (cheap hosts attract load, congested hosts
-// repel it) and the rebalancer reads price gradients as migration pressure.
-// Hosts are kept in Add order; all reads iterate that slice, so the market
-// is deterministic regardless of who asks.
+// Market lists per-host books in one fleet-level view: placement views read
+// each listed host's quotes (cheap hosts attract load, congested hosts repel
+// it), and a non-empty market switches the rebalancer to rate-weighted
+// scoring. Hosts are kept in Add order; all reads iterate that slice, so the
+// market is deterministic regardless of who asks.
 type Market struct {
 	hosts []MarketHost
 }
@@ -48,48 +48,4 @@ func (mk *Market) BookOf(node int) *Book {
 		}
 	}
 	return nil
-}
-
-// Price returns the node's quote for a dimension, or 1 (the base price)
-// when the node is unlisted.
-func (mk *Market) Price(node int, d Dim) float64 {
-	if bk := mk.BookOf(node); bk != nil {
-		return bk.Board().Price(d)
-	}
-	return 1
-}
-
-// MeanPrice returns the fleet-mean quote for a dimension (1 when empty).
-func (mk *Market) MeanPrice(d Dim) float64 {
-	if len(mk.hosts) == 0 {
-		return 1
-	}
-	var sum float64
-	for _, h := range mk.hosts {
-		sum += h.Book.Board().Price(d)
-	}
-	return sum / float64(len(mk.hosts))
-}
-
-// Gradient returns how far above (positive) or below (negative) the fleet
-// mean a node's quote sits, as a fraction of the mean. The rebalancer
-// treats a large positive fabric gradient as pressure to move load off the
-// node toward cheaper hosts.
-func (mk *Market) Gradient(node int, d Dim) float64 {
-	mean := mk.MeanPrice(d)
-	if mean <= 0 {
-		return 0
-	}
-	return mk.Price(node, d)/mean - 1
-}
-
-// Epoch returns the most-settled listed book's epoch (0 when empty).
-func (mk *Market) Epoch() int64 {
-	var e int64
-	for _, h := range mk.hosts {
-		if be := h.Book.Epoch(); be > e {
-			e = be
-		}
-	}
-	return e
 }

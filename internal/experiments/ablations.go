@@ -13,8 +13,10 @@ import (
 
 // Ablation experiments probe design choices the paper leaves implicit.
 // They are registered alongside the figures (ids "abl-arb", "abl-mech",
-// "abl-events", "abl-capacity") and have bench equivalents in
-// bench_test.go.
+// "abl-events", "abl-capacity"); the root package's benchmarks
+// BenchmarkAblationLinkDiscipline, BenchmarkAblationNICRateLimit,
+// BenchmarkAblationPollingVsEvents and BenchmarkConsolidationCapacity run
+// them through the registry.
 
 // ---------------------------------------------------------------------------
 // abl-arb: link arbitration discipline.

@@ -274,9 +274,6 @@ func (l *Link) SetDown(down bool) {
 	}
 }
 
-// Down reports whether the link is currently flapped down.
-func (l *Link) Down() bool { return l.down }
-
 // SetFlowRateLimit paces a flow to at most bytesPerSec (0 removes the
 // limit). This models the per-traffic-flow bandwidth limits of newer
 // InfiniBand adapters that the paper's introduction points to as emerging

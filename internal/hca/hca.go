@@ -274,9 +274,9 @@ func (h *HCA) ResumeCompletions() {
 }
 
 // PD is a protection domain: the container real verbs use to tie MRs, QPs
-// and CQs to one address space. It tracks its resources, which is what lets
-// the dom0 backend driver (package splitdriver) enumerate a guest's CQs and
-// QPs for IBMon — every control-path operation is visible to dom0 even on a
+// and CQs to one address space. It tracks its CQs and QPs, which is what
+// lets the dom0 backend driver (package splitdriver) enumerate a guest's CQs
+// for IBMon — every control-path operation is visible to dom0 even on a
 // bypass device.
 type PD struct {
 	hca   *HCA
@@ -284,7 +284,6 @@ type PD struct {
 	space *guestmem.Space
 	cqs   []*CQ
 	qps   []*QP
-	mrs   []*MR
 }
 
 // CQs returns the completion queues created in this PD.
@@ -293,10 +292,6 @@ func (pd *PD) CQs() []*CQ { return pd.cqs }
 // QPs returns the queue pairs created in this PD (including destroyed
 // ones).
 func (pd *PD) QPs() []*QP { return pd.qps }
-
-// MRs returns the memory regions registered in this PD (including
-// deregistered ones).
-func (pd *PD) MRs() []*MR { return pd.mrs }
 
 // HCA returns the owning adapter.
 func (pd *PD) HCA() *HCA { return pd.hca }
@@ -314,7 +309,6 @@ func (pd *PD) RegisterMR(addr guestmem.Addr, n uint64, access Access) (*MR, erro
 	mr := &MR{pd: pd, addr: addr, len: n, access: access, key: h.nextKey}
 	h.nextKey++
 	h.tpt[mr.key] = mr
-	pd.mrs = append(pd.mrs, mr)
 	return mr, nil
 }
 

@@ -178,18 +178,8 @@ func (qp *QP) State() QPState { return qp.state }
 // Remote returns the node and QP number the QP is connected to.
 func (qp *QP) Remote() (node int, qpn uint32) { return qp.remoteNode, qp.remoteQPN }
 
-// UARAddr returns the guest-physical address of the QP's doorbell page.
-func (qp *QP) UARAddr() guestmem.Addr { return qp.uar }
-
-// SQRingAddr returns the guest-physical address of the send WQE ring.
-func (qp *QP) SQRingAddr() guestmem.Addr { return qp.sqRing }
-
 // SQDepth returns the send queue capacity in WQEs.
 func (qp *QP) SQDepth() int { return qp.sqDepth }
-
-// SQWQESize is the bytes one send WQE occupies in the guest-memory ring
-// (exported for introspection tools).
-const SQWQESize = sqWQESize
 
 // SendCQ returns the send completion queue.
 func (qp *QP) SendCQ() *CQ { return qp.sendCQ }

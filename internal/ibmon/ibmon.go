@@ -140,71 +140,15 @@ func (t *Target) observePass(q float64) {
 	t.conf = (1-confAlpha)*t.conf + confAlpha*q
 }
 
-// QPUsage is what doorbell/send-queue introspection reveals about one QP.
-type QPUsage struct {
-	// Posted is the cumulative number of send work requests observed via
-	// the UAR doorbell counter.
-	Posted int64
-	// LastOp and LastLen are decoded from the most recently posted WQE in
-	// the guest-memory send ring.
-	LastOp  uint32
-	LastLen int
-	// MaxLen is the largest WQE length seen — a second, send-side estimate
-	// of the application buffer size.
-	MaxLen int
-}
-
-// QPTarget watches one QP's UAR doorbell page and send-WQE ring — the
-// paper's observation that "whenever a descriptor is posted, doorbells are
-// rung in the UAR"; watching them shows work *posted*, complementing the
-// CQ view of work *completed*.
-type QPTarget struct {
-	dom   xen.DomID
-	uar   *guestmem.Region
-	ring  *guestmem.Region
-	depth int
-	seen  uint32
-	usage QPUsage
-}
-
-// Domain returns the watched domain.
-func (t *QPTarget) Domain() xen.DomID { return t.dom }
-
-// Usage returns the cumulative doorbell-side estimates.
-func (t *QPTarget) Usage() QPUsage { return t.usage }
-
-// sample reads the doorbell counter and, when it moved, the latest WQE.
-func (t *QPTarget) sample() int {
-	db := t.uar.ReadU32(0)
-	if db == t.seen {
-		return 0
-	}
-	delta := int64(int32(db - t.seen)) // doorbell wraps as u32
-	if delta < 0 {
-		delta = 0
-	}
-	t.seen = db
-	t.usage.Posted += delta
-	slot := uint64(db-1) % uint64(t.depth)
-	base := slot * hca.SQWQESize
-	t.usage.LastOp = t.ring.ReadU32(base)
-	t.usage.LastLen = int(t.ring.ReadU32(base + 4))
-	if t.usage.LastLen > t.usage.MaxLen {
-		t.usage.MaxLen = t.usage.LastLen
-	}
-	return 1
-}
-
 // Monitor is the dom0 sampling loop over a set of targets.
 type Monitor struct {
-	hv        *xen.Hypervisor
-	cfg       Config
-	vcpu      *xen.VCPU // dom0 VCPU the sampler runs on; nil = free sampling
-	targets   []*Target
-	qpTargets []*QPTarget
-	marks     map[xen.DomID]profileMark // last Profiles() snapshot per domain
-	proc      *sim.Proc
-	running   bool
+	hv      *xen.Hypervisor
+	cfg     Config
+	vcpu    *xen.VCPU // dom0 VCPU the sampler runs on; nil = free sampling
+	targets []*Target
+	marks   map[xen.DomID]profileMark // last Profiles() snapshot per domain
+	proc    *sim.Proc
+	running bool
 
 	// Fault state.
 	revoked       map[xen.DomID]bool // domains whose mappings stay invalid
@@ -256,30 +200,6 @@ func (m *Monitor) WatchCQ(dom xen.DomID, cq *hca.CQ) (*Target, error) {
 	return m.Watch(dom, cq.RingAddr(), cq.Depth(), cq.DBRecAddr())
 }
 
-// WatchQPDoorbell maps a QP's UAR doorbell page and send-WQE ring for
-// posted-work monitoring.
-func (m *Monitor) WatchQPDoorbell(dom xen.DomID, uarAddr guestmem.Addr, sqRingAddr guestmem.Addr, sqDepth int) (*QPTarget, error) {
-	if sqDepth <= 0 {
-		return nil, fmt.Errorf("ibmon: invalid SQ depth %d", sqDepth)
-	}
-	uar, err := m.hv.MapForeignRange(dom, uarAddr, 4)
-	if err != nil {
-		return nil, fmt.Errorf("ibmon: mapping UAR: %w", err)
-	}
-	ring, err := m.hv.MapForeignRange(dom, sqRingAddr, uint64(sqDepth)*hca.SQWQESize)
-	if err != nil {
-		return nil, fmt.Errorf("ibmon: mapping SQ ring: %w", err)
-	}
-	t := &QPTarget{dom: dom, uar: uar, ring: ring, depth: sqDepth}
-	m.qpTargets = append(m.qpTargets, t)
-	return t, nil
-}
-
-// WatchQP is the *hca.QP convenience wrapper for WatchQPDoorbell.
-func (m *Monitor) WatchQP(dom xen.DomID, qp *hca.QP) (*QPTarget, error) {
-	return m.WatchQPDoorbell(dom, qp.UARAddr(), qp.SQRingAddr(), qp.SQDepth())
-}
-
 // Unwatch drops a CQ target from the sampling set and releases its
 // introspection mappings (the VM left the host, e.g. by migration).
 func (m *Monitor) Unwatch(t *Target) {
@@ -291,7 +211,7 @@ func (m *Monitor) Unwatch(t *Target) {
 	}
 }
 
-// UnwatchDomain drops every CQ and QP target of a domain.
+// UnwatchDomain drops every CQ target of a domain.
 func (m *Monitor) UnwatchDomain(dom xen.DomID) {
 	kept := m.targets[:0]
 	for _, t := range m.targets {
@@ -300,13 +220,6 @@ func (m *Monitor) UnwatchDomain(dom xen.DomID) {
 		}
 	}
 	m.targets = kept
-	keptQP := m.qpTargets[:0]
-	for _, t := range m.qpTargets {
-		if t.dom != dom {
-			keptQP = append(keptQP, t)
-		}
-	}
-	m.qpTargets = keptQP
 	delete(m.marks, dom)
 }
 
@@ -468,12 +381,6 @@ func (m *Monitor) SampleAll(p *sim.Proc) {
 		n := t.sample()
 		if m.vcpu != nil {
 			m.vcpu.Use(p, SampleBaseCost+sim.Time(n)*SampleEntryCost)
-		}
-	}
-	for _, t := range m.qpTargets {
-		n := t.sample()
-		if m.vcpu != nil {
-			m.vcpu.Use(p, SampleBaseCost/2+sim.Time(n)*SampleEntryCost)
 		}
 	}
 }

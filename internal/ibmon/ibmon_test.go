@@ -240,44 +240,6 @@ func TestStartStopIdempotent(t *testing.T) {
 	h.eng.Shutdown()
 }
 
-func TestQPDoorbellWatching(t *testing.T) {
-	h := newHarness(t, 256)
-	m := New(h.hv, nil, Config{Period: 100 * sim.Microsecond})
-	tgt, err := m.WatchQP(h.guest.ID(), h.qp1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tgt.Domain() != h.guest.ID() {
-		t.Error("domain")
-	}
-	m.Start(h.eng)
-	h.sendN(t, 25, 65536, 200*sim.Microsecond)
-	h.eng.RunUntil(10 * sim.Millisecond)
-	m.Stop()
-	u := tgt.Usage()
-	if u.Posted != 25 {
-		t.Errorf("Posted = %d, want 25 (from UAR doorbell)", u.Posted)
-	}
-	if u.LastLen != 65536 || u.MaxLen != 65536 {
-		t.Errorf("WQE lengths: last=%d max=%d", u.LastLen, u.MaxLen)
-	}
-	if u.LastOp == 0 {
-		t.Error("LastOp not decoded")
-	}
-	h.eng.Shutdown()
-}
-
-func TestWatchQPValidation(t *testing.T) {
-	h := newHarness(t, 64)
-	m := New(h.hv, nil, Config{})
-	if _, err := m.WatchQPDoorbell(h.guest.ID(), 0, 0, 0); err == nil {
-		t.Error("zero depth accepted")
-	}
-	if _, err := m.WatchQP(xen.DomID(42), h.qp1); err == nil {
-		t.Error("unknown domain accepted")
-	}
-}
-
 func TestMTUConversionRoundsUp(t *testing.T) {
 	h := newHarness(t, 64)
 	m := New(h.hv, nil, Config{})

@@ -217,7 +217,7 @@ func (f *Fleet) Store() *schedshard.Store { return f.store }
 
 // Market returns the fleet-level exchange market: one listing per worker
 // whose policy keeps a trade book (empty on non-pricing fleets). Placement
-// views read per-host quotes from it and the rebalancer reads gradients.
+// views read per-host quotes from it.
 func (f *Fleet) Market() *exchange.Market { return f.market }
 
 // refresh rebuilds the scheduler's view of every worker host from live

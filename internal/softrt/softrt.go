@@ -128,12 +128,6 @@ func New(tb *cluster.Testbed, senderHost, receiverHost *cluster.Host, cfg Config
 	return st, nil
 }
 
-// SenderVM returns the transmitting VM (the one ResEx would manage).
-func (st *Stream) SenderVM() *cluster.VM { return st.sxvm }
-
-// SenderCQ returns the send completion queue (for IBMon watching).
-func (st *Stream) SenderCQ() *hca.CQ { return st.scq }
-
 // Stats returns the receiver-side measurements so far.
 func (st *Stream) Stats() Stats { return st.stats }
 

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 
-	"resex/internal/finance"
 	"resex/internal/sim"
 )
 
@@ -28,48 +27,20 @@ const (
 // RiskFreeRate is the rate stamped on options.
 const RiskFreeRate = 0.03
 
-// GeneratorConfig parameterizes the workload.
-type GeneratorConfig struct {
-	// Symbols is the instrument universe size. Default 64.
-	Symbols int
-	// MeanInterarrival is the average gap between requests. Zero means the
-	// caller paces requests itself (closed-loop benchmarking).
-	MeanInterarrival sim.Time
-	// Burstiness in [0,1): fraction of time spent in a quiet phase during
-	// which arrivals slow 10×, alternating with fast phases. 0 = plain
-	// Poisson. Models the open/close bursts of exchange traffic.
-	Burstiness float64
-}
-
-func (c GeneratorConfig) withDefaults() GeneratorConfig {
-	if c.Symbols <= 0 {
-		c.Symbols = 64
-	}
-	if c.Burstiness < 0 {
-		c.Burstiness = 0
-	}
-	if c.Burstiness >= 1 {
-		c.Burstiness = 0.99
-	}
-	return c
-}
+// Symbols is the instrument universe size.
+const Symbols = 64
 
 // Generator produces the request stream. It is deterministic given a seed.
 type Generator struct {
-	cfg     GeneratorConfig
-	rng     *sim.Rand
-	univ    []Instrument
-	seq     uint64
-	inBurst bool
-	phaseTo sim.Time
-	now     sim.Time
+	rng  *sim.Rand
+	univ []Instrument
+	seq  uint64
 }
 
 // NewGenerator builds a generator with its own instrument universe.
-func NewGenerator(seed int64, cfg GeneratorConfig) *Generator {
-	cfg = cfg.withDefaults()
-	g := &Generator{cfg: cfg, rng: sim.NewRand(seed), inBurst: true}
-	for i := 0; i < cfg.Symbols; i++ {
+func NewGenerator(seed int64) *Generator {
+	g := &Generator{rng: sim.NewRand(seed)}
+	for i := 0; i < Symbols; i++ {
 		spot := g.rng.Uniform(20, 500)
 		g.univ = append(g.univ, Instrument{
 			ID:     uint32(i),
@@ -103,9 +74,9 @@ func (g *Generator) Next(now sim.Time) Request {
 	if ins.Spot < 1 {
 		ins.Spot = 1
 	}
-	kind := finance.Call
+	kind := Call
 	if g.rng.Float64() < 0.5 {
-		kind = finance.Put
+		kind = Put
 	}
 	return Request{
 		Seq:      g.seq,
@@ -114,7 +85,7 @@ func (g *Generator) Next(now sim.Time) Request {
 		SymbolID: ins.ID,
 		Side:     Side(1 + g.rng.Intn(2)),
 		Qty:      uint32(1 + g.rng.Intn(1000)),
-		Option: finance.Option{
+		Option: Option{
 			Kind:   kind,
 			Spot:   ins.Spot,
 			Strike: ins.Strike,
@@ -138,33 +109,4 @@ func (g *Generator) pickType() RequestType {
 	default:
 		return FeedRequest
 	}
-}
-
-// Interarrival returns the gap before the next request. With burstiness
-// configured, the generator alternates fast and quiet phases.
-func (g *Generator) Interarrival() sim.Time {
-	mean := g.cfg.MeanInterarrival
-	if mean <= 0 {
-		return 0
-	}
-	if g.cfg.Burstiness > 0 {
-		if g.now >= g.phaseTo {
-			// Phase change. Quiet phases are longer in proportion to the
-			// burstiness knob.
-			g.inBurst = !g.inBurst
-			var dur sim.Time
-			if g.inBurst {
-				dur = g.rng.ExpDuration(20 * mean)
-			} else {
-				dur = g.rng.ExpDuration(sim.Time(float64(20*mean) * g.cfg.Burstiness * 10))
-			}
-			g.phaseTo = g.now + dur
-		}
-		if !g.inBurst {
-			mean *= 10
-		}
-	}
-	d := g.rng.ExpDuration(mean)
-	g.now += d
-	return d
 }

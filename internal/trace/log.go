@@ -58,7 +58,9 @@ func ReadLog(r io.Reader) ([]Request, error) {
 	if count > 1<<28 {
 		return nil, fmt.Errorf("%w: implausible count %d", ErrBadLog, count)
 	}
-	reqs := make([]Request, 0, count)
+	// The header's count is a claim, not a size: preallocate at most a
+	// small batch so memory grows with the records actually read.
+	reqs := make([]Request, 0, min(count, 1024))
 	buf := make([]byte, RequestSize)
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(r, buf); err != nil {

@@ -2,12 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 func TestLogRoundTrip(t *testing.T) {
-	g := NewGenerator(13, GeneratorConfig{})
+	g := NewGenerator(13)
 	reqs := Record(g, 100)
 	if len(reqs) != 100 {
 		t.Fatalf("recorded %d", len(reqs))
@@ -45,7 +48,7 @@ func TestLogEmpty(t *testing.T) {
 }
 
 func TestLogCorruption(t *testing.T) {
-	g := NewGenerator(1, GeneratorConfig{})
+	g := NewGenerator(1)
 	var buf bytes.Buffer
 	if err := WriteLog(&buf, Record(g, 3)); err != nil {
 		t.Fatal(err)
@@ -83,7 +86,7 @@ func TestLogCorruption(t *testing.T) {
 }
 
 func TestReplaySequencing(t *testing.T) {
-	g := NewGenerator(5, GeneratorConfig{})
+	g := NewGenerator(5)
 	reqs := Record(g, 4)
 	r := NewReplay(reqs, true)
 	if r.Len() != 4 {
@@ -107,7 +110,7 @@ func TestReplaySequencing(t *testing.T) {
 }
 
 func TestReplayExhaustionPanics(t *testing.T) {
-	r := NewReplay(Record(NewGenerator(1, GeneratorConfig{}), 2), false)
+	r := NewReplay(Record(NewGenerator(1), 2), false)
 	r.Next(0)
 	r.Next(0)
 	defer func() {
@@ -116,4 +119,51 @@ func TestReplayExhaustionPanics(t *testing.T) {
 		}
 	}()
 	r.Next(0)
+}
+
+func TestLogForgedCountNoBody(t *testing.T) {
+	// A bare header claiming the largest accepted count must fail on the
+	// missing records without first allocating room for all of them.
+	hdr := make([]byte, 16)
+	binary.LittleEndian.PutUint32(hdr[0:], logMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], logVersion)
+	binary.LittleEndian.PutUint64(hdr[8:], 1<<28)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadLog(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadLog) {
+		t.Fatalf("forged header: err = %v, want ErrBadLog", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("forged header allocated %d bytes, want < 1 MB", d)
+	}
+}
+
+// FuzzReadLog checks that no input panics the decoder and that every log it
+// accepts re-encodes to exactly the bytes it consumed.
+func FuzzReadLog(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteLog(&buf, Record(NewGenerator(3), 2)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:16])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reqs, err := ReadLog(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadLog) {
+				t.Fatalf("error %v is not ErrBadLog", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteLog(&out, reqs); err != nil {
+			t.Fatal(err)
+		}
+		if n := out.Len(); n > len(data) || !bytes.Equal(out.Bytes(), data[:n]) {
+			t.Fatalf("accepted log of %d records does not re-encode to its input", len(reqs))
+		}
+	})
 }

@@ -4,7 +4,7 @@
 //
 //   - an instrument universe whose spot prices follow a bounded random walk,
 //   - a request stream mixing order submissions, cancels, quote requests
-//     and market-data feed requests, with Poisson or bursty arrivals, and
+//     and market-data feed requests, each carrying option parameters, and
 //   - the binary wire encoding of requests and responses that actually
 //     travels through the simulated RDMA fabric (BenchEx deposits these
 //     bytes in guest memory; the server parses them back out).
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 
-	"resex/internal/finance"
 	"resex/internal/sim"
 )
 
@@ -56,6 +55,27 @@ const (
 	Sell
 )
 
+// OptionKind distinguishes calls from puts.
+type OptionKind int
+
+// Option kinds.
+const (
+	Call OptionKind = iota
+	Put
+)
+
+// Option holds the parameters of the European option a request refers to.
+// They are request payload: the server charges CPU time per request
+// (benchex.ServerConfig.ProcessTime) instead of pricing them.
+type Option struct {
+	Kind   OptionKind
+	Spot   float64 // current underlying price
+	Strike float64
+	Rate   float64 // continuously compounded risk-free rate
+	Vol    float64 // annualized volatility
+	Expiry float64 // time to expiry in years
+}
+
 // Request is one client transaction.
 type Request struct {
 	Seq      uint64
@@ -64,7 +84,7 @@ type Request struct {
 	SymbolID uint32
 	Side     Side
 	Qty      uint32
-	Option   finance.Option // pricing parameters for the instrument
+	Option   Option // parameters of the instrument's option series
 }
 
 // Response is the server's reply.
@@ -128,8 +148,8 @@ func DecodeRequest(b []byte) (Request, error) {
 		SymbolID: le.Uint32(b[20:]),
 		Side:     Side(le.Uint16(b[64:])),
 		Qty:      uint32(le.Uint16(b[68:])),
-		Option: finance.Option{
-			Kind:   finance.OptionKind(le.Uint16(b[66:])),
+		Option: Option{
+			Kind:   OptionKind(le.Uint16(b[66:])),
 			Spot:   bitsFloat(le.Uint64(b[24:])),
 			Strike: bitsFloat(le.Uint64(b[32:])),
 			Vol:    bitsFloat(le.Uint64(b[40:])),

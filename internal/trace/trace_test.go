@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"resex/internal/finance"
 	"resex/internal/sim"
 )
 
@@ -16,8 +15,8 @@ func TestRequestEncodeDecodeRoundTrip(t *testing.T) {
 		SymbolID: 42,
 		Side:     Sell,
 		Qty:      999,
-		Option: finance.Option{
-			Kind: finance.Put, Spot: 101.25, Strike: 99.5,
+		Option: Option{
+			Kind: Put, Spot: 101.25, Strike: 99.5,
 			Vol: 0.23, Expiry: 1.5, Rate: 0.04,
 		},
 	}
@@ -39,10 +38,10 @@ func TestRequestEncodeDecodeProperty(t *testing.T) {
 		r := Request{
 			Seq: seq, SentAt: 5, Type: NewOrder, SymbolID: sym,
 			Side: Buy, Qty: uint32(qty),
-			Option: finance.Option{Spot: spot, Strike: strike, Vol: 0.2, Expiry: 1, Rate: 0.01},
+			Option: Option{Spot: spot, Strike: strike, Vol: 0.2, Expiry: 1, Rate: 0.01},
 		}
 		if put {
-			r.Option.Kind = finance.Put
+			r.Option.Kind = Put
 		}
 		b := make([]byte, RequestSize)
 		if r.Encode(b) != nil {
@@ -98,15 +97,15 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 func TestGeneratorDeterminism(t *testing.T) {
-	a := NewGenerator(42, GeneratorConfig{})
-	b := NewGenerator(42, GeneratorConfig{})
+	a := NewGenerator(42)
+	b := NewGenerator(42)
 	for i := 0; i < 100; i++ {
 		ra, rb := a.Next(sim.Time(i)), b.Next(sim.Time(i))
 		if ra != rb {
 			t.Fatalf("same-seed generators diverged at %d", i)
 		}
 	}
-	c := NewGenerator(43, GeneratorConfig{})
+	c := NewGenerator(43)
 	same := true
 	for i := 0; i < 10; i++ {
 		if a.Next(0) != c.Next(0) {
@@ -119,9 +118,9 @@ func TestGeneratorDeterminism(t *testing.T) {
 }
 
 func TestGeneratorUniverse(t *testing.T) {
-	g := NewGenerator(1, GeneratorConfig{Symbols: 10})
+	g := NewGenerator(1)
 	u := g.Universe()
-	if len(u) != 10 {
+	if len(u) != Symbols {
 		t.Fatalf("universe size %d", len(u))
 	}
 	for i, ins := range u {
@@ -135,17 +134,19 @@ func TestGeneratorUniverse(t *testing.T) {
 }
 
 func TestGeneratedRequestsAreValidAndPriceable(t *testing.T) {
-	g := NewGenerator(7, GeneratorConfig{})
+	g := NewGenerator(7)
 	for i := 0; i < 1000; i++ {
 		r := g.Next(sim.Time(i))
 		if r.Seq != uint64(i+1) {
 			t.Fatalf("seq %d at %d", r.Seq, i)
 		}
-		if !r.Option.Valid() {
-			t.Fatalf("invalid option generated: %+v", r.Option)
+		// Black–Scholes is defined only for positive prices, volatility
+		// and expiry.
+		if o := r.Option; o.Spot <= 0 || o.Strike <= 0 || o.Vol <= 0 || o.Expiry <= 0 {
+			t.Fatalf("option outside the pricing domain: %+v", o)
 		}
-		if _, err := r.Option.Price(); err != nil {
-			t.Fatalf("unpriceable request: %v", err)
+		if k := r.Option.Kind; k != Call && k != Put {
+			t.Fatalf("bad option kind %d", k)
 		}
 		if r.Side != Buy && r.Side != Sell {
 			t.Fatalf("bad side %v", r.Side)
@@ -157,7 +158,7 @@ func TestGeneratedRequestsAreValidAndPriceable(t *testing.T) {
 }
 
 func TestRequestTypeMix(t *testing.T) {
-	g := NewGenerator(11, GeneratorConfig{})
+	g := NewGenerator(11)
 	counts := map[RequestType]int{}
 	n := 20000
 	for i := 0; i < n; i++ {
@@ -175,56 +176,6 @@ func TestRequestTypeMix(t *testing.T) {
 	}
 	if f := frac(FeedRequest); f < 0.05 || f > 0.15 {
 		t.Errorf("Feed fraction = %.3f, want ~0.10", f)
-	}
-}
-
-func TestInterarrivalPoisson(t *testing.T) {
-	g := NewGenerator(3, GeneratorConfig{MeanInterarrival: 100 * sim.Microsecond})
-	var sum sim.Time
-	n := 20000
-	for i := 0; i < n; i++ {
-		d := g.Interarrival()
-		if d < 1 {
-			t.Fatal("non-positive interarrival")
-		}
-		sum += d
-	}
-	mean := float64(sum) / float64(n)
-	want := float64(100 * sim.Microsecond)
-	if mean < want*0.95 || mean > want*1.05 {
-		t.Errorf("mean interarrival %.0fns, want ~%.0f", mean, want)
-	}
-}
-
-func TestInterarrivalClosedLoop(t *testing.T) {
-	g := NewGenerator(3, GeneratorConfig{})
-	if g.Interarrival() != 0 {
-		t.Error("closed-loop generator should return 0 interarrival")
-	}
-}
-
-func TestInterarrivalBursty(t *testing.T) {
-	smooth := NewGenerator(5, GeneratorConfig{MeanInterarrival: 100 * sim.Microsecond})
-	bursty := NewGenerator(5, GeneratorConfig{MeanInterarrival: 100 * sim.Microsecond, Burstiness: 0.8})
-	varOf := func(g *Generator) float64 {
-		var xs []float64
-		for i := 0; i < 30000; i++ {
-			xs = append(xs, float64(g.Interarrival()))
-		}
-		var m float64
-		for _, x := range xs {
-			m += x
-		}
-		m /= float64(len(xs))
-		var v float64
-		for _, x := range xs {
-			v += (x - m) * (x - m)
-		}
-		return v / float64(len(xs)) / (m * m) // squared coefficient of variation
-	}
-	cv2s, cv2b := varOf(smooth), varOf(bursty)
-	if cv2b <= cv2s*1.5 {
-		t.Errorf("bursty CV² %.2f not above smooth CV² %.2f", cv2b, cv2s)
 	}
 }
 

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"fmt"
-
-	"resex/internal/schedshard"
-)
+import "resex/internal/schedshard"
 
 // ScaleSetSpec declares an arktos-style scale-set arrival: N identical VMs
 // that exist as a unit. The set is placed as a gang — either every member
@@ -59,22 +55,6 @@ func (s ScaleSetSpec) Base() (schedshard.Spec, schedshard.VMInfo) {
 		CapPct:         100,
 	}
 	return spec, vm
-}
-
-// Materialize expands the set into its members' (Spec, VMInfo) pairs,
-// member i named "<Name>/<i>" — the same naming EnqueueScaleSet produces
-// through the scheduler, for callers (and property tests) that need the
-// member list without a scheduler.
-func (s ScaleSetSpec) Materialize() []schedshard.VMInfo {
-	s = s.withDefaults()
-	_, base := s.Base()
-	out := make([]schedshard.VMInfo, s.Size)
-	for i := range out {
-		m := base
-		m.Spec.Name = fmt.Sprintf("%s/%d", s.Name, i)
-		out[i] = m
-	}
-	return out
 }
 
 // EnqueueScaleSet queues the whole set on a shard scheduler as one gang and

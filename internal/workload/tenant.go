@@ -86,7 +86,7 @@ func newTenant(eng *sim.Engine, vcpu *xen.VCPU, pd *hca.PD, spec TenantSpec) (*T
 		vcpu:    vcpu,
 		pd:      pd,
 		rng:     sim.NewRand(spec.Seed ^ 0x7ead),
-		gen:     trace.NewGenerator(spec.Seed, trace.GeneratorConfig{}),
+		gen:     trace.NewGenerator(spec.Seed),
 		work:    sim.NewSignal(eng),
 		scratch: make([]byte, trace.RequestSize),
 		resp:    make([]byte, trace.ResponseSize),
@@ -126,9 +126,6 @@ func (t *Tenant) Running() bool { return t.running }
 // Sketch exposes the tenant's cumulative latency sketch (µs) so callers can
 // merge per-tenant distributions deterministically.
 func (t *Tenant) Sketch() *stats.QuantileSketch { return t.slo.total }
-
-// Attainment returns the time-weighted SLO attainment so far, in percent.
-func (t *Tenant) Attainment() float64 { return t.slo.attainment() }
 
 // SLOAudit exposes the tracker's raw bookkeeping for invariant checking:
 // every scored window lands in exactly one bucket, so

@@ -186,10 +186,6 @@ func (v *VCPU) WindowBudget() sim.Time { return v.budget }
 // window (issued grants, minus yield refunds).
 func (v *VCPU) WindowUsed() sim.Time { return v.windowUsed }
 
-// WindowQuota returns the per-window budget the current domain cap implies
-// (the full CapPeriod when uncapped).
-func (v *VCPU) WindowQuota() sim.Time { return v.capShare() }
-
 // refresh rolls the VCPU's budget forward if a new cap window has begun.
 func (v *VCPU) refresh(window sim.Time) {
 	if window != v.window {
