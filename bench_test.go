@@ -178,7 +178,6 @@ func BenchmarkAblationLinkDiscipline(b *testing.B) { runFigure(b, "abl-arb") }
 // so slow sampling enters the lossy, extrapolating regime.
 func BenchmarkAblationIBMonPeriod(b *testing.B) {
 	for _, period := range []sim.Time{100 * sim.Microsecond, sim.Millisecond, 10 * sim.Millisecond} {
-		period := period
 		b.Run(period.String(), func(b *testing.B) {
 			var errPct float64
 			for i := 0; i < b.N; i++ {
@@ -217,7 +216,6 @@ func BenchmarkAblationIBMonPeriod(b *testing.B) {
 // request rate, showing how reporting latency scales with offered load.
 func BenchmarkAblationInterfererRate(b *testing.B) {
 	for _, interval := range []sim.Time{10 * sim.Millisecond, 5 * sim.Millisecond, 2500 * sim.Microsecond} {
-		interval := interval
 		b.Run(fmt.Sprintf("every-%v", interval), func(b *testing.B) {
 			var lat float64
 			for i := 0; i < b.N; i++ {
@@ -245,7 +243,6 @@ func BenchmarkAblationNICRateLimit(b *testing.B) { runFigure(b, "abl-mech") }
 // epochs replenish the interferer sooner and weaken the policy.
 func BenchmarkAblationEpochLength(b *testing.B) {
 	for _, perEpoch := range []int{250, 1000, 4000} {
-		perEpoch := perEpoch
 		b.Run(fmt.Sprintf("%d-intervals", perEpoch), func(b *testing.B) {
 			var lat float64
 			for i := 0; i < b.N; i++ {

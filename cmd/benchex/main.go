@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -48,28 +49,38 @@ func parseSize(arg string) (int, error) {
 	return n * mult, nil
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, runs the benchmark and writes
+// the report to stdout and diagnostics to stderr, returning the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchex", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		buffer   = flag.String("buffer", "64KB", "reporting application buffer size")
-		intfBuf  = flag.String("intf-buffer", "", "interfering application buffer size (empty = none)")
-		capPct   = flag.Int("cap", 0, "static CPU cap for the interfering VM (percent)")
-		policy   = flag.String("policy", "", "ResEx policy: freemarket or ioshares (empty = no ResEx)")
-		duration = flag.Duration("duration", 2*time.Second, "measured virtual time")
-		seed     = flag.Int64("seed", 0, "workload seed offset")
-		audit    = flag.Bool("audit", false, "run the invariant auditor alongside the benchmark (summary on stderr; this is how BENCH_invariant.json's overhead is measured)")
+		buffer   = fs.String("buffer", "64KB", "reporting application buffer size")
+		intfBuf  = fs.String("intf-buffer", "", "interfering application buffer size (empty = none)")
+		capPct   = fs.Int("cap", 0, "static CPU cap for the interfering VM (percent)")
+		policy   = fs.String("policy", "", "ResEx policy: freemarket or ioshares (empty = no ResEx)")
+		duration = fs.Duration("duration", 2*time.Second, "measured virtual time")
+		seed     = fs.Int64("seed", 0, "workload seed offset")
+		audit    = fs.Bool("audit", false, "run the invariant auditor alongside the benchmark (summary on stderr)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	bufSize, err := parseSize(*buffer)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchex:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchex:", err)
+		return 2
 	}
 	cfg := experiments.ScenarioConfig{RepBuffer: bufSize, IntfCap: *capPct, SLAUs: experiments.BaseSLAUs, Seed: *seed}
 	if *intfBuf != "" {
 		if cfg.IntfBuffer, err = parseSize(*intfBuf); err != nil {
-			fmt.Fprintln(os.Stderr, "benchex:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "benchex:", err)
+			return 2
 		}
 	}
 	switch strings.ToLower(*policy) {
@@ -79,14 +90,14 @@ func main() {
 	case "ioshares", "ios":
 		cfg.Policy = resex.NewIOShares()
 	default:
-		fmt.Fprintf(os.Stderr, "benchex: unknown policy %q\n", *policy)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchex: unknown policy %q\n", *policy)
+		return 2
 	}
 
 	s, err := experiments.Build(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchex:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "benchex:", err)
+		return 1
 	}
 	// Sample the allocator around the run so every invocation doubles as a
 	// zero-alloc regression probe for the event core. Stderr only: stdout
@@ -105,12 +116,12 @@ func main() {
 	wall := time.Since(wallStart)
 	runtime.ReadMemStats(&m1)
 	if col != nil {
-		if err := col.WriteText(os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, "benchex:", err)
+		if err := col.WriteText(stderr); err != nil {
+			fmt.Fprintln(stderr, "benchex:", err)
 		}
 	}
 	if events := s.TB.Eng.Steps(); events > 0 {
-		fmt.Fprintf(os.Stderr, "sim core: %d events, %.1f ns/event wall, %.3f allocs/event, %.1f B/event\n",
+		fmt.Fprintf(stderr, "sim core: %d events, %.1f ns/event wall, %.3f allocs/event, %.1f B/event\n",
 			events,
 			float64(wall.Nanoseconds())/float64(events),
 			float64(m1.Mallocs-m0.Mallocs)/float64(events),
@@ -119,28 +130,29 @@ func main() {
 
 	st := s.RepStats()
 	cs := s.Reporters[0].Client.Stats()
-	fmt.Printf("BenchEx %s reporting application", *buffer)
+	fmt.Fprintf(stdout, "BenchEx %s reporting application", *buffer)
 	if cfg.IntfBuffer > 0 {
-		fmt.Printf(" vs %s interferer", *intfBuf)
+		fmt.Fprintf(stdout, " vs %s interferer", *intfBuf)
 	}
 	if cfg.Policy != nil {
-		fmt.Printf(" under ResEx/%s", cfg.Policy.Name())
+		fmt.Fprintf(stdout, " under ResEx/%s", cfg.Policy.Name())
 	}
-	fmt.Println()
-	fmt.Printf("\nServer-side service time (%d requests):\n", st.Served)
-	fmt.Printf("  PTime  %8.1f µs  (std %6.1f)\n", st.P.Mean(), st.P.StdDev())
-	fmt.Printf("  CTime  %8.1f µs  (std %6.1f)\n", st.C.Mean(), st.C.StdDev())
-	fmt.Printf("  WTime  %8.1f µs  (std %6.1f)\n", st.W.Mean(), st.W.StdDev())
-	fmt.Printf("  total  %8.1f µs  (std %6.1f, min %.1f, max %.1f)\n",
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "\nServer-side service time (%d requests):\n", st.Served)
+	fmt.Fprintf(stdout, "  PTime  %8.1f µs  (std %6.1f)\n", st.P.Mean(), st.P.StdDev())
+	fmt.Fprintf(stdout, "  CTime  %8.1f µs  (std %6.1f)\n", st.C.Mean(), st.C.StdDev())
+	fmt.Fprintf(stdout, "  WTime  %8.1f µs  (std %6.1f)\n", st.W.Mean(), st.W.StdDev())
+	fmt.Fprintf(stdout, "  total  %8.1f µs  (std %6.1f, min %.1f, max %.1f)\n",
 		st.Total.Mean(), st.Total.StdDev(), st.Total.Min(), st.Total.Max())
-	fmt.Printf("\nClient-side end-to-end latency (%d responses):\n", cs.Received)
-	fmt.Printf("  mean %8.1f µs   p50 %8.1f   p99 %8.1f   max %8.1f\n",
+	fmt.Fprintf(stdout, "\nClient-side end-to-end latency (%d responses):\n", cs.Received)
+	fmt.Fprintf(stdout, "  mean %8.1f µs   p50 %8.1f   p99 %8.1f   max %8.1f\n",
 		cs.Latency.Mean(), cs.Sample.Quantile(0.5), cs.Sample.Quantile(0.99), cs.Latency.Max())
 	if s.Mgr != nil {
-		fmt.Println("\nResEx state:")
+		fmt.Fprintln(stdout, "\nResEx state:")
 		for _, vm := range s.Mgr.VMs() {
-			fmt.Printf("  %-12s rate %6.2f  cap %3.0f%%  %s\n",
+			fmt.Fprintf(stdout, "  %-12s rate %6.2f  cap %3.0f%%  %s\n",
 				vm.Dom.Name(), vm.Rate(), vm.Cap(), vm.Account)
 		}
 	}
+	return 0
 }

@@ -17,6 +17,7 @@ import (
 // unsetConfigFields are the config fields only tests set, each with the
 // reason it stays a field rather than a constant.
 var unsetConfigFields = map[string]string{
+	"benchex.ServerConfig.CQDepth":           "BenchmarkAblationIBMonPeriod shrinks the CQ to 16 (EXPERIMENTS.md records it)",
 	"cluster.Config.Hosts":                   "tests pre-build multi-host fabrics at New time",
 	"exchange.BoardConfig.Beta":              "FuzzRateQuote sweeps the price curve's shape",
 	"exchange.BoardConfig.MaxPrice":          "FuzzRateQuote sweeps the price clamp",
@@ -32,7 +33,7 @@ var unsetConfigFields = map[string]string{
 
 // TestConfigFieldsAreSet keeps config structs honest: every exported field
 // of an internal struct named *Config, *Spec, *Costs or Options must have a
-// writer in the non-test code of the module, cmd/, examples/ or bench/,
+// writer in the non-test code of the module, cmd/ or bench/,
 // outside its own type's withDefaults. A writer is a composite-literal key
 // or an assignment or increment; a nested one such as
 // p.Exchange.Capacity[d] = … writes every field on its path. A field with no

@@ -49,7 +49,6 @@ func AblArb(o Options) (*AblArbResult, error) {
 	o = o.WithDefaults()
 	var points []SweepPoint[AblArbRow]
 	for _, disc := range []fabric.Discipline{fabric.RoundRobin, fabric.FIFO} {
-		disc := disc
 		points = append(points, Point(disc.String(), func(o Options) (AblArbRow, error) {
 			s, err := Build(ScenarioConfig{IntfBuffer: IntfBuffer, Discipline: disc, Timeline: true, Seed: o.Seed})
 			if err != nil {
@@ -185,7 +184,6 @@ func AblEvents(o Options) (*AblEventsResult, error) {
 	var points []SweepPoint[AblEventsRow]
 	for _, mode := range []bool{false, true} {
 		for _, cap := range []int{0, 25, 10} {
-			mode, cap := mode, cap
 			name := "polling"
 			if mode {
 				name = "events"
@@ -262,7 +260,6 @@ func AblCapacity(o Options) (*AblCapacityResult, error) {
 	const sla = 233.5 * 1.25
 	var points []SweepPoint[AblCapacityRow]
 	for n := 1; n <= 6; n++ {
-		n := n
 		points = append(points, Point(fmt.Sprintf("apps=%d", n),
 			func(o Options) (AblCapacityRow, error) {
 				s, err := Build(ScenarioConfig{Reporters: n, Seed: o.Seed})

@@ -219,7 +219,6 @@ func AblFaults(o Options) (*AblFaultsResult, error) {
 	var points []SweepPoint[AblFaultsRow]
 	for _, storms := range []float64{0, 4, 12, 24} {
 		for _, aware := range []bool{false, true} {
-			storms, aware := storms, aware
 			stack := "naive"
 			if aware {
 				stack = "aware"

@@ -60,7 +60,6 @@ func Fig1(o Options) (*Fig1Result, error) {
 	o = o.WithDefaults()
 	var points []SweepPoint[fig1Side]
 	for _, interfered := range []bool{false, true} {
-		interfered := interfered
 		label := "normal"
 		if interfered {
 			label = "interfered"
@@ -154,7 +153,6 @@ func Fig2(o Options) (*Fig2Result, error) {
 	var points []SweepPoint[Fig2Row]
 	for _, n := range []int{1, 2, 3} {
 		for _, loaded := range []bool{false, true} {
-			n, loaded := n, loaded
 			points = append(points, Point(fmt.Sprintf("n=%d loaded=%v", n, loaded),
 				func(o Options) (Fig2Row, error) {
 					cfg := ScenarioConfig{Reporters: n, Seed: o.Seed}
@@ -241,7 +239,6 @@ func Fig3(o Options) (*Fig3Result, error) {
 	o = o.WithDefaults()
 	var points []SweepPoint[Fig3Row]
 	for _, buf := range []int{2 << 20, 1 << 20, 512 << 10, 256 << 10, 128 << 10, 64 << 10} {
-		buf := buf
 		ratio := buf / BaseBuffer
 		cap := 100 / ratio
 		points = append(points, Point(ByteSize(buf), func(o Options) (Fig3Row, error) {
@@ -320,7 +317,6 @@ func Fig4(o Options) (*Fig4Result, error) {
 	o = o.WithDefaults()
 	var points []SweepPoint[Fig4Row]
 	for _, c := range []int{100, 90, 80, 70, 60, 50, 40, 30, 20, 10, 3, 0} { // 0 = Base
-		c := c
 		points = append(points, Point(fmt.Sprintf("cap=%d", c), func(o Options) (Fig4Row, error) {
 			cfg := ScenarioConfig{Seed: o.Seed}
 			if c > 0 {

@@ -323,7 +323,6 @@ func Fig8(o Options) (*Fig8Result, error) {
 	}
 	var points []SweepPoint[Fig8Row]
 	for _, c := range cases {
-		c := c
 		points = append(points, Point(c.name, func(o Options) (Fig8Row, error) {
 			s, err := Build(c.cfg)
 			if err != nil {
@@ -406,7 +405,6 @@ func Fig9(o Options) (*Fig9Result, error) {
 	}
 	buffers := []int{64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20}
 	for _, buf := range buffers {
-		buf := buf
 		points = append(points,
 			Point("fm-"+ByteSize(buf), func(o Options) (float64, error) {
 				return runPolicy(o, buf, func() resex.Policy { return resex.NewFreeMarket() })

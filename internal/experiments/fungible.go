@@ -193,7 +193,6 @@ func AblFungible(o Options) (*AblFungibleResult, error) {
 	var points []SweepPoint[AblFungibleRow]
 	for _, util := range []int{70, 80, 90, 95} {
 		for _, policy := range []string{"fungible", "ioshares", "freemarket"} {
-			util, policy := util, policy
 			points = append(points, Point(fmt.Sprintf("%d%% %s", util, policy),
 				func(o Options) (AblFungibleRow, error) {
 					return runFungibleCell(o, util, policy)

@@ -280,7 +280,6 @@ func AblGeoDiurnal(o Options) (*AblGeoDiurnalResult, error) {
 	o = o.WithDefaults()
 	var points []SweepPoint[AblGeoDiurnalRow]
 	for _, shards := range simParShardAxis {
-		shards := shards
 		points = append(points, Point(fmt.Sprintf("s=%d", shards),
 			func(o Options) (AblGeoDiurnalRow, error) {
 				return RunGeoDiurnalCell(o, geoZones, shards, 0)

@@ -195,7 +195,6 @@ func AblMixedCrit(o Options) (*AblMixedCritResult, error) {
 	var points []SweepPoint[AblMixedCritRow]
 	for _, press := range []int{25, 50, 100, 200} {
 		for _, priced := range []bool{true, false} {
-			press, priced := press, priced
 			mode := "blind"
 			if priced {
 				mode = "priced"

@@ -100,11 +100,7 @@ func placementWorkloads(vms int, seed int64) []placement.Workload {
 			nLS++
 		}
 	}
-	rng := sim.NewRand(seed ^ 0x9e3779b9)
-	for i := len(ws) - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		ws[i], ws[j] = ws[j], ws[i]
-	}
+	shuffle(ws, seed^0x9e3779b9)
 	return ws
 }
 
@@ -228,7 +224,6 @@ func AblPlacement(o Options) (*AblPlacementResult, error) {
 	var points []SweepPoint[AblPlacementRow]
 	for _, scale := range []struct{ hosts, vms int }{{4, 8}, {8, 16}} {
 		for _, strat := range placementStrategies() {
-			scale, strat := scale, strat
 			points = append(points, Point(fmt.Sprintf("%s %dx%d", strat.name, scale.hosts, scale.vms),
 				func(o Options) (AblPlacementRow, error) {
 					return runPlacementRow(o, scale.hosts, scale.vms, strat)

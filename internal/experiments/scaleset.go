@@ -5,8 +5,6 @@ import (
 	"io"
 
 	"resex/internal/schedshard"
-	"resex/internal/sim"
-	"resex/internal/snapshot"
 	"resex/internal/workload"
 )
 
@@ -85,20 +83,8 @@ func (r *AblScaleSetResult) WriteText(w io.Writer) error {
 // WriteCSV implements Result.
 func (r *AblScaleSetResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows) }
 
-// scaleSetScale sizes the synthetic fleet from the run duration, exactly as
-// shardSchedScale does: the full 2 s window gets 600 hosts; short CI and
-// resume-sweep windows scale down proportionally (floor 64).
-func scaleSetScale(o Options) int {
-	frac := float64(o.Duration) / float64(2*sim.Second)
-	if frac > 1 {
-		frac = 1
-	}
-	hosts := int(600*frac + 0.5)
-	if hosts < 64 {
-		hosts = 64
-	}
-	return hosts
-}
+// scaleSetHosts is the fleet size at the full 2 s window (see fleetHosts).
+const scaleSetHosts = 600
 
 // scaleSetSizes is the gang-size cycle: small web tiers through chunky
 // 24-member batch sets, so rounds carry gangs that fit one host's headroom
@@ -140,16 +126,10 @@ func scaleSetArrivals(hosts int, seed int64) (items []scaleSetItem, gangs, gangV
 		for k := 0; k < 2 && used < budget; k++ {
 			var a shardSchedArrival
 			if singles%4 == 3 {
-				spec := schedshard.Spec{Name: fmt.Sprintf("solo-bulk%d", nBulk), BufferSize: IntfBuffer}
-				a = shardSchedArrival{spec: spec, vm: schedshard.VMInfo{
-					Spec: spec, BytesPerSec: 60e6, MTUsPerSec: 60e6 / 1024, BufferSize: IntfBuffer,
-				}}
+				a = bulkArrival(fmt.Sprintf("solo-bulk%d", nBulk))
 				nBulk++
 			} else {
-				spec := schedshard.Spec{Name: fmt.Sprintf("solo-ls%d", nLS), LatencySensitive: true, BufferSize: BaseBuffer}
-				a = shardSchedArrival{spec: spec, vm: schedshard.VMInfo{
-					Spec: spec, BytesPerSec: 2e6, MTUsPerSec: 2e6 / 1024, BufferSize: BaseBuffer,
-				}}
+				a = lsArrival(fmt.Sprintf("solo-ls%d", nLS))
 				nLS++
 			}
 			items = append(items, scaleSetItem{single: a})
@@ -157,127 +137,54 @@ func scaleSetArrivals(hosts int, seed int64) (items []scaleSetItem, gangs, gangV
 			used++
 		}
 	}
-	rng := sim.NewRand(seed ^ 0x5ca1e5e7)
-	for i := len(items) - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		items[i], items[j] = items[j], items[i]
-	}
+	shuffle(items, seed^0x5ca1e5e7)
 	return items, gangs, gangVMs, singles
 }
 
-// runScaleSetPoint drives one (mode, shards) cell, with the same ticked
-// wave/drain shape as runShardSchedPoint so the snapshot breakpoint sees a
-// mid-drain scheduler.
-func runScaleSetPoint(o Options, shards int, avoid bool) (AblScaleSetRow, error) {
-	mode := "naive"
-	if avoid {
-		mode = "avoid"
-	}
-	hosts := scaleSetScale(o)
-	row := AblScaleSetRow{Mode: mode, Shards: shards}
-
-	eng := sim.New()
-	store := schedshard.NewStore()
-	store.Publish(shardSchedHosts(hosts))
-	sched := schedshard.NewScheduler(store, schedshard.Config{
-		Shards:         shards,
-		Workers:        o.ShardWorkers,
-		Seed:           o.Seed,
-		AvoidConflicts: avoid,
-	})
-	stopAudit := o.observe(eng, &snapshot.Source{Sched: sched})
-
+// runScaleSetPoint drives one (mode, shards) cell of abl-scaleset.
+func runScaleSetPoint(o Options, mode string, shards int) AblScaleSetRow {
+	hosts := fleetHosts(o, scaleSetHosts)
 	items, gangs, _, _ := scaleSetArrivals(hosts, o.Seed)
-	perWave := (len(items) + shardSchedWaves - 1) / shardSchedWaves
-	wave := 0
-	enqueueWave := func() {
-		// Items are arrival units (a whole gang is one), so the list can be
-		// shorter than waves²/waves — clamp both ends.
-		lo := wave * perWave
-		if lo > len(items) {
-			lo = len(items)
-		}
-		hi := lo + perWave
-		if hi > len(items) {
-			hi = len(items)
-		}
-		for _, it := range items[lo:hi] {
+	sched := runSchedWaves(o, hosts, mode, shards, items,
+		func(s *schedshard.Scheduler, it scaleSetItem) {
 			if it.set != nil {
-				workload.EnqueueScaleSet(sched, *it.set)
+				workload.EnqueueScaleSet(s, *it.set)
 			} else {
-				sched.Enqueue(it.single.spec, it.single.vm)
+				s.Enqueue(it.single.spec, it.single.vm)
 			}
-		}
-		wave++
-	}
-
-	window := o.Warmup + o.Duration
-	tick := window / 48
-	if tick <= 0 {
-		tick = 1
-	}
-	var step func()
-	step = func() {
-		if wave < shardSchedWaves {
-			enqueueWave()
-		}
-		sched.Round()
-		if wave < shardSchedWaves || sched.PendingLen() > 0 {
-			eng.After(tick, step)
-		}
-	}
-	eng.After(tick, step)
-	eng.RunUntil(window)
-	stopAudit()
-	for wave < shardSchedWaves {
-		enqueueWave()
-		sched.Round()
-	}
-	sched.Run()
-	eng.Shutdown()
-
-	row.Rounds = sched.Rounds()
-	row.Placed = len(sched.Bound())
-	row.Failed = len(sched.Failed())
+		})
 	gs := sched.Gangs()
-	row.GangsPlaced, row.GangsFailed, row.GangsPartial = gs.Placed, gs.Failed, gs.Partial
+	row := AblScaleSetRow{
+		Mode:         mode,
+		Shards:       shards,
+		Rounds:       sched.Rounds(),
+		Placed:       len(sched.Bound()),
+		Failed:       len(sched.Failed()),
+		GangsPlaced:  gs.Placed,
+		GangsFailed:  gs.Failed,
+		GangsPartial: gs.Partial,
+		Conflicts:    sched.Conflicts(),
+		ConflictPct:  conflictPct(sched),
+		Retries:      sched.Retries(),
+		BindFNV:      fmt.Sprintf("%016x", sched.BindFNV()),
+	}
 	if gangs > 0 {
 		row.AttainPct = 100 * float64(gs.Placed) / float64(gangs)
 	}
-	row.Conflicts = sched.Conflicts()
-	if total := uint64(row.Placed) + row.Conflicts; total > 0 {
-		row.ConflictPct = 100 * float64(row.Conflicts) / float64(total)
-	}
-	row.Retries = sched.Retries()
-	row.BindFNV = fmt.Sprintf("%016x", sched.BindFNV())
-	return row, nil
+	return row
 }
 
 // AblScaleSet runs the (mode × shard count) grid over the gang-heavy
-// stream. One logical shard is the serial scheduler — zero conflicts, every
-// gang placed first try; the curve shows what gang atomicity costs under
-// optimistic concurrency (a 24-member gang is 24 chances to collide and one
-// collision requeues all 24) and that the partial column stays pinned at 0
-// regardless.
+// stream. One logical shard is the
+// serial scheduler — zero conflicts, every gang placed first try; the curve
+// shows what gang atomicity costs under optimistic concurrency (a 24-member
+// gang is 24 chances to collide and one collision requeues all 24) and that
+// the partial column stays pinned at 0 regardless.
 func AblScaleSet(o Options) (*AblScaleSetResult, error) {
 	o = o.WithDefaults()
-	hosts := scaleSetScale(o)
+	hosts := fleetHosts(o, scaleSetHosts)
 	_, gangs, gangVMs, singles := scaleSetArrivals(hosts, o.Seed)
-	var points []SweepPoint[AblScaleSetRow]
-	for _, avoid := range []bool{false, true} {
-		for _, shards := range []int{1, 2, 4, 8, 16} {
-			avoid, shards := avoid, shards
-			mode := "naive"
-			if avoid {
-				mode = "avoid"
-			}
-			points = append(points, Point(fmt.Sprintf("%s s=%d", mode, shards),
-				func(o Options) (AblScaleSetRow, error) {
-					return runScaleSetPoint(o, shards, avoid)
-				}))
-		}
-	}
-	rows, err := RunSweep(o, points)
+	rows, err := schedGrid(o, runScaleSetPoint)
 	if err != nil {
 		return nil, err
 	}

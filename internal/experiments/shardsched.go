@@ -69,21 +69,28 @@ func (r *AblShardSchedResult) WriteText(w io.Writer) error {
 // WriteCSV implements Result.
 func (r *AblShardSchedResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows) }
 
-// shardSchedScale sizes the synthetic fleet from the run duration: the
-// default 2 s window gets the full 2k-host / 50k-VM fleet; short CI and
-// resume-sweep windows scale down proportionally (floor 64 hosts) so the
-// experiment stays seconds, not minutes. VMs are 25 per host against 31
-// guest slots — an ~80% packed fleet, where optimistic conflicts actually
-// happen (a near-empty fleet absorbs every duplicate claim).
-func shardSchedScale(o Options) (hosts, vms int) {
+// fleetHosts sizes a synthetic fleet from the run duration: the default 2 s
+// window gets full hosts; short CI and resume-sweep windows scale down
+// proportionally (floor 64 hosts) so the experiment stays seconds, not
+// minutes.
+func fleetHosts(o Options, full int) int {
 	frac := float64(o.Duration) / float64(2*sim.Second)
 	if frac > 1 {
 		frac = 1
 	}
-	hosts = int(2000*frac + 0.5)
+	hosts := int(float64(full)*frac + 0.5)
 	if hosts < 64 {
 		hosts = 64
 	}
+	return hosts
+}
+
+// shardSchedScale sizes abl-shardsched's fleet: 2k hosts / 50k VMs at full
+// scale. VMs are 25 per host against 31 guest slots — an ~80% packed fleet,
+// where optimistic conflicts actually happen (a near-empty fleet absorbs
+// every duplicate claim).
+func shardSchedScale(o Options) (hosts, vms int) {
+	hosts = fleetHosts(o, 2000)
 	return hosts, 25 * hosts
 }
 
@@ -114,6 +121,31 @@ type shardSchedArrival struct {
 	vm   schedshard.VMInfo
 }
 
+// lsArrival is a latency-sensitive VM with a 64 KB buffer at 2 MB/s.
+func lsArrival(name string) shardSchedArrival {
+	spec := schedshard.Spec{Name: name, LatencySensitive: true, BufferSize: BaseBuffer}
+	return shardSchedArrival{spec: spec, vm: schedshard.VMInfo{
+		Spec: spec, BytesPerSec: 2e6, MTUsPerSec: 2e6 / 1024, BufferSize: BaseBuffer,
+	}}
+}
+
+// bulkArrival is a large-buffer bulk VM at 60 MB/s.
+func bulkArrival(name string) shardSchedArrival {
+	spec := schedshard.Spec{Name: name, BufferSize: IntfBuffer}
+	return shardSchedArrival{spec: spec, vm: schedshard.VMInfo{
+		Spec: spec, BytesPerSec: 60e6, MTUsPerSec: 60e6 / 1024, BufferSize: IntfBuffer,
+	}}
+}
+
+// shuffle permutes s in place with a Fisher–Yates pass seeded by seed.
+func shuffle[T any](s []T, seed int64) {
+	rng := sim.NewRand(seed)
+	for i := len(s) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		s[i], s[j] = s[j], s[i]
+	}
+}
+
 // shardSchedArrivals builds the arrival sequence: the abl-placement mix
 // (~25% large-buffer bulk among latency-sensitive VMs) shuffled with the
 // same seed for every sweep point, so every (mode, shards) cell places the
@@ -123,24 +155,14 @@ func shardSchedArrivals(vms int, seed int64) []shardSchedArrival {
 	nLS, nBulk := 0, 0
 	for i := 0; i < vms; i++ {
 		if i%4 == 3 {
-			spec := schedshard.Spec{Name: fmt.Sprintf("bulk%d", nBulk), BufferSize: IntfBuffer}
-			out = append(out, shardSchedArrival{spec: spec, vm: schedshard.VMInfo{
-				Spec: spec, BytesPerSec: 60e6, MTUsPerSec: 60e6 / 1024, BufferSize: IntfBuffer,
-			}})
+			out = append(out, bulkArrival(fmt.Sprintf("bulk%d", nBulk)))
 			nBulk++
 		} else {
-			spec := schedshard.Spec{Name: fmt.Sprintf("ls%d", nLS), LatencySensitive: true, BufferSize: BaseBuffer}
-			out = append(out, shardSchedArrival{spec: spec, vm: schedshard.VMInfo{
-				Spec: spec, BytesPerSec: 2e6, MTUsPerSec: 2e6 / 1024, BufferSize: BaseBuffer,
-			}})
+			out = append(out, lsArrival(fmt.Sprintf("ls%d", nLS)))
 			nLS++
 		}
 	}
-	rng := sim.NewRand(seed ^ 0x51a4d5)
-	for i := len(out) - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
+	shuffle(out, seed^0x51a4d5)
 	return out
 }
 
@@ -149,19 +171,14 @@ func shardSchedArrivals(vms int, seed int64) []shardSchedArrival {
 // scheduler sees sustained churn instead of one giant batch.
 const shardSchedWaves = 40
 
-// runShardSchedPoint drives one (mode, shards) cell: a bare engine ticks
-// the scheduler — enqueue a wave, run a round — 48 times across the run
-// window, then drains whatever the window did not finish. All scheduling
-// state is virtual-time-driven, so the armed snapshot breakpoint at T sees
-// a mid-drain scheduler whose state must replay byte-identically.
-func runShardSchedPoint(o Options, shards int, avoid bool) (AblShardSchedRow, error) {
-	mode := "naive"
-	if avoid {
-		mode = "avoid"
-	}
-	hosts, vms := shardSchedScale(o)
-	row := AblShardSchedRow{Mode: mode, Shards: shards}
-
+// runSchedWaves drives one (mode, shards) cell over a synthetic fleet of
+// hosts: a bare engine ticks the scheduler — enqueue a wave of units, run a
+// round — 48 times across the run window, then drains whatever the window
+// did not finish, and returns the drained scheduler. enqueue submits one
+// arrival unit. All scheduling state is virtual-time-driven, so the armed
+// snapshot breakpoint at T sees a mid-drain scheduler whose state must
+// replay byte-identically.
+func runSchedWaves[T any](o Options, hosts int, mode string, shards int, units []T, enqueue func(*schedshard.Scheduler, T)) *schedshard.Scheduler {
 	eng := sim.New()
 	store := schedshard.NewStore()
 	store.Publish(shardSchedHosts(hosts))
@@ -169,21 +186,19 @@ func runShardSchedPoint(o Options, shards int, avoid bool) (AblShardSchedRow, er
 		Shards:         shards,
 		Workers:        o.ShardWorkers,
 		Seed:           o.Seed,
-		AvoidConflicts: avoid,
+		AvoidConflicts: mode == "avoid",
 	})
 	stopAudit := o.observe(eng, &snapshot.Source{Sched: sched})
 
-	arrivals := shardSchedArrivals(vms, o.Seed)
-	perWave := (len(arrivals) + shardSchedWaves - 1) / shardSchedWaves
+	perWave := (len(units) + shardSchedWaves - 1) / shardSchedWaves
 	wave := 0
 	enqueueWave := func() {
-		lo := wave * perWave
-		hi := lo + perWave
-		if hi > len(arrivals) {
-			hi = len(arrivals)
-		}
-		for _, a := range arrivals[lo:hi] {
-			sched.Enqueue(a.spec, a.vm)
+		// A unit can be a whole gang, so the list can be shorter than
+		// waves²/waves — clamp both ends.
+		lo := min(wave*perWave, len(units))
+		hi := min(lo+perWave, len(units))
+		for _, u := range units[lo:hi] {
+			enqueue(sched, u)
 		}
 		wave++
 	}
@@ -215,17 +230,49 @@ func runShardSchedPoint(o Options, shards int, avoid bool) (AblShardSchedRow, er
 	}
 	sched.Run()
 	eng.Shutdown()
+	return sched
+}
 
-	row.Rounds = sched.Rounds()
-	row.Placed = len(sched.Bound())
-	row.Failed = len(sched.Failed())
-	row.Conflicts = sched.Conflicts()
-	if total := uint64(row.Placed) + row.Conflicts; total > 0 {
-		row.ConflictPct = 100 * float64(row.Conflicts) / float64(total)
+// conflictPct is conflicts over all proposals (commits + conflicts).
+func conflictPct(sched *schedshard.Scheduler) float64 {
+	total := uint64(len(sched.Bound())) + sched.Conflicts()
+	if total == 0 {
+		return 0
 	}
-	row.Retries = sched.Retries()
-	row.BindFNV = fmt.Sprintf("%016x", sched.BindFNV())
-	for _, h := range store.Snapshot().Hosts {
+	return 100 * float64(sched.Conflicts()) / float64(total)
+}
+
+// schedGrid runs cell over both tie-break modes — "naive" (every shard
+// breaks score ties toward the lowest node) then "avoid" (per-shard rotated
+// tie-break) — and the logical shard counts {1, 2, 4, 8, 16}.
+func schedGrid[R any](o Options, cell func(o Options, mode string, shards int) R) ([]R, error) {
+	var points []SweepPoint[R]
+	for _, mode := range []string{"naive", "avoid"} {
+		for _, shards := range []int{1, 2, 4, 8, 16} {
+			points = append(points, Point(fmt.Sprintf("%s s=%d", mode, shards),
+				func(o Options) (R, error) { return cell(o, mode, shards), nil }))
+		}
+	}
+	return RunSweep(o, points)
+}
+
+// runShardSchedPoint drives one (mode, shards) cell of abl-shardsched.
+func runShardSchedPoint(o Options, mode string, shards int) AblShardSchedRow {
+	hosts, vms := shardSchedScale(o)
+	sched := runSchedWaves(o, hosts, mode, shards, shardSchedArrivals(vms, o.Seed),
+		func(s *schedshard.Scheduler, a shardSchedArrival) { s.Enqueue(a.spec, a.vm) })
+	row := AblShardSchedRow{
+		Mode:        mode,
+		Shards:      shards,
+		Rounds:      sched.Rounds(),
+		Placed:      len(sched.Bound()),
+		Failed:      len(sched.Failed()),
+		Conflicts:   sched.Conflicts(),
+		ConflictPct: conflictPct(sched),
+		Retries:     sched.Retries(),
+		BindFNV:     fmt.Sprintf("%016x", sched.BindFNV()),
+	}
+	for _, h := range sched.Store().Snapshot().Hosts {
 		bulk, ls := 0, 0
 		for _, vm := range h.VMs {
 			if vm.EffectiveBuffer() >= 256<<10 {
@@ -238,33 +285,18 @@ func runShardSchedPoint(o Options, shards int, avoid bool) (AblShardSchedRow, er
 			row.Coloc += ls
 		}
 	}
-	return row, nil
+	return row
 }
 
 // AblShardSched runs the (mode × shard count) grid on the synthetic fleet.
-// Every cell places the same seeded arrival sequence; the shard count is
-// swept {1, 2, 4, 8, 16} for both tie-break modes. One logical shard is
+// Every cell places the same seeded arrival sequence. One logical shard is
 // the serial scheduler (zero conflicts by construction); the curve shows
 // what optimistic concurrency costs as shards multiply, and what the
 // rotated tie-break buys back.
 func AblShardSched(o Options) (*AblShardSchedResult, error) {
 	o = o.WithDefaults()
 	hosts, vms := shardSchedScale(o)
-	var points []SweepPoint[AblShardSchedRow]
-	for _, avoid := range []bool{false, true} {
-		for _, shards := range []int{1, 2, 4, 8, 16} {
-			avoid, shards := avoid, shards
-			mode := "naive"
-			if avoid {
-				mode = "avoid"
-			}
-			points = append(points, Point(fmt.Sprintf("%s s=%d", mode, shards),
-				func(o Options) (AblShardSchedRow, error) {
-					return runShardSchedPoint(o, shards, avoid)
-				}))
-		}
-	}
-	rows, err := RunSweep(o, points)
+	rows, err := schedGrid(o, runShardSchedPoint)
 	if err != nil {
 		return nil, err
 	}

@@ -362,7 +362,6 @@ func AblSimPar(o Options) (*AblSimParResult, error) {
 	var points []SweepPoint[AblSimParRow]
 	for _, sites := range simParSizes(o) {
 		for _, shards := range simParShardAxis {
-			sites, shards := sites, shards
 			points = append(points, Point(fmt.Sprintf("n=%d s=%d", sites, shards),
 				func(o Options) (AblSimParRow, error) {
 					return runSimParPoint(o, sites, shards)

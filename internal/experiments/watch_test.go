@@ -19,7 +19,6 @@ import (
 // the auditor counts by attaching once per engine.
 func TestWatchIsPure(t *testing.T) {
 	for _, id := range []string{"fig7", "abl-shardsched", "abl-workload-mix"} {
-		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			e, err := experiments.Lookup(id)

@@ -150,7 +150,6 @@ func AblWorkload(o Options) (*AblWorkloadResult, error) {
 	var points []SweepPoint[AblWorkloadRow]
 	for _, load := range []int{30, 50, 70, 90, 110} {
 		for _, policy := range []string{"freemarket", "ioshares"} {
-			load, policy := load, policy
 			points = append(points, Point(fmt.Sprintf("%d%% %s", load, policy),
 				func(o Options) (AblWorkloadRow, error) {
 					return runWorkloadRow(o, perTenant, load, policy)
@@ -262,7 +261,6 @@ func AblWorkloadMix(o Options) (*AblWorkloadMixResult, error) {
 	o = o.WithDefaults()
 	var points []SweepPoint[AblWorkloadMixRow]
 	for _, policy := range []string{"none", "freemarket", "ioshares"} {
-		policy := policy
 		points = append(points, Point(policy, func(o Options) (AblWorkloadMixRow, error) {
 			return runWorkloadMixRow(o, policy)
 		}))
@@ -361,7 +359,6 @@ func AblWorkloadBurst(o Options) (*AblWorkloadBurstResult, error) {
 	var points []SweepPoint[AblWorkloadBurstRow]
 	for _, factor := range []int{1, 2, 4, 8} {
 		for _, admit := range []workload.Admission{workload.AdmitAll{}, workload.QueueCap{Max: 32}} {
-			factor, admit := factor, admit
 			points = append(points, Point(fmt.Sprintf("f=%d %s", factor, admit.Name()),
 				func(o Options) (AblWorkloadBurstRow, error) {
 					return runWorkloadBurstRow(o, meanRate, factor, admit)

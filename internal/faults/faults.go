@@ -184,7 +184,6 @@ func (in *Injector) host(node int) *hostState {
 // no earlier than the current simulation time.
 func (in *Injector) Arm(s Schedule) {
 	for _, e := range s.sorted() {
-		e := e
 		h := in.host(e.Host)
 		if h == nil {
 			panic(fmt.Sprintf("faults: event %v targets unattached node %d", e.Kind, e.Host))

@@ -23,7 +23,6 @@ func runTraffic(t *testing.T, midCheckpoint bool) (State, State) {
 		}
 	}
 	for i := 0; i < 8; i++ {
-		i := i
 		r.eng.Schedule(sim.Time(i)*200*sim.Microsecond, func() {
 			op, sz := OpSend, 32<<10
 			if i%2 == 1 {

@@ -292,7 +292,6 @@ func effCap(pct int) int {
 func (a *Auditor) checkXen(w *hvWatch) {
 	cur := a.eng.Now() / xen.CapPeriod
 	for _, d := range w.hv.Domains() {
-		d := d
 		a.checks++
 		st, ok := a.doms[d]
 		if !ok {

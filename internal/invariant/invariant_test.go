@@ -65,7 +65,6 @@ func TestStrictSweepAllExperiments(t *testing.T) {
 			continue
 		}
 		for _, seed := range seeds {
-			id, seed := id, seed
 			t.Run(fmt.Sprintf("%s/seed%d", id, seed), func(t *testing.T) {
 				t.Parallel()
 				r := runStrict(t, id, seed, dur, warm)

@@ -172,7 +172,6 @@ func TestRandomRigsStrict(t *testing.T) {
 		func() resex.Policy { return resex.NewIOShares() },
 	}
 	for _, seed := range []int64{5, 21, 63} {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			rng := sim.NewRand(seed)
@@ -206,7 +205,6 @@ func TestFaultPlansAudited(t *testing.T) {
 		t.Skip("fault-storm fleet runs; skipped in -short")
 	}
 	for _, seed := range []int64{9, 33} {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			const hosts = 2

@@ -221,7 +221,6 @@ func TestFIFOSameInstantPooled(t *testing.T) {
 	var got []int
 	at := e.Now() + 10
 	for i := 0; i < 10; i++ {
-		i := i
 		e.Schedule(at, func() { got = append(got, i) })
 	}
 	e.Run()

@@ -93,7 +93,6 @@ func TestEventFIFOAtSameInstant(t *testing.T) {
 	e := New()
 	var got []int
 	for i := 0; i < 10; i++ {
-		i := i
 		e.Schedule(5, func() { got = append(got, i) })
 	}
 	e.Run()
@@ -156,7 +155,6 @@ func TestRunUntil(t *testing.T) {
 	e := New()
 	var fired []Time
 	for _, at := range []Time{10, 20, 30, 40} {
-		at := at
 		e.Schedule(at, func() { fired = append(fired, at) })
 	}
 	e.RunUntil(25)

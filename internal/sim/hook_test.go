@@ -66,7 +66,6 @@ func TestStepHookDoesNotPerturbOrdering(t *testing.T) {
 		var order []int
 		tick := e.Every(2, func() { order = append(order, -1) })
 		for i := 0; i < 8; i++ {
-			i := i
 			e.Schedule(Time(i), func() { order = append(order, i) })
 		}
 		e.Schedule(9, func() { tick.Stop() })

@@ -77,7 +77,6 @@ func TestSignalBroadcast(t *testing.T) {
 	s := NewSignal(e)
 	var woke []string
 	for _, name := range []string{"p1", "p2", "p3"} {
-		name := name
 		e.Go(name, func(p *Proc) {
 			s.Wait(p)
 			woke = append(woke, name)
@@ -102,7 +101,6 @@ func TestSignalWake(t *testing.T) {
 	s := NewSignal(e)
 	var woke []string
 	for _, name := range []string{"p1", "p2"} {
-		name := name
 		e.Go(name, func(p *Proc) {
 			s.Wait(p)
 			woke = append(woke, name)

@@ -60,7 +60,6 @@ func (r *rig) output() string {
 func (r *rig) pingWorkload(rounds int) {
 	n := len(r.hs)
 	for id := 1; id <= n; id++ {
-		id := id
 		eng := r.engs[id]
 		// Local periodic work, denser than the window size.
 		tk := new(sim.Timer)
@@ -73,7 +72,6 @@ func (r *rig) pingWorkload(rounds int) {
 	}
 	// Tokens: each host launches one, hopping to the next host every L.
 	for id := 1; id <= n; id++ {
-		id := id
 		var hop func(holder, hops int)
 		hop = func(holder, hops int) {
 			r.log(holder, "token%d-hop%d@%d", id, hops, r.engs[holder].Now())
@@ -136,10 +134,8 @@ func TestSameInstantCrossShardFIFO(t *testing.T) {
 		// Hosts 2..4 each fire three same-instant sends to host 1 from an
 		// event at t=0; send order within a host must survive the merge.
 		for id := 2; id <= 4; id++ {
-			id := id
 			r.engs[id].Schedule(0, func() {
 				for k := 1; k <= 3; k++ {
-					k := k
 					r.hs[id].Send(1, at, func() {
 						r.log(1, "msg-src%d-#%d@%d", id, k, r.engs[1].Now())
 					})

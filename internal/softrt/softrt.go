@@ -23,8 +23,6 @@ const PrepTime = 10 * sim.Microsecond
 
 // Config parameterizes a stream.
 type Config struct {
-	// Name labels diagnostics.
-	Name string
 	// FrameSize in bytes. Default 16 KB (a video slice / audio bundle).
 	FrameSize int
 	// Period between frames. Default 10 ms (a 100 Hz media stream).
@@ -37,9 +35,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Name == "" {
-		c.Name = "stream"
-	}
 	if c.FrameSize <= 0 {
 		c.FrameSize = 16 << 10
 	}
@@ -98,8 +93,8 @@ type Stream struct {
 func New(tb *cluster.Testbed, senderHost, receiverHost *cluster.Host, cfg Config) (*Stream, error) {
 	cfg = cfg.withDefaults()
 	st := &Stream{cfg: cfg, eng: tb.Eng, slots: 16}
-	st.sxvm = senderHost.NewVM(cfg.Name + "-tx-vm")
-	st.rxvm = receiverHost.NewVM(cfg.Name + "-rx-vm")
+	st.sxvm = senderHost.NewVM("stream-tx-vm")
+	st.rxvm = receiverHost.NewVM("stream-rx-vm")
 
 	txpd, rxpd := st.sxvm.PD, st.rxvm.PD
 	st.scq = txpd.CreateCQ(256)
@@ -146,8 +141,8 @@ func (st *Stream) Start() {
 		return
 	}
 	st.running = true
-	st.sender = st.eng.Go(st.cfg.Name+"-tx", st.sendLoop)
-	st.receiver = st.eng.Go(st.cfg.Name+"-rx", st.recvLoop)
+	st.sender = st.eng.Go("stream-tx", st.sendLoop)
+	st.receiver = st.eng.Go("stream-rx", st.recvLoop)
 }
 
 // Stop halts both loops.

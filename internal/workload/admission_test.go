@@ -30,7 +30,6 @@ func TestAdmissionEdges(t *testing.T) {
 		{"deadline/over", DeadlineShed{MaxWaitUs: 100}, AdmitState{OldestWaitUs: 100.001}, false},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			if got := tc.policy.Admit(tc.state); got != tc.want {
 				t.Fatalf("%s.Admit(%+v) = %v, want %v", tc.policy.Name(), tc.state, got, tc.want)
