@@ -48,6 +48,21 @@ type Client struct {
 	recvMR  *hca.MR
 	slots   int
 
+	// sendBufs is a ring of request payload buffers, one per send queue
+	// slot, built lazily; sendNext counts the requests encoded into it.
+	// The device reads a payload only at delivery, and RC completes sends
+	// in posting order, so by the time a buffer comes round again the send
+	// that used it has completed (or PostSend fails with ErrSQFull), and
+	// the server has copied the bytes into its receive buffer.
+	sendBufs [][]byte
+	sendNext int
+	// respBuf is the scratch a response is decoded from.
+	respBuf []byte
+	// cqe and onPoll (c.pollRecv, bound once) receive one completion for
+	// the await loop without a closure per wait.
+	cqe    hca.CQE
+	onPoll func() bool
+
 	stats   ClientStats
 	running bool
 	proc    *sim.Proc
@@ -66,11 +81,14 @@ func NewClient(eng *sim.Engine, vcpu *xen.VCPU, pd *hca.PD, cfg ClientConfig) (*
 		gen:  cfg.Source,
 		rng:  sim.NewRand(cfg.Seed ^ 0x5eed),
 		done: sim.NewSignal(eng),
+
+		respBuf: make([]byte, trace.ResponseSize),
 	}
+	c.onPoll = c.pollRecv
 	if c.gen == nil {
 		c.gen = trace.NewGenerator(cfg.Seed)
 	}
-	c.stats.Sample = stats.NewSample(4096)
+	c.stats.Sample = new(stats.Sample)
 	c.slots = cfg.Window + 2
 	space := pd.Space()
 	bs := uint64(cfg.BufferSize)
@@ -108,7 +126,7 @@ func (c *Client) Stats() ClientStats { return c.stats }
 // ResetStats clears accumulated latency measurements (e.g. after warmup);
 // sent/received counters restart too.
 func (c *Client) ResetStats() {
-	c.stats = ClientStats{Sample: stats.NewSample(4096)}
+	c.stats = ClientStats{Sample: new(stats.Sample)}
 }
 
 // SetInterval retunes the open-loop pacing mid-run: the issue loop reads
@@ -167,6 +185,9 @@ func (c *Client) Rebind() (*hca.QP, error) {
 			return nil, err
 		}
 	}
+	// Sends of the old QP may still be on the wire with their payloads:
+	// the new QP encodes into fresh buffers.
+	c.sendBufs = nil
 	return c.qp, nil
 }
 
@@ -216,19 +237,12 @@ func (c *Client) run(p *sim.Proc) {
 			continue
 		}
 		// Await a response.
-		var cqe hca.CQE
-		c.vcpu.SpinWait(p, c.rcq.Signal(), func() bool {
-			e, ok := c.rcq.Poll()
-			if ok {
-				cqe = e
-			}
-			return ok
-		})
+		c.vcpu.SpinWait(p, c.rcq.Signal(), c.onPoll)
 		if !c.running {
 			return
 		}
 		outstanding--
-		c.complete(p, cqe)
+		c.complete(p, c.cqe)
 		// Reap any send completions without blocking (they precede the
 		// response but are not interesting to measure).
 		for {
@@ -239,6 +253,16 @@ func (c *Client) run(p *sim.Proc) {
 	}
 	c.running = false
 	c.done.Broadcast()
+}
+
+// pollRecv reaps one response completion into c.cqe, reporting whether
+// there was one: the await loop's SpinWait condition.
+func (c *Client) pollRecv() bool {
+	e, ok := c.rcq.Poll()
+	if ok {
+		c.cqe = e
+	}
+	return ok
 }
 
 // drawGap returns the next interarrival gap according to the configured
@@ -270,8 +294,8 @@ func (c *Client) issue(p *sim.Proc) {
 	c.vcpu.Use(p, prep)
 	req.SentAt = c.eng.Now() // timestamp after marshaling, right at post
 	// The HCA holds the payload until delivery and Window requests may be
-	// in flight, so each request is encoded into its own buffer.
-	buf := make([]byte, trace.RequestSize)
+	// in flight, so each request in flight has its own buffer.
+	buf := c.nextPayload()
 	if err := req.Encode(buf); err != nil {
 		panic(err)
 	}
@@ -290,12 +314,24 @@ func (c *Client) issue(p *sim.Proc) {
 	c.stats.Sent++
 }
 
+// nextPayload returns the next request buffer of the send ring.
+func (c *Client) nextPayload() []byte {
+	if c.sendBufs == nil {
+		c.sendBufs = make([][]byte, c.qp.SQDepth())
+	}
+	i := c.sendNext % len(c.sendBufs)
+	c.sendNext++
+	if c.sendBufs[i] == nil {
+		c.sendBufs[i] = make([]byte, trace.RequestSize)
+	}
+	return c.sendBufs[i]
+}
+
 // complete decodes a response, measures its latency, recycles the slot.
 func (c *Client) complete(p *sim.Proc, cqe hca.CQE) {
 	slot := int(cqe.WRID)
-	buf := make([]byte, trace.ResponseSize)
-	c.pd.Space().Read(c.recvBuf+guestmem.Addr(slot*c.cfg.BufferSize), buf)
-	resp, err := trace.DecodeResponse(buf)
+	c.pd.Space().Read(c.recvBuf+guestmem.Addr(slot*c.cfg.BufferSize), c.respBuf)
+	resp, err := trace.DecodeResponse(c.respBuf)
 	now := c.eng.Now()
 	if err == nil {
 		lat := now - resp.SentAt

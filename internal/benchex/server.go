@@ -56,6 +56,11 @@ type Server struct {
 	proc        *sim.Proc
 	reqScratch  []byte
 	respScratch []byte
+	// polled and polledCQ receive one completion for awaitCQE's SpinWait
+	// condition, onPoll (s.pollCQ, bound once), without a closure per wait.
+	polled   hca.CQE
+	polledCQ *hca.CQ
+	onPoll   func() bool
 }
 
 // NewServer creates a server on the given VCPU (its VM) and protection
@@ -72,6 +77,7 @@ func NewServer(eng *sim.Engine, vcpu *xen.VCPU, pd *hca.PD, cfg ServerConfig) *S
 		reqScratch:  make([]byte, trace.RequestSize),
 		respScratch: make([]byte, trace.ResponseSize),
 	}
+	s.onPoll = s.pollCQ
 	s.scq = pd.CreateCQ(cfg.CQDepth)
 	s.rcq = pd.CreateCQ(cfg.CQDepth)
 	return s
@@ -160,16 +166,9 @@ func (s *Server) ResetStats() {
 // the completion event and paying only the interrupt cost per wakeup.
 func (s *Server) awaitCQE(p *sim.Proc, cq *hca.CQ) (hca.CQE, bool) {
 	if !s.cfg.EventDriven {
-		var cqe hca.CQE
-		var got bool
-		s.vcpu.SpinWait(p, cq.Signal(), func() bool {
-			e, ok := cq.Poll()
-			if ok {
-				cqe, got = e, true
-			}
-			return ok
-		})
-		return cqe, got
+		s.polledCQ = cq
+		s.vcpu.SpinWait(p, cq.Signal(), s.onPoll)
+		return s.polled, true
 	}
 	for s.running {
 		if e, ok := cq.Poll(); ok {
@@ -179,6 +178,16 @@ func (s *Server) awaitCQE(p *sim.Proc, cq *hca.CQ) (hca.CQE, bool) {
 		cq.Signal().Wait(p) // blocked, VCPU idle: no budget burned
 	}
 	return hca.CQE{}, false
+}
+
+// pollCQ reaps one completion from polledCQ into polled, reporting whether
+// there was one.
+func (s *Server) pollCQ() bool {
+	e, ok := s.polledCQ.Poll()
+	if ok {
+		s.polled = e
+	}
+	return ok
 }
 
 // run is the FCFS serving loop: poll → decode → process → respond → wait.

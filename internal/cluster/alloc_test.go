@@ -5,8 +5,10 @@ import (
 	"testing"
 	"unsafe"
 
+	"resex/internal/benchex"
 	"resex/internal/fabric"
 	"resex/internal/hca"
+	"resex/internal/sim"
 )
 
 // msgLen is the size of the interferer's RDMA write in the paper.
@@ -89,6 +91,38 @@ func TestColdRDMAWriteAllocs(t *testing.T) {
 		t.Errorf("first 2 MB write on a fresh testbed allocated %d bytes, want under %d (256 packets)", got, budget)
 	} else {
 		t.Logf("first 2 MB write allocated %d bytes", got)
+	}
+	tb.Eng.Shutdown()
+}
+
+func TestBenchExRequestAllocs(t *testing.T) {
+	// A warm 64 KB BenchEx client/server pair on two hosts allocates
+	// nothing per request: the WQE queues are rings, messages come from the
+	// HCA free list, waits keep their state on the process, the client
+	// encodes into a ring of send buffers, and guest memory already holds
+	// every chunk the request path writes. What is left is the latency
+	// sample's amortized growth.
+	tb := New(Config{Hosts: 2})
+	app, err := tb.NewApp("app", tb.Hosts[1], tb.Hosts[0],
+		benchex.ServerConfig{BufferSize: 64 << 10}, benchex.ClientConfig{BufferSize: 64 << 10, Window: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app.Start()
+	// Warm up until every 1024-entry CQ ring has wrapped, so that all its
+	// chunks exist.
+	tb.Eng.RunUntil(250 * sim.Millisecond)
+	const slice = 20 * sim.Millisecond
+	run := func() { tb.Eng.RunUntil(tb.Eng.Now() + slice) }
+	before := app.Client.Stats().Received
+	const runs = 5
+	allocs := testing.AllocsPerRun(runs, run) // plus one warm-up run
+	perRun := float64(app.Client.Stats().Received-before) / (runs + 1)
+	if perRun < 50 {
+		t.Fatalf("only %.0f requests per %v", perRun, slice)
+	}
+	if perReq := allocs / perRun; perReq > 0.01 {
+		t.Errorf("%.1f allocs per %.0f requests = %.4f per request, want at most 0.01", allocs, perRun, perReq)
 	}
 	tb.Eng.Shutdown()
 }

@@ -7,9 +7,9 @@
 // reproduce that honestly, the simulated HCA must actually write binary
 // structures into a byte-addressable guest address space, and IBMon must
 // parse them back out with no side channel. This package provides that
-// address space: sparse 4 KiB pages, bounds-checked accessors, a bump
-// allocator, and region views that dom0 obtains via the hypervisor's
-// map-foreign-range introspection call.
+// address space: sparse 4 KiB pages that hold only the chunks written so
+// far, bounds-checked accessors, a bump allocator, and region views that
+// dom0 obtains via the hypervisor's map-foreign-range introspection call.
 package guestmem
 
 import (
@@ -30,12 +30,38 @@ func (a Addr) PageNum() uint64 { return uint64(a) / PageSize }
 // PageOff returns the offset of a within its page.
 func (a Addr) PageOff() uint64 { return uint64(a) % PageSize }
 
+// ChunkSize is the granularity at which a page's bytes exist. The guest
+// writes the simulator makes are small and scattered: a 40-byte CQE, a
+// 64-byte WQE, a 4-byte doorbell, a 72-byte request at the head of a 64 KB
+// receive buffer. Most pages see one or two of them, so a page materializes
+// only the 256-byte chunks that were written: one chunk covers a CQE, a WQE
+// or a request, and the page's table of 16 chunk pointers costs half a
+// chunk.
+const ChunkSize = 256
+
+// chunksPerPage is the number of chunks in one page.
+const chunksPerPage = PageSize / ChunkSize
+
+// chunk is one materialized ChunkSize-byte piece of a page.
+type chunk [ChunkSize]byte
+
+// page is one touched guest page: its written chunks, nil where no byte of
+// a chunk was ever written.
+type page [chunksPerPage]*chunk
+
 // Space is one domain's guest-physical memory. Pages are materialized on
-// first touch; untouched memory reads as zero, like freshly ballooned RAM.
+// first write, a chunk at a time; untouched memory reads as zero, like
+// freshly ballooned RAM.
 type Space struct {
 	size  uint64
-	pages map[uint64]*[PageSize]byte
+	pages map[uint64]*page
 	brk   Addr // bump allocator cursor
+	// last and lastPN cache the page the latest Write touched: a CQE or
+	// WQE is several small writes to one page. Pages are never dropped,
+	// so the cached pointer stays valid. Only Write updates the cache, so
+	// a Read changes nothing in the Space.
+	last   *page
+	lastPN uint64
 }
 
 // NewSpace creates an address space of the given size in bytes (rounded up
@@ -49,7 +75,7 @@ func NewSpace(size uint64) *Space {
 	}
 	return &Space{
 		size:  size,
-		pages: make(map[uint64]*[PageSize]byte),
+		pages: make(map[uint64]*page),
 		brk:   PageSize, // keep guest page 0 unmapped to catch null addresses
 	}
 }
@@ -57,35 +83,49 @@ func NewSpace(size uint64) *Space {
 // Size returns the size of the space in bytes.
 func (s *Space) Size() uint64 { return s.size }
 
-// Allocated returns the number of materialized pages.
+// Allocated returns the number of materialized pages: pages with at least
+// one written chunk.
 func (s *Space) Allocated() int { return len(s.pages) }
 
 // check panics on out-of-range accesses: in a simulation these are simulator
 // bugs, not recoverable guest faults.
 func (s *Space) check(a Addr, n int) {
-	if n < 0 || uint64(a) >= s.size || uint64(a)+uint64(n) > s.size {
+	if n < 0 || uint64(a) >= s.size || uint64(n) > s.size-uint64(a) {
 		panic(fmt.Sprintf("guestmem: access [%#x,+%d) outside space of %d bytes", uint64(a), n, s.size))
 	}
-}
-
-func (s *Space) page(pn uint64) *[PageSize]byte {
-	p, ok := s.pages[pn]
-	if !ok {
-		p = new([PageSize]byte)
-		s.pages[pn] = p
-	}
-	return p
 }
 
 // Write copies b into the space at a.
 func (s *Space) Write(a Addr, b []byte) {
 	s.check(a, len(b))
 	for len(b) > 0 {
-		p := s.page(a.PageNum())
-		off := a.PageOff()
-		n := copy(p[off:], b)
+		pn, off := a.PageNum(), a.PageOff()
+		p := s.last
+		if p == nil || s.lastPN != pn {
+			if p = s.pages[pn]; p == nil {
+				p = new(page)
+				s.pages[pn] = p
+			}
+			s.last, s.lastPN = p, pn
+		}
+		n := min(len(b), int(PageSize-off))
+		p.write(off, b[:n])
 		b = b[n:]
 		a += Addr(n)
+	}
+}
+
+// write copies b, which fits in the page from off, materializing chunks.
+func (p *page) write(off uint64, b []byte) {
+	for len(b) > 0 {
+		c := p[off/ChunkSize]
+		if c == nil {
+			c = new(chunk)
+			p[off/ChunkSize] = c
+		}
+		n := copy(c[off%ChunkSize:], b)
+		b = b[n:]
+		off += uint64(n)
 	}
 }
 
@@ -93,20 +133,35 @@ func (s *Space) Write(a Addr, b []byte) {
 func (s *Space) Read(a Addr, b []byte) {
 	s.check(a, len(b))
 	for len(b) > 0 {
-		off := a.PageOff()
-		n := PageSize - int(off)
-		if n > len(b) {
-			n = len(b)
+		pn, off := a.PageNum(), a.PageOff()
+		n := min(len(b), int(PageSize-off))
+		p := s.last
+		if p == nil || s.lastPN != pn {
+			p = s.pages[pn]
 		}
-		if p, ok := s.pages[a.PageNum()]; ok {
-			copy(b[:n], p[off:])
+		if p != nil {
+			p.read(off, b[:n])
 		} else {
-			for i := 0; i < n; i++ {
-				b[i] = 0
-			}
+			clear(b[:n])
 		}
 		b = b[n:]
 		a += Addr(n)
+	}
+}
+
+// read fills b, which fits in the page from off; unwritten chunks read as
+// zero.
+func (p *page) read(off uint64, b []byte) {
+	for len(b) > 0 {
+		co := off % ChunkSize
+		n := min(len(b), int(ChunkSize-co))
+		if c := p[off/ChunkSize]; c != nil {
+			copy(b[:n], c[co:])
+		} else {
+			clear(b[:n])
+		}
+		b = b[n:]
+		off += uint64(n)
 	}
 }
 
@@ -183,8 +238,10 @@ func (r *Region) Base() Addr { return r.base }
 // Len returns the region length in bytes.
 func (r *Region) Len() uint64 { return r.len }
 
+// checkOff panics unless [off, off+n) lies within the region. A negative n
+// never does, and the comparison cannot wrap.
 func (r *Region) checkOff(off uint64, n int) {
-	if off+uint64(n) > r.len {
+	if n < 0 || off > r.len || uint64(n) > r.len-off {
 		panic(fmt.Sprintf("guestmem: region access [%d,+%d) outside region of %d bytes", off, n, r.len))
 	}
 }

@@ -243,3 +243,29 @@ func TestMemoryRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestRegionOffsetCannotWrap(t *testing.T) {
+	// off+n wraps past 2^64 for an offset just below it: the access must
+	// still be rejected, not land before the region.
+	s := NewSpace(4 * PageSize)
+	s.Write(0x1ffc, []byte{1, 2, 3, 4})
+	r := NewRegion(s, 0x2000, 64)
+	const off = 1<<64 - 4
+	for name, fn := range map[string]func(){
+		"Read":     func() { r.Read(off, make([]byte, 8)) },
+		"Write":    func() { r.Write(off, make([]byte, 8)) },
+		"ReadU64":  func() { r.ReadU64(off) },
+		"WriteU32": func() { r.WriteU32(off+2, 0) },
+		"Slice":    func() { r.Slice(off, 8) },
+		"SliceLen": func() { r.Slice(8, 1<<64-4) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s at offset 2^64-4 of a 64-byte region did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}

@@ -70,7 +70,7 @@ func (h *HCA) Checkpoint() State {
 				CompletedSends: qp.completedSends,
 				PostedRecvs:    qp.postedRecvs,
 				CompletedRecvs: qp.completedRecvs,
-				PendingRecv:    len(qp.pendingRecv),
+				PendingRecv:    qp.pendingRecv.Len(),
 				Destroyed:      qp.destroyed,
 			})
 		}

@@ -97,6 +97,10 @@ type HCA struct {
 	// newPacket and recycle.
 	free []*fabric.Packet
 
+	// freeMsgs holds zeroed messages for processHead and read responses;
+	// see newMsg and freeMsg.
+	freeMsgs []*wireMsg
+
 	// acks holds sender completions waiting out AckLatency, oldest first.
 	acks ring.Queue[pendingAck]
 
@@ -150,11 +154,43 @@ func (h *HCA) recycle(pkt *fabric.Packet) {
 	}
 }
 
+// maxFreeMsgs bounds the message free list like maxFreePackets. With an ack
+// path installed, messages collect at the HCA that received them, so a
+// one-way flow would otherwise grow its receiver's list without limit.
+const maxFreeMsgs = 1 << 10
+
+// newMsg returns a zeroed message from the free list, or a fresh one.
+func (h *HCA) newMsg() *wireMsg {
+	if n := len(h.freeMsgs); n > 0 {
+		m := h.freeMsgs[n-1]
+		h.freeMsgs[n-1] = nil
+		h.freeMsgs = h.freeMsgs[:n-1]
+		return m
+	}
+	return new(wireMsg)
+}
+
+// freeMsg zeroes a finished message and returns it to a free list. A message is finished once its last MTU has been
+// delivered and every field the sender completion needs has been read: the
+// uplink stopped referencing its train when it built the last packet. As
+// recycle does for packets, the message goes back to its sender's list,
+// or, with an ack path installed, stays with this, the receiving, HCA,
+// because the sender may run on another engine and goroutine.
+func (h *HCA) freeMsg(m *wireMsg) {
+	owner := h
+	if h.ackPath == nil {
+		owner = h.peerHCA(m.srcNode)
+	}
+	*m = wireMsg{}
+	if len(owner.freeMsgs) < maxFreeMsgs {
+		owner.freeMsgs = append(owner.freeMsgs, m)
+	}
+}
+
 // pendingAck is a sender completion waiting out the RC ack latency.
 type pendingAck struct {
-	src    *HCA
-	m      *wireMsg
-	status Status
+	src *HCA
+	ack Ack
 }
 
 // New creates an HCA. Wire it with SetUplink and SetPeerResolver before use.
@@ -302,7 +338,7 @@ func (pd *PD) Space() *guestmem.Space { return pd.space }
 // RegisterMR registers [addr, addr+n) for DMA with the given access rights,
 // pinning it in the TPT. The returned MR's key serves as both lkey and rkey.
 func (pd *PD) RegisterMR(addr guestmem.Addr, n uint64, access Access) (*MR, error) {
-	if uint64(addr)+n > pd.space.Size() {
+	if size := pd.space.Size(); uint64(addr) > size || n > size-uint64(addr) {
 		return nil, ErrMRTooLarge
 	}
 	h := pd.hca
@@ -336,9 +372,14 @@ func (mr *MR) Addr() guestmem.Addr { return mr.addr }
 // Len returns the region's length.
 func (mr *MR) Len() uint64 { return mr.len }
 
-// contains reports whether [addr, addr+n) lies within the MR.
+// contains reports whether [addr, addr+n) lies within the MR. A negative n
+// never does, and the comparison cannot wrap.
 func (mr *MR) contains(addr guestmem.Addr, n int) bool {
-	return addr >= mr.addr && uint64(addr)+uint64(n) <= uint64(mr.addr)+mr.len
+	if n < 0 || addr < mr.addr {
+		return false
+	}
+	off := uint64(addr - mr.addr)
+	return off <= mr.len && uint64(n) <= mr.len-off
 }
 
 // checkKey validates a key against the TPT for the given access, range and

@@ -345,6 +345,28 @@ func TestPostSendValidation(t *testing.T) {
 	}
 }
 
+func TestNegativeLengthsRejected(t *testing.T) {
+	// A negative length must not turn into a huge unsigned one that wraps
+	// the MR bounds check back into range.
+	r := newRig(t)
+	qp1, _, _, _, _, _ := r.connect(t, 4)
+	src := r.mem1.Alloc(4096, 64)
+	mr, _ := r.pd1.RegisterMR(src, 4096, AccessLocalWrite)
+	if err := qp1.PostSend(SendWR{Op: OpSend, LocalAddr: src, LKey: mr.Key(), Len: -1}); err != ErrBadLKey {
+		t.Errorf("send of length -1: %v, want ErrBadLKey", err)
+	}
+	if err := qp1.PostRecv(RecvWR{Addr: src, LKey: mr.Key(), Len: -5}); err != ErrBadLKey {
+		t.Errorf("receive of length -5: %v, want ErrBadLKey", err)
+	}
+	if err := qp1.PostSend(SendWR{Op: OpSend, LocalAddr: src + 4000, LKey: mr.Key(), Len: 97}); err != ErrBadLKey {
+		t.Errorf("send past the MR end: %v, want ErrBadLKey", err)
+	}
+	if _, err := r.pd1.RegisterMR(1<<64-4096, 8192, 0); err != ErrMRTooLarge {
+		t.Errorf("registration wrapping past 2^64: %v, want ErrMRTooLarge", err)
+	}
+	r.eng.Shutdown()
+}
+
 func TestCQGuestMemoryEncoding(t *testing.T) {
 	// The CQE ring and doorbell record must be readable as raw bytes from
 	// the guest address space: that is IBMon's contract.

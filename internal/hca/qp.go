@@ -5,6 +5,7 @@ import (
 
 	"resex/internal/fabric"
 	"resex/internal/guestmem"
+	"resex/internal/ring"
 )
 
 // Opcode identifies a work request type.
@@ -89,20 +90,23 @@ const (
 )
 
 // wireMsg is the in-flight representation of one message: every MTU of the
-// message carries a pointer to it, so reassembly is a counter.
+// message carries a pointer to it, so reassembly is a counter. Messages come
+// from an HCA free list (newMsg) and go back to one once finished (freeMsg).
 type wireMsg struct {
-	op       Opcode
-	imm      uint32
-	rkey     uint32
-	srcQPN   uint32
-	dstQPN   uint32
-	srcNode  int
-	wrID     uint64
-	len      int
-	got      int // MTUs delivered
-	payload  []byte
-	remote   guestmem.Addr
-	readback *SendWR // for READ: the original request (completion target)
+	op      Opcode
+	imm     uint32
+	rkey    uint32
+	srcQPN  uint32
+	dstQPN  uint32
+	srcNode int
+	wrID    uint64
+	len     int
+	got     int // MTUs delivered
+	payload []byte
+	remote  guestmem.Addr
+	// local is, for a READ and its response, the requester's destination
+	// buffer.
+	local guestmem.Addr
 
 	// train is how the message waits on the uplink; the link builds each
 	// MTU's packet from it when that MTU starts serializing. train.MTUs is
@@ -119,9 +123,9 @@ type QP struct {
 	recvCQ *CQ
 
 	sqDepth, rqDepth int
-	sq               []SendWR
+	sq               ring.Queue[SendWR]
 	outstanding      int // posted send WRs without a completion yet
-	rq               []RecvWR
+	rq               ring.Queue[RecvWR]
 	sqRing           guestmem.Addr // WQE ring in guest memory
 	sqHead           uint64        // posted count
 	uar              guestmem.Addr // doorbell page
@@ -138,8 +142,9 @@ type QP struct {
 	postedRecvs    uint64
 	completedRecvs uint64
 
-	// Receive side reassembly and RNR parking.
-	pendingRecv []*wireMsg
+	// Receive side RNR parking: messages that arrived with no receive
+	// buffer posted, oldest first.
+	pendingRecv ring.Queue[*wireMsg]
 }
 
 // CreateQP creates a queue pair in the PD using the given completion queues
@@ -239,18 +244,16 @@ func (qp *QP) RateLimit() float64 {
 // available (RNR condition) the oldest parked message is delivered
 // immediately.
 func (qp *QP) PostRecv(wr RecvWR) error {
-	if len(qp.rq) >= qp.rqDepth {
+	if qp.rq.Len() >= qp.rqDepth {
 		return ErrRQFull
 	}
 	if qp.pd.hca.checkKey(wr.LKey, qp.pd.space, wr.Addr, wr.Len, AccessLocalWrite) == nil {
 		return ErrBadLKey
 	}
-	qp.rq = append(qp.rq, wr)
+	qp.rq.Push(wr)
 	qp.postedRecvs++
-	if len(qp.pendingRecv) > 0 {
-		m := qp.pendingRecv[0]
-		qp.pendingRecv = qp.pendingRecv[1:]
-		qp.completeInbound(m)
+	if qp.pendingRecv.Len() > 0 {
+		qp.completeInbound(qp.pendingRecv.Pop())
 	}
 	return nil
 }
@@ -287,7 +290,7 @@ func (qp *QP) PostSend(wr SendWR) error {
 	mem.WriteU32(base+32, wr.RKey)
 	qp.sqHead++
 	mem.WriteU32(qp.uar, uint32(qp.sqHead)) // doorbell
-	qp.sq = append(qp.sq, wr)
+	qp.sq.Push(wr)
 	qp.outstanding++
 	qp.kick()
 	return nil
@@ -311,23 +314,26 @@ func (pd *PD) DestroyQP(qp *QP) {
 		return
 	}
 	qp.destroyed = true
-	delete(pd.hca.qps, qp.qpn)
-	for _, wr := range qp.sq {
+	h := pd.hca
+	delete(h.qps, qp.qpn)
+	for qp.sq.Len() > 0 {
+		wr := qp.sq.Pop()
 		qp.completeSend(wr.Op, StatusFlushErr, 0, wr.ID)
 	}
-	qp.sq = nil
 	qp.outstanding = 0
-	for _, rwr := range qp.rq {
+	for qp.rq.Len() > 0 {
+		rwr := qp.rq.Pop()
 		qp.completedRecvs++
 		qp.recvCQ.push(qp.qpn, OpRecv, StatusFlushErr, 0, rwr.ID, 0)
 	}
-	qp.rq = nil
-	qp.pendingRecv = nil
+	for qp.pendingRecv.Len() > 0 {
+		h.freeMsg(qp.pendingRecv.Pop())
+	}
 }
 
 // kick starts the device-side send engine if idle.
 func (qp *QP) kick() {
-	if qp.processing || len(qp.sq) == 0 {
+	if qp.processing || qp.sq.Len() == 0 {
 		return
 	}
 	qp.processing = true
@@ -339,40 +345,27 @@ func (qp *QP) kick() {
 // hands the MTUs to the uplink, then moves on. RC ordering holds because
 // the link serves each flow FIFO.
 func (qp *QP) processHead() {
-	if qp.destroyed || len(qp.sq) == 0 {
+	if qp.destroyed || qp.sq.Len() == 0 {
 		qp.processing = false
 		return
 	}
 	h := qp.pd.hca
-	wr := qp.sq[0]
-	qp.sq = qp.sq[1:]
+	wr := qp.sq.Pop()
 
 	// rkeys are validated at the responder, as on real hardware.
-	switch wr.Op {
-	case OpRDMARead:
+	m := h.newMsg()
+	m.op, m.srcNode, m.srcQPN, m.dstQPN = wr.Op, h.cfg.Node, qp.qpn, qp.remoteQPN
+	m.wrID, m.len, m.remote, m.rkey = wr.ID, wr.Len, wr.RemoteAddr, wr.RKey
+	if wr.Op == OpRDMARead {
 		// A read request is a single control MTU to the responder; the
-		// responder streams the data back.
-		m := &wireMsg{
-			op: OpRDMARead, srcNode: h.cfg.Node, srcQPN: qp.qpn,
-			dstQPN: qp.remoteQPN, wrID: wr.ID, len: wr.Len,
-			remote: wr.RemoteAddr, rkey: wr.RKey,
-		}
-		rb := wr // copied here so that only reads put a SendWR on the heap
-		m.readback = &rb
+		// responder streams the data back to local.
+		m.local = wr.LocalAddr
 		qp.sendMsg(m, 0)
-	default:
-		var payload []byte
-		if wr.Payload != nil {
-			payload = wr.Payload
-		}
-		m := &wireMsg{
-			op: wr.Op, srcNode: h.cfg.Node, srcQPN: qp.qpn,
-			dstQPN: qp.remoteQPN, wrID: wr.ID, len: wr.Len, imm: wr.Imm,
-			payload: payload, remote: wr.RemoteAddr, rkey: wr.RKey,
-		}
-		qp.sendMsg(m, wr.Len)
+	} else {
+		m.imm, m.payload = wr.Imm, wr.Payload
+		qp.sendMsg(m, m.len)
 	}
-	if len(qp.sq) > 0 {
+	if qp.sq.Len() > 0 {
 		h.eng.After(ProcDelay, qp.onProcess)
 	} else {
 		qp.processing = false
@@ -457,8 +450,8 @@ func (qp *QP) handleInbound(m *wireMsg) {
 		}
 		if m.op == OpRDMAWriteImm {
 			// Consumes a receive WQE for the immediate notification.
-			if len(qp.rq) == 0 {
-				qp.pendingRecv = append(qp.pendingRecv, m)
+			if qp.rq.Len() == 0 {
+				qp.pendingRecv.Push(m)
 				return
 			}
 			qp.completeInbound(m)
@@ -467,8 +460,8 @@ func (qp *QP) handleInbound(m *wireMsg) {
 		// Plain write: invisible to the responder CPU; ack the sender only.
 		h.completeSender(m, StatusOK)
 	case OpSend:
-		if len(qp.rq) == 0 {
-			qp.pendingRecv = append(qp.pendingRecv, m) // RNR: park
+		if qp.rq.Len() == 0 {
+			qp.pendingRecv.Push(m) // RNR: park
 			return
 		}
 		qp.completeInbound(m)
@@ -479,8 +472,7 @@ func (qp *QP) handleInbound(m *wireMsg) {
 // completions.
 func (qp *QP) completeInbound(m *wireMsg) {
 	h := qp.pd.hca
-	rwr := qp.rq[0]
-	qp.rq = qp.rq[1:]
+	rwr := qp.rq.Pop()
 	qp.completedRecvs++
 	status := StatusOK
 	if m.op == OpSend {
@@ -495,18 +487,21 @@ func (qp *QP) completeInbound(m *wireMsg) {
 }
 
 // completeSender schedules the sender-side completion after the RC ack
-// latency. With an ack path installed (SetAckPath), completions for remote
-// nodes become transport messages — the transport adds its own return
-// latency — instead of a direct call into the peer HCA.
+// latency and finishes m. With an ack path installed (SetAckPath),
+// completions for remote nodes become transport messages — the transport
+// adds its own return latency — instead of a direct call into the peer HCA.
 func (h *HCA) completeSender(m *wireMsg, status Status) {
-	if h.ackPath != nil && m.srcNode != h.cfg.Node {
-		h.ackPath(m.srcNode, Ack{
-			SrcQPN: m.srcQPN, Op: m.op, Status: status,
-			Len: uint32(m.len), WRID: m.wrID,
-		})
+	a := Ack{
+		SrcQPN: m.srcQPN, Op: m.op, Status: status,
+		Len: uint32(m.len), WRID: m.wrID,
+	}
+	src := m.srcNode
+	h.freeMsg(m)
+	if h.ackPath != nil && src != h.cfg.Node {
+		h.ackPath(src, a)
 		return
 	}
-	h.acks.Push(pendingAck{src: h.peerHCA(m.srcNode), m: m, status: status})
+	h.acks.Push(pendingAck{src: h.peerHCA(src), ack: a})
 	h.eng.After(AckLatency, h.onAck)
 }
 
@@ -514,11 +509,7 @@ func (h *HCA) completeSender(m *wireMsg, status Status) {
 // so acks fire in the order completeSender queued them.
 func (h *HCA) ack() {
 	a := h.acks.Pop()
-	srcQP, ok := a.src.qps[a.m.srcQPN]
-	if !ok {
-		return
-	}
-	srcQP.completeSend(a.m.op, a.status, uint32(a.m.len), a.m.wrID)
+	a.src.ApplyAck(a.ack)
 }
 
 // handleReadRequest streams read-response data back to the requester.
@@ -529,24 +520,21 @@ func (qp *QP) handleReadRequest(m *wireMsg) {
 		h.completeSender(m, StatusRemoteAccessErr)
 		return
 	}
-	payload := make([]byte, m.len)
-	qp.pd.space.Read(m.remote, payload)
-	resp := &wireMsg{
-		op: opReadResp, srcNode: h.cfg.Node, srcQPN: qp.qpn,
-		dstQPN: m.srcQPN, wrID: m.wrID, len: m.len, payload: payload,
-		readback: m.readback,
-	}
-	qp.sendMsg(resp, m.len)
+	resp := h.newMsg()
+	resp.op, resp.srcNode, resp.srcQPN, resp.dstQPN = opReadResp, h.cfg.Node, qp.qpn, m.srcQPN
+	resp.wrID, resp.len, resp.local = m.wrID, m.len, m.local
+	resp.payload = make([]byte, m.len)
+	qp.pd.space.Read(m.remote, resp.payload)
+	h.freeMsg(m)
+	qp.sendMsg(resp, resp.len)
 }
 
 // handleReadResponse lands read data in the requester's buffer and
 // completes the original READ work request.
 func (qp *QP) handleReadResponse(m *wireMsg) {
-	wr := m.readback
-	if wr != nil && m.payload != nil {
-		qp.pd.space.Write(wr.LocalAddr, m.payload)
-	}
+	qp.pd.space.Write(m.local, m.payload)
 	qp.completeSend(OpRDMARead, StatusOK, uint32(m.len), m.wrID)
+	qp.pd.hca.freeMsg(m)
 }
 
 // peerHCA resolves a node id to its HCA.

@@ -27,6 +27,16 @@ type Proc struct {
 	// hot park/resume path (Sleep, Signal.Broadcast) does not allocate a
 	// fresh method-value closure per event.
 	dispatchFn func()
+
+	// WaitAny state: the current wait's generation, whether it is still
+	// unresolved, how it resolved, its timeout, and a pool of registrations
+	// whose events have fired.
+	waitGen       uint64
+	waiting       bool
+	waitSignaled  bool
+	waitTimer     Timer
+	onWaitTimeout func() // p.waitTimedOut, bound once
+	waitRegs      []*waitReg
 }
 
 // Go spawns fn as a new process starting at the current virtual time. The
@@ -38,7 +48,7 @@ func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
 		resume: make(chan struct{}),
 		yield:  make(chan struct{}),
 	}
-	p.dispatchFn = p.dispatch
+	p.dispatchFn, p.onWaitTimeout = p.dispatch, p.waitTimedOut
 	p.endSig = NewSignal(e)
 	e.procs[p] = struct{}{}
 	e.After(0, func() {
@@ -158,28 +168,69 @@ func (p *Proc) Join(other *Proc) {
 
 // WaitAny parks p until s broadcasts (or wakes p) or until d elapses,
 // whichever comes first. It reports whether the signal fired before the
-// timeout. A stale registration left behind by a timeout is inert.
+// timeout. A stale registration left behind by a timeout is inert: when s
+// next broadcasts it still costs its zero-delay event, which does nothing.
+//
+// The wait allocates nothing once p has waited before. Its state lives on
+// p, and s holds a pooled, generation-tagged registration (waitReg) instead
+// of a fresh closure; the timeout is a callback bound once per process.
 func (p *Proc) WaitAny(s *Signal, d Time) (signaled bool) {
-	done := false
-	var timer Timer
-	s.Notify(func() {
-		if done {
-			return
-		}
-		done = true
-		signaled = true
-		timer.Stop()
-		p.dispatch()
-	})
-	timer = p.eng.After(d, func() {
-		if done {
-			return
-		}
-		done = true
-		p.dispatch()
-	})
+	p.waitGen++
+	p.waiting, p.waitSignaled = true, false
+	s.Notify(p.newWaitReg().fire)
+	p.waitTimer = p.eng.After(d, p.onWaitTimeout)
 	p.park()
-	return signaled
+	return p.waitSignaled
+}
+
+// waitReg is one WaitAny registration on a Signal, tagged with the wait
+// generation it belongs to. A registration is scheduled at most once (by
+// the Broadcast or Wake that consumes it), and it returns to its process's
+// pool when that event fires.
+type waitReg struct {
+	p    *Proc
+	gen  uint64
+	fire func() // signaled, bound once
+}
+
+// newWaitReg returns a pooled registration for p's current wait.
+func (p *Proc) newWaitReg() *waitReg {
+	var r *waitReg
+	if n := len(p.waitRegs); n > 0 {
+		r = p.waitRegs[n-1]
+		p.waitRegs[n-1] = nil
+		p.waitRegs = p.waitRegs[:n-1]
+	} else {
+		r = &waitReg{p: p}
+		r.fire = r.signaled
+	}
+	r.gen = p.waitGen
+	return r
+}
+
+// signaled is the event a Broadcast or Wake schedules for r. It resolves
+// the wait r was made for, unless that wait already timed out (or a later
+// one began): then r is stale and the event is a no-op.
+func (r *waitReg) signaled() {
+	p := r.p
+	live := r.gen == p.waitGen && p.waiting
+	p.waitRegs = append(p.waitRegs, r)
+	if !live {
+		return
+	}
+	p.waiting, p.waitSignaled = false, true
+	p.waitTimer.Stop()
+	p.dispatch()
+}
+
+// waitTimedOut is the timeout event of the current wait. A wait resolved by
+// its signal stops this timer, so a timeout that fires is always current.
+func (p *Proc) waitTimedOut() {
+	if !p.waiting {
+		return
+	}
+	p.waiting = false
+	p.dispatch()
 }
 
 // Signal is a broadcast-style condition: processes park on it with Wait and
@@ -207,34 +258,44 @@ func (s *Signal) Notify(fn func()) { s.funcs = append(s.funcs, fn) }
 
 // Broadcast releases all current waiters. Each resumes via its own
 // zero-delay event, preserving determinism regardless of caller context.
+// Scheduling runs no callback, so nothing can register while the lists are
+// walked, and both are reused for the next round.
 func (s *Signal) Broadcast() {
-	waiters := s.waiters
-	s.waiters = nil
-	funcs := s.funcs
-	s.funcs = nil
-	for _, w := range waiters {
+	for _, w := range s.waiters {
 		s.eng.After(0, w.dispatchFn)
 	}
-	for _, fn := range funcs {
+	for _, fn := range s.funcs {
 		s.eng.After(0, fn)
 	}
+	clear(s.waiters)
+	s.waiters = s.waiters[:0]
+	clear(s.funcs)
+	s.funcs = s.funcs[:0]
 }
 
 // Wake releases a single waiter (FIFO); it reports whether one was waiting.
 func (s *Signal) Wake() bool {
-	if len(s.waiters) == 0 {
-		if len(s.funcs) > 0 {
-			fn := s.funcs[0]
-			s.funcs = s.funcs[1:]
-			s.eng.After(0, fn)
-			return true
-		}
-		return false
+	if len(s.waiters) > 0 {
+		s.eng.After(0, popFront(&s.waiters).dispatchFn)
+		return true
 	}
-	w := s.waiters[0]
-	s.waiters = s.waiters[1:]
-	s.eng.After(0, w.dispatchFn)
-	return true
+	if len(s.funcs) > 0 {
+		s.eng.After(0, popFront(&s.funcs))
+		return true
+	}
+	return false
+}
+
+// popFront removes and returns the first element of a non-empty list,
+// shifting the rest down so the backing array is reused.
+func popFront[T any](list *[]T) T {
+	l := *list
+	v := l[0]
+	n := copy(l, l[1:])
+	var zero T
+	l[n] = zero
+	*list = l[:n]
+	return v
 }
 
 // Waiters returns the number of parked processes and pending callbacks.

@@ -1,0 +1,189 @@
+package simpar_test
+
+import (
+	"bytes"
+	"testing"
+
+	"resex/internal/cluster"
+	"resex/internal/guestmem"
+	"resex/internal/hca"
+	"resex/internal/sim"
+	"resex/internal/simpar"
+)
+
+// pattern returns n bytes that identify message k.
+func pattern(k, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(k*31 + i*7 + 1)
+	}
+	return b
+}
+
+// ownershipVM is one side of the ownership rig: a VM with one registered
+// 1 MB buffer.
+type ownershipVM struct {
+	vm  *cluster.VM
+	buf guestmem.Addr
+	mr  *hca.MR
+}
+
+func newOwnershipVM(t *testing.T, h *cluster.Host, name string) *ownershipVM {
+	t.Helper()
+	vm := h.NewVM(name)
+	const size = 1 << 20
+	buf := vm.PD.Space().Alloc(size, 4096)
+	mr, err := vm.PD.RegisterMR(buf, size,
+		hca.AccessLocalWrite|hca.AccessRemoteWrite|hca.AccessRemoteRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &ownershipVM{vm: vm, buf: buf, mr: mr}
+}
+
+// qp creates a QP of the given depth with its own send and receive CQs.
+func (o *ownershipVM) qp(depth int) *hca.QP {
+	return o.vm.PD.CreateQP(o.vm.PD.CreateCQ(256), o.vm.PD.CreateCQ(256), depth, depth)
+}
+
+// TestRecycledMessagesStayWithTheirEngine runs two hosts on two engines
+// that simpar executes on two goroutines at once, with traffic that makes
+// each HCA finish messages the other one built: sends that park on an empty
+// receive queue (RNR) in both directions, RDMA reads whose responses are
+// built by the responder, and QPs destroyed on either side while their
+// messages are on the wire. With an ack path installed, a finished message
+// stays on the free list of the HCA that received it, so the recycled
+// messages the race detector sees cross goroutines only through the
+// coordinator's barrier. Every payload must land intact.
+func TestRecycledMessagesStayWithTheirEngine(t *testing.T) {
+	const delay = 20 * sim.Microsecond
+	co := simpar.New(simpar.Config{Lookahead: delay, Shards: 2, Workers: 2})
+	ic := simpar.NewInterconnect(co, delay)
+	tb1, tb2 := cluster.New(cluster.Config{}), cluster.New(cluster.Config{})
+	h1, h2 := tb1.AddHost(1), tb2.AddHost(2)
+	ic.AddSite(tb1, h1)
+	ic.AddSite(tb2, h2)
+	a, b := newOwnershipVM(t, h1, "a"), newOwnershipVM(t, h2, "b")
+	connect := func(depth int) (*hca.QP, *hca.QP) {
+		qa, qb := a.qp(depth), b.qp(depth)
+		if err := cluster.ConnectQPs(qa, qb, h1, h2); err != nil {
+			t.Fatal(err)
+		}
+		return qa, qb
+	}
+	at := func(eng *sim.Engine, when sim.Time, fn func() error) {
+		eng.Schedule(when, func() {
+			if err := fn(); err != nil {
+				t.Errorf("at %v: %v", when, err)
+			}
+		})
+	}
+	send := func(qp *hca.QP, o *ownershipVM, id, n int, payload []byte) func() error {
+		return func() error {
+			return qp.PostSend(hca.SendWR{
+				ID: uint64(id), Op: hca.OpSend, LocalAddr: o.buf, LKey: o.mr.Key(),
+				Len: n, Payload: payload,
+			})
+		}
+	}
+	recv := func(qp *hca.QP, o *ownershipVM, id int, addr guestmem.Addr) func() error {
+		return func() error {
+			return qp.PostRecv(hca.RecvWR{ID: uint64(id), Addr: addr, LKey: o.mr.Key(), Len: 4096})
+		}
+	}
+
+	// Sends both ways whose receive buffers are posted only after the
+	// messages arrived: each parks on the receiver's RNR queue first.
+	// Sizes alternate between one and three MTUs.
+	const sends = 24
+	sizeOf := func(k int) int { return []int{72, 3000}[k%2] }
+	sAB, rAB := connect(sends)
+	rBA, sBA := connect(sends)
+	const inboxAB, inboxBA = 0, 128 << 10
+	for k := 0; k < sends; k++ {
+		at(tb1.Eng, sim.Time(k)*3*sim.Microsecond, send(sAB, a, k, sizeOf(k), pattern(k, sizeOf(k))))
+		at(tb2.Eng, sim.Time(k)*3*sim.Microsecond, send(sBA, b, k, sizeOf(k), pattern(100+k, sizeOf(k))))
+		slot := guestmem.Addr(k * 4096)
+		at(tb2.Eng, 300*sim.Microsecond+sim.Time(k)*5*sim.Microsecond, recv(rAB, b, k, b.buf+inboxAB+slot))
+		at(tb1.Eng, 300*sim.Microsecond+sim.Time(k)*5*sim.Microsecond, recv(rBA, a, k, a.buf+inboxBA+slot))
+	}
+
+	// RDMA reads from a onto b's memory: each response is a message b
+	// builds from its free list and a finishes.
+	const reads, readLen = 8, 2000
+	const readSrc, readDst = 256 << 10, 256 << 10
+	rdA, _ := connect(reads)
+	for k := 0; k < reads; k++ {
+		off := guestmem.Addr(k * 4096)
+		b.vm.PD.Space().Write(b.buf+readSrc+off, pattern(200+k, readLen))
+		at(tb1.Eng, sim.Time(k)*4*sim.Microsecond, func() error {
+			return rdA.PostSend(hca.SendWR{
+				ID: uint64(k), Op: hca.OpRDMARead, LocalAddr: a.buf + readDst + off, LKey: a.mr.Key(),
+				Len: readLen, RemoteAddr: b.buf + readSrc + off, RKey: b.mr.Key(),
+			})
+		})
+	}
+
+	// 64 KB writes to a QP that b destroys while the later ones are on the
+	// wire, and 64 KB sends from a QP that a destroys once two have left
+	// its send queue (the device takes one every ProcDelay).
+	const big, bigs = 64 << 10, 4
+	wA, wB := connect(bigs)
+	dA, dB := connect(bigs)
+	for k := 0; k < bigs; k++ {
+		at(tb1.Eng, 0, func() error {
+			return wA.PostSend(hca.SendWR{
+				ID: uint64(k), Op: hca.OpRDMAWrite, LocalAddr: a.buf, LKey: a.mr.Key(),
+				Len: big, RemoteAddr: b.buf + 512<<10, RKey: b.mr.Key(), Payload: pattern(300+k, 64),
+			})
+		})
+		at(tb2.Eng, 0, recv(dB, b, k, b.buf+768<<10+guestmem.Addr(k*4096)))
+		at(tb1.Eng, 0, send(dA, a, k, big, pattern(400+k, 64)))
+	}
+	tb2.Eng.Schedule(200*sim.Microsecond, func() { b.vm.PD.DestroyQP(wB) })
+	tb1.Eng.Schedule(2*hca.ProcDelay+100, func() { a.vm.PD.DestroyQP(dA) })
+
+	co.RunUntil(5 * sim.Millisecond)
+	co.Shutdown()
+
+	for k := 0; k < sends; k++ {
+		slot := guestmem.Addr(k * 4096)
+		got := make([]byte, sizeOf(k))
+		b.vm.PD.Space().Read(b.buf+inboxAB+slot, got)
+		if !bytes.Equal(got, pattern(k, sizeOf(k))) {
+			t.Errorf("a→b send %d landed corrupted", k)
+		}
+		a.vm.PD.Space().Read(a.buf+inboxBA+slot, got)
+		if !bytes.Equal(got, pattern(100+k, sizeOf(k))) {
+			t.Errorf("b→a send %d landed corrupted", k)
+		}
+	}
+	for _, qp := range []*hca.QP{sAB, sBA, rdA, wA} {
+		if qp.CompletedSends() != qp.PostedSends() {
+			t.Errorf("QP %#x: %d of %d sends completed", qp.QPN(), qp.CompletedSends(), qp.PostedSends())
+		}
+	}
+	for k := 0; k < reads; k++ {
+		got := make([]byte, readLen)
+		a.vm.PD.Space().Read(a.buf+readDst+guestmem.Addr(k*4096), got)
+		if !bytes.Equal(got, pattern(200+k, readLen)) {
+			t.Errorf("read %d landed corrupted", k)
+		}
+	}
+	failed := 0
+	for {
+		e, ok := wA.SendCQ().Poll()
+		if !ok {
+			break
+		}
+		if e.Status == hca.StatusRemoteAccessErr {
+			failed++
+		}
+	}
+	if failed == 0 || failed == bigs {
+		t.Errorf("%d of %d writes failed at the destroyed QP, want some but not all", failed, bigs)
+	}
+	if dA.CompletedSends() != 2 || dB.CompletedRecvs() != 2 {
+		t.Errorf("destroyed sender: %d flushed sends, %d delivered, want 2 and 2", dA.CompletedSends(), dB.CompletedRecvs())
+	}
+}

@@ -160,6 +160,9 @@ type VCPU struct {
 	owner      *sim.Proc
 	queue      []*sim.Proc // FIFO of guest threads waiting for the VCPU
 	mutexSig   *sim.Signal
+	// onYieldCheck is v.yieldCheck, bound once so release allocates no
+	// closure.
+	onYieldCheck func()
 }
 
 // Domain returns the owning domain.
@@ -258,17 +261,23 @@ func (v *VCPU) dropQueued(p *sim.Proc) {
 func (v *VCPU) release() {
 	if len(v.queue) > 0 {
 		v.owner = v.queue[0]
-		v.queue = v.queue[1:]
+		n := copy(v.queue, v.queue[1:]) // shift, reusing the backing array
+		v.queue[n] = nil
+		v.queue = v.queue[:n]
 		v.mutexSig.Broadcast() // queued threads re-check ownership
 		return
 	}
 	v.owner = nil
 	if v.pcpu.current == v {
-		v.pcpu.hv.eng.After(0, func() {
-			if !v.demand() {
-				v.pcpu.yieldGrant(v)
-			}
-		})
+		v.pcpu.hv.eng.After(0, v.onYieldCheck)
+	}
+}
+
+// yieldCheck is the grace-period check release schedules: a VCPU still
+// idle once same-instant events have settled gives its grant back.
+func (v *VCPU) yieldCheck() {
+	if !v.demand() {
+		v.pcpu.yieldGrant(v)
 	}
 }
 

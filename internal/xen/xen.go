@@ -239,6 +239,7 @@ func (d *Domain) AddVCPU(pcpu *PCPU) *VCPU {
 		mutexSig: sim.NewSignal(d.hv.eng),
 	}
 	v.budget = v.capShare()
+	v.onYieldCheck = v.yieldCheck
 	d.vcpus = append(d.vcpus, v)
 	pcpu.vcpus = append(pcpu.vcpus, v)
 	return v
