@@ -11,12 +11,14 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // unsetConfigFields are the config fields only tests set, each with the
 // reason it stays a field rather than a constant.
 var unsetConfigFields = map[string]string{
+	"benchex.ClientConfig.Requests":          "TestBoundedClientSignalsDone and the cluster tests bound a client's request count",
 	"benchex.ServerConfig.CQDepth":           "BenchmarkAblationIBMonPeriod shrinks the CQ to 16 (EXPERIMENTS.md records it)",
 	"cluster.Config.Hosts":                   "tests pre-build multi-host fabrics at New time",
 	"exchange.BoardConfig.Beta":              "FuzzRateQuote sweeps the price curve's shape",
@@ -40,33 +42,7 @@ var unsetConfigFields = map[string]string{
 // writer has one value in use and belongs in a constant; unsetConfigFields
 // lists the exceptions.
 func TestConfigFieldsAreSet(t *testing.T) {
-	l := &loader{
-		fset:  token.NewFileSet(),
-		std:   importer.ForCompiler(token.NewFileSet(), "source", nil),
-		pkgs:  map[string]*types.Package{},
-		files: map[string][]*ast.File{},
-		info: &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		},
-	}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
-			return filepath.SkipDir
-		}
-		if _, err := build.ImportDir(path, 0); err != nil {
-			return nil // no non-test Go files here
-		}
-		_, err = l.Import(importPath(path))
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := loadModule(t)
 
 	fields := map[*types.Var]string{} // settable field → "pkg.Type.Field"
 	for path, pkg := range l.pkgs {
@@ -137,6 +113,254 @@ func TestConfigFieldsAreSet(t *testing.T) {
 		t.Errorf("%s: no non-test code sets it; make it a constant", name)
 	}
 	t.Logf("%d settable config fields, %d allowlisted as unset", len(fields), len(unsetConfigFields))
+}
+
+// uncalledAPI is the exported API only tests call, each with the test that
+// needs it. An entry "pkg.*" covers a whole package.
+var uncalledAPI = map[string]string{
+	"exchange.RateBoard.Util":      "TestRateBoardObserveAndRates checks the utilization EWMA",
+	"fabric.Link.Degrade":          "TestLinkDegradeAppliesAndNests checks nested degradations restore",
+	"guestmem.Space.Allocated":     "FuzzSpace and TestCrossPageWrite count materialized pages",
+	"hca.CQ.Stalled":               "TestHCAStallForcesCQOverrun checks a stall starts and ends",
+	"hca.HCA.QP":                   "TestHCAStats and TestBuildSimParFleetShape look QPs up by number",
+	"hca.QP.RateLimit":             "TestQPRateLimit reads the pacing rate back",
+	"hca.QP.Remote":                "TestBuildSimParFleetShape checks cross-site QP wiring",
+	"ibmon.Monitor.Target":         "TestWatchValidation and TestIBMonDiscoveryThroughBackend check what IBMon watches",
+	"prop.*":                       "the generators of the property tests in internal/invariant/prop",
+	"resex.IntervalData.TotalMTUs": "TestObserverSeesUsage sums the MTUs observers see",
+	"ring.Queue.Cap":               "TestQueueMatchesSliceFIFO and TestBackloggedFlowReusesQueueStorage bound the backing array",
+	"schedshard.Snapshot.Host":     "TestSnapshotHostLookup and TestCommitGangRollbackExact inspect hosts",
+	"sim.Engine.NextBreak":         "TestBreakpointInWindowSeqNeutral checks armed breakpoints",
+	"sim.Engine.Pending":           "TestPendingCountsWheel and FuzzEventQueue count queued events",
+	"sim.Engine.Run":               "25 test files drain the event queue with it",
+	"sim.Timer.When":               "TestTimerWhenAfterFire and TestEveryTimerWhen check timer times",
+	"simpar.Coordinator.Host":      "TestCheckpointPurityAndInvariance checkpoints each host",
+	"simpar.Interconnect.Site":     "TestBuildSimParFleetShape checks site registration",
+	"stats.QuantileSketch.Buckets": "FuzzQuantileMerge checks merged sketches are identical",
+	"stats.QuantileSketch.Max":     "FuzzQuantileMerge checks merged sketches are identical",
+	"stats.QuantileSketch.Min":     "FuzzQuantileMerge checks merged sketches are identical",
+	"stats.Sample.Count":           "TestSampleQuantiles and TestClientLatencyPositiveAndPlausible count samples",
+	"stats.Sample.Max":             "TestSampleQuantiles checks the extremes",
+	"stats.Sample.Min":             "TestSampleQuantiles checks the extremes",
+	"stats.Sample.StdDev":          "TestSampleMeanStdMatchesSummary checks it against Summary",
+	"stats.Sample.Summary":         "TestSampleSummaryConversion checks the conversion",
+	"xen.Hypervisor.NumPCPUs":      "TestDefaults and TestTestbedAssembly check the host shape",
+}
+
+// TestExportedAPIHasCallers keeps test-only API out: every exported
+// function, method and package-level var under internal/ must be referenced
+// by the non-test code of the module, cmd/ or bench/. A method of a generic
+// type counts through its origin. Exempt are methods that satisfy an
+// interface declared in the module or one of stdInterfaces, and observers:
+// methods without parameters whose body is a single return of a field.
+// uncalledAPI lists the rest.
+func TestExportedAPIHasCallers(t *testing.T) {
+	l := loadModule(t)
+
+	var ifaces []*types.Interface
+	for _, pkg := range l.pkgs {
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if named, ok := tn.Type().(*types.Named); ok && named.TypeParams() == nil {
+				if it, ok := named.Underlying().(*types.Interface); ok {
+					ifaces = append(ifaces, it)
+				}
+			}
+		}
+	}
+	for _, name := range stdInterfaces {
+		path, typ := "", name
+		if i := strings.LastIndex(name, "."); i >= 0 {
+			path, typ = name[:i], name[i+1:]
+		}
+		scope := types.Universe
+		if path != "" {
+			pkg, err := l.std.Import(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scope = pkg.Scope()
+		}
+		ifaces = append(ifaces, scope.Lookup(typ).Type().Underlying().(*types.Interface))
+	}
+
+	used := map[types.Object]bool{}
+	for _, obj := range l.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		used[obj] = true
+	}
+
+	var uncalled []string
+	observers := 0
+	known := map[string]bool{}
+	for path, files := range l.files {
+		if !strings.HasPrefix(path, "resex/internal/") {
+			continue
+		}
+		for _, file := range files {
+			for _, decl := range file.Decls {
+				for _, obj := range exportedDecls(decl, l.info) {
+					name := apiName(obj)
+					entry := name
+					if _, ok := uncalledAPI[entry]; !ok {
+						entry = obj.Pkg().Name() + ".*"
+					}
+					_, allowed := uncalledAPI[entry]
+					known[entry] = true
+					fn, isFunc := obj.(*types.Func)
+					switch {
+					case used[obj]:
+						if allowed {
+							t.Errorf("%s is referenced by non-test code now; drop %s from uncalledAPI", name, entry)
+						}
+					case allowed:
+					case isFunc && isObserver(decl.(*ast.FuncDecl), l.info):
+						observers++
+					case isFunc && satisfiesInterface(fn, ifaces):
+					default:
+						uncalled = append(uncalled, name)
+					}
+				}
+			}
+		}
+	}
+	for entry := range uncalledAPI {
+		if !known[entry] {
+			t.Errorf("uncalledAPI names %s, which is not exported API under internal/", entry)
+		}
+	}
+	sort.Strings(uncalled)
+	for _, name := range uncalled {
+		t.Errorf("%s: no non-test code references it; delete it or list it in uncalledAPI with the test that needs it", name)
+	}
+	t.Logf("%d uncalled, %d observers exempt, %d allowlisted", len(uncalled), observers, len(uncalledAPI))
+}
+
+// stdInterfaces are the standard interfaces whose methods count as called.
+var stdInterfaces = []string{"error", "fmt.Stringer", "sort.Interface", "container/heap.Interface", "encoding/json.Marshaler", "io.Writer"}
+
+// exportedDecls returns the exported functions, methods and package-level
+// vars a declaration defines.
+func exportedDecls(decl ast.Decl, info *types.Info) []types.Object {
+	var objs []types.Object
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		if d.Name.IsExported() {
+			objs = append(objs, info.Defs[d.Name])
+		}
+	case *ast.GenDecl:
+		if d.Tok != token.VAR {
+			break
+		}
+		for _, spec := range d.Specs {
+			for _, name := range spec.(*ast.ValueSpec).Names {
+				if name.IsExported() {
+					objs = append(objs, info.Defs[name])
+				}
+			}
+		}
+	}
+	return objs
+}
+
+// isObserver reports whether fd is a method without parameters whose body
+// is one return of a field of its receiver's state.
+func isObserver(fd *ast.FuncDecl, info *types.Info) bool {
+	if fd.Recv == nil || fd.Type.Params.NumFields() != 0 || fd.Body == nil || len(fd.Body.List) != 1 {
+		return false
+	}
+	ret, ok := fd.Body.List[0].(*ast.ReturnStmt)
+	if !ok || len(ret.Results) != 1 {
+		return false
+	}
+	sel, ok := ret.Results[0].(*ast.SelectorExpr)
+	return ok && info.Selections[sel] != nil && info.Selections[sel].Kind() == types.FieldVal
+}
+
+// satisfiesInterface reports whether method fn is part of an interface its
+// receiver type, or a pointer to it, implements.
+func satisfiesInterface(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	for _, it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == fn.Name() &&
+				(types.Implements(t, it) || types.Implements(types.NewPointer(t), it)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// apiName names obj as "pkg.Name" or, for a method, "pkg.Type.Name".
+func apiName(obj types.Object) string {
+	name := obj.Pkg().Name() + "."
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			name += t.(*types.Named).Obj().Name() + "."
+		}
+	}
+	return name + obj.Name()
+}
+
+var (
+	moduleOnce   sync.Once
+	moduleLoader *loader
+	moduleErr    error
+)
+
+// loadModule type-checks every package of the module, cmd/ and bench/ from
+// source, without their tests, once for all the scans in this package.
+func loadModule(t *testing.T) *loader {
+	t.Helper()
+	moduleOnce.Do(func() {
+		l := &loader{
+			fset:  token.NewFileSet(),
+			std:   importer.ForCompiler(token.NewFileSet(), "source", nil),
+			pkgs:  map[string]*types.Package{},
+			files: map[string][]*ast.File{},
+			info: &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Defs:       map[*ast.Ident]types.Object{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			},
+		}
+		moduleErr = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			if _, err := build.ImportDir(path, 0); err != nil {
+				return nil // no non-test Go files here
+			}
+			_, err = l.Import(importPath(path))
+			return err
+		})
+		moduleLoader = l
+	})
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return moduleLoader
 }
 
 // loader type-checks the repository's packages from source, sharing one

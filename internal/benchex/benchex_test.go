@@ -6,7 +6,6 @@ import (
 	"resex/internal/benchex"
 	"resex/internal/cluster"
 	"resex/internal/sim"
-	"resex/internal/trace"
 )
 
 func newPair(t *testing.T, scfg benchex.ServerConfig, ccfg benchex.ClientConfig) (*cluster.Testbed, *cluster.App) {
@@ -293,10 +292,9 @@ func TestStopIsIdempotentAndHalts(t *testing.T) {
 	tb.Eng.Shutdown()
 }
 
-func TestClientReplaySource(t *testing.T) {
-	// A client driven by a recorded workload replays exactly that stream:
-	// two runs over the same log produce identical latency sequences.
-	reqs := trace.Record(trace.NewGenerator(77), 30)
+func TestClientSeedDeterministic(t *testing.T) {
+	// A client's workload is a function of its seed: two runs at the same
+	// seed produce identical latency sequences.
 	run := func() []float64 {
 		tb := cluster.New(cluster.Config{})
 		hostA, hostB := tb.AddHost(1), tb.AddHost(2)
@@ -305,7 +303,7 @@ func TestClientReplaySource(t *testing.T) {
 			benchex.ClientConfig{
 				BufferSize:     64 << 10,
 				Requests:       30,
-				Source:         trace.NewReplay(reqs, false),
+				Seed:           77,
 				RecordTimeline: true,
 			})
 		if err != nil {
@@ -322,11 +320,11 @@ func TestClientReplaySource(t *testing.T) {
 	}
 	a, b := run(), run()
 	if len(a) != 30 || len(b) != 30 {
-		t.Fatalf("replayed %d/%d of 30", len(a), len(b))
+		t.Fatalf("completed %d/%d of 30", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("replay diverged at %d: %v vs %v", i, a[i], b[i])
+			t.Fatalf("runs diverged at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
 }

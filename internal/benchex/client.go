@@ -36,7 +36,7 @@ type Client struct {
 	eng  *sim.Engine
 	vcpu *xen.VCPU
 	pd   *hca.PD
-	gen  RequestSource
+	gen  *trace.Generator
 
 	rng     *sim.Rand
 	qp      *hca.QP
@@ -78,16 +78,13 @@ func NewClient(eng *sim.Engine, vcpu *xen.VCPU, pd *hca.PD, cfg ClientConfig) (*
 		eng:  eng,
 		vcpu: vcpu,
 		pd:   pd,
-		gen:  cfg.Source,
+		gen:  trace.NewGenerator(cfg.Seed),
 		rng:  sim.NewRand(cfg.Seed ^ 0x5eed),
 		done: sim.NewSignal(eng),
 
 		respBuf: make([]byte, trace.ResponseSize),
 	}
 	c.onPoll = c.pollRecv
-	if c.gen == nil {
-		c.gen = trace.NewGenerator(cfg.Seed)
-	}
 	c.stats.Sample = new(stats.Sample)
 	c.slots = cfg.Window + 2
 	space := pd.Space()

@@ -26,10 +26,7 @@
 // forwards them to ResEx (charging the VM the paper's ~10 µs per report).
 package benchex
 
-import (
-	"resex/internal/sim"
-	"resex/internal/trace"
-)
+import "resex/internal/sim"
 
 // The fixed CPU costs of BenchEx's guest-side work.
 const (
@@ -118,17 +115,8 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	return c
 }
 
-// RequestSource supplies the client's workload: trace.Generator for
-// synthetic streams, trace.Replay for recorded ones.
-type RequestSource interface {
-	Next(now sim.Time) trace.Request
-}
-
 // ClientConfig parameterizes a BenchEx client.
 type ClientConfig struct {
-	// Source overrides the default synthetic generator (e.g. with a
-	// trace.Replay of a recorded workload).
-	Source RequestSource
 	// Name labels stats and diagnostics.
 	Name string
 	// BufferSize is the request size in bytes (the application's buffer);

@@ -90,9 +90,6 @@ func (s *Server) Config() ServerConfig { return s.cfg }
 // the VM's outbound MTUs.
 func (s *Server) SendCQ() *hca.CQ { return s.scq }
 
-// RecvCQ returns the receive completion queue.
-func (s *Server) RecvCQ() *hca.CQ { return s.rcq }
-
 // VCPU returns the VCPU the server runs on.
 func (s *Server) VCPU() *xen.VCPU { return s.vcpu }
 

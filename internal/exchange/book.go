@@ -63,10 +63,6 @@ func (h *Holder) Entitlement(d Dim) resos.Amount { return h.ent[d] }
 // Spent returns the spend charged against a dimension this epoch.
 func (h *Holder) Spent(d Dim) resos.Amount { return h.spent[d] }
 
-// Headroom returns entitlement minus spend for a dimension; negative means
-// the holder is overdrawn in that dimension.
-func (h *Holder) Headroom(d Dim) resos.Amount { return h.ent[d] - h.spent[d] }
-
 // Bought and Sold return the cumulative traded entitlement per dimension.
 func (h *Holder) Bought(d Dim) resos.Amount { return h.bought[d] }
 func (h *Holder) Sold(d Dim) resos.Amount   { return h.sold[d] }
@@ -123,9 +119,6 @@ func (bk *Book) Epoch() int64 { return bk.epoch }
 
 // TradeCount returns the cumulative number of settled trades.
 func (bk *Book) TradeCount() int64 { return bk.trades }
-
-// Volume returns the cumulative gross entitlement moved in a dimension.
-func (bk *Book) Volume(d Dim) resos.Amount { return bk.volume[d] }
 
 // Holders returns the holders in registration order.
 func (bk *Book) Holders() []*Holder { return bk.holders }

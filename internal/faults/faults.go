@@ -104,9 +104,6 @@ type Schedule struct {
 // Add appends an event.
 func (s *Schedule) Add(e Event) { s.Events = append(s.Events, e) }
 
-// Empty reports whether the schedule holds no events.
-func (s Schedule) Empty() bool { return len(s.Events) == 0 }
-
 // sorted returns the events ordered by start time, original order preserved
 // among equal times (stable), leaving the caller's slice untouched.
 func (s Schedule) sorted() []Event {

@@ -105,7 +105,7 @@ func TestGenerateDeterministicAndBounded(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different schedules")
 	}
-	if a.Empty() {
+	if len(a.Events) == 0 {
 		t.Fatal("no storms generated")
 	}
 	for _, e := range a.Events {

@@ -238,24 +238,12 @@ func (r *Region) Base() Addr { return r.base }
 // Len returns the region length in bytes.
 func (r *Region) Len() uint64 { return r.len }
 
-// checkOff panics unless [off, off+n) lies within the region. A negative n
-// never does, and the comparison cannot wrap.
+// checkOff panics unless [off, off+n) lies within the region. The
+// comparison cannot wrap.
 func (r *Region) checkOff(off uint64, n int) {
-	if n < 0 || off > r.len || uint64(n) > r.len-off {
+	if off > r.len || uint64(n) > r.len-off {
 		panic(fmt.Sprintf("guestmem: region access [%d,+%d) outside region of %d bytes", off, n, r.len))
 	}
-}
-
-// Read copies len(b) bytes at region offset off into b.
-func (r *Region) Read(off uint64, b []byte) {
-	r.checkOff(off, len(b))
-	r.space.Read(r.base+Addr(off), b)
-}
-
-// Write copies b into the region at offset off.
-func (r *Region) Write(off uint64, b []byte) {
-	r.checkOff(off, len(b))
-	r.space.Write(r.base+Addr(off), b)
 }
 
 // ReadU32 loads a little-endian uint32 at region offset off.
@@ -264,26 +252,8 @@ func (r *Region) ReadU32(off uint64) uint32 {
 	return r.space.ReadU32(r.base + Addr(off))
 }
 
-// WriteU32 stores a little-endian uint32 at region offset off.
-func (r *Region) WriteU32(off uint64, v uint32) {
-	r.checkOff(off, 4)
-	r.space.WriteU32(r.base+Addr(off), v)
-}
-
 // ReadU64 loads a little-endian uint64 at region offset off.
 func (r *Region) ReadU64(off uint64) uint64 {
 	r.checkOff(off, 8)
 	return r.space.ReadU64(r.base + Addr(off))
-}
-
-// WriteU64 stores a little-endian uint64 at region offset off.
-func (r *Region) WriteU64(off uint64, v uint64) {
-	r.checkOff(off, 8)
-	r.space.WriteU64(r.base+Addr(off), v)
-}
-
-// Slice returns a sub-region [off, off+n).
-func (r *Region) Slice(off, n uint64) *Region {
-	r.checkOff(off, int(n))
-	return &Region{space: r.space, base: r.base + Addr(off), len: n}
 }

@@ -179,20 +179,10 @@ func TestRegion(t *testing.T) {
 	if r.Base() != 2*PageSize || r.Len() != 1024 {
 		t.Errorf("region geometry %v %v", r.Base(), r.Len())
 	}
-	r.WriteU32(0, 42)
-	if s.ReadU32(2*PageSize) != 42 {
-		t.Error("region write not visible in space")
-	}
+	s.WriteU32(2*PageSize, 42)
 	s.WriteU64(2*PageSize+8, 99)
-	if r.ReadU64(8) != 99 {
-		t.Error("space write not visible in region")
-	}
-	data := []byte{1, 2, 3}
-	r.Write(100, data)
-	got := make([]byte, 3)
-	r.Read(100, got)
-	if !bytes.Equal(got, data) {
-		t.Error("region byte round trip")
+	if r.ReadU32(0) != 42 || r.ReadU64(8) != 99 {
+		t.Error("space writes not visible in region")
 	}
 }
 
@@ -205,19 +195,6 @@ func TestRegionBounds(t *testing.T) {
 		}
 	}()
 	r.ReadU64(12)
-}
-
-func TestRegionSlice(t *testing.T) {
-	s := NewSpace(4 * PageSize)
-	r := NewRegion(s, PageSize, 256)
-	sub := r.Slice(64, 32)
-	sub.WriteU32(0, 7)
-	if r.ReadU32(64) != 7 {
-		t.Error("slice not aliased to parent")
-	}
-	if sub.Base() != Addr(PageSize+64) {
-		t.Errorf("slice base %v", sub.Base())
-	}
 }
 
 func TestAddrHelpers(t *testing.T) {
@@ -252,17 +229,13 @@ func TestRegionOffsetCannotWrap(t *testing.T) {
 	r := NewRegion(s, 0x2000, 64)
 	const off = 1<<64 - 4
 	for name, fn := range map[string]func(){
-		"Read":     func() { r.Read(off, make([]byte, 8)) },
-		"Write":    func() { r.Write(off, make([]byte, 8)) },
-		"ReadU64":  func() { r.ReadU64(off) },
-		"WriteU32": func() { r.WriteU32(off+2, 0) },
-		"Slice":    func() { r.Slice(off, 8) },
-		"SliceLen": func() { r.Slice(8, 1<<64-4) },
+		"ReadU32": func() { r.ReadU32(off + 2) },
+		"ReadU64": func() { r.ReadU64(off) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s at offset 2^64-4 of a 64-byte region did not panic", name)
+					t.Errorf("%s just below offset 2^64 of a 64-byte region did not panic", name)
 				}
 			}()
 			fn()

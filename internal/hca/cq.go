@@ -143,10 +143,6 @@ func (cq *CQ) DBRecAddr() guestmem.Addr { return cq.dbrec }
 // it.
 func (cq *CQ) Signal() *sim.Signal { return cq.sig }
 
-// Produced returns the HCA-side completion count (what the doorbell record
-// holds).
-func (cq *CQ) Produced() uint64 { return cq.pi }
-
 // push appends a completion, writing its bytes into guest memory and
 // bumping the doorbell record. If the application has fallen a full ring
 // behind, the oldest unreaped entry is overwritten — a CQ overrun, counted

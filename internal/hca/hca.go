@@ -44,7 +44,6 @@ var (
 	ErrNotRTS      = errors.New("hca: QP not connected (not in RTS)")
 	ErrBadLKey     = errors.New("hca: local key violation")
 	ErrMRTooLarge  = errors.New("hca: registration exceeds space")
-	ErrCQOverflow  = errors.New("hca: completion queue overrun")
 	ErrConnected   = errors.New("hca: QP already connected")
 	ErrPayloadSize = errors.New("hca: payload longer than message length")
 )
@@ -346,12 +345,6 @@ func (pd *PD) RegisterMR(addr guestmem.Addr, n uint64, access Access) (*MR, erro
 	h.nextKey++
 	h.tpt[mr.key] = mr
 	return mr, nil
-}
-
-// DeregisterMR removes the MR from the TPT; subsequent wire operations
-// referencing its key fail with protection errors.
-func (pd *PD) DeregisterMR(mr *MR) {
-	delete(pd.hca.tpt, mr.key)
 }
 
 // MR is a registered memory region (one TPT entry).

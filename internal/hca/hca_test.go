@@ -85,10 +85,6 @@ func TestMRRegistration(t *testing.T) {
 	if r.h1.checkKey(0xdead, r.mem1, 0x1000, 64, 0) != nil {
 		t.Error("unknown key allowed")
 	}
-	r.pd1.DeregisterMR(mr)
-	if r.h1.checkKey(mr.Key(), r.mem1, 0x1000, 64, 0) != nil {
-		t.Error("deregistered key still valid")
-	}
 }
 
 func TestSendRecvDeliversPayload(t *testing.T) {

@@ -189,9 +189,6 @@ func (qp *QP) SQDepth() int { return qp.sqDepth }
 // SendCQ returns the send completion queue.
 func (qp *QP) SendCQ() *CQ { return qp.sendCQ }
 
-// RecvCQ returns the receive completion queue.
-func (qp *QP) RecvCQ() *CQ { return qp.recvCQ }
-
 // SQAvailable returns the remaining send queue capacity: a posted work
 // request occupies its WQE slot until the device writes its completion, as
 // on real hardware.

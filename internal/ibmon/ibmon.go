@@ -146,7 +146,7 @@ type Monitor struct {
 	cfg     Config
 	vcpu    *xen.VCPU // dom0 VCPU the sampler runs on; nil = free sampling
 	targets []*Target
-	marks   map[xen.DomID]profileMark // last Profiles() snapshot per domain
+	marks   map[xen.DomID]profileMark // last ProfileOf snapshot per domain
 	proc    *sim.Proc
 	running bool
 
@@ -529,23 +529,6 @@ type profileMark struct {
 	at          sim.Time
 	mtuRate     float64 // last computed rates, reused for zero windows
 	byteRate    float64
-}
-
-// Profiles returns one windowed profile per watched domain, in first-watch
-// order (deterministic). Each call advances the per-domain window: rates
-// cover the span since that domain was last profiled (or since the monitor
-// was created).
-func (m *Monitor) Profiles() []Profile {
-	var out []Profile
-	seen := make(map[xen.DomID]bool, len(m.targets))
-	for _, t := range m.targets {
-		if seen[t.dom] {
-			continue
-		}
-		seen[t.dom] = true
-		out = append(out, m.profileDomain(t.dom))
-	}
-	return out
 }
 
 // ProfileOf returns the windowed profile for one domain; ok is false when

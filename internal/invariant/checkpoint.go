@@ -1,7 +1,5 @@
 package invariant
 
-import "sort"
-
 // AuditorState is a live auditor's accumulator export: how many events its
 // sampled step hook observed, how many predicate evaluations ran, the last
 // sampled (at, seq) key, and per-checker violation counts so far. Captured
@@ -29,31 +27,5 @@ func (a *Auditor) Checkpoint() AuditorState {
 			st.Counts[k] = n
 		}
 	}
-	return st
-}
-
-// CollectorState is a collector's merged-tally export, used by the daemon
-// (which runs one long-lived auditor per session).
-type CollectorState struct {
-	Engines int      `json:"engines"`
-	Events  uint64   `json:"events"`
-	Checks  uint64   `json:"checks"`
-	Total   int64    `json:"total"`
-	Names   []string `json:"names,omitempty"`
-}
-
-// Checkpoint exports the collector's merged tallies. Pure observer.
-func (c *Collector) Checkpoint() CollectorState {
-	r := c.Report()
-	st := CollectorState{
-		Engines: r.Engines,
-		Events:  r.Events,
-		Checks:  r.Checks,
-		Total:   r.Total,
-	}
-	for name := range r.Counts {
-		st.Names = append(st.Names, name)
-	}
-	sort.Strings(st.Names)
 	return st
 }

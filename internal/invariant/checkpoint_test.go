@@ -9,8 +9,8 @@ import (
 )
 
 // runAudited watches a contended two-guest hypervisor run and returns the
-// auditor's accumulator export and the collector's merged export at 50ms.
-func runAudited(t *testing.T, midCheckpoint bool) (AuditorState, CollectorState) {
+// auditor's accumulator export and the collector's merged report at 50ms.
+func runAudited(t *testing.T, midCheckpoint bool) (AuditorState, Report) {
 	t.Helper()
 	eng := sim.New()
 	col := NewCollector(Audit)
@@ -36,13 +36,12 @@ func runAudited(t *testing.T, midCheckpoint bool) (AuditorState, CollectorState)
 	if midCheckpoint {
 		eng.Breakpoint(22*sim.Millisecond, func() {
 			_ = a.Checkpoint()
-			_ = col.Checkpoint()
 		})
 	}
 	eng.RunUntil(50 * sim.Millisecond)
 	ast := a.Checkpoint()
 	a.Close()
-	return ast, col.Checkpoint()
+	return ast, col.Report()
 }
 
 // TestCheckpointEquality: identical audited runs export identical sample

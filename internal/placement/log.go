@@ -2,7 +2,6 @@ package placement
 
 import (
 	"fmt"
-	"io"
 
 	"resex/internal/sim"
 )
@@ -50,26 +49,4 @@ type EventLog struct {
 // Add appends an event.
 func (l *EventLog) Add(at sim.Time, kind, format string, args ...any) {
 	l.Events = append(l.Events, Event{At: at, Kind: kind, Text: fmt.Sprintf(format, args...)})
-}
-
-// WriteText renders the log chronologically.
-func (l *EventLog) WriteText(w io.Writer) {
-	for _, e := range l.Events {
-		fmt.Fprintf(w, "%12v  %-9s %s\n", e.At, e.Kind, e.Text)
-	}
-	if len(l.Migrations) > 0 {
-		fmt.Fprintf(w, "\nmigrations:\n")
-		for _, m := range l.Migrations {
-			fmt.Fprintf(w, "  %-16s node%d->node%d  %v..%v  moved=%dMB flow=%dMB downtime=%v\n",
-				m.VM, m.From, m.To, m.Start, m.End,
-				m.BytesMoved>>20, m.FlowBytes>>20, m.Downtime)
-		}
-	}
-	if len(l.Failures) > 0 {
-		fmt.Fprintf(w, "\nfailed migrations:\n")
-		for _, m := range l.Failures {
-			fmt.Fprintf(w, "  %-16s node%d->node%d  at %v  %s\n",
-				m.VM, m.From, m.To, m.At, m.Reason)
-		}
-	}
 }

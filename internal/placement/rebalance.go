@@ -62,7 +62,6 @@ type Rebalancer struct {
 	f       *Fleet
 	cfg     RebalanceConfig
 	pipe    *schedshard.Pipeline
-	proc    *sim.Proc
 	running bool
 }
 
@@ -84,21 +83,13 @@ func (r *Rebalancer) Start() {
 		return
 	}
 	r.running = true
-	r.proc = r.f.TB.Eng.Go("rebalancer", func(p *sim.Proc) {
+	r.f.TB.Eng.Go("rebalancer", func(p *sim.Proc) {
 		period := sim.Time(r.cfg.Every) * r.f.EpochDuration()
-		for r.running {
+		for {
 			p.Sleep(period)
 			r.pass(p)
 		}
 	})
-}
-
-// Stop halts the loop.
-func (r *Rebalancer) Stop() {
-	r.running = false
-	if r.proc != nil && !r.proc.Ended() {
-		r.proc.Kill()
-	}
 }
 
 // pass inspects the fleet and performs at most one migration. Placement

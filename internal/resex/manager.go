@@ -205,7 +205,6 @@ type Manager struct {
 	obs      []Observer
 	epochObs []EpochObserver
 
-	proc     *sim.Proc
 	running  bool
 	interval int64
 	pending  Policy // swapped in at the next epoch boundary (SwapPolicyAtEpoch)
@@ -454,20 +453,12 @@ func (m *Manager) Start() {
 		return
 	}
 	m.running = true
-	m.proc = m.eng.Go("resex-"+m.policy.Name(), m.run)
-}
-
-// Stop halts the control loop.
-func (m *Manager) Stop() {
-	m.running = false
-	if m.proc != nil && !m.proc.Ended() {
-		m.proc.Kill()
-	}
+	m.eng.Go("resex-"+m.policy.Name(), m.run)
 }
 
 // run is the dom0 interval loop.
 func (m *Manager) run(p *sim.Proc) {
-	for m.running {
+	for {
 		p.Sleep(Interval)
 		if m.vcpu != nil {
 			m.vcpu.Use(p, TickCost+sim.Time(len(m.vms))*PerVMCost)

@@ -15,11 +15,7 @@
 // making the same I/O drain its account faster — congestion pricing.
 package resos
 
-import (
-	"fmt"
-
-	"resex/internal/sim"
-)
+import "fmt"
 
 // Amount is a quantity of Resos.
 type Amount int64
@@ -172,33 +168,4 @@ func roundAmount(x float64) Amount {
 		return 0
 	}
 	return Amount(x + 0.5)
-}
-
-// EpochClock maps virtual time to (epoch, interval) indices for a given
-// interval length and intervals-per-epoch, so policies and plots agree on
-// boundaries.
-type EpochClock struct {
-	Interval sim.Time
-	PerEpoch int
-}
-
-// IndexOf returns the absolute interval index at time t.
-func (c EpochClock) IndexOf(t sim.Time) int64 {
-	if c.Interval <= 0 {
-		return 0
-	}
-	return int64(t / c.Interval)
-}
-
-// EpochOf returns the epoch index at time t.
-func (c EpochClock) EpochOf(t sim.Time) int64 {
-	if c.PerEpoch <= 0 {
-		return 0
-	}
-	return c.IndexOf(t) / int64(c.PerEpoch)
-}
-
-// IsEpochBoundary reports whether interval index i starts a new epoch.
-func (c EpochClock) IsEpochBoundary(i int64) bool {
-	return c.PerEpoch > 0 && i%int64(c.PerEpoch) == 0
 }

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"resex/internal/sim"
 )
 
 func TestDefaultSupplyMatchesPaper(t *testing.T) {
@@ -156,22 +154,5 @@ func TestConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestEpochClock(t *testing.T) {
-	c := EpochClock{Interval: sim.Millisecond, PerEpoch: 1000}
-	if c.IndexOf(0) != 0 || c.IndexOf(sim.Millisecond) != 1 || c.IndexOf(999*sim.Microsecond) != 0 {
-		t.Error("IndexOf")
-	}
-	if c.EpochOf(999*sim.Millisecond) != 0 || c.EpochOf(sim.Second) != 1 {
-		t.Error("EpochOf")
-	}
-	if !c.IsEpochBoundary(0) || c.IsEpochBoundary(1) || !c.IsEpochBoundary(1000) {
-		t.Error("IsEpochBoundary")
-	}
-	var zero EpochClock
-	if zero.IndexOf(5) != 0 || zero.EpochOf(5) != 0 || zero.IsEpochBoundary(0) {
-		t.Error("zero clock should be inert")
 	}
 }

@@ -88,7 +88,7 @@ func memoPipelines() map[string]*Pipeline {
 
 // checkPickMemo drives one random fleet through a lane-style sequence of
 // picks and local claims on every memo pipeline: the memo-armed pick must
-// choose the same index as memo-free Pick every time, and afterwards every
+// choose the same index as memo-free pick every time, and afterwards every
 // memoised penalty must equal the reference walk exactly.
 func checkPickMemo(t *testing.T, seed int64) {
 	t.Helper()
@@ -114,7 +114,7 @@ func checkPickMemo(t *testing.T, seed int64) {
 		memo.arm(len(hosts), key)
 		for i, spec := range specs {
 			got := pipe.pick(hosts, &memo, spec, offs[i])
-			if want := pipe.Pick(hosts, spec, offs[i]); got != want {
+			if want := pipe.pick(hosts, nil, spec, offs[i]); got != want {
 				t.Fatalf("seed %d %s pick %d: memo chose %d, reference %d", seed, name, i, got, want)
 			}
 			if got >= 0 { // claim locally, as runLane does: VMs stay put

@@ -129,7 +129,7 @@ func (p *Pipeline) Select(hosts []*HostInfo, s Spec) (*HostInfo, []HostScore, er
 	return best, trace, nil
 }
 
-// Pick is the shard-side hot path: same filter → score decision as Select,
+// pick is the shard-side hot path: same filter → score decision as Select,
 // but it returns the winner's index into hosts, keeps no trace, and breaks
 // score ties by *rotated* index order — candidate i ranks as (i-off) mod
 // len(hosts), lowest rank wins. With off = 0 over a Node-sorted host list
@@ -138,11 +138,8 @@ func (p *Pipeline) Select(hosts []*HostInfo, s Spec) (*HostInfo, []HostScore, er
 // host ring, which is the smart-conflict-avoidance trick: identical
 // pipelines stop all herding onto the same host when scores tie. Allocates
 // nothing. Returns -1 when no host is feasible.
-func (p *Pipeline) Pick(hosts []*HostInfo, s Spec, off int) int {
-	return p.pick(hosts, nil, s, off)
-}
-
-// pick is Pick with an optional penalty memo over hosts (memo index i is
+//
+// memo, when non-nil, is a penalty memo over hosts (memo index i is
 // hosts[i]). InterferenceAware scorers whose key matches the memo's read
 // their host penalty from it instead of walking the host's resident VMs;
 // the memo holds the same float the walk sums, so the decision is

@@ -45,7 +45,7 @@ func TestPickZeroAlloc(t *testing.T) {
 	hosts := contaminatedFleet()
 	spec := Spec{Name: "probe", LatencySensitive: true, BufferSize: 64 << 10}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if pipe.Pick(hosts, spec, 3) < 0 {
+		if pipe.pick(hosts, nil, spec, 3) < 0 {
 			t.Error("no feasible host")
 		}
 	}); allocs != 0 {
@@ -67,7 +67,7 @@ func TestPickMatchesSelectAtZeroOffset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx := pipe.Pick(hosts, spec, 0)
+		idx := pipe.pick(hosts, nil, spec, 0)
 		if idx < 0 || hosts[idx].Node != best.Node {
 			t.Errorf("spec %q: Pick -> node%d, Select -> node%d", spec.Name, hosts[idx].Node, best.Node)
 		}
@@ -82,7 +82,7 @@ func TestPickRotatedTieBreak(t *testing.T) {
 	hosts := testHosts(8, 4)
 	spec := Spec{Name: "probe", LatencySensitive: true, BufferSize: 64 << 10}
 	for off := 0; off < len(hosts); off++ {
-		idx := pipe.Pick(hosts, spec, off)
+		idx := pipe.pick(hosts, nil, spec, off)
 		if idx != off {
 			t.Errorf("off=%d picked index %d, want %d (rotation start)", off, idx, off)
 		}
@@ -91,7 +91,7 @@ func TestPickRotatedTieBreak(t *testing.T) {
 	for _, h := range hosts {
 		h.FreePCPUs = 0
 	}
-	if idx := pipe.Pick(hosts, spec, 3); idx != -1 {
+	if idx := pipe.pick(hosts, nil, spec, 3); idx != -1 {
 		t.Errorf("exhausted fleet picked index %d, want -1", idx)
 	}
 }

@@ -11,7 +11,7 @@
 //     headroom, copy-on-write-cloning only the touched hosts;
 //   - a Pipeline — the filter → score plugin chain that used to live in
 //     internal/placement (which now aliases these types) with a zero-alloc
-//     Select hot path and a Pick variant whose tie-break can be rotated per
+//     Select hot path and a pick variant whose tie-break can be rotated per
 //     shard for conflict avoidance;
 //   - a Scheduler that partitions pending placements across N logical
 //     shards by a seeded splitmix64 hash, runs every shard's pipeline

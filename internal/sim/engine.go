@@ -96,7 +96,6 @@ type Engine struct {
 	seq      uint64
 	procs    map[*Proc]struct{}
 	stepped  uint64
-	stopped  bool
 	stepHook func(at Time, seq uint64)
 	hookMask uint64
 	breaks   []breakpoint
@@ -297,16 +296,12 @@ func (e *Engine) peek() (Time, bool) {
 	return at, ok
 }
 
-// Run executes events until none remain or Stop is called.
+// Run executes events until none remain.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		if len(e.breaks) > 0 {
 			if at, ok := e.peek(); ok {
 				e.fireBreaksBefore(at)
-				if e.stopped {
-					return
-				}
 			}
 		}
 		if !e.Step() {
@@ -318,31 +313,23 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // exactly t (even if no event lands there).
 func (e *Engine) RunUntil(t Time) {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		at, ok := e.peek()
 		if !ok || at > t {
 			break
 		}
 		if len(e.breaks) > 0 {
 			e.fireBreaksBefore(at)
-			if e.stopped {
-				break
-			}
 		}
 		e.Step()
 	}
-	if len(e.breaks) > 0 && !e.stopped {
+	if len(e.breaks) > 0 {
 		e.fireBreaksBefore(t + 1)
 	}
 	if e.now < t {
 		e.now = t
 	}
 }
-
-// Stop makes the innermost Run/RunUntil return after the current event
-// completes. Pending events are preserved.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of scheduled events in O(1): the heap holds
 // only live one-shots (cancelation removes in place) and every wheel entry

@@ -316,11 +316,11 @@ func TestTimerActive(t *testing.T) {
 	if tm.Active() {
 		t.Error("fired one-shot still Active")
 	}
-	per := e.Every(10, func() { e.Stop() })
+	per := e.Every(10, func() {})
 	if !per.Active() {
 		t.Error("recurring timer not Active")
 	}
-	e.Run()
+	e.RunUntil(e.Now() + 25)
 	if !per.Active() {
 		t.Error("recurring timer inactive while still rescheduling")
 	}

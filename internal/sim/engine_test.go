@@ -204,24 +204,6 @@ func TestEveryZeroPanics(t *testing.T) {
 	e.Every(0, func() {})
 }
 
-func TestStop(t *testing.T) {
-	e := New()
-	count := 0
-	e.Schedule(10, func() { count++; e.Stop() })
-	e.Schedule(20, func() { count++ })
-	e.Run()
-	if count != 1 {
-		t.Errorf("Stop did not halt Run: count=%d", count)
-	}
-	if e.Pending() != 1 {
-		t.Errorf("pending after Stop = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if count != 2 {
-		t.Errorf("resumed Run did not drain: count=%d", count)
-	}
-}
-
 func TestStepsCounter(t *testing.T) {
 	e := New()
 	for i := Time(1); i <= 5; i++ {

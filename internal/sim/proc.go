@@ -22,7 +22,6 @@ type Proc struct {
 	ended   bool
 	killed  bool
 	err     any
-	endSig  *Signal
 	// dispatchFn is the bound p.dispatch method value, created once so the
 	// hot park/resume path (Sleep, Signal.Broadcast) does not allocate a
 	// fresh method-value closure per event.
@@ -49,7 +48,6 @@ func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
 		yield:  make(chan struct{}),
 	}
 	p.dispatchFn, p.onWaitTimeout = p.dispatch, p.waitTimedOut
-	p.endSig = NewSignal(e)
 	e.procs[p] = struct{}{}
 	e.After(0, func() {
 		if p.killed {
@@ -67,7 +65,6 @@ func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
 func (p *Proc) finish() {
 	p.ended = true
 	delete(p.eng.procs, p)
-	p.endSig.Broadcast()
 }
 
 // body is the process goroutine entry point.
@@ -80,7 +77,6 @@ func (p *Proc) body(fn func(*Proc)) {
 		}
 		p.ended = true
 		delete(p.eng.procs, p)
-		p.endSig.Broadcast()
 		p.yield <- struct{}{}
 	}()
 	<-p.resume
@@ -158,18 +154,10 @@ func (p *Proc) Kill() {
 	<-p.yield
 }
 
-// Join parks until other has ended.
-func (p *Proc) Join(other *Proc) {
-	if other.ended {
-		return
-	}
-	other.endSig.Wait(p)
-}
-
-// WaitAny parks p until s broadcasts (or wakes p) or until d elapses,
-// whichever comes first. It reports whether the signal fired before the
-// timeout. A stale registration left behind by a timeout is inert: when s
-// next broadcasts it still costs its zero-delay event, which does nothing.
+// WaitAny parks p until s broadcasts or until d elapses, whichever comes
+// first. It reports whether the signal fired before the timeout. A stale
+// registration left behind by a timeout is inert: when s next broadcasts it
+// still costs its zero-delay event, which does nothing.
 //
 // The wait allocates nothing once p has waited before. Its state lives on
 // p, and s holds a pooled, generation-tagged registration (waitReg) instead
@@ -185,8 +173,8 @@ func (p *Proc) WaitAny(s *Signal, d Time) (signaled bool) {
 
 // waitReg is one WaitAny registration on a Signal, tagged with the wait
 // generation it belongs to. A registration is scheduled at most once (by
-// the Broadcast or Wake that consumes it), and it returns to its process's
-// pool when that event fires.
+// the Broadcast that consumes it), and it returns to its process's pool
+// when that event fires.
 type waitReg struct {
 	p    *Proc
 	gen  uint64
@@ -208,9 +196,9 @@ func (p *Proc) newWaitReg() *waitReg {
 	return r
 }
 
-// signaled is the event a Broadcast or Wake schedules for r. It resolves
-// the wait r was made for, unless that wait already timed out (or a later
-// one began): then r is stale and the event is a no-op.
+// signaled is the event a Broadcast schedules for r. It resolves the wait r
+// was made for, unless that wait already timed out (or a later one began):
+// then r is stale and the event is a no-op.
 func (r *waitReg) signaled() {
 	p := r.p
 	live := r.gen == p.waitGen && p.waiting
@@ -234,9 +222,9 @@ func (p *Proc) waitTimedOut() {
 }
 
 // Signal is a broadcast-style condition: processes park on it with Wait and
-// are released together by Broadcast (or one at a time by Wake). There is no
-// payload and no memory: a Broadcast with no waiters is lost, so callers
-// re-check their condition in a loop, exactly like sync.Cond.
+// are released together by Broadcast. There is no payload and no memory: a
+// Broadcast with no waiters is lost, so callers re-check their condition in
+// a loop, exactly like sync.Cond.
 type Signal struct {
 	eng     *Engine
 	waiters []*Proc
@@ -246,7 +234,7 @@ type Signal struct {
 // NewSignal returns a Signal bound to e.
 func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 
-// Wait parks p until the next Broadcast/Wake.
+// Wait parks p until the next Broadcast.
 func (s *Signal) Wait(p *Proc) {
 	s.waiters = append(s.waiters, p)
 	p.park()
@@ -272,31 +260,3 @@ func (s *Signal) Broadcast() {
 	clear(s.funcs)
 	s.funcs = s.funcs[:0]
 }
-
-// Wake releases a single waiter (FIFO); it reports whether one was waiting.
-func (s *Signal) Wake() bool {
-	if len(s.waiters) > 0 {
-		s.eng.After(0, popFront(&s.waiters).dispatchFn)
-		return true
-	}
-	if len(s.funcs) > 0 {
-		s.eng.After(0, popFront(&s.funcs))
-		return true
-	}
-	return false
-}
-
-// popFront removes and returns the first element of a non-empty list,
-// shifting the rest down so the backing array is reused.
-func popFront[T any](list *[]T) T {
-	l := *list
-	v := l[0]
-	n := copy(l, l[1:])
-	var zero T
-	l[n] = zero
-	*list = l[:n]
-	return v
-}
-
-// Waiters returns the number of parked processes and pending callbacks.
-func (s *Signal) Waiters() int { return len(s.waiters) + len(s.funcs) }

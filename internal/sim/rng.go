@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Rand is a seeded pseudo-random source with the distributions the
 // simulation needs. It wraps math/rand.Rand so all randomness in a run flows
@@ -30,13 +27,6 @@ func (r *Rand) Seed() int64 { return r.seed }
 // Draws returns how many variates have been drawn so far. Together with the
 // seed it identifies the stream position deterministically.
 func (r *Rand) Draws() uint64 { return r.draws }
-
-// Fork derives an independent generator from this one, for handing separate
-// streams to subsystems without coupling their consumption order.
-func (r *Rand) Fork() *Rand {
-	r.draws++
-	return NewRand(r.r.Int63())
-}
 
 // Int63n returns a uniform integer in [0, n).
 func (r *Rand) Int63n(n int64) int64 {
@@ -82,14 +72,4 @@ func (r *Rand) ExpDuration(d Time) Time {
 		v = 1
 	}
 	return v
-}
-
-// Pareto returns a bounded Pareto variate with shape alpha and minimum xm.
-func (r *Rand) Pareto(xm, alpha float64) float64 {
-	r.draws++
-	u := r.r.Float64()
-	for u == 0 {
-		u = r.r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
 }

@@ -35,7 +35,7 @@ func closureWaitAny(p *Proc, s *Signal, d Time) (signaled bool) {
 
 // waitAnyScenario drives wait through signaled waits, timeouts that leave
 // stale registrations behind, a Notify callback and a plain Wait queued
-// among the registrations, Wake as well as Broadcast, and a process killed
+// among the registrations, and a process killed
 // mid-wait whose registration and timer both fire after its death. It
 // returns every executed event's (at, seq) key and a log of what each wait
 // returned.
@@ -64,10 +64,7 @@ func waitAnyScenario(wait func(p *Proc, s *Signal, d Time) bool) (keys []EventKe
 	})
 	e.Schedule(4, s.Broadcast)
 	e.Schedule(8, func() { killed.Kill() })
-	for _, at := range []Time{9, 10, 17, 31} {
-		e.Schedule(at, func() { s.Wake() })
-	}
-	for _, at := range []Time{12, 26, 27, 44, 60} {
+	for _, at := range []Time{9, 10, 12, 17, 26, 27, 31, 44, 60} {
 		e.Schedule(at, s.Broadcast)
 	}
 	e.Run()

@@ -84,8 +84,6 @@ type Stream struct {
 	lastLat  float64
 	haveLast bool
 	running  bool
-	sender   *sim.Proc
-	receiver *sim.Proc
 }
 
 // New builds a stream from senderHost to receiverHost, each side in its own
@@ -141,18 +139,8 @@ func (st *Stream) Start() {
 		return
 	}
 	st.running = true
-	st.sender = st.eng.Go("stream-tx", st.sendLoop)
-	st.receiver = st.eng.Go("stream-rx", st.recvLoop)
-}
-
-// Stop halts both loops.
-func (st *Stream) Stop() {
-	st.running = false
-	for _, p := range []*sim.Proc{st.sender, st.receiver} {
-		if p != nil && !p.Ended() {
-			p.Kill()
-		}
-	}
+	st.eng.Go("stream-tx", st.sendLoop)
+	st.eng.Go("stream-rx", st.recvLoop)
 }
 
 // sendLoop emits one timestamped frame per period, strictly paced: a late
@@ -160,7 +148,7 @@ func (st *Stream) Stop() {
 func (st *Stream) sendLoop(p *sim.Proc) {
 	var frame [16]byte
 	next := st.eng.Now()
-	for st.running {
+	for {
 		if st.cfg.Frames > 0 && st.stats.Sent >= int64(st.cfg.Frames) {
 			return
 		}
@@ -200,7 +188,7 @@ func (st *Stream) sendLoop(p *sim.Proc) {
 // recvLoop reaps frames, computing latency, jitter and deadline misses.
 func (st *Stream) recvLoop(p *sim.Proc) {
 	var hdr [16]byte
-	for st.running {
+	for {
 		var cqe hca.CQE
 		st.rxvm.VCPU.SpinWait(p, st.rcq.Signal(), func() bool {
 			e, ok := st.rcq.Poll()

@@ -79,19 +79,6 @@ func (s *Series) Downsample(n int) *Series {
 	return out
 }
 
-// WriteCSV emits "x,name" header and rows.
-func (s *Series) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "x,%s\n", csvEscape(s.Name)); err != nil {
-		return err
-	}
-	for _, p := range s.points {
-		if _, err := fmt.Fprintf(w, "%g,%g\n", p.X, p.Y); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // SeriesSet is a group of series sharing an X axis, e.g. the several lines
 // of one figure.
 type SeriesSet struct {
@@ -116,16 +103,6 @@ func (ss *SeriesSet) Add(name string) *Series {
 
 // Series returns all member series in insertion order.
 func (ss *SeriesSet) Series() []*Series { return ss.series }
-
-// Get returns the series with the given name, or nil.
-func (ss *SeriesSet) Get(name string) *Series {
-	for _, s := range ss.series {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}
 
 // WriteCSV emits all series as aligned columns. Series are sampled by row
 // index (they are expected to share X grids; unequal lengths leave blanks).

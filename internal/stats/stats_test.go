@@ -105,8 +105,8 @@ func TestSampleQuantiles(t *testing.T) {
 	if s.Count() != 100 {
 		t.Fatalf("Count = %d", s.Count())
 	}
-	if !almostEq(s.Median(), 50.5, 1e-9) {
-		t.Errorf("Median = %v, want 50.5", s.Median())
+	if got := s.Quantile(0.5); !almostEq(got, 50.5, 1e-9) {
+		t.Errorf("median = %v, want 50.5", got)
 	}
 	if s.Min() != 1 || s.Max() != 100 {
 		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
@@ -306,10 +306,10 @@ func TestSeriesDownsample(t *testing.T) {
 }
 
 func TestSeriesCSV(t *testing.T) {
-	s := NewSeries("a,b") // name needs escaping
-	s.Add(1, 2)
+	ss := NewSeriesSet("fig")
+	ss.Add("a,b").Add(1, 2) // name needs escaping
 	var b strings.Builder
-	if err := s.WriteCSV(&b); err != nil {
+	if err := ss.WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -329,11 +329,8 @@ func TestSeriesSet(t *testing.T) {
 	a.Add(0, 1)
 	a.Add(1, 2)
 	b.Add(0, 3)
-	if ss.Get("b") != b || ss.Get("zzz") != nil {
-		t.Error("Get misbehaved")
-	}
-	if len(ss.Series()) != 2 {
-		t.Errorf("Series len = %d", len(ss.Series()))
+	if got := ss.Series(); len(got) != 2 || got[1] != b {
+		t.Errorf("Series = %v, want [a b]", got)
 	}
 	var buf strings.Builder
 	if err := ss.WriteCSV(&buf); err != nil {

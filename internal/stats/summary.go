@@ -132,16 +132,6 @@ func (s *Sample) Add(x float64) {
 // Count returns the number of observations.
 func (s *Sample) Count() int { return len(s.xs) }
 
-// Values returns the raw observations in insertion order. The caller must
-// not modify the returned slice if it will keep using the Sample.
-func (s *Sample) Values() []float64 {
-	if s.sorted {
-		// Sorting reordered the backing array; insertion order is gone, but
-		// callers that mix Quantile and Values only need the multiset.
-	}
-	return s.xs
-}
-
 // Mean returns the arithmetic mean (0 when empty).
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
@@ -194,9 +184,6 @@ func (s *Sample) Quantile(q float64) float64 {
 	}
 	return s.xs[lo]*(1-frac) + s.xs[lo+1]*frac
 }
-
-// Median returns the 0.5 quantile.
-func (s *Sample) Median() float64 { return s.Quantile(0.5) }
 
 // Min returns the smallest observation (0 when empty).
 func (s *Sample) Min() float64 { return s.Quantile(0) }
