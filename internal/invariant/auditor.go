@@ -258,7 +258,7 @@ func (a *Auditor) checkSched(w *schedWatch) {
 			return // run may still be mid-append; re-examine next pass
 		}
 		if n != b.GangSize {
-			a.violate("gang-atomicity", b.VM.Spec.Name,
+			a.violate("gang-atomicity", fmt.Sprintf("bind %d", b.Key),
 				fmt.Sprintf("gang %d committed %d of %d members", b.Gang, n, b.GangSize))
 		}
 		w.seen = j

@@ -144,44 +144,131 @@ func (p *Pipeline) Select(hosts []*HostInfo, s Spec) (*HostInfo, []HostScore, er
 // their host penalty from it instead of walking the host's resident VMs;
 // the memo holds the same float the walk sums, so the decision is
 // bit-identical to the memo-free path.
+//
+// A lane with a class-pure pipeline picks from its score cache instead
+// (lane.pick); pick is the path for every other pipeline, and the
+// reference the cache is tested against.
 func (p *Pipeline) pick(hosts []*HostInfo, memo *penaltyMemo, s Spec, off int) int {
-	n := len(hosts)
 	var class penaltyClass
 	if memo != nil {
 		class = memo.key.class(s)
 	}
-	best := -1
-	bestScore := 0.0
-	bestRank := 0
+	w := newWinner(len(hosts), off)
 	for i, h := range hosts {
-		feasible := true
-		for _, f := range p.filters {
-			if !f.Filter(h, s) {
-				feasible = false
-				break
-			}
-		}
-		if !feasible {
-			continue
-		}
-		score := 0.0
-		for k := range p.scorers {
-			ws := &p.scorers[k]
-			if memo != nil && ws.key == memo.key {
-				score += ws.weight * interferenceScore(memo.penalty(i, h, class))
-			} else {
-				score += ws.weight * ws.plugin.Score(h, s)
-			}
-		}
-		rank := i - off
-		if rank < 0 {
-			rank += n
-		}
-		if best < 0 || score > bestScore || (score == bestScore && rank < bestRank) {
-			best, bestScore, bestRank = i, score, rank
+		if score, ok := p.score(i, h, memo, class, s); ok {
+			w.offer(i, score)
 		}
 	}
-	return best
+	return w.best
+}
+
+// score is pick's per-host step: whether hosts[i] = h passes every filter
+// for s and, if it does, its weighted score. class is s's class under the
+// memo's key (ignored without a memo).
+func (p *Pipeline) score(i int, h *HostInfo, memo *penaltyMemo, class penaltyClass, s Spec) (float64, bool) {
+	for _, f := range p.filters {
+		if !f.Filter(h, s) {
+			return 0, false
+		}
+	}
+	score := 0.0
+	for k := range p.scorers {
+		ws := &p.scorers[k]
+		if memo != nil && ws.key == memo.key {
+			score += ws.weight * interferenceScore(memo.penalty(i, h, class))
+		} else {
+			score += ws.weight * ws.plugin.Score(h, s)
+		}
+	}
+	return score, true
+}
+
+// winner is pick's running choice over candidates 0..n-1: the highest
+// score, ties to the lowest rank (i-off) mod n.
+type winner struct {
+	n, off int
+	best   int // -1 until a candidate is offered
+	score  float64
+	rank   int
+}
+
+func newWinner(n, off int) winner { return winner{n: n, off: off, best: -1} }
+
+// offer considers feasible candidate i with the given score.
+func (w *winner) offer(i int, score float64) {
+	rank := i - w.off
+	if rank < 0 {
+		rank += w.n
+	}
+	if w.best < 0 || score > w.score || (score == w.score && rank < w.rank) {
+		w.best, w.score, w.rank = i, score, rank
+	}
+}
+
+// classPure reports whether the pipeline's verdict and score for a host
+// depend on the spec only through its variant (see variantOf): every
+// filter and scorer is a built-in, and every InterferenceAware scorer
+// shares the key a lane arms its memo with. Only a class-pure pipeline may
+// use a lane's score cache; a plugin of any other type might read any spec
+// field, Name included.
+func (p *Pipeline) classPure() bool {
+	for _, f := range p.filters {
+		switch f.(type) {
+		case FitsPCPUs, HealthyHost, MemBWFit:
+		default:
+			return false
+		}
+	}
+	key, _ := p.penaltyKey()
+	for _, ws := range p.scorers {
+		switch ws.plugin.(type) {
+		case SpreadByCPU, ResoHeadroom, RateWeightedHeadroom:
+		case InterferenceAware:
+			if ws.key != key {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// variant is what a class-pure pipeline reads of a spec: its penalty class
+// under the lane memo's key (classNone without a memo) and whether it
+// declares a memory-bandwidth demand, as MemBWFit tests it.
+type variant int
+
+const numVariants = 3 * 2
+
+func variantOf(class penaltyClass, s Spec) variant {
+	v := variant(class) * 2
+	if !(s.MemBytesPerSec <= 0) { // MemBWFit's test, so NaN agrees
+		v++
+	}
+	return v
+}
+
+// class is the penalty class v was built from.
+func (v variant) class() penaltyClass { return penaltyClass(v / 2) }
+
+// cachedScore is one view host's pipeline outcome for one variant.
+type cachedScore struct {
+	score float64
+	ok    bool // feasible
+}
+
+// scoreCache holds a lane's per-round pipeline outcomes: for each variant
+// the round has picked for, every view host's filter verdict and score,
+// computed by Pipeline.score with the first spec of that variant. It is
+// the rest of the per-node summary the penalty memo started: a class-pure
+// pipeline scores every spec of a variant alike, so a pick after the
+// first is a scan over cached outcomes, and a claim or gang unwind
+// re-scores only the hosts it changed (lane.rescore).
+type scoreCache struct {
+	filled [numVariants]bool
+	specs  [numVariants]Spec
+	rows   [numVariants][]cachedScore
 }
 
 // ---------------------------------------------------------------------------

@@ -91,13 +91,141 @@ type RoundStats struct {
 // propose phase and the merge phase is the only synchronization.
 type lane struct {
 	pipe    *Pipeline
-	view    []HostInfo  // snapshot copy the shard claims against
-	ptrs    []*HostInfo // pointers into view, what the pipeline scores
-	memo    penaltyMemo // view hosts' interference penalties, reset per round
-	work    []Pending   // this round's partition slice (reused)
-	props   []Bind      // this round's proposals (reused)
-	starved []Pending   // this round's infeasible requests (reused)
+	view    []HostInfo   // snapshot copy the shard claims against
+	ptrs    []*HostInfo  // pointers into view, what the pipeline scores
+	off     int          // this round's tie-break rotation
+	memo    penaltyMemo  // view hosts' interference penalties, reset per round
+	pens    *penaltyMemo // &memo when armed (the pipeline has an InterferenceAware), else nil
+	cached  bool         // the pipeline is class-pure: picks use cache
+	cache   scoreCache   // view hosts' outcomes per variant, reset per round
+	work    []Pending    // this round's partition slice (reused)
+	props   []Bind       // this round's proposals (reused)
+	starved []Pending    // this round's infeasible requests (reused)
+	claims  []claim      // the current group's claims (reused)
 	stats   ShardCounters
+}
+
+// claim is one local claim's exact prior values on view host idx, so a
+// failed gang unwinds with no float residue.
+type claim struct {
+	idx, free int
+	io, mem   float64
+}
+
+// refresh copies snap into the lane's private view and empties the
+// per-round memo and score cache, which describe the previous view.
+func (ln *lane) refresh(snap *Snapshot, off int) {
+	n := len(snap.Hosts)
+	if cap(ln.view) < n {
+		ln.view = make([]HostInfo, n)
+		ln.ptrs = make([]*HostInfo, n)
+	}
+	ln.view = ln.view[:n]
+	ln.ptrs = ln.ptrs[:n]
+	for i, h := range snap.Hosts {
+		ln.view[i] = *h // VMs slice aliases the snapshot's: read-only by contract
+		ln.ptrs[i] = &ln.view[i]
+	}
+	ln.off = off
+	ln.pens = nil
+	if k, ok := ln.pipe.penaltyKey(); ok {
+		ln.memo.arm(n, k)
+		ln.pens = &ln.memo
+	}
+	ln.cached = ln.pipe.classPure()
+	ln.cache.filled = [numVariants]bool{}
+}
+
+// pick returns the view index the lane's pipeline chooses for s (-1 if no
+// host is feasible). A class-pure pipeline's first pick for a variant
+// scores every view host into the cache; later picks for that variant scan
+// the cached outcomes with the same rule, so they return exactly what
+// Pipeline.pick would.
+func (ln *lane) pick(s Spec) int {
+	if !ln.cached {
+		return ln.pipe.pick(ln.ptrs, ln.pens, s, ln.off)
+	}
+	var class penaltyClass
+	if ln.pens != nil {
+		class = ln.pens.key.class(s)
+	}
+	v := variantOf(class, s)
+	c := &ln.cache
+	if !c.filled[v] {
+		c.filled[v], c.specs[v] = true, s
+		c.rows[v] = resize(c.rows[v], len(ln.ptrs))
+		for i := range ln.ptrs {
+			ln.rescoreVariant(v, i)
+		}
+	}
+	row := c.rows[v]
+	w := newWinner(len(row), ln.off)
+	for i := range row {
+		if row[i].ok {
+			w.offer(i, row[i].score)
+		}
+	}
+	return w.best
+}
+
+// rescoreVariant recomputes view host i's cached outcome for variant v.
+func (ln *lane) rescoreVariant(v variant, i int) {
+	e := &ln.cache.rows[v][i]
+	e.score, e.ok = ln.pipe.score(i, ln.ptrs[i], ln.pens, v.class(), ln.cache.specs[v])
+}
+
+// rescore recomputes view host i's cached outcomes after its headroom
+// changed. Its penalties cannot have: claims never touch VMs.
+func (ln *lane) rescore(i int) {
+	for v, ok := range ln.cache.filled {
+		if ok {
+			ln.rescoreVariant(variant(v), i)
+		}
+	}
+}
+
+// claimFor adjusts view host idx's headroom for p so this shard's later
+// picks see its earlier ones, and returns the prior values. The claim
+// touches FreePCPUs, IOCommitted and MemBWCommitted but never the
+// resident-VM list — same-round interference between a shard's own
+// proposals becomes visible only after commit, like every other shard's.
+// Never mutate h.VMs: it aliases the shared snapshot, and the penalty memo
+// relies on it staying fixed for the round.
+func (ln *lane) claimFor(idx int, p *Pending) claim {
+	h := &ln.view[idx]
+	c := claim{idx: idx, free: h.FreePCPUs, io: h.IOCommitted, mem: h.MemBWCommitted}
+	h.FreePCPUs--
+	if h.LinkBytesPerSec > 0 {
+		h.IOCommitted += p.VM.BytesPerSec / h.LinkBytesPerSec
+	}
+	if h.MemBWBytesPerSec > 0 {
+		h.MemBWCommitted += p.VM.MemBytesPerSec / h.MemBWBytesPerSec
+	}
+	ln.rescore(idx)
+	return c
+}
+
+// unwind restores claims in reverse (later claims may touch the same host),
+// re-scoring each restored host.
+func (ln *lane) unwind(claims []claim) {
+	for k := len(claims) - 1; k >= 0; k-- {
+		c := claims[k]
+		h := &ln.view[c.idx]
+		h.FreePCPUs = c.free
+		h.IOCommitted = c.io
+		h.MemBWCommitted = c.mem
+		ln.rescore(c.idx)
+	}
+}
+
+// Binding is one committed bind as the scheduler's log keeps it: the
+// placement's key and node, and its gang membership (the invariant
+// auditor's gang-atomicity check reads Gang and GangSize).
+type Binding struct {
+	Key      uint64
+	Node     int
+	Gang     uint64
+	GangSize int
 }
 
 // Scheduler runs the optimistic multi-shard placement loop against a
@@ -119,7 +247,7 @@ type Scheduler struct {
 	gangsPlaced  uint64
 	gangsFailed  uint64
 	gangsPartial uint64
-	bound        []Bind
+	bound        []Binding
 	failed       []Pending
 }
 
@@ -270,7 +398,9 @@ func (s *Scheduler) Round() RoundStats {
 	s.merge = merged
 	committed, conflicted := s.store.CommitRound(merged)
 	rs.Committed, rs.Conflicted = len(committed), len(conflicted)
-	s.bound = append(s.bound, committed...)
+	for _, b := range committed {
+		s.bound = append(s.bound, Binding{Key: b.Key, Node: b.Node, Gang: b.Gang, GangSize: b.GangSize})
+	}
 	bindShard := func(b Bind) int {
 		if b.Gang != 0 {
 			return s.shardOf(b.Gang)
@@ -379,59 +509,13 @@ func (s *Scheduler) runLane(ln *lane, shardIdx int, snap *Snapshot) {
 	if len(ln.work) == 0 {
 		return
 	}
-	if cap(ln.view) < len(snap.Hosts) {
-		ln.view = make([]HostInfo, len(snap.Hosts))
-		ln.ptrs = make([]*HostInfo, len(snap.Hosts))
-	}
-	ln.view = ln.view[:len(snap.Hosts)]
-	ln.ptrs = ln.ptrs[:len(snap.Hosts)]
-	for i, h := range snap.Hosts {
-		ln.view[i] = *h // VMs slice aliases the snapshot's: read-only by contract
-		ln.ptrs[i] = &ln.view[i]
-	}
-	var memo *penaltyMemo
-	if k, ok := ln.pipe.penaltyKey(); ok {
-		ln.memo.arm(len(ln.view), k)
-		memo = &ln.memo
-	}
 	off := 0
 	if s.cfg.AvoidConflicts && s.cfg.Shards > 1 {
-		off = shardIdx * len(ln.view) / s.cfg.Shards
+		off = shardIdx * len(snap.Hosts) / s.cfg.Shards
 	}
-	// claim adjusts the lane's private headroom so this shard's later picks
-	// see its earlier ones. The claim touches FreePCPUs, IOCommitted and
-	// MemBWCommitted but never the resident-VM list — same-round
-	// interference between a shard's own proposals becomes visible only
-	// after commit, like every other shard's. Never mutate h.VMs: it
-	// aliases the shared snapshot, and the penalty memo relies on it staying
-	// fixed for the round. The recorded exact prior values let a failed
-	// gang unwind with no float residue.
-	type claim struct {
-		idx, free int
-		io, mem   float64
-	}
-	apply := func(p Pending) (claim, bool) {
-		idx := ln.pipe.pick(ln.ptrs, memo, p.Spec, off)
-		if idx < 0 {
-			return claim{}, false
-		}
-		h := &ln.view[idx]
-		c := claim{idx: idx, free: h.FreePCPUs, io: h.IOCommitted, mem: h.MemBWCommitted}
-		h.FreePCPUs--
-		if h.LinkBytesPerSec > 0 {
-			h.IOCommitted += p.VM.BytesPerSec / h.LinkBytesPerSec
-		}
-		if h.MemBWBytesPerSec > 0 {
-			h.MemBWCommitted += p.VM.MemBytesPerSec / h.MemBWBytesPerSec
-		}
-		ln.stats.Proposed++
-		ln.props = append(ln.props, Bind{Key: p.Key, Node: h.Node, VM: p.VM,
-			Gang: p.Gang, GangSize: p.GangSize})
-		return c, true
-	}
+	ln.refresh(snap, off)
 	// Gang members are contiguous in work (consecutive keys, key-sorted
 	// partition slices); each group is proposed all-or-nothing.
-	var claims []claim
 	for i := 0; i < len(ln.work); {
 		j := i + 1
 		if g := ln.work[i].Gang; g != 0 {
@@ -442,31 +526,28 @@ func (s *Scheduler) runLane(ln *lane, shardIdx int, snap *Snapshot) {
 		group := ln.work[i:j]
 		i = j
 
-		claims = claims[:0]
+		ln.claims = ln.claims[:0]
 		propMark := len(ln.props)
 		ok := true
-		for _, p := range group {
-			c, placed := apply(p)
-			if !placed {
+		for k := range group {
+			p := &group[k]
+			idx := ln.pick(p.Spec)
+			if idx < 0 {
 				ok = false
 				break
 			}
-			claims = append(claims, c)
+			ln.claims = append(ln.claims, ln.claimFor(idx, p))
+			ln.stats.Proposed++
+			ln.props = append(ln.props, Bind{Key: p.Key, Node: ln.view[idx].Node, VM: p.VM,
+				Gang: p.Gang, GangSize: p.GangSize})
 		}
 		if ok {
 			continue
 		}
-		// Unwind the group's claims in reverse (later claims may touch the
-		// same host) and starve the whole group: a gang with no feasible
-		// placement for every member proposes nothing this round.
-		for k := len(claims) - 1; k >= 0; k-- {
-			c := claims[k]
-			h := &ln.view[c.idx]
-			h.FreePCPUs = c.free
-			h.IOCommitted = c.io
-			h.MemBWCommitted = c.mem
-		}
-		ln.stats.Proposed -= uint64(len(claims))
+		// Starve the whole group: a gang with no feasible placement for
+		// every member proposes nothing this round.
+		ln.unwind(ln.claims)
+		ln.stats.Proposed -= uint64(len(ln.claims))
 		ln.props = ln.props[:propMark]
 		ln.stats.Starved += uint64(len(group))
 		ln.starved = append(ln.starved, group...)
@@ -535,7 +616,7 @@ func (s *Scheduler) PendingLen() int { return len(s.pending) }
 
 // Bound returns every committed bind in commit order (ascending key within
 // each round, rounds in sequence). Callers must not modify it.
-func (s *Scheduler) Bound() []Bind { return s.bound }
+func (s *Scheduler) Bound() []Binding { return s.bound }
 
 // Failed returns the requests declared unplaceable, in key order per
 // failing round. Callers must not modify it.

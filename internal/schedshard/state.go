@@ -26,7 +26,9 @@
 package schedshard
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"resex/internal/exchange"
 )
@@ -72,7 +74,9 @@ type VMInfo struct {
 }
 
 // EffectiveBuffer returns the larger of declared and inferred buffer size.
-func (v VMInfo) EffectiveBuffer() int {
+// The pointer receiver keeps the penalty walk from copying each resident
+// VMInfo.
+func (v *VMInfo) EffectiveBuffer() int {
 	if v.BufferSize > v.Spec.BufferSize {
 		return v.BufferSize
 	}
@@ -162,17 +166,8 @@ type Snapshot struct {
 // Host returns the snapshot's entry for a node (nil if absent), by binary
 // search over the Node-sorted host list.
 func (s *Snapshot) Host(node int) *HostInfo {
-	lo, hi := 0, len(s.Hosts)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.Hosts[mid].Node < node {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.Hosts) && s.Hosts[lo].Node == node {
-		return s.Hosts[lo]
+	if i := hostIndex(s.Hosts, node); i >= 0 {
+		return s.Hosts[i]
 	}
 	return nil
 }
@@ -250,6 +245,26 @@ type Store struct {
 	publishes uint64
 	commits   uint64
 	conflicts uint64
+
+	// spare[i], when non-nil, is the full-capacity VMs slice of the current
+	// snapshot's host i: an array an earlier CommitRound allocated, which
+	// the published host sees clipped to its length. Only that chain's next
+	// commit may append past the length. Publish clears every entry.
+	spare [][]VMInfo
+	// stamp[i] is the CommitRound (numbered by round) that last cloned
+	// host i; touched lists this round's clones.
+	stamp   []uint64
+	round   uint64
+	touched []int
+	// Reused per CommitRound: its two result slices and the gang saves.
+	committed, conflicted []Bind
+	saves                 []savedHost
+}
+
+// savedHost is one host's exact pre-gang state, for gang rollback.
+type savedHost struct {
+	idx, free, vms int
+	io, mem        float64
 }
 
 // NewStore creates a store holding an empty version-0 snapshot; call
@@ -276,7 +291,9 @@ func (st *Store) Publishes() uint64 { return st.publishes }
 
 // Publish installs a full rebuilt view as the next snapshot version,
 // sorting hosts by Node (canonical order; stable for already-sorted
-// input). The store takes ownership of the slice and the HostInfo values.
+// input). The store takes ownership of the slice and the HostInfo values,
+// but never appends into their VMs arrays: the first commit onto a
+// published host copies its VMs.
 func (st *Store) Publish(hosts []*HostInfo) *Snapshot {
 	for i := 1; i < len(hosts); i++ { // insertion sort: hosts arrive sorted
 		h := hosts[i]
@@ -289,16 +306,28 @@ func (st *Store) Publish(hosts []*HostInfo) *Snapshot {
 	}
 	st.publishes++
 	st.snap = &Snapshot{Version: st.snap.Version + 1, Hosts: hosts}
+	st.spare = resize(st.spare, len(hosts))
+	st.stamp = resize(st.stamp, len(hosts))
 	return st.snap
+}
+
+// resize returns s with length n, every element zero.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // CommitRound applies one round's proposed binds optimistically: binds are
 // ordered by ascending Key (the canonical merge order — independent of
-// which shard proposed what, or when), then validated one by one against
-// the evolving next view. A bind whose target host has no free PCPU left —
-// because earlier-keyed binds exhausted what the proposing shard thought
-// was headroom — is a conflict: it is rejected, counted, and returned for
-// the caller to retry against the refreshed snapshot.
+// which shard proposed what, or when; keys are unique), then validated one
+// by one against the evolving next view. A bind whose target host has no
+// free PCPU left — because earlier-keyed binds exhausted what the proposing
+// shard thought was headroom — is a conflict: it is rejected, counted, and
+// returned for the caller to retry against the refreshed snapshot.
 //
 // Gang binds (Bind.Gang != 0) are all-or-nothing: the gang's members are
 // consecutive in key order, and if any member conflicts the whole gang is
@@ -311,45 +340,46 @@ func (st *Store) Publish(hosts []*HostInfo) *Snapshot {
 //
 // Touched hosts are cloned copy-on-write; untouched hosts are shared with
 // the previous snapshot. The previous snapshot itself is never mutated.
-// Both returned slices are in ascending key order.
+// Every commit derives its snapshot from the current one, so snapshots form
+// a linear chain, and a clone may append its new VMs in place past the end
+// of a VMs array an earlier commit allocated: every older snapshot's host
+// sees only its own [:len] of that array, and its len == cap, so no holder
+// can reach the appended elements (or append into them itself).
+//
+// Both returned slices are in ascending key order. They alias buffers the
+// store reuses and stay valid until the next CommitRound.
 func (st *Store) CommitRound(binds []Bind) (committed, conflicted []Bind) {
 	if len(binds) == 0 {
 		return nil, nil
 	}
-	for i := 1; i < len(binds); i++ { // canonical order: ascending key
-		b := binds[i]
-		j := i - 1
-		for j >= 0 && binds[j].Key > b.Key {
-			binds[j+1] = binds[j]
-			j--
-		}
-		binds[j+1] = b
-	}
+	slices.SortFunc(binds, func(a, b Bind) int { return cmp.Compare(a.Key, b.Key) })
+	committed, conflicted = st.committed[:0], st.conflicted[:0]
 	prev := st.snap
-	next := &Snapshot{Version: prev.Version + 1, Hosts: make([]*HostInfo, len(prev.Hosts))}
-	copy(next.Hosts, prev.Hosts)
-	cloned := make(map[int]int, len(binds)) // node -> index of its clone in next.Hosts
+	next := &Snapshot{Version: prev.Version + 1, Hosts: slices.Clone(prev.Hosts)}
+	st.round++
+	st.touched = st.touched[:0]
 
 	// cloneOf returns the index of a node's mutable clone (-1 if absent),
-	// cloning copy-on-write on first touch.
+	// cloning copy-on-write on first touch this round.
 	cloneOf := func(node int) int {
-		idx, ok := cloned[node]
-		if !ok {
-			idx = hostIndex(next.Hosts, node)
-			if idx >= 0 {
-				clone := *next.Hosts[idx]
-				clone.VMs = append(make([]VMInfo, 0, len(clone.VMs)+1), clone.VMs...)
-				next.Hosts[idx] = &clone
-				cloned[node] = idx
-			} else {
-				cloned[node] = idx
-			}
+		idx := hostIndex(next.Hosts, node)
+		if idx < 0 || st.stamp[idx] == st.round {
+			return idx
 		}
+		st.stamp[idx] = st.round
+		st.touched = append(st.touched, idx)
+		clone := *next.Hosts[idx]
+		if spare := st.spare[idx]; spare != nil {
+			clone.VMs = spare[:len(clone.VMs)] // append in place
+		} else {
+			clone.VMs = slices.Clip(clone.VMs) // not ours: append copies
+		}
+		next.Hosts[idx] = &clone
 		return idx
 	}
 	// apply validates one bind against the evolving view and claims its
 	// resources. It reports failure without mutating anything.
-	apply := func(b Bind) bool {
+	apply := func(b *Bind) bool {
 		idx := cloneOf(b.Node)
 		if idx < 0 {
 			return false
@@ -372,11 +402,6 @@ func (st *Store) CommitRound(binds []Bind) (committed, conflicted []Bind) {
 		return true
 	}
 
-	// savedHost is one host's exact pre-group state, for gang rollback.
-	type savedHost struct {
-		idx, free, vms int
-		io, mem        float64
-	}
 	for i := 0; i < len(binds); {
 		j := i + 1
 		if g := binds[i].Gang; g != 0 {
@@ -395,24 +420,22 @@ func (st *Store) CommitRound(binds []Bind) (committed, conflicted []Bind) {
 			conflicted = append(conflicted, group...)
 			continue
 		}
-		var saves []savedHost
+		saves := st.saves[:0]
 		if group[0].Gang != 0 {
-			seen := make(map[int]bool, len(group))
-			for _, b := range group {
-				if seen[b.Node] {
+			for k := range group {
+				idx := cloneOf(group[k].Node)
+				if idx < 0 || slices.ContainsFunc(saves, func(s savedHost) bool { return s.idx == idx }) {
 					continue
 				}
-				seen[b.Node] = true
-				if idx := cloneOf(b.Node); idx >= 0 {
-					h := next.Hosts[idx]
-					saves = append(saves, savedHost{idx: idx, free: h.FreePCPUs,
-						vms: len(h.VMs), io: h.IOCommitted, mem: h.MemBWCommitted})
-				}
+				h := next.Hosts[idx]
+				saves = append(saves, savedHost{idx: idx, free: h.FreePCPUs,
+					vms: len(h.VMs), io: h.IOCommitted, mem: h.MemBWCommitted})
 			}
 		}
+		st.saves = saves
 		applied := 0
-		for _, b := range group {
-			if !apply(b) {
+		for k := range group {
+			if !apply(&group[k]) {
 				break
 			}
 			applied++
@@ -435,7 +458,17 @@ func (st *Store) CommitRound(binds []Bind) (committed, conflicted []Bind) {
 		st.conflicts += uint64(len(group))
 		conflicted = append(conflicted, group...)
 	}
+	st.committed, st.conflicted = committed, conflicted
 	if len(committed) > 0 {
+		// Publish the clones with their VMs clipped, and remember the
+		// full arrays for the next commit. A round that commits nothing
+		// installs nothing: its clones are dropped, and the appends it made
+		// past a published len are invisible, so spare stays valid.
+		for _, idx := range st.touched {
+			h := next.Hosts[idx]
+			st.spare[idx] = h.VMs
+			h.VMs = slices.Clip(h.VMs)
+		}
 		st.snap = next
 	}
 	return committed, conflicted
