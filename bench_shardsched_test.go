@@ -17,8 +17,8 @@ import (
 // Baseline: a cost-faithful replica of the pre-schedshard serial path — for
 // every arriving VM, rebuild the full fleet snapshot (one cloned HostInfo
 // plus a copied VM slice per host, exactly what Fleet.buildSnapshot
-// allocated per placement decision) and run the old allocating Select
-// (fresh trace slice + sort.Slice) over it.
+// allocated per placement decision) and run the old plugin-chain Select
+// (an interface call per plugin, a fresh trace slice + sort.Slice) over it.
 //
 // Current: the schedshard store + one-shard scheduler — publish the fleet
 // once, then place in waves of rounds against immutable snapshots with
@@ -28,7 +28,7 @@ import (
 // execute per shard.
 //
 // The baseline scores every (host, spec) pair. The current side scores
-// each host once per spec variant per round and afterwards re-scores only
+// each host once per penalty class per round and afterwards re-scores only
 // the hosts it claims (the lane score cache). The measured difference is
 // the per-placement O(hosts) rebuild, the per-call trace/sort allocations
 // and the re-scoring the cache avoids. Ratios are same-process and
@@ -47,10 +47,11 @@ const (
 )
 
 // minShardSpeedup is the placement-round floor. The recorded
-// BENCH_shardsched.json holds 61.4x on the 2k-host fleet, the median of
-// five runs on 2 CPUs (50.6–83.6x). 20x sits 2.5x below the slowest run
-// and still fails a lane that lost its score cache (4.5–5.1x without it)
-// or a reintroduced per-placement rebuild (1x by construction).
+// BENCH_shardsched.json holds 79.7x on the 2k-host fleet, the median of
+// five runs on a shared, busy 2-CPU host (37.2–91.2x; quieter runs of the
+// same scheduler gave 50.6–83.6x). 20x sits below the slowest run and
+// still fails a lane that lost its score cache (4.5–5.1x without it) or a
+// reintroduced per-placement rebuild (1x by construction).
 const minShardSpeedup = 20.0
 
 // maxAllocsPerPlacement budgets the copy-on-write commit path: a commit
@@ -100,35 +101,121 @@ func shardBenchFleet() []*schedshard.HostInfo {
 }
 
 // legacyPipeline replicates the pre-schedshard Pipeline.Select hot path
-// exactly: the same plugin chain, but a fresh trace allocation per call and
-// a sort.Slice (closure + reflect swapper) over it.
+// exactly: the interference pipeline as a chain of filter and score plugins
+// behind interfaces, a fresh trace allocation per call and a sort.Slice
+// (closure + reflect swapper) over it.
 type legacyPipeline struct {
-	filters []schedshard.FilterPlugin
-	scorers []legacyScorer
+	filters []legacyFilter
+	scorers []legacyWeighted
 }
 
-type legacyScorer struct {
-	plugin schedshard.ScorePlugin
+type legacyFilter interface {
+	Filter(h *schedshard.HostInfo, s schedshard.Spec) bool
+}
+
+type legacyScorer interface {
+	Score(h *schedshard.HostInfo, s schedshard.Spec) float64
+}
+
+type legacyWeighted struct {
+	plugin legacyScorer
 	weight float64
+}
+
+// legacyHostScore is one host's entry in the legacy decision trace.
+type legacyHostScore struct {
+	Node     int
+	Feasible bool
+	Score    float64
+}
+
+type legacyFitsPCPUs struct{}
+
+func (legacyFitsPCPUs) Filter(h *schedshard.HostInfo, _ schedshard.Spec) bool { return h.FreePCPUs > 0 }
+
+type legacyHealthyHost struct{}
+
+func (legacyHealthyHost) Filter(h *schedshard.HostInfo, _ schedshard.Spec) bool {
+	return h.Health != schedshard.HealthQuarantined
+}
+
+// legacyInterferenceAware re-derives its parameters and walks the host's
+// resident VMs for both penalty sums on every call, as the plugin did.
+type legacyInterferenceAware struct {
+	LargeBuffer   int
+	StaticPenalty float64
+}
+
+func (ia legacyInterferenceAware) Score(h *schedshard.HostInfo, s schedshard.Spec) float64 {
+	large, static := ia.LargeBuffer, ia.StaticPenalty
+	if large <= 0 {
+		large = 256 << 10
+	}
+	if static <= 0 {
+		static = 1
+	}
+	if !s.LatencySensitive && s.BufferSize < large {
+		return 1
+	}
+	lat, bulk := 0.0, 0.0
+	for i := range h.VMs {
+		vm := &h.VMs[i]
+		if vm.EffectiveBuffer() >= large {
+			lat += static
+			if h.LinkBytesPerSec > 0 {
+				lat += vm.BytesPerSec / h.LinkBytesPerSec
+			}
+		}
+		if vm.Spec.LatencySensitive {
+			bulk += static
+		}
+	}
+	if s.LatencySensitive {
+		return 1 / (1 + lat)
+	}
+	return 1 / (1 + bulk)
+}
+
+type legacyResoHeadroom struct{}
+
+func (legacyResoHeadroom) Score(h *schedshard.HostInfo, _ schedshard.Spec) float64 {
+	free := 1 - h.IOCommitted
+	if free < 0 {
+		free = 0
+	}
+	hr := h.ResoHeadroom
+	if hr > 1 {
+		hr = 1
+	}
+	return 0.5*free + 0.5*hr
+}
+
+type legacySpreadByCPU struct{}
+
+func (legacySpreadByCPU) Score(h *schedshard.HostInfo, _ schedshard.Spec) float64 {
+	if h.TotalPCPUs == 0 {
+		return 0
+	}
+	return float64(h.FreePCPUs) / float64(h.TotalPCPUs)
 }
 
 func newLegacyInterferencePipeline() *legacyPipeline {
 	return &legacyPipeline{
-		filters: []schedshard.FilterPlugin{schedshard.FitsPCPUs{}, schedshard.HealthyHost{}},
-		scorers: []legacyScorer{
-			{schedshard.InterferenceAware{}, 1},
-			{schedshard.ResoHeadroom{}, 0.3},
-			{schedshard.SpreadByCPU{}, 0.5},
+		filters: []legacyFilter{legacyFitsPCPUs{}, legacyHealthyHost{}},
+		scorers: []legacyWeighted{
+			{legacyInterferenceAware{}, 1},
+			{legacyResoHeadroom{}, 0.3},
+			{legacySpreadByCPU{}, 0.5},
 		},
 	}
 }
 
-func (p *legacyPipeline) Select(hosts []*schedshard.HostInfo, s schedshard.Spec) (*schedshard.HostInfo, []schedshard.HostScore) {
+func (p *legacyPipeline) Select(hosts []*schedshard.HostInfo, s schedshard.Spec) (*schedshard.HostInfo, []legacyHostScore) {
 	var best *schedshard.HostInfo
 	bestScore := 0.0
-	trace := make([]schedshard.HostScore, 0, len(hosts))
+	trace := make([]legacyHostScore, 0, len(hosts))
 	for _, h := range hosts {
-		hs := schedshard.HostScore{Node: h.Node, Feasible: true}
+		hs := legacyHostScore{Node: h.Node, Feasible: true}
 		for _, f := range p.filters {
 			if !f.Filter(h, s) {
 				hs.Feasible = false

@@ -24,19 +24,23 @@ var unsetConfigFields = map[string]string{
 	"exchange.BoardConfig.Beta":              "FuzzRateQuote sweeps the price curve's shape",
 	"exchange.BoardConfig.MaxPrice":          "FuzzRateQuote sweeps the price clamp",
 	"exchange.BoardConfig.UMax":              "FuzzRateQuote sweeps the utilization cap",
+	"faults.GenConfig.FlapEvery":             "TestGenerateDeterministicAndBounded, TestInjectorReplayDeterministic and TestFaultPlansAudited turn storms into flaps",
+	"faults.GenConfig.InvalidateEvery":       "TestFaultPlansAudited draws the invalidation layer's period or disables it",
+	"faults.GenConfig.MigrateFailEvery":      "TestFaultPlansAudited draws the migration-failure layer's period or disables it",
+	"faults.GenConfig.StallEvery":            "TestFaultPlansAudited draws the stall layer's period or disables it",
 	"placement.MigrationConfig.StateBytes":   "tests migrate a small image to keep runs short",
 	"placement.RebalanceConfig.Migration":    "tests hand the rebalancer a small-image cost model",
 	"placement.RebalanceConfig.Patience":     "rebalancer tests pin the breach patience they assert on",
 	"placement.RebalanceConfig.RetryBackoff": "fault tests exercise the abort backoff, off by default",
-	"schedshard.Config.NewPipeline":          "tests substitute pipelines",
 	"softrt.Config.Frames":                   "tests bound the stream to a fixed frame count",
+	"workload.Config.IntervalsPerEpoch":      "TestRandomRigsStrict and the other property tests in internal/invariant/prop shorten epochs to 50 intervals",
 	"workload.SLOSpec.Window":                "TestSLOTrackerWindows shortens the evaluation window",
 }
 
 // TestConfigFieldsAreSet keeps config structs honest: every exported field
 // of an internal struct named *Config, *Spec, *Costs or Options must have a
-// writer in the non-test code of the module, cmd/ or bench/,
-// outside its own type's withDefaults. A writer is a composite-literal key
+// writer in the non-test code of the module, cmd/ or bench/ (see
+// loadModule), outside its own type's withDefaults. A writer is a composite-literal key
 // or an assignment or increment; a nested one such as
 // p.Exchange.Capacity[d] = … writes every field on its path. A field with no
 // writer has one value in use and belongs in a constant; unsetConfigFields
@@ -126,13 +130,13 @@ var uncalledAPI = map[string]string{
 	"hca.QP.RateLimit":             "TestQPRateLimit reads the pacing rate back",
 	"hca.QP.Remote":                "TestBuildSimParFleetShape checks cross-site QP wiring",
 	"ibmon.Monitor.Target":         "TestWatchValidation and TestIBMonDiscoveryThroughBackend check what IBMon watches",
-	"prop.*":                       "the generators of the property tests in internal/invariant/prop",
 	"resex.IntervalData.TotalMTUs": "TestObserverSeesUsage sums the MTUs observers see",
 	"ring.Queue.Cap":               "TestQueueMatchesSliceFIFO and TestBackloggedFlowReusesQueueStorage bound the backing array",
 	"schedshard.Snapshot.Host":     "TestSnapshotHostLookup and TestCommitGangRollbackExact inspect hosts",
 	"sim.Engine.NextBreak":         "TestBreakpointInWindowSeqNeutral checks armed breakpoints",
 	"sim.Engine.Pending":           "TestPendingCountsWheel and FuzzEventQueue count queued events",
 	"sim.Engine.Run":               "25 test files drain the event queue with it",
+	"sim.Rand.Int63n":              "the property-test generators in internal/invariant/prop draw tenant and fault-plan seeds with it",
 	"sim.Timer.When":               "TestTimerWhenAfterFire and TestEveryTimerWhen check timer times",
 	"simpar.Coordinator.Host":      "TestCheckpointPurityAndInvariance checkpoints each host",
 	"simpar.Interconnect.Site":     "TestBuildSimParFleetShape checks site registration",
@@ -149,11 +153,11 @@ var uncalledAPI = map[string]string{
 
 // TestExportedAPIHasCallers keeps test-only API out: every exported
 // function, method and package-level var under internal/ must be referenced
-// by the non-test code of the module, cmd/ or bench/. A method of a generic
-// type counts through its origin. Exempt are methods that satisfy an
-// interface declared in the module or one of stdInterfaces, and observers:
-// methods without parameters whose body is a single return of a field.
-// uncalledAPI lists the rest.
+// by the non-test code of the module, cmd/ or bench/ (see loadModule). A
+// method of a generic type counts through its origin. Exempt are methods
+// that satisfy an interface declared in the module or one of
+// stdInterfaces, and observers: methods without parameters whose body is a
+// single return of a field. uncalledAPI lists the rest.
 func TestExportedAPIHasCallers(t *testing.T) {
 	l := loadModule(t)
 
@@ -325,8 +329,12 @@ var (
 	moduleErr    error
 )
 
-// loadModule type-checks every package of the module, cmd/ and bench/ from
-// source, without their tests, once for all the scans in this package.
+// loadModule type-checks the module's non-test code from source, once for
+// all the scans in this package: the root package, cmd/ and bench/, without
+// their tests, and every internal/ package they import. An internal/
+// package only tests import (internal/invariant/prop, the property tests'
+// generators) is test code, so it is not loaded and neither writes a config
+// field nor calls an API.
 func loadModule(t *testing.T) *loader {
 	t.Helper()
 	moduleOnce.Do(func() {
@@ -346,8 +354,8 @@ func loadModule(t *testing.T) *loader {
 			if err != nil || !d.IsDir() {
 				return err
 			}
-			if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
+			if name := d.Name(); path != "." && (name == "testdata" || name == "internal" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir // internal/ loads through imports
 			}
 			if _, err := build.ImportDir(path, 0); err != nil {
 				return nil // no non-test Go files here

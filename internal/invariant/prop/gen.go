@@ -113,8 +113,7 @@ func MixedTenants(rng *sim.Rand, bulkMemPerReq int) []workload.TenantSpec {
 
 // ScaleSets draws n scale-set arrivals for the gang scheduler: sizes from a
 // couple of members up to chunky sets that must span hosts, a mix of
-// latency-sensitive web tiers and big-buffer bulk tiers, with the occasional
-// declared memory-bandwidth demand for mixed-criticality fleets.
+// latency-sensitive web tiers and big-buffer bulk tiers.
 func ScaleSets(rng *sim.Rand, n int) []workload.ScaleSetSpec {
 	sets := make([]workload.ScaleSetSpec, 0, n)
 	for i := 0; i < n; i++ {
@@ -131,9 +130,6 @@ func ScaleSets(rng *sim.Rand, n int) []workload.ScaleSetSpec {
 			s.BufferSize = 2 << 20
 			s.BytesPerSec, s.MTUsPerSec = 60e6, 60e6/1024
 		}
-		if rng.Intn(4) == 0 {
-			s.MemBytesPerSec = float64(1+rng.Intn(50)) * 1e6
-		}
 		sets = append(sets, s)
 	}
 	return sets
@@ -141,21 +137,15 @@ func ScaleSets(rng *sim.Rand, n int) []workload.ScaleSetSpec {
 
 // GangFleet draws the synthetic host fleet a gang-placement property runs
 // against: a host count and per-host headroom tight enough that gangs
-// genuinely fight for PCPUs across shards, every host with an uplink, and —
-// half the time — a memory-bandwidth capacity so the third commit dimension
-// is exercised too.
+// genuinely fight for PCPUs across shards, and every host with an uplink.
 func GangFleet(rng *sim.Rand) []*schedshard.HostInfo {
 	n := 4 + rng.Intn(12)
 	free := 4 + rng.Intn(28)
-	membw := 0.0
-	if rng.Intn(2) == 0 {
-		membw = 400e6
-	}
 	hosts := make([]*schedshard.HostInfo, n)
 	for i := range hosts {
 		hosts[i] = &schedshard.HostInfo{
 			Node: i + 1, FreePCPUs: free, TotalPCPUs: free,
-			LinkBytesPerSec: 1e9, MemBWBytesPerSec: membw, ResoHeadroom: 1,
+			LinkBytesPerSec: 1e9, ResoHeadroom: 1,
 		}
 	}
 	return hosts

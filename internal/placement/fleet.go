@@ -294,7 +294,7 @@ func (f *Fleet) workerIdx(node int) int {
 // starts server, client and monitoring agent.
 func (f *Fleet) Place(w Workload) (*Placement, error) {
 	spec := schedshard.Spec{Name: w.Name, LatencySensitive: w.LatencySensitive, BufferSize: w.BufferSize}
-	host, _, err := f.cfg.Strategy.Pick(f.refresh().Hosts, spec, f.rng)
+	host, err := f.cfg.Strategy.Pick(f.refresh().Hosts, spec, f.rng)
 	if err != nil {
 		return nil, err
 	}

@@ -7,9 +7,9 @@
 // the missing second actuator: deciding *where* VMs run, and *moving* them
 // when throttling alone cannot restore an SLA. It has three parts:
 //
-//   - a filter → score → bind plugin pipeline (in the style of kube
-//     scheduler plugins) that places arriving VMs using per-host capacity,
-//     Reso headroom, and IBMon-profiled interference pressure;
+//   - a placement pipeline — a feasibility rule, then a weighted score —
+//     that places arriving VMs using per-host capacity, Reso headroom, and
+//     IBMon-profiled interference pressure;
 //   - a live-migration actuator modeled in the discrete-event engine:
 //     pre-copy of the VM state as MTU-segmented fabric traffic (migration
 //     contends with workload I/O on the real links), a stop-and-copy round
@@ -46,40 +46,40 @@ import (
 // RandomStrategy is the experiment baseline.
 type Strategy interface {
 	Name() string
-	Pick(hosts []*schedshard.HostInfo, s schedshard.Spec, rng *sim.Rand) (*schedshard.HostInfo, []schedshard.HostScore, error)
+	Pick(hosts []*schedshard.HostInfo, s schedshard.Spec, rng *sim.Rand) (*schedshard.HostInfo, error)
 }
 
-// PipelineStrategy runs a plugin pipeline.
+// PipelineStrategy runs one of schedshard's pipelines.
 type PipelineStrategy struct {
 	Label string
-	P     *schedshard.Pipeline
+	P     schedshard.Pipeline
 }
 
 // Name implements Strategy.
 func (ps PipelineStrategy) Name() string { return ps.Label }
 
 // Pick implements Strategy.
-func (ps PipelineStrategy) Pick(hosts []*schedshard.HostInfo, s schedshard.Spec, _ *sim.Rand) (*schedshard.HostInfo, []schedshard.HostScore, error) {
-	return ps.P.Select(hosts, s)
+func (ps PipelineStrategy) Pick(hosts []*schedshard.HostInfo, s schedshard.Spec, _ *sim.Rand) (*schedshard.HostInfo, error) {
+	return ps.P.Pick(hosts, s)
 }
 
-// RandomStrategy picks uniformly among hosts with a free PCPU — the
-// baseline every real scheduler must beat.
+// RandomStrategy picks uniformly among the hosts the pipelines' feasibility
+// rule admits — the baseline every real scheduler must beat.
 type RandomStrategy struct{}
 
 // Name implements Strategy.
 func (RandomStrategy) Name() string { return "random" }
 
 // Pick implements Strategy.
-func (RandomStrategy) Pick(hosts []*schedshard.HostInfo, s schedshard.Spec, rng *sim.Rand) (*schedshard.HostInfo, []schedshard.HostScore, error) {
+func (RandomStrategy) Pick(hosts []*schedshard.HostInfo, s schedshard.Spec, rng *sim.Rand) (*schedshard.HostInfo, error) {
 	var feasible []*schedshard.HostInfo
 	for _, h := range hosts {
-		if (schedshard.FitsPCPUs{}).Filter(h, s) && (schedshard.HealthyHost{}).Filter(h, s) {
+		if schedshard.Feasible(h) {
 			feasible = append(feasible, h)
 		}
 	}
 	if len(feasible) == 0 {
-		return nil, nil, fmt.Errorf("placement: no feasible host for %q", s.Name)
+		return nil, fmt.Errorf("placement: no feasible host for %q", s.Name)
 	}
-	return feasible[rng.Intn(len(feasible))], nil, nil
+	return feasible[rng.Intn(len(feasible))], nil
 }

@@ -30,45 +30,43 @@ func bulkWorkload(name string, seed int64) Workload {
 type pinStrategy struct{ node int }
 
 func (s pinStrategy) Name() string { return "pin" }
-func (s pinStrategy) Pick(hosts []*schedshard.HostInfo, sp schedshard.Spec, _ *sim.Rand) (*schedshard.HostInfo, []schedshard.HostScore, error) {
+func (s pinStrategy) Pick(hosts []*schedshard.HostInfo, sp schedshard.Spec, _ *sim.Rand) (*schedshard.HostInfo, error) {
 	for _, h := range hosts {
 		if h.Node == s.node {
-			return h, nil, nil
+			return h, nil
 		}
 	}
-	return nil, nil, fmt.Errorf("pin: node %d not offered", s.node)
+	return nil, fmt.Errorf("pin: node %d not offered", s.node)
 }
 
+// TestPipelineSelectTieBreakAndDeterminism: Pick over a store's snapshot
+// (what Fleet.Place scores) breaks a score tie to the lowest node, skips a
+// full host, decides the same way every time, and errors when no host is
+// feasible.
 func TestPipelineSelectTieBreakAndDeterminism(t *testing.T) {
 	mk := func() []*schedshard.HostInfo {
-		return []*schedshard.HostInfo{
+		return schedshard.NewStore().Publish([]*schedshard.HostInfo{
 			{Node: 3, FreePCPUs: 4, TotalPCPUs: 7, ResoHeadroom: 1},
 			{Node: 1, FreePCPUs: 4, TotalPCPUs: 7, ResoHeadroom: 1},
 			{Node: 2, FreePCPUs: 0, TotalPCPUs: 7, ResoHeadroom: 1},
-		}
+		}).Hosts
 	}
 	pipe := schedshard.NewInterferencePipeline()
 	spec := schedshard.Spec{Name: "ls", LatencySensitive: true, BufferSize: 64 << 10}
-	best, trace, err := pipe.Select(mk(), spec)
+	best, err := pipe.Pick(mk(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if best.Node != 1 {
 		t.Errorf("tie should break to lowest node, got %d", best.Node)
 	}
-	if len(trace) != 3 || trace[0].Node != 1 || trace[1].Node != 2 || trace[2].Node != 3 {
-		t.Errorf("trace not sorted by node: %+v", trace)
-	}
-	if trace[1].Feasible {
-		t.Error("full host passed the PCPU filter")
-	}
-	again, _, _ := pipe.Select(mk(), spec)
+	again, _ := pipe.Pick(mk(), spec)
 	if again.Node != best.Node {
-		t.Error("Select not deterministic")
+		t.Error("Pick not deterministic")
 	}
 
 	// No feasible host at all.
-	if _, _, err := pipe.Select([]*schedshard.HostInfo{{Node: 1, TotalPCPUs: 7}}, spec); err == nil {
+	if _, err := pipe.Pick([]*schedshard.HostInfo{{Node: 1, TotalPCPUs: 7}}, spec); err == nil {
 		t.Error("expected error with no feasible host")
 	}
 }
@@ -91,14 +89,14 @@ func TestInterferenceAwareBeatsSpreadOnContaminatedHost(t *testing.T) {
 	}
 	spec := schedshard.Spec{Name: "ls-new", LatencySensitive: true, BufferSize: 64 << 10}
 
-	spread, _, err := schedshard.NewSpreadPipeline().Select(mk(), spec)
+	spread, err := schedshard.NewSpreadPipeline().Pick(mk(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spread.Node != 1 {
 		t.Errorf("spread should chase free CPUs onto node1, got %d", spread.Node)
 	}
-	aware, _, err := schedshard.NewInterferencePipeline().Select(mk(), spec)
+	aware, err := schedshard.NewInterferencePipeline().Pick(mk(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +113,7 @@ func TestInterferenceAwareBeatsSpreadOnContaminatedHost(t *testing.T) {
 		{Node: 2, FreePCPUs: 3, TotalPCPUs: 7, LinkBytesPerSec: 1e9, ResoHeadroom: 1,
 			VMs: []schedshard.VMInfo{bulk}},
 	}
-	got, _, err := schedshard.NewInterferencePipeline().Select(hosts, bulkSpec)
+	got, err := schedshard.NewInterferencePipeline().Pick(hosts, bulkSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,6 @@ const (
 	// considered fully throttled; if the victim still breaches, the only
 	// remedy left is moving someone.
 	CapFloorPct = 5.0
-	// LargeBuffer classifies interferer candidates, like the scorer's
-	// threshold.
-	LargeBuffer = 256 << 10
 	// MaxRetryBackoffs caps the abort backoff at this many RetryBackoffs.
 	MaxRetryBackoffs = 8
 )
@@ -61,7 +58,7 @@ func (c RebalanceConfig) withDefaults() RebalanceConfig {
 type Rebalancer struct {
 	f       *Fleet
 	cfg     RebalanceConfig
-	pipe    *schedshard.Pipeline
+	pipe    schedshard.Pipeline
 	running bool
 }
 
@@ -125,7 +122,7 @@ func (r *Rebalancer) pass(p *sim.Proc) {
 		if pl.HostIdx != srcIdx || pl.Spec.LatencySensitive {
 			continue
 		}
-		if pl.Spec.BufferSize < LargeBuffer {
+		if pl.Spec.BufferSize < schedshard.LargeBuffer {
 			continue
 		}
 		rate := 0.0
@@ -161,7 +158,7 @@ func (r *Rebalancer) pass(p *sim.Proc) {
 	// refreshed snapshot with the mover elided); migrate only to a strictly
 	// better home — when its current host wins (or ties), moving would be
 	// churn, not improvement.
-	target, _, err := r.pipe.Select(f.whatIf(mover), mover.Spec)
+	target, err := r.pipe.Pick(f.whatIf(mover), mover.Spec)
 	if err != nil {
 		f.Log.Add(f.TB.Eng.Now(), "rebalance", "%s needs to move off node%d but %v",
 			mover.Spec.Name, src.Node, err)

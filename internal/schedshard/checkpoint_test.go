@@ -75,7 +75,7 @@ func TestCheckpointMidRunPinsPendingQueue(t *testing.T) {
 	store := NewStore()
 	store.Publish(testHosts(2, 1))
 	seed := seedSplittingKeys(t)
-	s := NewScheduler(store, Config{Shards: 2, Seed: seed, NewPipeline: NewSpreadPipeline})
+	s := NewScheduler(store, Config{Shards: 2, Seed: seed})
 	s.Enqueue(Spec{Name: "a", LatencySensitive: true}, lsVM("a", 1e6))
 	s.Enqueue(Spec{Name: "b", LatencySensitive: true}, lsVM("b", 1e6))
 	s.Round() // key 2 conflicts and requeues

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// gangVM builds a member VMInfo with optional declared membw demand.
-func gangVM(bps, membps float64) VMInfo {
-	spec := Spec{Name: "g", LatencySensitive: true, BufferSize: 64 << 10, MemBytesPerSec: membps}
-	return VMInfo{Spec: spec, BytesPerSec: bps, MemBytesPerSec: membps, BufferSize: 64 << 10}
+// gangVM builds a latency-sensitive member VMInfo sending bps.
+func gangVM(bps float64) VMInfo {
+	spec := Spec{Name: "g", LatencySensitive: true, BufferSize: 64 << 10}
+	return VMInfo{Spec: spec, BytesPerSec: bps, BufferSize: 64 << 10}
 }
 
 // TestEnqueueGangNamesAndKeys pins the gang enqueue contract: consecutive
@@ -17,7 +17,7 @@ func gangVM(bps, membps float64) VMInfo {
 func TestEnqueueGangNamesAndKeys(t *testing.T) {
 	s := NewScheduler(NewStore(), Config{})
 	s.Enqueue(Spec{Name: "pre"}, VMInfo{})
-	gang := s.EnqueueGang(Spec{Name: "web"}, gangVM(1e6, 0), 3)
+	gang := s.EnqueueGang(Spec{Name: "web"}, gangVM(1e6), 3)
 	if gang != 2 {
 		t.Fatalf("gang id = %d, want 2 (first member's key)", gang)
 	}
@@ -55,10 +55,10 @@ func TestCommitGangRollbackExact(t *testing.T) {
 	// both hosts.
 	binds := []Bind{
 		{Key: 1, Node: 1, VM: lsVM("solo", 0.1e9)},
-		{Key: 2, Node: 1, VM: gangVM(0.2e9, 0), Gang: 2, GangSize: 4},
-		{Key: 3, Node: 1, VM: gangVM(0.2e9, 0), Gang: 2, GangSize: 4},
-		{Key: 4, Node: 2, VM: gangVM(0.2e9, 0), Gang: 2, GangSize: 4},
-		{Key: 5, Node: 2, VM: gangVM(0.2e9, 0), Gang: 2, GangSize: 4},
+		{Key: 2, Node: 1, VM: gangVM(0.2e9), Gang: 2, GangSize: 4},
+		{Key: 3, Node: 1, VM: gangVM(0.2e9), Gang: 2, GangSize: 4},
+		{Key: 4, Node: 2, VM: gangVM(0.2e9), Gang: 2, GangSize: 4},
+		{Key: 5, Node: 2, VM: gangVM(0.2e9), Gang: 2, GangSize: 4},
 	}
 	committed, conflicted := st.CommitRound(binds)
 	if len(committed) != 1 || committed[0].Key != 1 {
@@ -91,40 +91,14 @@ func TestCommitPartialGangRejectedWholesale(t *testing.T) {
 	st.Publish(testHosts(1, 4))
 	prev := st.Snapshot()
 	committed, conflicted := st.CommitRound([]Bind{
-		{Key: 1, Node: 1, VM: gangVM(1e6, 0), Gang: 1, GangSize: 3},
-		{Key: 2, Node: 1, VM: gangVM(1e6, 0), Gang: 1, GangSize: 3},
+		{Key: 1, Node: 1, VM: gangVM(1e6), Gang: 1, GangSize: 3},
+		{Key: 2, Node: 1, VM: gangVM(1e6), Gang: 1, GangSize: 3},
 	})
 	if len(committed) != 0 || len(conflicted) != 2 {
 		t.Fatalf("committed=%d conflicted=%d, want 0/2", len(committed), len(conflicted))
 	}
 	if st.Snapshot() != prev {
 		t.Error("partial-gang rejection installed a new snapshot")
-	}
-}
-
-// TestCommitGangMemBWGate: on a host that declares memory-bandwidth
-// capacity, a gang whose members push MemBWCommitted to saturation loses
-// whole once a member hits the full gate, and the rollback restores the
-// exact membw fraction.
-func TestCommitGangMemBWGate(t *testing.T) {
-	st := NewStore()
-	hosts := testHosts(1, 8)
-	hosts[0].MemBWBytesPerSec = 100e6
-	st.Publish(hosts)
-	// Two members at 60% of the membw budget each: member 1 lands (0.6),
-	// member 2 finds MemBWCommitted 0.6 < 1 so it lands too (1.2), member 3
-	// hits the >= 1 gate and the gang unwinds.
-	var binds []Bind
-	for k := uint64(1); k <= 3; k++ {
-		binds = append(binds, Bind{Key: k, Node: 1, VM: gangVM(1e6, 60e6), Gang: 1, GangSize: 3})
-	}
-	committed, conflicted := st.CommitRound(binds)
-	if len(committed) != 0 || len(conflicted) != 3 {
-		t.Fatalf("committed=%d conflicted=%d, want 0/3", len(committed), len(conflicted))
-	}
-	h := st.Snapshot().Host(1)
-	if h.MemBWCommitted != 0 || h.FreePCPUs != 8 || len(h.VMs) != 0 {
-		t.Errorf("membw rollback residue: committed=%v free=%d vms=%d", h.MemBWCommitted, h.FreePCPUs, len(h.VMs))
 	}
 }
 
@@ -135,14 +109,14 @@ func TestGangConflictRequeuesWholeWithFields(t *testing.T) {
 	seed := seedSplittingKeys(t)
 	store := NewStore()
 	store.Publish(testHosts(2, 2))
-	s := NewScheduler(store, Config{Shards: 2, Seed: seed, NewPipeline: NewSpreadPipeline})
+	s := NewScheduler(store, Config{Shards: 2, Seed: seed})
 	// Key 1: a singleton on one shard; keys 2-3: a gang on the other. Both
-	// shards see two empty 2-PCPU hosts and spread onto node 1 first — the
+	// shards see two empty 2-PCPU hosts and pick node 1 first — the
 	// singleton (lower key) wins its slot, and whether the gang collides
-	// depends on the spread layout; drive rounds until the gang lands and
-	// then check it landed whole.
+	// depends on where its members land; drive rounds until the gang lands
+	// and then check it landed whole.
 	s.Enqueue(Spec{Name: "solo", LatencySensitive: true}, lsVM("solo", 1e6))
-	gang := s.EnqueueGang(Spec{Name: "web", LatencySensitive: true}, gangVM(1e6, 0), 2)
+	gang := s.EnqueueGang(Spec{Name: "web", LatencySensitive: true}, gangVM(1e6), 2)
 	s.Round()
 	if s.PendingLen() > 0 {
 		// The gang conflicted: every member must be back with fields intact.
@@ -178,7 +152,7 @@ func TestGangLargerThanFleetFailsWhole(t *testing.T) {
 	store := NewStore()
 	store.Publish(testHosts(2, 1))
 	s := NewScheduler(store, Config{})
-	s.EnqueueGang(Spec{Name: "big", LatencySensitive: true}, gangVM(1e6, 0), 4)
+	s.EnqueueGang(Spec{Name: "big", LatencySensitive: true}, gangVM(1e6), 4)
 	s.Run()
 	gs := s.Gangs()
 	if gs.Failed != 1 || gs.Placed != 0 || gs.Partial != 0 {
@@ -191,15 +165,15 @@ func TestGangLargerThanFleetFailsWhole(t *testing.T) {
 
 // FuzzGangCommit feeds CommitRound adversarial bind programs — random
 // fleets, random gang shapes, corrupted gang declarations, out-of-range
-// nodes, quarantined hosts, membw-declaring members — and checks the
-// store's gang contract on every input: each gang's committed-member count
-// is exactly 0 or its declared GangSize, every bind comes back exactly once,
-// and the installed snapshot's per-host accounting stays consistent.
+// nodes, quarantined hosts — and checks the store's gang contract on every
+// input: each gang's committed-member count is exactly 0 or its declared
+// GangSize, every bind comes back exactly once, and the installed
+// snapshot's per-host accounting stays consistent.
 func FuzzGangCommit(f *testing.F) {
 	f.Add([]byte{3, 2, 0x03, 1, 0, 0x05, 2, 1})                // two small gangs
 	f.Add([]byte{1, 1, 0x07, 0, 0, 0x02, 9, 0})                // tight host, big gang, stray singleton
-	f.Add([]byte{4, 0xC3, 0x05, 1, 1, 0x03, 2, 0, 0x01, 7, 3}) // membw + quarantine bits
-	f.Add([]byte{2, 0x82, 0x09, 0, 1, 0x09, 1, 1})             // membw fleet, duplicate targets
+	f.Add([]byte{4, 0xC3, 0x05, 1, 1, 0x03, 2, 0, 0x01, 7, 3}) // quarantine bit
+	f.Add([]byte{2, 0x82, 0x09, 0, 1, 0x09, 1, 1})             // duplicate targets
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			t.Skip()
@@ -207,11 +181,6 @@ func FuzzGangCommit(f *testing.F) {
 		nHosts := 1 + int(data[0]%8)
 		free := 1 + int(data[1]&0x3f%6)
 		hosts := testHosts(nHosts, free)
-		if data[1]&0x80 != 0 {
-			for _, h := range hosts {
-				h.MemBWBytesPerSec = 100e6
-			}
-		}
 		if data[1]&0x40 != 0 {
 			hosts[0].Health = HealthQuarantined
 		}
@@ -223,7 +192,7 @@ func FuzzGangCommit(f *testing.F) {
 		for i := 2; i+2 < len(data); i += 3 {
 			b0, b1, b2 := data[i], data[i+1], data[i+2]
 			node := func(m byte) int { return 1 + int(b1+m)%(nHosts+1) } // may be absent
-			vm := gangVM(float64(b2)*1e6, float64(b2&0x0f)*10e6)
+			vm := gangVM(float64(b2) * 1e6)
 			if b0&1 == 0 {
 				key++
 				binds = append(binds, Bind{Key: key, Node: node(0), VM: vm})
@@ -271,9 +240,6 @@ func FuzzGangCommit(f *testing.F) {
 			if h.TotalPCPUs-h.FreePCPUs != len(h.VMs) {
 				t.Fatalf("node %d accounting: total %d - free %d != %d resident VMs",
 					h.Node, h.TotalPCPUs, h.FreePCPUs, len(h.VMs))
-			}
-			if h.MemBWBytesPerSec == 0 && h.MemBWCommitted != 0 {
-				t.Fatalf("node %d committed membw without capacity", h.Node)
 			}
 			resident += len(h.VMs)
 		}

@@ -13,15 +13,11 @@ import (
 	"resex/internal/exchange"
 )
 
-// laneFleet is randomFleet plus the dimensions only some pipelines read:
-// memory-bandwidth capacity and commitment, and exchange prices.
+// laneFleet is randomFleet plus the dimension only the rate pipeline
+// reads: exchange prices.
 func laneFleet(rng *rand.Rand) []*HostInfo {
 	hosts := randomFleet(rng)
 	for _, h := range hosts {
-		if rng.Intn(3) == 0 {
-			h.MemBWBytesPerSec = 1e9
-			h.MemBWCommitted = 1.2 * rng.Float64()
-		}
 		if rng.Intn(2) == 0 {
 			h.Prices[exchange.DimCPU] = 3 * rng.Float64()
 			h.Prices[exchange.DimFabric] = 3 * rng.Float64()
@@ -30,59 +26,25 @@ func laneFleet(rng *rand.Rand) []*HostInfo {
 	return hosts
 }
 
-// laneSpec is randomSpec with a random name and, sometimes, a
-// memory-bandwidth demand.
+// laneSpec is randomSpec with a random name.
 func laneSpec(rng *rand.Rand) Spec {
 	s := randomSpec(rng)
 	s.Name = fmt.Sprintf("vm%d", rng.Intn(1000))
-	if rng.Intn(3) == 0 {
-		s.MemBytesPerSec = 1e8 * rng.Float64()
-	}
 	return s
 }
 
 func laneVM(rng *rand.Rand, s Spec) VMInfo {
-	return VMInfo{Spec: s, BytesPerSec: 1e8 * rng.Float64(),
-		MemBytesPerSec: s.MemBytesPerSec, BufferSize: s.BufferSize}
+	return VMInfo{Spec: s, BytesPerSec: 1e8 * rng.Float64(), BufferSize: s.BufferSize}
 }
 
-type namedPipeline struct {
-	name string
-	pure bool // the pipeline is class-pure: its lanes pick from the cache
-	pipe func() *Pipeline
-}
-
-// lanePipelines are the three built-ins, a non-default InterferenceAware
-// key, two InterferenceAware scorers sharing one key, a filters-only
-// pipeline whose every pick is a tie, and three pipelines that are not
-// class-pure: two InterferenceAware keys, and a scorer or a filter that
-// reads Spec.Name.
-func lanePipelines() []namedPipeline {
-	return []namedPipeline{
-		{"interference", true, NewInterferencePipeline},
-		{"rate", true, NewRatePipeline},
-		{"spread", true, NewSpreadPipeline},
-		{"custom", true, func() *Pipeline {
-			return NewPipeline().AddFilter(FitsPCPUs{}).AddFilter(MemBWFit{}).
-				AddScorer(InterferenceAware{LargeBuffer: 1 << 20, StaticPenalty: 0.25}, 1).
-				AddScorer(SpreadByCPU{}, 0.5)
-		}},
-		{"same-key", true, func() *Pipeline {
-			return NewPipeline().AddFilter(FitsPCPUs{}).AddFilter(HealthyHost{}).
-				AddScorer(InterferenceAware{}, 1).
-				AddScorer(InterferenceAware{LargeBuffer: 256 << 10, StaticPenalty: 1}, 0.5).
-				AddScorer(ResoHeadroom{}, 0.3)
-		}},
-		{"filters-only", true, func() *Pipeline {
-			return NewPipeline().AddFilter(FitsPCPUs{}).AddFilter(MemBWFit{})
-		}},
-		{"two-keys", false, func() *Pipeline { return memoPipelines()["two-keys"] }},
-		{"name", false, func() *Pipeline {
-			return NewInterferencePipeline().AddScorer(nameScore{}, 0.1)
-		}},
-		{"name-filter", false, func() *Pipeline {
-			return NewSpreadPipeline().AddFilter(nameFilter{})
-		}},
+// lanePipelines are the three built-ins and the zero Pipeline, which
+// scores every feasible host 0, so every pick is a tie.
+func lanePipelines() map[string]Pipeline {
+	return map[string]Pipeline{
+		"interference": NewInterferencePipeline(),
+		"rate":         NewRatePipeline(),
+		"spread":       NewSpreadPipeline(),
+		"ties":         {},
 	}
 }
 
@@ -94,9 +56,9 @@ type laneGroup struct {
 }
 
 // checkLanePick runs one random program of picks, claims and unwinds
-// through a lane on every lane pipeline. Each pick must choose
-// the index the reference Pipeline.pick (no memo, no cache) chooses on the
-// same view, and at the end every cached outcome must equal a fresh score.
+// through a lane on every lane pipeline. Each pick must choose the index
+// the reference Pipeline.pick (no memo, no cache) chooses on the same view,
+// and at the end every cached outcome must equal a fresh score.
 func checkLanePick(t *testing.T, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -110,11 +72,7 @@ func checkLanePick(t *testing.T, seed int64) {
 		}
 		groups[g].unwind = rng.Intn(4) == 0
 	}
-	for _, np := range lanePipelines() {
-		pipe := np.pipe()
-		if pipe.classPure() != np.pure {
-			t.Fatalf("%s: classPure() = %v, want %v", np.name, !np.pure, np.pure)
-		}
+	for name, pipe := range lanePipelines() {
 		ln := &lane{pipe: pipe}
 		ln.refresh(snap, off)
 		for g, grp := range groups {
@@ -122,9 +80,9 @@ func checkLanePick(t *testing.T, seed int64) {
 			for m := range grp.members {
 				p := &grp.members[m]
 				got := ln.pick(p.Spec)
-				if want := pipe.pick(ln.ptrs, nil, p.Spec, off); got != want {
+				if want := pipe.pick(ln.ptrs, p.Spec, off); got != want {
 					t.Fatalf("seed %d %s group %d member %d (%+v): cached pick %d, reference %d",
-						seed, np.name, g, m, p.Spec, got, want)
+						seed, name, g, m, p.Spec, got, want)
 				}
 				if got < 0 {
 					break
@@ -135,43 +93,27 @@ func checkLanePick(t *testing.T, seed int64) {
 				ln.unwind(claims)
 			}
 		}
-		for v, ok := range ln.cache.filled {
+		for c, ok := range ln.cache.filled {
 			if !ok {
 				continue
 			}
 			for i, h := range ln.ptrs {
-				var e cachedScore
-				e.score, e.ok = pipe.score(i, h, nil, 0, ln.cache.specs[v])
-				if got := ln.cache.rows[v][i]; got.ok != e.ok || (e.ok && got.score != e.score) {
-					t.Fatalf("seed %d %s variant %d host %d: cached %+v, fresh %+v", seed, np.name, v, h.Node, got, e)
+				e := cachedScore{ok: Feasible(h)}
+				if e.ok {
+					e.score = pipe.score(h, penaltyClass(c).of(penalties(h)))
+				}
+				if got := ln.cache.rows[c][i]; got != e {
+					t.Fatalf("seed %d %s class %d host %d: cached %+v, fresh %+v", seed, name, c, h.Node, got, e)
 				}
 			}
 		}
 	}
 }
 
-// opaqueFilter and opaqueScorer hide a built-in plugin behind a test type:
-// a pipeline built from them is not class-pure, so its lanes take the
-// reference path, and it carries no InterferenceAware key, so it walks
-// every penalty too.
-type opaqueFilter struct{ FilterPlugin }
-type opaqueScorer struct{ ScorePlugin }
-
-func opaque(p *Pipeline) *Pipeline {
-	q := NewPipeline()
-	for _, f := range p.filters {
-		q.AddFilter(opaqueFilter{f})
-	}
-	for _, ws := range p.scorers {
-		q.AddScorer(opaqueScorer{ws.plugin}, ws.weight)
-	}
-	return q
-}
-
 // checkRoundsMatchReference drives whole scheduler runs — random fleet,
 // shard count, tie-break mode, singles and gangs in waves — once with each
-// lane pipeline and once with its opaque copy. Lanes must reproduce the
-// reference run exactly: binds, failures, per-shard
+// lane pipeline on cached lanes and once on reference lanes. The cached
+// run must reproduce the reference run exactly: binds, failures, per-shard
 // counters, gang accounting and the final snapshot.
 func checkRoundsMatchReference(t *testing.T, seed int64) {
 	t.Helper()
@@ -192,7 +134,7 @@ func checkRoundsMatchReference(t *testing.T, seed int64) {
 		}
 	}
 	wave := 1 + rng.Intn(8)
-	run := func(newPipe func() *Pipeline) *Scheduler {
+	run := func(pipe Pipeline, reference bool) *Scheduler {
 		hosts := make([]*HostInfo, len(fleet))
 		for i, h := range fleet {
 			c := *h
@@ -200,9 +142,10 @@ func checkRoundsMatchReference(t *testing.T, seed int64) {
 		}
 		store := NewStore()
 		store.Publish(hosts)
-		c := cfg
-		c.NewPipeline = newPipe
-		s := NewScheduler(store, c)
+		s := NewScheduler(store, cfg)
+		for _, ln := range s.lanes {
+			ln.pipe, ln.reference = pipe, reference
+		}
 		for i, a := range arrivals {
 			if a.gang > 0 {
 				s.EnqueueGang(a.spec, a.vm, a.gang)
@@ -216,20 +159,19 @@ func checkRoundsMatchReference(t *testing.T, seed int64) {
 		s.Run()
 		return s
 	}
-	for _, np := range lanePipelines() {
-		got := run(np.pipe)
-		want := run(func() *Pipeline { return opaque(np.pipe()) })
+	for name, pipe := range lanePipelines() {
+		got, want := run(pipe, false), run(pipe, true)
 		if !reflect.DeepEqual(got.Bound(), want.Bound()) {
-			t.Fatalf("seed %d %s: binds differ:\n got %v\nwant %v", seed, np.name, got.Bound(), want.Bound())
+			t.Fatalf("seed %d %s: binds differ:\n got %v\nwant %v", seed, name, got.Bound(), want.Bound())
 		}
 		if !reflect.DeepEqual(got.Failed(), want.Failed()) || !reflect.DeepEqual(got.Shards(), want.Shards()) ||
 			got.Gangs() != want.Gangs() || got.Rounds() != want.Rounds() || got.Retries() != want.Retries() {
-			t.Fatalf("seed %d %s: counters differ", seed, np.name)
+			t.Fatalf("seed %d %s: counters differ", seed, name)
 		}
 		gj, _ := json.Marshal(got.Store().Snapshot().Hosts)
 		wj, _ := json.Marshal(want.Store().Snapshot().Hosts)
 		if !bytes.Equal(gj, wj) {
-			t.Fatalf("seed %d %s: final snapshots differ", seed, np.name)
+			t.Fatalf("seed %d %s: final snapshots differ", seed, name)
 		}
 	}
 }
@@ -251,54 +193,6 @@ func FuzzLanePick(f *testing.F) {
 		checkLanePick(t, seed)
 		checkRoundsMatchReference(t, seed)
 	})
-}
-
-// nameScore is a custom plugin that reads Spec.Name: it favors node
-// 1+len(Name)%4, so two specs of one variant want different hosts.
-type nameScore struct{}
-
-func (nameScore) Name() string { return "name" }
-func (nameScore) Score(h *HostInfo, s Spec) float64 {
-	if h.Node == 1+len(s.Name)%4 {
-		return 1
-	}
-	return 0
-}
-
-// nameFilter is a custom filter that reads Spec.Name: it rules out every
-// third host, by name length.
-type nameFilter struct{}
-
-func (nameFilter) Name() string                    { return "name" }
-func (nameFilter) Filter(h *HostInfo, s Spec) bool { return h.Node%3 != len(s.Name)%3 }
-
-// TestNameReadingPluginTakesReferencePath: a pipeline with a plugin the
-// score cache knows nothing about is not class-pure, so every pick scores
-// afresh and each VM lands where its own name sends it. A cache keyed on
-// the variant would reuse the first spec's scores and herd them all.
-func TestNameReadingPluginTakesReferencePath(t *testing.T) {
-	newPipe := func() *Pipeline {
-		return NewPipeline().AddFilter(FitsPCPUs{}).
-			AddScorer(InterferenceAware{}, 1).AddScorer(nameScore{}, 1)
-	}
-	if newPipe().classPure() {
-		t.Fatal("pipeline with a custom scorer reported class-pure")
-	}
-	store := NewStore()
-	store.Publish(testHosts(4, 4))
-	s := NewScheduler(store, Config{NewPipeline: newPipe})
-	names := []string{"a", "bb", "ccc", "dddd"}
-	for _, n := range names {
-		s.Enqueue(Spec{Name: n, LatencySensitive: true, BufferSize: 64 << 10}, lsVM(n, 1e6))
-	}
-	if rs := s.Round(); rs.Committed != len(names) {
-		t.Fatalf("round = %+v, want %d commits", rs, len(names))
-	}
-	for i, b := range s.Bound() {
-		if want := 1 + len(names[i])%4; b.Node != want {
-			t.Errorf("%s bound to node%d, want node%d", names[i], b.Node, want)
-		}
-	}
 }
 
 // heldSnapshot is what a reader saw: the hosts' JSON and a copy of every
@@ -464,7 +358,7 @@ func TestHeldSnapshotsNeverChange(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		s.Enqueue(Spec{Name: "ls", LatencySensitive: true, BufferSize: 64 << 10}, lsVM("ls", 2e6))
 	}
-	s.EnqueueGang(Spec{Name: "big", LatencySensitive: true}, gangVM(1e6, 0), 64)
+	s.EnqueueGang(Spec{Name: "big", LatencySensitive: true}, gangVM(1e6), 64)
 	s.Run()
 	hold()
 

@@ -7,16 +7,16 @@ import (
 	"testing"
 )
 
-// refPenalty is InterferenceAware's resident-VM walk as a plain loop over
-// copied VMInfo values, the memo-free reference the memo must reproduce
-// float for float.
-func refPenalty(h *HostInfo, c penaltyClass, large int, static float64) float64 {
+// refPenalty is the interference penalty's resident-VM walk as a plain
+// loop over copied VMInfo values, the memo-free reference the memo must
+// reproduce float for float.
+func refPenalty(h *HostInfo, c penaltyClass) float64 {
 	penalty := 0.0
 	switch c {
 	case classLatency:
 		for _, vm := range h.VMs {
-			if vm.EffectiveBuffer() >= large {
-				penalty += static
+			if vm.EffectiveBuffer() >= LargeBuffer {
+				penalty += staticPenalty
 				if h.LinkBytesPerSec > 0 {
 					penalty += vm.BytesPerSec / h.LinkBytesPerSec
 				}
@@ -25,7 +25,7 @@ func refPenalty(h *HostInfo, c penaltyClass, large int, static float64) float64 
 	case classBulk:
 		for _, vm := range h.VMs {
 			if vm.Spec.LatencySensitive {
-				penalty += static
+				penalty += staticPenalty
 			}
 		}
 	}
@@ -70,68 +70,26 @@ func randomFleet(rng *rand.Rand) []*HostInfo {
 	return hosts
 }
 
-// memoPipelines covers the built-in memo-armed pipelines, non-default
-// InterferenceAware parameters, and a second InterferenceAware scorer whose
-// key differs from the memo's (it must fall back to the plain walk).
-func memoPipelines() map[string]*Pipeline {
-	custom := InterferenceAware{LargeBuffer: 1 << 20, StaticPenalty: 0.25}
-	return map[string]*Pipeline{
-		"interference": NewInterferencePipeline(),
-		"rate":         NewRatePipeline(),
-		"custom": NewPipeline().AddFilter(FitsPCPUs{}).
-			AddScorer(custom, 1).AddScorer(SpreadByCPU{}, 0.5),
-		"two-keys": NewPipeline().AddFilter(FitsPCPUs{}).AddFilter(HealthyHost{}).
-			AddScorer(InterferenceAware{}, 1).AddScorer(custom, 0.7).
-			AddScorer(ResoHeadroom{}, 0.3),
-	}
-}
-
-// checkPickMemo drives one random fleet through a lane-style sequence of
-// picks and local claims on every memo pipeline: the memo-armed pick must
-// choose the same index as memo-free pick every time, and afterwards every
-// memoised penalty must equal the reference walk exactly.
+// checkPickMemo drives a lane through a random sequence of picks and local
+// claims on a random fleet, then checks that every view host's memoised
+// penalty, for every class, equals the reference walk exactly: claims move
+// headroom only, so the memo the picks filled must still hold.
 func checkPickMemo(t *testing.T, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	fleet := randomFleet(rng)
-	specs := make([]Spec, 1+rng.Intn(16))
-	offs := make([]int, len(specs))
-	for i := range specs {
-		specs[i] = randomSpec(rng)
-		offs[i] = rng.Intn(len(fleet))
+	snap := &Snapshot{Hosts: randomFleet(rng)}
+	ln := &lane{pipe: NewInterferencePipeline()}
+	ln.refresh(snap, rng.Intn(len(snap.Hosts)))
+	for n := 1 + rng.Intn(16); n > 0; n-- {
+		p := Pending{Spec: randomSpec(rng), VM: VMInfo{BytesPerSec: 1e6}}
+		if i := ln.pick(p.Spec); i >= 0 {
+			ln.claimFor(i, &p)
+		}
 	}
-	for name, pipe := range memoPipelines() {
-		hosts := make([]*HostInfo, len(fleet))
-		for i, h := range fleet {
-			c := *h
-			hosts[i] = &c
-		}
-		key, ok := pipe.penaltyKey()
-		if !ok {
-			t.Fatalf("%s: pipeline has no InterferenceAware scorer", name)
-		}
-		var memo penaltyMemo
-		memo.arm(len(hosts), key)
-		for i, spec := range specs {
-			got := pipe.pick(hosts, &memo, spec, offs[i])
-			if want := pipe.pick(hosts, nil, spec, offs[i]); got != want {
-				t.Fatalf("seed %d %s pick %d: memo chose %d, reference %d", seed, name, i, got, want)
-			}
-			if got >= 0 { // claim locally, as runLane does: VMs stay put
-				h := hosts[got]
-				h.FreePCPUs--
-				if h.LinkBytesPerSec > 0 {
-					h.IOCommitted += 1e6 / h.LinkBytesPerSec
-				}
-			}
-		}
-		for i, h := range hosts {
-			for _, c := range []penaltyClass{classNone, classLatency, classBulk} {
-				want := refPenalty(h, c, key.large, key.static)
-				if got := memo.penalty(i, h, c); got != want {
-					t.Fatalf("seed %d %s host %d class %d: memo penalty %v, reference %v",
-						seed, name, h.Node, c, got, want)
-				}
+	for i, h := range ln.ptrs {
+		for c := classNone; c < numClasses; c++ {
+			if got, want := ln.memo.penalty(i, h, c), refPenalty(h, c); got != want {
+				t.Fatalf("seed %d host %d class %d: memo penalty %v, reference %v", seed, h.Node, c, got, want)
 			}
 		}
 	}

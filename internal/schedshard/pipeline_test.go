@@ -19,22 +19,18 @@ func contaminatedFleet() []*HostInfo {
 	return hosts
 }
 
-// TestSelectZeroAllocHotPath is the zero-alloc contract on the warmed
-// pipeline: Select reuses its trace scratch, so steady-state placement
-// decisions allocate nothing.
+// TestSelectZeroAllocHotPath: the serial placement decision, Pick, must
+// allocate nothing per call on a feasible fleet.
 func TestSelectZeroAllocHotPath(t *testing.T) {
 	pipe := NewInterferencePipeline()
 	hosts := contaminatedFleet()
 	spec := Spec{Name: "probe", LatencySensitive: true, BufferSize: 64 << 10}
-	if _, _, err := pipe.Select(hosts, spec); err != nil { // warm the scratch
-		t.Fatal(err)
-	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := pipe.Select(hosts, spec); err != nil {
+		if _, err := pipe.Pick(hosts, spec); err != nil {
 			t.Error(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("warmed Select allocates %.1f times per call, want 0", allocs)
+		t.Errorf("Pick allocates %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -45,32 +41,11 @@ func TestPickZeroAlloc(t *testing.T) {
 	hosts := contaminatedFleet()
 	spec := Spec{Name: "probe", LatencySensitive: true, BufferSize: 64 << 10}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if pipe.pick(hosts, nil, spec, 3) < 0 {
+		if pipe.pick(hosts, spec, 3) < 0 {
 			t.Error("no feasible host")
 		}
 	}); allocs != 0 {
-		t.Errorf("Pick allocates %.1f times per call, want 0", allocs)
-	}
-}
-
-// TestPickMatchesSelectAtZeroOffset: with off = 0 over a Node-sorted list,
-// Pick must agree with Select exactly — same winner, including tie-breaks.
-func TestPickMatchesSelectAtZeroOffset(t *testing.T) {
-	pipe := NewInterferencePipeline()
-	hosts := contaminatedFleet()
-	specs := []Spec{
-		{Name: "ls", LatencySensitive: true, BufferSize: 64 << 10},
-		{Name: "bulk", BufferSize: 2 << 20},
-	}
-	for _, spec := range specs {
-		best, _, err := pipe.Select(hosts, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx := pipe.pick(hosts, nil, spec, 0)
-		if idx < 0 || hosts[idx].Node != best.Node {
-			t.Errorf("spec %q: Pick -> node%d, Select -> node%d", spec.Name, hosts[idx].Node, best.Node)
-		}
+		t.Errorf("pick allocates %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -82,7 +57,7 @@ func TestPickRotatedTieBreak(t *testing.T) {
 	hosts := testHosts(8, 4)
 	spec := Spec{Name: "probe", LatencySensitive: true, BufferSize: 64 << 10}
 	for off := 0; off < len(hosts); off++ {
-		idx := pipe.pick(hosts, nil, spec, off)
+		idx := pipe.pick(hosts, spec, off)
 		if idx != off {
 			t.Errorf("off=%d picked index %d, want %d (rotation start)", off, idx, off)
 		}
@@ -91,7 +66,7 @@ func TestPickRotatedTieBreak(t *testing.T) {
 	for _, h := range hosts {
 		h.FreePCPUs = 0
 	}
-	if idx := pipe.pick(hosts, nil, spec, 3); idx != -1 {
+	if idx := pipe.pick(hosts, spec, 3); idx != -1 {
 		t.Errorf("exhausted fleet picked index %d, want -1", idx)
 	}
 }
@@ -100,14 +75,11 @@ func TestPickRotatedTieBreak(t *testing.T) {
 // host quotes a congested fabric — the cheap host must score higher, and an
 // unpriced host must score exactly its plain headroom.
 func TestRateWeightedHeadroomDiscountsByPrice(t *testing.T) {
-	sc := RateWeightedHeadroom{}
-	spec := Spec{Name: "probe"}
-
 	cheap := &HostInfo{Node: 1, FreePCPUs: 4, TotalPCPUs: 8, LinkBytesPerSec: 1e9}
 	dear := &HostInfo{Node: 2, FreePCPUs: 4, TotalPCPUs: 8, LinkBytesPerSec: 1e9}
 	dear.Prices[exchange.DimFabric] = 8
 
-	sCheap, sDear := sc.Score(cheap, spec), sc.Score(dear, spec)
+	sCheap, sDear := rateWeightedHeadroom(cheap), rateWeightedHeadroom(dear)
 	if sCheap <= sDear {
 		t.Fatalf("congested fabric not discounted: cheap %.3f <= dear %.3f", sCheap, sDear)
 	}
@@ -116,7 +88,7 @@ func TestRateWeightedHeadroomDiscountsByPrice(t *testing.T) {
 		t.Fatalf("unpriced score = %.3f, want %.3f", sCheap, want)
 	}
 	for _, h := range []*HostInfo{cheap, dear} {
-		if s := sc.Score(h, spec); s < 0 || s > 1 {
+		if s := rateWeightedHeadroom(h); s < 0 || s > 1 {
 			t.Fatalf("score %.3f out of [0,1]", s)
 		}
 	}
@@ -131,7 +103,7 @@ func TestRatePipelinePrefersCheapHost(t *testing.T) {
 	}
 	pipe := NewRatePipeline()
 	spec := Spec{Name: "bulk", BufferSize: 2 << 20}
-	best, _, err := pipe.Select(hosts, spec)
+	best, err := pipe.Pick(hosts, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +114,7 @@ func TestRatePipelinePrefersCheapHost(t *testing.T) {
 	// latency-sensitive arrival and it must lose to a pricier clean host.
 	hosts[0].VMs = []VMInfo{{Spec: Spec{Name: "bulk0", BufferSize: 2 << 20}, BytesPerSec: 100e6, BufferSize: 2 << 20}}
 	ls := Spec{Name: "ls", LatencySensitive: true, BufferSize: 64 << 10}
-	best, _, err = pipe.Select(hosts, ls)
+	best, err = pipe.Pick(hosts, ls)
 	if err != nil {
 		t.Fatal(err)
 	}

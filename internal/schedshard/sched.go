@@ -9,9 +9,9 @@ import (
 type Config struct {
 	// Shards is the number of logical placement shards the pending queue is
 	// partitioned into. This is a semantic parameter: it changes which
-	// pipeline instance sees which VM and therefore how often shards
-	// collide at commit (the conflict-rate-vs-shard-count curve in
-	// abl-shardsched). Default 1 — the serial scheduler, zero conflicts.
+	// shard sees which VM and therefore how often shards collide at commit
+	// (the conflict-rate-vs-shard-count curve in abl-shardsched). Default
+	// 1 — the serial scheduler, zero conflicts.
 	Shards int
 	// Workers bounds the goroutines that execute one round's shards.
 	// Purely a wall-clock knob, exactly like experiments.Options.Parallel:
@@ -21,10 +21,6 @@ type Config struct {
 	Workers int
 	// Seed drives the splitmix64 key→shard partition hash.
 	Seed int64
-	// NewPipeline builds one shard's private pipeline (pipelines carry
-	// scratch buffers and must not be shared across goroutines). Default
-	// NewInterferencePipeline.
-	NewPipeline func() *Pipeline
 	// AvoidConflicts rotates each shard's score-tie-break start around the
 	// host ring (shard i of S starts at host i·len/S) — the smart conflict
 	// avoidance of the arktos design. Off, every shard breaks ties toward
@@ -41,9 +37,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers > c.Shards {
 		c.Workers = c.Shards
-	}
-	if c.NewPipeline == nil {
-		c.NewPipeline = NewInterferencePipeline
 	}
 	return c
 }
@@ -90,26 +83,27 @@ type RoundStats struct {
 // touched by exactly one goroutine per round; the barrier between the
 // propose phase and the merge phase is the only synchronization.
 type lane struct {
-	pipe    *Pipeline
-	view    []HostInfo   // snapshot copy the shard claims against
-	ptrs    []*HostInfo  // pointers into view, what the pipeline scores
-	off     int          // this round's tie-break rotation
-	memo    penaltyMemo  // view hosts' interference penalties, reset per round
-	pens    *penaltyMemo // &memo when armed (the pipeline has an InterferenceAware), else nil
-	cached  bool         // the pipeline is class-pure: picks use cache
-	cache   scoreCache   // view hosts' outcomes per variant, reset per round
-	work    []Pending    // this round's partition slice (reused)
-	props   []Bind       // this round's proposals (reused)
-	starved []Pending    // this round's infeasible requests (reused)
-	claims  []claim      // the current group's claims (reused)
+	pipe    Pipeline
+	view    []HostInfo  // snapshot copy the shard claims against
+	ptrs    []*HostInfo // pointers into view, what the pipeline scores
+	off     int         // this round's tie-break rotation
+	memo    penaltyMemo // view hosts' interference penalties, reset per round
+	cache   scoreCache  // view hosts' outcomes per penalty class, reset per round
+	work    []Pending   // this round's partition slice (reused)
+	props   []Bind      // this round's proposals (reused)
+	starved []Pending   // this round's infeasible requests (reused)
+	claims  []claim     // the current group's claims (reused)
 	stats   ShardCounters
+	// reference, set only by tests, makes pick score afresh through
+	// Pipeline.pick: the run a cached lane must reproduce exactly.
+	reference bool
 }
 
 // claim is one local claim's exact prior values on view host idx, so a
 // failed gang unwinds with no float residue.
 type claim struct {
 	idx, free int
-	io, mem   float64
+	io        float64
 }
 
 // refresh copies snap into the lane's private view and empties the
@@ -127,38 +121,28 @@ func (ln *lane) refresh(snap *Snapshot, off int) {
 		ln.ptrs[i] = &ln.view[i]
 	}
 	ln.off = off
-	ln.pens = nil
-	if k, ok := ln.pipe.penaltyKey(); ok {
-		ln.memo.arm(n, k)
-		ln.pens = &ln.memo
-	}
-	ln.cached = ln.pipe.classPure()
-	ln.cache.filled = [numVariants]bool{}
+	ln.memo.arm(n)
+	ln.cache.filled = [numClasses]bool{}
 }
 
 // pick returns the view index the lane's pipeline chooses for s (-1 if no
-// host is feasible). A class-pure pipeline's first pick for a variant
-// scores every view host into the cache; later picks for that variant scan
-// the cached outcomes with the same rule, so they return exactly what
-// Pipeline.pick would.
+// host is feasible). The first pick for a penalty class scores every view
+// host into the cache; later picks for that class scan the cached outcomes
+// with the same rule, so they return exactly what Pipeline.pick would.
 func (ln *lane) pick(s Spec) int {
-	if !ln.cached {
-		return ln.pipe.pick(ln.ptrs, ln.pens, s, ln.off)
+	if ln.reference {
+		return ln.pipe.pick(ln.ptrs, s, ln.off)
 	}
-	var class penaltyClass
-	if ln.pens != nil {
-		class = ln.pens.key.class(s)
-	}
-	v := variantOf(class, s)
-	c := &ln.cache
-	if !c.filled[v] {
-		c.filled[v], c.specs[v] = true, s
-		c.rows[v] = resize(c.rows[v], len(ln.ptrs))
+	c := classOf(s)
+	cache := &ln.cache
+	if !cache.filled[c] {
+		cache.filled[c] = true
+		cache.rows[c] = resize(cache.rows[c], len(ln.ptrs))
 		for i := range ln.ptrs {
-			ln.rescoreVariant(v, i)
+			ln.rescoreClass(c, i)
 		}
 	}
-	row := c.rows[v]
+	row := cache.rows[c]
 	w := newWinner(len(row), ln.off)
 	for i := range row {
 		if row[i].ok {
@@ -168,38 +152,39 @@ func (ln *lane) pick(s Spec) int {
 	return w.best
 }
 
-// rescoreVariant recomputes view host i's cached outcome for variant v.
-func (ln *lane) rescoreVariant(v variant, i int) {
-	e := &ln.cache.rows[v][i]
-	e.score, e.ok = ln.pipe.score(i, ln.ptrs[i], ln.pens, v.class(), ln.cache.specs[v])
+// rescoreClass recomputes view host i's cached outcome for class c.
+func (ln *lane) rescoreClass(c penaltyClass, i int) {
+	h := ln.ptrs[i]
+	e := &ln.cache.rows[c][i]
+	*e = cachedScore{ok: Feasible(h)}
+	if e.ok {
+		e.score = ln.pipe.score(h, ln.memo.penalty(i, h, c))
+	}
 }
 
 // rescore recomputes view host i's cached outcomes after its headroom
 // changed. Its penalties cannot have: claims never touch VMs.
 func (ln *lane) rescore(i int) {
-	for v, ok := range ln.cache.filled {
+	for c, ok := range ln.cache.filled {
 		if ok {
-			ln.rescoreVariant(variant(v), i)
+			ln.rescoreClass(penaltyClass(c), i)
 		}
 	}
 }
 
 // claimFor adjusts view host idx's headroom for p so this shard's later
 // picks see its earlier ones, and returns the prior values. The claim
-// touches FreePCPUs, IOCommitted and MemBWCommitted but never the
-// resident-VM list — same-round interference between a shard's own
-// proposals becomes visible only after commit, like every other shard's.
-// Never mutate h.VMs: it aliases the shared snapshot, and the penalty memo
-// relies on it staying fixed for the round.
+// touches FreePCPUs and IOCommitted but never the resident-VM list —
+// same-round interference between a shard's own proposals becomes visible
+// only after commit, like every other shard's. Never mutate h.VMs: it
+// aliases the shared snapshot, and the penalty memo relies on it staying
+// fixed for the round.
 func (ln *lane) claimFor(idx int, p *Pending) claim {
 	h := &ln.view[idx]
-	c := claim{idx: idx, free: h.FreePCPUs, io: h.IOCommitted, mem: h.MemBWCommitted}
+	c := claim{idx: idx, free: h.FreePCPUs, io: h.IOCommitted}
 	h.FreePCPUs--
 	if h.LinkBytesPerSec > 0 {
 		h.IOCommitted += p.VM.BytesPerSec / h.LinkBytesPerSec
-	}
-	if h.MemBWBytesPerSec > 0 {
-		h.MemBWCommitted += p.VM.MemBytesPerSec / h.MemBWBytesPerSec
 	}
 	ln.rescore(idx)
 	return c
@@ -213,7 +198,6 @@ func (ln *lane) unwind(claims []claim) {
 		h := &ln.view[c.idx]
 		h.FreePCPUs = c.free
 		h.IOCommitted = c.io
-		h.MemBWCommitted = c.mem
 		ln.rescore(c.idx)
 	}
 }
@@ -263,12 +247,13 @@ type GangStats struct {
 	Partial uint64
 }
 
-// NewScheduler builds a scheduler over the given store.
+// NewScheduler builds a scheduler over the given store. Every shard places
+// with NewInterferencePipeline.
 func NewScheduler(store *Store, cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{cfg: cfg, store: store}
 	for i := 0; i < cfg.Shards; i++ {
-		s.lanes = append(s.lanes, &lane{pipe: cfg.NewPipeline(), stats: ShardCounters{Shard: i}})
+		s.lanes = append(s.lanes, &lane{pipe: NewInterferencePipeline(), stats: ShardCounters{Shard: i}})
 	}
 	return s
 }

@@ -28,9 +28,7 @@ func TestConflictLoserRebindsNextRound(t *testing.T) {
 	seed := seedSplittingKeys(t)
 	store := NewStore()
 	store.Publish(testHosts(2, 1))
-	s := NewScheduler(store, Config{
-		Shards: 2, Seed: seed, NewPipeline: NewSpreadPipeline,
-	})
+	s := NewScheduler(store, Config{Shards: 2, Seed: seed})
 	s.Enqueue(Spec{Name: "a", LatencySensitive: true}, lsVM("a", 1e6))
 	s.Enqueue(Spec{Name: "b", LatencySensitive: true}, lsVM("b", 1e6))
 
@@ -152,7 +150,7 @@ func TestAvoidConflictsReducesHerding(t *testing.T) {
 func TestExhaustedFleetFailsRemainder(t *testing.T) {
 	store := NewStore()
 	store.Publish(testHosts(1, 1))
-	s := NewScheduler(store, Config{Shards: 2, Seed: 1, NewPipeline: NewSpreadPipeline})
+	s := NewScheduler(store, Config{Shards: 2, Seed: 1})
 	for i := 0; i < 3; i++ {
 		s.Enqueue(Spec{Name: "x", LatencySensitive: true}, lsVM("x", 1e6))
 	}

@@ -1,6 +1,6 @@
 // Package schedshard is the shared-state optimistic multi-shard placement
-// layer: the scale-out answer to internal/placement's serial filter→score
-// pipeline, in the style of the arktos/omega global-scheduler design
+// layer: the scale-out answer to internal/placement's serial placement
+// decision, in the style of the arktos/omega global-scheduler design
 // (SNIPPETS.md §2.5 — shared-state lock-free optimistic scheduling).
 //
 // The package has three parts:
@@ -9,10 +9,10 @@
 //     readers get a consistent versioned view for free (it never mutates),
 //     writers commit bind deltas which the store validates against live
 //     headroom, copy-on-write-cloning only the touched hosts;
-//   - a Pipeline — the filter → score plugin chain that used to live in
-//     internal/placement (which now aliases these types) with a zero-alloc
-//     Select hot path and a pick variant whose tie-break can be rotated per
-//     shard for conflict avoidance;
+//   - a Pipeline — one of three fixed placement policies: a feasibility
+//     rule and a weighted sum of built-in scores, led by interference
+//     avoidance — with a zero-alloc pick whose tie-break can be rotated
+//     per shard for conflict avoidance;
 //   - a Scheduler that partitions pending placements across N logical
 //     shards by a seeded splitmix64 hash, runs every shard's pipeline
 //     concurrently against the same snapshot, and merges the shards'
@@ -45,10 +45,6 @@ type Spec struct {
 	// paper's single best predictor of how much damage a VM can do to a
 	// colocated latency-sensitive neighbor.
 	BufferSize int
-	// MemBytesPerSec is the declared memory-bandwidth demand, for
-	// mixed-criticality fleets that reserve memory bandwidth (H-MBR). Zero
-	// on fleets that do not model the dimension.
-	MemBytesPerSec float64
 }
 
 // VMInfo is the scheduler's view of one VM already resident on a host:
@@ -58,12 +54,8 @@ type VMInfo struct {
 	// MTUsPerSec/BytesPerSec are the IBMon-profiled send rates.
 	MTUsPerSec  float64
 	BytesPerSec float64
-	// MemBytesPerSec is the VM's declared (or profiled) memory-bandwidth
-	// demand, for mixed-criticality fleets that reserve memory bandwidth as
-	// a third dimension (H-MBR). Zero on fleets that do not model it.
-	MemBytesPerSec float64
 	// BufferSize is the IBMon-inferred buffer size (may exceed the spec's
-	// declared size; the larger of the two is what scorers should use).
+	// declared size; the interference score uses the larger of the two).
 	BufferSize int
 	// IntfPercent is the VM's latency elevation over its baseline in the
 	// last ResEx epoch, percent.
@@ -113,27 +105,18 @@ func (h HostHealth) String() string {
 	}
 }
 
-// HostInfo is one host's state snapshot, the unit filters and scorers
-// operate on.
+// HostInfo is one host's state snapshot, the unit a Pipeline scores.
 type HostInfo struct {
 	Node       int
 	FreePCPUs  int
 	TotalPCPUs int // guest-assignable PCPUs (excludes dom0's)
-	// Health gates schedulability: quarantined hosts fail the HealthyHost
-	// filter every built-in pipeline carries.
+	// Health gates schedulability: quarantined hosts fail Feasible.
 	Health HostHealth
 	// LinkBytesPerSec is the host uplink capacity.
 	LinkBytesPerSec float64
 	// IOCommitted is the fraction of the uplink the resident VMs' profiled
 	// send rates already account for.
 	IOCommitted float64
-	// MemBWBytesPerSec is the host's memory-bandwidth capacity; zero means
-	// the host does not account for memory bandwidth (every membw filter and
-	// commit check is then a no-op, so existing fleets are unaffected).
-	MemBWBytesPerSec float64
-	// MemBWCommitted is the fraction of MemBWBytesPerSec the resident VMs'
-	// declared memory-bandwidth demands already account for.
-	MemBWCommitted float64
 	// ResoHeadroom is the mean remaining Reso balance fraction across the
 	// host's managed VMs (1 = untouched allocations, 0 = exhausted).
 	ResoHeadroom float64
@@ -189,7 +172,6 @@ func (s *Snapshot) WithoutVM(node int, name string) []*HostInfo {
 		clone := *h
 		clone.VMs = make([]VMInfo, 0, len(h.VMs))
 		clone.IOCommitted = 0
-		clone.MemBWCommitted = 0
 		for k := range h.VMs {
 			vm := &h.VMs[k]
 			if vm.Spec.Name == name {
@@ -197,9 +179,6 @@ func (s *Snapshot) WithoutVM(node int, name string) []*HostInfo {
 			}
 			if clone.LinkBytesPerSec > 0 {
 				clone.IOCommitted += vm.BytesPerSec / clone.LinkBytesPerSec
-			}
-			if clone.MemBWBytesPerSec > 0 {
-				clone.MemBWCommitted += vm.MemBytesPerSec / clone.MemBWBytesPerSec
 			}
 			clone.VMs = append(clone.VMs, *vm)
 		}
@@ -264,7 +243,7 @@ type Store struct {
 // savedHost is one host's exact pre-gang state, for gang rollback.
 type savedHost struct {
 	idx, free, vms int
-	io, mem        float64
+	io             float64
 }
 
 // NewStore creates a store holding an empty version-0 snapshot; call
@@ -324,8 +303,8 @@ func resize[T any](s []T, n int) []T {
 // CommitRound applies one round's proposed binds optimistically: binds are
 // ordered by ascending Key (the canonical merge order — independent of
 // which shard proposed what, or when; keys are unique), then validated one
-// by one against the evolving next view. A bind whose target host has no
-// free PCPU left — because earlier-keyed binds exhausted what the proposing
+// by one against the evolving next view. A bind whose target host fails
+// Feasible — because earlier-keyed binds exhausted what the proposing
 // shard thought was headroom — is a conflict: it is rejected, counted, and
 // returned for the caller to retry against the refreshed snapshot.
 //
@@ -385,18 +364,12 @@ func (st *Store) CommitRound(binds []Bind) (committed, conflicted []Bind) {
 			return false
 		}
 		h := next.Hosts[idx]
-		if h.FreePCPUs <= 0 || h.Health == HealthQuarantined {
+		if !Feasible(h) {
 			return false
-		}
-		if h.MemBWBytesPerSec > 0 && b.VM.MemBytesPerSec > 0 && h.MemBWCommitted >= 1 {
-			return false // memory bandwidth fully committed
 		}
 		h.FreePCPUs--
 		if h.LinkBytesPerSec > 0 {
 			h.IOCommitted += b.VM.BytesPerSec / h.LinkBytesPerSec
-		}
-		if h.MemBWBytesPerSec > 0 {
-			h.MemBWCommitted += b.VM.MemBytesPerSec / h.MemBWBytesPerSec
 		}
 		h.VMs = append(h.VMs, b.VM)
 		return true
@@ -429,7 +402,7 @@ func (st *Store) CommitRound(binds []Bind) (committed, conflicted []Bind) {
 				}
 				h := next.Hosts[idx]
 				saves = append(saves, savedHost{idx: idx, free: h.FreePCPUs,
-					vms: len(h.VMs), io: h.IOCommitted, mem: h.MemBWCommitted})
+					vms: len(h.VMs), io: h.IOCommitted})
 			}
 		}
 		st.saves = saves
@@ -452,7 +425,6 @@ func (st *Store) CommitRound(binds []Bind) (committed, conflicted []Bind) {
 			h := next.Hosts[s.idx]
 			h.FreePCPUs = s.free
 			h.IOCommitted = s.io
-			h.MemBWCommitted = s.mem
 			h.VMs = h.VMs[:s.vms]
 		}
 		st.conflicts += uint64(len(group))

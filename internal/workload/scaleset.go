@@ -21,9 +21,6 @@ type ScaleSetSpec struct {
 	// binds install as resident profiles.
 	MTUsPerSec  float64
 	BytesPerSec float64
-	// MemBytesPerSec is the per-member declared memory-bandwidth demand
-	// (mixed-criticality fleets; zero elsewhere).
-	MemBytesPerSec float64
 }
 
 func (s ScaleSetSpec) withDefaults() ScaleSetSpec {
@@ -44,15 +41,13 @@ func (s ScaleSetSpec) Base() (schedshard.Spec, schedshard.VMInfo) {
 		Name:             s.Name,
 		LatencySensitive: s.LatencySensitive,
 		BufferSize:       s.BufferSize,
-		MemBytesPerSec:   s.MemBytesPerSec,
 	}
 	vm := schedshard.VMInfo{
-		Spec:           spec,
-		MTUsPerSec:     s.MTUsPerSec,
-		BytesPerSec:    s.BytesPerSec,
-		MemBytesPerSec: s.MemBytesPerSec,
-		BufferSize:     s.BufferSize,
-		CapPct:         100,
+		Spec:        spec,
+		MTUsPerSec:  s.MTUsPerSec,
+		BytesPerSec: s.BytesPerSec,
+		BufferSize:  s.BufferSize,
+		CapPct:      100,
 	}
 	return spec, vm
 }
