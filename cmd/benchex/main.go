@@ -27,7 +27,14 @@ import (
 	"resex/internal/sim"
 )
 
-// parseSize reads a positive byte size such as "64KB", "2MB" or "512B".
+// maxSize bounds both buffer flags. The interferer's guest holds 19 buffers
+// of its size (a send buffer and 18 receive slots, on the client and on the
+// server alike), and a guest has 512 MB, so 26 MB is the most that fits;
+// maxSize rounds that down to a power of two.
+const maxSize = 16 << 20
+
+// parseSize reads a positive byte size of at most maxSize, such as "64KB",
+// "2MB" or "512B".
 func parseSize(arg string) (int, error) {
 	s := strings.ToUpper(strings.TrimSpace(arg))
 	mult := 1
@@ -46,6 +53,9 @@ func parseSize(arg string) (int, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("size %q is not positive", arg)
 	}
+	if n > maxSize/mult {
+		return 0, fmt.Errorf("size %q is larger than %dMB", arg, maxSize>>20)
+	}
 	return n * mult, nil
 }
 
@@ -57,8 +67,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchex", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		buffer   = fs.String("buffer", "64KB", "reporting application buffer size")
-		intfBuf  = fs.String("intf-buffer", "", "interfering application buffer size (empty = none)")
+		buffer   = fs.String("buffer", "64KB", "reporting application buffer size (at most 16MB)")
+		intfBuf  = fs.String("intf-buffer", "", "interfering application buffer size, at most 16MB (empty = none)")
 		capPct   = fs.Int("cap", 0, "static CPU cap for the interfering VM (percent)")
 		policy   = fs.String("policy", "", "ResEx policy: freemarket or ioshares (empty = no ResEx)")
 		duration = fs.Duration("duration", 2*time.Second, "measured virtual time")
@@ -83,11 +93,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	switch strings.ToLower(*policy) {
+	switch *policy {
 	case "":
-	case "freemarket", "fm":
+	case "freemarket":
 		cfg.Policy = resex.NewFreeMarket()
-	case "ioshares", "ios":
+	case "ioshares":
 		cfg.Policy = resex.NewIOShares()
 	default:
 		fmt.Fprintf(stderr, "benchex: unknown policy %q\n", *policy)

@@ -25,6 +25,10 @@ func TestParseSize(t *testing.T) {
 		{"KB", 0},
 		{"1.5MB", 0},
 		{"64GB", 0},
+		{"16MB", 16 << 20},
+		{"17MB", 0},
+		{"600MB", 0},
+		{"9007199254740992MB", 0},
 	} {
 		got, err := parseSize(tc.in)
 		if tc.want == 0 {

@@ -299,7 +299,6 @@ func (c *Client) issue(p *sim.Proc) {
 	c.pd.Space().Write(c.sendBuf, buf)
 	err := c.qp.PostSend(hca.SendWR{
 		ID:        req.Seq,
-		Op:        hca.OpSend,
 		LocalAddr: c.sendBuf,
 		LKey:      c.sendMR.Key(),
 		Len:       c.cfg.BufferSize,

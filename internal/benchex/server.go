@@ -243,7 +243,6 @@ func (s *Server) run(p *sim.Proc) {
 		s.vcpu.Use(p, PostCost)
 		wr := hca.SendWR{
 			ID:        resp.Seq,
-			Op:        hca.OpSend,
 			LocalAddr: ep.sendBuf,
 			LKey:      ep.sendMR.Key(),
 			Len:       s.cfg.BufferSize,

@@ -11,23 +11,24 @@ import (
 	"resex/internal/sim"
 )
 
-// msgLen is the size of the interferer's RDMA write in the paper.
+// msgLen is the size of the interferer's message in the paper.
 const msgLen = 2 << 20
 
-// writeRig is a fresh 2-host testbed with one connected QP pair, ready to
-// RDMA-write msgLen bytes from host 1 to host 2. write posts one write and
-// steps the engine until its sender completion.
-func writeRig(t *testing.T) (tb *Testbed, write func()) {
+// sendRig is a fresh 2-host testbed with one connected QP pair, ready to
+// send msgLen bytes from host 1 to host 2. send posts one receive at host 2
+// and one SEND at host 1, then steps the engine until the sender
+// completion.
+func sendRig(t *testing.T) (tb *Testbed, send func()) {
 	tb = New(Config{Hosts: 2})
 	a, b := tb.Hosts[0], tb.Hosts[1]
-	va, vb := a.NewVM("writer"), b.NewVM("target")
+	va, vb := a.NewVM("sender"), b.NewVM("target")
 	src := va.PD.Space().Alloc(msgLen, 64)
 	dst := vb.PD.Space().Alloc(msgLen, 64)
 	mra, err := va.PD.RegisterMR(src, msgLen, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mrb, err := vb.PD.RegisterMR(dst, msgLen, hca.AccessRemoteWrite)
+	mrb, err := vb.PD.RegisterMR(dst, msgLen, hca.AccessLocalWrite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,37 +39,37 @@ func writeRig(t *testing.T) (tb *Testbed, write func()) {
 		t.Fatal(err)
 	}
 
-	write = func() {
-		err := qpa.PostSend(hca.SendWR{
-			ID: 1, Op: hca.OpRDMAWrite, LocalAddr: src, LKey: mra.Key(),
-			Len: msgLen, RemoteAddr: dst, RKey: mrb.Key(),
-		})
-		if err != nil {
+	send = func() {
+		if err := qpb.PostRecv(hca.RecvWR{ID: 1, Addr: dst, LKey: mrb.Key(), Len: msgLen}); err != nil {
+			t.Fatal(err)
+		}
+		if err := qpa.PostSend(hca.SendWR{ID: 1, LocalAddr: src, LKey: mra.Key(), Len: msgLen}); err != nil {
 			t.Fatal(err)
 		}
 		for scq.Pending() == 0 {
 			if !tb.Eng.Step() {
-				t.Fatal("engine drained before the write completed")
+				t.Fatal("engine drained before the send completed")
 			}
 		}
 		if e, _ := scq.Poll(); e.Status != hca.StatusOK || e.ByteLen != msgLen {
 			t.Fatalf("completion = %+v", e)
 		}
 	}
-	return tb, write
+	return tb, send
 }
 
-func TestRDMAWritePerMTUAllocs(t *testing.T) {
-	// A 2 MB RDMA write end to end — PostSend, uplink, switch, downlink,
-	// HCA.Deliver, sender completion — allocates per message, not per MTU:
-	// packets are recycled and every per-MTU event is a pre-bound callback.
-	tb, write := writeRig(t)
+func TestSendPerMTUAllocs(t *testing.T) {
+	// A 2 MB SEND end to end — PostSend, uplink, switch, downlink,
+	// HCA.Deliver, receive and sender completions — allocates per message,
+	// not per MTU: packets are recycled and every per-MTU event is a
+	// pre-bound callback.
+	tb, send := sendRig(t)
 	a := tb.Hosts[0]
 	// AllocsPerRun's own warm-up call is the warm-up message.
-	allocs := testing.AllocsPerRun(10, write)
+	allocs := testing.AllocsPerRun(10, send)
 	mtus := float64(msgLen / fabric.DefaultMTU)
 	if perMTU := allocs / mtus; perMTU > 0.01 {
-		t.Errorf("%.1f allocs per 2 MB write = %.4f per MTU, want at most 0.01", allocs, perMTU)
+		t.Errorf("%.1f allocs per 2 MB send = %.4f per MTU, want at most 0.01", allocs, perMTU)
 	}
 	if got := a.Uplink.Stats().Packets; got != 11*int64(mtus) {
 		t.Errorf("uplink carried %d packets, want %d", got, 11*int64(mtus))
@@ -76,21 +77,21 @@ func TestRDMAWritePerMTUAllocs(t *testing.T) {
 	tb.Eng.Shutdown()
 }
 
-func TestColdRDMAWriteAllocs(t *testing.T) {
-	// The first 2 MB write on a fresh testbed allocates fewer bytes than 256
+func TestColdSendAllocs(t *testing.T) {
+	// The first 2 MB send on a fresh testbed allocates fewer bytes than 256
 	// Packets occupy: the uplink builds each MTU's packet only when it
 	// starts serializing, so the sender's free list grows to the few MTUs
 	// on the wire, not to the 2048 queued behind them.
-	tb, write := writeRig(t)
+	tb, send := sendRig(t)
 	budget := 256 * unsafe.Sizeof(fabric.Packet{})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	write()
+	send()
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(budget) {
-		t.Errorf("first 2 MB write on a fresh testbed allocated %d bytes, want under %d (256 packets)", got, budget)
+		t.Errorf("first 2 MB send on a fresh testbed allocated %d bytes, want under %d (256 packets)", got, budget)
 	} else {
-		t.Logf("first 2 MB write allocated %d bytes", got)
+		t.Logf("first 2 MB send allocated %d bytes", got)
 	}
 	tb.Eng.Shutdown()
 }

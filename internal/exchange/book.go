@@ -91,6 +91,14 @@ type EpochReport struct {
 	Net    Vec
 }
 
+// BookKeeper is implemented by pricing policies that keep a per-host trade
+// book (resex.Fungible). Fleet code, the invariant auditor, snapshots and
+// live views discover books through this interface instead of importing the
+// policy package.
+type BookKeeper interface {
+	Book() *Book
+}
+
 // Book is one host's double-entry trade book.
 type Book struct {
 	cfg     BookConfig

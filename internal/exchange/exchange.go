@@ -1,7 +1,6 @@
-// Package exchange implements the fleet-level fungible Reso economy: Resos
-// become tradable across resource *dimensions* (CPU, fabric) at exchange
-// rates set by congestion, and across *hosts* through a fleet market that
-// aggregates per-host rate boards.
+// Package exchange implements the fungible Reso economy: Resos become
+// tradable across resource *dimensions* (CPU, fabric) at exchange rates set
+// by congestion on each host.
 //
 // The pieces:
 //
@@ -17,9 +16,9 @@
 //     within each dimension between two parties, so per-dimension deltas
 //     net to zero per host — and therefore fleet-wide — by construction;
 //     internal/invariant re-verifies this from the trade legs.
-//   - Market: the fleet aggregation. Placement scoring reads per-host
-//     prices from it (cheap hosts attract load, congested hosts repel it)
-//     and the rebalancer uses price gradients as migration pressure.
+//
+// Pricing policies that keep a book expose it through BookKeeper, which
+// is how the daemon, the auditor and snapshots find the books.
 //
 // Everything here is deterministic plain data: no clocks, no maps iterated,
 // no randomness. The same observation sequence produces byte-identical

@@ -211,27 +211,6 @@ func TestJoinLeave(t *testing.T) {
 	bk.Leave("missing") // no-op
 }
 
-func TestMarketAggregation(t *testing.T) {
-	mk := NewMarket()
-	if mk.BookOf(7) != nil || len(mk.Hosts()) != 0 {
-		t.Fatal("empty market should list no books")
-	}
-	hot, cold := NewBook(BookConfig{}), NewBook(BookConfig{})
-	mk.Add(0, hot)
-	mk.Add(1, cold)
-	if mk.BookOf(0) != hot || mk.BookOf(1) != cold {
-		t.Fatal("BookOf does not return the listed books")
-	}
-	if hs := mk.Hosts(); len(hs) != 2 || hs[0].Node != 0 || hs[1].Node != 1 {
-		t.Fatalf("hosts %+v, want nodes 0 and 1 in Add order", hs)
-	}
-	other := NewBook(BookConfig{})
-	mk.Add(1, other)
-	if mk.BookOf(1) != other || len(mk.Hosts()) != 2 {
-		t.Fatal("re-add should replace the listing")
-	}
-}
-
 func TestVecIsZero(t *testing.T) {
 	if !(Vec{}).IsZero() {
 		t.Fatal("zero Vec not zero")

@@ -8,7 +8,6 @@ import (
 	"resex/internal/benchex"
 	"resex/internal/placement"
 	"resex/internal/sim"
-	"resex/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -16,9 +15,9 @@ import (
 // the simpar backbone — the rebalancer chases the sun.
 //
 // Each zone is a single-host site of abl-simpar's geo ring (buildGeoRing),
-// but its local trading app runs open loop, paced by a Diurnal arrival
-// curve whose phase lags the previous zone's by 2π/zones: as virtual time
-// advances, the peak walks around the ring like daylight. At every
+// but its local trading app runs open loop, paced by a diurnal arrival
+// curve (geoCurve) whose phase lags the previous zone's by 2π/zones: as
+// virtual time advances, the peak walks around the ring like daylight. At every
 // telemetry epoch the driver re-paces each zone's client from the curve's
 // instantaneous rate and feeds the per-zone pressure vector to a
 // placement.SunChaser, whose movable capacity units migrate toward the
@@ -45,6 +44,18 @@ const (
 	geoMeanRate = 1500.0
 	geoAmp      = 0.6
 )
+
+// geoCurve is one slot's diurnal arrival curve, a compressed day/night
+// cycle: the rate at t is geoMeanRate·(1 + geoAmp·sin(2πt/period + phase)).
+type geoCurve struct {
+	period sim.Time
+	phase  float64 // radians; 0 starts at the mean, rising
+}
+
+// rateAt returns the curve's instantaneous arrival rate (req/s) at t.
+func (c geoCurve) rateAt(t sim.Time) float64 {
+	return geoMeanRate * (1 + geoAmp*math.Sin(2*math.Pi*float64(t)/float64(c.period)+c.phase))
+}
 
 // geoUnitsPerZone sizes the SunChaser's movable-capacity pool.
 const geoUnitsPerZone = 2
@@ -138,8 +149,8 @@ func (r *AblGeoDiurnalResult) WriteCSV(w io.Writer) error {
 // with a diurnal curve per slot and the sun chaser.
 type GeoFleet struct {
 	*geoRing
-	slots   []*geoSite         // slot order — the canonical iteration order
-	diurnal []workload.Diurnal // by slot
+	slots   []*geoSite // slot order — the canonical iteration order
+	diurnal []geoCurve // by slot
 	chaser  *placement.SunChaser
 
 	epoch uint64
@@ -168,23 +179,20 @@ func geoPeriod(o Options) sim.Time {
 func BuildGeoFleet(zones, shards, workers, shift int, seed int64, period sim.Time) (*GeoFleet, error) {
 	f := &GeoFleet{
 		slots:   make([]*geoSite, zones),
-		diurnal: make([]workload.Diurnal, zones),
+		diurnal: make([]geoCurve, zones),
 		chaser:  placement.NewSunChaser(zones, geoUnitsPerZone*zones),
 		fp:      fnvOffset,
 	}
 	specs := make([]geoSiteSpec, zones)
 	for i := range specs {
 		slot := (i + shift) % zones
-		d := workload.Diurnal{
-			MeanRate: geoMeanRate, Amplitude: geoAmp, Period: period,
-			Phase: -2 * math.Pi * float64(slot) / float64(zones),
-		}
+		d := geoCurve{period: period, phase: -2 * math.Pi * float64(slot) / float64(zones)}
 		f.diurnal[slot] = d
 		specs[i] = geoSiteSpec{
 			name: fmt.Sprintf("zone%d", slot),
 			local: benchex.ClientConfig{
 				BufferSize: BaseBuffer, Window: 4,
-				Interval:        sim.Time(float64(sim.Second) / d.RateAt(0)),
+				Interval:        sim.Time(float64(sim.Second) / d.rateAt(0)),
 				PoissonArrivals: true,
 				SLAUs:           BaseSLAUs,
 				Seed:            seed + int64(slot)*17 + 1,
@@ -207,7 +215,7 @@ func BuildGeoFleet(zones, shards, workers, shift int, seed int64, period sim.Tim
 		t := sim.Time(f.epoch) * r.tickEvery
 		f.fp = fnvMix(f.fp, f.epoch)
 		for s, z := range f.slots {
-			rate := f.diurnal[s].RateAt(t)
+			rate := f.diurnal[s].rateAt(t)
 			pressure[s] = rate
 			z.local.Client.SetInterval(sim.Time(float64(sim.Second) / rate))
 		}

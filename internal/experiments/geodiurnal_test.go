@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -15,6 +16,24 @@ func runGeoCell(t *testing.T, zones, shards, shift int) AblGeoDiurnalRow {
 		t.Fatal(err)
 	}
 	return row
+}
+
+// TestDiurnalModulation pins the zone curve's shape: with phase 0 it peaks
+// at a quarter period and bottoms out at three quarters, swinging geoAmp
+// around geoMeanRate; a phase of -π/2 delays the peak by a quarter period.
+func TestDiurnalModulation(t *testing.T) {
+	c := geoCurve{period: 100 * sim.Millisecond}
+	peak, trough := c.rateAt(c.period/4), c.rateAt(3*c.period/4)
+	if math.Abs(peak-2400) > 1e-9 || math.Abs(trough-600) > 1e-9 {
+		t.Fatalf("rateAt: peak %.3f trough %.3f, want 2400/600", peak, trough)
+	}
+	if got := c.rateAt(0); math.Abs(got-geoMeanRate) > 1e-9 {
+		t.Fatalf("rateAt(0) = %.3f, want the mean %g", got, geoMeanRate)
+	}
+	lag := geoCurve{period: c.period, phase: -math.Pi / 2}
+	if got := lag.rateAt(c.period / 2); math.Abs(got-peak) > 1e-9 {
+		t.Fatalf("lagged curve at half period = %.3f, want the peak %.3f", got, peak)
+	}
 }
 
 // TestGeoDiurnalPhaseShiftPermutation is the rotation-equivariance

@@ -14,7 +14,8 @@ import (
 )
 
 // harness is one hypervisor-backed host (node 1) with a guest whose CQ the
-// monitor watches, plus a remote peer (node 2) to terminate RDMA writes.
+// monitor watches, plus a remote peer (node 2) whose posted receive buffers
+// terminate its SENDs.
 type harness struct {
 	eng  *sim.Engine
 	hv   *xen.Hypervisor
@@ -26,9 +27,7 @@ type harness struct {
 	qp   *hca.QP
 	scq  *hca.CQ
 	src  guestmem.Addr
-	dst  guestmem.Addr
 	mr1  *hca.MR
-	mr2  *hca.MR
 }
 
 func newHarness(t *testing.T, cqDepth int) *harness {
@@ -69,9 +68,15 @@ func newHarness(t *testing.T, cqDepth int) *harness {
 		t.Fatal(err)
 	}
 	h.src = h.gst.Memory().Alloc(4<<20, 64)
-	h.dst = mem2.Alloc(4<<20, 64)
+	dst := mem2.Alloc(4<<20, 64)
 	h.mr1, _ = pd1.RegisterMR(h.src, 4<<20, 0)
-	h.mr2, _ = pd2.RegisterMR(h.dst, 4<<20, hca.AccessRemoteWrite)
+	mr2, _ := pd2.RegisterMR(dst, 4<<20, hca.AccessLocalWrite)
+	// One receive per send a test makes, so no SEND waits for a buffer.
+	for i := 0; i < 512; i++ {
+		if err := qp2.PostRecv(hca.RecvWR{ID: uint64(i), Addr: dst, LKey: mr2.Key(), Len: 4 << 20}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	h.mon = ibmon.New(hv, nil, ibmon.Config{})
 	return h
@@ -81,14 +86,11 @@ func (h *harness) ports() HostPorts {
 	return HostPorts{Node: 1, Uplink: h.up, Downlink: h.down, HCA: h.hca1, Mon: h.mon}
 }
 
-// send posts one RDMA write of sz bytes at time at.
+// send posts one SEND of sz bytes at time at.
 func (h *harness) send(t *testing.T, at sim.Time, sz int) {
 	t.Helper()
 	h.eng.Schedule(at, func() {
-		err := h.qp.PostSend(hca.SendWR{
-			Op: hca.OpRDMAWrite, LocalAddr: h.src, LKey: h.mr1.Key(), Len: sz,
-			RemoteAddr: h.dst, RKey: h.mr2.Key(),
-		})
+		err := h.qp.PostSend(hca.SendWR{LocalAddr: h.src, LKey: h.mr1.Key(), Len: sz})
 		if err != nil {
 			t.Errorf("post at %v: %v", at, err)
 		}
@@ -165,7 +167,7 @@ func TestLinkDegradeAppliesAndNests(t *testing.T) {
 }
 
 func TestLinkDegradeSlowsTransfersAndFlapParksThem(t *testing.T) {
-	// Baseline: one 1MB write on a healthy 1 GB/s link.
+	// Baseline: one 1MB send on a healthy 1 GB/s link.
 	elapsed := func(prep func(h *harness, inj *Injector)) sim.Time {
 		h := newHarness(t, 64)
 		inj := NewInjector(h.eng)

@@ -16,7 +16,7 @@ func runTraffic(t *testing.T, midCheckpoint bool) (State, State) {
 	src := r.mem1.Alloc(256<<10, 64)
 	dst := r.mem2.Alloc(256<<10, 64)
 	mr1, _ := r.pd1.RegisterMR(src, 256<<10, 0)
-	mr2, _ := r.pd2.RegisterMR(dst, 256<<10, AccessLocalWrite|AccessRemoteWrite)
+	mr2, _ := r.pd2.RegisterMR(dst, 256<<10, AccessLocalWrite)
 	for i := 0; i < 8; i++ {
 		if err := qp2.PostRecv(RecvWR{ID: uint64(100 + i), Addr: dst, LKey: mr2.Key(), Len: 256 << 10}); err != nil {
 			t.Fatal(err)
@@ -24,15 +24,11 @@ func runTraffic(t *testing.T, midCheckpoint bool) (State, State) {
 	}
 	for i := 0; i < 8; i++ {
 		r.eng.Schedule(sim.Time(i)*200*sim.Microsecond, func() {
-			op, sz := OpSend, 32<<10
+			sz := 32 << 10
 			if i%2 == 1 {
-				op, sz = OpRDMAWrite, 64<<10
+				sz = 64 << 10
 			}
-			wr := SendWR{ID: uint64(i), Op: op, LocalAddr: src, LKey: mr1.Key(), Len: sz}
-			if op == OpRDMAWrite {
-				wr.RemoteAddr, wr.RKey = dst, mr2.Key()
-			}
-			if err := qp1.PostSend(wr); err != nil {
+			if err := qp1.PostSend(SendWR{ID: uint64(i), LocalAddr: src, LKey: mr1.Key(), Len: sz}); err != nil {
 				t.Errorf("post %d: %v", i, err)
 			}
 		})

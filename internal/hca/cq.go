@@ -14,7 +14,7 @@ import (
 //	off  8  u32  byteLen
 //	off 12  u16  opcode | u16 status
 //	off 16  u64  wrID
-//	off 24  u32  imm
+//	off 24  u32  zero
 //	off 28  u32  reserved
 //	off 32  u64  device timestamp (ns)
 //
@@ -27,7 +27,6 @@ const (
 	cqeOffLen  = 8
 	cqeOffOp   = 12
 	cqeOffWRID = 16
-	cqeOffImm  = 24
 	cqeOffTime = 32
 )
 
@@ -68,7 +67,6 @@ type CQE struct {
 	Opcode  Opcode
 	Status  Status
 	WRID    uint64
-	Imm     uint32
 	// At is the device timestamp of the completion (when the HCA wrote the
 	// CQE), decoded from the entry itself.
 	At sim.Time
@@ -102,7 +100,6 @@ type pendingCQE struct {
 	status  Status
 	byteLen uint32
 	wrID    uint64
-	imm     uint32
 }
 
 // CreateCQ allocates a completion queue of the given depth (rounded up to at
@@ -149,9 +146,9 @@ func (cq *CQ) Signal() *sim.Signal { return cq.sig }
 // in Overruns() — because the device does not stop completing work when the
 // consumer is slow. (This is also what makes IBMon's sampling lossy when
 // its period is too long.)
-func (cq *CQ) push(qpn uint32, op Opcode, status Status, byteLen uint32, wrID uint64, imm uint32) {
+func (cq *CQ) push(qpn uint32, op Opcode, status Status, byteLen uint32, wrID uint64) {
 	if cq.stalled > 0 {
-		cq.deferred = append(cq.deferred, pendingCQE{qpn, op, status, byteLen, wrID, imm})
+		cq.deferred = append(cq.deferred, pendingCQE{qpn, op, status, byteLen, wrID})
 		return
 	}
 	if cq.pi-cq.ci >= uint64(cq.depth) {
@@ -165,7 +162,6 @@ func (cq *CQ) push(qpn uint32, op Opcode, status Status, byteLen uint32, wrID ui
 	mem.WriteU32(base+cqeOffLen, byteLen)
 	mem.WriteU32(base+cqeOffOp, uint32(op)|uint32(status)<<16)
 	mem.WriteU64(base+cqeOffWRID, wrID)
-	mem.WriteU32(base+cqeOffImm, imm)
 	mem.WriteU64(base+cqeOffTime, uint64(cq.pd.hca.eng.Now()))
 	cq.pi++
 	mem.WriteU64(cq.dbrec, cq.pi)
@@ -206,7 +202,7 @@ func (cq *CQ) Resume() {
 	burst := cq.deferred
 	cq.deferred = nil
 	for _, e := range burst {
-		cq.push(e.qpn, e.op, e.status, e.byteLen, e.wrID, e.imm)
+		cq.push(e.qpn, e.op, e.status, e.byteLen, e.wrID)
 	}
 }
 
@@ -235,7 +231,6 @@ func (cq *CQ) Poll() (CQE, bool) {
 		Opcode:  Opcode(opst & 0xffff),
 		Status:  Status(opst >> 16),
 		WRID:    mem.ReadU64(base + cqeOffWRID),
-		Imm:     mem.ReadU32(base + cqeOffImm),
 		At:      sim.Time(mem.ReadU64(base + cqeOffTime)),
 	}
 	cq.ci++

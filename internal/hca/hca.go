@@ -21,10 +21,10 @@
 //     arbitration in the fabric package). A 2 MB writer therefore stretches
 //     a collocated 64 KB flow — the paper's interference.
 //
-// Supported operations: SEND/RECV, RDMA WRITE (optionally with immediate,
-// consuming a receive WQE), and RDMA READ. Reliable-connected semantics:
-// per-QP ordering, sender completions after the remote delivery is
-// acknowledged.
+// Supported operations: SEND and RECV, the verbs whose completions IBMon
+// reads. Reliable-connected semantics: per-QP ordering, a SEND that arrives
+// before a receive buffer is posted waits for one (RNR), and sender
+// completions follow the remote delivery's acknowledgement.
 package hca
 
 import (
@@ -51,11 +51,9 @@ var (
 // Access flags for memory registration.
 type Access uint32
 
-// Access rights, OR-able.
+// Access rights, OR-able. A receive buffer needs AccessLocalWrite.
 const (
 	AccessLocalWrite Access = 1 << iota
-	AccessRemoteWrite
-	AccessRemoteRead
 )
 
 // The adapter's fixed latencies; messages are segmented into
@@ -84,7 +82,7 @@ type HCA struct {
 	peer    func(node int) *HCA
 	ackPath func(srcNode int, ack Ack)
 
-	tpt     map[uint32]*MR // by key (lkey == rkey in our simplified TPT)
+	tpt     map[uint32]*MR // by lkey
 	qps     map[uint32]*QP
 	pds     []*PD // allocation order, for deterministic device-wide sweeps
 	nextKey uint32
@@ -96,8 +94,8 @@ type HCA struct {
 	// newPacket and recycle.
 	free []*fabric.Packet
 
-	// freeMsgs holds zeroed messages for processHead and read responses;
-	// see newMsg and freeMsg.
+	// freeMsgs holds zeroed messages for processHead; see newMsg and
+	// freeMsg.
 	freeMsgs []*wireMsg
 
 	// acks holds sender completions waiting out AckLatency, oldest first.
@@ -225,8 +223,8 @@ func (h *HCA) SetUplink(l *fabric.Link) { h.uplink = l }
 func (h *HCA) Uplink() *fabric.Link { return h.uplink }
 
 // SetPeerResolver installs the function used to find the HCA of a remote
-// node for ack and read-response bookkeeping (control-plane shortcut; data
-// still flows through the fabric).
+// node for ack bookkeeping (control-plane shortcut; data still flows
+// through the fabric).
 func (h *HCA) SetPeerResolver(f func(node int) *HCA) { h.peer = f }
 
 // Ack is a sender-side RC completion in transit back to the requesting
@@ -235,7 +233,6 @@ func (h *HCA) SetPeerResolver(f func(node int) *HCA) { h.peer = f }
 // interconnect turns it into a real cross-host message instead.
 type Ack struct {
 	SrcQPN uint32
-	Op     Opcode
 	Status Status
 	Len    uint32
 	WRID   uint64
@@ -260,7 +257,7 @@ func (h *HCA) ApplyAck(a Ack) {
 	if !ok {
 		return
 	}
-	qp.completeSend(a.Op, a.Status, a.Len, a.WRID)
+	qp.completeSend(a.Status, a.Len, a.WRID)
 }
 
 // MessagesSent returns the number of messages this HCA put on the wire.
@@ -335,7 +332,7 @@ func (pd *PD) HCA() *HCA { return pd.hca }
 func (pd *PD) Space() *guestmem.Space { return pd.space }
 
 // RegisterMR registers [addr, addr+n) for DMA with the given access rights,
-// pinning it in the TPT. The returned MR's key serves as both lkey and rkey.
+// pinning it in the TPT. The returned MR's key is its lkey.
 func (pd *PD) RegisterMR(addr guestmem.Addr, n uint64, access Access) (*MR, error) {
 	if size := pd.space.Size(); uint64(addr) > size || n > size-uint64(addr) {
 		return nil, ErrMRTooLarge
@@ -356,7 +353,7 @@ type MR struct {
 	key    uint32
 }
 
-// Key returns the MR's protection key (lkey and rkey).
+// Key returns the MR's protection key (lkey).
 func (mr *MR) Key() uint32 { return mr.key }
 
 // Addr returns the region's base address.

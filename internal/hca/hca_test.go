@@ -62,7 +62,11 @@ func (r *rig) connect(t *testing.T, depth int) (*QP, *CQ, *CQ, *QP, *CQ, *CQ) {
 
 func TestMRRegistration(t *testing.T) {
 	r := newRig(t)
-	mr, err := r.pd1.RegisterMR(0x1000, 4096, AccessLocalWrite|AccessRemoteWrite)
+	mr, err := r.pd1.RegisterMR(0x1000, 4096, AccessLocalWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := r.pd1.RegisterMR(0x1000, 4096, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +77,13 @@ func TestMRRegistration(t *testing.T) {
 		t.Errorf("oversized registration: %v", err)
 	}
 	// TPT honors range and access.
-	if r.h1.checkKey(mr.Key(), r.mem1, 0x1000, 4096, AccessRemoteWrite) == nil {
+	if r.h1.checkKey(mr.Key(), r.mem1, 0x1000, 4096, AccessLocalWrite) == nil {
 		t.Error("valid key rejected")
 	}
 	if r.h1.checkKey(mr.Key(), r.mem1, 0x1000, 5000, 0) != nil {
 		t.Error("out-of-range access allowed")
 	}
-	if r.h1.checkKey(mr.Key(), r.mem1, 0x1000, 64, AccessRemoteRead) != nil {
+	if r.h1.checkKey(ro.Key(), r.mem1, 0x1000, 64, AccessLocalWrite) != nil {
 		t.Error("missing access right allowed")
 	}
 	if r.h1.checkKey(0xdead, r.mem1, 0x1000, 64, 0) != nil {
@@ -100,7 +104,7 @@ func TestSendRecvDeliversPayload(t *testing.T) {
 	if err := qp2.PostRecv(RecvWR{ID: 9, Addr: dst, LKey: mr2.Key(), Len: 65536}); err != nil {
 		t.Fatal(err)
 	}
-	if err := qp1.PostSend(SendWR{ID: 7, Op: OpSend, LocalAddr: src, LKey: mr1.Key(), Len: len(payload), Payload: payload, Imm: 42}); err != nil {
+	if err := qp1.PostSend(SendWR{ID: 7, LocalAddr: src, LKey: mr1.Key(), Len: len(payload), Payload: payload}); err != nil {
 		t.Fatal(err)
 	}
 	r.eng.Run()
@@ -109,7 +113,7 @@ func TestSendRecvDeliversPayload(t *testing.T) {
 	if !ok {
 		t.Fatal("no recv completion")
 	}
-	if e.WRID != 9 || e.Opcode != OpRecv || e.Status != StatusOK || int(e.ByteLen) != len(payload) || e.Imm != 42 {
+	if e.WRID != 9 || e.Opcode != OpRecv || e.Status != StatusOK || int(e.ByteLen) != len(payload) {
 		t.Errorf("recv CQE = %+v", e)
 	}
 	got := make([]byte, len(payload))
@@ -139,7 +143,7 @@ func TestSendTiming64KB(t *testing.T) {
 	mr1, _ := r.pd1.RegisterMR(src, 65536, 0)
 	mr2, _ := r.pd2.RegisterMR(dst, 65536, AccessLocalWrite)
 	_ = qp2.PostRecv(RecvWR{ID: 1, Addr: dst, LKey: mr2.Key(), Len: 65536})
-	_ = qp1.PostSend(SendWR{ID: 2, Op: OpSend, LocalAddr: src, LKey: mr1.Key(), Len: 65536})
+	_ = qp1.PostSend(SendWR{ID: 2, LocalAddr: src, LKey: mr1.Key(), Len: 65536})
 	r.eng.Run()
 	e, ok := scq1.Poll()
 	if !ok {
@@ -162,7 +166,7 @@ func TestRNRParking(t *testing.T) {
 	dst := r.mem2.Alloc(4096, 64)
 	mr1, _ := r.pd1.RegisterMR(src, 4096, 0)
 	mr2, _ := r.pd2.RegisterMR(dst, 4096, AccessLocalWrite)
-	_ = qp1.PostSend(SendWR{ID: 1, Op: OpSend, LocalAddr: src, LKey: mr1.Key(), Len: 1024})
+	_ = qp1.PostSend(SendWR{ID: 1, LocalAddr: src, LKey: mr1.Key(), Len: 1024})
 	r.eng.Run()
 	if _, ok := rcq2.Poll(); ok {
 		t.Fatal("completion before recv posted")
@@ -180,114 +184,6 @@ func TestRNRParking(t *testing.T) {
 	}
 }
 
-func TestRDMAWrite(t *testing.T) {
-	r := newRig(t)
-	qp1, scq1, _, _, _, rcq2 := r.connect(t, 16)
-	src := r.mem1.Alloc(8192, 64)
-	dst := r.mem2.Alloc(8192, 64)
-	mr1, _ := r.pd1.RegisterMR(src, 8192, 0)
-	mr2, _ := r.pd2.RegisterMR(dst, 8192, AccessRemoteWrite)
-	data := bytes.Repeat([]byte{0x5a}, 3000)
-	err := qp1.PostSend(SendWR{
-		ID: 11, Op: OpRDMAWrite, LocalAddr: src, LKey: mr1.Key(),
-		Len: 3000, RemoteAddr: dst, RKey: mr2.Key(), Payload: data,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.eng.Run()
-	got := make([]byte, 3000)
-	r.mem2.Read(dst, got)
-	if !bytes.Equal(got, data) {
-		t.Error("RDMA write data mismatch")
-	}
-	if e, ok := scq1.Poll(); !ok || e.Status != StatusOK || e.Opcode != OpRDMAWrite {
-		t.Errorf("sender completion: %+v ok=%v", e, ok)
-	}
-	// Plain write is invisible to the responder's CPU.
-	if _, ok := rcq2.Poll(); ok {
-		t.Error("plain RDMA write should not generate a recv completion")
-	}
-}
-
-func TestRDMAWriteWithImm(t *testing.T) {
-	r := newRig(t)
-	qp1, _, _, qp2, _, rcq2 := r.connect(t, 16)
-	src := r.mem1.Alloc(4096, 64)
-	dst := r.mem2.Alloc(4096, 64)
-	mr1, _ := r.pd1.RegisterMR(src, 4096, 0)
-	mr2, _ := r.pd2.RegisterMR(dst, 4096, AccessRemoteWrite|AccessLocalWrite)
-	_ = qp2.PostRecv(RecvWR{ID: 5, Addr: dst, LKey: mr2.Key(), Len: 0})
-	err := qp1.PostSend(SendWR{
-		ID: 6, Op: OpRDMAWriteImm, LocalAddr: src, LKey: mr1.Key(),
-		Len: 2048, RemoteAddr: dst, RKey: mr2.Key(), Imm: 0xfeed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.eng.Run()
-	e, ok := rcq2.Poll()
-	if !ok {
-		t.Fatal("write-with-imm produced no recv completion")
-	}
-	if e.Imm != 0xfeed || e.ByteLen != 2048 {
-		t.Errorf("CQE = %+v", e)
-	}
-}
-
-func TestRDMAWriteAccessViolation(t *testing.T) {
-	r := newRig(t)
-	qp1, scq1, _, _, _, _ := r.connect(t, 16)
-	src := r.mem1.Alloc(4096, 64)
-	dst := r.mem2.Alloc(4096, 64)
-	mr1, _ := r.pd1.RegisterMR(src, 4096, 0)
-	// Remote MR lacks AccessRemoteWrite.
-	mr2, _ := r.pd2.RegisterMR(dst, 4096, AccessLocalWrite)
-	_ = qp1.PostSend(SendWR{
-		ID: 3, Op: OpRDMAWrite, LocalAddr: src, LKey: mr1.Key(),
-		Len: 1024, RemoteAddr: dst, RKey: mr2.Key(),
-	})
-	r.eng.Run()
-	e, ok := scq1.Poll()
-	if !ok {
-		t.Fatal("no completion")
-	}
-	if e.Status != StatusRemoteAccessErr {
-		t.Errorf("status = %v, want RemoteAccessErr", e.Status)
-	}
-}
-
-func TestRDMARead(t *testing.T) {
-	r := newRig(t)
-	qp1, scq1, _, _, _, _ := r.connect(t, 16)
-	local := r.mem1.Alloc(8192, 64)
-	remote := r.mem2.Alloc(8192, 64)
-	mr1, _ := r.pd1.RegisterMR(local, 8192, AccessLocalWrite)
-	mr2, _ := r.pd2.RegisterMR(remote, 8192, AccessRemoteRead)
-	want := bytes.Repeat([]byte("quote"), 500)
-	r.mem2.Write(remote, want)
-	err := qp1.PostSend(SendWR{
-		ID: 21, Op: OpRDMARead, LocalAddr: local, LKey: mr1.Key(),
-		Len: len(want), RemoteAddr: remote, RKey: mr2.Key(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.eng.Run()
-	e, ok := scq1.Poll()
-	if !ok {
-		t.Fatal("no READ completion")
-	}
-	if e.Opcode != OpRDMARead || e.Status != StatusOK || int(e.ByteLen) != len(want) {
-		t.Errorf("CQE = %+v", e)
-	}
-	got := make([]byte, len(want))
-	r.mem1.Read(local, got)
-	if !bytes.Equal(got, want) {
-		t.Error("READ data mismatch")
-	}
-}
-
 func TestPostSendValidation(t *testing.T) {
 	r := newRig(t)
 	scq, rcq := r.pd1.CreateCQ(16), r.pd1.CreateCQ(16)
@@ -296,7 +192,7 @@ func TestPostSendValidation(t *testing.T) {
 	mr, _ := r.pd1.RegisterMR(src, 4096, 0)
 
 	// Not connected.
-	if err := qp.PostSend(SendWR{Op: OpSend, LocalAddr: src, LKey: mr.Key(), Len: 64}); err != ErrNotRTS {
+	if err := qp.PostSend(SendWR{LocalAddr: src, LKey: mr.Key(), Len: 64}); err != ErrNotRTS {
 		t.Errorf("unconnected post: %v", err)
 	}
 	if err := qp.Connect(2, 77); err != nil {
@@ -306,24 +202,24 @@ func TestPostSendValidation(t *testing.T) {
 		t.Errorf("double connect: %v", err)
 	}
 	// Bad lkey.
-	if err := qp.PostSend(SendWR{Op: OpSend, LocalAddr: src, LKey: 0xbad, Len: 64}); err != ErrBadLKey {
+	if err := qp.PostSend(SendWR{LocalAddr: src, LKey: 0xbad, Len: 64}); err != ErrBadLKey {
 		t.Errorf("bad lkey: %v", err)
 	}
 	// Out-of-MR length.
-	if err := qp.PostSend(SendWR{Op: OpSend, LocalAddr: src, LKey: mr.Key(), Len: 8192}); err != ErrBadLKey {
+	if err := qp.PostSend(SendWR{LocalAddr: src, LKey: mr.Key(), Len: 8192}); err != ErrBadLKey {
 		t.Errorf("oversized: %v", err)
 	}
 	// Payload longer than Len.
-	if err := qp.PostSend(SendWR{Op: OpSend, LocalAddr: src, LKey: mr.Key(), Len: 4, Payload: []byte("hello")}); err != ErrPayloadSize {
+	if err := qp.PostSend(SendWR{LocalAddr: src, LKey: mr.Key(), Len: 4, Payload: []byte("hello")}); err != ErrPayloadSize {
 		t.Errorf("payload size: %v", err)
 	}
 	// SQ depth enforcement.
 	for i := 0; i < 2; i++ {
-		if err := qp.PostSend(SendWR{Op: OpSend, LocalAddr: src, LKey: mr.Key(), Len: 64}); err != nil {
+		if err := qp.PostSend(SendWR{LocalAddr: src, LKey: mr.Key(), Len: 64}); err != nil {
 			t.Fatalf("post %d: %v", i, err)
 		}
 	}
-	if err := qp.PostSend(SendWR{Op: OpSend, LocalAddr: src, LKey: mr.Key(), Len: 64}); err != ErrSQFull {
+	if err := qp.PostSend(SendWR{LocalAddr: src, LKey: mr.Key(), Len: 64}); err != ErrSQFull {
 		t.Errorf("full SQ: %v", err)
 	}
 	// RQ depth + lkey enforcement.
@@ -348,13 +244,13 @@ func TestNegativeLengthsRejected(t *testing.T) {
 	qp1, _, _, _, _, _ := r.connect(t, 4)
 	src := r.mem1.Alloc(4096, 64)
 	mr, _ := r.pd1.RegisterMR(src, 4096, AccessLocalWrite)
-	if err := qp1.PostSend(SendWR{Op: OpSend, LocalAddr: src, LKey: mr.Key(), Len: -1}); err != ErrBadLKey {
+	if err := qp1.PostSend(SendWR{LocalAddr: src, LKey: mr.Key(), Len: -1}); err != ErrBadLKey {
 		t.Errorf("send of length -1: %v, want ErrBadLKey", err)
 	}
 	if err := qp1.PostRecv(RecvWR{Addr: src, LKey: mr.Key(), Len: -5}); err != ErrBadLKey {
 		t.Errorf("receive of length -5: %v, want ErrBadLKey", err)
 	}
-	if err := qp1.PostSend(SendWR{Op: OpSend, LocalAddr: src + 4000, LKey: mr.Key(), Len: 97}); err != ErrBadLKey {
+	if err := qp1.PostSend(SendWR{LocalAddr: src + 4000, LKey: mr.Key(), Len: 97}); err != ErrBadLKey {
 		t.Errorf("send past the MR end: %v, want ErrBadLKey", err)
 	}
 	if _, err := r.pd1.RegisterMR(1<<64-4096, 8192, 0); err != ErrMRTooLarge {
@@ -373,7 +269,7 @@ func TestCQGuestMemoryEncoding(t *testing.T) {
 	mr1, _ := r.pd1.RegisterMR(src, 4096, 0)
 	mr2, _ := r.pd2.RegisterMR(dst, 4096, AccessLocalWrite)
 	_ = qp2.PostRecv(RecvWR{ID: 1, Addr: dst, LKey: mr2.Key(), Len: 4096})
-	_ = qp1.PostSend(SendWR{ID: 0xabcdef, Op: OpSend, LocalAddr: src, LKey: mr1.Key(), Len: 2000})
+	_ = qp1.PostSend(SendWR{ID: 0xabcdef, LocalAddr: src, LKey: mr1.Key(), Len: 2000})
 	r.eng.Run()
 
 	// Raw read of the doorbell record: one completion produced.
@@ -394,6 +290,13 @@ func TestCQGuestMemoryEncoding(t *testing.T) {
 	if id := r.mem1.ReadU64(base + cqeOffWRID); id != 0xabcdef {
 		t.Errorf("wrID = %#x", id)
 	}
+	if z := r.mem1.ReadU32(base + 24); z != 0 {
+		t.Errorf("CQE word at offset 24 = %#x, want 0", z)
+	}
+	// The SEND WQE is in the guest-memory send queue ring too.
+	if op := r.mem1.ReadU32(qp1.sqRing); Opcode(op) != OpSend {
+		t.Errorf("WQE opcode = %v, want SEND", Opcode(op))
+	}
 }
 
 func TestCQPollAndPending(t *testing.T) {
@@ -406,7 +309,7 @@ func TestCQPollAndPending(t *testing.T) {
 		t.Error("empty poll returned entry")
 	}
 	for i := 0; i < 4; i++ {
-		cq.push(1, OpSend, StatusOK, 100, uint64(i), 0)
+		cq.push(1, OpSend, StatusOK, 100, uint64(i))
 	}
 	if cq.Pending() != 4 {
 		t.Errorf("pending = %d", cq.Pending())
@@ -418,7 +321,7 @@ func TestCQPollAndPending(t *testing.T) {
 		}
 	}
 	// Ring wraps.
-	cq.push(1, OpSend, StatusOK, 1, 99, 0)
+	cq.push(1, OpSend, StatusOK, 1, 99)
 	if e, ok := cq.Poll(); !ok || e.WRID != 99 {
 		t.Error("wrap-around poll failed")
 	}
@@ -428,7 +331,7 @@ func TestCQOverrunOverwritesOldest(t *testing.T) {
 	r := newRig(t)
 	cq := r.pd1.CreateCQ(2)
 	for i := 0; i < 5; i++ {
-		cq.push(1, OpSend, StatusOK, 0, uint64(i), 0)
+		cq.push(1, OpSend, StatusOK, 0, uint64(i))
 	}
 	if cq.Overruns() != 3 {
 		t.Errorf("Overruns = %d, want 3", cq.Overruns())
@@ -461,7 +364,7 @@ func TestOrderingPerQP(t *testing.T) {
 		_ = qp2.PostRecv(RecvWR{ID: uint64(i), Addr: dst, LKey: mr2.Key(), Len: 1 << 20})
 	}
 	for i, n := range sizes {
-		if err := qp1.PostSend(SendWR{ID: uint64(i), Op: OpSend, LocalAddr: src, LKey: mr1.Key(), Len: n}); err != nil {
+		if err := qp1.PostSend(SendWR{ID: uint64(i), LocalAddr: src, LKey: mr1.Key(), Len: n}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -486,7 +389,7 @@ func TestHCAStats(t *testing.T) {
 	mr1, _ := r.pd1.RegisterMR(src, 65536, 0)
 	mr2, _ := r.pd2.RegisterMR(dst, 65536, AccessLocalWrite)
 	_ = qp2.PostRecv(RecvWR{ID: 1, Addr: dst, LKey: mr2.Key(), Len: 65536})
-	_ = qp1.PostSend(SendWR{ID: 1, Op: OpSend, LocalAddr: src, LKey: mr1.Key(), Len: 65536})
+	_ = qp1.PostSend(SendWR{ID: 1, LocalAddr: src, LKey: mr1.Key(), Len: 65536})
 	r.eng.Run()
 	if r.h1.MessagesSent() != 1 || r.h1.BytesSent() != 65536 {
 		t.Errorf("stats: %d msgs %d bytes", r.h1.MessagesSent(), r.h1.BytesSent())
@@ -507,7 +410,7 @@ func TestZeroLengthSend(t *testing.T) {
 	mr1, _ := r.pd1.RegisterMR(src, 64, 0)
 	mr2, _ := r.pd2.RegisterMR(dst, 64, AccessLocalWrite)
 	_ = qp2.PostRecv(RecvWR{ID: 1, Addr: dst, LKey: mr2.Key(), Len: 64})
-	if err := qp1.PostSend(SendWR{ID: 2, Op: OpSend, LocalAddr: src, LKey: mr1.Key(), Len: 0}); err != nil {
+	if err := qp1.PostSend(SendWR{ID: 2, LocalAddr: src, LKey: mr1.Key(), Len: 0}); err != nil {
 		t.Fatal(err)
 	}
 	r.eng.Run()
@@ -529,7 +432,7 @@ func TestDestroyQPFlushesAndDropsInFlight(t *testing.T) {
 	// Post recvs that will be flushed, and a large send in flight.
 	_ = qp2.PostRecv(RecvWR{ID: 100, Addr: dst, LKey: mr2.Key(), Len: 1 << 20})
 	_ = qp2.PostRecv(RecvWR{ID: 101, Addr: dst, LKey: mr2.Key(), Len: 1 << 20})
-	if err := qp1.PostSend(SendWR{ID: 1, Op: OpSend, LocalAddr: src, LKey: mr1.Key(), Len: 1 << 20}); err != nil {
+	if err := qp1.PostSend(SendWR{ID: 1, LocalAddr: src, LKey: mr1.Key(), Len: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
 	// Destroy the receiver mid-transfer (1MB takes ~1ms; destroy at 100µs).
@@ -551,7 +454,7 @@ func TestDestroyQPFlushesAndDropsInFlight(t *testing.T) {
 		t.Errorf("sender status = %v, want RemoteAccessErr", e.Status)
 	}
 	// Posting on a destroyed QP fails; double destroy is a no-op.
-	if err := qp2.PostSend(SendWR{Op: OpSend, LocalAddr: dst, LKey: mr2.Key(), Len: 64}); err != ErrNotRTS {
+	if err := qp2.PostSend(SendWR{LocalAddr: dst, LKey: mr2.Key(), Len: 64}); err != ErrNotRTS {
 		t.Errorf("post on destroyed QP: %v", err)
 	}
 	r.pd2.DestroyQP(qp2)
@@ -567,7 +470,7 @@ func TestDestroyQPFlushesPendingSends(t *testing.T) {
 	mr1, _ := r.pd1.RegisterMR(src, 4096, 0)
 	// Queue several sends, then destroy before the engine runs.
 	for i := 0; i < 3; i++ {
-		_ = qp1.PostSend(SendWR{ID: uint64(i), Op: OpSend, LocalAddr: src, LKey: mr1.Key(), Len: 64})
+		_ = qp1.PostSend(SendWR{ID: uint64(i), LocalAddr: src, LKey: mr1.Key(), Len: 64})
 	}
 	r.pd1.DestroyQP(qp1)
 	r.eng.Run()
@@ -597,14 +500,16 @@ func TestQPRateLimit(t *testing.T) {
 	src := r.mem1.Alloc(1<<20, 64)
 	dst := r.mem2.Alloc(1<<20, 64)
 	mr1, _ := r.pd1.RegisterMR(src, 1<<20, 0)
-	mr2, _ := r.pd2.RegisterMR(dst, 1<<20, AccessRemoteWrite)
+	mr2, _ := r.pd2.RegisterMR(dst, 1<<20, AccessLocalWrite)
 	qp1.SetRateLimit(100e6) // 100 MB/s on a 1 GB/s link
 	if qp1.RateLimit() != 100e6 {
 		t.Fatal("rate limit not recorded")
 	}
-	// A 1MB write at 100 MB/s takes ~10ms instead of ~1ms.
-	_ = qp1.PostSend(SendWR{ID: 1, Op: OpRDMAWrite, LocalAddr: src, LKey: mr1.Key(),
-		Len: 1 << 20, RemoteAddr: dst, RKey: mr2.Key()})
+	if err := qp2.PostRecv(RecvWR{ID: 1, Addr: dst, LKey: mr2.Key(), Len: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	// A 1MB send at 100 MB/s takes ~10ms instead of ~1ms.
+	_ = qp1.PostSend(SendWR{ID: 1, LocalAddr: src, LKey: mr1.Key(), Len: 1 << 20})
 	r.eng.Run()
 	e, ok := scq1.Poll()
 	if !ok {
@@ -613,13 +518,12 @@ func TestQPRateLimit(t *testing.T) {
 	if e.At < 10*sim.Millisecond || e.At > 11*sim.Millisecond {
 		t.Errorf("rate-limited 1MB completed at %v, want ~10.5ms", e.At)
 	}
-	_ = qp2
 }
 
 func TestRandomOpsEventuallyComplete(t *testing.T) {
 	// Property: with recvs pre-posted and respecting SQ capacity, every
-	// posted operation produces exactly one sender completion, whatever
-	// the mix of ops, sizes and timing.
+	// posted send produces exactly one sender completion, whatever the mix
+	// of sizes and timing.
 	for seed := int64(1); seed <= 5; seed++ {
 		r := newRig(t)
 		rng := sim.NewRand(seed)
@@ -627,7 +531,7 @@ func TestRandomOpsEventuallyComplete(t *testing.T) {
 		src := r.mem1.Alloc(1<<20, 64)
 		dst := r.mem2.Alloc(1<<20, 64)
 		mr1, _ := r.pd1.RegisterMR(src, 1<<20, AccessLocalWrite)
-		mr2, _ := r.pd2.RegisterMR(dst, 1<<20, AccessLocalWrite|AccessRemoteWrite|AccessRemoteRead)
+		mr2, _ := r.pd2.RegisterMR(dst, 1<<20, AccessLocalWrite)
 		for i := 0; i < 64; i++ {
 			if err := qp2.PostRecv(RecvWR{ID: uint64(i), Addr: dst, LKey: mr2.Key(), Len: 1 << 20}); err != nil {
 				t.Fatal(err)
@@ -636,14 +540,10 @@ func TestRandomOpsEventuallyComplete(t *testing.T) {
 		posted := 0
 		for i := 0; i < 50; i++ {
 			at := sim.Time(rng.Intn(2_000_000))
-			op := []Opcode{OpSend, OpRDMAWrite, OpRDMAWriteImm, OpRDMARead}[rng.Intn(4)]
 			size := 1 + rng.Intn(200_000)
 			id := uint64(i)
 			r.eng.Schedule(at, func() {
-				err := qp1.PostSend(SendWR{
-					ID: id, Op: op, LocalAddr: src, LKey: mr1.Key(), Len: size,
-					RemoteAddr: dst, RKey: mr2.Key(),
-				})
+				err := qp1.PostSend(SendWR{ID: id, LocalAddr: src, LKey: mr1.Key(), Len: size})
 				if err == ErrSQFull {
 					return // legitimately rejected under backlog
 				}
@@ -669,11 +569,16 @@ func TestRandomOpsEventuallyComplete(t *testing.T) {
 		if completions != posted {
 			t.Errorf("seed %d: %d posted but %d completed", seed, posted, completions)
 		}
-		// Drain receiver CQEs (sends and write-with-imm consume recvs).
+		// Every completed send consumed one receive buffer.
+		recvs := 0
 		for {
 			if _, ok := rcq2.Poll(); !ok {
 				break
 			}
+			recvs++
+		}
+		if recvs != posted {
+			t.Errorf("seed %d: %d posted but %d received", seed, posted, recvs)
 		}
 	}
 }
@@ -699,30 +604,33 @@ func TestInterferenceAcrossQPs(t *testing.T) {
 		memC := guestmem.NewSpace(64 << 20) // receiver on host 2
 		pdA, pdB, pdC := h1.AllocPD(memA), h1.AllocPD(memB), h2.AllocPD(memC)
 
-		mk := func(pd *PD, peer *PD, depth int) (*QP, *QP, *CQ) {
+		// mk connects a QP in pd to one in peer, with an n-byte receive
+		// buffer posted at the peer.
+		mk := func(pd *PD, peer *PD, depth, n int) (*QP, *CQ) {
 			scq, rcq := pd.CreateCQ(64), pd.CreateCQ(64)
 			scq2, rcq2 := peer.CreateCQ(64), peer.CreateCQ(64)
 			q := pd.CreateQP(scq, rcq, depth, depth)
 			q2 := peer.CreateQP(scq2, rcq2, depth, depth)
 			_ = q.Connect(peer.hca.Node(), q2.QPN())
 			_ = q2.Connect(pd.hca.Node(), q.QPN())
-			return q, q2, scq
+			dst := peer.space.Alloc(uint64(n), 64)
+			mr, _ := peer.RegisterMR(dst, uint64(n), AccessLocalWrite)
+			if err := q2.PostRecv(RecvWR{ID: 1, Addr: dst, LKey: mr.Key(), Len: n}); err != nil {
+				t.Fatal(err)
+			}
+			return q, scq
 		}
-		qa, _, scqA := mk(pdA, pdC, 16)
+		qa, scqA := mk(pdA, pdC, 16, 65536)
 		srcA := memA.Alloc(65536, 64)
-		dstA := memC.Alloc(65536, 64)
 		mrA, _ := pdA.RegisterMR(srcA, 65536, 0)
-		mrDA, _ := pdC.RegisterMR(dstA, 65536, AccessRemoteWrite)
 
 		if withBig {
-			qb, _, _ := mk(pdB, pdC, 16)
+			qb, _ := mk(pdB, pdC, 16, 2<<20)
 			srcB := memB.Alloc(2<<20, 64)
-			dstB := memC.Alloc(2<<20, 64)
 			mrB, _ := pdB.RegisterMR(srcB, 2<<20, 0)
-			mrDB, _ := pdC.RegisterMR(dstB, 2<<20, AccessRemoteWrite)
-			_ = qb.PostSend(SendWR{ID: 1, Op: OpRDMAWrite, LocalAddr: srcB, LKey: mrB.Key(), Len: 2 << 20, RemoteAddr: dstB, RKey: mrDB.Key()})
+			_ = qb.PostSend(SendWR{ID: 1, LocalAddr: srcB, LKey: mrB.Key(), Len: 2 << 20})
 		}
-		_ = qa.PostSend(SendWR{ID: 2, Op: OpRDMAWrite, LocalAddr: srcA, LKey: mrA.Key(), Len: 65536, RemoteAddr: dstA, RKey: mrDA.Key()})
+		_ = qa.PostSend(SendWR{ID: 2, LocalAddr: srcA, LKey: mrA.Key(), Len: 65536})
 		eng.Run()
 		e, ok := scqA.Poll()
 		if !ok {
@@ -764,7 +672,7 @@ func TestAckPathRoutesRemoteCompletions(t *testing.T) {
 	})
 
 	payload := bytes.Repeat([]byte{0xab}, 512)
-	if err := qp1.PostSend(SendWR{ID: 11, Op: OpSend, LocalAddr: src, LKey: mr1.Key(), Len: len(payload), Payload: payload}); err != nil {
+	if err := qp1.PostSend(SendWR{ID: 11, LocalAddr: src, LKey: mr1.Key(), Len: len(payload), Payload: payload}); err != nil {
 		t.Fatal(err)
 	}
 	r.eng.Run()
@@ -780,7 +688,7 @@ func TestAckPathRoutesRemoteCompletions(t *testing.T) {
 		t.Errorf("send CQE = %+v", se)
 	}
 	// An ack for a QP that vanished while in flight is dropped, not fatal.
-	r.h1.ApplyAck(Ack{SrcQPN: 0xdead, Op: OpSend, Status: StatusOK, WRID: 1})
+	r.h1.ApplyAck(Ack{SrcQPN: 0xdead, Status: StatusOK, WRID: 1})
 	r.eng.Shutdown()
 }
 
@@ -789,18 +697,17 @@ func TestAckPathRoutesRemoteCompletions(t *testing.T) {
 // the sender may run on another engine, so the receiver keeps it.
 func TestDeliveredPacketsRecycle(t *testing.T) {
 	r := newRig(t)
-	qp1, _, _, _, _, _ := r.connect(t, 16)
+	qp1, _, _, qp2, _, _ := r.connect(t, 16)
 	src := r.mem1.Alloc(8192, 64)
 	dst := r.mem2.Alloc(8192, 64)
 	mr1, _ := r.pd1.RegisterMR(src, 8192, 0)
-	mr2, _ := r.pd2.RegisterMR(dst, 8192, AccessRemoteWrite)
-	write := func() {
+	mr2, _ := r.pd2.RegisterMR(dst, 8192, AccessLocalWrite)
+	send := func() {
 		t.Helper()
-		err := qp1.PostSend(SendWR{
-			ID: 1, Op: OpRDMAWrite, LocalAddr: src, LKey: mr1.Key(),
-			Len: 8192, RemoteAddr: dst, RKey: mr2.Key(),
-		})
-		if err != nil {
+		if err := qp2.PostRecv(RecvWR{ID: 1, Addr: dst, LKey: mr2.Key(), Len: 8192}); err != nil {
+			t.Fatal(err)
+		}
+		if err := qp1.PostSend(SendWR{ID: 1, LocalAddr: src, LKey: mr1.Key(), Len: 8192}); err != nil {
 			t.Fatal(err)
 		}
 		r.eng.Run()
@@ -814,16 +721,16 @@ func TestDeliveredPacketsRecycle(t *testing.T) {
 		}
 	}
 
-	write() // 8 MTUs out of one fresh slab, all returned to the sender
+	send() // 8 MTUs out of one fresh slab, all returned to the sender
 	if len(r.h1.free) != packetSlabSize || len(r.h2.free) != 0 {
-		t.Fatalf("free lists after a write = %d/%d, want %d/0", len(r.h1.free), len(r.h2.free), packetSlabSize)
+		t.Fatalf("free lists after a send = %d/%d, want %d/0", len(r.h1.free), len(r.h2.free), packetSlabSize)
 	}
 	zeroed(r.h1)
 
 	r.h2.SetAckPath(func(srcNode int, a Ack) {
 		r.eng.After(sim.Microsecond, func() { r.h1.ApplyAck(a) })
 	})
-	write()
+	send()
 	if len(r.h1.free) != packetSlabSize-8 || len(r.h2.free) != 8 {
 		t.Fatalf("free lists with an ack path = %d/%d, want %d/8", len(r.h1.free), len(r.h2.free), packetSlabSize-8)
 	}

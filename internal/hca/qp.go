@@ -15,10 +15,6 @@ type Opcode uint16
 const (
 	OpSend Opcode = iota + 1
 	OpRecv
-	OpRDMAWrite
-	OpRDMAWriteImm
-	OpRDMARead
-	opReadResp // internal: data returning for an RDMA READ
 )
 
 // String names the opcode.
@@ -28,37 +24,22 @@ func (o Opcode) String() string {
 		return "SEND"
 	case OpRecv:
 		return "RECV"
-	case OpRDMAWrite:
-		return "RDMA_WRITE"
-	case OpRDMAWriteImm:
-		return "RDMA_WRITE_IMM"
-	case OpRDMARead:
-		return "RDMA_READ"
-	case opReadResp:
-		return "READ_RESP"
 	default:
 		return fmt.Sprintf("Opcode(%d)", uint16(o))
 	}
 }
 
-// SendWR is a send-side work request.
+// SendWR is a SEND work request: the message lands in the oldest receive
+// buffer the responder has posted.
 type SendWR struct {
 	// ID is returned in the completion.
 	ID uint64
-	// Op is one of OpSend, OpRDMAWrite, OpRDMAWriteImm, OpRDMARead.
-	Op Opcode
-	// LocalAddr/LKey describe the local buffer (source for sends/writes,
-	// destination for reads). Must fall inside a registered MR.
+	// LocalAddr/LKey describe the source buffer. Must fall inside a
+	// registered MR.
 	LocalAddr guestmem.Addr
 	LKey      uint32
 	// Len is the message length in bytes.
 	Len int
-	// RemoteAddr/RKey describe the remote buffer (RDMA ops only).
-	RemoteAddr guestmem.Addr
-	RKey       uint32
-	// Imm is delivered in the remote completion for OpSend and
-	// OpRDMAWriteImm.
-	Imm uint32
 	// Payload, if non-nil, is the actual data deposited at the destination.
 	// It may be shorter than Len (the rest is undefined padding, charged on
 	// the wire but not copied). Nil means "bytes don't matter". The device
@@ -77,7 +58,13 @@ type RecvWR struct {
 }
 
 // sqWQESize is the bytes one send WQE occupies in the guest-memory send
-// queue ring (introspectable like the rest of the device state).
+// queue ring (introspectable like the rest of the device state):
+//
+//	off  0  u32  opcode (always OpSend)
+//	off  4  u32  length
+//	off  8  u64  wrID
+//	off 16  u64  local address
+//	off 24       zero to the end of the slot (unused)
 const sqWQESize = 64
 
 // QPState tracks the (simplified) IB connection state machine.
@@ -93,9 +80,6 @@ const (
 // message carries a pointer to it, so reassembly is a counter. Messages come
 // from an HCA free list (newMsg) and go back to one once finished (freeMsg).
 type wireMsg struct {
-	op      Opcode
-	imm     uint32
-	rkey    uint32
 	srcQPN  uint32
 	dstQPN  uint32
 	srcNode int
@@ -103,10 +87,6 @@ type wireMsg struct {
 	len     int
 	got     int // MTUs delivered
 	payload []byte
-	remote  guestmem.Addr
-	// local is, for a READ and its response, the requester's destination
-	// buffer.
-	local guestmem.Addr
 
 	// train is how the message waits on the uplink; the link builds each
 	// MTU's packet from it when that MTU starts serializing. train.MTUs is
@@ -269,9 +249,7 @@ func (qp *QP) PostSend(wr SendWR) error {
 	if wr.Payload != nil && len(wr.Payload) > wr.Len {
 		return ErrPayloadSize
 	}
-	h := qp.pd.hca
-	needLocal := wr.Len
-	if h.checkKey(wr.LKey, qp.pd.space, wr.LocalAddr, needLocal, 0) == nil {
+	if qp.pd.hca.checkKey(wr.LKey, qp.pd.space, wr.LocalAddr, wr.Len, 0) == nil {
 		return ErrBadLKey
 	}
 	// Write the WQE into the guest-memory ring (introspectable), then ring
@@ -279,12 +257,10 @@ func (qp *QP) PostSend(wr SendWR) error {
 	slot := qp.sqHead % uint64(qp.sqDepth)
 	base := qp.sqRing + guestmem.Addr(slot*sqWQESize)
 	mem := qp.pd.space
-	mem.WriteU32(base, uint32(wr.Op))
+	mem.WriteU32(base, uint32(OpSend))
 	mem.WriteU32(base+4, uint32(wr.Len))
 	mem.WriteU64(base+8, wr.ID)
 	mem.WriteU64(base+16, uint64(wr.LocalAddr))
-	mem.WriteU64(base+24, uint64(wr.RemoteAddr))
-	mem.WriteU32(base+32, wr.RKey)
 	qp.sqHead++
 	mem.WriteU32(qp.uar, uint32(qp.sqHead)) // doorbell
 	qp.sq.Push(wr)
@@ -294,12 +270,12 @@ func (qp *QP) PostSend(wr SendWR) error {
 }
 
 // completeSend writes a send-side completion and frees the WQE slot.
-func (qp *QP) completeSend(op Opcode, status Status, byteLen uint32, wrID uint64) {
+func (qp *QP) completeSend(status Status, byteLen uint32, wrID uint64) {
 	if qp.outstanding > 0 {
 		qp.outstanding--
 	}
 	qp.completedSends++
-	qp.sendCQ.push(qp.qpn, op, status, byteLen, wrID, 0)
+	qp.sendCQ.push(qp.qpn, OpSend, status, byteLen, wrID)
 }
 
 // DestroyQP tears a queue pair down: pending send and receive work
@@ -315,13 +291,13 @@ func (pd *PD) DestroyQP(qp *QP) {
 	delete(h.qps, qp.qpn)
 	for qp.sq.Len() > 0 {
 		wr := qp.sq.Pop()
-		qp.completeSend(wr.Op, StatusFlushErr, 0, wr.ID)
+		qp.completeSend(StatusFlushErr, 0, wr.ID)
 	}
 	qp.outstanding = 0
 	for qp.rq.Len() > 0 {
 		rwr := qp.rq.Pop()
 		qp.completedRecvs++
-		qp.recvCQ.push(qp.qpn, OpRecv, StatusFlushErr, 0, rwr.ID, 0)
+		qp.recvCQ.push(qp.qpn, OpRecv, StatusFlushErr, 0, rwr.ID)
 	}
 	for qp.pendingRecv.Len() > 0 {
 		h.freeMsg(qp.pendingRecv.Pop())
@@ -349,19 +325,10 @@ func (qp *QP) processHead() {
 	h := qp.pd.hca
 	wr := qp.sq.Pop()
 
-	// rkeys are validated at the responder, as on real hardware.
 	m := h.newMsg()
-	m.op, m.srcNode, m.srcQPN, m.dstQPN = wr.Op, h.cfg.Node, qp.qpn, qp.remoteQPN
-	m.wrID, m.len, m.remote, m.rkey = wr.ID, wr.Len, wr.RemoteAddr, wr.RKey
-	if wr.Op == OpRDMARead {
-		// A read request is a single control MTU to the responder; the
-		// responder streams the data back to local.
-		m.local = wr.LocalAddr
-		qp.sendMsg(m, 0)
-	} else {
-		m.imm, m.payload = wr.Imm, wr.Payload
-		qp.sendMsg(m, m.len)
-	}
+	m.srcNode, m.srcQPN, m.dstQPN = h.cfg.Node, qp.qpn, qp.remoteQPN
+	m.wrID, m.len, m.payload = wr.ID, wr.Len, wr.Payload
+	qp.sendMsg(m)
 	if qp.sq.Len() > 0 {
 		h.eng.After(ProcDelay, qp.onProcess)
 	} else {
@@ -378,17 +345,14 @@ func mtuCount(n int) int {
 }
 
 // sendMsg queues m on the uplink as one train of MTUs.
-func (qp *QP) sendMsg(m *wireMsg, byteLen int) {
+func (qp *QP) sendMsg(m *wireMsg) {
 	h := qp.pd.hca
 	h.msgsSent++
-	h.bytesSent += int64(byteLen)
-	mtus, last := 1, 0 // a read request carries no payload
-	if m.op != OpRDMARead {
-		mtus = mtuCount(m.len)
-		last = m.len - (mtus-1)*fabric.DefaultMTU
-	}
+	h.bytesSent += int64(m.len)
+	mtus := mtuCount(m.len)
+	last := m.len - (mtus-1)*fabric.DefaultMTU
 	if last <= 0 {
-		last = 64 // control-only packet (zero-length send, read request)
+		last = 64 // control-only packet (zero-length send)
 	}
 	m.train = fabric.Train{
 		Template: fabric.Packet{
@@ -422,47 +386,11 @@ func (h *HCA) Deliver(pkt *fabric.Packet) {
 		h.completeSender(m, StatusRemoteAccessErr)
 		return
 	}
-	switch m.op {
-	case OpRDMARead:
-		qp.handleReadRequest(m)
-	case opReadResp:
-		qp.handleReadResponse(m)
-	default:
-		qp.handleInbound(m)
+	if qp.rq.Len() == 0 {
+		qp.pendingRecv.Push(m) // RNR: park
+		return
 	}
-}
-
-// handleInbound processes a fully arrived SEND or RDMA WRITE.
-func (qp *QP) handleInbound(m *wireMsg) {
-	h := qp.pd.hca
-	switch m.op {
-	case OpRDMAWrite, OpRDMAWriteImm:
-		mr := h.checkKey(m.rkey, qp.pd.space, m.remote, m.len, AccessRemoteWrite)
-		if mr == nil {
-			h.completeSender(m, StatusRemoteAccessErr)
-			return
-		}
-		if m.payload != nil {
-			qp.pd.space.Write(m.remote, m.payload)
-		}
-		if m.op == OpRDMAWriteImm {
-			// Consumes a receive WQE for the immediate notification.
-			if qp.rq.Len() == 0 {
-				qp.pendingRecv.Push(m)
-				return
-			}
-			qp.completeInbound(m)
-			return
-		}
-		// Plain write: invisible to the responder CPU; ack the sender only.
-		h.completeSender(m, StatusOK)
-	case OpSend:
-		if qp.rq.Len() == 0 {
-			qp.pendingRecv.Push(m) // RNR: park
-			return
-		}
-		qp.completeInbound(m)
-	}
+	qp.completeInbound(m)
 }
 
 // completeInbound consumes a receive WQE for m and generates both-side
@@ -472,14 +400,12 @@ func (qp *QP) completeInbound(m *wireMsg) {
 	rwr := qp.rq.Pop()
 	qp.completedRecvs++
 	status := StatusOK
-	if m.op == OpSend {
-		if m.len > rwr.Len {
-			status = StatusLocalProtErr
-		} else if m.payload != nil {
-			qp.pd.space.Write(rwr.Addr, m.payload)
-		}
+	if m.len > rwr.Len {
+		status = StatusLocalProtErr
+	} else if m.payload != nil {
+		qp.pd.space.Write(rwr.Addr, m.payload)
 	}
-	qp.recvCQ.push(qp.qpn, OpRecv, status, uint32(m.len), rwr.ID, m.imm)
+	qp.recvCQ.push(qp.qpn, OpRecv, status, uint32(m.len), rwr.ID)
 	h.completeSender(m, status)
 }
 
@@ -488,10 +414,7 @@ func (qp *QP) completeInbound(m *wireMsg) {
 // completions for remote nodes become transport messages — the transport
 // adds its own return latency — instead of a direct call into the peer HCA.
 func (h *HCA) completeSender(m *wireMsg, status Status) {
-	a := Ack{
-		SrcQPN: m.srcQPN, Op: m.op, Status: status,
-		Len: uint32(m.len), WRID: m.wrID,
-	}
+	a := Ack{SrcQPN: m.srcQPN, Status: status, Len: uint32(m.len), WRID: m.wrID}
 	src := m.srcNode
 	h.freeMsg(m)
 	if h.ackPath != nil && src != h.cfg.Node {
@@ -507,31 +430,6 @@ func (h *HCA) completeSender(m *wireMsg, status Status) {
 func (h *HCA) ack() {
 	a := h.acks.Pop()
 	a.src.ApplyAck(a.ack)
-}
-
-// handleReadRequest streams read-response data back to the requester.
-func (qp *QP) handleReadRequest(m *wireMsg) {
-	h := qp.pd.hca
-	mr := h.checkKey(m.rkey, qp.pd.space, m.remote, m.len, AccessRemoteRead)
-	if mr == nil {
-		h.completeSender(m, StatusRemoteAccessErr)
-		return
-	}
-	resp := h.newMsg()
-	resp.op, resp.srcNode, resp.srcQPN, resp.dstQPN = opReadResp, h.cfg.Node, qp.qpn, m.srcQPN
-	resp.wrID, resp.len, resp.local = m.wrID, m.len, m.local
-	resp.payload = make([]byte, m.len)
-	qp.pd.space.Read(m.remote, resp.payload)
-	h.freeMsg(m)
-	qp.sendMsg(resp, resp.len)
-}
-
-// handleReadResponse lands read data in the requester's buffer and
-// completes the original READ work request.
-func (qp *QP) handleReadResponse(m *wireMsg) {
-	qp.pd.space.Write(m.local, m.payload)
-	qp.completeSend(OpRDMARead, StatusOK, uint32(m.len), m.wrID)
-	qp.pd.hca.freeMsg(m)
 }
 
 // peerHCA resolves a node id to its HCA.

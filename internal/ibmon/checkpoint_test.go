@@ -7,7 +7,7 @@ import (
 	"resex/internal/sim"
 )
 
-// runMonitored watches the guest's send CQ, drives 40 RDMA writes, and
+// runMonitored watches the guest's send CQ, drives 40 SENDs, and
 // returns the monitor's export at 20ms.
 func runMonitored(t *testing.T, midCheckpoint bool) State {
 	t.Helper()

@@ -43,8 +43,7 @@ type Usage struct {
 	// Lost counts completions whose CQEs were overwritten before a sample
 	// could read them; their sizes are estimated.
 	Lost int64
-	// BytesSent totals payload bytes of send-side completions (SEND, RDMA
-	// WRITE/READ initiated by the VM).
+	// BytesSent totals payload bytes of the VM's SEND completions.
 	BytesSent int64
 	// MTUsSent is the paper's primary metric: the number of MTU packets the
 	// HCA put on the wire for this VM, inferred from per-completion sizes.

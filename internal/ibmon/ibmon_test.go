@@ -21,9 +21,7 @@ type harness struct {
 	qp1   *hca.QP
 	scq   *hca.CQ
 	mr1   *hca.MR
-	mr2   *hca.MR
 	src   guestmem.Addr
-	dst   guestmem.Addr
 }
 
 func newHarness(t *testing.T, cqDepth int) *harness {
@@ -59,23 +57,25 @@ func newHarness(t *testing.T, cqDepth int) *harness {
 		t.Fatal(err)
 	}
 	h.src = h.guest.Memory().Alloc(4<<20, 64)
-	h.dst = mem2.Alloc(4<<20, 64)
+	dst := mem2.Alloc(4<<20, 64)
 	h.mr1, _ = h.pd1.RegisterMR(h.src, 4<<20, 0)
-	h.mr2, _ = pd2.RegisterMR(h.dst, 4<<20, hca.AccessRemoteWrite)
+	mr2, _ := pd2.RegisterMR(dst, 4<<20, hca.AccessLocalWrite)
+	// One receive per send a test makes, so no SEND waits for a buffer.
+	for i := 0; i < 512; i++ {
+		if err := qp2.PostRecv(hca.RecvWR{ID: uint64(i), Addr: dst, LKey: mr2.Key(), Len: 4 << 20}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return h
 }
 
-// sendN posts n RDMA writes of sz bytes from the guest, gap apart.
+// sendN posts n SENDs of sz bytes from the guest, gap apart.
 func (h *harness) sendN(t *testing.T, n, sz int, gap sim.Time) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		id := uint64(i)
 		h.eng.Schedule(sim.Time(i)*gap, func() {
-			err := h.qp1.PostSend(hca.SendWR{
-				ID: id, Op: hca.OpRDMAWrite,
-				LocalAddr: h.src, LKey: h.mr1.Key(), Len: sz,
-				RemoteAddr: h.dst, RKey: h.mr2.Key(),
-			})
+			err := h.qp1.PostSend(hca.SendWR{ID: id, LocalAddr: h.src, LKey: h.mr1.Key(), Len: sz})
 			if err != nil {
 				t.Errorf("post %d: %v", id, err)
 			}
@@ -115,7 +115,7 @@ func TestExactCountsWhenSamplingKeepsUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Start(h.eng)
-	// 50 writes of 64KB, 150µs apart: CQ never wraps between samples.
+	// 50 sends of 64KB, 150µs apart: CQ never wraps between samples.
 	h.sendN(t, 50, 65536, 150*sim.Microsecond)
 	h.eng.RunUntil(20 * sim.Millisecond)
 	m.Stop()
@@ -201,7 +201,7 @@ func TestRecvBytesSeparated(t *testing.T) {
 	m := New(h.hv, nil, Config{})
 	tgt, _ := m.WatchCQ(h.guest.ID(), h.scq)
 	// Manually push a recv CQE followed by a send CQE via the public wire
-	// path is cumbersome here; instead send one write and sample.
+	// path is cumbersome here; instead send one message and sample.
 	h.sendN(t, 1, 2048, sim.Microsecond)
 	h.eng.RunUntil(sim.Millisecond)
 	m.SampleAll(nil)

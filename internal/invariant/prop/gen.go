@@ -33,9 +33,8 @@ func Cluster(rng *sim.Rand) workload.Config {
 }
 
 // Tenants draws n tenant specs spanning the engine's surface: open loops
-// (metronome, Poisson, bursty MMPP) and closed loops, mixed buffer sizes,
-// SLA-backed reporters and silent bulk movers, and the occasional admission
-// hook. Rates are kept light enough that a 1-host rig is not driven to
+// (Poisson, bursty MMPP) and closed loops, mixed buffer sizes, SLA-backed
+// reporters and silent bulk movers, and the occasional queue cap. Rates are kept light enough that a 1-host rig is not driven to
 // saturation — the properties are about bookkeeping, not capacity.
 func Tenants(rng *sim.Rand, n int) []workload.TenantSpec {
 	sizes := []int{4 << 10, 16 << 10, 64 << 10}
@@ -46,7 +45,7 @@ func Tenants(rng *sim.Rand, n int) []workload.TenantSpec {
 			BufferSize: sizes[rng.Intn(len(sizes))],
 			Seed:       1 + rng.Int63n(1<<30),
 		}
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0:
 			spec.Closed = workload.ClosedLoop{
 				Concurrency: 1 + rng.Intn(3),
@@ -54,8 +53,6 @@ func Tenants(rng *sim.Rand, n int) []workload.TenantSpec {
 				ThinkExp:    rng.Intn(2) == 0,
 			}
 		case 1:
-			spec.Arrivals = workload.Fixed{Interval: sim.Time(1+rng.Intn(8)) * sim.Millisecond}
-		case 2:
 			spec.Arrivals = workload.Poisson{Rate: 100 + float64(rng.Intn(300))}
 		default:
 			spec.Arrivals = &workload.MMPP2{
@@ -69,13 +66,8 @@ func Tenants(rng *sim.Rand, n int) []workload.TenantSpec {
 			spec.SLAUs = 200 + float64(rng.Intn(400))
 			spec.LatencySensitive = true
 		}
-		if spec.Arrivals != nil {
-			switch rng.Intn(4) {
-			case 0:
-				spec.Admission = workload.QueueCap{Max: 4 + rng.Intn(28)}
-			case 1:
-				spec.Admission = workload.DeadlineShed{MaxWaitUs: 500 + float64(rng.Intn(2000))}
-			}
+		if spec.Arrivals != nil && rng.Intn(2) == 0 {
+			spec.Admission = workload.QueueCap{Max: 4 + rng.Intn(28)}
 		}
 		specs = append(specs, spec)
 	}

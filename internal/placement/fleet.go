@@ -5,7 +5,6 @@ import (
 
 	"resex/internal/benchex"
 	"resex/internal/cluster"
-	"resex/internal/exchange"
 	"resex/internal/faults"
 	"resex/internal/ibmon"
 	"resex/internal/resex"
@@ -116,7 +115,6 @@ type Fleet struct {
 	cfg        Config
 	rng        *sim.Rand
 	store      *schedshard.Store
-	market     *exchange.Market
 	placeSeq   uint64 // canonical bind keys for store commits
 	placements []*Placement
 	faults     *faults.Injector // nil = no injection wired
@@ -124,24 +122,20 @@ type Fleet struct {
 
 // NewFleet assembles the worker rig (one monitor+manager per worker, and
 // the client host), then subscribes the fleet to every manager's epoch
-// summaries and lists every trade book on the fleet market.
+// summaries.
 func NewFleet(cfg Config) *Fleet {
 	cfg = cfg.withDefaults()
 	rig := workload.NewRig(cfg.Config)
 	cfg.Config = rig.Config()
 	f := &Fleet{
-		Rig:    rig,
-		Log:    &EventLog{},
-		cfg:    cfg,
-		rng:    sim.NewRand(cfg.Seed),
-		store:  schedshard.NewStore(),
-		market: exchange.NewMarket(),
+		Rig:   rig,
+		Log:   &EventLog{},
+		cfg:   cfg,
+		rng:   sim.NewRand(cfg.Seed),
+		store: schedshard.NewStore(),
 	}
 	for i, mgr := range f.Mgrs {
 		mgr.ObserveEpoch(func(es resex.EpochSummary) { f.onEpoch(i, es) })
-		if bp, ok := mgr.Policy().(exchange.BookKeeper); ok {
-			f.market.Add(f.Workers[i].Node, bp.Book())
-		}
 	}
 	return f
 }
@@ -215,11 +209,6 @@ func (f *Fleet) onEpoch(hostIdx int, es resex.EpochSummary) {
 // read the same store.
 func (f *Fleet) Store() *schedshard.Store { return f.store }
 
-// Market returns the fleet-level exchange market: one listing per worker
-// whose policy keeps a trade book (empty on non-pricing fleets). Placement
-// views read per-host quotes from it.
-func (f *Fleet) Market() *exchange.Market { return f.market }
-
 // refresh rebuilds the scheduler's view of every worker host from live
 // fleet state and publishes it as the store's next snapshot version.
 func (f *Fleet) refresh() *schedshard.Snapshot {
@@ -237,11 +226,6 @@ func (f *Fleet) buildView() []*schedshard.HostInfo {
 			LinkBytesPerSec: f.cfg.WorkerLink(i),
 			ResoHeadroom:    1,
 			Health:          f.HostHealth(i),
-		}
-		if bk := f.market.BookOf(h.Node); bk != nil {
-			for d := exchange.Dim(0); d < exchange.NumDims; d++ {
-				hi.Prices[d] = bk.Board().Price(d)
-			}
 		}
 		for _, pl := range f.placements {
 			if pl.HostIdx != i {

@@ -133,7 +133,7 @@ func (ch *migrationChannel) transfer(p *sim.Proc, n int, abort func() bool) erro
 		}
 		if posted < n && outstanding < MigrationWindow {
 			err := ch.srcQP.PostSend(hca.SendWR{
-				ID: uint64(posted), Op: hca.OpSend,
+				ID:        uint64(posted),
 				LocalAddr: ch.srcBuf, LKey: ch.srcMR.Key(), Len: ChunkBytes,
 			})
 			if err != nil {

@@ -25,7 +25,9 @@
 // Strategy seam (pipeline or random baseline) is placement's own. The
 // fleet publishes its live state into a schedshard.Store and commits every
 // bind through it, which is also where placement-vs-headroom conflicts are
-// counted.
+// counted. Hosts are scored on capacity, Reso headroom and interference,
+// never on internal/exchange prices: the fleets the experiments build run
+// IOShares, which keeps no trade book.
 //
 // Everything is deterministic: the same seed yields identical placement
 // decisions and an identical migration schedule.

@@ -269,24 +269,19 @@ func TestRebalancerEvacuatesThrottleProofInterferer(t *testing.T) {
 	}
 }
 
-// TestFleetMarketWiring: a fleet whose policy keeps trade books lists every
-// worker on the market, publishes live quotes into scheduler snapshots, and
-// its managers expose the books for snapshots/audits; a non-pricing fleet
-// stays dark.
+// TestFleetMarketWiring: a fleet publishes each worker's own uplink
+// capacity into its scheduler snapshots, heterogeneous links included, and
+// an IOShares fleet keeps no trade books.
 func TestFleetMarketWiring(t *testing.T) {
 	f := NewFleet(Config{
 		Config: workload.Config{
 			Hosts:          3,
 			LinkBandwidths: []float64{1e9, 0, 500e6}, // heterogeneous: node3 is half-rate
-			Policy:         func() resex.Policy { return resex.NewFungible() },
 		},
 		Seed: 1,
 	})
-	if got := len(f.Market().Hosts()); got != 3 {
-		t.Fatalf("market lists %d hosts, want 3", got)
-	}
-	if got := len(resex.Books(f.Mgrs)); got != 3 {
-		t.Fatalf("resex.Books returned %d, want 3", got)
+	if got := len(resex.Books(f.Mgrs)); got != 0 {
+		t.Fatalf("IOShares fleet has %d books, want 0", got)
 	}
 	if _, err := f.Place(bulkWorkload("bulk-a", 7)); err != nil {
 		t.Fatal(err)
@@ -294,11 +289,6 @@ func TestFleetMarketWiring(t *testing.T) {
 	f.TB.Eng.RunUntil(2 * sim.Second)
 	hosts := f.refresh().Hosts
 	for i, h := range hosts {
-		for d := range h.Prices {
-			if h.Prices[d] < 1 {
-				t.Fatalf("host %d dim %d price %.2f, want >= 1", h.Node, d, h.Prices[d])
-			}
-		}
 		want := f.cfg.WorkerLink(i)
 		if h.LinkBytesPerSec != want {
 			t.Fatalf("host %d link %.0f, want %.0f", h.Node, h.LinkBytesPerSec, want)
@@ -306,13 +296,5 @@ func TestFleetMarketWiring(t *testing.T) {
 	}
 	if hosts[2].LinkBytesPerSec != 500e6 {
 		t.Fatalf("heterogeneous link override lost: %.0f", hosts[2].LinkBytesPerSec)
-	}
-
-	bare := NewFleet(Config{Config: workload.Config{Hosts: 2}, Seed: 1})
-	if got := len(bare.Market().Hosts()); got != 0 {
-		t.Fatalf("IOShares fleet lists %d hosts on the market, want 0", got)
-	}
-	if got := len(resex.Books(bare.Mgrs)); got != 0 {
-		t.Fatalf("IOShares fleet has %d books, want 0", got)
 	}
 }

@@ -62,16 +62,10 @@ type Rebalancer struct {
 	running bool
 }
 
-// NewRebalancer creates a rebalancer using the interference-aware pipeline
-// to pick migration targets — rate-weighted (schedshard.NewRatePipeline) when the
-// fleet's policy prices through the exchange, so migration targets are
-// scored with the same economics new placements are.
+// NewRebalancer creates a rebalancer that picks migration targets with the
+// interference-aware pipeline.
 func NewRebalancer(f *Fleet, cfg RebalanceConfig) *Rebalancer {
-	pipe := schedshard.NewInterferencePipeline()
-	if len(f.Market().Hosts()) > 0 {
-		pipe = schedshard.NewRatePipeline()
-	}
-	return &Rebalancer{f: f, cfg: cfg.withDefaults(), pipe: pipe}
+	return &Rebalancer{f: f, cfg: cfg.withDefaults(), pipe: schedshard.NewInterferencePipeline()}
 }
 
 // Start launches the periodic pass.

@@ -91,7 +91,7 @@ func NewFungible() *Fungible {
 func (f *Fungible) Name() string { return "Fungible" }
 
 // Book returns the host's trade book (lazily created), for the invariant
-// auditor, the fleet market, snapshots, and live views.
+// auditor, the daemon, snapshots, and live views.
 func (f *Fungible) Book() *exchange.Book {
 	if f.book == nil {
 		f.book = exchange.NewBook(f.Exchange)

@@ -9,22 +9,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
-
-	"resex/internal/exchange"
 )
-
-// laneFleet is randomFleet plus the dimension only the rate pipeline
-// reads: exchange prices.
-func laneFleet(rng *rand.Rand) []*HostInfo {
-	hosts := randomFleet(rng)
-	for _, h := range hosts {
-		if rng.Intn(2) == 0 {
-			h.Prices[exchange.DimCPU] = 3 * rng.Float64()
-			h.Prices[exchange.DimFabric] = 3 * rng.Float64()
-		}
-	}
-	return hosts
-}
 
 // laneSpec is randomSpec with a random name.
 func laneSpec(rng *rand.Rand) Spec {
@@ -37,12 +22,11 @@ func laneVM(rng *rand.Rand, s Spec) VMInfo {
 	return VMInfo{Spec: s, BytesPerSec: 1e8 * rng.Float64(), BufferSize: s.BufferSize}
 }
 
-// lanePipelines are the three built-ins and the zero Pipeline, which
+// lanePipelines are the two built-ins and the zero Pipeline, which
 // scores every feasible host 0, so every pick is a tie.
 func lanePipelines() map[string]Pipeline {
 	return map[string]Pipeline{
 		"interference": NewInterferencePipeline(),
-		"rate":         NewRatePipeline(),
 		"spread":       NewSpreadPipeline(),
 		"ties":         {},
 	}
@@ -62,7 +46,7 @@ type laneGroup struct {
 func checkLanePick(t *testing.T, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	snap := &Snapshot{Hosts: laneFleet(rng)}
+	snap := &Snapshot{Hosts: randomFleet(rng)}
 	off := rng.Intn(len(snap.Hosts))
 	groups := make([]laneGroup, 1+rng.Intn(24))
 	for g := range groups {
@@ -118,7 +102,7 @@ func checkLanePick(t *testing.T, seed int64) {
 func checkRoundsMatchReference(t *testing.T, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	fleet := laneFleet(rng)
+	fleet := randomFleet(rng)
 	cfg := Config{Shards: 1 + rng.Intn(4), Workers: 1, Seed: seed, AvoidConflicts: rng.Intn(2) == 0}
 	type arrival struct {
 		spec Spec

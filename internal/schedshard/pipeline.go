@@ -1,19 +1,15 @@
 package schedshard
 
-import (
-	"fmt"
+import "fmt"
 
-	"resex/internal/exchange"
-)
-
-// Pipeline is one of the three built-in placement policies (NewSpreadPipeline,
-// NewInterferencePipeline, NewRatePipeline): a host passes if Feasible, and
-// a feasible host scores the weighted sum of the four built-in scores —
-// interference avoidance, Reso headroom, rate-weighted headroom and CPU
-// spreading, summed in that order, a zero weight leaving its score out.
-// A Pipeline holds no state, so one value serves any number of goroutines.
+// Pipeline is one of the two built-in placement policies (NewSpreadPipeline,
+// NewInterferencePipeline): a host passes if Feasible, and a feasible host
+// scores the weighted sum of the three built-in scores — interference
+// avoidance, Reso headroom and CPU spreading, summed in that order, a zero
+// weight leaving its score out. A Pipeline holds no state, so one value
+// serves any number of goroutines.
 type Pipeline struct {
-	interference, reso, rate, spread float64
+	interference, reso, spread float64
 }
 
 // NewSpreadPipeline is the CPU-only spreading scheduler: the feasibility
@@ -24,14 +20,6 @@ func NewSpreadPipeline() Pipeline { return Pipeline{spread: 1} }
 // dominating, with Reso headroom and CPU spreading as tie-breakers.
 func NewInterferencePipeline() Pipeline {
 	return Pipeline{interference: 1, reso: 0.3, spread: 0.5}
-}
-
-// NewRatePipeline is the exchange-priced scheduler: interference avoidance
-// still dominates (a cheap host running a fatal neighbor is still fatal),
-// but the headroom tie-break is rate-weighted, so among interference-safe
-// hosts the fleet packs load where congestion prices are lowest.
-func NewRatePipeline() Pipeline {
-	return Pipeline{interference: 1, rate: 0.6, spread: 0.2}
 }
 
 // Feasible is the placement feasibility rule every pipeline (and the
@@ -90,9 +78,6 @@ func (p Pipeline) score(h *HostInfo, pen float64) float64 {
 	}
 	if p.reso != 0 {
 		score += p.reso * resoHeadroom(h)
-	}
-	if p.rate != 0 {
-		score += p.rate * rateWeightedHeadroom(h)
 	}
 	if p.spread != 0 {
 		score += p.spread * spreadByCPU(h)
@@ -170,28 +155,6 @@ func resoHeadroom(h *HostInfo) float64 {
 		hr = 1
 	}
 	return 0.5*free + 0.5*hr
-}
-
-// rateWeightedHeadroom is the exchange-priced headroom score: free capacity
-// in each dimension is discounted by the host's congestion quote for that
-// dimension, turning placement into rate-weighted vector bin-packing. A
-// host with plenty of free PCPUs but an expensive fabric (its rate board
-// prices the link as congested) scores like a nearly-full host; a host
-// quoting base prices everywhere scores its raw headroom. On fleets whose
-// policy does not price (no rate boards feeding Prices), every quote floors
-// at 1 and the score degrades to plain headroom.
-func rateWeightedHeadroom(h *HostInfo) float64 {
-	cpu := 0.0
-	if h.TotalPCPUs > 0 {
-		cpu = float64(h.FreePCPUs) / float64(h.TotalPCPUs)
-	}
-	link := 1 - h.IOCommitted
-	if link < 0 {
-		link = 0
-	}
-	// Each term is a [0,1] free-fraction divided by a price >= 1, so the
-	// weighted sum stays in [0,1] and congested dimensions shrink toward 0.
-	return 0.5*cpu/h.PriceOf(exchange.DimCPU) + 0.5*link/h.PriceOf(exchange.DimFabric)
 }
 
 // Interference avoidance penalizes the colocations the paper shows are

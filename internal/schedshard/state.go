@@ -9,7 +9,7 @@
 //     readers get a consistent versioned view for free (it never mutates),
 //     writers commit bind deltas which the store validates against live
 //     headroom, copy-on-write-cloning only the touched hosts;
-//   - a Pipeline — one of three fixed placement policies: a feasibility
+//   - a Pipeline — one of two fixed placement policies: a feasibility
 //     rule and a weighted sum of built-in scores, led by interference
 //     avoidance — with a zero-alloc pick whose tie-break can be rotated
 //     per shard for conflict avoidance;
@@ -29,8 +29,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-
-	"resex/internal/exchange"
 )
 
 // Spec is what the scheduler knows about a VM *before* it runs: its
@@ -120,21 +118,7 @@ type HostInfo struct {
 	// ResoHeadroom is the mean remaining Reso balance fraction across the
 	// host's managed VMs (1 = untouched allocations, 0 = exhausted).
 	ResoHeadroom float64
-	// Prices are the host's per-dimension congestion quotes from its
-	// exchange rate board (see internal/exchange). Zero entries mean the
-	// host does not price that dimension (treated as the base price 1), so
-	// fleets on non-exchange policies score exactly as before.
-	Prices [exchange.NumDims]float64
-	VMs    []VMInfo
-}
-
-// PriceOf returns the host's quote for a dimension, flooring at the base
-// price 1 so unpriced hosts neither attract nor repel load.
-func (h *HostInfo) PriceOf(d exchange.Dim) float64 {
-	if p := h.Prices[d]; p > 1 {
-		return p
-	}
-	return 1
+	VMs          []VMInfo
 }
 
 // Snapshot is one immutable, versioned view of the whole fleet. Hosts are

@@ -33,8 +33,7 @@ func newOwnershipVM(t *testing.T, h *cluster.Host, name string) *ownershipVM {
 	vm := h.NewVM(name)
 	const size = 1 << 20
 	buf := vm.PD.Space().Alloc(size, 4096)
-	mr, err := vm.PD.RegisterMR(buf, size,
-		hca.AccessLocalWrite|hca.AccessRemoteWrite|hca.AccessRemoteRead)
+	mr, err := vm.PD.RegisterMR(buf, size, hca.AccessLocalWrite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +48,8 @@ func (o *ownershipVM) qp(depth int) *hca.QP {
 // TestRecycledMessagesStayWithTheirEngine runs two hosts on two engines
 // that simpar executes on two goroutines at once, with traffic that makes
 // each HCA finish messages the other one built: sends that park on an empty
-// receive queue (RNR) in both directions, RDMA reads whose responses are
-// built by the responder, and QPs destroyed on either side while their
+// receive queue (RNR) in both directions, responses whose payloads the
+// responder hands over, and QPs destroyed on either side while their
 // messages are on the wire. With an ack path installed, a finished message
 // stays on the free list of the HCA that received it, so the recycled
 // messages the race detector sees cross goroutines only through the
@@ -81,15 +80,18 @@ func TestRecycledMessagesStayWithTheirEngine(t *testing.T) {
 	send := func(qp *hca.QP, o *ownershipVM, id, n int, payload []byte) func() error {
 		return func() error {
 			return qp.PostSend(hca.SendWR{
-				ID: uint64(id), Op: hca.OpSend, LocalAddr: o.buf, LKey: o.mr.Key(),
+				ID: uint64(id), LocalAddr: o.buf, LKey: o.mr.Key(),
 				Len: n, Payload: payload,
 			})
 		}
 	}
-	recv := func(qp *hca.QP, o *ownershipVM, id int, addr guestmem.Addr) func() error {
+	recvN := func(qp *hca.QP, o *ownershipVM, id int, addr guestmem.Addr, n int) func() error {
 		return func() error {
-			return qp.PostRecv(hca.RecvWR{ID: uint64(id), Addr: addr, LKey: o.mr.Key(), Len: 4096})
+			return qp.PostRecv(hca.RecvWR{ID: uint64(id), Addr: addr, LKey: o.mr.Key(), Len: n})
 		}
+	}
+	recv := func(qp *hca.QP, o *ownershipVM, id int, addr guestmem.Addr) func() error {
+		return recvN(qp, o, id, addr, 4096)
 	}
 
 	// Sends both ways whose receive buffers are posted only after the
@@ -108,35 +110,27 @@ func TestRecycledMessagesStayWithTheirEngine(t *testing.T) {
 		at(tb1.Eng, 300*sim.Microsecond+sim.Time(k)*5*sim.Microsecond, recv(rBA, a, k, a.buf+inboxBA+slot))
 	}
 
-	// RDMA reads from a onto b's memory: each response is a message b
-	// builds from its free list and a finishes.
-	const reads, readLen = 8, 2000
-	const readSrc, readDst = 256 << 10, 256 << 10
-	rdA, _ := connect(reads)
-	for k := 0; k < reads; k++ {
+	// Responses from b into receive buffers a posted up front: each is a
+	// message b builds from its free list, carrying a payload b owns, and a
+	// finishes.
+	const resps, respLen = 8, 2000
+	const respDst = 256 << 10
+	rqA, rsB := connect(resps)
+	for k := 0; k < resps; k++ {
 		off := guestmem.Addr(k * 4096)
-		b.vm.PD.Space().Write(b.buf+readSrc+off, pattern(200+k, readLen))
-		at(tb1.Eng, sim.Time(k)*4*sim.Microsecond, func() error {
-			return rdA.PostSend(hca.SendWR{
-				ID: uint64(k), Op: hca.OpRDMARead, LocalAddr: a.buf + readDst + off, LKey: a.mr.Key(),
-				Len: readLen, RemoteAddr: b.buf + readSrc + off, RKey: b.mr.Key(),
-			})
-		})
+		at(tb1.Eng, 0, recv(rqA, a, k, a.buf+respDst+off))
+		at(tb2.Eng, sim.Time(k)*4*sim.Microsecond, send(rsB, b, k, respLen, pattern(200+k, respLen)))
 	}
 
-	// 64 KB writes to a QP that b destroys while the later ones are on the
+	// 64 KB sends to a QP that b destroys while the later ones are on the
 	// wire, and 64 KB sends from a QP that a destroys once two have left
 	// its send queue (the device takes one every ProcDelay).
 	const big, bigs = 64 << 10, 4
 	wA, wB := connect(bigs)
 	dA, dB := connect(bigs)
 	for k := 0; k < bigs; k++ {
-		at(tb1.Eng, 0, func() error {
-			return wA.PostSend(hca.SendWR{
-				ID: uint64(k), Op: hca.OpRDMAWrite, LocalAddr: a.buf, LKey: a.mr.Key(),
-				Len: big, RemoteAddr: b.buf + 512<<10, RKey: b.mr.Key(), Payload: pattern(300+k, 64),
-			})
-		})
+		at(tb2.Eng, 0, recvN(wB, b, k, b.buf+512<<10, big))
+		at(tb1.Eng, 0, send(wA, a, k, big, pattern(300+k, 64)))
 		at(tb2.Eng, 0, recv(dB, b, k, b.buf+768<<10+guestmem.Addr(k*4096)))
 		at(tb1.Eng, 0, send(dA, a, k, big, pattern(400+k, 64)))
 	}
@@ -158,16 +152,16 @@ func TestRecycledMessagesStayWithTheirEngine(t *testing.T) {
 			t.Errorf("b→a send %d landed corrupted", k)
 		}
 	}
-	for _, qp := range []*hca.QP{sAB, sBA, rdA, wA} {
+	for _, qp := range []*hca.QP{sAB, sBA, rsB, wA} {
 		if qp.CompletedSends() != qp.PostedSends() {
 			t.Errorf("QP %#x: %d of %d sends completed", qp.QPN(), qp.CompletedSends(), qp.PostedSends())
 		}
 	}
-	for k := 0; k < reads; k++ {
-		got := make([]byte, readLen)
-		a.vm.PD.Space().Read(a.buf+readDst+guestmem.Addr(k*4096), got)
-		if !bytes.Equal(got, pattern(200+k, readLen)) {
-			t.Errorf("read %d landed corrupted", k)
+	for k := 0; k < resps; k++ {
+		got := make([]byte, respLen)
+		a.vm.PD.Space().Read(a.buf+respDst+guestmem.Addr(k*4096), got)
+		if !bytes.Equal(got, pattern(200+k, respLen)) {
+			t.Errorf("response %d landed corrupted", k)
 		}
 	}
 	failed := 0
@@ -181,7 +175,7 @@ func TestRecycledMessagesStayWithTheirEngine(t *testing.T) {
 		}
 	}
 	if failed == 0 || failed == bigs {
-		t.Errorf("%d of %d writes failed at the destroyed QP, want some but not all", failed, bigs)
+		t.Errorf("%d of %d sends failed at the destroyed QP, want some but not all", failed, bigs)
 	}
 	if dA.CompletedSends() != 2 || dB.CompletedRecvs() != 2 {
 		t.Errorf("destroyed sender: %d flushed sends, %d delivered, want 2 and 2", dA.CompletedSends(), dB.CompletedRecvs())

@@ -163,7 +163,7 @@ func (st *Stream) sendLoop(p *sim.Proc) {
 		putU64(frame[8:], uint64(st.eng.Now()))
 		st.sxvm.PD.Space().Write(st.sbuf, frame[:])
 		err := st.sqp.PostSend(hca.SendWR{
-			ID: seq, Op: hca.OpSend,
+			ID:        seq,
 			LocalAddr: st.sbuf, LKey: st.smr.Key(),
 			Len: st.cfg.FrameSize, Payload: frame[:],
 		})

@@ -1,25 +1,12 @@
 package workload
 
-import (
-	"fmt"
-
-	"resex/internal/sim"
-)
+import "fmt"
 
 // AdmitState is the snapshot an admission hook sees for each open-loop
 // arrival.
 type AdmitState struct {
-	// Now is the arrival's virtual time.
-	Now sim.Time
 	// QueueLen counts admitted arrivals not yet posted.
 	QueueLen int
-	// Inflight counts posted requests awaiting responses.
-	Inflight int
-	// Window is the tenant's in-flight bound.
-	Window int
-	// OldestWaitUs is how long (µs) the head of the queue has waited
-	// (0 when the queue is empty).
-	OldestWaitUs float64
 }
 
 // Admission decides, per open-loop arrival, whether the request enters the
@@ -54,16 +41,3 @@ func (q QueueCap) Name() string { return fmt.Sprintf("queue-cap(%d)", q.Max) }
 
 // Admit implements Admission.
 func (q QueueCap) Admit(s AdmitState) bool { return s.QueueLen < q.Max }
-
-// DeadlineShed sheds while the head of the queue has already waited longer
-// than MaxWaitUs: by then every arrival behind it is doomed to miss too, so
-// adding more work only deepens the outage.
-type DeadlineShed struct {
-	MaxWaitUs float64
-}
-
-// Name implements Admission.
-func (d DeadlineShed) Name() string { return fmt.Sprintf("deadline-shed(%gus)", d.MaxWaitUs) }
-
-// Admit implements Admission.
-func (d DeadlineShed) Admit(s AdmitState) bool { return s.OldestWaitUs <= d.MaxWaitUs }

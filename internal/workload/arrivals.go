@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 
 	"resex/internal/sim"
 )
@@ -17,32 +16,11 @@ import (
 type ArrivalProcess interface {
 	// Name identifies the process in reports.
 	Name() string
-	// Gap draws the gap to the next arrival; prev is the virtual time of
-	// the previous arrival, which time-varying processes use for phase.
-	Gap(rng *sim.Rand, prev sim.Time) sim.Time
+	// Gap draws the gap to the next arrival.
+	Gap(rng *sim.Rand) sim.Time
 	// RatePerSec is the long-run mean arrival rate, for offered-load
 	// reporting and validation.
 	RatePerSec() float64
-}
-
-// Fixed issues exactly one arrival per Interval — the metronome load of the
-// original benchex open loop.
-type Fixed struct {
-	Interval sim.Time
-}
-
-// Name implements ArrivalProcess.
-func (f Fixed) Name() string { return "fixed" }
-
-// Gap implements ArrivalProcess.
-func (f Fixed) Gap(*sim.Rand, sim.Time) sim.Time { return f.Interval }
-
-// RatePerSec implements ArrivalProcess.
-func (f Fixed) RatePerSec() float64 {
-	if f.Interval <= 0 {
-		return 0
-	}
-	return float64(sim.Second) / float64(f.Interval)
 }
 
 // Poisson issues memoryless arrivals at Rate per second — the canonical
@@ -55,7 +33,7 @@ type Poisson struct {
 func (p Poisson) Name() string { return "poisson" }
 
 // Gap implements ArrivalProcess.
-func (p Poisson) Gap(rng *sim.Rand, _ sim.Time) sim.Time {
+func (p Poisson) Gap(rng *sim.Rand) sim.Time {
 	return rng.ExpDuration(sim.Time(float64(sim.Second) / p.Rate))
 }
 
@@ -89,7 +67,7 @@ func (m *MMPP2) Name() string {
 // Gap implements ArrivalProcess. Because both the interarrival and dwell
 // distributions are memoryless, redrawing the arrival clock at each phase
 // flip is exact, not an approximation.
-func (m *MMPP2) Gap(rng *sim.Rand, _ sim.Time) sim.Time {
+func (m *MMPP2) Gap(rng *sim.Rand) sim.Time {
 	if !m.started {
 		m.started = true
 		m.burst = false
@@ -126,42 +104,3 @@ func (m *MMPP2) RatePerSec() float64 {
 	}
 	return (m.CalmRate*float64(m.CalmDwell) + m.BurstRate*float64(m.BurstDwell)) / total
 }
-
-// Diurnal modulates a Poisson process sinusoidally over Period — a
-// compressed day/night cycle. Instantaneous rate at time t is
-// MeanRate·(1 + Amplitude·sin(2πt/Period + Phase)); arrivals are generated
-// by Lewis–Shedler thinning against the peak rate, which is exact for any
-// bounded rate function.
-type Diurnal struct {
-	// MeanRate is the cycle-averaged arrival rate (arrivals/s).
-	MeanRate float64
-	// Amplitude in [0,1) is the fractional swing around MeanRate.
-	Amplitude float64
-	// Period is the cycle length.
-	Period sim.Time
-	// Phase offsets the cycle (radians); 0 starts at the mean, rising.
-	Phase float64
-}
-
-// Name implements ArrivalProcess.
-func (d Diurnal) Name() string { return "diurnal" }
-
-// RateAt returns the instantaneous arrival rate at virtual time t.
-func (d Diurnal) RateAt(t sim.Time) float64 {
-	return d.MeanRate * (1 + d.Amplitude*math.Sin(2*math.Pi*float64(t)/float64(d.Period)+d.Phase))
-}
-
-// Gap implements ArrivalProcess.
-func (d Diurnal) Gap(rng *sim.Rand, prev sim.Time) sim.Time {
-	peak := d.MeanRate * (1 + d.Amplitude)
-	t := prev
-	for {
-		t += rng.ExpDuration(sim.Time(float64(sim.Second) / peak))
-		if rng.Float64()*peak <= d.RateAt(t) {
-			return t - prev
-		}
-	}
-}
-
-// RatePerSec implements ArrivalProcess.
-func (d Diurnal) RatePerSec() float64 { return d.MeanRate }

@@ -2,15 +2,13 @@ package workload
 
 import (
 	"fmt"
-	"strings"
 
 	"resex/internal/resex"
 )
 
 // Policy maps a pricing-policy name to the constructor rigs on this engine
-// hand to Config.Policy. Names are case-insensitive and take short aliases:
-// "none" or "passive" (managed: telemetry flows, charging at rate 1, caps
-// lifted), "freemarket"/"fm", "ioshares"/"ios" and "fungible"/"fun".
+// hand to Config.Policy: "none" (managed: telemetry flows, charging at rate
+// 1, caps lifted), "freemarket", "ioshares" or "fungible".
 //
 // IOShares runs with its deviation trigger disabled and a longer attribution
 // warmup. The paper's closed-loop reporters emit near-constant latency, so
@@ -20,19 +18,19 @@ import (
 // the MinShare guard, and two identical tenants cap each other into a death
 // spiral. Mean-over-SLA detection is the honest signal for this traffic.
 func Policy(name string) (func() resex.Policy, error) {
-	switch strings.ToLower(name) {
-	case "none", "passive":
+	switch name {
+	case "none":
 		return func() resex.Policy { return resex.NewPassive() }, nil
-	case "freemarket", "fm":
+	case "freemarket":
 		return func() resex.Policy { return resex.NewFreeMarket() }, nil
-	case "ioshares", "ios":
+	case "ioshares":
 		return func() resex.Policy {
 			p := resex.NewIOShares()
 			p.UseDeviation = false
 			p.WarmupIntervals = 100
 			return p
 		}, nil
-	case "fungible", "fun":
+	case "fungible":
 		return func() resex.Policy { return resex.NewFungible() }, nil
 	}
 	return nil, fmt.Errorf("workload: unknown policy %q (none, freemarket, ioshares, fungible)", name)

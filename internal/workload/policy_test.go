@@ -6,14 +6,15 @@ import (
 	"resex/internal/resex"
 )
 
-// TestPolicyNames pins the policy table: aliases and case fold to the same
-// family, IOShares carries the open-loop tuning, and unknown names fail.
+// TestPolicyNames pins the policy table: each name builds its family,
+// IOShares carries the open-loop tuning, and unknown names fail — former
+// aliases and other spellings included.
 func TestPolicyNames(t *testing.T) {
 	for name, want := range map[string]string{
-		"none": "none", "Passive": "none",
-		"freemarket": "FreeMarket", "FM": "FreeMarket",
-		"ioshares": "IOShares", "ios": "IOShares",
-		"fungible": "Fungible", "FUN": "Fungible",
+		"none":       "none",
+		"freemarket": "FreeMarket",
+		"ioshares":   "IOShares",
+		"fungible":   "Fungible",
 	} {
 		mk, err := Policy(name)
 		if err != nil {
@@ -28,7 +29,9 @@ func TestPolicyNames(t *testing.T) {
 	if !ok || p.UseDeviation || p.WarmupIntervals != 100 {
 		t.Errorf("ioshares lost its open-loop tuning: %+v", mk())
 	}
-	if _, err := Policy("laissez-faire"); err == nil {
-		t.Error("unknown policy accepted")
+	for _, name := range []string{"laissez-faire", "passive", "fm", "ios", "fun", "IOShares"} {
+		if _, err := Policy(name); err == nil {
+			t.Errorf("unknown policy %q accepted", name)
+		}
 	}
 }

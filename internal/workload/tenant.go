@@ -184,7 +184,7 @@ func (t *Tenant) stop() {
 func (t *Tenant) run(p *sim.Proc) {
 	now := t.eng.Now()
 	if t.Spec.Arrivals != nil {
-		t.nextArrival = now + t.Spec.Arrivals.Gap(t.rng, now)
+		t.nextArrival = now + t.Spec.Arrivals.Gap(t.rng)
 	} else {
 		for i := 0; i < t.Spec.Closed.Concurrency; i++ {
 			t.enqueue(now)
@@ -195,7 +195,7 @@ func (t *Tenant) run(p *sim.Proc) {
 		if t.Spec.Arrivals != nil {
 			for t.nextArrival <= now {
 				t.arrive(t.nextArrival)
-				t.nextArrival += t.Spec.Arrivals.Gap(t.rng, t.nextArrival)
+				t.nextArrival += t.Spec.Arrivals.Gap(t.rng)
 			}
 		}
 		if cqe, ok := t.rcq.Poll(); ok {
@@ -227,16 +227,7 @@ func (t *Tenant) run(p *sim.Proc) {
 // arrive processes one open-loop arrival through the admission hook.
 func (t *Tenant) arrive(at sim.Time) {
 	t.arrivals++
-	st := AdmitState{
-		Now:      t.eng.Now(),
-		QueueLen: len(t.queue),
-		Inflight: len(t.outstanding),
-		Window:   t.Spec.Window,
-	}
-	if len(t.queue) > 0 {
-		st.OldestWaitUs = (t.eng.Now() - t.queue[0]).Microseconds()
-	}
-	if !t.Spec.Admission.Admit(st) {
+	if !t.Spec.Admission.Admit(AdmitState{QueueLen: len(t.queue)}) {
 		t.shed++
 		return
 	}
@@ -270,7 +261,6 @@ func (t *Tenant) issue(p *sim.Proc) {
 	t.pd.Space().Write(t.sendBuf, t.scratch)
 	if err := t.qp.PostSend(hca.SendWR{
 		ID:        req.Seq,
-		Op:        hca.OpSend,
 		LocalAddr: t.sendBuf,
 		LKey:      t.sendMR.Key(),
 		Len:       t.Spec.BufferSize,

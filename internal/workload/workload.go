@@ -12,11 +12,11 @@
 // FreeMarket and IOShares only differentiate once arrivals press against
 // capacity, and this engine is what generates that pressure.
 //
-// Tenants are driven either open loop — an ArrivalProcess (Poisson, MMPP
-// bursts, diurnal modulation) generates arrivals regardless of how the
-// system keeps up, the litmus test for saturation behavior — or closed loop,
-// where Concurrency simulated users each wait for their response and think
-// before the next request. Open-loop latencies are measured from *arrival*,
+// Tenants are driven either open loop — an ArrivalProcess (Poisson or MMPP
+// bursts) generates arrivals regardless of how the system keeps up, the
+// litmus test for saturation behavior — or closed loop, where Concurrency
+// simulated users each wait for their response and think before the next
+// request. Open-loop latencies are measured from *arrival*,
 // not from post: a request that sat in the client queue because the window
 // was full carries that wait in its latency, so saturation produces the
 // textbook hockey stick instead of being hidden by the issue window

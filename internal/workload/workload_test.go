@@ -15,7 +15,7 @@ func meanRate(t *testing.T, p ArrivalProcess, n int) float64 {
 	rng := sim.NewRand(42)
 	var now, total sim.Time
 	for i := 0; i < n; i++ {
-		g := p.Gap(rng, now)
+		g := p.Gap(rng)
 		if g <= 0 {
 			t.Fatalf("%s: non-positive gap %v", p.Name(), g)
 		}
@@ -30,13 +30,11 @@ func TestArrivalProcessRates(t *testing.T) {
 		p    ArrivalProcess
 		want float64
 	}{
-		{Fixed{Interval: 100 * sim.Microsecond}, 10000},
 		{Poisson{Rate: 5000}, 5000},
 		{&MMPP2{CalmRate: 1000, BurstRate: 8000, CalmDwell: 30 * sim.Millisecond, BurstDwell: 10 * sim.Millisecond}, 0},
-		{Diurnal{MeanRate: 3000, Amplitude: 0.6, Period: 200 * sim.Millisecond}, 3000},
 	}
-	cases[2].want = cases[2].p.RatePerSec() // dwell-weighted: (1000·30+8000·10)/40 = 2750
-	if got := cases[2].want; math.Abs(got-2750) > 1e-9 {
+	cases[1].want = cases[1].p.RatePerSec() // dwell-weighted: (1000·30+8000·10)/40 = 2750
+	if got := cases[1].want; math.Abs(got-2750) > 1e-9 {
 		t.Fatalf("MMPP2 RatePerSec = %g, want 2750", got)
 	}
 	for _, c := range cases {
@@ -47,29 +45,6 @@ func TestArrivalProcessRates(t *testing.T) {
 		if math.Abs(emp-c.want)/c.want > 0.05 {
 			t.Errorf("%s: empirical rate %.0f/s, want within 5%% of %g", c.p.Name(), emp, c.want)
 		}
-	}
-}
-
-func TestDiurnalModulation(t *testing.T) {
-	d := Diurnal{MeanRate: 4000, Amplitude: 0.8, Period: 100 * sim.Millisecond}
-	// Peak at t = Period/4, trough at 3·Period/4.
-	peak := d.RateAt(d.Period / 4)
-	trough := d.RateAt(3 * d.Period / 4)
-	if math.Abs(peak-7200) > 1 || math.Abs(trough-800) > 1 {
-		t.Fatalf("RateAt: peak %.0f trough %.0f, want 7200/800", peak, trough)
-	}
-	// Count arrivals per quarter-cycle over many cycles: the peak quarter
-	// must see several times the trough quarter's traffic.
-	rng := sim.NewRand(7)
-	quarter := d.Period / 4
-	counts := [4]int{}
-	var now sim.Time
-	for now < 200*d.Period {
-		now += d.Gap(rng, now)
-		counts[(now%d.Period)/quarter]++
-	}
-	if counts[0] <= counts[2] || float64(counts[0]) < 2*float64(counts[2]) {
-		t.Errorf("quarter counts %v: peak quarter should dominate trough", counts)
 	}
 }
 
@@ -112,10 +87,6 @@ func TestAdmissionPolicies(t *testing.T) {
 	q := QueueCap{Max: 4}
 	if !q.Admit(AdmitState{QueueLen: 3}) || q.Admit(AdmitState{QueueLen: 4}) {
 		t.Error("QueueCap boundary wrong")
-	}
-	d := DeadlineShed{MaxWaitUs: 200}
-	if !d.Admit(AdmitState{OldestWaitUs: 199}) || d.Admit(AdmitState{OldestWaitUs: 201}) {
-		t.Error("DeadlineShed boundary wrong")
 	}
 }
 
