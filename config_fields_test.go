@@ -124,6 +124,7 @@ func TestConfigFieldsAreSet(t *testing.T) {
 var uncalledAPI = map[string]string{
 	"exchange.RateBoard.Util":      "TestRateBoardObserveAndRates checks the utilization EWMA",
 	"fabric.Link.Degrade":          "TestLinkDegradeAppliesAndNests checks nested degradations restore",
+	"fabric.Link.QueueCap":         "TestIncastQueuesRuns bounds the receiver downlink's queue storage",
 	"guestmem.Space.Allocated":     "FuzzSpace and TestCrossPageWrite count materialized pages",
 	"hca.CQ.Stalled":               "TestHCAStallForcesCQOverrun checks a stall starts and ends",
 	"hca.HCA.QP":                   "TestHCAStats and TestBuildSimParFleetShape look QPs up by number",
@@ -131,7 +132,6 @@ var uncalledAPI = map[string]string{
 	"hca.QP.Remote":                "TestBuildSimParFleetShape checks cross-site QP wiring",
 	"ibmon.Monitor.Target":         "TestWatchValidation and TestIBMonDiscoveryThroughBackend check what IBMon watches",
 	"resex.IntervalData.TotalMTUs": "TestObserverSeesUsage sums the MTUs observers see",
-	"ring.Queue.Cap":               "TestQueueMatchesSliceFIFO and TestBackloggedFlowReusesQueueStorage bound the backing array",
 	"schedshard.Snapshot.Host":     "TestSnapshotHostLookup and TestCommitGangRollbackExact inspect hosts",
 	"sim.Engine.NextBreak":         "TestBreakpointInWindowSeqNeutral checks armed breakpoints",
 	"sim.Engine.Pending":           "TestPendingCountsWheel and FuzzEventQueue count queued events",

@@ -7,6 +7,7 @@ import (
 
 	"resex/internal/benchex"
 	"resex/internal/fabric"
+	"resex/internal/guestmem"
 	"resex/internal/hca"
 	"resex/internal/sim"
 )
@@ -124,6 +125,86 @@ func TestBenchExRequestAllocs(t *testing.T) {
 	}
 	if perReq := allocs / perRun; perReq > 0.01 {
 		t.Errorf("%.1f allocs per %.0f requests = %.4f per request, want at most 0.01", allocs, perRun, perReq)
+	}
+	tb.Eng.Shutdown()
+}
+
+func TestIncastQueuesRuns(t *testing.T) {
+	// Three hosts each post a 2 MB SEND to one receiver on a fresh testbed.
+	// The receiver's downlink takes 3 GB/s in and drains 1 GB/s, so most of
+	// the 6144 MTUs wait there. It queues each message as runs that later
+	// MTUs extend, rebuilding a packet only when it reaches the wire: the
+	// queue storage and the packet slabs stay at the few MTUs in flight.
+	// Flows on a downlink are keyed by the sender's QPN alone, so each
+	// sender's QP gets its own QPN here: QPs that shared one would share a
+	// flow queue and interleave, one entry per MTU.
+	tb := New(Config{Hosts: 4})
+	rx := tb.Hosts[3]
+	vr := rx.NewVM("receiver")
+	dst := vr.PD.Space().Alloc(3*msgLen, 64)
+	mrr, err := vr.PD.RegisterMR(dst, 3*msgLen, hca.AccessLocalWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var posts []func()
+	var cqs []*hca.CQ
+	for k, h := range tb.Hosts[:3] {
+		vs := h.NewVM("sender")
+		for i := 0; i < k; i++ {
+			vs.PD.CreateQP(vs.PD.CreateCQ(1), vs.PD.CreateCQ(1), 1, 1) // moves the next QPN on
+		}
+		src := vs.PD.Space().Alloc(msgLen, 64)
+		mrs, err := vs.PD.RegisterMR(src, msgLen, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scq := vs.PD.CreateCQ(16)
+		qs := vs.PD.CreateQP(scq, vs.PD.CreateCQ(16), 16, 16)
+		qr := vr.PD.CreateQP(vr.PD.CreateCQ(16), vr.PD.CreateCQ(16), 16, 16)
+		if err := ConnectQPs(qs, qr, h, rx); err != nil {
+			t.Fatal(err)
+		}
+		at := dst + guestmem.Addr(k*msgLen)
+		if err := qr.PostRecv(hca.RecvWR{ID: 1, Addr: at, LKey: mrr.Key(), Len: msgLen}); err != nil {
+			t.Fatal(err)
+		}
+		cqs = append(cqs, scq)
+		posts = append(posts, func() {
+			if err := qs.PostSend(hca.SendWR{ID: 1, LocalAddr: src, LKey: mrs.Key(), Len: msgLen}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, post := range posts {
+		post()
+	}
+	tb.Eng.Run()
+	runtime.ReadMemStats(&after)
+
+	for k, cq := range cqs {
+		if e, ok := cq.Poll(); !ok || e.Status != hca.StatusOK || e.ByteLen != msgLen {
+			t.Errorf("sender %d completion = %+v, %v", k, e, ok)
+		}
+	}
+	down := rx.Downlink
+	if got, want := down.Stats().Packets, int64(3*msgLen/fabric.DefaultMTU); got != want {
+		t.Errorf("receiver downlink carried %d packets, want %d", got, want)
+	}
+	if q := down.Stats().MaxQueued; q < 2048 {
+		t.Errorf("receiver downlink peaked at %d queued MTUs, want an incast backlog of at least 2048", q)
+	}
+	if c := down.QueueCap(); c > 64 {
+		t.Errorf("receiver downlink queues grew to %d entries, want at most 64", c)
+	}
+	const budget = 32 << 10
+	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+		t.Errorf("3 × 2 MB incast on a fresh testbed allocated %d bytes, want under %d", got, budget)
+	} else {
+		t.Logf("3 × 2 MB incast allocated %d bytes, downlink peaked at %d MTUs in %d queue entries",
+			got, down.Stats().MaxQueued, down.QueueCap())
 	}
 	tb.Eng.Shutdown()
 }

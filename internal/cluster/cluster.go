@@ -143,6 +143,7 @@ func (tb *Testbed) AddHostOpts(node int, o HostOptions) *Host {
 		LinkPropagation, tb.cfg.Discipline, tb.Switch.Inject)
 	h.Downlink = fabric.NewLink(tb.Eng, fmt.Sprintf("down%d", node), bw,
 		LinkPropagation, tb.cfg.Discipline, h.HCA.Deliver)
+	h.Downlink.SetPool(h.HCA)
 	h.HCA.SetUplink(h.Uplink)
 	tb.Switch.AttachNode(node, h.Downlink)
 	h.Dom0VCPU() // boot dom0's VCPU with the host, ahead of any guest's

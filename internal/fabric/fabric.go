@@ -22,11 +22,17 @@
 // stages in the order they entered them: each stage is a FIFO whose head
 // one pre-bound callback pops, firing at exactly the instants (and with the
 // same event sequence numbers) a per-packet closure would. Queues are ring
-// buffers (package ring) that reuse their storage. A whole message waits in a link's queue
+// buffers (package ring) that reuse their storage.
+//
+// Link queues hold messages, not MTUs. On an uplink a whole message waits
 // as one entry, a Train, and each MTU's Packet is built only when it starts
-// serializing, so a message's packets exist only while they are on the
-// wire. Packets themselves belong to their producer (package hca recycles
-// them); this package never retains one after handing it to the next stage.
+// serializing. A downlink with a packet pool (SetPool) queues a contiguous
+// run of one train's MTUs as one entry too: a packet that continues the run
+// at the tail of its queue goes back to the pool at once, and the link
+// rebuilds it from the train when it reaches the wire. So a message's
+// packets exist only on the wire, in propagation and in the switch.
+// Packets themselves belong to their producer (package hca recycles them);
+// this package never retains one after handing it to the next stage.
 package fabric
 
 import (
@@ -50,15 +56,17 @@ type Packet struct {
 	SrcNode, DstNode int
 	// Bytes is the wire size of this packet (≤ MTU).
 	Bytes int
-	// Msg identifies the message this MTU belongs to; Index is the MTU's
-	// position and Last marks the final MTU of the message.
-	Msg   uint64
+	// tr is the train the packet was built from, nil for a packet handed
+	// to Send directly. A downlink folds it into a run of that train.
+	tr *Train
+	// Index is the MTU's position in its message and Last marks the final
+	// MTU of the message.
 	Index int
 	Last  bool
 	// stamped records that Sent has been set (Sent == 0 is a valid stamp).
 	stamped bool
-	// Meta carries an opaque reference for the consumer (e.g. the work
-	// request that produced the message).
+	// Meta carries an opaque reference for the consumer (e.g. the message
+	// the MTU belongs to).
 	Meta any
 	// Sent is stamped by the first link the packet enters.
 	Sent sim.Time
@@ -72,8 +80,9 @@ type Packet struct {
 // arbitrated exactly like MTUs consecutive Sends of those packets at the
 // moment SendTrain is called: Sent is that moment for every packet.
 //
-// The producer owns the Train and must not change it before its last packet
-// has been built.
+// The producer owns the Train and must not change or reuse it before its
+// last packet has been delivered: a downlink rebuilds queued packets from
+// it until then.
 type Train struct {
 	Template  Packet
 	MTUs      int
@@ -82,38 +91,51 @@ type Train struct {
 	New       func() *Packet
 }
 
-// entry is one item of a link queue: a train whose first next packets have
-// left, or (tr nil) a single packet handed to Send, a train of one that is
-// already built.
-type entry struct {
-	tr   *Train
-	pkt  *Packet
-	next int
+// PacketPool supplies the packets a downlink rebuilds from its runs and
+// takes back the ones it folds into them. A run builds its packets from
+// the same free list its delivered packets are recycled to.
+type PacketPool interface {
+	// RunPacket returns a zeroed packet to rebuild an MTU of tr into.
+	RunPacket(tr *Train) *Packet
+	// ReleasePacket takes back a packet the link no longer needs.
+	ReleasePacket(pkt *Packet)
 }
 
-// take returns the entry's next packet, building it if the entry is a
-// train, and reports whether it was the entry's last.
-func (e *entry) take() (*Packet, bool) {
-	t := e.tr
-	if t == nil {
-		return e.pkt, true
-	}
-	pkt := t.New()
-	*pkt = t.Template
-	pkt.Index, pkt.Last, pkt.Bytes = e.next, e.next == t.MTUs-1, t.MTU
-	if pkt.Last {
-		pkt.Bytes = t.LastBytes
+// entry is one item of a link queue: the packets of train tr with indices
+// in [next, end), where pkt, if set, is packet next already built. A train
+// queued with SendTrain is an entry of all its packets and no pkt. A packet
+// handed to Send is an entry of one, with no train if it was built by hand,
+// and starts a run that later packets of its train may extend.
+type entry struct {
+	tr        *Train
+	pkt       *Packet
+	next, end int32
+}
+
+// take returns the next packet of the entry at the head of queue, building
+// it if it is not built yet, and pops the entry once its last packet is out.
+func (l *Link) take(queue *ring.Queue[entry]) *Packet {
+	e := queue.Front()
+	pkt := e.pkt
+	if pkt != nil {
+		e.pkt = nil
+	} else {
+		t := e.tr
+		if l.pool != nil {
+			pkt = l.pool.RunPacket(t)
+		} else {
+			pkt = t.New()
+		}
+		*pkt = t.Template
+		i := int(e.next)
+		pkt.Index, pkt.Last, pkt.Bytes = i, i == t.MTUs-1, t.MTU
+		if pkt.Last {
+			pkt.Bytes = t.LastBytes
+		}
 	}
 	e.next++
-	return pkt, pkt.Last
-}
-
-// popPacket removes the next packet from the queue's head entry, popping
-// the entry once its last packet is out.
-func popPacket(q *ring.Queue[entry]) *Packet {
-	pkt, last := q.Front().take()
-	if last {
-		q.Pop()
+	if e.next == e.end {
+		queue.Pop()
 	}
 	return pkt
 }
@@ -151,8 +173,8 @@ type LinkStats struct {
 // Link is a unidirectional serializing channel: packets occupy the wire for
 // Bytes/Bandwidth seconds each, then arrive at the receiver after the
 // propagation delay. Queued packets wait according to the discipline; the
-// queues hold trains (see Train), and every count a link reports is in
-// packets.
+// queues hold trains and runs of them (see Train and SetPool), and every
+// count a link reports is in packets.
 type Link struct {
 	eng     *sim.Engine
 	name    string
@@ -160,6 +182,7 @@ type Link struct {
 	prop    sim.Time
 	disc    Discipline
 	deliver func(*Packet)
+	pool    PacketPool // runs are formed only when set
 
 	busy     bool
 	cur      *Packet             // on the wire while busy
@@ -233,6 +256,16 @@ func (l *Link) FlowBytes(flow uint32) int64 {
 	return 0
 }
 
+// QueueCap returns how many entries the link's queues hold without
+// growing: the storage its deepest backlogs left behind.
+func (l *Link) QueueCap() int {
+	n := l.fifo.Cap()
+	for _, q := range l.flows {
+		n += q.trains.Cap()
+	}
+	return n
+}
+
 // Queued returns the number of packets waiting or in flight on the wire.
 func (l *Link) Queued() int { return l.queued }
 
@@ -301,6 +334,11 @@ func (l *Link) FlowRateLimit(flow uint32) float64 {
 	return 0
 }
 
+// SetPool lets the link queue runs of train-built packets (see Send),
+// rebuilding and releasing packets through p. A downlink's pool is the HCA
+// it delivers to.
+func (l *Link) SetPool(p PacketPool) { l.pool = p }
+
 // flow returns the per-flow state for id, creating it on first use.
 func (l *Link) flow(id uint32) *flowQueue {
 	q, ok := l.flows[id]
@@ -311,12 +349,26 @@ func (l *Link) flow(id uint32) *flowQueue {
 	return q
 }
 
-// Send enqueues a packet for transmission: a train of one.
+// Send enqueues a packet for transmission. On a link with a pool, a packet
+// built from a train that continues the run at the tail of its queue (the
+// flow's queue under RoundRobin, the single queue under FIFO) extends that
+// run and goes back to the pool at once; the link rebuilds an equal packet
+// when the run reaches it. Any other packet is queued as it is.
 func (l *Link) Send(pkt *Packet) {
 	if !pkt.stamped {
 		pkt.Sent, pkt.stamped = l.eng.Now(), true
 	}
-	l.enqueue(entry{pkt: pkt}, pkt.Flow, 1)
+	queue, q := l.queueOf(pkt.Flow)
+	tr, i := pkt.tr, int32(pkt.Index)
+	if tr != nil && l.pool != nil && queue.Len() > 0 {
+		if back := queue.Back(); back.tr == tr && back.end == i {
+			back.end++
+			l.pool.ReleasePacket(pkt)
+			l.admit(1, nil)
+			return
+		}
+	}
+	l.enqueue(queue, q, entry{tr: tr, pkt: pkt, next: i, end: i + 1}, 1)
 }
 
 // SendTrain enqueues every packet of tr for transmission, in order, as
@@ -325,35 +377,46 @@ func (l *Link) SendTrain(tr *Train) {
 	if tr.MTUs < 1 {
 		panic(fmt.Sprintf("fabric: train of %d packets", tr.MTUs))
 	}
-	tr.Template.Sent, tr.Template.stamped = l.eng.Now(), true
-	l.enqueue(entry{tr: tr}, tr.Template.Flow, tr.MTUs)
+	tr.Template.Sent, tr.Template.stamped, tr.Template.tr = l.eng.Now(), true, tr
+	queue, q := l.queueOf(tr.Template.Flow)
+	l.enqueue(queue, q, entry{tr: tr, end: int32(tr.MTUs)}, tr.MTUs)
 }
 
-// enqueue queues e, which holds n packets of flow, and starts the wire if it
-// is idle.
-func (l *Link) enqueue(e entry, flow uint32, n int) {
+// queueOf returns the queue a packet of flow joins and, under RoundRobin,
+// the flow's state.
+func (l *Link) queueOf(flow uint32) (*ring.Queue[entry], *flowQueue) {
+	if l.disc == FIFO {
+		return &l.fifo, nil
+	}
+	q := l.flow(flow)
+	return &q.trains, q
+}
+
+// enqueue pushes e, which holds n packets, onto queue, the queue of flow q
+// (nil under FIFO), and admits them.
+func (l *Link) enqueue(queue *ring.Queue[entry], q *flowQueue, e entry, n int) {
+	var fresh *flowQueue // flow that e brought onto the ring
+	if q != nil && queue.Len() == 0 {
+		l.ring = append(l.ring, q)
+		fresh = q
+	}
+	queue.Push(e)
+	l.admit(n, fresh)
+}
+
+// admit counts n packets just queued, fresh being the flow they brought
+// onto the ring if any, and starts the wire if it is idle.
+func (l *Link) admit(n int, fresh *flowQueue) {
 	l.queued += n
 	if l.queued > l.stats.MaxQueued {
 		l.stats.MaxQueued = l.queued
-	}
-	var fresh *flowQueue // flow that e brought onto the ring
-	switch l.disc {
-	case FIFO:
-		l.fifo.Push(e)
-	default:
-		q := l.flow(flow)
-		if q.trains.Len() == 0 {
-			l.ring = append(l.ring, q)
-			fresh = q
-		}
-		q.trains.Push(e)
 	}
 	if l.busy {
 		return
 	}
 	l.transmitNext()
 	if n > 1 && fresh != nil && l.curQ == fresh {
-		// e's first packet went straight onto the wire. One Send per
+		// The train's first packet went straight onto the wire. One Send per
 		// packet would have emptied the flow with it, dropping it from
 		// the ring, and put it back at the end with the second packet:
 		// move it there, with rrNext on the flow that followed it.
@@ -379,7 +442,7 @@ func (l *Link) next() (*Packet, *flowQueue) {
 		if l.fifo.Len() == 0 {
 			return nil, nil
 		}
-		pkt := popPacket(&l.fifo)
+		pkt := l.take(&l.fifo)
 		return pkt, l.flow(pkt.Flow)
 	default:
 		now := l.eng.Now()
@@ -392,7 +455,7 @@ func (l *Link) next() (*Packet, *flowQueue) {
 				l.rrNext++ // paced out: try the next flow
 				continue
 			}
-			pkt := popPacket(&q.trains)
+			pkt := l.take(&q.trains)
 			if q.limit > 0 {
 				start := now
 				if q.nextAt > start {

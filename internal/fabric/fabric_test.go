@@ -367,7 +367,7 @@ func TestConservationUnderContention(t *testing.T) {
 		eng := sim.New()
 		r := sim.NewRand(99)
 		delivered := map[uint64]int{}
-		l := NewLink(eng, "l", gbps1, 10, disc, func(p *Packet) { delivered[p.Msg]++ })
+		l := NewLink(eng, "l", gbps1, 10, disc, func(p *Packet) { delivered[p.Meta.(uint64)]++ })
 		var id uint64
 		for i := 0; i < 500; i++ {
 			id++
@@ -375,7 +375,7 @@ func TestConservationUnderContention(t *testing.T) {
 			at := sim.Time(r.Intn(100000))
 			flow := uint32(r.Intn(5))
 			eng.Schedule(at, func() {
-				l.Send(&Packet{Flow: flow, Bytes: 1 + r.Intn(1024), Msg: msg})
+				l.Send(&Packet{Flow: flow, Bytes: 1 + r.Intn(1024), Meta: msg})
 			})
 		}
 		eng.Run()

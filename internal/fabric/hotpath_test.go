@@ -39,7 +39,7 @@ func eventStreamScenario(t *testing.T) uint64 {
 			delivered[tag]++
 			put(tag)
 			put(uint64(eng.Now()))
-			put(p.Msg)
+			put(p.Meta.(uint64))
 			put(uint64(p.Flow))
 			put(uint64(p.Sent))
 		}
@@ -66,7 +66,7 @@ func eventStreamScenario(t *testing.T) uint64 {
 			Flow:    uint32(1 + r.Intn(4)),
 			DstNode: dsts[r.Intn(len(dsts))],
 			Bytes:   64 + r.Intn(DefaultMTU-63),
-			Msg:     msg,
+			Meta:    msg,
 		}
 		up := upRR
 		if r.Intn(3) == 0 {
@@ -78,7 +78,7 @@ func eventStreamScenario(t *testing.T) uint64 {
 	// itself at each pacing release.
 	for i := 0; i < 20; i++ {
 		msg++
-		p := &Packet{Flow: 3, DstNode: 1, Bytes: DefaultMTU, Msg: msg}
+		p := &Packet{Flow: 3, DstNode: 1, Bytes: DefaultMTU, Meta: msg}
 		eng.Schedule(400_000, func() { upRR.Send(p) })
 	}
 	var inflightAtFlap int
@@ -141,27 +141,54 @@ func TestPacketSentStampAtTimeZero(t *testing.T) {
 
 func TestHotPathAllocatesNothing(t *testing.T) {
 	// Steady state through Link.Send, serialization, propagation, the
-	// switch and the downlink, with a paced flow arming wake-ups.
+	// switch and the downlink, with a paced flow arming wake-ups. Trains
+	// from a second uplink meet the packets on the downlink, which queues
+	// each message as a run that later MTUs extend and rebuilds the MTUs
+	// from its pool as they reach the wire.
 	for _, disc := range []Discipline{RoundRobin, FIFO} {
 		eng := sim.New()
-		delivered := 0
+		pool := &listPool{}
+		delivered, fromTrains := 0, 0
 		sw := NewSwitch(eng, 200)
-		sw.AttachNode(2, NewLink(eng, "down", gbps1, 100, disc, func(*Packet) { delivered++ }))
+		down := NewLink(eng, "down", gbps1, 100, disc, func(p *Packet) {
+			delivered++
+			if p.tr != nil {
+				fromTrains++
+				pool.ReleasePacket(p)
+			}
+		})
+		down.SetPool(pool)
+		sw.AttachNode(2, down)
 		up := NewLink(eng, "up", gbps1, 100, disc, sw.Inject)
+		up2 := NewLink(eng, "up2", gbps1, 100, disc, sw.Inject)
 		up.SetFlowRateLimit(3, 500e6)
 		pkts := make([]Packet, 256)
+		trains := make([]Train, 4)
+		get := pool.get
 		round := func() {
 			for i := range pkts {
 				pkts[i] = Packet{Flow: uint32(1 + i%3), DstNode: 2, Bytes: DefaultMTU}
 				up.Send(&pkts[i])
 			}
+			for i := range trains {
+				trains[i] = Train{
+					Template: Packet{Flow: uint32(4 + i%2), DstNode: 2},
+					MTUs:     64, MTU: DefaultMTU, LastBytes: 100, New: get,
+				}
+				up2.SendTrain(&trains[i])
+			}
 			eng.Run()
 		}
+		round() // the pool's and the queues' warm-up
+		folded := pool.released - fromTrains
 		if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
-			t.Errorf("%v: %.1f allocs per %d-packet round, want 0", disc, allocs, len(pkts))
+			t.Errorf("%v: %.1f allocs per round of %d packets and %d trains, want 0", disc, allocs, len(pkts), len(trains))
 		}
-		if delivered != 21*len(pkts) {
-			t.Errorf("%v: delivered %d, want %d", disc, delivered, 21*len(pkts))
+		if folded == 0 {
+			t.Errorf("%v: the downlink folded no packet into a run", disc)
+		}
+		if want := 22 * (len(pkts) + 64*len(trains)); delivered != want {
+			t.Errorf("%v: delivered %d, want %d", disc, delivered, want)
 		}
 	}
 }

@@ -23,6 +23,13 @@ type arrival struct {
 	pkt Packet
 }
 
+// exported returns p with its unexported fields cleared: a packet built
+// from a train records the train, one built by hand does not.
+func exported(p Packet) Packet {
+	p.tr, p.stamped = nil, false
+	return p
+}
+
 // replayUplink drives one link with the script in data and records what it
 // delivers. With trains set, each message is queued with one SendTrain;
 // otherwise with one Send per MTU, its packets built up front as a producer
@@ -45,7 +52,7 @@ func replayUplink(data []byte, trains bool) uplinkRun {
 		disc = FIFO
 	}
 	l := NewLink(eng, "up", gbps1, sim.Time(len(data)%7)*150, disc, func(p *Packet) {
-		run.delivered = append(run.delivered, arrival{eng.Now(), *p})
+		run.delivered = append(run.delivered, arrival{eng.Now(), exported(*p)})
 	})
 	newPacket := func() *Packet { return new(Packet) }
 
@@ -76,7 +83,7 @@ func replayUplink(data []byte, trains bool) uplinkRun {
 			if last <= 0 {
 				last = 64
 			}
-			tmpl := Packet{Flow: flow, DstNode: int(c % 3), DstFlow: uint32(b), Msg: m, Meta: m}
+			tmpl := Packet{Flow: flow, DstNode: int(c % 3), DstFlow: uint32(b), Meta: m}
 			if trains {
 				tr := &Train{Template: tmpl, MTUs: mtus, MTU: DefaultMTU, LastBytes: last, New: newPacket}
 				eng.Schedule(at, func() { l.SendTrain(tr) })
@@ -95,7 +102,7 @@ func replayUplink(data []byte, trains bool) uplinkRun {
 			})
 		case 4: // a single packet, a train of one on both sides
 			msg++
-			p := &Packet{Flow: flow, Bytes: 1 + int(c)*4, Msg: msg, Last: true}
+			p := &Packet{Flow: flow, Bytes: 1 + int(c)*4, Meta: msg, Last: true}
 			eng.Schedule(at, func() { l.Send(p) })
 		case 5: // pace a flow, or lift its limit
 			rate := float64(b%4) * 150e6

@@ -90,8 +90,8 @@ type HCA struct {
 	nextCQN uint32
 	nextPD  uint32
 
-	// free holds zeroed packets for the uplink to build trains from; see
-	// newPacket and recycle.
+	// free holds zeroed packets for the links to build trains and runs
+	// from; see newPacket, RunPacket and ReleasePacket.
 	free []*fabric.Packet
 
 	// freeMsgs holds zeroed messages for processHead; see newMsg and
@@ -111,8 +111,8 @@ type HCA struct {
 }
 
 // packetSlabSize is how many packets one free-list refill allocates at once.
-// The uplink builds a packet only when it starts serializing it, so an HCA's
-// live packets are the few on the wire, not the MTUs queued behind them.
+// Links build a packet only when it starts serializing, so an HCA's live
+// packets are the few on the wire, not the MTUs queued behind them.
 const packetSlabSize = 32
 
 // maxFreePackets bounds the free list, as the event pool is bounded: a
@@ -136,19 +136,35 @@ func (h *HCA) newPacket() *fabric.Packet {
 	return &slab[0]
 }
 
-// recycle zeroes a delivered packet and returns it to the free list of the
-// HCA that sent it. With an ack path installed the sender may run on another
-// engine and goroutine, so — as completeSender does for acks — the packet
-// stays with this, the receiving, HCA instead.
-func (h *HCA) recycle(pkt *fabric.Packet) {
+// ReleasePacket zeroes a packet and returns it to a free list: a delivered
+// packet (see Deliver), or one a downlink folded into a run of its train
+// (see fabric.Link.Send). Without an ack path the packet goes back to the
+// HCA that sent it, found through its message rather than the peer
+// resolver. With an ack path installed the sender may run on another engine
+// and goroutine, so — as completeSender does for acks — the packet stays
+// with this, the receiving, HCA instead. Every field is read before the
+// packet is zeroed.
+func (h *HCA) ReleasePacket(pkt *fabric.Packet) {
 	owner := h
 	if h.ackPath == nil {
-		owner = h.peerHCA(pkt.SrcNode)
+		owner = pkt.Meta.(*wireMsg).src
 	}
 	*pkt = fabric.Packet{}
 	if len(owner.free) < maxFreePackets {
 		owner.free = append(owner.free, pkt)
 	}
+}
+
+// RunPacket returns a zeroed packet for this HCA's downlink to rebuild an
+// MTU of tr into. It comes from the free list ReleasePacket returns the
+// packet to once it is delivered: the sender's (tr.New) without an ack
+// path, this HCA's with one, so no HCA's list is touched from another
+// engine's goroutine.
+func (h *HCA) RunPacket(tr *fabric.Train) *fabric.Packet {
+	if h.ackPath != nil {
+		return h.newPacket()
+	}
+	return tr.New()
 }
 
 // maxFreeMsgs bounds the message free list like maxFreePackets. With an ack
@@ -167,16 +183,21 @@ func (h *HCA) newMsg() *wireMsg {
 	return new(wireMsg)
 }
 
-// freeMsg zeroes a finished message and returns it to a free list. A message is finished once its last MTU has been
-// delivered and every field the sender completion needs has been read: the
-// uplink stopped referencing its train when it built the last packet. As
-// recycle does for packets, the message goes back to its sender's list,
-// or, with an ack path installed, stays with this, the receiving, HCA,
-// because the sender may run on another engine and goroutine.
+// freeMsg zeroes a finished message and returns it to a free list. A
+// message is finished once its last MTU has been delivered and every field
+// the sender completion needs has been read. Both links have stopped
+// reading its train by then: the uplink when it built the last packet, and
+// the receiver's downlink, which rebuilds the MTUs of a queued run from the
+// train, when the last packet left it. Packets of one message share a flow
+// and leave a link in order, so none of the message's MTUs is still queued
+// once the last one is delivered. As ReleasePacket does for packets, the
+// message goes back to its sender's list, or, with an ack path installed,
+// stays with this, the receiving, HCA, because the sender may run on
+// another engine and goroutine.
 func (h *HCA) freeMsg(m *wireMsg) {
 	owner := h
 	if h.ackPath == nil {
-		owner = h.peerHCA(m.srcNode)
+		owner = m.src
 	}
 	*m = wireMsg{}
 	if len(owner.freeMsgs) < maxFreeMsgs {

@@ -736,3 +736,22 @@ func TestDeliveredPacketsRecycle(t *testing.T) {
 	}
 	zeroed(r.h2)
 }
+
+// TestRunPacketsComeFromTheReleaseList: a downlink run builds its packets
+// from the free list its delivered packets go back to — the sender's
+// without an ack path, the receiver's with one.
+func TestRunPacketsComeFromTheReleaseList(t *testing.T) {
+	r := newRig(t)
+	tr := &fabric.Train{New: r.h1.onNewPacket} // a train h1 sent
+	r.h1.free = append(r.h1.free, new(fabric.Packet))
+	r.h2.RunPacket(tr)
+	if len(r.h1.free) != 0 || len(r.h2.free) != 0 {
+		t.Fatalf("free lists after a run packet without an ack path = %d/%d, want 0/0", len(r.h1.free), len(r.h2.free))
+	}
+	r.h1.free = append(r.h1.free, new(fabric.Packet))
+	r.h2.SetAckPath(func(int, Ack) {})
+	r.h2.RunPacket(tr) // refills h2's own list a slab at a time
+	if len(r.h1.free) != 1 || len(r.h2.free) != packetSlabSize-1 {
+		t.Fatalf("free lists after a run packet with an ack path = %d/%d, want 1/%d", len(r.h1.free), len(r.h2.free), packetSlabSize-1)
+	}
+}

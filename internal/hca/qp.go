@@ -80,6 +80,7 @@ const (
 // message carries a pointer to it, so reassembly is a counter. Messages come
 // from an HCA free list (newMsg) and go back to one once finished (freeMsg).
 type wireMsg struct {
+	src     *HCA // the sending HCA
 	srcQPN  uint32
 	dstQPN  uint32
 	srcNode int
@@ -88,9 +89,10 @@ type wireMsg struct {
 	got     int // MTUs delivered
 	payload []byte
 
-	// train is how the message waits on the uplink; the link builds each
-	// MTU's packet from it when that MTU starts serializing. train.MTUs is
-	// the message's MTU count.
+	// train is how the message waits on the uplink, and on the receiver's
+	// downlink as runs; the links build each MTU's packet from it when that
+	// MTU starts serializing. train.MTUs is the message's MTU count. See
+	// freeMsg for when the links stop reading it.
 	train fabric.Train
 }
 
@@ -326,7 +328,7 @@ func (qp *QP) processHead() {
 	wr := qp.sq.Pop()
 
 	m := h.newMsg()
-	m.srcNode, m.srcQPN, m.dstQPN = h.cfg.Node, qp.qpn, qp.remoteQPN
+	m.src, m.srcNode, m.srcQPN, m.dstQPN = h, h.cfg.Node, qp.qpn, qp.remoteQPN
 	m.wrID, m.len, m.payload = wr.ID, wr.Len, wr.Payload
 	qp.sendMsg(m)
 	if qp.sq.Len() > 0 {
@@ -372,10 +374,10 @@ func (qp *QP) sendMsg(m *wireMsg) {
 
 // Deliver is the downlink receiver for a host: the cluster wiring points
 // the switch→host link's deliver function here. It is the packet's terminal
-// consumer and recycles it before acting on the message.
+// consumer and releases it before acting on the message.
 func (h *HCA) Deliver(pkt *fabric.Packet) {
 	m, dstQPN := pkt.Meta.(*wireMsg), pkt.DstFlow
-	h.recycle(pkt)
+	h.ReleasePacket(pkt)
 	m.got++
 	if m.got < m.train.MTUs {
 		return

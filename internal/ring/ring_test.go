@@ -23,6 +23,9 @@ func TestQueueMatchesSliceFIFO(t *testing.T) {
 			}
 			ref = ref[1:]
 		}
+		if len(ref) > 0 && *q.Back() != ref[len(ref)-1] {
+			t.Fatalf("round %d: back %d, want %d", round, *q.Back(), ref[len(ref)-1])
+		}
 		if q.Len() != len(ref) {
 			t.Fatalf("round %d: len %d, want %d", round, q.Len(), len(ref))
 		}

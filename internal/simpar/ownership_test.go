@@ -181,3 +181,79 @@ func TestRecycledMessagesStayWithTheirEngine(t *testing.T) {
 		t.Errorf("destroyed sender: %d flushed sends, %d delivered, want 2 and 2", dA.CompletedSends(), dB.CompletedRecvs())
 	}
 }
+
+// TestCrossSiteIncastBuildsRunsOnTheReceiver has three sites stream 256 KB
+// messages at a fourth on four engines that simpar runs on two goroutines.
+// The receiver's downlink takes three links' worth of MTUs and drains one,
+// so it queues runs of the senders' trains and rebuilds their packets. With
+// an ack path installed it builds them from the receiving HCA's free list,
+// which is also where they are released: the senders' lists, which their
+// own uplinks are using on other goroutines, are never touched, and the race
+// detector sees the senders' trains read only after the barrier that
+// carried their first packets. Every payload must land intact.
+func TestCrossSiteIncastBuildsRunsOnTheReceiver(t *testing.T) {
+	const delay = 20 * sim.Microsecond
+	const senders, msgs, size = 3, 4, 256 << 10
+	co := simpar.New(simpar.Config{Lookahead: delay, Shards: 4, Workers: 2})
+	ic := simpar.NewInterconnect(co, delay)
+	tbr := cluster.New(cluster.Config{})
+	hr := tbr.AddHost(senders + 1)
+	ic.AddSite(tbr, hr)
+	vr := hr.NewVM("receiver")
+	inbox := vr.PD.Space().Alloc(senders*msgs*size, 4096)
+	mrr, err := vr.PD.RegisterMR(inbox, senders*msgs*size, hca.AccessLocalWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var qps []*hca.QP
+	for k := 0; k < senders; k++ {
+		tb := cluster.New(cluster.Config{})
+		h := tb.AddHost(k + 1)
+		ic.AddSite(tb, h)
+		o := newOwnershipVM(t, h, "sender")
+		for i := 0; i < k; i++ {
+			o.qp(1) // a QPN of its own: downlink flows are keyed by the sender's QPN
+		}
+		qs := o.qp(msgs)
+		qr := vr.PD.CreateQP(vr.PD.CreateCQ(256), vr.PD.CreateCQ(256), msgs, msgs)
+		if err := cluster.ConnectQPs(qs, qr, h, hr); err != nil {
+			t.Fatal(err)
+		}
+		qps = append(qps, qs)
+		for m := 0; m < msgs; m++ {
+			id := k*msgs + m
+			if err := qr.PostRecv(hca.RecvWR{ID: uint64(id), Addr: inbox + guestmem.Addr(id*size), LKey: mrr.Key(), Len: size}); err != nil {
+				t.Fatal(err)
+			}
+			wr := hca.SendWR{ID: uint64(id), LocalAddr: o.buf, LKey: o.mr.Key(), Len: size, Payload: pattern(id, size)}
+			tb.Eng.Schedule(0, func() {
+				if err := qs.PostSend(wr); err != nil {
+					t.Errorf("send %d: %v", id, err)
+				}
+			})
+		}
+	}
+
+	co.RunUntil(20 * sim.Millisecond)
+	co.Shutdown()
+
+	for id := 0; id < senders*msgs; id++ {
+		got := make([]byte, size)
+		vr.PD.Space().Read(inbox+guestmem.Addr(id*size), got)
+		if !bytes.Equal(got, pattern(id, size)) {
+			t.Errorf("message %d landed corrupted", id)
+		}
+	}
+	for k, qp := range qps {
+		if qp.CompletedSends() != msgs {
+			t.Errorf("sender %d: %d of %d sends completed", k, qp.CompletedSends(), msgs)
+		}
+	}
+	down := hr.Downlink
+	if q := down.Stats().MaxQueued; q < size/1024 {
+		t.Errorf("receiver downlink peaked at %d queued MTUs, want a backlog of at least %d", q, size/1024)
+	}
+	if c := down.QueueCap(); c > 64 {
+		t.Errorf("receiver downlink queues grew to %d entries, want at most 64: it did not queue runs", c)
+	}
+}
