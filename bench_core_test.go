@@ -151,6 +151,30 @@ func measureCurrent() (elapsed time.Duration, mallocs uint64) {
 	return elapsed, m1.Mallocs - m0.Mallocs
 }
 
+// measureDelay runs the chain through a delay queue, the path the per-MTU
+// fabric and HCA stages take, returning the allocation count.
+func measureDelay() (mallocs uint64) {
+	eng := sim.New()
+	q := eng.Delay(100)
+	var tick func()
+	n := 0
+	tick = func() {
+		n++
+		if n < coreEvents {
+			q.After(tick)
+		}
+	}
+	q.After(func() {}) // warm the pool and the queue's ring
+	eng.Run()
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	q.After(tick)
+	eng.Run()
+	runtime.ReadMemStats(&m1)
+	return m1.Mallocs - m0.Mallocs
+}
+
 // BenchmarkEngineCore measures the zero-alloc event core against the legacy
 // container/heap queue it replaced, plus the parallel sweep runner against
 // the serial loop, and records everything in BENCH_core.json. The CI bench
@@ -164,6 +188,7 @@ func BenchmarkEngineCore(b *testing.B) {
 		lNs := float64(lElapsed.Nanoseconds()) / coreEvents
 		cNs := float64(cElapsed.Nanoseconds()) / coreEvents
 		cAllocs := float64(cMallocs) / coreEvents
+		dAllocs := float64(measureDelay()) / coreEvents
 
 		// Sweep runner: the same figure serially and on 4 workers. Identical
 		// output is asserted by the experiments tests; here we record the
@@ -198,6 +223,11 @@ func BenchmarkEngineCore(b *testing.B) {
 			Baseline: float64(lMallocs) / coreEvents, Current: cAllocs, Value: cAllocs,
 			Ceiling: limit(maxAllocsPerEvent),
 			Note:    "the steady-state event path must not allocate; the ceiling absorbs runtime background allocations only",
+		}, {
+			Name: "core.delay_allocs_per_event", Unit: "allocs/event",
+			Baseline: cAllocs, Current: dAllocs, Value: dAllocs,
+			Ceiling: limit(maxAllocsPerEvent),
+			Note:    "the same chain through a delay queue (the per-MTU fabric and HCA path) against the heap path; the ceiling absorbs runtime background allocations only",
 		}, {
 			Name: "core.sweep_speedup", Unit: "ms",
 			Baseline: float64(serial.Nanoseconds()) / 1e6, Current: float64(par.Nanoseconds()) / 1e6,

@@ -17,8 +17,8 @@ const msgLen = 2 << 20
 
 // sendRig is a fresh 2-host testbed with one connected QP pair, ready to
 // send msgLen bytes from host 1 to host 2. send posts one receive at host 2
-// and one SEND at host 1, then steps the engine until the sender
-// completion.
+// and one SEND at host 1, then runs the engine a microsecond at a time
+// until the sender completion.
 func sendRig(t *testing.T) (tb *Testbed, send func()) {
 	tb = New(Config{Hosts: 2})
 	a, b := tb.Hosts[0], tb.Hosts[1]
@@ -48,9 +48,10 @@ func sendRig(t *testing.T) (tb *Testbed, send func()) {
 			t.Fatal(err)
 		}
 		for scq.Pending() == 0 {
-			if !tb.Eng.Step() {
+			if tb.Eng.Pending() == 0 {
 				t.Fatal("engine drained before the send completed")
 			}
+			tb.Eng.RunUntil(tb.Eng.Now() + sim.Microsecond)
 		}
 		if e, _ := scq.Poll(); e.Status != hca.StatusOK || e.ByteLen != msgLen {
 			t.Fatalf("completion = %+v", e)

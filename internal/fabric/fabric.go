@@ -24,6 +24,12 @@
 // same event sequence numbers) a per-packet closure would. Queues are ring
 // buffers (package ring) that reuse their storage.
 //
+// Those constant-delay events skip the engine's heap: arrivals, forwards
+// and full-MTU serializations at a link's healthy rate are scheduled on the
+// engine's queue for their delay (sim.Delay), which every link and switch
+// of the engine with that delay shares. A short last MTU, an MTU on a
+// degraded link and the pacing wake-up use sim.Engine.After.
+//
 // Link queues hold messages, not MTUs. On an uplink a whole message waits
 // as one entry, a Train, and each MTU's Packet is built only when it starts
 // serializing. A downlink with a packet pool (SetPool) queues a contiguous
@@ -184,6 +190,12 @@ type Link struct {
 	deliver func(*Packet)
 	pool    PacketPool // runs are formed only when set
 
+	// Constant-delay event queues: full MTUs at the healthy rate finish
+	// serializing through serQ (mtuSer after they start), every packet
+	// arrives through propQ.
+	mtuSer      sim.Time
+	serQ, propQ *sim.Delay
+
 	busy     bool
 	cur      *Packet             // on the wire while busy
 	curQ     *flowQueue          // cur's flow, charged when it finishes
@@ -230,7 +242,10 @@ func NewLink(eng *sim.Engine, name string, bandwidth float64, prop sim.Time, dis
 		disc:    disc,
 		deliver: deliver,
 		flows:   make(map[uint32]*flowQueue),
+		mtuSer:  sim.DurationOfBytes(DefaultMTU, bandwidth),
+		propQ:   eng.Delay(prop),
 	}
+	l.serQ = eng.Delay(l.mtuSer)
 	l.onSerialized, l.onArrive, l.onWake = l.serialized, l.arrive, l.wake
 	return l
 }
@@ -514,7 +529,11 @@ func (l *Link) transmitNext() {
 	l.cur, l.curQ = pkt, q
 	ser := sim.DurationOfBytes(int64(pkt.Bytes), l.effectiveBps())
 	l.stats.BusyTime += ser
-	l.eng.After(ser, l.onSerialized)
+	if ser == l.mtuSer {
+		l.serQ.After(l.onSerialized)
+	} else {
+		l.eng.After(ser, l.onSerialized) // a short last MTU, a degraded link
+	}
 }
 
 // serialized fires when cur has left the wire: it starts propagating and the
@@ -527,7 +546,7 @@ func (l *Link) serialized() {
 	q.bytes += int64(pkt.Bytes)
 	l.queued--
 	l.inflight.Push(pkt)
-	l.eng.After(l.prop, l.onArrive)
+	l.propQ.After(l.onArrive)
 	l.transmitNext()
 }
 
@@ -539,11 +558,11 @@ func (l *Link) arrive() { l.deliver(l.inflight.Pop()) }
 // are forwarded, after a fixed forwarding latency, onto the egress link of
 // their destination node.
 type Switch struct {
-	eng       *sim.Engine
 	latency   sim.Time
-	ports     map[int]*Link
+	ports     []*Link // egress link by node, nil where none is attached
 	defRoute  func(pkt *Packet)
 	pending   ring.Queue[hop] // injected, awaiting forwarding, in inject order
+	fwdQ      *sim.Delay      // forwards, latency after their injection
 	onForward func()          // s.forward, bound once
 }
 
@@ -556,7 +575,7 @@ type hop struct {
 
 // NewSwitch creates a switch with the given forwarding latency.
 func NewSwitch(eng *sim.Engine, latency sim.Time) *Switch {
-	s := &Switch{eng: eng, latency: latency, ports: make(map[int]*Link)}
+	s := &Switch{latency: latency, fwdQ: eng.Delay(latency)}
 	s.onForward = s.forward
 	return s
 }
@@ -574,7 +593,13 @@ func (s *Switch) AttachNode(node int, egress *Link) {
 	if egress == nil {
 		panic(fmt.Sprintf("fabric: node %d attached without an egress link", node))
 	}
-	if _, dup := s.ports[node]; dup {
+	if node < 0 {
+		panic(fmt.Sprintf("fabric: negative node %d", node))
+	}
+	for len(s.ports) <= node {
+		s.ports = append(s.ports, nil)
+	}
+	if s.ports[node] != nil {
 		panic(fmt.Sprintf("fabric: node %d already attached", node))
 	}
 	s.ports[node] = egress
@@ -590,12 +615,15 @@ func (s *Switch) SetDefaultRoute(f func(pkt *Packet)) { s.defRoute = f }
 // destinations panic unless a default route is installed: the simulated
 // cluster is statically wired.
 func (s *Switch) Inject(pkt *Packet) {
-	egress, ok := s.ports[pkt.DstNode]
-	if !ok && s.defRoute == nil {
+	var egress *Link
+	if n := pkt.DstNode; n >= 0 && n < len(s.ports) {
+		egress = s.ports[n]
+	}
+	if egress == nil && s.defRoute == nil {
 		panic(fmt.Sprintf("fabric: packet for unattached node %d", pkt.DstNode))
 	}
 	s.pending.Push(hop{pkt: pkt, egress: egress})
-	s.eng.After(s.latency, s.onForward)
+	s.fwdQ.After(s.onForward)
 }
 
 // forward hands the oldest pending packet to its egress. The forwarding

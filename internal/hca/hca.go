@@ -101,6 +101,10 @@ type HCA struct {
 	// acks holds sender completions waiting out AckLatency, oldest first.
 	acks ring.Queue[pendingAck]
 
+	// The engine's queues for WQE processing (ProcDelay) and acks
+	// (AckLatency): both delays are constants.
+	procQ, ackQ *sim.Delay
+
 	// Callbacks bound once, so trains and acks allocate no closure.
 	onNewPacket func() *fabric.Packet
 	onAck       func()
@@ -223,6 +227,8 @@ func New(eng *sim.Engine, cfg Config) *HCA {
 		nextQPN: 0x40,
 		nextCQN: 1,
 		nextPD:  1,
+		procQ:   eng.Delay(ProcDelay),
+		ackQ:    eng.Delay(AckLatency),
 	}
 	h.onNewPacket, h.onAck = h.newPacket, h.ack
 	return h

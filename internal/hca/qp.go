@@ -313,7 +313,7 @@ func (qp *QP) kick() {
 	}
 	qp.processing = true
 	h := qp.pd.hca
-	h.eng.After(ProcDelay, qp.onProcess)
+	h.procQ.After(qp.onProcess)
 }
 
 // processHead takes the WQE at the head of the send queue, segments it and
@@ -332,7 +332,7 @@ func (qp *QP) processHead() {
 	m.wrID, m.len, m.payload = wr.ID, wr.Len, wr.Payload
 	qp.sendMsg(m)
 	if qp.sq.Len() > 0 {
-		h.eng.After(ProcDelay, qp.onProcess)
+		h.procQ.After(qp.onProcess)
 	} else {
 		qp.processing = false
 	}
@@ -424,7 +424,7 @@ func (h *HCA) completeSender(m *wireMsg, status Status) {
 		return
 	}
 	h.acks.Push(pendingAck{src: h.peerHCA(src), ack: a})
-	h.eng.After(AckLatency, h.onAck)
+	h.ackQ.After(h.onAck)
 }
 
 // ack completes the oldest pending sender completion. AckLatency is fixed,

@@ -37,6 +37,9 @@ func (q *Queue[T]) Front() *T { return &q.buf[q.head] }
 // Back returns the tail in place. The queue must not be empty.
 func (q *Queue[T]) Back() *T { return &q.buf[(q.head+q.n-1)&(len(q.buf)-1)] }
 
+// At returns the i-th item from the head, 0 <= i < Len.
+func (q *Queue[T]) At(i int) T { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+
 // Pop removes and returns the head. The queue must not be empty.
 func (q *Queue[T]) Pop() T {
 	var zero T

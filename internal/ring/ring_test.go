@@ -29,6 +29,11 @@ func TestQueueMatchesSliceFIFO(t *testing.T) {
 		if q.Len() != len(ref) {
 			t.Fatalf("round %d: len %d, want %d", round, q.Len(), len(ref))
 		}
+		for i, v := range ref {
+			if got := q.At(i); got != v {
+				t.Fatalf("round %d: At(%d) = %d, want %d", round, i, got, v)
+			}
+		}
 		if c := q.Cap(); c&(c-1) != 0 || c < q.Len() {
 			t.Fatalf("round %d: capacity %d for %d items, want a power of two that holds them", round, c, q.Len())
 		}

@@ -111,6 +111,23 @@ func TestBreakpointOrdering(t *testing.T) {
 	}
 }
 
+// TestRunUntilMaxTimeFiresBreakpoints: RunUntil(MaxTime) runs every event
+// and then fires the breakpoints armed after the last one; the boundary
+// must not overflow past MaxTime.
+func TestRunUntilMaxTimeFiresBreakpoints(t *testing.T) {
+	eng := New()
+	eng.After(5, func() {})
+	fired := false
+	eng.Breakpoint(10, func() { fired = true })
+	eng.RunUntil(MaxTime)
+	if !fired {
+		t.Error("breakpoint at 10 did not fire in RunUntil(MaxTime)")
+	}
+	if eng.Now() != MaxTime {
+		t.Errorf("Now = %v, want MaxTime", eng.Now())
+	}
+}
+
 // TestBreakpointPastPanics mirrors Schedule's contract.
 func TestBreakpointPastPanics(t *testing.T) {
 	eng := New()

@@ -19,12 +19,12 @@ type PeriodicState struct {
 }
 
 // EngineState is the engine's deterministic state export: the clock, the
-// step and seq counters, every pending event's (at, seq) key in heap order
-// normalized to (at, seq) ascending, the timer wheel, and the slab pool's
-// occupancy. Callbacks are Go closures and cannot be serialized — restoring
-// an engine means deterministically replaying the run that produced it — so
-// this export exists to *prove* a replay landed in the same state, not to
-// resurrect one structurally.
+// step and seq counters, every pending one-shot's (at, seq) key, the heap's
+// and the delay queues' alike, in (at, seq) order, the timer wheel, and the
+// slab pool's occupancy. Callbacks are Go closures and cannot be serialized
+// — restoring an engine means deterministically replaying the run that
+// produced it — so this export exists to *prove* a replay landed in the
+// same state, not to resurrect one structurally.
 type EngineState struct {
 	Now        Time            `json:"now"`
 	Steps      uint64          `json:"steps"`
@@ -48,6 +48,12 @@ func (e *Engine) Checkpoint() EngineState {
 	st.Events = make([]EventKey, 0, len(e.events))
 	for _, ev := range e.events {
 		st.Events = append(st.Events, EventKey{At: ev.at, Seq: ev.seq})
+	}
+	for _, q := range e.delays {
+		for i := 0; i < q.q.Len(); i++ {
+			ev := q.q.At(i)
+			st.Events = append(st.Events, EventKey{At: ev.at, Seq: ev.seq})
+		}
 	}
 	sort.Slice(st.Events, func(i, j int) bool {
 		if st.Events[i].At != st.Events[j].At {

@@ -80,16 +80,21 @@ func (t *Timer) When() Time {
 // usable; create engines with New.
 //
 // Engines are strictly single-threaded: events run one at a time on the
-// goroutine that called Run/RunUntil/Step, and processes created with Go are
+// goroutine that called Run/RunUntil, and processes created with Go are
 // coscheduled so only one of them (or the engine) executes at any moment.
 //
 // The hot path is allocation-free: events are concrete structs recycled
 // through a slab-allocated free list, the queue is an inlined 4-ary indexed
 // heap (no container/heap interface boxing), recurring timers reschedule in
 // place on a wheel without touching the heap, and Timer handles are values.
+// Events scheduled a constant delay ahead — the per-MTU fabric and HCA
+// stages — skip the heap too: they wait in one FIFO per delay (see Delay),
+// and the run loop takes the earliest of the heap's top, those FIFOs' heads
+// and the wheel's minimum.
 type Engine struct {
 	now      Time
 	events   eventHeap
+	delays   []*Delay // one per distinct delay, in creation order
 	wheel    []*periodic
 	wmin     *periodic // earliest wheel entry, nil when empty (wheelMin)
 	free     []*event
@@ -207,8 +212,7 @@ func (e *Engine) Every(d Time, fn func()) Timer {
 // periodic observer re-arms itself at Now()+period this way): one due
 // before the next event fires in the same pass, and Run still returns once
 // its last event has run, leaving the re-armed one unfired. Breakpoints
-// fire from Run and RunUntil only (single-Step loops never cross them), in
-// (at, arming order). Arming in the past panics like Schedule does.
+// fire in (at, arming order). Arming in the past panics like Schedule does.
 func (e *Engine) Breakpoint(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: breakpoint at %v before now %v", at, e.now))
@@ -238,12 +242,12 @@ func (e *Engine) NextBreak() (Time, bool) {
 	return e.breaks[0].at, true
 }
 
-// fireBreaksBefore fires, in order, every armed breakpoint with at < limit,
-// advancing the clock to each breakpoint's time (never past limit). The run
-// loops call it with the next event's timestamp — so a breakpoint at T fires
-// only once no event with timestamp <= T remains, mirroring RunUntil(T).
-func (e *Engine) fireBreaksBefore(limit Time) {
-	for len(e.breaks) > 0 && e.breaks[0].at < limit {
+// fireBreaks fires, in order, every armed breakpoint with at <= through,
+// advancing the clock to each breakpoint's time. step calls it with one
+// less than the next event's timestamp — so a breakpoint at T fires only
+// once no event with timestamp <= T remains, mirroring RunUntil(T).
+func (e *Engine) fireBreaks(through Time) {
+	for len(e.breaks) > 0 && e.breaks[0].at <= through {
 		b := e.breaks[0]
 		copy(e.breaks, e.breaks[1:])
 		e.breaks[len(e.breaks)-1] = breakpoint{}
@@ -255,23 +259,48 @@ func (e *Engine) fireBreaksBefore(limit Time) {
 	}
 }
 
-// Step executes the single earliest pending event. It reports false when no
-// events remain.
-func (e *Engine) Step() bool {
-	if w := e.wmin; w != nil {
-		if len(e.events) == 0 || w.nextAt < e.events[0].at ||
-			(w.nextAt == e.events[0].at && w.seq < e.events[0].seq) {
-			e.fireWheel(w)
-			return true
+// step executes the earliest pending event if its timestamp is <= limit,
+// after firing the breakpoints due before it. It finds that event once,
+// over the heap's top, the delay queues' heads and the wheel's minimum,
+// and reports whether it ran one.
+func (e *Engine) step(limit Time) bool {
+	at, seq := MaxTime, noSeq
+	if len(e.events) > 0 {
+		at, seq = e.events[0].at, e.events[0].seq
+	}
+	var dq *Delay
+	for _, q := range e.delays {
+		if q.headAt < at || (q.headAt == at && q.headSeq < seq) {
+			at, seq, dq = q.headAt, q.headSeq, q
 		}
 	}
-	if len(e.events) == 0 {
+	w := e.wmin
+	if w != nil && (w.nextAt < at || (w.nextAt == at && w.seq < seq)) {
+		at, seq = w.nextAt, w.seq
+	} else {
+		w = nil
+	}
+	if seq == noSeq || at > limit {
 		return false
 	}
-	ev := e.events.popMin()
-	e.now = ev.at
+	if len(e.breaks) > 0 && e.breaks[0].at < at {
+		// Pick again: a callback that breaks the Breakpoint contract and
+		// drives the engine must not leave this step popping a stale choice.
+		e.fireBreaks(at - 1)
+		return e.step(limit)
+	}
+	if w != nil {
+		e.fireWheel(w)
+		return true
+	}
+	var ev *event
+	if dq != nil {
+		ev = dq.pop()
+	} else {
+		ev = e.events.popMin()
+	}
+	e.now = at
 	e.stepped++
-	at, seq := ev.at, ev.seq
 	fn := ev.fn
 	e.release(ev)
 	if e.stepHook != nil && e.stepped&e.hookMask == 0 {
@@ -281,61 +310,35 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// peek returns the time of the earliest pending event.
-func (e *Engine) peek() (Time, bool) {
-	var at Time
-	ok := false
-	if len(e.events) > 0 {
-		at, ok = e.events[0].at, true
-	}
-	if e.wmin != nil {
-		if w := e.wmin.nextAt; !ok || w < at {
-			at, ok = w, true
-		}
-	}
-	return at, ok
-}
-
 // Run executes events until none remain.
 func (e *Engine) Run() {
-	for {
-		if len(e.breaks) > 0 {
-			if at, ok := e.peek(); ok {
-				e.fireBreaksBefore(at)
-			}
-		}
-		if !e.Step() {
-			return
-		}
+	for e.step(MaxTime) {
 	}
 }
 
-// RunUntil executes events with timestamps <= t, then advances the clock to
-// exactly t (even if no event lands there).
+// RunUntil executes events with timestamps <= t, fires the breakpoints
+// armed at or before t, then advances the clock to exactly t (even if no
+// event lands there).
 func (e *Engine) RunUntil(t Time) {
-	for {
-		at, ok := e.peek()
-		if !ok || at > t {
-			break
-		}
-		if len(e.breaks) > 0 {
-			e.fireBreaksBefore(at)
-		}
-		e.Step()
+	for e.step(t) {
 	}
 	if len(e.breaks) > 0 {
-		e.fireBreaksBefore(t + 1)
+		e.fireBreaks(t)
 	}
 	if e.now < t {
 		e.now = t
 	}
 }
 
-// Pending returns the number of scheduled events in O(1): the heap holds
-// only live one-shots (cancelation removes in place) and every wheel entry
-// has exactly one pending occurrence.
+// Pending returns the number of scheduled events: the heap holds only live
+// one-shots (cancelation removes in place), the delay queues hold theirs,
+// and every wheel entry has exactly one pending occurrence.
 func (e *Engine) Pending() int {
-	return len(e.events) + len(e.wheel)
+	n := len(e.events) + len(e.wheel)
+	for _, q := range e.delays {
+		n += q.q.Len()
+	}
+	return n
 }
 
 // Shutdown kills every live process so their goroutines exit. Call at the end

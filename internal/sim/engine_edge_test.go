@@ -117,17 +117,21 @@ func TestCancelHeavyBounded(t *testing.T) {
 }
 
 // TestZeroAllocSteadyState: the schedule/fire hot path — one-shot events
-// recycling through the pool — must not allocate.
+// recycling through the pool, on the heap and on a delay queue — must not
+// allocate.
 func TestZeroAllocSteadyState(t *testing.T) {
 	e := New()
+	q := e.Delay(3)
 	var tick func()
 	n := 0
 	tick = func() { n++ }
 	e.After(1, tick)
+	q.After(tick)
 	e.Run() // warm
 	if allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
 			e.After(Time(i%7+1), tick)
+			q.After(tick)
 		}
 		e.Run()
 	}); allocs != 0 {
@@ -335,8 +339,8 @@ func TestTimerActive(t *testing.T) {
 	}
 }
 
-// TestPendingCountsWheel: Pending is O(1) and counts both heap events and
-// pending periodic occurrences.
+// TestPendingCountsWheel: Pending counts both heap events and pending
+// periodic occurrences.
 func TestPendingCountsWheel(t *testing.T) {
 	e := New()
 	tm := e.Every(10, func() {})

@@ -18,7 +18,7 @@ type periodic struct {
 // wheelMin returns the earliest pending periodic by (nextAt, seq), or nil
 // when the wheel is empty. The wheel holds a handful of tickers, so a linear
 // scan beats any ordered structure's maintenance cost. The engine caches the
-// result in wmin for Step and peek, and rescans only when the wheel changes:
+// result in wmin for the run loop, and rescans only when the wheel changes:
 // Every adding a timer, wheelRemove dropping one, a fired tick moving its
 // nextAt.
 func (e *Engine) wheelMin() *periodic {
