@@ -347,3 +347,52 @@ func TestClientLatencyPositiveAndPlausible(t *testing.T) {
 	}
 	tb.Eng.Shutdown()
 }
+
+func TestRebindRunningClientFails(t *testing.T) {
+	tb, app := newPair(t, benchex.ServerConfig{}, benchex.ClientConfig{})
+	app.Start()
+	tb.Eng.RunUntil(5 * sim.Millisecond)
+	if _, err := app.Client.Rebind(); err == nil {
+		t.Error("Rebind of a running client succeeded")
+	}
+	tb.Eng.Shutdown()
+}
+
+func TestRebindReconnects(t *testing.T) {
+	// The client side of a server migration: stop, rebind, connect the new
+	// QP to a fresh server endpoint and restart. The old QP is gone and
+	// requests complete over the new one.
+	tb, app := newPair(t, benchex.ServerConfig{}, benchex.ClientConfig{})
+	app.Start()
+	tb.Eng.RunUntil(10 * sim.Millisecond)
+	app.Client.Stop()
+	tb.Eng.RunUntil(15 * sim.Millisecond) // the last response lands
+	old := app.Client.Endpoint()
+	qp, err := app.Client.Rebind()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qp == old || app.Client.Endpoint() != qp {
+		t.Fatal("Rebind did not replace the client's QP")
+	}
+	if app.ClientVM.PD.HCA().QP(old.QPN()) != nil {
+		t.Error("old QP still registered with the HCA")
+	}
+	sqp, err := app.Server.NewEndpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.ConnectQPs(sqp, qp, tb.Host(1), tb.Host(2)); err != nil {
+		t.Fatal(err)
+	}
+	before := app.Client.Stats().Received
+	app.Client.Start()
+	tb.Eng.RunUntil(30 * sim.Millisecond)
+	if got := app.Client.Stats().Received - before; got < 10 {
+		t.Errorf("%d responses after the rebind, want at least 10", got)
+	}
+	if qp.CompletedRecvs() == 0 {
+		t.Error("no response arrived on the new QP")
+	}
+	tb.Eng.Shutdown()
+}

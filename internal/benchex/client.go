@@ -3,7 +3,6 @@ package benchex
 import (
 	"fmt"
 
-	"resex/internal/guestmem"
 	"resex/internal/hca"
 	"resex/internal/sim"
 	"resex/internal/stats"
@@ -30,7 +29,9 @@ type ClientStats struct {
 }
 
 // Client is a BenchEx client running inside one VM, generating the
-// exchange workload and measuring request latencies by timestamping.
+// exchange workload and measuring request latencies by timestamping. It
+// busy-polls its completion queue and stamps each request at post time;
+// the request itself travels through its Conn.
 type Client struct {
 	cfg  ClientConfig
 	eng  *sim.Engine
@@ -38,15 +39,10 @@ type Client struct {
 	pd   *hca.PD
 	gen  *trace.Generator
 
-	rng     *sim.Rand
-	qp      *hca.QP
-	scq     *hca.CQ
-	rcq     *hca.CQ
-	sendBuf guestmem.Addr
-	sendMR  *hca.MR
-	recvBuf guestmem.Addr
-	recvMR  *hca.MR
-	slots   int
+	rng  *sim.Rand
+	conn *Conn
+	scq  *hca.CQ
+	rcq  *hca.CQ
 
 	// sendBufs is a ring of request payload buffers, one per send queue
 	// slot, built lazily; sendNext counts the requests encoded into it.
@@ -56,8 +52,6 @@ type Client struct {
 	// the server has copied the bytes into its receive buffer.
 	sendBufs [][]byte
 	sendNext int
-	// respBuf is the scratch a response is decoded from.
-	respBuf []byte
 	// cqe and onPoll (c.pollRecv, bound once) receive one completion for
 	// the await loop without a closure per wait.
 	cqe    hca.CQE
@@ -81,38 +75,23 @@ func NewClient(eng *sim.Engine, vcpu *xen.VCPU, pd *hca.PD, cfg ClientConfig) (*
 		gen:  trace.NewGenerator(cfg.Seed),
 		rng:  sim.NewRand(cfg.Seed ^ 0x5eed),
 		done: sim.NewSignal(eng),
-
-		respBuf: make([]byte, trace.ResponseSize),
 	}
 	c.onPoll = c.pollRecv
 	c.stats.Sample = new(stats.Sample)
-	c.slots = cfg.Window + 2
-	space := pd.Space()
-	bs := uint64(cfg.BufferSize)
-	c.sendBuf = space.Alloc(bs, 64)
-	c.recvBuf = space.Alloc(bs*uint64(c.slots), 64)
 	var err error
-	c.sendMR, err = pd.RegisterMR(c.sendBuf, bs, 0)
-	if err != nil {
-		return nil, fmt.Errorf("benchex: client send MR: %w", err)
-	}
-	c.recvMR, err = pd.RegisterMR(c.recvBuf, bs*uint64(c.slots), hca.AccessLocalWrite)
-	if err != nil {
-		return nil, fmt.Errorf("benchex: client recv MR: %w", err)
+	if c.conn, err = NewConn(pd, cfg.BufferSize, cfg.Window+2, cfg.Window+2); err != nil {
+		return nil, err
 	}
 	c.scq = pd.CreateCQ(1024)
 	c.rcq = pd.CreateCQ(1024)
-	c.qp = pd.CreateQP(c.scq, c.rcq, cfg.Window+2, c.slots)
-	for slot := 0; slot < c.slots; slot++ {
-		if err := c.postRecv(slot); err != nil {
-			return nil, err
-		}
+	if _, err := c.conn.Open(c.scq, c.rcq); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
 // Endpoint returns the client's QP for connection wiring.
-func (c *Client) Endpoint() *hca.QP { return c.qp }
+func (c *Client) Endpoint() *hca.QP { return c.conn.QP() }
 
 // Config returns the effective configuration.
 func (c *Client) Config() ClientConfig { return c.cfg }
@@ -145,15 +124,6 @@ func (c *Client) Done() *sim.Signal { return c.done }
 // Running reports whether the issue loop is active.
 func (c *Client) Running() bool { return c.running }
 
-func (c *Client) postRecv(slot int) error {
-	return c.qp.PostRecv(hca.RecvWR{
-		ID:   uint64(slot),
-		Addr: c.recvBuf + guestmem.Addr(slot*c.cfg.BufferSize),
-		LKey: c.recvMR.Key(),
-		Len:  c.cfg.BufferSize,
-	})
-}
-
 // Rebind tears the client's connection down and builds a fresh one: the old
 // QP is destroyed (flushing anything still posted), the flush completions
 // are drained, and a new QP with a full receive ring replaces it. This is
@@ -165,27 +135,17 @@ func (c *Client) Rebind() (*hca.QP, error) {
 	if c.running {
 		return nil, fmt.Errorf("benchex: rebind of running client %q", c.cfg.Name)
 	}
-	c.pd.DestroyQP(c.qp)
-	for {
-		if _, ok := c.rcq.Poll(); !ok {
-			break
-		}
-	}
-	for {
-		if _, ok := c.scq.Poll(); !ok {
-			break
-		}
-	}
-	c.qp = c.pd.CreateQP(c.scq, c.rcq, c.cfg.Window+2, c.slots)
-	for slot := 0; slot < c.slots; slot++ {
-		if err := c.postRecv(slot); err != nil {
-			return nil, err
-		}
+	c.pd.DestroyQP(c.conn.QP())
+	c.rcq.Drain()
+	c.scq.Drain()
+	qp, err := c.conn.Open(c.scq, c.rcq)
+	if err != nil {
+		return nil, err
 	}
 	// Sends of the old QP may still be on the wire with their payloads:
 	// the new QP encodes into fresh buffers.
 	c.sendBufs = nil
-	return c.qp, nil
+	return qp, nil
 }
 
 // Start launches the request loop.
@@ -242,11 +202,7 @@ func (c *Client) run(p *sim.Proc) {
 		c.complete(p, c.cqe)
 		// Reap any send completions without blocking (they precede the
 		// response but are not interesting to measure).
-		for {
-			if _, ok := c.scq.Poll(); !ok {
-				break
-			}
-		}
+		c.scq.Drain()
 	}
 	c.running = false
 	c.done.Broadcast()
@@ -284,27 +240,11 @@ func (c *Client) drawGap() sim.Time {
 // issue builds, encodes and posts one request.
 func (c *Client) issue(p *sim.Proc) {
 	req := c.gen.Next(c.eng.Now())
-	prep := sim.Time(float64(PrepTime) * c.rng.Uniform(1-PrepJitter, 1+PrepJitter))
-	if prep < 1 {
-		prep = 1
-	}
-	c.vcpu.Use(p, prep)
+	c.conn.Prep(p, c.vcpu, c.rng)
 	req.SentAt = c.eng.Now() // timestamp after marshaling, right at post
 	// The HCA holds the payload until delivery and Window requests may be
 	// in flight, so each request in flight has its own buffer.
-	buf := c.nextPayload()
-	if err := req.Encode(buf); err != nil {
-		panic(err)
-	}
-	c.pd.Space().Write(c.sendBuf, buf)
-	err := c.qp.PostSend(hca.SendWR{
-		ID:        req.Seq,
-		LocalAddr: c.sendBuf,
-		LKey:      c.sendMR.Key(),
-		Len:       c.cfg.BufferSize,
-		Payload:   buf,
-	})
-	if err != nil {
+	if err := c.conn.Post(req, c.nextPayload()); err != nil {
 		panic(fmt.Sprintf("benchex: client post: %v", err))
 	}
 	c.stats.Sent++
@@ -313,7 +253,7 @@ func (c *Client) issue(p *sim.Proc) {
 // nextPayload returns the next request buffer of the send ring.
 func (c *Client) nextPayload() []byte {
 	if c.sendBufs == nil {
-		c.sendBufs = make([][]byte, c.qp.SQDepth())
+		c.sendBufs = make([][]byte, c.conn.QP().SQDepth())
 	}
 	i := c.sendNext % len(c.sendBufs)
 	c.sendNext++
@@ -323,11 +263,10 @@ func (c *Client) nextPayload() []byte {
 	return c.sendBufs[i]
 }
 
-// complete decodes a response, measures its latency, recycles the slot.
+// complete decodes a response, recycles its slot and measures its
+// latency. A polling client takes no interrupt.
 func (c *Client) complete(p *sim.Proc, cqe hca.CQE) {
-	slot := int(cqe.WRID)
-	c.pd.Space().Read(c.recvBuf+guestmem.Addr(slot*c.cfg.BufferSize), c.respBuf)
-	resp, err := trace.DecodeResponse(c.respBuf)
+	resp, err := c.conn.Response(p, c.vcpu, cqe, 0)
 	now := c.eng.Now()
 	if err == nil {
 		lat := now - resp.SentAt
@@ -340,8 +279,5 @@ func (c *Client) complete(p *sim.Proc, cqe hca.CQE) {
 		if c.cfg.RecordTimeline {
 			c.stats.Timeline = append(c.stats.Timeline, LatencyRecord{Seq: resp.Seq, SentAt: resp.SentAt, Latency: lat})
 		}
-	}
-	if err := c.postRecv(slot); err != nil {
-		panic(fmt.Sprintf("benchex: client repost: %v", err))
 	}
 }

@@ -3,7 +3,6 @@ package benchex
 import (
 	"fmt"
 
-	"resex/internal/guestmem"
 	"resex/internal/hca"
 	"resex/internal/sim"
 	"resex/internal/stats"
@@ -31,15 +30,6 @@ type ServerStats struct {
 	Timeline []RequestRecord
 }
 
-// endpoint is the server side of one client connection.
-type endpoint struct {
-	qp      *hca.QP
-	sendBuf guestmem.Addr
-	sendMR  *hca.MR
-	recvBuf guestmem.Addr // RecvSlots × BufferSize slab
-	recvMR  *hca.MR
-}
-
 // Server is a BenchEx trading server running inside one VM.
 type Server struct {
 	cfg  ServerConfig
@@ -48,7 +38,7 @@ type Server struct {
 	pd   *hca.PD
 	scq  *hca.CQ
 	rcq  *hca.CQ
-	eps  map[uint32]*endpoint // by QPN
+	eps  map[uint32]*Conn // client endpoints by QPN
 
 	stats       ServerStats
 	window      stats.Summary // since last agent report, µs
@@ -73,7 +63,7 @@ func NewServer(eng *sim.Engine, vcpu *xen.VCPU, pd *hca.PD, cfg ServerConfig) *S
 		eng:         eng,
 		vcpu:        vcpu,
 		pd:          pd,
-		eps:         make(map[uint32]*endpoint),
+		eps:         make(map[uint32]*Conn),
 		reqScratch:  make([]byte, trace.RequestSize),
 		respScratch: make([]byte, trace.ResponseSize),
 	}
@@ -93,43 +83,20 @@ func (s *Server) SendCQ() *hca.CQ { return s.scq }
 // VCPU returns the VCPU the server runs on.
 func (s *Server) VCPU() *xen.VCPU { return s.vcpu }
 
-// NewEndpoint allocates buffers and a QP for one client connection and
-// posts its receive ring. The caller connects the returned QP to the
-// client's QP.
+// NewEndpoint opens the server side of one client connection on the
+// server's shared CQs, with RecvSlots receive buffers posted. The caller
+// connects the returned QP to the client's QP.
 func (s *Server) NewEndpoint() (*hca.QP, error) {
-	space := s.pd.Space()
-	bs := uint64(s.cfg.BufferSize)
-	ep := &endpoint{
-		sendBuf: space.Alloc(bs, 64),
-		recvBuf: space.Alloc(bs*uint64(s.cfg.RecvSlots), 64),
-	}
-	var err error
-	ep.sendMR, err = s.pd.RegisterMR(ep.sendBuf, bs, 0)
+	ep, err := NewConn(s.pd, s.cfg.BufferSize, s.cfg.RecvSlots, s.cfg.RecvSlots+2)
 	if err != nil {
-		return nil, fmt.Errorf("benchex: registering send buffer: %w", err)
+		return nil, err
 	}
-	ep.recvMR, err = s.pd.RegisterMR(ep.recvBuf, bs*uint64(s.cfg.RecvSlots), hca.AccessLocalWrite)
+	qp, err := ep.Open(s.scq, s.rcq)
 	if err != nil {
-		return nil, fmt.Errorf("benchex: registering recv slab: %w", err)
+		return nil, err
 	}
-	ep.qp = s.pd.CreateQP(s.scq, s.rcq, s.cfg.RecvSlots+2, s.cfg.RecvSlots)
-	for slot := 0; slot < s.cfg.RecvSlots; slot++ {
-		if err := s.postRecv(ep, slot); err != nil {
-			return nil, err
-		}
-	}
-	s.eps[ep.qp.QPN()] = ep
-	return ep.qp, nil
-}
-
-// postRecv (re)posts the receive buffer for a slot.
-func (s *Server) postRecv(ep *endpoint, slot int) error {
-	return ep.qp.PostRecv(hca.RecvWR{
-		ID:   uint64(slot),
-		Addr: ep.recvBuf + guestmem.Addr(slot*s.cfg.BufferSize),
-		LKey: ep.recvMR.Key(),
-		Len:  s.cfg.BufferSize,
-	})
+	s.eps[qp.QPN()] = ep
+	return qp, nil
 }
 
 // Start launches the serving loop.
@@ -215,7 +182,7 @@ func (s *Server) run(p *sim.Proc) {
 
 		// ---- CTime: decode and process.
 		t1 := s.eng.Now()
-		s.pd.Space().Read(ep.recvBuf+guestmem.Addr(slot*s.cfg.BufferSize), s.reqScratch)
+		ep.read(slot, s.reqScratch)
 		req, derr := trace.DecodeRequest(s.reqScratch)
 		resp := trace.Response{Status: 1}
 		if derr == nil {
@@ -228,28 +195,19 @@ func (s *Server) run(p *sim.Proc) {
 		if err := resp.Encode(s.respScratch); err != nil {
 			panic(err)
 		}
-		s.pd.Space().Write(ep.sendBuf, s.respScratch)
+		ep.write(s.respScratch)
 		// Recycle the receive slot before responding, so a pipelined client
 		// always finds a buffer.
 		s.vcpu.Use(p, PostCost)
-		if err := s.postRecv(ep, slot); err != nil {
-			panic(fmt.Sprintf("benchex: repost recv: %v", err))
-		}
+		ep.repost(slot)
 		cTime := s.eng.Now() - t1
 
 		// ---- WTime: post the response; either spin on its completion or
 		// (pipelined) reap completions opportunistically.
 		t2 := s.eng.Now()
 		s.vcpu.Use(p, PostCost)
-		wr := hca.SendWR{
-			ID:        resp.Seq,
-			LocalAddr: ep.sendBuf,
-			LKey:      ep.sendMR.Key(),
-			Len:       s.cfg.BufferSize,
-			Payload:   s.respScratch,
-		}
 		for {
-			err := ep.qp.PostSend(wr)
+			err := ep.send(resp.Seq, s.respScratch)
 			if err == nil {
 				break
 			}
@@ -262,11 +220,7 @@ func (s *Server) run(p *sim.Proc) {
 			}
 		}
 		if s.cfg.PipelineResponses {
-			for {
-				if _, ok := s.scq.Poll(); !ok {
-					break
-				}
-			}
+			s.scq.Drain()
 		} else {
 			if _, ok := s.awaitCQE(p, s.scq); !ok {
 				return

@@ -260,11 +260,7 @@ func TestBlackoutDropsConfidenceThenRecovers(t *testing.T) {
 	}
 	h.eng.Go("reap", func(p *sim.Proc) {
 		for {
-			for {
-				if _, ok := h.scq.Poll(); !ok {
-					break
-				}
-			}
+			h.scq.Drain()
 			h.scq.Signal().Wait(p)
 		}
 	})
@@ -314,11 +310,7 @@ func TestMapInvalidateRemapsWithBackoff(t *testing.T) {
 	}
 	h.eng.Go("reap", func(p *sim.Proc) {
 		for {
-			for {
-				if _, ok := h.scq.Poll(); !ok {
-					break
-				}
-			}
+			h.scq.Drain()
 			h.scq.Signal().Wait(p)
 		}
 	})
@@ -404,10 +396,7 @@ func TestInjectorReplayDeterministic(t *testing.T) {
 		var reaps []sim.Time
 		h.eng.Go("reap", func(p *sim.Proc) {
 			for {
-				for {
-					if _, ok := h.scq.Poll(); !ok {
-						break
-					}
+				for n := h.scq.Drain(); n > 0; n-- {
 					reaps = append(reaps, h.eng.Now())
 				}
 				h.scq.Signal().Wait(p)

@@ -237,5 +237,17 @@ func (cq *CQ) Poll() (CQE, bool) {
 	return e, true
 }
 
+// Drain polls until the CQ is empty and returns how many completions it
+// reaped.
+func (cq *CQ) Drain() int {
+	n := 0
+	for {
+		if _, ok := cq.Poll(); !ok {
+			return n
+		}
+		n++
+	}
+}
+
 // Pending returns the number of unreaped completions.
 func (cq *CQ) Pending() int { return int(cq.pi - cq.ci) }

@@ -327,6 +327,27 @@ func TestCQPollAndPending(t *testing.T) {
 	}
 }
 
+func TestCQDrain(t *testing.T) {
+	r := newRig(t)
+	cq := r.pd1.CreateCQ(4)
+	if n := cq.Drain(); n != 0 {
+		t.Errorf("empty drain reaped %d", n)
+	}
+	for i := 0; i < 3; i++ {
+		cq.push(1, OpSend, StatusOK, 0, uint64(i))
+	}
+	if n := cq.Drain(); n != 3 || cq.Pending() != 0 {
+		t.Errorf("drain reaped %d, %d left, want 3 and 0", n, cq.Pending())
+	}
+	// After an overrun only the surviving entries are reaped.
+	for i := 0; i < 6; i++ {
+		cq.push(1, OpSend, StatusOK, 0, uint64(i))
+	}
+	if n := cq.Drain(); n != 4 {
+		t.Errorf("drain after overrun reaped %d, want 4", n)
+	}
+}
+
 func TestCQOverrunOverwritesOldest(t *testing.T) {
 	r := newRig(t)
 	cq := r.pd1.CreateCQ(2)

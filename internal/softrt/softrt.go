@@ -177,11 +177,7 @@ func (st *Stream) sendLoop(p *sim.Proc) {
 			panic(fmt.Sprintf("softrt: post frame: %v", err))
 		}
 		// Reap send completions opportunistically.
-		for {
-			if _, ok := st.scq.Poll(); !ok {
-				break
-			}
-		}
+		st.scq.Drain()
 	}
 }
 

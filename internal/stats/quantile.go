@@ -202,9 +202,11 @@ func (s *QuantileSketch) clamp(x float64) float64 {
 	return x
 }
 
-// Reset forgets all observations, keeping the configured accuracy.
+// Reset forgets all observations, keeping the configured accuracy and the
+// bucket map's storage, so a sketch reset every window stops allocating
+// once its buckets exist.
 func (s *QuantileSketch) Reset() {
-	s.counts = make(map[int]int64)
+	clear(s.counts)
 	s.zero, s.n = 0, 0
 	s.min, s.max = 0, 0
 }

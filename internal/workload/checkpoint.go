@@ -44,8 +44,8 @@ func (t *Tenant) Checkpoint() TenantState {
 		Shed:        t.shed,
 		Issued:      t.issued,
 		Completed:   t.completed,
-		Queued:      len(t.queue),
-		Inflight:    len(t.outstanding),
+		Queued:      t.queue.Len(),
+		Inflight:    t.outstanding.Len(),
 		NextArrival: t.nextArrival,
 		RNGDraws:    t.rng.Draws(),
 		GenSeq:      t.gen.Seq(),

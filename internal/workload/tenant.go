@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"resex/internal/benchex"
-	"resex/internal/guestmem"
 	"resex/internal/hca"
+	"resex/internal/ring"
 	"resex/internal/sim"
 	"resex/internal/stats"
 	"resex/internal/trace"
@@ -44,23 +44,19 @@ type Tenant struct {
 
 	eng     *sim.Engine
 	vcpu    *xen.VCPU
-	pd      *hca.PD
 	rng     *sim.Rand
 	gen     *trace.Generator
-	qp      *hca.QP
+	conn    *benchex.Conn
 	scq     *hca.CQ
 	rcq     *hca.CQ
-	sendBuf guestmem.Addr
-	sendMR  *hca.MR
-	recvBuf guestmem.Addr
-	recvMR  *hca.MR
-	slots   int
 	scratch []byte
-	resp    []byte
+	// onThink (t.think, bound once) returns a closed-loop user to the
+	// queue when its think time ends.
+	onThink func()
 
 	work        *sim.Signal
-	queue       []sim.Time // arrival stamps awaiting issue (FIFO)
-	outstanding []sim.Time // arrival stamps of posted requests (FIFO)
+	queue       ring.Queue[sim.Time] // arrival stamps awaiting issue
+	outstanding ring.Queue[sim.Time] // arrival stamps of posted requests
 	nextArrival sim.Time
 	running     bool
 	proc        *sim.Proc
@@ -76,49 +72,34 @@ type Tenant struct {
 }
 
 // newTenant builds the client-side half of a tenant on the given VCPU and
-// protection domain, mirroring the benchex client's verbs layout: one send
-// buffer, a Window+2-slot receive slab, and a QP whose receive ring is
-// pre-posted.
+// protection domain: a BenchEx connection with a Window+2-slot receive
+// ring, on two CQs of its own.
 func newTenant(eng *sim.Engine, vcpu *xen.VCPU, pd *hca.PD, spec TenantSpec) (*Tenant, error) {
 	t := &Tenant{
 		Spec:    spec,
 		eng:     eng,
 		vcpu:    vcpu,
-		pd:      pd,
 		rng:     sim.NewRand(spec.Seed ^ 0x7ead),
 		gen:     trace.NewGenerator(spec.Seed),
 		work:    sim.NewSignal(eng),
 		scratch: make([]byte, trace.RequestSize),
-		resp:    make([]byte, trace.ResponseSize),
 		slo:     newSLOTracker(spec.SLO),
 	}
-	t.slots = spec.Window + 2
-	space := pd.Space()
-	bs := uint64(spec.BufferSize)
-	t.sendBuf = space.Alloc(bs, 64)
-	t.recvBuf = space.Alloc(bs*uint64(t.slots), 64)
+	t.onThink = t.think
 	var err error
-	t.sendMR, err = pd.RegisterMR(t.sendBuf, bs, 0)
-	if err != nil {
-		return nil, fmt.Errorf("workload: %s send MR: %w", spec.Name, err)
-	}
-	t.recvMR, err = pd.RegisterMR(t.recvBuf, bs*uint64(t.slots), hca.AccessLocalWrite)
-	if err != nil {
-		return nil, fmt.Errorf("workload: %s recv MR: %w", spec.Name, err)
+	if t.conn, err = benchex.NewConn(pd, spec.BufferSize, spec.Window+2, spec.Window+2); err != nil {
+		return nil, fmt.Errorf("workload: %s: %w", spec.Name, err)
 	}
 	t.scq = pd.CreateCQ(1024)
 	t.rcq = pd.CreateCQ(1024)
-	t.qp = pd.CreateQP(t.scq, t.rcq, spec.Window+2, t.slots)
-	for slot := 0; slot < t.slots; slot++ {
-		if err := t.postRecv(slot); err != nil {
-			return nil, err
-		}
+	if _, err := t.conn.Open(t.scq, t.rcq); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
 
 // Endpoint returns the tenant's client QP for connection wiring.
-func (t *Tenant) Endpoint() *hca.QP { return t.qp }
+func (t *Tenant) Endpoint() *hca.QP { return t.conn.QP() }
 
 // Running reports whether the tenant's traffic driver is live.
 func (t *Tenant) Running() bool { return t.running }
@@ -132,15 +113,6 @@ func (t *Tenant) Sketch() *stats.QuantileSketch { return t.slo.total }
 // attained + violated == lastEval - origin must hold at all times.
 func (t *Tenant) SLOAudit() (attained, violated, origin, lastEval sim.Time) {
 	return t.slo.attained, t.slo.violated, t.slo.origin, t.slo.lastEval
-}
-
-func (t *Tenant) postRecv(slot int) error {
-	return t.qp.PostRecv(hca.RecvWR{
-		ID:   uint64(slot),
-		Addr: t.recvBuf + guestmem.Addr(slot*t.Spec.BufferSize),
-		LKey: t.recvMR.Key(),
-		Len:  t.Spec.BufferSize,
-	})
 }
 
 // start launches the driver and the SLO window ticker.
@@ -201,14 +173,10 @@ func (t *Tenant) run(p *sim.Proc) {
 		if cqe, ok := t.rcq.Poll(); ok {
 			t.complete(p, cqe)
 			// Send completions precede the response; reap without blocking.
-			for {
-				if _, ok := t.scq.Poll(); !ok {
-					break
-				}
-			}
+			t.scq.Drain()
 			continue
 		}
-		if len(t.queue) > 0 && len(t.outstanding) < t.Spec.Window {
+		if t.queue.Len() > 0 && t.outstanding.Len() < t.Spec.Window {
 			t.issue(p)
 			continue
 		}
@@ -227,70 +195,52 @@ func (t *Tenant) run(p *sim.Proc) {
 // arrive processes one open-loop arrival through the admission hook.
 func (t *Tenant) arrive(at sim.Time) {
 	t.arrivals++
-	if !t.Spec.Admission.Admit(AdmitState{QueueLen: len(t.queue)}) {
+	if !t.Spec.Admission.Admit(AdmitState{QueueLen: t.queue.Len()}) {
 		t.shed++
 		return
 	}
-	t.queue = append(t.queue, at)
+	t.queue.Push(at)
 }
 
 // enqueue admits a closed-loop arrival unconditionally.
 func (t *Tenant) enqueue(at sim.Time) {
 	t.arrivals++
-	t.queue = append(t.queue, at)
+	t.queue.Push(at)
 }
 
 // issue builds, encodes and posts the oldest queued request.
 func (t *Tenant) issue(p *sim.Proc) {
-	arrivedAt := t.queue[0]
-	t.queue = t.queue[1:]
+	arrivedAt := t.queue.Pop()
 	req := t.gen.Next(t.eng.Now())
-	prep := sim.Time(float64(benchex.PrepTime) * t.rng.Uniform(1-benchex.PrepJitter, 1+benchex.PrepJitter))
-	if prep < 1 {
-		prep = 1
-	}
-	t.vcpu.Use(p, prep)
+	t.conn.Prep(p, t.vcpu, t.rng)
 	// Stamp the request with its arrival time, not the post time: measured
 	// latency then includes the client-side queueing a full window causes,
 	// so saturation produces the hockey stick instead of being hidden by
-	// the issue window (coordinated omission).
+	// the issue window (coordinated omission). Every request is encoded
+	// into the one scratch slice, which the HCA still holds for any
+	// request in flight (see DESIGN.md, "Send buffers").
 	req.SentAt = arrivedAt
-	if err := req.Encode(t.scratch); err != nil {
-		panic(err)
-	}
-	t.pd.Space().Write(t.sendBuf, t.scratch)
-	if err := t.qp.PostSend(hca.SendWR{
-		ID:        req.Seq,
-		LocalAddr: t.sendBuf,
-		LKey:      t.sendMR.Key(),
-		Len:       t.Spec.BufferSize,
-		Payload:   t.scratch,
-	}); err != nil {
+	if err := t.conn.Post(req, t.scratch); err != nil {
 		panic(fmt.Sprintf("workload: %s post: %v", t.Spec.Name, err))
 	}
-	t.outstanding = append(t.outstanding, arrivedAt)
+	t.outstanding.Push(arrivedAt)
 	t.issued++
 }
 
-// complete decodes one response, measures it, recycles the slot, and — for
-// closed loops — schedules the user's next request after think time.
+// complete decodes one response, takes the completion interrupt, recycles
+// the slot, measures the response, and — for closed loops — schedules the
+// user's next request after think time.
 func (t *Tenant) complete(p *sim.Proc, cqe hca.CQE) {
-	slot := int(cqe.WRID)
-	t.pd.Space().Read(t.recvBuf+guestmem.Addr(slot*t.Spec.BufferSize), t.resp)
-	resp, err := trace.DecodeResponse(t.resp)
-	t.vcpu.Use(p, InterruptCost)
+	resp, err := t.conn.Response(p, t.vcpu, cqe, InterruptCost)
 	now := t.eng.Now()
-	if len(t.outstanding) > 0 {
-		t.outstanding = t.outstanding[1:]
+	if t.outstanding.Len() > 0 {
+		t.outstanding.Pop()
 	}
 	if err == nil {
 		latUs := (now - resp.SentAt).Microseconds()
 		t.latency.Add(latUs)
 		t.slo.observe(latUs)
 		t.completed++
-	}
-	if err := t.postRecv(slot); err != nil {
-		panic(fmt.Sprintf("workload: %s repost: %v", t.Spec.Name, err))
 	}
 	if t.Spec.Arrivals == nil {
 		t.rearm(now)
@@ -307,13 +257,16 @@ func (t *Tenant) rearm(now sim.Time) {
 		t.enqueue(now)
 		return
 	}
-	t.eng.After(think, func() {
-		if !t.running {
-			return
-		}
-		t.enqueue(t.eng.Now())
-		t.work.Broadcast()
-	})
+	t.eng.After(think, t.onThink)
+}
+
+// think ends one user's think time.
+func (t *Tenant) think() {
+	if !t.running {
+		return
+	}
+	t.enqueue(t.eng.Now())
+	t.work.Broadcast()
 }
 
 // tickWindow closes one SLO evaluation window.
@@ -324,10 +277,10 @@ func (t *Tenant) tickWindow() {
 	var oldest sim.Time
 	has := false
 	switch {
-	case len(t.outstanding) > 0:
-		oldest, has = t.outstanding[0], true
-	case len(t.queue) > 0:
-		oldest, has = t.queue[0], true
+	case t.outstanding.Len() > 0:
+		oldest, has = *t.outstanding.Front(), true
+	case t.queue.Len() > 0:
+		oldest, has = *t.queue.Front(), true
 	}
 	t.slo.endWindow(t.eng.Now(), oldest, has)
 }
@@ -351,8 +304,8 @@ func (t *Tenant) Stats() TenantStats {
 		Shed:      t.shed,
 		Issued:    t.issued,
 		Completed: t.completed,
-		Queued:    len(t.queue),
-		Inflight:  len(t.outstanding),
+		Queued:    t.queue.Len(),
+		Inflight:  t.outstanding.Len(),
 		Latency:   t.latency,
 		P50:       t.slo.total.Quantile(0.5),
 		P99:       t.slo.total.Quantile(0.99),

@@ -49,7 +49,8 @@ type ClosedLoop struct {
 
 // InterruptCost is tenant client CPU per reaped completion — the
 // event-driven wakeup price. Request builds cost benchex.PrepTime, jittered
-// by ±benchex.PrepJitter against phase-locking, as a BenchEx client's do.
+// by ±benchex.PrepJitter against phase-locking (benchex.Conn.Prep), as a
+// BenchEx client's do.
 const InterruptCost = 2 * sim.Microsecond
 
 // TenantSpec declares one tenant of the traffic engine.
