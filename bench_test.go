@@ -371,7 +371,6 @@ func BenchmarkFullStackSimSecond(b *testing.B) {
 		s, err := experiments.Build(experiments.ScenarioConfig{
 			IntfBuffer: experiments.IntfBuffer,
 			Policy:     resex.NewIOShares(),
-			SLAUs:      experiments.BaseSLAUs,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -468,7 +467,6 @@ func BenchmarkFaultsEmptyScheduleOverhead(b *testing.B) {
 		s, err := experiments.Build(experiments.ScenarioConfig{
 			IntfBuffer: experiments.IntfBuffer,
 			Policy:     resex.NewIOShares(),
-			SLAUs:      experiments.BaseSLAUs,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -514,7 +512,6 @@ func BenchmarkAuditOverhead(b *testing.B) {
 		s, err := experiments.Build(experiments.ScenarioConfig{
 			IntfBuffer: experiments.IntfBuffer,
 			Policy:     resex.NewIOShares(),
-			SLAUs:      experiments.BaseSLAUs,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -25,6 +25,7 @@ import (
 	"resex/internal/invariant"
 	"resex/internal/resex"
 	"resex/internal/sim"
+	"resex/internal/stats"
 )
 
 // maxSize bounds both buffer flags. The interferer's guest holds 19 buffers
@@ -86,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchex:", err)
 		return 2
 	}
-	cfg := experiments.ScenarioConfig{RepBuffer: bufSize, IntfCap: *capPct, SLAUs: experiments.BaseSLAUs, Seed: *seed}
+	cfg := experiments.ScenarioConfig{RepBuffer: bufSize, IntfCap: *capPct, Timeline: true, Seed: *seed}
 	if *intfBuf != "" {
 		if cfg.IntfBuffer, err = parseSize(*intfBuf); err != nil {
 			fmt.Fprintln(stderr, "benchex:", err)
@@ -140,6 +141,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	st := s.RepStats()
 	cs := s.Reporters[0].Client.Stats()
+	lat := stats.NewSample(len(cs.Timeline))
+	for _, rec := range cs.Timeline {
+		lat.Add(rec.Latency.Microseconds())
+	}
 	fmt.Fprintf(stdout, "BenchEx %s reporting application", *buffer)
 	if cfg.IntfBuffer > 0 {
 		fmt.Fprintf(stdout, " vs %s interferer", *intfBuf)
@@ -156,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		st.Total.Mean(), st.Total.StdDev(), st.Total.Min(), st.Total.Max())
 	fmt.Fprintf(stdout, "\nClient-side end-to-end latency (%d responses):\n", cs.Received)
 	fmt.Fprintf(stdout, "  mean %8.1f µs   p50 %8.1f   p99 %8.1f   max %8.1f\n",
-		cs.Latency.Mean(), cs.Sample.Quantile(0.5), cs.Sample.Quantile(0.99), cs.Latency.Max())
+		cs.Latency.Mean(), lat.Quantile(0.5), lat.Quantile(0.99), cs.Latency.Max())
 	if s.Mgr != nil {
 		fmt.Fprintln(stdout, "\nResEx state:")
 		for _, vm := range s.Mgr.VMs() {

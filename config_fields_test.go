@@ -30,7 +30,6 @@ var unsetConfigFields = map[string]string{
 	"faults.GenConfig.StallEvery":            "TestFaultPlansAudited draws the stall layer's period or disables it",
 	"placement.MigrationConfig.StateBytes":   "tests migrate a small image to keep runs short",
 	"placement.RebalanceConfig.Migration":    "tests hand the rebalancer a small-image cost model",
-	"placement.RebalanceConfig.Patience":     "rebalancer tests pin the breach patience they assert on",
 	"placement.RebalanceConfig.RetryBackoff": "fault tests exercise the abort backoff, off by default",
 	"softrt.Config.Frames":                   "tests bound the stream to a fixed frame count",
 	"workload.Config.IntervalsPerEpoch":      "TestRandomRigsStrict and the other property tests in internal/invariant/prop shorten epochs to 50 intervals",
@@ -38,33 +37,53 @@ var unsetConfigFields = map[string]string{
 }
 
 // TestConfigFieldsAreSet keeps config structs honest: every exported field
-// of an internal struct named *Config, *Spec, *Costs or Options must have a
-// writer in the non-test code of the module, cmd/ or bench/ (see
-// loadModule), outside its own type's withDefaults. A writer is a composite-literal key
-// or an assignment or increment; a nested one such as
+// of an internal struct named *Config, *Spec, *Costs or Options, and every
+// exported field of basic type of an internal struct T whose package
+// declares New<T> or Default<T>, must have a writer in the non-test code of
+// the module, cmd/ or bench/ (see loadModule). Writes that only fill in a
+// default do not count: those in the type's own withDefaults, and those of
+// a constant value in its New<T> or Default<T>. A writer is a
+// composite-literal key or an assignment or increment; a nested one such as
 // p.Exchange.Capacity[d] = … writes every field on its path. A field with no
 // writer has one value in use and belongs in a constant; unsetConfigFields
 // lists the exceptions.
 func TestConfigFieldsAreSet(t *testing.T) {
 	l := loadModule(t)
 
-	fields := map[*types.Var]string{} // settable field → "pkg.Type.Field"
+	fields := map[*types.Var]string{}      // settable field → "pkg.Type.Field"
+	ctors := map[types.Object]types.Type{} // New<T> or Default<T> → T
+	viaCtor := 0
 	for path, pkg := range l.pkgs {
 		if !strings.HasPrefix(path, "resex/internal/") {
 			continue
 		}
 		for _, name := range pkg.Scope().Names() {
 			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
-			if !ok || !isConfigName(name) {
+			if !ok {
 				continue
 			}
 			st, ok := tn.Type().Underlying().(*types.Struct)
 			if !ok {
 				continue
 			}
+			hasCtor := false
+			for _, prefix := range []string{"New", "Default"} {
+				if fn, ok := pkg.Scope().Lookup(prefix + name).(*types.Func); ok {
+					ctors[fn], hasCtor = tn.Type(), true
+				}
+			}
+			config := isConfigName(name)
+			if !config && !hasCtor {
+				continue
+			}
 			for i := 0; i < st.NumFields(); i++ {
-				if f := st.Field(i); f.Exported() {
-					fields[f] = pkg.Name() + "." + name + "." + f.Name()
+				f := st.Field(i)
+				if _, basic := f.Type().Underlying().(*types.Basic); !f.Exported() || !config && !basic {
+					continue
+				}
+				fields[f] = pkg.Name() + "." + name + "." + f.Name()
+				if !config {
+					viaCtor++
 				}
 			}
 		}
@@ -75,21 +94,31 @@ func TestConfigFieldsAreSet(t *testing.T) {
 		for _, file := range files {
 			for _, decl := range file.Decls {
 				skip := defaultsOf(decl, l.info)
-				ast.Inspect(decl, func(n ast.Node) bool {
-					mark := func(f *types.Var) {
-						if skip == nil || !isFieldOf(f, skip) {
-							written[f] = true
-						}
+				ctor := ctorOf(decl, l.info, ctors)
+				// mark records a write of value (nil when not one
+				// expression) to f.
+				mark := func(f *types.Var, value ast.Expr) {
+					switch {
+					case skip != nil && isFieldOf(f, skip):
+					case ctor != nil && isFieldOf(f, ctor) && value != nil && l.info.Types[value].Value != nil:
+					default:
+						written[f] = true
 					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
 					switch n := n.(type) {
 					case *ast.CompositeLit:
 						markLiteral(n, l.info, mark)
 					case *ast.AssignStmt:
-						for _, lhs := range n.Lhs {
-							markPath(lhs, l.info, mark)
+						for i, lhs := range n.Lhs {
+							var value ast.Expr
+							if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+								value = n.Rhs[i]
+							}
+							markPath(lhs, l.info, func(f *types.Var) { mark(f, value) })
 						}
 					case *ast.IncDecStmt:
-						markPath(n.X, l.info, mark)
+						markPath(n.X, l.info, func(f *types.Var) { mark(f, nil) })
 					}
 					return true
 				})
@@ -116,7 +145,8 @@ func TestConfigFieldsAreSet(t *testing.T) {
 	for _, name := range unset {
 		t.Errorf("%s: no non-test code sets it; make it a constant", name)
 	}
-	t.Logf("%d settable config fields, %d allowlisted as unset", len(fields), len(unsetConfigFields))
+	t.Logf("%d settable config fields (%d through a constructor), %d allowlisted as unset",
+		len(fields), viaCtor, len(unsetConfigFields))
 }
 
 // uncalledAPI is the exported API only tests call, each with the test that
@@ -143,7 +173,7 @@ var uncalledAPI = map[string]string{
 	"stats.QuantileSketch.Buckets": "FuzzQuantileMerge checks merged sketches are identical",
 	"stats.QuantileSketch.Max":     "FuzzQuantileMerge checks merged sketches are identical",
 	"stats.QuantileSketch.Min":     "FuzzQuantileMerge checks merged sketches are identical",
-	"stats.Sample.Count":           "TestSampleQuantiles and TestClientLatencyPositiveAndPlausible count samples",
+	"stats.Sample.Count":           "TestSampleQuantiles counts samples",
 	"stats.Sample.Max":             "TestSampleQuantiles checks the extremes",
 	"stats.Sample.Min":             "TestSampleQuantiles checks the extremes",
 	"stats.Sample.StdDev":          "TestSampleMeanStdMatchesSummary checks it against Summary",
@@ -437,6 +467,16 @@ func defaultsOf(decl ast.Decl, info *types.Info) types.Type {
 	return info.Types[fd.Recv.List[0].Type].Type
 }
 
+// ctorOf returns T for a New<T> or Default<T> function, whose writes of
+// constants to T's fields only fill in defaults, or nil for other decls.
+func ctorOf(decl ast.Decl, info *types.Info, ctors map[types.Object]types.Type) types.Type {
+	fd, ok := decl.(*ast.FuncDecl)
+	if !ok || fd.Recv != nil {
+		return nil
+	}
+	return ctors[info.Defs[fd.Name]]
+}
+
 func isFieldOf(f *types.Var, t types.Type) bool {
 	st, ok := t.Underlying().(*types.Struct)
 	if !ok {
@@ -450,24 +490,22 @@ func isFieldOf(f *types.Var, t types.Type) bool {
 	return false
 }
 
-// markLiteral marks the fields a struct literal sets: its keys, or every
-// field when the literal is positional.
-func markLiteral(lit *ast.CompositeLit, info *types.Info, mark func(*types.Var)) {
+// markLiteral marks the fields a struct literal sets, with their values:
+// its keys, or every field when the literal is positional.
+func markLiteral(lit *ast.CompositeLit, info *types.Info, mark func(*types.Var, ast.Expr)) {
 	t := info.Types[lit].Type
 	st, ok := t.Underlying().(*types.Struct)
 	if !ok {
 		return
 	}
-	for _, elt := range lit.Elts {
+	for i, elt := range lit.Elts {
 		kv, ok := elt.(*ast.KeyValueExpr)
 		if !ok {
-			for i := 0; i < st.NumFields(); i++ {
-				mark(st.Field(i))
-			}
-			return
+			mark(st.Field(i), elt)
+			continue
 		}
 		if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
-			mark(f)
+			mark(f, kv.Value)
 		}
 	}
 }

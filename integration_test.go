@@ -18,7 +18,6 @@ func fingerprint(t *testing.T) string {
 	s, err := experiments.Build(experiments.ScenarioConfig{
 		IntfBuffer: experiments.IntfBuffer,
 		Policy:     resex.NewIOShares(),
-		SLAUs:      experiments.BaseSLAUs,
 		Timeline:   true,
 	})
 	if err != nil {

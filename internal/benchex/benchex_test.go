@@ -342,8 +342,8 @@ func TestClientLatencyPositiveAndPlausible(t *testing.T) {
 	if cs.Latency.Max() > 1000 {
 		t.Errorf("latency max %.1fµs implausible on idle fabric", cs.Latency.Max())
 	}
-	if cs.Sample.Count() != 100 {
-		t.Errorf("sample count %d", cs.Sample.Count())
+	if cs.Received != 100 {
+		t.Errorf("received %d", cs.Received)
 	}
 	tb.Eng.Shutdown()
 }

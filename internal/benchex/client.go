@@ -24,7 +24,6 @@ type ClientStats struct {
 	// SLA (ClientConfig.SLAUs); stays 0 with no SLA configured.
 	OnTime   int64
 	Latency  stats.Summary // end-to-end, µs
-	Sample   *stats.Sample // retained latencies for distribution plots
 	Timeline []LatencyRecord
 }
 
@@ -77,7 +76,6 @@ func NewClient(eng *sim.Engine, vcpu *xen.VCPU, pd *hca.PD, cfg ClientConfig) (*
 		done: sim.NewSignal(eng),
 	}
 	c.onPoll = c.pollRecv
-	c.stats.Sample = new(stats.Sample)
 	var err error
 	if c.conn, err = NewConn(pd, cfg.BufferSize, cfg.Window+2, cfg.Window+2); err != nil {
 		return nil, err
@@ -102,7 +100,7 @@ func (c *Client) Stats() ClientStats { return c.stats }
 // ResetStats clears accumulated latency measurements (e.g. after warmup);
 // sent/received counters restart too.
 func (c *Client) ResetStats() {
-	c.stats = ClientStats{Sample: new(stats.Sample)}
+	c.stats = ClientStats{}
 }
 
 // SetInterval retunes the open-loop pacing mid-run: the issue loop reads
@@ -275,7 +273,6 @@ func (c *Client) complete(p *sim.Proc, cqe hca.CQE) {
 			c.stats.OnTime++
 		}
 		c.stats.Latency.Add(lat.Microseconds())
-		c.stats.Sample.Add(lat.Microseconds())
 		if c.cfg.RecordTimeline {
 			c.stats.Timeline = append(c.stats.Timeline, LatencyRecord{Seq: resp.Seq, SentAt: resp.SentAt, Latency: lat})
 		}

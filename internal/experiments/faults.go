@@ -131,17 +131,7 @@ func runFaultsRow(o Options, stormsPerSec float64, aware bool) (AblFaultsRow, er
 	defer stopAudit()
 	ws := faultsWorkloads(o.Seed)
 
-	const arrivalGap = 25 * sim.Millisecond
-	var placeErr error
-	f.TB.Eng.Go("arrivals", func(p *sim.Proc) {
-		for _, w := range ws {
-			if _, err := f.Place(w); err != nil {
-				placeErr = err
-				return
-			}
-			p.Sleep(arrivalGap)
-		}
-	})
+	placeErr := admit(f, ws)
 
 	// Storms open only after every placement is live and warmed up, and the
 	// schedule depends solely on (seed, intensity) — both stacks face the
@@ -162,8 +152,8 @@ func runFaultsRow(o Options, stormsPerSec float64, aware bool) (AblFaultsRow, er
 	}))
 
 	f.TB.Eng.RunUntil(measureStart + o.Duration)
-	if placeErr != nil {
-		return row, placeErr
+	if err := placeErr(); err != nil {
+		return row, err
 	}
 
 	measureEnd := measureStart + o.Duration

@@ -120,7 +120,6 @@ func runTimeline(o Options, figure int, mkPolicy func() resex.Policy) (*Timeline
 				Timeline:   true,
 				IntfBuffer: IntfBuffer,
 				Policy:     policy,
-				SLAUs:      BaseSLAUs,
 				Seed:       o.Seed,
 			})
 			if err != nil {
@@ -246,7 +245,7 @@ func Fig6(o Options) (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	alloc := float64(resexDefaultAllocation())
+	alloc := float64(resos.Allocation(2)) // the 2-VM per-epoch allocation
 	res := &Fig6Result{Timeline: tl, Allocation: alloc, IntfMinFraction: 1, RepMinFraction: 1}
 	for _, p := range tl.IntfResos.Points() {
 		if f := p.Y / alloc; f < res.IntfMinFraction {
@@ -304,14 +303,12 @@ func Fig8(o Options) (*Fig8Result, error) {
 			IntfWindow:   1,
 			IntfInterval: 100 * sim.Millisecond, // 10 requests per 1 s epoch
 			Policy:       p,
-			SLAUs:        BaseSLAUs,
 		}
 	}
 	twin := func(p resex.Policy) ScenarioConfig {
 		return ScenarioConfig{
 			Reporters: 2, // twin 64KB applications
 			Policy:    p,
-			SLAUs:     BaseSLAUs,
 		}
 	}
 	cases := []caseDef{
@@ -384,7 +381,7 @@ func (r *Fig9Result) WriteCSV(w io.Writer) error {
 func Fig9(o Options) (*Fig9Result, error) {
 	o = o.WithDefaults()
 	runPolicy := func(o Options, buf int, mk func() resex.Policy) (float64, error) {
-		s, err := Build(ScenarioConfig{IntfBuffer: buf, Policy: mk(), SLAUs: BaseSLAUs, Seed: o.Seed})
+		s, err := Build(ScenarioConfig{IntfBuffer: buf, Policy: mk(), Seed: o.Seed})
 		if err != nil {
 			return 0, err
 		}
@@ -425,9 +422,4 @@ func Fig9(o Options) (*Fig9Result, error) {
 		})
 	}
 	return res, nil
-}
-
-// resexDefaultAllocation returns the 2-VM per-epoch Reso allocation.
-func resexDefaultAllocation() resos.Amount {
-	return resos.DefaultSupply().Allocation(2)
 }

@@ -124,6 +124,26 @@ func placementStrategies() []placementStrategy {
 	}
 }
 
+// arrivalGap is the pause between two admissions in the fleet drivers.
+const arrivalGap = 25 * sim.Millisecond
+
+// admit spawns the Proc that places ws on f one every arrivalGap, stopping
+// at the first Place error, which the returned func reports once the run is
+// over.
+func admit(f *placement.Fleet, ws []placement.Workload) func() error {
+	var placeErr error
+	f.TB.Eng.Go("arrivals", func(p *sim.Proc) {
+		for _, w := range ws {
+			if _, err := f.Place(w); err != nil {
+				placeErr = err
+				return
+			}
+			p.Sleep(arrivalGap)
+		}
+	})
+	return func() error { return placeErr }
+}
+
 // runPlacementRow stages the arrival sequence on a fresh fleet under one
 // strategy and measures SLA attainment after the fleet settles.
 func runPlacementRow(o Options, hosts, vms int, strat placementStrategy) (AblPlacementRow, error) {
@@ -137,21 +157,9 @@ func runPlacementRow(o Options, hosts, vms int, strat placementStrategy) (AblPla
 	defer stopAudit()
 	ws := placementWorkloads(vms, o.Seed)
 
-	const arrivalGap = 25 * sim.Millisecond
-	var placeErr error
-	f.TB.Eng.Go("arrivals", func(p *sim.Proc) {
-		for _, w := range ws {
-			if _, err := f.Place(w); err != nil {
-				placeErr = err
-				return
-			}
-			p.Sleep(arrivalGap)
-		}
-	})
+	placeErr := admit(f, ws)
 	if strat.rebalance {
-		rb := placement.NewRebalancer(f, placement.RebalanceConfig{
-			Every: 1, MaxMigrations: vms,
-		})
+		rb := placement.NewRebalancer(f, placement.RebalanceConfig{MaxMigrations: vms})
 		rb.Start()
 	}
 
@@ -166,8 +174,8 @@ func runPlacementRow(o Options, hosts, vms int, strat placementStrategy) (AblPla
 		}
 	})
 	f.TB.Eng.RunUntil(measureStart + o.Duration)
-	if placeErr != nil {
-		return row, placeErr
+	if err := placeErr(); err != nil {
+		return row, err
 	}
 
 	var attainSum float64

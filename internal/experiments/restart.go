@@ -101,8 +101,7 @@ func (r *AblRestartResult) WriteCSV(w io.Writer) error {
 	return ew.err
 }
 
-// runRestartCell runs the mixed-class scenario (one latency-sensitive
-// closed-loop tenant plus one bursty bulk tenant, as abl-workload-mix) under
+// runRestartCell runs the mixed-class scenario (as abl-workload-mix) under
 // the named starting policy. When flipTo is non-empty the managers swap to
 // that policy at the first epoch boundary after flipAt, via a seq-neutral
 // engine breakpoint — the run is event-identical to an unflipped one up to
@@ -112,30 +111,7 @@ func runRestartCell(o Options, label, policy, flipTo string, flipAt sim.Time) (A
 	if err != nil {
 		return AblRestartRow{}, err
 	}
-	e := workload.New(workload.Config{Hosts: 1, ClientPCPUs: 8, Policy: mk})
-	lat, err := e.AddTenant(workload.TenantSpec{
-		Name:             "lat",
-		Closed:           workload.ClosedLoop{Concurrency: 1},
-		SLO:              workload.SLOSpec{P99Us: 1.5 * BaseSLAUs},
-		SLAUs:            BaseSLAUs,
-		LatencySensitive: true,
-		Seed:             o.PointSeed + 1,
-	})
-	if err != nil {
-		return AblRestartRow{}, err
-	}
-	bulk, err := e.AddTenant(workload.TenantSpec{
-		Name:       "bulk",
-		BufferSize: IntfBuffer,
-		Arrivals: &workload.MMPP2{
-			CalmRate: 150, BurstRate: 800,
-			CalmDwell: 40 * sim.Millisecond, BurstDwell: 10 * sim.Millisecond,
-		},
-		Window:         16,
-		ProcessTime:    2 * sim.Millisecond,
-		PipelineServer: true,
-		Seed:           o.PointSeed + 999,
-	})
+	mix, err := newMixedClass(o, mk)
 	if err != nil {
 		return AblRestartRow{}, err
 	}
@@ -144,25 +120,17 @@ func runRestartCell(o Options, label, policy, flipTo string, flipAt sim.Time) (A
 		if err != nil {
 			return AblRestartRow{}, err
 		}
-		e.TB.Eng.Breakpoint(flipAt, func() {
-			for _, m := range e.Mgrs {
+		mix.e.TB.Eng.Breakpoint(flipAt, func() {
+			for _, m := range mix.e.Mgrs {
 				if m != nil {
 					m.SwapPolicyAtEpoch(flip())
 				}
 			}
 		})
 	}
-	stopAudit := o.observe(e.TB.Eng, snapshot.ForWorkload(e))
-	e.RunMeasured(o.Warmup, o.Duration)
-	stopAudit()
-	lst, bst := lat.Stats(), bulk.Stats()
-	return AblRestartRow{
-		Config:             label,
-		LatP99:             lst.P99,
-		LatAttainPct:       lst.AttainPct,
-		LatCompletedPerSec: lst.CompletedPerSec,
-		BulkMBps:           bst.CompletedPerSec * float64(IntfBuffer) / 1e6,
-	}, nil
+	row := AblRestartRow{Config: label}
+	row.LatP99, row.LatAttainPct, row.LatCompletedPerSec, row.BulkMBps = mix.run(o)
+	return row, nil
 }
 
 // AblRestart runs both phases. The crash-restart phase is self-checking: a

@@ -35,6 +35,14 @@ const IntfBuffer = 2 << 20
 // calibration run.
 const BaseSLAUs = 240.0
 
+// intfProcessTime is the interference generator's fixed per-request CPU
+// cost, independent of buffer size: this is what makes a CPU cap of C%
+// throttle the generator's issue rate to C/100/intfProcessTime and
+// therefore its bytes/s to (C/100)·B/intfProcessTime — the linear cap→I/O
+// relationship Figures 3–4 establish (cap = 100/BufferRatio equalizes
+// residual interference across buffer sizes).
+const intfProcessTime = 2 * sim.Millisecond
+
 // Options tunes experiment scale.
 type Options struct {
 	// Duration is the measured portion of each run. The full figures use
@@ -126,20 +134,10 @@ type ScenarioConfig struct {
 	// size, as in the paper. Figure 8's quiet case overrides this to
 	// 100 ms (10 requests per epoch).
 	IntfInterval sim.Time
-	// IntfProcessTime is the generator's fixed per-request CPU cost.
-	// Default 2 ms, independent of buffer size: this is what makes a CPU
-	// cap of C% throttle the generator's issue rate to C/100/ProcessTime
-	// and therefore its bytes/s to (C/100)·B/ProcessTime — the linear
-	// cap→I/O relationship Figures 3–4 establish (cap = 100/BufferRatio
-	// equalizes residual interference across buffer sizes).
-	IntfProcessTime sim.Time
 	// IntfCap statically caps the interfering VM (Figures 3–4); 0 = none.
 	IntfCap int
 	// Policy enables ResEx with the given pricing policy (nil = no ResEx).
 	Policy resex.Policy
-	// SLAUs is the latency reference handed to ResEx for the reporting
-	// VMs.
-	SLAUs float64
 	// Discipline overrides link arbitration (ablations).
 	Discipline fabric.Discipline
 	// Timeline retains per-request records.
@@ -172,9 +170,6 @@ func Build(cfg ScenarioConfig) (*Scenario, error) {
 	if cfg.IntfInterval <= 0 {
 		cfg.IntfInterval = 3700 * sim.Microsecond // ~270 requests/s
 	}
-	if cfg.IntfProcessTime <= 0 {
-		cfg.IntfProcessTime = 2 * sim.Millisecond
-	}
 	tb := cluster.New(cluster.Config{Discipline: cfg.Discipline})
 	hostA, hostB := tb.AddHost(1), tb.AddHost(2)
 	s := &Scenario{TB: tb}
@@ -194,7 +189,7 @@ func Build(cfg ScenarioConfig) (*Scenario, error) {
 		}
 		s.Reporters = append(s.Reporters, app)
 		if s.Mgr != nil {
-			if _, err := s.Mgr.Manage(app.ServerVM.Dom, app.Server.SendCQ(), cfg.SLAUs); err != nil {
+			if _, err := s.Mgr.Manage(app.ServerVM.Dom, app.Server.SendCQ(), BaseSLAUs); err != nil {
 				return nil, err
 			}
 			s.agents = append(s.agents,
@@ -206,7 +201,7 @@ func Build(cfg ScenarioConfig) (*Scenario, error) {
 		intf, err := tb.NewApp("intf", hostA, hostB,
 			benchex.ServerConfig{
 				BufferSize:        cfg.IntfBuffer,
-				ProcessTime:       cfg.IntfProcessTime,
+				ProcessTime:       intfProcessTime,
 				PipelineResponses: true,
 				RecvSlots:         cfg.IntfWindow + 2,
 			},

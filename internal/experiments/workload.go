@@ -198,7 +198,9 @@ func (r *AblWorkloadMixResult) WriteText(w io.Writer) error { return writeTable(
 // WriteCSV implements Result.
 func (r *AblWorkloadMixResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows) }
 
-// runWorkloadMixRow runs one policy cell of the mixed-class scenario.
+// mixedClass is the mixed-class scenario abl-workload-mix and abl-restart
+// share: one latency-sensitive closed-loop tenant and one bursty bulk tenant
+// on a single host.
 //
 // The latency tenant is closed loop (the paper's reporter shape): with a
 // request always in flight, the in-VM agent's PTime spans client turnaround
@@ -208,15 +210,15 @@ func (r *AblWorkloadMixResult) WriteCSV(w io.Writer) error { return writeCSV(w, 
 // component below any usable trigger. Its SLA reference is the paper's
 // BaseSLAUs (healthy steady state ~234 µs), and the SLO target sits at 1.5× —
 // attainable when the bulk tenant is held to its share, blown when it is not.
-func runWorkloadMixRow(o Options, policy string) (AblWorkloadMixRow, error) {
-	var mk func() resex.Policy // "none" is the unmanaged row here, not Passive
-	if policy != "none" {
-		var err error
-		if mk, err = workload.Policy(policy); err != nil {
-			return AblWorkloadMixRow{}, err
-		}
-	}
-	e := workload.New(workload.Config{Hosts: 1, ClientPCPUs: 8, Policy: mk})
+type mixedClass struct {
+	e         *workload.Engine
+	lat, bulk *workload.Tenant
+}
+
+// newMixedClass builds the scenario with every host managed by policy, or
+// unmanaged when policy is nil.
+func newMixedClass(o Options, policy func() resex.Policy) (*mixedClass, error) {
+	e := workload.New(workload.Config{Hosts: 1, ClientPCPUs: 8, Policy: policy})
 	lat, err := e.AddTenant(workload.TenantSpec{
 		Name:             "lat",
 		Closed:           workload.ClosedLoop{Concurrency: 1},
@@ -226,7 +228,7 @@ func runWorkloadMixRow(o Options, policy string) (AblWorkloadMixRow, error) {
 		Seed:             o.PointSeed + 1,
 	})
 	if err != nil {
-		return AblWorkloadMixRow{}, err
+		return nil, err
 	}
 	bulk, err := e.AddTenant(workload.TenantSpec{
 		Name:       "bulk",
@@ -241,19 +243,38 @@ func runWorkloadMixRow(o Options, policy string) (AblWorkloadMixRow, error) {
 		Seed:           o.PointSeed + 999,
 	})
 	if err != nil {
+		return nil, err
+	}
+	return &mixedClass{e: e, lat: lat, bulk: bulk}, nil
+}
+
+// run measures the scenario under o's observers and returns the latency
+// tenant's p99 (µs), SLO attainment (%) and completions per second, and the
+// bulk tenant's throughput (MB/s).
+func (m *mixedClass) run(o Options) (latP99, latAttainPct, latPerSec, bulkMBps float64) {
+	stopAudit := o.observe(m.e.TB.Eng, snapshot.ForWorkload(m.e))
+	m.e.RunMeasured(o.Warmup, o.Duration)
+	stopAudit()
+	lst, bst := m.lat.Stats(), m.bulk.Stats()
+	return lst.P99, lst.AttainPct, lst.CompletedPerSec, bst.CompletedPerSec * float64(IntfBuffer) / 1e6
+}
+
+// runWorkloadMixRow runs one policy cell of the mixed-class scenario.
+func runWorkloadMixRow(o Options, policy string) (AblWorkloadMixRow, error) {
+	var mk func() resex.Policy // "none" is the unmanaged row here, not Passive
+	if policy != "none" {
+		var err error
+		if mk, err = workload.Policy(policy); err != nil {
+			return AblWorkloadMixRow{}, err
+		}
+	}
+	mix, err := newMixedClass(o, mk)
+	if err != nil {
 		return AblWorkloadMixRow{}, err
 	}
-	stopAudit := o.observe(e.TB.Eng, snapshot.ForWorkload(e))
-	e.RunMeasured(o.Warmup, o.Duration)
-	stopAudit()
-	lst, bst := lat.Stats(), bulk.Stats()
-	return AblWorkloadMixRow{
-		Policy:             policy,
-		LatP99:             lst.P99,
-		LatAttainPct:       lst.AttainPct,
-		LatCompletedPerSec: lst.CompletedPerSec,
-		BulkMBps:           bst.CompletedPerSec * float64(IntfBuffer) / 1e6,
-	}, nil
+	row := AblWorkloadMixRow{Policy: policy}
+	row.LatP99, row.LatAttainPct, row.LatCompletedPerSec, row.BulkMBps = mix.run(o)
+	return row, nil
 }
 
 // AblWorkloadMix runs the policy comparison.

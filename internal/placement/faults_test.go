@@ -137,7 +137,6 @@ func TestRebalancerBacksOffAfterAbortThenSucceeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	rb := NewRebalancer(f, RebalanceConfig{
-		Every: 1, Patience: 2,
 		Migration:    MigrationConfig{StateBytes: 8 << 20},
 		RetryBackoff: 50 * sim.Millisecond,
 	})
@@ -205,7 +204,6 @@ func TestRebalancerRetriesThroughFaultStorm(t *testing.T) {
 	freeBefore := f.Workers[0].FreePCPUs() + f.Workers[1].FreePCPUs()
 
 	rb := NewRebalancer(f, RebalanceConfig{
-		Every: 1, Patience: 2,
 		Migration:    MigrationConfig{StateBytes: 8 << 20},
 		RetryBackoff: 60 * sim.Millisecond,
 	})

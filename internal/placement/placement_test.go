@@ -243,7 +243,6 @@ func TestRebalancerEvacuatesThrottleProofInterferer(t *testing.T) {
 		t.Fatal(err)
 	}
 	rb := NewRebalancer(f, RebalanceConfig{
-		Every: 1, Patience: 2,
 		Migration: MigrationConfig{StateBytes: 8 << 20},
 	})
 	rb.Start()

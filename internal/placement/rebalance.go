@@ -15,16 +15,14 @@ const (
 	CapFloorPct = 5.0
 	// MaxRetryBackoffs caps the abort backoff at this many RetryBackoffs.
 	MaxRetryBackoffs = 8
+	// breachPatience is how many consecutive breached epochs a
+	// latency-sensitive VM must accumulate before the rebalancer acts —
+	// throttling gets that long to fix the problem in place.
+	breachPatience = 2
 )
 
 // RebalanceConfig parameterizes the rebalancer loop.
 type RebalanceConfig struct {
-	// Every is the pass period in ResEx epochs. Default 2.
-	Every int
-	// Patience is how many consecutive breached epochs a latency-sensitive
-	// VM must accumulate before the rebalancer acts — throttling gets that
-	// long to fix the problem in place. Default 2.
-	Patience int
 	// MaxMigrations bounds total migrations (safety valve against
 	// thrashing). Default 8.
 	MaxMigrations int
@@ -39,19 +37,13 @@ type RebalanceConfig struct {
 }
 
 func (c RebalanceConfig) withDefaults() RebalanceConfig {
-	if c.Every <= 0 {
-		c.Every = 2
-	}
-	if c.Patience <= 0 {
-		c.Patience = 2
-	}
 	if c.MaxMigrations <= 0 {
 		c.MaxMigrations = 8
 	}
 	return c
 }
 
-// Rebalancer is the fleet's reactive loop: every K epochs it reads the
+// Rebalancer is the fleet's reactive loop: every epoch it reads the
 // breach counters the per-host ResEx epoch summaries feed (Fleet.onEpoch)
 // and live-migrates either the interferer or the victim when a host's
 // pricing policy has run out of throttle.
@@ -75,7 +67,7 @@ func (r *Rebalancer) Start() {
 	}
 	r.running = true
 	r.f.TB.Eng.Go("rebalancer", func(p *sim.Proc) {
-		period := sim.Time(r.cfg.Every) * r.f.EpochDuration()
+		period := r.f.EpochDuration()
 		for {
 			p.Sleep(period)
 			r.pass(p)
@@ -95,7 +87,7 @@ func (r *Rebalancer) pass(p *sim.Proc) {
 	// worst current elevation first.
 	var victim *Placement
 	for _, pl := range f.placements {
-		if !pl.Spec.LatencySensitive || pl.intfEpochs < r.cfg.Patience {
+		if !pl.Spec.LatencySensitive || pl.intfEpochs < breachPatience {
 			continue
 		}
 		if victim == nil || pl.lastIntf > victim.lastIntf {
@@ -131,10 +123,10 @@ func (r *Rebalancer) pass(p *sim.Proc) {
 	now := f.TB.Eng.Now()
 	mover := victim
 	if intf != nil {
-		if intf.lastCap > CapFloorPct && victim.intfEpochs < 2*r.cfg.Patience {
+		if intf.lastCap > CapFloorPct && victim.intfEpochs < 2*breachPatience {
 			// The host policy still has throttle headroom; give it until
-			// 2×Patience epochs before forcing a move anyway (a policy like
-			// FreeMarket may never throttle on latency at all).
+			// 2×breachPatience epochs before forcing a move anyway (a
+			// policy like FreeMarket may never throttle on latency at all).
 			f.Log.Add(f.TB.Eng.Now(), "rebalance",
 				"%s breached %d epochs; waiting for node%d to throttle %s (cap %.0f%%)",
 				victim.Spec.Name, victim.intfEpochs, src.Node, intf.Spec.Name, intf.lastCap)

@@ -14,32 +14,24 @@ package resex
 // feedback channel, so it cannot eliminate congestion — it only bounds how
 // much any VM can spend per epoch (the contrast Figure 9 draws against
 // IOShares).
-type FreeMarket struct {
-	// CPURate and IORate are the fixed prices. Zero values default to the
-	// paper's 1 Reso per unit.
-	CPURate float64
-	IORate  float64
-}
+type FreeMarket struct{}
 
-// NewFreeMarket returns the policy with the paper's unit prices.
-func NewFreeMarket() *FreeMarket { return &FreeMarket{CPURate: 1, IORate: 1} }
+// freeMarketRate is the fixed price: the paper's 1 Reso per CPU-percent and
+// 1 Reso per MTU.
+const freeMarketRate = 1
+
+// NewFreeMarket returns the policy.
+func NewFreeMarket() *FreeMarket { return &FreeMarket{} }
 
 // Name implements Policy.
 func (f *FreeMarket) Name() string { return "FreeMarket" }
 
 // Interval implements Policy (Algorithm 1).
 func (f *FreeMarket) Interval(m *Manager, d *IntervalData) {
-	cpuRate, ioRate := f.CPURate, f.IORate
-	if cpuRate == 0 {
-		cpuRate = 1
-	}
-	if ioRate == 0 {
-		ioRate = 1
-	}
 	for i := range d.VMs {
 		t := &d.VMs[i]
-		t.VM.Account.ChargeIO(t.MTUs, ioRate)
-		t.VM.Account.ChargeCPU(t.CPUPct, cpuRate)
+		t.VM.Account.ChargeIO(t.MTUs, freeMarketRate)
+		t.VM.Account.ChargeCPU(t.CPUPct, freeMarketRate)
 		if !m.applyLowResoDecay(t.VM) && t.VM.capForced && t.VM.Account.Fraction() >= MinResoFraction {
 			// Balance recovered (epoch rolled): lift the cap.
 			m.ApplyCap(t.VM, 100)

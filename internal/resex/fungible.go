@@ -15,7 +15,7 @@ import (
 // vice versa) at the rate the host's board quotes from congestion.
 //
 // Enforcement is the pace rule: once the fabric price signals congestion
-// (EnforcePrice), a VM spending fabric Resos faster than its *funded*
+// (enforcePrice), a VM spending fabric Resos faster than its *funded*
 // entitlement pace is capped by the overshoot ratio — the IOShares
 // invariant cap = 100/rate, with rate = spend/pace instead of a blame
 // counter. The difference from IOShares is when the throttle lands: IOShares
@@ -31,61 +31,50 @@ import (
 type Fungible struct {
 	// Exchange configures the host's book; the zero value takes defaults.
 	Exchange exchange.BookConfig
-	// EnforcePrice is the fabric price at or above which entitlement
+
+	book *exchange.Book
+}
+
+// Fungible's calibration.
+const (
+	// enforcePrice is the fabric price at or above which entitlement
 	// overdrafts are enforced with CPU caps. Below it capacity is slack and
-	// overdrafts ride free. Default 1.15.
-	EnforcePrice float64
-	// OverdraftSlack multiplies the pro-rata entitlement pace before an
-	// overdraft counts (burst allowance). Default 1.25.
-	OverdraftSlack float64
-	// MinEpochFraction is how much of the epoch must have elapsed before
-	// pace enforcement engages (early intervals divide by too little
-	// entitlement). Default 0.10.
-	MinEpochFraction float64
-	// GrowthRate multiplies the charging rate for every interval a VM stays
-	// overdrafted while the fabric is priced congested — integral control:
-	// a proportional cap of 100/overshoot barely touches a VMM-bypass
-	// sender (tiny CPU slices still launch huge buffers, the paper's core
-	// observation), so severity accumulates until the overdraft actually
-	// stops, exactly as IOShares' blame counter does. Default 1.25.
-	GrowthRate float64
-	// ReleasePrice is the fabric price below which an elevated rate begins
-	// to relax; between ReleasePrice and EnforcePrice the rate holds. The
+	// overdrafts ride free.
+	enforcePrice = 1.15
+	// releasePrice is the fabric price below which an elevated rate begins
+	// to relax; between releasePrice and enforcePrice the rate holds. The
 	// hysteresis band matters because throttling is self-masking: capping
 	// the spender drops measured utilization, the quote falls, and a single
 	// release at the enforcement threshold lets the spender blast its queued
 	// backlog — an oscillation whose duty cycle defeats the throttle
 	// (IOShares' clean-run counter exists for exactly this reason).
-	// Default 1.05.
-	ReleasePrice float64
-	// RelaxDecay multiplies an elevated rate per interval while the price
-	// sits below ReleasePrice. Deliberately gentle: a released backlog
+	releasePrice = 1.05
+	// overdraftSlack multiplies the pro-rata entitlement pace before an
+	// overdraft counts (burst allowance).
+	overdraftSlack = 1.25
+	// minEpochFraction is how much of the epoch must have elapsed before
+	// pace enforcement engages (early intervals divide by too little
+	// entitlement).
+	minEpochFraction = 0.10
+	// growthRate multiplies the charging rate for every interval a VM stays
+	// overdrafted while the fabric is priced congested — integral control:
+	// a proportional cap of 100/overshoot barely touches a VMM-bypass
+	// sender (tiny CPU slices still launch huge buffers, the paper's core
+	// observation), so severity accumulates until the overdraft actually
+	// stops, exactly as IOShares' blame counter does.
+	growthRate = 1.25
+	// relaxDecay multiplies an elevated rate per interval while the price
+	// sits below releasePrice. Deliberately gentle: a released backlog
 	// drains over a couple hundred intervals instead of one burst, and
-	// GrowthRate recaptures quickly if congestion returns. Default 0.98.
-	RelaxDecay float64
-	// MaxRate clamps the implied charging rate (caps floor at MinCap long
-	// before this). Default 100.
-	MaxRate float64
-	// WarmupIntervals suppresses enforcement for a VM's first intervals
-	// under management, mirroring IOShares' warmup. Default 100.
-	WarmupIntervals int64
+	// growthRate recaptures quickly if congestion returns.
+	relaxDecay = 0.98
+	// fungibleWarmupIntervals suppresses enforcement for a VM's first
+	// intervals under management, mirroring IOShares' warmup.
+	fungibleWarmupIntervals = 100
+)
 
-	book *exchange.Book
-}
-
-// NewFungible returns the policy with calibrated defaults.
-func NewFungible() *Fungible {
-	return &Fungible{
-		EnforcePrice:     1.15,
-		ReleasePrice:     1.05,
-		OverdraftSlack:   1.25,
-		MinEpochFraction: 0.10,
-		GrowthRate:       1.25,
-		RelaxDecay:       0.98,
-		MaxRate:          100,
-		WarmupIntervals:  100,
-	}
-}
+// NewFungible returns the policy with the host book's default exchange.
+func NewFungible() *Fungible { return &Fungible{} }
 
 // Name implements Policy.
 func (f *Fungible) Name() string { return "Fungible" }
@@ -131,12 +120,12 @@ func (f *Fungible) baseGrant(m *Manager, vm *ManagedVM) exchange.Vec {
 	if total == 0 {
 		total = 1
 	}
-	io := resos.Amount(resos.DefaultSupply().LinkMTUsPerEpoch)
+	io := resos.LinkMTUsPerEpoch
 	if c := f.Exchange.Capacity[exchange.DimFabric]; c > 0 {
 		io = c
 	}
 	v := exchange.Vec{
-		exchange.DimCPU:    resos.DefaultSupply().CPUAllocation(),
+		exchange.DimCPU:    resos.CPUAllocation,
 		exchange.DimFabric: io * resos.Amount(vm.share) / resos.Amount(total),
 	}
 	// The memory-bandwidth dimension only exists on hosts that declare a
@@ -190,14 +179,14 @@ func (f *Fungible) Interval(m *Manager, d *IntervalData) {
 		if m.applyLowResoDecay(vm) {
 			continue
 		}
-		if vm.intervals <= f.WarmupIntervals || frac < f.MinEpochFraction {
+		if vm.intervals <= fungibleWarmupIntervals || frac < minEpochFraction {
 			continue
 		}
 
 		// Overshoot: fabric spend relative to the funded entitlement pace.
-		pace := float64(h.Entitlement(exchange.DimFabric)) * frac * f.OverdraftSlack
+		pace := float64(h.Entitlement(exchange.DimFabric)) * frac * overdraftSlack
 		spent := float64(h.Spent(exchange.DimFabric))
-		over := f.MaxRate
+		over := maxRate
 		if pace > 0 {
 			over = spent / pace
 		} else if spent == 0 {
@@ -210,32 +199,32 @@ func (f *Fungible) Interval(m *Manager, d *IntervalData) {
 		// two-dimension fleets take byte-identical decisions.
 		memEnforce, memHold := false, false
 		if membw {
-			memPace := float64(h.Entitlement(exchange.DimMemBW)) * frac * f.OverdraftSlack
+			memPace := float64(h.Entitlement(exchange.DimMemBW)) * frac * overdraftSlack
 			memSpent := float64(h.Spent(exchange.DimMemBW))
-			overMem := f.MaxRate
+			overMem := maxRate
 			if memPace > 0 {
 				overMem = memSpent / memPace
 			} else if memSpent == 0 {
 				overMem = 0
 			}
-			memEnforce = memPrice >= f.EnforcePrice && overMem > 1
-			memHold = memPrice >= f.ReleasePrice
+			memEnforce = memPrice >= enforcePrice && overMem > 1
+			memHold = memPrice >= releasePrice
 		}
 		switch {
-		case (price >= f.EnforcePrice && over > 1) || memEnforce:
+		case (price >= enforcePrice && over > 1) || memEnforce:
 			if !m.AllowTighten(vm) {
 				continue // stale telemetry: hold the last-known cap
 			}
-			vm.rate *= f.GrowthRate
-			if vm.rate > f.MaxRate {
-				vm.rate = f.MaxRate
+			vm.rate *= growthRate
+			if vm.rate > maxRate {
+				vm.rate = maxRate
 			}
 			m.ApplyCap(vm, 100/vm.rate)
-		case price >= f.ReleasePrice || memHold:
+		case price >= releasePrice || memHold:
 			// Inside the hysteresis band: hold the elevated rate. Relaxing
 			// on the pace alone re-releases the backlog the cap holds back.
 		case vm.rate > 1:
-			vm.rate *= f.RelaxDecay
+			vm.rate *= relaxDecay
 			if vm.rate < 1 {
 				vm.rate = 1
 			}

@@ -45,17 +45,15 @@ func TestFungibleChargesAndTracksDimensions(t *testing.T) {
 }
 
 func TestFungibleCapsOverdraftUnderCongestion(t *testing.T) {
-	// No burst allowance: any unfunded overdraft is enforced as soon as the
+	// An overdraft beyond the burst allowance is enforced as soon as the
 	// board prices the fabric as congested.
-	pol := NewFungible()
-	pol.OverdraftSlack = 1.0
-	r := newRig(t, pol, true, 0)
+	r := newRig(t, NewFungible(), true, 0)
 	defer r.shutdown()
 	r.tb.Eng.RunUntil(6 * sim.Second)
 
 	fun := r.mgr.Policy().(*Fungible)
 	price := fun.Book().Board().Price(exchange.DimFabric)
-	if price < fun.EnforcePrice {
+	if price < enforcePrice {
 		t.Fatalf("rig never congested the fabric: price %.2f", price)
 	}
 	intf := r.mgr.VM(r.intf.ServerVM.Dom.ID())

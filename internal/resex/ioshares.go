@@ -18,50 +18,43 @@ package resex
 //  4. charges every VM at its current rate, so interferers also drain
 //     their Reso accounts faster.
 //
-// When a VM stops causing interference (no detection for BackoffAfter
+// When a VM stops causing interference (no detection for backoffAfter
 // intervals), its rate decays toward 1 and its cap recovers — the back-off
 // behaviour Figure 8's no-interference cases demonstrate.
 type IOShares struct {
-	// SLAThresholdPct is the interference percentage that triggers
-	// repricing. Default 10 (%).
-	SLAThresholdPct float64
 	// UseDeviation also triggers on jitter: the interference percentage is
 	// max(mean increase, deviation increase). Default true.
 	UseDeviation bool
-	// JitterAllowancePct is the relative standard deviation (percent of
-	// the mean) regarded as normal before jitter counts as interference.
-	// Default 30.
-	JitterAllowancePct float64
-	// MaxRate clamps a VM's charging rate. Default 100 (caps floor at
-	// MinCap long before this).
-	MaxRate float64
-	// BackoffAfter is the clean-interval streak after which an elevated
-	// rate starts decaying. Default 50.
-	BackoffAfter int
-	// BackoffDecay multiplies the rate per clean interval past the streak.
-	// Default 0.95.
-	BackoffDecay float64
-	// MinShare is the minimum MTU-share advantage an interferer must have
-	// over the victim (interfererMTUs > MinShare × victimMTUs). Default
-	// 1.25.
-	MinShare float64
 	// WarmupIntervals suppresses detection until usage estimates have
 	// history. Default 20.
 	WarmupIntervals int64
 }
 
+// IOShares' calibration.
+const (
+	// slaThresholdPct is the interference percentage that triggers
+	// repricing.
+	slaThresholdPct = 10
+	// jitterAllowancePct is the relative standard deviation (percent of
+	// the mean) regarded as normal before jitter counts as interference.
+	jitterAllowancePct = 30
+	// backoffAfter is the clean-interval streak after which an elevated
+	// rate starts decaying.
+	backoffAfter = 50
+	// backoffDecay multiplies the rate per clean interval past the streak.
+	backoffDecay = 0.95
+	// minShare is the minimum MTU-share advantage an interferer must have
+	// over the victim (interfererMTUs > minShare × victimMTUs).
+	minShare = 1.25
+)
+
+// maxRate clamps a VM's charging rate under IOShares and Fungible (caps
+// floor at MinCap long before this).
+const maxRate = 100.0
+
 // NewIOShares returns the policy with paper-calibrated defaults.
 func NewIOShares() *IOShares {
-	return &IOShares{
-		SLAThresholdPct:    10,
-		UseDeviation:       true,
-		JitterAllowancePct: 30,
-		BackoffAfter:       50,
-		BackoffDecay:       0.95,
-		MinShare:           1.25,
-		MaxRate:            100,
-		WarmupIntervals:    20,
-	}
+	return &IOShares{UseDeviation: true, WarmupIntervals: 20}
 }
 
 // Name implements Policy.
@@ -80,13 +73,13 @@ func (io *IOShares) Interval(m *Manager, d *IntervalData) {
 		// Per-VM warmup: a VM managed mid-run must build its own latency
 		// and usage history before it may claim victimhood — during its
 		// MTU-EWMA ramp an identical established neighbor would otherwise
-		// clear the MinShare guard and be blamed for arrival jitter.
+		// clear the minShare guard and be blamed for arrival jitter.
 		if vm.intervals <= io.WarmupIntervals || totalRate <= 0 {
 			vm.interfered = false
 			continue
 		}
 		intfPct := io.interferencePct(vm, t.Latency)
-		if intfPct <= io.SLAThresholdPct {
+		if intfPct <= slaThresholdPct {
 			vm.interfered = false
 			continue
 		}
@@ -112,8 +105,8 @@ func (io *IOShares) Interval(m *Manager, d *IntervalData) {
 		// Paper: NewCap = 100·r/(r+r'); with cap ≡ 100/rate this is a
 		// multiplicative decrease of the interferer's cap.
 		intf.VM.rate += rPrime
-		if io.MaxRate > 0 && intf.VM.rate > io.MaxRate {
-			intf.VM.rate = io.MaxRate
+		if intf.VM.rate > maxRate {
+			intf.VM.rate = maxRate
 		}
 		intf.VM.cleanRuns = 0
 		m.ApplyCap(intf.VM, 100/intf.VM.rate)
@@ -131,8 +124,8 @@ func (io *IOShares) Interval(m *Manager, d *IntervalData) {
 				vm.cleanRuns = 0
 			} else {
 				vm.cleanRuns++
-				if vm.cleanRuns > io.BackoffAfter {
-					vm.rate *= io.BackoffDecay
+				if vm.cleanRuns > backoffAfter {
+					vm.rate *= backoffDecay
 					if vm.rate < 1 {
 						vm.rate = 1
 					}
@@ -152,7 +145,7 @@ func (io *IOShares) interferencePct(vm *ManagedVM, lw LatencyWindow) float64 {
 	pct := 100 * (lw.Mean - vm.baseline) / vm.baseline
 	if io.UseDeviation && lw.Mean > 0 && lw.Std > 0 {
 		// Jitter relative to the mean, beyond the normal allowance.
-		jitterPct := 100*lw.Std/lw.Mean - io.JitterAllowancePct
+		jitterPct := 100*lw.Std/lw.Mean - jitterAllowancePct
 		if jitterPct > pct {
 			pct = jitterPct
 		}
@@ -181,7 +174,7 @@ func (io *IOShares) findInterferer(d *IntervalData, victim int) *VMTick {
 	if best == nil {
 		return nil
 	}
-	if best.VM.mtuEwma <= io.MinShare*d.VMs[victim].VM.mtuEwma {
+	if best.VM.mtuEwma <= minShare*d.VMs[victim].VM.mtuEwma {
 		return nil // comparable I/O: nobody to blame (64KB vs 64KB case)
 	}
 	return best

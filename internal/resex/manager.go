@@ -422,10 +422,8 @@ func (m *Manager) reallocate() {
 	if total == 0 {
 		return
 	}
-	io := resos.DefaultSupply().LinkMTUsPerEpoch
-	cpu := resos.DefaultSupply().CPUAllocation()
 	for _, v := range m.vms {
-		alloc := cpu + resos.Amount(io*int64(v.share)/int64(total))
+		alloc := resos.CPUAllocation + resos.LinkMTUsPerEpoch*resos.Amount(v.share)/resos.Amount(total)
 		fresh := v.Account.Balance() == v.Account.Allocation()
 		v.Account.SetAllocation(alloc)
 		if fresh {

@@ -70,7 +70,7 @@ func TestFindInterfererUsesSmoothedRates(t *testing.T) {
 	if intf == nil || intf.VM != heavy {
 		t.Fatalf("interferer = %+v, want heavy", intf)
 	}
-	// A peer sending comparably (within MinShare) is never blamed.
+	// A peer sending comparably (within minShare) is never blamed.
 	heavy.mtuEwma = 110 // only 1.1× the victim
 	if got := io.findInterferer(d, 0); got != nil {
 		t.Errorf("comparable peer blamed: %v", got.VM.Account.Name())
@@ -134,7 +134,7 @@ func applyDetection(io *IOShares, d *IntervalData, victim int) {
 	}
 	t := &d.VMs[victim]
 	intfPct := io.interferencePct(t.VM, t.Latency)
-	if intfPct <= io.SLAThresholdPct {
+	if intfPct <= slaThresholdPct {
 		return
 	}
 	intf := io.findInterferer(d, victim)
@@ -150,7 +150,7 @@ func applyDetection(io *IOShares, d *IntervalData, victim int) {
 }
 
 func TestFreeMarketRatesDefault(t *testing.T) {
-	fm := &FreeMarket{} // zero rates default to 1 at use
+	fm := NewFreeMarket() // 1 Reso per CPU-percent and per MTU
 	vmA := mkVM("a", 0, 0)
 	m := &Manager{cfg: Config{}.withDefaults(), vms: []*ManagedVM{vmA}}
 	d := &IntervalData{Index: 1, VMs: []VMTick{{VM: vmA, MTUs: 100, CPUPct: 50}}}

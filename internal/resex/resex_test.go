@@ -88,7 +88,7 @@ func TestManageAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want1 := resos.DefaultSupply().Allocation(1)
+	want1 := resos.Allocation(1)
 	if vm1.Account.Allocation() != want1 || vm1.Account.Balance() != want1 {
 		t.Errorf("single VM allocation = %d, want %d", vm1.Account.Allocation(), want1)
 	}
@@ -96,7 +96,7 @@ func TestManageAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want2 := resos.DefaultSupply().Allocation(2)
+	want2 := resos.Allocation(2)
 	if vm1.Account.Allocation() != want2 || vm2.Account.Allocation() != want2 {
 		t.Errorf("shared allocations = %d/%d, want %d",
 			vm1.Account.Allocation(), vm2.Account.Allocation(), want2)
@@ -412,10 +412,8 @@ func TestWeightedShares(t *testing.T) {
 	}
 	// 3:1 priority split of the link supply.
 	mgr.SetShare(vmA, 3)
-	io := resos.DefaultSupply().LinkMTUsPerEpoch
-	cpu := resos.DefaultSupply().CPUAllocation()
-	wantA := cpu + resos.Amount(io*3/4)
-	wantB := cpu + resos.Amount(io/4)
+	wantA := resos.CPUAllocation + resos.LinkMTUsPerEpoch*3/4
+	wantB := resos.CPUAllocation + resos.LinkMTUsPerEpoch/4
 	if vmA.Account.Allocation() != wantA || vmB.Account.Allocation() != wantB {
 		t.Errorf("allocations %d/%d, want %d/%d",
 			vmA.Account.Allocation(), vmB.Account.Allocation(), wantA, wantB)

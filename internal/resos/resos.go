@@ -20,43 +20,35 @@ import "fmt"
 // Amount is a quantity of Resos.
 type Amount int64
 
-// Supply describes the platform's aggregate resources per epoch.
-type Supply struct {
-	// CPUPctPerInterval is the CPU capacity charged per interval, in
-	// percent of one PCPU. Default 100 (a whole dedicated core, as the
-	// paper assigns one PCPU per VM).
-	CPUPctPerInterval int
-	// IntervalsPerEpoch is the number of charge intervals per epoch.
-	// Default 1000 (1 ms intervals, 1 s epoch).
-	IntervalsPerEpoch int
-	// LinkMTUsPerEpoch is the shared link capacity in MTUs per epoch.
-	// Default 1,048,576 (1 GB/s at 1 KB MTU).
-	LinkMTUsPerEpoch int64
-}
-
-// DefaultSupply returns the paper's testbed supply.
-func DefaultSupply() Supply {
-	return Supply{CPUPctPerInterval: 100, IntervalsPerEpoch: 1000, LinkMTUsPerEpoch: 1 << 20}
-}
-
-// CPUAllocation returns the per-VM CPU Resos per epoch (each VM owns a
-// whole PCPU in the paper's setup).
-func (s Supply) CPUAllocation() Amount {
-	return Amount(s.CPUPctPerInterval) * Amount(s.IntervalsPerEpoch)
-}
+// The platform's aggregate resources per epoch: the paper's testbed supply.
+const (
+	// cpuPctPerInterval is the CPU capacity charged per interval, in
+	// percent of one PCPU: a whole dedicated core, as the paper assigns one
+	// PCPU per VM.
+	cpuPctPerInterval = 100
+	// intervalsPerEpoch is the number of charge intervals per epoch (1 ms
+	// intervals, 1 s epoch).
+	intervalsPerEpoch = 1000
+	// LinkMTUsPerEpoch is the shared link capacity in MTUs per epoch
+	// (1 GB/s at 1 KB MTU).
+	LinkMTUsPerEpoch Amount = 1 << 20
+	// CPUAllocation is the per-VM CPU Resos per epoch (each VM owns a
+	// whole PCPU in the paper's setup).
+	CPUAllocation Amount = cpuPctPerInterval * intervalsPerEpoch
+)
 
 // IOAllocation returns the per-VM share of the link for n collocated VMs
 // sharing equally.
-func (s Supply) IOAllocation(n int) Amount {
+func IOAllocation(n int) Amount {
 	if n < 1 {
 		n = 1
 	}
-	return Amount(s.LinkMTUsPerEpoch / int64(n))
+	return LinkMTUsPerEpoch / Amount(n)
 }
 
 // Allocation returns the total per-VM Resos per epoch for n equal sharers.
-func (s Supply) Allocation(n int) Amount {
-	return s.CPUAllocation() + s.IOAllocation(n)
+func Allocation(n int) Amount {
+	return CPUAllocation + IOAllocation(n)
 }
 
 // Account is one VM's Reso balance with cumulative charge accounting.

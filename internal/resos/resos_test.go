@@ -7,23 +7,22 @@ import (
 )
 
 func TestDefaultSupplyMatchesPaper(t *testing.T) {
-	s := DefaultSupply()
 	// §VI-A: 100 percent × 1000 intervals = 100,000 CPU Resos.
-	if s.CPUAllocation() != 100000 {
-		t.Errorf("CPU allocation = %d, want 100000", s.CPUAllocation())
+	if CPUAllocation != 100000 {
+		t.Errorf("CPU allocation = %d, want 100000", CPUAllocation)
 	}
 	// 1GB/s ÷ 1KB = 1,048,576 MTUs per epoch.
-	if s.LinkMTUsPerEpoch != 1048576 {
-		t.Errorf("link MTUs = %d", s.LinkMTUsPerEpoch)
+	if LinkMTUsPerEpoch != 1048576 {
+		t.Errorf("link MTUs = %d", LinkMTUsPerEpoch)
 	}
-	if s.IOAllocation(2) != 524288 {
-		t.Errorf("2-VM IO share = %d, want 524288", s.IOAllocation(2))
+	if IOAllocation(2) != 524288 {
+		t.Errorf("2-VM IO share = %d, want 524288", IOAllocation(2))
 	}
-	if s.Allocation(2) != 624288 {
-		t.Errorf("2-VM total = %d, want 624288", s.Allocation(2))
+	if Allocation(2) != 624288 {
+		t.Errorf("2-VM total = %d, want 624288", Allocation(2))
 	}
-	if s.IOAllocation(0) != 1048576 {
-		t.Errorf("degenerate sharer count: %d", s.IOAllocation(0))
+	if IOAllocation(0) != 1048576 {
+		t.Errorf("degenerate sharer count: %d", IOAllocation(0))
 	}
 }
 

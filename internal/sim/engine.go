@@ -190,9 +190,10 @@ func (e *Engine) After(d Time, fn func()) Timer {
 
 // Every schedules fn at now+d, now+2d, ... until the returned Timer is
 // stopped. fn observes the tick time via Engine.Now. The recurring timer
-// lives on the engine's wheel: each tick reschedules in place, so periodic
-// load — the dominant event class in a full simulation — never touches the
-// heap and never allocates.
+// lives on the engine's wheel: each tick reschedules in place, so it never
+// touches the heap and never allocates. The simulator's own periodic work
+// (the ResEx interval, epochs, monitor polls) runs in Procs instead; Every
+// serves the workload tenants' SLO window and cmd/ibmondump.
 func (e *Engine) Every(d Time, fn func()) Timer {
 	if d <= 0 {
 		panic("sim: Every requires a positive period")

@@ -15,8 +15,8 @@ import (
 // jitter is evidence of interference there; open-loop Poisson arrivals carry
 // inherent jitter (a handful of requests per 1 ms interval), and with it the
 // std/mean trigger fires at 30% load, the noisy per-interval MTU counts clear
-// the MinShare guard, and two identical tenants cap each other into a death
-// spiral. Mean-over-SLA detection is the honest signal for this traffic.
+// IOShares' minShare guard, and two identical tenants cap each other into a
+// death spiral. Mean-over-SLA detection is the honest signal for this traffic.
 func Policy(name string) (func() resex.Policy, error) {
 	switch name {
 	case "none":
