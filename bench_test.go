@@ -14,6 +14,7 @@ import (
 	"resex/internal/invariant"
 	"resex/internal/resex"
 	"resex/internal/sim"
+	"resex/internal/workload"
 )
 
 // benchOpts keeps per-iteration virtual time small enough for the -bench
@@ -220,7 +221,7 @@ func BenchmarkAblationInterfererRate(b *testing.B) {
 			var lat float64
 			for i := 0; i < b.N; i++ {
 				s, err := experiments.Build(experiments.ScenarioConfig{
-					IntfBuffer:   experiments.IntfBuffer,
+					IntfBuffer:   workload.BulkBuffer,
 					IntfInterval: interval,
 				})
 				if err != nil {
@@ -256,7 +257,7 @@ func BenchmarkAblationEpochLength(b *testing.B) {
 				}
 				intf, err := tb.NewApp("intf", hostA, hostB,
 					benchex.ServerConfig{BufferSize: 2 << 20, ProcessTime: 2 * sim.Millisecond, PipelineResponses: true},
-					benchex.ClientConfig{BufferSize: 2 << 20, Window: 16, Interval: 2500 * sim.Microsecond})
+					benchex.ClientConfig{BufferSize: 2 << 20, Window: 16, Arrivals: benchex.Paced{Every: 2500 * sim.Microsecond}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -369,7 +370,7 @@ func BenchmarkHCASmallMessages(b *testing.B) {
 func BenchmarkFullStackSimSecond(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s, err := experiments.Build(experiments.ScenarioConfig{
-			IntfBuffer: experiments.IntfBuffer,
+			IntfBuffer: workload.BulkBuffer,
 			Policy:     resex.NewIOShares(),
 		})
 		if err != nil {
@@ -465,7 +466,7 @@ func pairedOverhead(b *testing.B, file, name string, rig func(armed bool) (*sim.
 func BenchmarkFaultsEmptyScheduleOverhead(b *testing.B) {
 	pairedOverhead(b, "BENCH_faults.json", "faults", func(withInjector bool) (*sim.Engine, func()) {
 		s, err := experiments.Build(experiments.ScenarioConfig{
-			IntfBuffer: experiments.IntfBuffer,
+			IntfBuffer: workload.BulkBuffer,
 			Policy:     resex.NewIOShares(),
 		})
 		if err != nil {
@@ -510,7 +511,7 @@ func BenchmarkAblWorkloadMix(b *testing.B) { runFigure(b, "abl-workload-mix") }
 func BenchmarkAuditOverhead(b *testing.B) {
 	pairedOverhead(b, "BENCH_invariant.json", "invariant", func(audited bool) (*sim.Engine, func()) {
 		s, err := experiments.Build(experiments.ScenarioConfig{
-			IntfBuffer: experiments.IntfBuffer,
+			IntfBuffer: workload.BulkBuffer,
 			Policy:     resex.NewIOShares(),
 		})
 		if err != nil {

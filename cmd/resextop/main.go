@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -57,13 +58,17 @@ func main() {
 		samples    = flag.Int("samples", 0, "with -attach: exit after this many samples (0 = stream forever)")
 	)
 	flag.Parse()
-	policySet := false
-	flag.Visit(func(f *flag.Flag) { policySet = policySet || f.Name == "policy" })
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch {
 	case *fig != "" && *attach != "":
 		usageErr("-fig and -attach are exclusive")
-	case policySet && (*fig != "" || *attach != ""):
+	case set["policy"] && (*fig != "" || *attach != ""):
 		usageErr("-policy applies only to the default session")
+	case set["samples"] && *attach == "":
+		usageErr("-samples applies only to -attach")
+	case *samples < 0:
+		usageErr("-samples must not be negative")
 	case *refresh <= 0:
 		usageErr("-refresh must be positive")
 	}
@@ -104,7 +109,7 @@ func runSession(policy string, duration, refresh time.Duration, seed int64) {
 		s.PolicyName(), time.Duration(s.Quantum()))
 	for end := sim.Time(duration.Nanoseconds()); s.Now() < end; {
 		s.Step()
-		render(s.Telemetry())
+		render(os.Stdout, s.Telemetry())
 	}
 }
 
@@ -296,27 +301,28 @@ func runAttached(socket string, samples int) {
 		if err := json.Unmarshal(line, &tl); err != nil || tl.Telemetry.Epoch == 0 && tl.Telemetry.AtNs == 0 && tl.Telemetry.Policy == "" {
 			continue // a command reply interleaved on this connection
 		}
-		render(tl.Telemetry)
+		render(os.Stdout, tl.Telemetry)
 		seen++
 	}
 }
 
-// render prints one daemon telemetry sample with resextop's columns.
-func render(t daemon.Telemetry) {
+// render writes one daemon telemetry sample with resextop's columns. MTU/s
+// scales VMStat.MTURate, MTUs per ResEx interval, to per second.
+func render(w io.Writer, t daemon.Telemetry) {
 	state := ""
 	if t.Paused {
 		state = "  [paused]"
 	}
-	fmt.Printf("\n[t=%v  epoch %d  policy %s]%s\n",
+	fmt.Fprintf(w, "\n[t=%v  epoch %d  policy %s]%s\n",
 		time.Duration(t.AtNs), t.Epoch, t.Policy, state)
-	fmt.Printf("%-18s %7s %6s %12s %7s %6s %8s\n",
+	fmt.Fprintf(w, "%-18s %7s %6s %12s %10s %6s %8s\n",
 		"VM", "rate", "cap%", "resos", "MTU/s", "conf", "intf?")
 	for _, vm := range t.VMs {
-		fmt.Printf("%-18s %7.2f %6s %12d %7.0f %6.2f %8s\n",
-			vm.Name, vm.Rate, capStr(vm.CapPct), vm.Resos, vm.MTURate, vm.Confidence,
-			intfFlag(vm.Interfered, vm.Rate))
+		fmt.Fprintf(w, "%-18s %7.2f %6s %12d %10.0f %6.2f %8s\n",
+			vm.Name, vm.Rate, capStr(vm.CapPct), vm.Resos, vm.MTURate/resex.Interval.Seconds(),
+			vm.Confidence, intfFlag(vm.Interfered, vm.Rate))
 	}
-	fmt.Printf("%-10s %10s %11s %8s %7s %9s %7s\n",
+	fmt.Fprintf(w, "%-10s %10s %11s %8s %7s %9s %7s\n",
 		"tenant", "offered/s", "completed/s", "inflight", "queued", "p99(µs)", "SLO%")
 	for _, tn := range t.Tenants {
 		name := tn.Name
@@ -327,7 +333,7 @@ func render(t daemon.Telemetry) {
 		if tn.AttainPct > 0 {
 			slo = fmt.Sprintf("%.1f", tn.AttainPct)
 		}
-		fmt.Printf("%-10s %10.0f %11.0f %8d %7d %9.0f %7s\n",
+		fmt.Fprintf(w, "%-10s %10.0f %11.0f %8d %7d %9.0f %7s\n",
 			name, tn.OfferedPerSec, tn.CompletedPerSec,
 			tn.Inflight, tn.Queued, tn.P99, slo)
 	}

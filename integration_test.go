@@ -8,6 +8,7 @@ import (
 	"resex/internal/experiments"
 	"resex/internal/resex"
 	"resex/internal/sim"
+	"resex/internal/workload"
 )
 
 // fingerprint runs the complete managed-interference scenario and returns a
@@ -16,7 +17,7 @@ import (
 func fingerprint(t *testing.T) string {
 	t.Helper()
 	s, err := experiments.Build(experiments.ScenarioConfig{
-		IntfBuffer: experiments.IntfBuffer,
+		IntfBuffer: workload.BulkBuffer,
 		Policy:     resex.NewIOShares(),
 		Timeline:   true,
 	})

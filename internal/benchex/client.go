@@ -66,6 +66,9 @@ type Client struct {
 // (Endpoint) to a server endpoint, then Start.
 func NewClient(eng *sim.Engine, vcpu *xen.VCPU, pd *hca.PD, cfg ClientConfig) (*Client, error) {
 	cfg = cfg.withDefaults()
+	if a := cfg.Arrivals; a != nil && !(a.RatePerSec() > 0) {
+		return nil, fmt.Errorf("benchex: client %q arrival process %T has non-positive rate", cfg.Name, a)
+	}
 	c := &Client{
 		cfg:  cfg,
 		eng:  eng,
@@ -101,19 +104,6 @@ func (c *Client) Stats() ClientStats { return c.stats }
 // sent/received counters restart too.
 func (c *Client) ResetStats() {
 	c.stats = ClientStats{}
-}
-
-// SetInterval retunes the open-loop pacing mid-run: the issue loop reads
-// the interval fresh for every gap, so the new rate takes effect from the
-// next issue slot. This is how the geo-diurnal drivers modulate per-zone
-// offered load at simulation-time boundaries (the call must come from the
-// client's own engine — a simpar boundary callback or an engine event —
-// never from another goroutine). Non-positive intervals are ignored: a
-// paced client stays paced.
-func (c *Client) SetInterval(d sim.Time) {
-	if d > 0 {
-		c.cfg.Interval = d
-	}
 }
 
 // Done is broadcast when a bounded client finishes its request budget.
@@ -174,7 +164,7 @@ func (c *Client) run(p *sim.Proc) {
 			break
 		}
 		canIssue := budgetLeft && outstanding < c.cfg.Window
-		if canIssue && c.cfg.Interval > 0 && c.eng.Now() < nextIssue {
+		if canIssue && c.cfg.Arrivals != nil && c.eng.Now() < nextIssue {
 			// Open-loop pacing: if nothing is in flight, idle-wait (the VM
 			// is genuinely idle, not spinning) until the next issue slot.
 			if outstanding == 0 {
@@ -186,8 +176,8 @@ func (c *Client) run(p *sim.Proc) {
 		if canIssue {
 			c.issue(p)
 			outstanding++
-			if c.cfg.Interval > 0 {
-				nextIssue += c.drawGap()
+			if c.cfg.Arrivals != nil {
+				nextIssue += c.cfg.Arrivals.Gap(c.rng)
 			}
 			continue
 		}
@@ -214,25 +204,6 @@ func (c *Client) pollRecv() bool {
 		c.cqe = e
 	}
 	return ok
-}
-
-// drawGap returns the next interarrival gap according to the configured
-// arrival process.
-func (c *Client) drawGap() sim.Time {
-	m := c.cfg.Interval
-	switch {
-	case c.cfg.BurstyArrivals:
-		// Hyperexponential H2: 15% long gaps at 4× the mean, the remaining
-		// 85% at ~0.47× so the overall mean stays Interval.
-		if c.rng.Float64() < 0.15 {
-			return c.rng.ExpDuration(4 * m)
-		}
-		return c.rng.ExpDuration(sim.Time(float64(m) * 0.4 / 0.85))
-	case c.cfg.PoissonArrivals:
-		return c.rng.ExpDuration(m)
-	default:
-		return m
-	}
 }
 
 // issue builds, encodes and posts one request.

@@ -125,19 +125,10 @@ type ClientConfig struct {
 	// Window is the number of outstanding requests (1 = strict closed
 	// loop; interference generators use more). Default 1.
 	Window int
-	// Interval, when positive, paces request issue opens-loop at one
-	// request per Interval (subject to the window); 0 = closed loop.
-	Interval sim.Time
-	// PoissonArrivals makes the open-loop pacing exponential with mean
-	// Interval instead of fixed — traffic whose random overlap with the
-	// victim's transfers produces latency variation.
-	PoissonArrivals bool
-	// BurstyArrivals draws interarrivals from a hyperexponential mix
-	// (15% of gaps are 4× longer, the rest correspondingly shorter; the
-	// mean stays Interval). Bursts saturate the link while long gaps let
-	// the victim run at base latency — the bimodal spread of Figure 1.
-	// Implies open-loop pacing; overrides PoissonArrivals.
-	BurstyArrivals bool
+	// Arrivals, when set, paces request issue open loop (subject to the
+	// window) with the gaps it draws from the client's RNG; nil = closed
+	// loop.
+	Arrivals ArrivalProcess
 	// SLAUs, when positive, is the client's end-to-end latency SLA in µs:
 	// responses at or under it count toward ClientStats.OnTime, giving the
 	// geo/scenario experiments an exact integer attainment counter (float

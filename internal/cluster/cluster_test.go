@@ -238,7 +238,7 @@ func TestOpenLoopPacing(t *testing.T) {
 	hostA, hostB := tb.AddHost(1), tb.AddHost(2)
 	app, err := tb.NewApp("slow", hostA, hostB,
 		benchex.ServerConfig{BufferSize: 64 << 10},
-		benchex.ClientConfig{BufferSize: 64 << 10, Interval: 10 * sim.Millisecond})
+		benchex.ClientConfig{BufferSize: 64 << 10, Arrivals: benchex.Paced{Every: 10 * sim.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}

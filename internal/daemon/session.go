@@ -25,14 +25,6 @@ import (
 	"resex/internal/workload"
 )
 
-// Defaults mirroring the paper scenario's constants (experiments.BaseSLAUs
-// and experiments.IntfBuffer); the daemon keeps its own copies so the
-// control plane does not depend on the figure drivers.
-const (
-	baseSLAUs  = 240.0
-	bulkBuffer = 2 << 20
-)
-
 // DefaultQuantum is the virtual time one Step advances: 100 ms, matching
 // resextop's refresh and giving commands sub-epoch placement granularity.
 const DefaultQuantum = 100 * sim.Millisecond
@@ -186,47 +178,22 @@ func (s *Session) Step() {
 	s.epoch++
 }
 
-// tenantSpec maps a tenant class to its TenantSpec. Seeds derive from
+// tenantSpec maps a tenant class to its catalog spec. Seeds derive from
 // (session seed, tenant ordinal), so the same config + log always yields the
 // same arrival streams regardless of when commands arrived in wall time.
 func (s *Session) tenantSpec(tc TenantConfig) (workload.TenantSpec, error) {
 	seed := s.cfg.Seed + 1000*s.tenantSeq + 1
 	switch strings.ToLower(tc.Class) {
 	case "latency":
-		return workload.TenantSpec{
-			Name:             tc.Name,
-			Closed:           workload.ClosedLoop{Concurrency: 1},
-			SLO:              workload.SLOSpec{P99Us: 1.5 * baseSLAUs},
-			SLAUs:            baseSLAUs,
-			LatencySensitive: true,
-			Seed:             seed,
-		}, nil
+		return workload.LatencyTenant(tc.Name, seed), nil
 	case "bulk":
-		return workload.TenantSpec{
-			Name:       tc.Name,
-			BufferSize: bulkBuffer,
-			Arrivals: &workload.MMPP2{
-				CalmRate: 150, BurstRate: 800,
-				CalmDwell: 40 * sim.Millisecond, BurstDwell: 10 * sim.Millisecond,
-			},
-			Window:         16,
-			ProcessTime:    2 * sim.Millisecond,
-			PipelineServer: true,
-			Seed:           seed,
-		}, nil
+		return workload.BulkTenant(tc.Name, seed), nil
 	case "open":
 		rate := tc.Rate
 		if rate <= 0 {
 			rate = 500
 		}
-		return workload.TenantSpec{
-			Name:     tc.Name,
-			Arrivals: workload.Poisson{Rate: rate},
-			Window:   8,
-			SLO:      workload.SLOSpec{P99Us: 4 * baseSLAUs},
-			SLAUs:    4 * baseSLAUs,
-			Seed:     seed,
-		}, nil
+		return workload.OpenTenant(tc.Name, rate, seed), nil
 	}
 	return workload.TenantSpec{}, fmt.Errorf("daemon: unknown tenant class %q (latency, bulk, open)", tc.Class)
 }

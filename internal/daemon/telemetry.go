@@ -16,10 +16,12 @@ type Telemetry struct {
 
 // VMStat is one managed VM's pricing state.
 type VMStat struct {
-	Name       string  `json:"name"`
-	Rate       float64 `json:"rate"`
-	CapPct     int     `json:"cap_pct,omitempty"`
-	Resos      int64   `json:"resos"`
+	Name   string  `json:"name"`
+	Rate   float64 `json:"rate"`
+	CapPct int     `json:"cap_pct,omitempty"`
+	Resos  int64   `json:"resos"`
+	// MTURate is the VM's smoothed MTU count per ResEx interval
+	// (resex.ManagedVM.MTURate), not per second.
 	MTURate    float64 `json:"mtu_rate"`
 	Confidence float64 `json:"confidence"`
 	Interfered bool    `json:"interfered,omitempty"`

@@ -9,6 +9,7 @@ import (
 	"resex/internal/fabric"
 	"resex/internal/snapshot"
 	"resex/internal/stats"
+	"resex/internal/workload"
 )
 
 // Ablation experiments probe design choices the paper leaves implicit.
@@ -50,7 +51,7 @@ func AblArb(o Options) (*AblArbResult, error) {
 	var points []SweepPoint[AblArbRow]
 	for _, disc := range []fabric.Discipline{fabric.RoundRobin, fabric.FIFO} {
 		points = append(points, Point(disc.String(), func(o Options) (AblArbRow, error) {
-			s, err := Build(ScenarioConfig{IntfBuffer: IntfBuffer, Discipline: disc, Timeline: true, Seed: o.Seed})
+			s, err := Build(ScenarioConfig{IntfBuffer: workload.BulkBuffer, Discipline: disc, Timeline: true, Seed: o.Seed})
 			if err != nil {
 				return AblArbRow{}, err
 			}
@@ -107,13 +108,13 @@ func AblMech(o Options) (*AblMechResult, error) {
 	o = o.WithDefaults()
 	mk := func(name string, prep func(*Scenario)) SweepPoint[AblMechRow] {
 		return Point(name, func(o Options) (AblMechRow, error) {
-			s, err := Build(ScenarioConfig{IntfBuffer: IntfBuffer, Seed: o.Seed})
+			s, err := Build(ScenarioConfig{IntfBuffer: workload.BulkBuffer, Seed: o.Seed})
 			if err != nil {
 				return AblMechRow{}, err
 			}
 			prep(s)
 			s.RunMeasured(o)
-			bytes := float64(s.Intf.Server.Stats().Served) * float64(IntfBuffer)
+			bytes := float64(s.Intf.Server.Stats().Served) * float64(workload.BulkBuffer)
 			return AblMechRow{
 				Mechanism:  name,
 				VictimMean: s.RepStats().Total.Mean(),

@@ -8,6 +8,7 @@ import (
 	"resex/internal/sim"
 	"resex/internal/snapshot"
 	"resex/internal/stats"
+	"resex/internal/workload"
 )
 
 // quick returns small-scale options: enough virtual time for stable shapes,
@@ -597,9 +598,9 @@ func TestAblWorkloadShape(t *testing.T) {
 				policy, knee.P99, light.P99)
 		}
 		// Light load actually is light: the p50 stays near the base RTT.
-		if l := get(30, policy); l.P50 > workloadSLAUs {
+		if l, sla := get(30, policy), workload.OpenTenant("", 0, 0).SLAUs; l.P50 > sla {
 			t.Errorf("%s: p50 %.0f at 30%% load above SLA %.0f — spiral?",
-				policy, l.P50, workloadSLAUs)
+				policy, l.P50, sla)
 		}
 	}
 	// At the knee IOShares keeps the backlog bounded where FreeMarket lets

@@ -75,7 +75,7 @@ func (r *AblFaultsResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Row
 // that the fault physics alone — a serialization slowdown during a 100 ms
 // degrade window — keeps requests within it, so the sweep isolates the damage
 // the *policy* inflicts when it throttles on stale evidence.
-const faultsSLAUs = BaseSLAUs * 2.5
+const faultsSLAUs = workload.BaseSLAUs * 2.5
 
 // faultsHosts is the worker-fleet size for the sweep.
 const faultsHosts = 4
@@ -86,7 +86,7 @@ const faultsHosts = 4
 // operation never triggers repricing, and below the storm-window latency so
 // fault-driven elevation does — which is the point: every throttle in this
 // sweep happens on fault-corrupted evidence.
-const faultsBaselineUs = BaseSLAUs * 1.4
+const faultsBaselineUs = workload.BaseSLAUs * 1.4
 
 // faultsWorkloads builds the per-host pair: one "fast" reporter (window 2,
 // the biggest sender on its host — the VM a stale attribution blames) and one

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"resex/internal/stats"
+	"resex/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -67,7 +68,7 @@ func Fig1(o Options) (*Fig1Result, error) {
 		points = append(points, Point(label, func(o Options) (fig1Side, error) {
 			cfg := ScenarioConfig{Timeline: true, Seed: o.Seed}
 			if interfered {
-				cfg.IntfBuffer = IntfBuffer
+				cfg.IntfBuffer = workload.BulkBuffer
 			}
 			s, err := Build(cfg)
 			if err != nil {
@@ -157,7 +158,7 @@ func Fig2(o Options) (*Fig2Result, error) {
 				func(o Options) (Fig2Row, error) {
 					cfg := ScenarioConfig{Reporters: n, Seed: o.Seed}
 					if loaded {
-						cfg.IntfBuffer = IntfBuffer
+						cfg.IntfBuffer = workload.BulkBuffer
 					}
 					s, err := Build(cfg)
 					if err != nil {
@@ -320,7 +321,7 @@ func Fig4(o Options) (*Fig4Result, error) {
 		points = append(points, Point(fmt.Sprintf("cap=%d", c), func(o Options) (Fig4Row, error) {
 			cfg := ScenarioConfig{Seed: o.Seed}
 			if c > 0 {
-				cfg.IntfBuffer = IntfBuffer
+				cfg.IntfBuffer = workload.BulkBuffer
 			}
 			if c > 0 && c < 100 {
 				cfg.IntfCap = c

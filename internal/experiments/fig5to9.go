@@ -8,6 +8,7 @@ import (
 	"resex/internal/resos"
 	"resex/internal/sim"
 	"resex/internal/stats"
+	"resex/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -110,7 +111,7 @@ func runTimeline(o Options, figure int, mkPolicy func() resex.Policy) (*Timeline
 			return meanStd(o, ScenarioConfig{Timeline: true, Seed: o.Seed})
 		}),
 		Point("interfered", func(o Options) (tlSide, error) {
-			return meanStd(o, ScenarioConfig{Timeline: true, IntfBuffer: IntfBuffer, Seed: o.Seed})
+			return meanStd(o, ScenarioConfig{Timeline: true, IntfBuffer: workload.BulkBuffer, Seed: o.Seed})
 		}),
 		Point("policy", func(o Options) (tlSide, error) {
 			// Policy run with observers.
@@ -118,7 +119,7 @@ func runTimeline(o Options, figure int, mkPolicy func() resex.Policy) (*Timeline
 			side := tlSide{PolicyName: policy.Name()}
 			s, err := Build(ScenarioConfig{
 				Timeline:   true,
-				IntfBuffer: IntfBuffer,
+				IntfBuffer: workload.BulkBuffer,
 				Policy:     policy,
 				Seed:       o.Seed,
 			})
@@ -299,7 +300,7 @@ func Fig8(o Options) (*Fig8Result, error) {
 	mkIOS := func() resex.Policy { return resex.NewIOShares() }
 	quiet := func(p resex.Policy) ScenarioConfig {
 		return ScenarioConfig{
-			IntfBuffer:   IntfBuffer,
+			IntfBuffer:   workload.BulkBuffer,
 			IntfWindow:   1,
 			IntfInterval: 100 * sim.Millisecond, // 10 requests per 1 s epoch
 			Policy:       p,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"resex/internal/benchex"
 	"resex/internal/exchange"
 	"resex/internal/resex"
 	"resex/internal/resos"
@@ -119,8 +120,8 @@ func runFungibleCell(o Options, utilPct int, policy string) (AblFungibleRow, err
 		t, err := e.AddTenant(workload.TenantSpec{
 			Name:             fmt.Sprintf("lat%d", i),
 			Closed:           workload.ClosedLoop{Concurrency: 1},
-			SLO:              workload.SLOSpec{P99Us: 1.5 * gen * BaseSLAUs},
-			SLAUs:            gen * BaseSLAUs,
+			SLO:              workload.SLOSpec{P99Us: 1.5 * gen * workload.BaseSLAUs},
+			SLAUs:            gen * workload.BaseSLAUs,
 			LatencySensitive: true,
 			// Latency tenants buy the premium tier: a 3:1 entitlement split
 			// prices the bulk mover's pace at a quarter of the link, the
@@ -137,12 +138,12 @@ func runFungibleCell(o Options, utilPct int, policy string) (AblFungibleRow, err
 	for i, bw := range []float64{fungibleFastBW, fungibleSlowBW} {
 		// Offered bulk load is utilPct percent of the host's link, delivered
 		// as 4× bursts: mean = calm·(0.75 + 0.25·4) over 30/10 ms dwells.
-		mean := float64(utilPct) / 100 * bw / float64(IntfBuffer)
+		mean := float64(utilPct) / 100 * bw / float64(workload.BulkBuffer)
 		calm := mean / 1.75
 		t, err := e.AddTenant(workload.TenantSpec{
 			Name:       fmt.Sprintf("bulk%d", i),
-			BufferSize: IntfBuffer,
-			Arrivals: &workload.MMPP2{
+			BufferSize: workload.BulkBuffer,
+			Arrivals: &benchex.MMPP2{
 				CalmRate: calm, BurstRate: 4 * calm,
 				CalmDwell: 30 * sim.Millisecond, BurstDwell: 10 * sim.Millisecond,
 			},
@@ -169,7 +170,7 @@ func runFungibleCell(o Options, utilPct int, policy string) (AblFungibleRow, err
 		}
 	}
 	for _, t := range bulks {
-		row.BulkMBps += t.Stats().CompletedPerSec * float64(IntfBuffer) / 1e6
+		row.BulkMBps += t.Stats().CompletedPerSec * float64(workload.BulkBuffer) / 1e6
 	}
 	if books := resex.Books(e.Mgrs); len(books) > 0 {
 		for _, bk := range books {

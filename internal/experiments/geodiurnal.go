@@ -8,6 +8,7 @@ import (
 	"resex/internal/benchex"
 	"resex/internal/placement"
 	"resex/internal/sim"
+	"resex/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -149,8 +150,9 @@ func (r *AblGeoDiurnalResult) WriteCSV(w io.Writer) error {
 // with a diurnal curve per slot and the sun chaser.
 type GeoFleet struct {
 	*geoRing
-	slots   []*geoSite // slot order — the canonical iteration order
-	diurnal []geoCurve // by slot
+	slots   []*geoSite         // slot order — the canonical iteration order
+	diurnal []geoCurve         // by slot
+	pace    []*benchex.Poisson // by slot: each zone's local arrivals
 	chaser  *placement.SunChaser
 
 	epoch uint64
@@ -180,6 +182,7 @@ func BuildGeoFleet(zones, shards, workers, shift int, seed int64, period sim.Tim
 	f := &GeoFleet{
 		slots:   make([]*geoSite, zones),
 		diurnal: make([]geoCurve, zones),
+		pace:    make([]*benchex.Poisson, zones),
 		chaser:  placement.NewSunChaser(zones, geoUnitsPerZone*zones),
 		fp:      fnvOffset,
 	}
@@ -188,14 +191,14 @@ func BuildGeoFleet(zones, shards, workers, shift int, seed int64, period sim.Tim
 		slot := (i + shift) % zones
 		d := geoCurve{period: period, phase: -2 * math.Pi * float64(slot) / float64(zones)}
 		f.diurnal[slot] = d
+		f.pace[slot] = &benchex.Poisson{Rate: d.rateAt(0)}
 		specs[i] = geoSiteSpec{
 			name: fmt.Sprintf("zone%d", slot),
 			local: benchex.ClientConfig{
 				BufferSize: BaseBuffer, Window: 4,
-				Interval:        sim.Time(float64(sim.Second) / d.rateAt(0)),
-				PoissonArrivals: true,
-				SLAUs:           BaseSLAUs,
-				Seed:            seed + int64(slot)*17 + 1,
+				Arrivals: f.pace[slot],
+				SLAUs:    workload.BaseSLAUs,
+				Seed:     seed + int64(slot)*17 + 1,
 			},
 			replSeed: seed + 7919*int64(slot+1),
 		}
@@ -214,10 +217,10 @@ func BuildGeoFleet(zones, shards, workers, shift int, seed int64, period sim.Tim
 		f.epoch++
 		t := sim.Time(f.epoch) * r.tickEvery
 		f.fp = fnvMix(f.fp, f.epoch)
-		for s, z := range f.slots {
+		for s := range f.slots {
 			rate := f.diurnal[s].rateAt(t)
 			pressure[s] = rate
-			z.local.Client.SetInterval(sim.Time(float64(sim.Second) / rate))
+			f.pace[s].Rate = rate
 		}
 		f.chaser.Rebalance(pressure)
 		for _, z := range f.slots {

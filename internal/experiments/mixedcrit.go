@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"resex/internal/benchex"
 	"resex/internal/exchange"
 	"resex/internal/resex"
 	"resex/internal/resos"
@@ -123,22 +124,17 @@ func runMixedCritCell(o Options, pressPct int, priced bool) (AblMixedCritRow, er
 		LinkBandwidth: mixedCritLinkBW,
 		Policy:        mkPolicy,
 	})
-	crit, err := e.AddTenant(workload.TenantSpec{
-		Name:             "crit",
-		Closed:           workload.ClosedLoop{Concurrency: 1},
-		SLO:              workload.SLOSpec{P99Us: 1.5 * BaseSLAUs},
-		SLAUs:            BaseSLAUs,
-		LatencySensitive: true,
-		Share:            3,
-		// The critical tenant's own memory traffic: one page per request —
-		// well inside its entitlement at every pressure point.
-		MemBytesPerReq: 4 << 10,
-		// Seeds key off o.Seed (not PointSeed) so every cell drives the
-		// identical arrival stream: the blind rows then read identically down
-		// the pressure axis — memory intensity is pure accounting until a
-		// policy prices it — and the priced rows isolate the enforcement.
-		Seed: o.Seed + 1,
-	})
+	// The critical tenant is the catalog's latency tenant at a 3:1 share,
+	// with its own memory traffic: one page per request — well inside its
+	// entitlement at every pressure point. Seeds key off o.Seed (not
+	// PointSeed) so every cell drives the identical arrival stream: the
+	// blind rows then read identically down the pressure axis — memory
+	// intensity is pure accounting until a policy prices it — and the
+	// priced rows isolate the enforcement.
+	critSpec := workload.LatencyTenant("crit", o.Seed+1)
+	critSpec.Share = 3
+	critSpec.MemBytesPerReq = 4 << 10
+	crit, err := e.AddTenant(critSpec)
 	if err != nil {
 		return AblMixedCritRow{}, err
 	}
@@ -148,7 +144,7 @@ func runMixedCritCell(o Options, pressPct int, priced bool) (AblMixedCritRow, er
 	bulk, err := e.AddTenant(workload.TenantSpec{
 		Name:           "bulk",
 		BufferSize:     mixedCritBulkBuffer,
-		Arrivals:       &workload.Poisson{Rate: mixedCritBulkRate},
+		Arrivals:       &benchex.Poisson{Rate: mixedCritBulkRate},
 		Window:         16,
 		ProcessTime:    2 * sim.Millisecond,
 		PipelineServer: true,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"resex/internal/benchex"
 	"resex/internal/placement"
 	"resex/internal/schedshard"
 	"resex/internal/sim"
@@ -69,7 +70,7 @@ const placementSLAUs = 233.5 * 1.25
 func placementLS(i int, seed int64) placement.Workload {
 	return placement.Workload{
 		Name: fmt.Sprintf("ls%d", i), BufferSize: BaseBuffer,
-		LatencySensitive: true, SLAUs: BaseSLAUs, Window: 1,
+		LatencySensitive: true, SLAUs: workload.BaseSLAUs, Window: 1,
 		Seed: seed + int64(i) + 1,
 	}
 }
@@ -77,8 +78,8 @@ func placementLS(i int, seed int64) placement.Workload {
 // placementBulk builds one large-buffer bursty interferer (the 2MB class).
 func placementBulk(i int, seed int64) placement.Workload {
 	return placement.Workload{
-		Name: fmt.Sprintf("bulk%d", i), BufferSize: IntfBuffer, Window: 16,
-		Interval: 3700 * sim.Microsecond, Bursty: true,
+		Name: fmt.Sprintf("bulk%d", i), BufferSize: workload.BulkBuffer, Window: 16,
+		Arrivals:    benchex.Bursty{Mean: 3700 * sim.Microsecond},
 		ProcessTime: 2 * sim.Millisecond, PipelineResponses: true,
 		Seed: seed + 999 + int64(i),
 	}

@@ -116,7 +116,7 @@ func scaleSetArrivals(hosts int, seed int64) (items []scaleSetItem, gangs, gangV
 		}
 		if gangs%3 == 2 {
 			set.LatencySensitive = false
-			set.BufferSize = IntfBuffer
+			set.BufferSize = workload.BulkBuffer
 			set.BytesPerSec, set.MTUsPerSec = 60e6, 60e6/1024
 		}
 		items = append(items, scaleSetItem{set: set})

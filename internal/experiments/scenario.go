@@ -22,18 +22,11 @@ import (
 	"resex/internal/resex"
 	"resex/internal/sim"
 	"resex/internal/snapshot"
+	"resex/internal/workload"
 )
 
 // BaseBuffer is the reporting VM's buffer size throughout the paper.
 const BaseBuffer = 64 << 10
-
-// IntfBuffer is the default interfering VM buffer (2 MB).
-const IntfBuffer = 2 << 20
-
-// BaseSLAUs is the reporting app's SLA reference (µs): measured base
-// latency (~234 µs) plus a small guard band. See EXPERIMENTS.md for the
-// calibration run.
-const BaseSLAUs = 240.0
 
 // intfProcessTime is the interference generator's fixed per-request CPU
 // cost, independent of buffer size: this is what makes a CPU cap of C%
@@ -189,7 +182,7 @@ func Build(cfg ScenarioConfig) (*Scenario, error) {
 		}
 		s.Reporters = append(s.Reporters, app)
 		if s.Mgr != nil {
-			if _, err := s.Mgr.Manage(app.ServerVM.Dom, app.Server.SendCQ(), BaseSLAUs); err != nil {
+			if _, err := s.Mgr.Manage(app.ServerVM.Dom, app.Server.SendCQ(), workload.BaseSLAUs); err != nil {
 				return nil, err
 			}
 			s.agents = append(s.agents,
@@ -206,11 +199,10 @@ func Build(cfg ScenarioConfig) (*Scenario, error) {
 				RecvSlots:         cfg.IntfWindow + 2,
 			},
 			benchex.ClientConfig{
-				BufferSize:     cfg.IntfBuffer,
-				Window:         cfg.IntfWindow,
-				Interval:       cfg.IntfInterval,
-				BurstyArrivals: true,
-				Seed:           cfg.Seed + 999,
+				BufferSize: cfg.IntfBuffer,
+				Window:     cfg.IntfWindow,
+				Arrivals:   benchex.Bursty{Mean: cfg.IntfInterval},
+				Seed:       cfg.Seed + 999,
 			})
 		if err != nil {
 			return nil, err

@@ -7,6 +7,7 @@ import (
 	"resex/internal/schedshard"
 	"resex/internal/sim"
 	"resex/internal/snapshot"
+	"resex/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -131,9 +132,9 @@ func lsArrival(name string) shardSchedArrival {
 
 // bulkArrival is a large-buffer bulk VM at 60 MB/s.
 func bulkArrival(name string) shardSchedArrival {
-	spec := schedshard.Spec{Name: name, BufferSize: IntfBuffer}
+	spec := schedshard.Spec{Name: name, BufferSize: workload.BulkBuffer}
 	return shardSchedArrival{spec: spec, vm: schedshard.VMInfo{
-		Spec: spec, BytesPerSec: 60e6, MTUsPerSec: 60e6 / 1024, BufferSize: IntfBuffer,
+		Spec: spec, BytesPerSec: 60e6, MTUsPerSec: 60e6 / 1024, BufferSize: workload.BulkBuffer,
 	}}
 }
 

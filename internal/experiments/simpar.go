@@ -11,6 +11,7 @@ import (
 	"resex/internal/sim"
 	"resex/internal/simpar"
 	"resex/internal/snapshot"
+	"resex/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -159,7 +160,7 @@ func buildGeoRing(specs []geoSiteSpec, shards, workers int) (*geoRing, error) {
 			return nil, err
 		}
 		s.local = local
-		if _, err := s.mgr.Manage(local.ServerVM.Dom, local.Server.SendCQ(), BaseSLAUs); err != nil {
+		if _, err := s.mgr.Manage(local.ServerVM.Dom, local.Server.SendCQ(), workload.BaseSLAUs); err != nil {
 			return nil, err
 		}
 		s.agent = benchex.NewAgent(local.Server, local.ServerVM.Dom.ID(), s.mgr)
@@ -179,7 +180,7 @@ func buildGeoRing(specs []geoSiteSpec, shards, workers int) (*geoRing, error) {
 		cVM := src.host.NewVM(srcName + "-repl-out")
 		client, err := benchex.NewClient(src.tb.Eng, cVM.VCPU, cVM.PD, benchex.ClientConfig{
 			Name: srcName + "-repl-cli", BufferSize: simParReplBuffer,
-			Window: 4, Interval: 250 * sim.Microsecond, PoissonArrivals: true,
+			Window: 4, Arrivals: benchex.Poisson{Rate: 4000},
 			Seed: specs[i].replSeed,
 		})
 		if err != nil {

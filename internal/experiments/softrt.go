@@ -10,6 +10,7 @@ import (
 	"resex/internal/sim"
 	"resex/internal/snapshot"
 	"resex/internal/softrt"
+	"resex/internal/workload"
 )
 
 // SoftRTRow is one deployment's stream outcome.
@@ -87,7 +88,7 @@ func SoftRT(o Options) (*SoftRTResult, error) {
 			if err != nil {
 				return SoftRTRow{}, err
 			}
-			if _, err := mgr.Manage(trading.ServerVM.Dom, trading.Server.SendCQ(), BaseSLAUs); err != nil {
+			if _, err := mgr.Manage(trading.ServerVM.Dom, trading.Server.SendCQ(), workload.BaseSLAUs); err != nil {
 				return SoftRTRow{}, err
 			}
 			benchex.NewAgent(trading.Server, trading.ServerVM.Dom.ID(), mgr).Start()
@@ -95,8 +96,8 @@ func SoftRT(o Options) (*SoftRTResult, error) {
 		}
 		if withBulk {
 			bulk, err := tb.NewApp("bulk", hostA, hostB,
-				benchex.ServerConfig{BufferSize: IntfBuffer, ProcessTime: 2 * sim.Millisecond, PipelineResponses: true, RecvSlots: 18},
-				benchex.ClientConfig{BufferSize: IntfBuffer, Window: 16, Interval: 3700 * sim.Microsecond, BurstyArrivals: true, Seed: o.Seed + 999})
+				benchex.ServerConfig{BufferSize: workload.BulkBuffer, ProcessTime: 2 * sim.Millisecond, PipelineResponses: true, RecvSlots: 18},
+				benchex.ClientConfig{BufferSize: workload.BulkBuffer, Window: 16, Arrivals: benchex.Bursty{Mean: 3700 * sim.Microsecond}, Seed: o.Seed + 999})
 			if err != nil {
 				return SoftRTRow{}, err
 			}

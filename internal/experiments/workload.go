@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"resex/internal/benchex"
 	"resex/internal/resex"
 	"resex/internal/sim"
 	"resex/internal/snapshot"
@@ -92,17 +93,9 @@ func (r *AblWorkloadResult) WriteText(w io.Writer) error {
 // WriteCSV implements Result.
 func (r *AblWorkloadResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows) }
 
-// workloadSLAUs is the SLA reference handed to ResEx in the open-loop sweep.
-// It needs headroom above the light-load baseline (~250 µs p50 with two
-// tenants sharing the host): with the bare BaseSLAUs the managers see a
-// perpetual marginal violation, attribute it to the biggest sender — one of
-// the two symmetric tenants — and throttle the sweep into a death spiral at
-// 30% load. With 4× headroom repricing only engages past the knee, where the
-// elevation is real.
-const workloadSLAUs = 4 * BaseSLAUs
-
-// runWorkloadRow runs one hockey-stick cell: two identical Poisson tenants on
-// one managed host, each offered loadPct percent of the calibrated capacity.
+// runWorkloadRow runs one hockey-stick cell: two identical open tenants
+// (workload.OpenTenant) on one managed host, each offered loadPct percent of
+// the calibrated capacity.
 func runWorkloadRow(o Options, perTenant float64, loadPct int, policy string) (AblWorkloadRow, error) {
 	mk, err := workload.Policy(policy)
 	if err != nil {
@@ -111,14 +104,7 @@ func runWorkloadRow(o Options, perTenant float64, loadPct int, policy string) (A
 	e := workload.New(workload.Config{Hosts: 1, ClientPCPUs: 8, Policy: mk})
 	rate := perTenant * float64(loadPct) / 100
 	for i := 0; i < 2; i++ {
-		if _, err := e.AddTenant(workload.TenantSpec{
-			Name:     fmt.Sprintf("t%d", i),
-			Arrivals: workload.Poisson{Rate: rate},
-			Window:   8,
-			SLO:      workload.SLOSpec{P99Us: workloadSLAUs},
-			SLAUs:    workloadSLAUs,
-			Seed:     o.PointSeed + int64(i) + 1,
-		}); err != nil {
+		if _, err := e.AddTenant(workload.OpenTenant(fmt.Sprintf("t%d", i), rate, o.PointSeed+int64(i)+1)); err != nil {
 			return AblWorkloadRow{}, err
 		}
 	}
@@ -199,17 +185,8 @@ func (r *AblWorkloadMixResult) WriteText(w io.Writer) error { return writeTable(
 func (r *AblWorkloadMixResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows) }
 
 // mixedClass is the mixed-class scenario abl-workload-mix and abl-restart
-// share: one latency-sensitive closed-loop tenant and one bursty bulk tenant
-// on a single host.
-//
-// The latency tenant is closed loop (the paper's reporter shape): with a
-// request always in flight, the in-VM agent's PTime spans client turnaround
-// and request transit, so bulk congestion in either fabric direction reaches
-// the manager's detection — an open-loop tenant under the idle-aware clock
-// only exposes the response direction, and round-robin arbitration keeps that
-// component below any usable trigger. Its SLA reference is the paper's
-// BaseSLAUs (healthy steady state ~234 µs), and the SLO target sits at 1.5× —
-// attainable when the bulk tenant is held to its share, blown when it is not.
+// share: the catalog's latency tenant (workload.LatencyTenant) and bulk
+// tenant (workload.BulkTenant) on a single host.
 type mixedClass struct {
 	e         *workload.Engine
 	lat, bulk *workload.Tenant
@@ -219,29 +196,11 @@ type mixedClass struct {
 // unmanaged when policy is nil.
 func newMixedClass(o Options, policy func() resex.Policy) (*mixedClass, error) {
 	e := workload.New(workload.Config{Hosts: 1, ClientPCPUs: 8, Policy: policy})
-	lat, err := e.AddTenant(workload.TenantSpec{
-		Name:             "lat",
-		Closed:           workload.ClosedLoop{Concurrency: 1},
-		SLO:              workload.SLOSpec{P99Us: 1.5 * BaseSLAUs},
-		SLAUs:            BaseSLAUs,
-		LatencySensitive: true,
-		Seed:             o.PointSeed + 1,
-	})
+	lat, err := e.AddTenant(workload.LatencyTenant("lat", o.PointSeed+1))
 	if err != nil {
 		return nil, err
 	}
-	bulk, err := e.AddTenant(workload.TenantSpec{
-		Name:       "bulk",
-		BufferSize: IntfBuffer,
-		Arrivals: &workload.MMPP2{
-			CalmRate: 150, BurstRate: 800,
-			CalmDwell: 40 * sim.Millisecond, BurstDwell: 10 * sim.Millisecond,
-		},
-		Window:         16,
-		ProcessTime:    2 * sim.Millisecond,
-		PipelineServer: true,
-		Seed:           o.PointSeed + 999,
-	})
+	bulk, err := e.AddTenant(workload.BulkTenant("bulk", o.PointSeed+999))
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +215,7 @@ func (m *mixedClass) run(o Options) (latP99, latAttainPct, latPerSec, bulkMBps f
 	m.e.RunMeasured(o.Warmup, o.Duration)
 	stopAudit()
 	lst, bst := m.lat.Stats(), m.bulk.Stats()
-	return lst.P99, lst.AttainPct, lst.CompletedPerSec, bst.CompletedPerSec * float64(IntfBuffer) / 1e6
+	return lst.P99, lst.AttainPct, lst.CompletedPerSec, bst.CompletedPerSec * float64(workload.BulkBuffer) / 1e6
 }
 
 // runWorkloadMixRow runs one policy cell of the mixed-class scenario.
@@ -341,12 +300,12 @@ func runWorkloadBurstRow(o Options, meanRate float64, factor int, admit workload
 	calm := meanRate / (0.75 + 0.25*float64(factor))
 	tn, err := e.AddTenant(workload.TenantSpec{
 		Name: "burst",
-		Arrivals: &workload.MMPP2{
+		Arrivals: &benchex.MMPP2{
 			CalmRate: calm, BurstRate: calm * float64(factor),
 			CalmDwell: 30 * sim.Millisecond, BurstDwell: 10 * sim.Millisecond,
 		},
 		Window:    8,
-		SLO:       workload.SLOSpec{P99Us: 4 * BaseSLAUs},
+		SLO:       workload.SLOSpec{P99Us: 4 * workload.BaseSLAUs},
 		Admission: admit,
 		Seed:      o.PointSeed + 1,
 	})

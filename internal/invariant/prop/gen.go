@@ -15,6 +15,7 @@ package prop
 import (
 	"fmt"
 
+	"resex/internal/benchex"
 	"resex/internal/faults"
 	"resex/internal/schedshard"
 	"resex/internal/sim"
@@ -53,9 +54,9 @@ func Tenants(rng *sim.Rand, n int) []workload.TenantSpec {
 				ThinkExp:    rng.Intn(2) == 0,
 			}
 		case 1:
-			spec.Arrivals = workload.Poisson{Rate: 100 + float64(rng.Intn(300))}
+			spec.Arrivals = benchex.Poisson{Rate: 100 + float64(rng.Intn(300))}
 		default:
-			spec.Arrivals = &workload.MMPP2{
+			spec.Arrivals = &benchex.MMPP2{
 				CalmRate:   50 + float64(rng.Intn(100)),
 				BurstRate:  400 + float64(rng.Intn(400)),
 				CalmDwell:  sim.Time(10+rng.Intn(20)) * sim.Millisecond,
@@ -95,7 +96,7 @@ func MixedTenants(rng *sim.Rand, bulkMemPerReq int) []workload.TenantSpec {
 		{
 			Name:           "bulk",
 			BufferSize:     64 << 10,
-			Arrivals:       workload.Poisson{Rate: 150 + float64(rng.Intn(150))},
+			Arrivals:       benchex.Poisson{Rate: 150 + float64(rng.Intn(150))},
 			Window:         8,
 			MemBytesPerReq: bulkMemPerReq,
 			Seed:           1 + rng.Int63n(1<<30),

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"resex/internal/benchex"
 	"resex/internal/faults"
 	"resex/internal/invariant"
 	"resex/internal/placement"
@@ -28,15 +29,8 @@ func buildEngine(t *testing.T, cfg workload.Config, specs []workload.TenantSpec)
 	return e
 }
 
-// metronome is an arrival process with one arrival every period, exactly.
-type metronome sim.Time
-
-func (m metronome) Name() string           { return "metronome" }
-func (m metronome) Gap(*sim.Rand) sim.Time { return sim.Time(m) }
-func (m metronome) RatePerSec() float64    { return float64(sim.Second) / float64(m) }
-
 // TestZeroRateMeansZeroWork is the degenerate-load metamorphic relation:
-// scale every tenant's offered load to zero (a metronome whose first beat
+// scale every tenant's offered load to zero (a paced process whose first beat
 // lands past the horizon) and the run must produce no arrivals, no issues,
 // no completions, no IO charges — and no invariant violations, in Strict
 // mode, while the managed machinery (epochs, pricing, replenishment) still
@@ -50,7 +44,7 @@ func TestZeroRateMeansZeroWork(t *testing.T) {
 			Name: fmt.Sprintf("idle%d", i),
 			// Rate 1/s is legal (AddTenant rejects rate <= 0) but the first
 			// arrival lands at ~1 s, far past the 150 ms horizon.
-			Arrivals: metronome(sim.Second),
+			Arrivals: benchex.Paced{Every: sim.Second},
 			SLAUs:    300,
 			Seed:     int64(i) + 1,
 		})
@@ -98,9 +92,9 @@ type permutationFields struct {
 func runPermutation(t *testing.T, order []int) map[string]permutationFields {
 	t.Helper()
 	base := []workload.TenantSpec{
-		{Name: "a", Arrivals: metronome(1100 * sim.Microsecond), Seed: 11},
-		{Name: "b", Arrivals: metronome(1700 * sim.Microsecond), Seed: 12, BufferSize: 16 << 10},
-		{Name: "c", Arrivals: workload.Poisson{Rate: 500}, Seed: 13, BufferSize: 4 << 10},
+		{Name: "a", Arrivals: benchex.Paced{Every: 1100 * sim.Microsecond}, Seed: 11},
+		{Name: "b", Arrivals: benchex.Paced{Every: 1700 * sim.Microsecond}, Seed: 12, BufferSize: 16 << 10},
+		{Name: "c", Arrivals: benchex.Poisson{Rate: 500}, Seed: 13, BufferSize: 4 << 10},
 	}
 	specs := make([]workload.TenantSpec, len(order))
 	for i, j := range order {

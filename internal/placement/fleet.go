@@ -58,11 +58,10 @@ type Workload struct {
 	// SLAUs is the latency SLA (µs) handed to ResEx for latency-sensitive
 	// workloads; bulk workloads leave it zero and let ResEx learn.
 	SLAUs float64
-	// Client shape: Window outstanding requests, open-loop Interval (0 =
-	// closed loop), hyperexponential interarrivals when Bursty.
+	// Client shape: Window outstanding requests, paced open loop by
+	// Arrivals (nil = closed loop).
 	Window   int
-	Interval sim.Time
-	Bursty   bool
+	Arrivals benchex.ArrivalProcess
 	// ProcessTime overrides the server's per-request compute.
 	ProcessTime sim.Time
 	// PipelineResponses makes the server fire-and-forget (interferers).
@@ -298,12 +297,11 @@ func (f *Fleet) Place(w Workload) (*Placement, error) {
 		RecordTimeline:    w.LatencySensitive,
 	}
 	ccfg := benchex.ClientConfig{
-		Name:           w.Name + "-client",
-		BufferSize:     w.BufferSize,
-		Window:         w.Window,
-		Interval:       w.Interval,
-		BurstyArrivals: w.Bursty,
-		Seed:           w.Seed,
+		Name:       w.Name + "-client",
+		BufferSize: w.BufferSize,
+		Window:     w.Window,
+		Arrivals:   w.Arrivals,
+		Seed:       w.Seed,
 	}
 	app, err := f.TB.NewApp(w.Name, h, f.Client, scfg, ccfg)
 	if err != nil {

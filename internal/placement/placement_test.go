@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"resex/internal/benchex"
 	"resex/internal/resex"
 	"resex/internal/schedshard"
 	"resex/internal/sim"
@@ -20,7 +21,7 @@ func lsWorkload(name string, seed int64) Workload {
 func bulkWorkload(name string, seed int64) Workload {
 	return Workload{
 		Name: name, BufferSize: 2 << 20, Window: 16,
-		Interval: 3700 * sim.Microsecond, Bursty: true,
+		Arrivals:    benchex.Bursty{Mean: 3700 * sim.Microsecond},
 		ProcessTime: 2 * sim.Millisecond, PipelineResponses: true, Seed: seed,
 	}
 }

@@ -282,7 +282,7 @@ func TestIOSharesBacksOffQuietInterferer(t *testing.T) {
 		benchex.ClientConfig{BufferSize: 64 << 10})
 	quiet, _ := tb.NewApp("quiet", hostA, hostB,
 		benchex.ServerConfig{BufferSize: 2 << 20, PipelineResponses: true},
-		benchex.ClientConfig{BufferSize: 2 << 20, Interval: 100 * sim.Millisecond})
+		benchex.ClientConfig{BufferSize: 2 << 20, Arrivals: benchex.Paced{Every: 100 * sim.Millisecond}})
 	dom0 := hostA.Dom0VCPU()
 	mon := ibmon.New(hostA.HV, dom0, ibmon.Config{})
 	mgr := New(tb.Eng, hostA.HV, mon, dom0, NewIOShares(), Config{})

@@ -67,7 +67,7 @@ func TestInterferenceCausesDeadlineMisses(t *testing.T) {
 		if withBulk {
 			bulk, err := tb.NewApp("bulk", a, b,
 				benchex.ServerConfig{BufferSize: 2 << 20, ProcessTime: 2 * sim.Millisecond, PipelineResponses: true},
-				benchex.ClientConfig{BufferSize: 2 << 20, Window: 16, Interval: 3700 * sim.Microsecond, BurstyArrivals: true, Seed: 9})
+				benchex.ClientConfig{BufferSize: 2 << 20, Window: 16, Arrivals: benchex.Bursty{Mean: 3700 * sim.Microsecond}, Seed: 9})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func TestResExProtectsStream(t *testing.T) {
 		}
 		bulk, err := tb.NewApp("bulk", a, b,
 			benchex.ServerConfig{BufferSize: 2 << 20, ProcessTime: 2 * sim.Millisecond, PipelineResponses: true},
-			benchex.ClientConfig{BufferSize: 2 << 20, Window: 16, Interval: 3700 * sim.Microsecond, BurstyArrivals: true, Seed: 9})
+			benchex.ClientConfig{BufferSize: 2 << 20, Window: 16, Arrivals: benchex.Bursty{Mean: 3700 * sim.Microsecond}, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}

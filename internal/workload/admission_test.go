@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"resex/internal/benchex"
 	"resex/internal/resex"
 	"resex/internal/sim"
 )
@@ -38,7 +39,7 @@ func TestQueueCapZeroShedsEverything(t *testing.T) {
 	e := New(Config{Hosts: 1, ClientPCPUs: 8})
 	tn, err := e.AddTenant(TenantSpec{
 		Name:      "walled",
-		Arrivals:  Poisson{Rate: 2000},
+		Arrivals:  benchex.Poisson{Rate: 2000},
 		Admission: QueueCap{Max: 0},
 		Seed:      3,
 	})

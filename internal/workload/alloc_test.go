@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"resex/internal/benchex"
 	"resex/internal/sim"
 )
 
@@ -21,7 +22,7 @@ func TestTenantRequestAllocs(t *testing.T) {
 		{"closed1", TenantSpec{}},
 		{"closed4", TenantSpec{Closed: ClosedLoop{Concurrency: 4}}},
 		{"closed2-think", TenantSpec{Closed: ClosedLoop{Concurrency: 2, Think: 100 * sim.Microsecond}}},
-		{"poisson", TenantSpec{Arrivals: Poisson{Rate: 2000}}},
+		{"poisson", TenantSpec{Arrivals: benchex.Poisson{Rate: 2000}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"resex/internal/benchex"
 	"resex/internal/resex"
 	"resex/internal/sim"
 )
@@ -27,7 +28,7 @@ func runMix(t *testing.T, midCheckpoint bool) State {
 	if _, err := e.AddTenant(TenantSpec{
 		Name:       "bulk",
 		BufferSize: 2 << 20,
-		Arrivals: &MMPP2{
+		Arrivals: &benchex.MMPP2{
 			CalmRate: 150, BurstRate: 800,
 			CalmDwell: 40 * sim.Millisecond, BurstDwell: 10 * sim.Millisecond,
 		},

@@ -153,7 +153,7 @@ func (e *Engine) AddTenant(spec TenantSpec) (*Tenant, error) {
 		spec.Name = fmt.Sprintf("tenant%d", len(e.tenants))
 	}
 	if spec.Arrivals != nil && !(spec.Arrivals.RatePerSec() > 0) {
-		return nil, fmt.Errorf("workload: tenant %q arrival process %s has non-positive rate", spec.Name, spec.Arrivals.Name())
+		return nil, fmt.Errorf("workload: tenant %q arrival process %T has non-positive rate", spec.Name, spec.Arrivals)
 	}
 
 	hostIdx := len(e.tenants) % len(e.Workers)

@@ -12,8 +12,8 @@
 // FreeMarket and IOShares only differentiate once arrivals press against
 // capacity, and this engine is what generates that pressure.
 //
-// Tenants are driven either open loop — an ArrivalProcess (Poisson or MMPP
-// bursts) generates arrivals regardless of how the system keeps up, the
+// Tenants are driven either open loop — a benchex.ArrivalProcess (Poisson or
+// MMPP bursts) generates arrivals regardless of how the system keeps up, the
 // litmus test for saturation behavior — or closed loop, where Concurrency
 // simulated users each wait for their response and think before the next
 // request. Open-loop latencies are measured from *arrival*,
@@ -30,7 +30,10 @@
 // thousands of arrivals per second without burning its host.
 package workload
 
-import "resex/internal/sim"
+import (
+	"resex/internal/benchex"
+	"resex/internal/sim"
+)
 
 // ClosedLoop shapes a closed-loop tenant: a fixed population of simulated
 // users, each issuing one request, waiting for the response, thinking, and
@@ -62,7 +65,7 @@ type TenantSpec struct {
 	// Arrivals, when set, drives the tenant open loop: the process
 	// generates arrival times regardless of completions. Nil selects the
 	// closed loop configured by Closed.
-	Arrivals ArrivalProcess
+	Arrivals benchex.ArrivalProcess
 	// Closed configures the closed loop when Arrivals is nil.
 	Closed ClosedLoop
 	// Window bounds posted-but-uncompleted requests (the RDMA pipeline

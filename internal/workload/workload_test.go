@@ -5,45 +5,39 @@ import (
 	"math"
 	"testing"
 
+	"resex/internal/benchex"
 	"resex/internal/resex"
 	"resex/internal/sim"
 )
 
-// meanRate draws n gaps and returns the empirical arrivals/s.
-func meanRate(t *testing.T, p ArrivalProcess, n int) float64 {
-	t.Helper()
-	rng := sim.NewRand(42)
-	var now, total sim.Time
-	for i := 0; i < n; i++ {
-		g := p.Gap(rng)
-		if g <= 0 {
-			t.Fatalf("%s: non-positive gap %v", p.Name(), g)
-		}
-		now += g
-		total += g
-	}
-	return float64(n) / total.Seconds()
-}
-
 func TestArrivalProcessRates(t *testing.T) {
+	// The open-loop tenant classes draw arrivals at their declared rates:
+	// OpenTenant's Poisson at the rate asked for, BulkTenant's MMPP2 at the
+	// dwell-weighted mean (150·40 + 800·10)/50 = 280 req/s.
 	cases := []struct {
-		p    ArrivalProcess
+		spec TenantSpec
 		want float64
 	}{
-		{Poisson{Rate: 5000}, 5000},
-		{&MMPP2{CalmRate: 1000, BurstRate: 8000, CalmDwell: 30 * sim.Millisecond, BurstDwell: 10 * sim.Millisecond}, 0},
-	}
-	cases[1].want = cases[1].p.RatePerSec() // dwell-weighted: (1000·30+8000·10)/40 = 2750
-	if got := cases[1].want; math.Abs(got-2750) > 1e-9 {
-		t.Fatalf("MMPP2 RatePerSec = %g, want 2750", got)
+		{OpenTenant("open", 5000, 1), 5000},
+		{BulkTenant("bulk", 1), 280},
 	}
 	for _, c := range cases {
-		if got := c.p.RatePerSec(); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("%s: RatePerSec = %g, want %g", c.p.Name(), got, c.want)
+		p := c.spec.Arrivals
+		if got := p.RatePerSec(); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("%s: RatePerSec = %g, want %g", c.spec.Name, got, c.want)
 		}
-		emp := meanRate(t, c.p, 200000)
-		if math.Abs(emp-c.want)/c.want > 0.05 {
-			t.Errorf("%s: empirical rate %.0f/s, want within 5%% of %g", c.p.Name(), emp, c.want)
+		rng := sim.NewRand(42)
+		const n = 200000
+		var total sim.Time
+		for i := 0; i < n; i++ {
+			g := p.Gap(rng)
+			if g <= 0 {
+				t.Fatalf("%s: non-positive gap %v", c.spec.Name, g)
+			}
+			total += g
+		}
+		if emp := n / total.Seconds(); math.Abs(emp-c.want)/c.want > 0.05 {
+			t.Errorf("%s: empirical rate %.0f/s, want within 5%% of %g", c.spec.Name, emp, c.want)
 		}
 	}
 }
@@ -96,7 +90,7 @@ func runPair(policy func() resex.Policy, seed int64) [2]TenantStats {
 	for i := 0; i < 2; i++ {
 		_, err := e.AddTenant(TenantSpec{
 			Name:     fmt.Sprintf("t%d", i),
-			Arrivals: Poisson{Rate: 1500},
+			Arrivals: benchex.Poisson{Rate: 1500},
 			Window:   8,
 			SLO:      SLOSpec{P99Us: 960},
 			Seed:     seed + int64(i),
@@ -174,7 +168,7 @@ func TestQueueCapSheds(t *testing.T) {
 	// ~4300/s capacity for 64KB FCFS; offer 3× that with a tight queue cap.
 	tn, err := e.AddTenant(TenantSpec{
 		Name:      "hot",
-		Arrivals:  Poisson{Rate: 12000},
+		Arrivals:  benchex.Poisson{Rate: 12000},
 		Window:    8,
 		Admission: QueueCap{Max: 16},
 		SLO:       SLOSpec{P99Us: 960},
