@@ -30,8 +30,6 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -154,7 +152,14 @@ func main() {
 	defer conn.Close()
 
 	if cmd.Cmd == "watch" {
-		watch(conn, cmd.N)
+		// Raw JSON lines for scripting; resextop -attach renders them.
+		err := daemon.Watch(conn, int(cmd.N), func(line []byte, _ daemon.Telemetry) {
+			os.Stdout.Write(line)
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "resexctl:", err)
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -173,37 +178,5 @@ func main() {
 	}
 	if rep.Msg != "" {
 		fmt.Println(rep.Msg)
-	}
-}
-
-// watch subscribes and prints raw telemetry lines — resextop -attach renders
-// them as a table; resexctl keeps the JSON for scripting.
-func watch(conn interface {
-	Write([]byte) (int, error)
-	Read([]byte) (int, error)
-}, n int64) {
-	wire, _ := json.Marshal(daemon.Command{Cmd: "watch"})
-	if _, err := conn.Write(append(wire, '\n')); err != nil {
-		fmt.Fprintln(os.Stderr, "resexctl:", err)
-		os.Exit(1)
-	}
-	r := bufio.NewReader(conn)
-	if _, err := daemon.ReadReply(r); err != nil {
-		fmt.Fprintln(os.Stderr, "resexctl:", err)
-		os.Exit(1)
-	}
-	var printed int64
-	for n == 0 || printed < n {
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "resexctl: stream closed:", err)
-			os.Exit(1)
-		}
-		var tl daemon.TelemetryLine
-		if err := json.Unmarshal(line, &tl); err != nil {
-			continue // interleaved reply line, not a sample
-		}
-		os.Stdout.Write(line)
-		printed++
 	}
 }

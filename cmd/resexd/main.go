@@ -100,10 +100,7 @@ func main() {
 		}
 	} else {
 		if len(tenants) == 0 {
-			tenants = tenantFlags{
-				{Name: "lat", Class: "latency"},
-				{Name: "bulk", Class: "bulk"},
-			}
+			tenants = daemon.DefaultTenants()
 		}
 		sess, err = daemon.New(daemon.Config{
 			Seed:      *seed,

@@ -7,31 +7,31 @@
 //	resextop -attach /tmp/resexd.sock   # a running resexd session
 //
 // With no -fig or -attach resextop runs resexd's default session in process
-// (a closed-loop latency tenant against a bursty 2 MB bulk tenant, one
-// quantum per refresh) and prints every quantum with the -attach columns:
-// per-VM rate, cap, Resos, MTU rate, confidence and interference flag, plus
-// per-tenant offered and completed rates, inflight, queue, p99 and SLO
-// attainment. With -attach it runs nothing itself: it subscribes to a
-// running resexd daemon's telemetry stream and renders each sample with the
-// same columns.
+// (daemon.DefaultTenants, lat:latency and bulk:bulk: a closed-loop latency
+// tenant against a bursty 2 MB bulk tenant, one quantum per refresh) and
+// prints every quantum with the -attach columns: per-VM rate, cap, Resos,
+// MTU rate, confidence and interference flag, plus per-tenant offered and
+// completed rates, inflight, queue, p99 and SLO attainment. With -attach it
+// runs nothing itself: it subscribes to a running resexd daemon's telemetry
+// stream and renders each sample with the same columns.
 //
 // With -fig it runs the registered experiment's driver under a watch plan
 // (snapshot.NewWatch) and renders every engine the driver builds from that
 // engine's snapshot.Source, skipping the sections the rig does not list:
 // per-VM CPU%, MTUs/s, rate, cap, Resos, confidence and victim/taxed flag
-// (Managers); per-host telemetry health (Monitors, e.g. -fig abl-faults);
-// per-book epoch, trades, prices and holder positions (the managers'
-// exchange books, e.g. -fig abl-fungible); and scheduler rounds, binds,
-// conflicts and per-shard counter deltas (Sched, e.g. -fig abl-shardsched).
-// The watch is seq-neutral, so the driver's result, printed at the end, is
-// byte-identical to resexsim's. Drivers that arm their own snapshot plans
-// (abl-restart's capture and restore runs) are watched only on the engines
-// they leave unplanned.
+// (Managers); per host with an IBMon monitor, its telemetry health and the
+// bytes IBMon inferred its VMs sent against the bytes its HCA sent, with
+// the error in percent (Monitors, e.g. -fig abl-faults, or the managers'
+// monitors, e.g. -fig fig7); per-book epoch, trades, prices and holder
+// positions (the managers' exchange books, e.g. -fig abl-fungible); and
+// scheduler rounds, binds, conflicts and per-shard counter deltas (Sched,
+// e.g. -fig abl-shardsched). The watch is seq-neutral, so the driver's
+// result, printed at the end, is byte-identical to resexsim's. Drivers that
+// arm their own snapshot plans (abl-restart's capture and restore runs) are
+// watched only on the engines they leave unplanned.
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -89,17 +89,15 @@ func usageErr(msg string) {
 }
 
 // runSession runs resexd's default session in process — tenants
-// lat:latency and bulk:bulk under the named policy, one quantum per refresh
-// — and renders every quantum with the -attach columns.
+// lat:latency and bulk:bulk (daemon.DefaultTenants) under the named policy,
+// one quantum per refresh — and renders every quantum with the -attach
+// columns.
 func runSession(policy string, duration, refresh time.Duration, seed int64) {
 	s, err := daemon.New(daemon.Config{
 		Seed:      seed,
 		Policy:    policy,
 		QuantumNs: refresh.Nanoseconds(),
-		Tenants: []daemon.TenantConfig{
-			{Name: "lat", Class: "latency"},
-			{Name: "bulk", Class: "bulk"},
-		},
+		Tenants:   daemon.DefaultTenants(),
 	})
 	if err != nil {
 		usageErr(err.Error())
@@ -163,15 +161,7 @@ func (w watcher) watch(k snapshot.Key, eng *sim.Engine, src *snapshot.Source) {
 	}
 	now := eng.Now()
 	fmt.Printf("\n[t=%v  engine %d]\n", now, last.n)
-	if len(src.Monitors) > 0 {
-		fmt.Print("health:")
-		for i, mon := range src.Monitors {
-			if mon != nil {
-				fmt.Printf("  host%d %s", i, mon.Health())
-			}
-		}
-		fmt.Println()
-	}
+	renderHosts(src)
 	renderVMs(src.Managers, last, now)
 	for i, bk := range resex.Books(src.Managers) {
 		renderBook(i, bk)
@@ -180,6 +170,49 @@ func (w watcher) watch(k snapshot.Key, eng *sim.Engine, src *snapshot.Source) {
 		last.shards = renderSched(src.Sched, last.shards)
 	}
 	last.at = now
+}
+
+// renderHosts prints one line per IBMon-monitored host: the monitor's
+// health, the bytes IBMon inferred the host's watched VMs sent, the bytes
+// the host's HCA actually sent, and IBMon's error against the device. Rigs
+// that list no monitors are read through their managers' monitors. Prints
+// nothing when the rig runs no monitor.
+func renderHosts(src *snapshot.Source) {
+	if src.TB == nil {
+		return
+	}
+	mons := src.Monitors
+	if len(mons) == 0 {
+		for _, m := range src.Managers {
+			if m != nil {
+				mons = append(mons, m.Monitor())
+			}
+		}
+	}
+	header := false
+	for _, mon := range mons {
+		if mon == nil {
+			continue
+		}
+		for hi, h := range src.TB.Hosts {
+			if h.HV != mon.Hypervisor() {
+				continue
+			}
+			if !header {
+				fmt.Printf("%-4s %-9s %13s %13s %8s\n", "host", "health", "ibmon-sent", "device-sent", "err%")
+				header = true
+			}
+			var inferred int64
+			for _, t := range mon.Targets() {
+				inferred += t.Usage().BytesSent
+			}
+			device, errPct := h.HCA.BytesSent(), "-"
+			if device > 0 {
+				errPct = fmt.Sprintf("%.2f", 100*float64(inferred-device)/float64(device))
+			}
+			fmt.Printf("%-4d %-9s %13d %13d %8s\n", hi, mon.Health(), inferred, device, errPct)
+		}
+	}
 }
 
 // renderVMs prints every managed VM: CPU% since the last refresh, smoothed
@@ -278,31 +311,13 @@ func runAttached(socket string, samples int) {
 		os.Exit(1)
 	}
 	defer conn.Close()
-	wire, _ := json.Marshal(daemon.Command{Cmd: "watch"})
-	if _, err := conn.Write(append(wire, '\n')); err != nil {
+	fmt.Printf("resextop — attached to %s\n", socket)
+	err = daemon.Watch(conn, samples, func(_ []byte, t daemon.Telemetry) {
+		render(os.Stdout, t)
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "resextop:", err)
 		os.Exit(1)
-	}
-	r := bufio.NewReader(conn)
-	if rep, err := daemon.ReadReply(r); err != nil || !rep.OK {
-		fmt.Fprintf(os.Stderr, "resextop: watch refused: %v %s\n", err, rep.Error)
-		os.Exit(1)
-	}
-
-	fmt.Printf("resextop — attached to %s\n", socket)
-	seen := 0
-	for samples == 0 || seen < samples {
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "resextop: daemon stream closed:", err)
-			os.Exit(1)
-		}
-		var tl daemon.TelemetryLine
-		if err := json.Unmarshal(line, &tl); err != nil || tl.Telemetry.Epoch == 0 && tl.Telemetry.AtNs == 0 && tl.Telemetry.Policy == "" {
-			continue // a command reply interleaved on this connection
-		}
-		render(os.Stdout, tl.Telemetry)
-		seen++
 	}
 }
 

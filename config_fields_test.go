@@ -28,6 +28,7 @@ var unsetConfigFields = map[string]string{
 	"faults.GenConfig.InvalidateEvery":       "TestFaultPlansAudited draws the invalidation layer's period or disables it",
 	"faults.GenConfig.MigrateFailEvery":      "TestFaultPlansAudited draws the migration-failure layer's period or disables it",
 	"faults.GenConfig.StallEvery":            "TestFaultPlansAudited draws the stall layer's period or disables it",
+	"ibmon.Config.Period":                    "BenchmarkAblationIBMonPeriod sweeps the sampling period (EXPERIMENTS.md records it)",
 	"placement.MigrationConfig.StateBytes":   "tests migrate a small image to keep runs short",
 	"placement.RebalanceConfig.Migration":    "tests hand the rebalancer a small-image cost model",
 	"placement.RebalanceConfig.RetryBackoff": "fault tests exercise the abort backoff, off by default",
@@ -160,6 +161,7 @@ var uncalledAPI = map[string]string{
 	"hca.HCA.QP":                   "TestHCAStats and TestBuildSimParFleetShape look QPs up by number",
 	"hca.QP.RateLimit":             "TestQPRateLimit reads the pacing rate back",
 	"hca.QP.Remote":                "TestBuildSimParFleetShape checks cross-site QP wiring",
+	"ibmon.Monitor.Stop":           "BenchmarkAblationIBMonPeriod and the ibmon tests halt the sampler before reading totals",
 	"ibmon.Monitor.Target":         "TestWatchValidation and TestIBMonDiscoveryThroughBackend check what IBMon watches",
 	"resex.IntervalData.TotalMTUs": "TestObserverSeesUsage sums the MTUs observers see",
 	"schedshard.Snapshot.Host":     "TestSnapshotHostLookup and TestCommitGangRollbackExact inspect hosts",

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -20,10 +21,7 @@ func testConfig() Config {
 		Seed:      7,
 		Policy:    "freemarket",
 		QuantumNs: int64(DefaultQuantum),
-		Tenants: []TenantConfig{
-			{Name: "lat", Class: "latency"},
-			{Name: "bulk", Class: "bulk"},
-		},
+		Tenants:   DefaultTenants(),
 	}
 }
 
@@ -251,6 +249,72 @@ func TestServerWatchAckFirst(t *testing.T) {
 	}
 	if err := <-served; err != nil {
 		t.Fatalf("Serve: %v", err)
+	}
+}
+
+// fakeDaemon serves one watch subscription on a pipe: it reads the watch
+// command, writes each of lines verbatim, then hangs up.
+func fakeDaemon(t *testing.T, lines ...[]byte) net.Conn {
+	t.Helper()
+	client, server := net.Pipe()
+	t.Cleanup(func() { client.Close() })
+	go func() {
+		defer server.Close()
+		cmd, err := bufio.NewReader(server).ReadBytes('\n')
+		if err != nil || !bytes.Contains(cmd, []byte(`"cmd":"watch"`)) {
+			return
+		}
+		for _, l := range lines {
+			if _, err := server.Write(l); err != nil {
+				return
+			}
+		}
+	}()
+	return client
+}
+
+// TestWatchClient: the shared watch client of resexctl and resextop fails
+// on a refused ack, skips reply lines interleaved on the connection, and
+// hands over every sample byte for byte as the server encoded it.
+func TestWatchClient(t *testing.T) {
+	refused := fakeDaemon(t, []byte(`{"ok":false,"error":"not today"}`+"\n"))
+	err := Watch(refused, 1, func([]byte, Telemetry) { t.Error("sample delivered") })
+	if err == nil || !strings.Contains(err.Error(), "not today") {
+		t.Errorf("refused watch: err %v, want the refusal", err)
+	}
+
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	var samples []Telemetry
+	var encoded []string
+	for i := 0; i < 2; i++ {
+		s.Step()
+		tel := s.Telemetry()
+		var b bytes.Buffer
+		if err := json.NewEncoder(&b).Encode(TelemetryLine{Telemetry: &tel}); err != nil {
+			t.Fatal(err)
+		}
+		samples = append(samples, tel)
+		encoded = append(encoded, b.String())
+	}
+	reply := `{"ok":true,"msg":"step applied"}` + "\n"
+	conn := fakeDaemon(t, []byte(`{"ok":true,"msg":"watching"}`+"\n"),
+		[]byte(reply), []byte(encoded[0]), []byte(reply), []byte(encoded[1]))
+	var got []string
+	err = Watch(conn, 2, func(line []byte, tel Telemetry) {
+		if i := len(got); !reflect.DeepEqual(tel, samples[i]) {
+			t.Errorf("sample %d decoded as %+v, want %+v", i, tel, samples[i])
+		}
+		got = append(got, string(line))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != encoded[0] || got[1] != encoded[1] {
+		t.Fatalf("raw samples %q, want %q", got, encoded)
 	}
 }
 

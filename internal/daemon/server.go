@@ -49,9 +49,10 @@ type Status struct {
 }
 
 // TelemetryLine wraps a telemetry sample on the watch stream, so watchers
-// can tell samples from command replies.
+// can tell samples from command replies: a reply line decodes with a nil
+// Telemetry.
 type TelemetryLine struct {
-	Telemetry Telemetry `json:"telemetry"`
+	Telemetry *Telemetry `json:"telemetry"`
 }
 
 // ServerConfig parameterizes Serve.
@@ -270,7 +271,7 @@ func (srv *Server) broadcast(paused bool) {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
 	for conn, enc := range srv.watchers {
-		if err := enc.Encode(TelemetryLine{Telemetry: t}); err != nil {
+		if err := enc.Encode(TelemetryLine{Telemetry: &t}); err != nil {
 			delete(srv.watchers, conn)
 			conn.Close()
 		}
@@ -445,6 +446,39 @@ func Roundtrip(conn net.Conn, c Command) (Reply, error) {
 		return Reply{}, err
 	}
 	return ReadReply(bufio.NewReader(conn))
+}
+
+// Watch subscribes conn to the telemetry stream and calls each with every
+// sample: its raw line, newline included, exactly as the server encoded it,
+// and the decoded Telemetry. A refused or unreadable ack is an error, and
+// lines that are not samples (replies to other commands sent on conn) are
+// skipped. It returns nil after n samples, or streams until the connection
+// fails when n is 0.
+func Watch(conn net.Conn, n int, each func(line []byte, t Telemetry)) error {
+	if err := json.NewEncoder(conn).Encode(Command{Cmd: "watch"}); err != nil {
+		return err
+	}
+	r := bufio.NewReader(conn)
+	rep, err := ReadReply(r)
+	if err != nil {
+		return err
+	}
+	if !rep.OK {
+		return fmt.Errorf("daemon: watch refused: %s", rep.Error)
+	}
+	for seen := 0; n == 0 || seen < n; {
+		line, err := r.ReadBytes('\n')
+		if err != nil {
+			return fmt.Errorf("daemon: stream closed: %w", err)
+		}
+		var tl TelemetryLine
+		if json.Unmarshal(line, &tl) != nil || tl.Telemetry == nil {
+			continue
+		}
+		each(line, *tl.Telemetry)
+		seen++
+	}
+	return nil
 }
 
 // ReadReply reads one JSON reply line.

@@ -40,6 +40,12 @@ type TenantConfig struct {
 	Rate float64 `json:"rate,omitempty"`
 }
 
+// DefaultTenants is the default session's tenant list, lat:latency and
+// bulk:bulk: a closed-loop latency tenant against a bursty 2 MB bulk one.
+func DefaultTenants() []TenantConfig {
+	return []TenantConfig{{Name: "lat", Class: "latency"}, {Name: "bulk", Class: "bulk"}}
+}
+
 // Config is a session's generative input: everything New needs to rebuild
 // the identical rig. It travels in snapshot metadata, so all fields must be
 // JSON-stable.

@@ -15,11 +15,10 @@ import (
 
 // SoftRTRow is one deployment's stream outcome.
 type SoftRTRow struct {
-	Config     string
-	MissRate   float64
-	MeanUs     float64
-	JitterUs   float64
-	P99Delayed bool
+	Config   string
+	MissRate float64
+	MeanUs   float64
+	JitterUs float64
 }
 
 // SoftRTResult extends the evaluation to the paper's second motivating

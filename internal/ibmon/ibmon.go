@@ -225,6 +225,9 @@ func (m *Monitor) UnwatchDomain(dom xen.DomID) {
 // Targets returns all watched targets.
 func (m *Monitor) Targets() []*Target { return m.targets }
 
+// Hypervisor returns the hypervisor of the host the monitor runs on.
+func (m *Monitor) Hypervisor() *xen.Hypervisor { return m.hv }
+
 // Target returns the watch target for a domain, or nil.
 func (m *Monitor) Target(dom xen.DomID) *Target {
 	for _, t := range m.targets {

@@ -284,6 +284,10 @@ func (m *Manager) Config() Config { return m.cfg }
 // Policy returns the active pricing policy.
 func (m *Manager) Policy() Policy { return m.policy }
 
+// Monitor returns the IBMon monitor the manager reads usage from (nil if
+// none).
+func (m *Manager) Monitor() *ibmon.Monitor { return m.mon }
+
 // SwapPolicyAtEpoch stages p to replace the active pricing policy at the
 // next epoch boundary — after accounts replenish and before the incoming
 // policy's EpochStart runs, so the new policy always begins from a full

@@ -193,7 +193,7 @@ func (e *Engine) After(d Time, fn func()) Timer {
 // lives on the engine's wheel: each tick reschedules in place, so it never
 // touches the heap and never allocates. The simulator's own periodic work
 // (the ResEx interval, epochs, monitor polls) runs in Procs instead; Every
-// serves the workload tenants' SLO window and cmd/ibmondump.
+// serves the workload tenants' SLO window.
 func (e *Engine) Every(d Time, fn func()) Timer {
 	if d <= 0 {
 		panic("sim: Every requires a positive period")

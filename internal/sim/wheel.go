@@ -1,8 +1,8 @@
 package sim
 
 // periodic is a recurring timer created with Every. Its users are few (a
-// workload tenant's SLO window, cmd/ibmondump's sampler; the ResEx interval,
-// epochs and monitor polls are Procs), and they live outside the event heap
+// workload tenant's SLO window; the ResEx interval, epochs and monitor
+// polls are Procs), and they live outside the event heap
 // in a dedicated wheel: firing a tick advances nextAt and reassigns seq in
 // place — no heap push/pop, no allocation, ever.
 type periodic struct {

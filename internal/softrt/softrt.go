@@ -9,6 +9,7 @@
 package softrt
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"resex/internal/cluster"
@@ -159,8 +160,8 @@ func (st *Stream) sendLoop(p *sim.Proc) {
 		st.sxvm.VCPU.Use(p, PrepTime)
 		st.stats.Sent++
 		seq := uint64(st.stats.Sent)
-		putU64(frame[0:], seq)
-		putU64(frame[8:], uint64(st.eng.Now()))
+		binary.LittleEndian.PutUint64(frame[0:], seq)
+		binary.LittleEndian.PutUint64(frame[8:], uint64(st.eng.Now()))
 		st.sxvm.PD.Space().Write(st.sbuf, frame[:])
 		err := st.sqp.PostSend(hca.SendWR{
 			ID:        seq,
@@ -195,7 +196,7 @@ func (st *Stream) recvLoop(p *sim.Proc) {
 		})
 		slot := int(cqe.WRID)
 		st.rxvm.PD.Space().Read(st.rbuf+guestmem.Addr(slot*st.cfg.FrameSize), hdr[:])
-		sentAt := sim.Time(getU64(hdr[8:]))
+		sentAt := sim.Time(binary.LittleEndian.Uint64(hdr[8:]))
 		lat := st.eng.Now() - sentAt
 		st.stats.Received++
 		us := lat.Microseconds()
@@ -215,18 +216,4 @@ func (st *Stream) recvLoop(p *sim.Proc) {
 			panic(fmt.Sprintf("softrt: repost: %v", err))
 		}
 	}
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
 }
