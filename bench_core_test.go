@@ -8,6 +8,7 @@ import (
 
 	"resex/internal/experiments"
 	"resex/internal/sim"
+	"resex/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -175,11 +176,37 @@ func measureDelay() (mallocs uint64) {
 	return m1.Mallocs - m0.Mallocs
 }
 
+// minCreditedShare is the train fast-forward floor: a few points under the
+// share of fig1's events that segments credit (creditedShare), so a change
+// that quietly turns the fast path off, or narrows it, fails the bench
+// smoke job. The share is a deterministic count, the same on any machine.
+const minCreditedShare = 0.68
+
+// creditedShare runs both sides of fig1 (without and with the 2 MB
+// interferer) at seed 3 for 200 ms, the reference run of the ROADMAP's
+// train fast-forward item, and returns the events their engines counted
+// and how many of those segments credited without a dispatch.
+func creditedShare() (steps, credited uint64, err error) {
+	o := experiments.Options{Duration: 200 * sim.Millisecond, Seed: 3}.WithDefaults()
+	for _, intf := range []int{0, workload.BulkBuffer} {
+		s, err := experiments.Build(experiments.ScenarioConfig{Timeline: true, Seed: o.Seed, IntfBuffer: intf})
+		if err != nil {
+			return 0, 0, err
+		}
+		s.RunMeasured(o)
+		steps += s.TB.Eng.Steps()
+		credited += s.TB.Eng.Credited()
+		s.TB.Eng.Shutdown()
+	}
+	return steps, credited, nil
+}
+
 // BenchmarkEngineCore measures the zero-alloc event core against the legacy
 // container/heap queue it replaced, plus the parallel sweep runner against
-// the serial loop, and records everything in BENCH_core.json. The CI bench
-// smoke job runs this at -benchtime=1x; a speedup under minCoreSpeedup or
-// an allocating event path fails it.
+// the serial loop, and the share of fig1's events train segments credit,
+// and records everything in BENCH_core.json. The CI bench smoke job runs
+// this at -benchtime=1x; a speedup under minCoreSpeedup, an allocating
+// event path or a credited share under minCreditedShare fails it.
 func BenchmarkEngineCore(b *testing.B) {
 	var recs []benchRecord
 	for i := 0; i < b.N; i++ {
@@ -208,6 +235,10 @@ func BenchmarkEngineCore(b *testing.B) {
 			b.Fatal(err)
 		}
 		par := time.Since(parStart)
+		steps, credited, err := creditedShare()
+		if err != nil {
+			b.Fatal(err)
+		}
 		sweepNote := "abl-capacity serially vs on 4 workers; the ratio depends on the cores available, so it is not a contract"
 		if runtime.NumCPU() == 1 {
 			sweepNote = "single-core machine: 4 workers share 1 CPU, ratio reflects goroutine overhead, not sweep scaling"
@@ -233,6 +264,11 @@ func BenchmarkEngineCore(b *testing.B) {
 			Baseline: float64(serial.Nanoseconds()) / 1e6, Current: float64(par.Nanoseconds()) / 1e6,
 			Value: serial.Seconds() / par.Seconds(),
 			Note:  sweepNote,
+		}, {
+			Name: "fabric.ff_credited_share", Unit: "events",
+			Baseline: float64(steps), Current: float64(credited), Value: float64(credited) / float64(steps),
+			Floor: limit(minCreditedShare),
+			Note:  "events segments credit without a dispatch, of all fig1 counts at seed 3 and 200 ms; a deterministic count whose floor catches a fast path turned off",
 		}}
 	}
 	writeBenchRecords(b, "BENCH_core.json", recs)

@@ -139,8 +139,8 @@ func (tb *Testbed) AddHostOpts(node int, o HostOptions) *Host {
 	}
 	h.HCA = hca.New(tb.Eng, hca.Config{Node: node})
 	h.HCA.SetPeerResolver(func(n int) *hca.HCA { return tb.hosts[n] })
-	h.Uplink = fabric.NewLink(tb.Eng, fmt.Sprintf("up%d", node), bw,
-		LinkPropagation, tb.cfg.Discipline, tb.Switch.Inject)
+	h.Uplink = tb.Switch.Uplink(tb.Eng, fmt.Sprintf("up%d", node), bw,
+		LinkPropagation, tb.cfg.Discipline)
 	h.Downlink = fabric.NewLink(tb.Eng, fmt.Sprintf("down%d", node), bw,
 		LinkPropagation, tb.cfg.Discipline, h.HCA.Deliver)
 	h.Downlink.SetPool(h.HCA)

@@ -39,6 +39,39 @@
 // packets exist only on the wire, in propagation and in the switch.
 // Packets themselves belong to their producer (package hca recycles them);
 // this package never retains one after handing it to the next stage.
+//
+// Train fast-forward. Most MTUs have their links to themselves, and the
+// per-MTU path spends five engine events on each: uplink serialized,
+// uplink arrival, switch forward, downlink serialized, downlink arrival.
+// When an uplink made by Switch.Uplink is about to serve a train whose
+// next full-size MTUs are certain to go out back to back at the healthy
+// rate (under RoundRobin no other flow is backlogged, under FIFO the
+// train is at the head of the queue; the flow is not paced; the link is
+// neither degraded nor down), it carries them in a segment instead, whose
+// events are credited, not dispatched, and for which no packet is built.
+// The segment covers the uplink, and from the first MTU that reaches the
+// switch while the destination's downlink is local, healthy and serving no
+// other source, the forward and that downlink too; until then each MTU
+// enters the switch as a real packet. A segment that cannot claim its
+// downlink by its second MTU ends, and a link whose segments keep being
+// cut is left alone for a while (Link.backOff). The segments
+// of one switch's uplinks share one engine entry (sim.Segment), and once
+// they have all claimed their downlinks, whole periods of them, one MTU of
+// each through every stage, are credited in closed form. The train's last
+// MTU always takes the per-MTU path.
+//
+// A segment is materialized, its MTUs turned into the packets and events
+// the per-MTU path would hold at that instant, exactly when its premise
+// breaks: another flow queues on the uplink under RoundRobin, any packet
+// reaches the claimed downlink, or SetDegrade, SetDown or
+// SetFlowRateLimit is called on either link. Otherwise it ends at the
+// last full MTU. Exactness is the contract: each credited event counts in
+// Steps at the step and with the (at, seq) key the per-MTU path gives it,
+// every pending key and the event pool's occupancy are the same at every
+// breakpoint, RunUntil limit and window edge, and Stats, FlowBytes and
+// Queued read the per-MTU values at any instant without ending a segment.
+// The per-MTU path is the reference: FuzzFastForward compares the two
+// through a switch with two uplinks and two downlinks.
 package fabric
 
 import (
@@ -105,6 +138,10 @@ type PacketPool interface {
 	RunPacket(tr *Train) *Packet
 	// ReleasePacket takes back a packet the link no longer needs.
 	ReleasePacket(pkt *Packet)
+	// ReceiveRun takes n MTUs of tr, first..first+n-1, as delivered at at,
+	// at+every, ...: a segment carried them onto the link and no packet
+	// was built for them.
+	ReceiveRun(tr *Train, first, n int, at, every sim.Time)
 }
 
 // entry is one item of a link queue: the packets of train tr with indices
@@ -198,6 +235,7 @@ type Link struct {
 
 	busy     bool
 	cur      *Packet             // on the wire while busy
+	curEnd   sim.Time            // when the wire's current MTU finishes
 	curQ     *flowQueue          // cur's flow, charged when it finishes
 	inflight ring.Queue[*Packet] // serialized and propagating, in send order
 	fifo     ring.Queue[entry]
@@ -210,6 +248,19 @@ type Link struct {
 
 	// Event callbacks, bound once so scheduling them allocates nothing.
 	onSerialized, onArrive, onWake func()
+
+	// Train fast-forward (see segment): sw is the switch the link delivers
+	// into, if Switch.Uplink made it; seg is its segment state as a
+	// source, reused, and claim the segment holding it as a downlink.
+	// A link whose segments keep being cut is left alone until quiet,
+	// for a wait that doubles with each cut and halves with each segment
+	// that lasts to its run's end (see backOff). perMTU turns segments
+	// off on the link, for tests of the reference per-MTU path.
+	sw          *Switch
+	seg         *segment
+	claim       *segment
+	quiet, wait sim.Time
+	perMTU      bool
 
 	// Fault state (driven by the faults package).
 	degrade float64 // bandwidth multiplier in (0,1]; 0 means healthy (×1)
@@ -293,6 +344,7 @@ func (l *Link) SetDegrade(factor float64) {
 	if factor <= 0 || factor >= 1 {
 		factor = 0 // healthy
 	}
+	l.cut()
 	l.degrade = factor
 }
 
@@ -316,6 +368,7 @@ func (l *Link) effectiveBps() float64 {
 // (the one already on the wire completes) and senders keep queueing. Bringing
 // the link back up resumes transmission from the queues.
 func (l *Link) SetDown(down bool) {
+	l.cut()
 	l.down = down
 	if !down && !l.busy {
 		l.transmitNext()
@@ -328,6 +381,7 @@ func (l *Link) SetDown(down bool) {
 // hardware support; the rate-limit ablation benchmark compares it against
 // ResEx's CPU-cap mechanism. Only meaningful with RoundRobin discipline.
 func (l *Link) SetFlowRateLimit(flow uint32, bytesPerSec float64) {
+	l.cut()
 	q := l.flow(flow)
 	if bytesPerSec < 0 {
 		bytesPerSec = 0
@@ -373,6 +427,7 @@ func (l *Link) Send(pkt *Packet) {
 	if !pkt.stamped {
 		pkt.Sent, pkt.stamped = l.eng.Now(), true
 	}
+	l.yield(pkt.Flow)
 	queue, q := l.queueOf(pkt.Flow)
 	tr, i := pkt.tr, int32(pkt.Index)
 	if tr != nil && l.pool != nil && queue.Len() > 0 {
@@ -393,6 +448,7 @@ func (l *Link) SendTrain(tr *Train) {
 		panic(fmt.Sprintf("fabric: train of %d packets", tr.MTUs))
 	}
 	tr.Template.Sent, tr.Template.stamped, tr.Template.tr = l.eng.Now(), true, tr
+	l.yield(tr.Template.Flow)
 	queue, q := l.queueOf(tr.Template.Flow)
 	l.enqueue(queue, q, entry{tr: tr, end: int32(tr.MTUs)}, tr.MTUs)
 }
@@ -519,6 +575,9 @@ func (l *Link) transmitNext() {
 		l.busy = false
 		return
 	}
+	if l.sw != nil && (l.disc == FIFO || len(l.ring) == 1) && l.startSegment() {
+		return
+	}
 	pkt, q := l.next()
 	if pkt == nil {
 		l.busy = false
@@ -529,6 +588,7 @@ func (l *Link) transmitNext() {
 	l.cur, l.curQ = pkt, q
 	ser := sim.DurationOfBytes(int64(pkt.Bytes), l.effectiveBps())
 	l.stats.BusyTime += ser
+	l.curEnd = l.eng.Now() + ser
 	if ser == l.mtuSer {
 		l.serQ.After(l.onSerialized)
 	} else {
@@ -564,13 +624,15 @@ type Switch struct {
 	pending   ring.Queue[hop] // injected, awaiting forwarding, in inject order
 	fwdQ      *sim.Delay      // forwards, latency after their injection
 	onForward func()          // s.forward, bound once
+	ff        *group          // the segments of its uplinks' trains
 }
 
-// hop is a packet inside the switch and the egress link it was routed to
-// (nil: the default route).
+// hop is a packet inside the switch, the egress link it was routed to
+// (nil: the default route) and the seq of its forward event.
 type hop struct {
 	pkt    *Packet
 	egress *Link
+	seq    uint64
 }
 
 // NewSwitch creates a switch with the given forwarding latency.
@@ -578,6 +640,15 @@ func NewSwitch(eng *sim.Engine, latency sim.Time) *Switch {
 	s := &Switch{latency: latency, fwdQ: eng.Delay(latency)}
 	s.onForward = s.forward
 	return s
+}
+
+// Uplink creates a host→switch link, as NewLink does, that delivers into
+// s. A train such a link serves back to back can cross the switch and the
+// destination's downlink as one segment.
+func (s *Switch) Uplink(eng *sim.Engine, name string, bandwidth float64, prop sim.Time, disc Discipline) *Link {
+	l := NewLink(eng, name, bandwidth, prop, disc, s.Inject)
+	l.sw = s
+	return l
 }
 
 // Latency returns the fixed forwarding latency. Together with
@@ -622,8 +693,17 @@ func (s *Switch) Inject(pkt *Packet) {
 	if egress == nil && s.defRoute == nil {
 		panic(fmt.Sprintf("fabric: packet for unattached node %d", pkt.DstNode))
 	}
-	s.pending.Push(hop{pkt: pkt, egress: egress})
-	s.fwdQ.After(s.onForward)
+	s.pending.Push(hop{pkt: pkt, egress: egress, seq: s.fwdQ.After(s.onForward)})
+}
+
+// insert queues h, a hop a segment materializes, among the pending ones in
+// the order of their forward events.
+func (s *Switch) insert(h hop) {
+	i := s.pending.Len()
+	for i > 0 && s.pending.At(i-1).seq > h.seq {
+		i--
+	}
+	s.pending.Insert(i, h)
 }
 
 // forward hands the oldest pending packet to its egress. The forwarding

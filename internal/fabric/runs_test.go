@@ -28,6 +28,12 @@ func (p *listPool) get() *Packet {
 
 func (p *listPool) RunPacket(*Train) *Packet { return p.get() }
 
+// ReceiveRun is never called: the downlinks here are fed by NewLink uplinks,
+// which start no segments.
+func (p *listPool) ReceiveRun(*Train, int, int, sim.Time, sim.Time) {
+	panic("listPool: a segment reached a downlink its uplinks cannot claim")
+}
+
 func (p *listPool) ReleasePacket(pkt *Packet) {
 	*pkt = Packet{}
 	p.free = append(p.free, pkt)

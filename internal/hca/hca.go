@@ -171,6 +171,14 @@ func (h *HCA) RunPacket(tr *fabric.Train) *fabric.Packet {
 	return tr.New()
 }
 
+// ReceiveRun takes n MTUs of tr that a downlink segment carried to this
+// HCA without building their packets: it counts them delivered, as Deliver
+// would count n non-final packets. A segment never covers the last MTU,
+// which completes the message.
+func (h *HCA) ReceiveRun(tr *fabric.Train, first, n int, at, every sim.Time) {
+	tr.Template.Meta.(*wireMsg).got += n
+}
+
 // maxFreeMsgs bounds the message free list like maxFreePackets. With an ack
 // path installed, messages collect at the HCA that received them, so a
 // one-way flow would otherwise grow its receiver's list without limit.

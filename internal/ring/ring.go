@@ -50,6 +50,17 @@ func (q *Queue[T]) Pop() T {
 	return v
 }
 
+// Insert puts v before the i-th item from the head, 0 <= i <= Len, moving
+// the items after it one place toward the tail.
+func (q *Queue[T]) Insert(i int, v T) {
+	q.Push(v)
+	m := len(q.buf) - 1
+	for j := q.n - 1; j > i; j-- {
+		q.buf[(q.head+j)&m] = q.buf[(q.head+j-1)&m]
+	}
+	q.buf[(q.head+i)&m] = v
+}
+
 // grow doubles the backing array, unwrapping the contents to start at 0.
 func (q *Queue[T]) grow() {
 	size := 2 * len(q.buf)

@@ -14,6 +14,12 @@ func TestQueueMatchesSliceFIFO(t *testing.T) {
 			ref = append(ref, next)
 			next++
 		}
+		if round%3 == 0 {
+			// Insert at a position that moves across the wrapped ring.
+			i := round % (len(ref) + 1)
+			q.Insert(i, -round)
+			ref = append(ref[:i], append([]int{-round}, ref[i:]...)...)
+		}
 		for i := 0; i < round%5 && len(ref) > 0; i++ {
 			if *q.Front() != ref[0] {
 				t.Fatalf("round %d: front %d, want %d", round, *q.Front(), ref[0])

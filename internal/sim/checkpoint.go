@@ -19,12 +19,13 @@ type PeriodicState struct {
 }
 
 // EngineState is the engine's deterministic state export: the clock, the
-// step and seq counters, every pending one-shot's (at, seq) key, the heap's
-// and the delay queues' alike, in (at, seq) order, the timer wheel, and the
-// slab pool's occupancy. Callbacks are Go closures and cannot be serialized
-// — restoring an engine means deterministically replaying the run that
-// produced it — so this export exists to *prove* a replay landed in the
-// same state, not to resurrect one structurally.
+// step and seq counters, every pending one-shot's (at, seq) key, the
+// heap's, the delay queues' and the segments' alike, in (at, seq) order,
+// the timer wheel, and the slab pool's occupancy. Callbacks are Go
+// closures and cannot be serialized — restoring an engine means
+// deterministically replaying the run that produced it — so this export
+// exists to *prove* a replay landed in the same state, not to resurrect
+// one structurally.
 type EngineState struct {
 	Now        Time            `json:"now"`
 	Steps      uint64          `json:"steps"`
@@ -53,6 +54,14 @@ func (e *Engine) Checkpoint() EngineState {
 		for i := 0; i < q.q.Len(); i++ {
 			ev := q.q.At(i)
 			st.Events = append(st.Events, EventKey{At: ev.at, Seq: ev.seq})
+		}
+	}
+	for _, g := range e.segs {
+		for _, l := range g.lanes {
+			for i := 0; i < l.q.Len(); i++ {
+				ev := l.q.At(i)
+				st.Events = append(st.Events, EventKey{At: ev.at, Seq: ev.seq})
+			}
 		}
 	}
 	sort.Slice(st.Events, func(i, j int) bool {

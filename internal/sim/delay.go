@@ -18,6 +18,12 @@ import (
 // point Engine.After would, so an engine that schedules through a Delay
 // executes, checkpoints and counts exactly the events an engine that calls
 // After(d) does. They cannot be canceled: After returns no Timer.
+//
+// Most full MTUs never reach a Delay: while a link serves a train back to
+// back, its stages wait on the lanes of a Segment and are credited, not
+// dispatched (see Segment). A Delay carries the rest, and the events a
+// segment materializes go to the heap with their keys, since they may
+// belong anywhere in a Delay's order.
 type Delay struct {
 	// Key of the head event, stored by value for the run loop's scan:
 	// (MaxTime, noSeq) while the queue is empty.
@@ -48,8 +54,9 @@ func (e *Engine) Delay(d Time) *Delay {
 	return q
 }
 
-// After registers fn to run d from now, as Engine.After(d, fn) would.
-func (q *Delay) After(fn func()) {
+// After registers fn to run d from now, as Engine.After(d, fn) would, and
+// returns the seq the event took.
+func (q *Delay) After(fn func()) uint64 {
 	e := q.eng
 	e.seq++
 	ev := e.acquire()
@@ -60,6 +67,7 @@ func (q *Delay) After(fn func()) {
 		q.headAt, q.headSeq = ev.at, ev.seq
 	}
 	q.q.Push(ev)
+	return ev.seq
 }
 
 // pop removes the head event and loads the next head's key.

@@ -89,18 +89,29 @@ func (t *Timer) When() Time {
 // place on a wheel without touching the heap, and Timer handles are values.
 // Events scheduled a constant delay ahead — the per-MTU fabric and HCA
 // stages — skip the heap too: they wait in one FIFO per delay (see Delay),
-// and the run loop takes the earliest of the heap's top, those FIFOs' heads
-// and the wheel's minimum.
+// and the run loop takes the earliest of the heap's top, those FIFOs' heads,
+// the segments' earliest events and the wheel's minimum.
+//
+// A Segment is the fourth source: a model (the fabric's train
+// fast-forward) that advances a run of its own events in closed form. The
+// run loop hands it its turn with the key of the earliest other event, and
+// it credits every event of its own before that key: each counts in Steps
+// and Credited, reaches the step hook and takes the (at, seq) key, pool
+// slot and place in Pending and Checkpoint that dispatching it would have.
+// So an engine with segments and one without execute, count and export the
+// same events, and only Credited tells them apart.
 type Engine struct {
 	now      Time
 	events   eventHeap
-	delays   []*Delay // one per distinct delay, in creation order
+	delays   []*Delay   // one per distinct delay, in creation order
+	segs     []*Segment // segments holding events, in no particular order
 	wheel    []*periodic
 	wmin     *periodic // earliest wheel entry, nil when empty (wheelMin)
 	free     []*event
 	seq      uint64
 	procs    map[*Proc]struct{}
 	stepped  uint64
+	credited uint64 // of stepped, the events segments credited
 	stepHook func(at Time, seq uint64)
 	hookMask uint64
 	breaks   []breakpoint
@@ -125,8 +136,8 @@ func New() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Steps returns the number of events executed so far (a cheap progress and
-// determinism probe).
+// Steps returns the number of events executed so far, dispatched or
+// credited by a segment (a cheap progress and determinism probe).
 func (e *Engine) Steps() uint64 { return e.stepped }
 
 // SetStepHook installs fn to observe every executed event's (at, seq) key
@@ -275,6 +286,12 @@ func (e *Engine) step(limit Time) bool {
 			at, seq, dq = q.headAt, q.headSeq, q
 		}
 	}
+	var sg *Segment
+	for _, g := range e.segs {
+		if g.headAt < at || (g.headAt == at && g.headSeq < seq) {
+			at, seq, sg = g.headAt, g.headSeq, g
+		}
+	}
 	w := e.wmin
 	if w != nil && (w.nextAt < at || (w.nextAt == at && w.seq < seq)) {
 		at, seq = w.nextAt, w.seq
@@ -292,6 +309,10 @@ func (e *Engine) step(limit Time) bool {
 	}
 	if w != nil {
 		e.fireWheel(w)
+		return true
+	}
+	if sg != nil {
+		e.advanceSegment(sg, limit)
 		return true
 	}
 	var ev *event
@@ -332,12 +353,16 @@ func (e *Engine) RunUntil(t Time) {
 }
 
 // Pending returns the number of scheduled events: the heap holds only live
-// one-shots (cancelation removes in place), the delay queues hold theirs,
-// and every wheel entry has exactly one pending occurrence.
+// one-shots (cancelation removes in place), the delay queues and the
+// segments hold theirs, and every wheel entry has exactly one pending
+// occurrence.
 func (e *Engine) Pending() int {
 	n := len(e.events) + len(e.wheel)
 	for _, q := range e.delays {
 		n += q.q.Len()
+	}
+	for _, g := range e.segs {
+		n += g.held
 	}
 	return n
 }
