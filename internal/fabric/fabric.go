@@ -53,7 +53,7 @@
 // switch while the destination's downlink is local, healthy and serving no
 // other source, the forward and that downlink too; until then each MTU
 // enters the switch as a real packet. A segment that cannot claim its
-// downlink by its second MTU ends, and a link whose segments keep being
+// downlink by its second MTU ends, and a downlink whose claims keep being
 // cut is left alone for a while (Link.backOff). The segments
 // of one switch's uplinks share one engine entry (sim.Segment), and once
 // they have all claimed their downlinks, whole periods of them, one MTU of
@@ -252,7 +252,7 @@ type Link struct {
 	// Train fast-forward (see segment): sw is the switch the link delivers
 	// into, if Switch.Uplink made it; seg is its segment state as a
 	// source, reused, and claim the segment holding it as a downlink.
-	// A link whose segments keep being cut is left alone until quiet,
+	// A downlink whose claims keep being cut is left alone until quiet,
 	// for a wait that doubles with each cut and halves with each segment
 	// that lasts to its run's end (see backOff). perMTU turns segments
 	// off on the link, for tests of the reference per-MTU path.

@@ -9,12 +9,6 @@ import (
 // cost more to start and cut than their elided events save.
 const minSegment = 4
 
-// minRun is the fewest MTUs a segment cut by another flow must have carried
-// for its uplink to start the next one at once: on a link where flows
-// alternate faster than that, starting and cutting segments costs more
-// than they credit.
-const minRun = 16
-
 // Stages of a segment, one engine lane each: an MTU finishes serializing
 // on the uplink, arrives at the switch, is forwarded, finishes serializing
 // on the downlink and arrives at its receiver.
@@ -132,7 +126,7 @@ func newSegment(src *Link) *segment {
 // reports whether it started one; the link is then busy with the run's
 // first MTU.
 func (l *Link) startSegment() bool {
-	if l.perMTU || l.degrade != 0 || l.pool != nil || l.eng.Now() < l.quiet {
+	if l.perMTU || l.degrade != 0 || l.pool != nil {
 		return false
 	}
 	var queue *ring.Queue[entry]
@@ -265,7 +259,6 @@ func (g *segment) serializedUp() bool {
 	g.first[serUp]++
 	g.grp.sched(g.base+arrUp, u.prop)
 	if g.next == g.end {
-		u.wait /= 2
 		if d := g.dst; d != nil {
 			d.wait /= 2
 		}
@@ -478,8 +471,7 @@ func (l *Link) cut() {
 // yield materializes the segments that a packet of flow queued on l would
 // disturb: one on the downlink l, whatever the packet, and one on the
 // source l for another flow under RoundRobin. A cut claim leaves the
-// downlink alone for a while, and so does a cut segment on its uplink if
-// it carried fewer than minRun MTUs.
+// downlink alone for a while.
 func (l *Link) yield(flow uint32) {
 	if g := l.claim; g != nil {
 		g.materialize()
@@ -487,16 +479,12 @@ func (l *Link) yield(flow uint32) {
 	}
 	if g := l.seg; g != nil && g.on && l.disc == RoundRobin && flow != g.tr.Template.Flow {
 		g.materialize()
-		if g.next-g.start < minRun {
-			l.backOff()
-		}
 	}
 }
 
-// backOff leaves l alone for the next wait, which doubles, from 16 to 4096
-// MTU times: as a downlink, other sources cut a claim on it or kept a
-// segment from claiming it; as an uplink, another flow cut its segment
-// early.
+// backOff leaves the downlink l alone for the next wait, which doubles,
+// from 16 to 4096 MTU times: other sources cut a claim on it or kept a
+// segment from claiming it.
 func (l *Link) backOff() {
 	l.wait = min(max(2*l.wait, 16*l.mtuSer), 4096*l.mtuSer)
 	l.quiet = l.eng.Now() + l.wait

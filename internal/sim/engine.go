@@ -101,20 +101,22 @@ func (t *Timer) When() Time {
 // So an engine with segments and one without execute, count and export the
 // same events, and only Credited tells them apart.
 type Engine struct {
+	// The fields the run loop reads on every step come first, so that
+	// they share as few cache lines as they can.
 	now      Time
 	events   eventHeap
 	delays   []*Delay   // one per distinct delay, in creation order
 	segs     []*Segment // segments holding events, in no particular order
-	wheel    []*periodic
-	wmin     *periodic // earliest wheel entry, nil when empty (wheelMin)
+	wmin     *periodic  // earliest wheel entry, nil when empty (wheelMin)
 	free     []*event
 	seq      uint64
-	procs    map[*Proc]struct{}
 	stepped  uint64
-	credited uint64 // of stepped, the events segments credited
 	stepHook func(at Time, seq uint64)
 	hookMask uint64
 	breaks   []breakpoint
+	credited uint64 // of stepped, the events segments credited
+	wheel    []*periodic
+	procs    map[*Proc]struct{}
 }
 
 // breakpoint is an out-of-band callback fired by the run loops once the
