@@ -180,7 +180,7 @@ func measureDelay() (mallocs uint64) {
 // share of fig1's events that segments credit (creditedShare), so a change
 // that quietly turns the fast path off, or narrows it, fails the bench
 // smoke job. The share is a deterministic count, the same on any machine.
-const minCreditedShare = 0.68
+const minCreditedShare = 0.94
 
 // creditedShare runs both sides of fig1 (without and with the 2 MB
 // interferer) at seed 3 for 200 ms, the reference run of the ROADMAP's

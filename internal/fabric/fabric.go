@@ -40,38 +40,44 @@
 // Packets themselves belong to their producer (package hca recycles them);
 // this package never retains one after handing it to the next stage.
 //
-// Train fast-forward. Most MTUs have their links to themselves, and the
-// per-MTU path spends five engine events on each: uplink serialized,
-// uplink arrival, switch forward, downlink serialized, downlink arrival.
-// When an uplink made by Switch.Uplink is about to serve a train whose
-// next full-size MTUs are certain to go out back to back at the healthy
-// rate (under RoundRobin no other flow is backlogged, under FIFO the
-// train is at the head of the queue; the flow is not paced; the link is
-// neither degraded nor down), it carries them in a segment instead, whose
-// events are credited, not dispatched, and for which no packet is built.
-// The segment covers the uplink, and from the first MTU that reaches the
-// switch while the destination's downlink is local, healthy and serving no
-// other source, the forward and that downlink too; until then each MTU
-// enters the switch as a real packet. A segment that cannot claim its
-// downlink by its second MTU ends, and a downlink whose claims keep being
-// cut is left alone for a while (Link.backOff). The segments
-// of one switch's uplinks share one engine entry (sim.Segment), and once
-// they have all claimed their downlinks, whole periods of them, one MTU of
-// each through every stage, are credited in closed form. The train's last
-// MTU always takes the per-MTU path.
+// Train fast-forward. Most MTUs cross links whose service order is known
+// in advance, and the per-MTU path spends five engine events on each:
+// uplink serialized, uplink arrival, switch forward, downlink serialized,
+// downlink arrival. When an uplink made by Switch.Uplink is about to serve
+// trains whose next full-size MTUs are certain to go out back to back at
+// the healthy rate, it carries them in a segment instead, whose events are
+// credited, not dispatched, and for which no packet is built. That holds
+// when the link is neither degraded nor down and, under FIFO, the train at
+// the head of the queue is unbuilt and its flow not paced; under
+// RoundRobin, when every one of the k flows backlogged on the ring has
+// such a train at its head and all k go to one downlink. The k flows then
+// take turns in the ring's fixed rotation, one MTU each, and the uplink
+// still starts one MTU per MTU time. The segment covers the uplink, and
+// from the first MTU that reaches the switch while the destination's
+// downlink is local, healthy and serving no other source, the forward and
+// that downlink too; until then each MTU enters the switch as a real
+// packet. A segment that cannot claim its downlink by its second MTU ends,
+// and a downlink whose claims keep being cut is left alone for a while
+// (Link.backOff). The segments of one switch's uplinks share one engine
+// entry (sim.Segment), and once they have all claimed their downlinks,
+// whole periods of them, one MTU of each through every stage, are credited
+// in closed form. A train's last MTU always takes the per-MTU path.
 //
 // A segment is materialized, its MTUs turned into the packets and events
 // the per-MTU path would hold at that instant, exactly when its premise
-// breaks: another flow queues on the uplink under RoundRobin, any packet
-// reaches the claimed downlink, or SetDegrade, SetDown or
-// SetFlowRateLimit is called on either link. Otherwise it ends at the
-// last full MTU. Exactness is the contract: each credited event counts in
-// Steps at the step and with the (at, seq) key the per-MTU path gives it,
-// every pending key and the event pool's occupancy are the same at every
-// breakpoint, RunUntil limit and window edge, and Stats, FlowBytes and
-// Queued read the per-MTU values at any instant without ending a segment.
-// The per-MTU path is the reference: FuzzFastForward compares the two
-// through a switch with two uplinks and two downlinks.
+// breaks: a flow outside the rotation queues on the uplink under
+// RoundRobin, any packet reaches the claimed downlink, or SetDegrade,
+// SetDown or SetFlowRateLimit is called on either link. Otherwise it ends
+// where the rotation would start a train's last MTU. Exactness is the
+// contract: each credited event counts in Steps at the step and with the
+// (at, seq) key the per-MTU path gives it, every pending key and the event
+// pool's occupancy are the same at every breakpoint, RunUntil limit and
+// window edge, and Stats, FlowBytes and Queued read the per-MTU values at
+// any instant without ending a segment. The per-MTU path is the reference:
+// FuzzFastForward compares the two through a switch with two uplinks of up
+// to six flows each and two downlinks, and a closed-form oracle
+// (oracle_test.go) checks both against arrival times computed from the
+// link constants alone.
 package fabric
 
 import (
@@ -575,7 +581,7 @@ func (l *Link) transmitNext() {
 		l.busy = false
 		return
 	}
-	if l.sw != nil && (l.disc == FIFO || len(l.ring) == 1) && l.startSegment() {
+	if l.sw != nil && l.startSegment() {
 		return
 	}
 	pkt, q := l.next()

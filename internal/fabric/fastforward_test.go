@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"slices"
 	"testing"
 
 	"resex/internal/sim"
@@ -12,7 +13,10 @@ import (
 
 // ffPool is the downlinks' packet pool and receiver: a LIFO free list, as
 // an HCA's is, that also records the MTUs a segment delivers without
-// packets into the sink of the link they arrived on.
+// packets into the sink of the link they arrived on. A segment reports the
+// arrivals of the trains it rotates one train at a time, so each is placed
+// in the sink by its arrival time: one wire's arrivals never share an
+// instant.
 type ffPool struct {
 	listPool
 	sink *[]arrival
@@ -22,7 +26,13 @@ func (p *ffPool) ReceiveRun(tr *Train, first, n int, at, every sim.Time) {
 	for i := 0; i < n; i++ {
 		pkt := tr.Template
 		pkt.Index, pkt.Bytes = first+i, tr.MTU
-		*p.sink = append(*p.sink, arrival{at + sim.Time(i)*every, exported(pkt)})
+		a := arrival{at + sim.Time(i)*every, exported(pkt)}
+		s := *p.sink
+		j := len(s)
+		for j > 0 && s[j-1].at > a.at {
+			j--
+		}
+		*p.sink = slices.Insert(s, j, a)
 	}
 }
 
@@ -31,11 +41,15 @@ type ffObservation struct {
 	State     sim.EngineState
 	Pending   int
 	Stats     [4]LinkStats
-	FlowBytes [4][4]int64
+	FlowBytes [4][ffFlows]int64
 	Queued    [4]int
 	Delivered [3]int
 	Hooked    uint64 // FNV-64a of the keys the step hook saw so far
 }
+
+// ffFlows is how many flows a script may queue on one link: enough for a
+// segment to rotate k of them while another joins.
+const ffFlows = 6
 
 // ffRun is everything one fabric replay observed.
 type ffRun struct {
@@ -54,8 +68,9 @@ type ffRun struct {
 // propagation delay, the switch latency and the second downlink's rate.
 // Then each 4-byte op, applied at a virtual-time cursor its high bits
 // advance, queues a train (one MTU short, many full, with an odd tail, or
-// long) on an uplink for a downlink or the default route, sends a single
-// packet onto an uplink or straight onto a downlink (a source the switch
+// long: from the paper's 64-MTU victim to its 2048-MTU interferer) on one
+// of ffFlows flows of an uplink for a downlink or the default route, sends
+// a single packet onto an uplink or straight onto a downlink (a source the switch
 // does not see), paces a flow, flaps or degrades a link, or arms a
 // breakpoint. The replay runs to a RunUntil limit the script sets, then to
 // the end.
@@ -137,7 +152,7 @@ func replayFabric(data []byte, reference bool, hookEvery uint64) ffRun {
 		op, a, b, c := data[i], data[i+1], data[i+2], data[i+3]
 		at += sim.Time(op>>3) * 300
 		l := links[a%4]
-		flow := uint32(1 + (a>>2)%3)
+		flow := uint32(1 + int(a>>2)%ffFlows)
 		switch op % 8 {
 		case 0, 1, 2: // a train
 			var n int
@@ -149,7 +164,7 @@ func replayFabric(data []byte, reference bool, hookEvery uint64) ffRun {
 			case 2:
 				n = DefaultMTU*(1+int(c)%48) + int(b)
 			default:
-				n = DefaultMTU * (64 + 2*int(c))
+				n = DefaultMTU * (64 + 8*int(c))
 			}
 			msg++
 			mtus := (n + DefaultMTU - 1) / DefaultMTU
@@ -231,21 +246,101 @@ var ffSeeds = [][]byte{
 	{0x00, 0x00, 0x00, 0x00, 0x03, 0x40, 0xfe, 0x02, 0x01, 0x00, 0xff, 0x00, 0x10, 0x00},
 	// Another flow joins a RoundRobin uplink in the middle of a segment.
 	{0x00, 0x00, 0x00, 0x00, 0x03, 0x80, 0xf8, 0x04, 0x01, 0x05, 0xff, 0x00, 0x10, 0x00, 0xff, 0x00, 0x20, 0x00},
-	// One long train alone, which the segment carries onto the downlink,
-	// observed every few microseconds; TestFastForwardCreditsMost relies on
-	// it being last.
-	{0x00, 0x00, 0x00, 0x00, 0x03, 0x80, 0xff, 0x00, 0x80, 0x10, 0xff, 0x00, 0x11, 0x00, 0xff, 0x00, 0x22, 0x00,
-		0xff, 0x00, 0x33, 0x00, 0xff, 0x00, 0x44, 0x00, 0xff, 0x00, 0x55, 0x00},
+	// The paper's shape: a 64-MTU train joins a 2048-MTU train on one
+	// uplink toward one downlink, and the two take turns until the small
+	// one's last MTU.
+	{0x00, 0x01,
+		0x00, 0x00, 0x03, 0xf8, // 2048 MTUs on flow 1 of up1 to down1
+		0xf8, 0x04, 0x03, 0x00, // 64 MTUs on flow 2, 9.3 µs later
+		0xff, 0x00, 0x10, 0x40,
+		0xff, 0x00, 0x20, 0x00,
+		0xff, 0x00, 0x33, 0x00,
+		0xff, 0x00, 0x44, 0x00,
+		0xff, 0x00, 0x55, 0x00,
+		0xff, 0x00, 0x66, 0x00,
+		0xff, 0x00, 0x77, 0x00,
+		0xff, 0x00, 0x88, 0x00,
+		0xff, 0x00, 0x99, 0x00,
+		0xff, 0x00, 0xaa, 0x00,
+		0xff, 0x00, 0xbb, 0x00,
+		0xff, 0x00, 0xcc, 0x00,
+		0xff, 0x00, 0xdd, 0x00,
+		0xff, 0x00, 0xee, 0x00,
+	},
+	// Three flows to one downlink whose trains end at different times, the
+	// last with an odd tail.
+	{0x00, 0x01,
+		0x00, 0x00, 0x03, 0x10, // 192 MTUs on flow 1
+		0x08, 0x04, 0x01, 0x27, // 40 MTUs on flow 2
+		0x08, 0x08, 0x02, 0x13, // 20 MTUs and 2 bytes on flow 3
+		0x7f, 0x00, 0x40, 0x20,
+		0xff, 0x00, 0x10, 0x00,
+		0xff, 0x00, 0x80, 0x00,
+		0xff, 0x00, 0x08, 0x00,
+	},
+	// Four flows queued at once, with four different train ends.
+	{0x00, 0x00,
+		0x00, 0x00, 0x03, 0x08, // 128 MTUs on flow 1
+		0x00, 0x04, 0x01, 0x2f, // 48 on flow 2
+		0x00, 0x08, 0x03, 0x00, // 64 on flow 3
+		0x00, 0x0c, 0x02, 0x1f, // 32 and 2 bytes on flow 4
+		0x7f, 0x00, 0x40, 0x20,
+		0xff, 0x00, 0x10, 0x00,
+		0xff, 0x00, 0x80, 0x00,
+		0xff, 0x00, 0xf0, 0x00,
+	},
+	// A third flow joins two that take turns.
+	{0x00, 0x00,
+		0x00, 0x00, 0x03, 0x20, // 320 MTUs on flow 1
+		0x08, 0x04, 0x03, 0x10, // 192 on flow 2
+		0xf8, 0x08, 0x01, 0x1f, // 32 on flow 3, mid-rotation
+		0xff, 0x00, 0x10, 0x00,
+		0xff, 0x00, 0x80, 0x00,
+		0xff, 0x00, 0xf0, 0x00,
+	},
+	// One of two flows taking turns is paced mid-segment, then released.
+	{0x00, 0x01,
+		0x00, 0x00, 0x03, 0x20, // 320 MTUs on flow 1
+		0x08, 0x04, 0x03, 0x10, // 192 on flow 2
+		0xf4, 0x04, 0x01, 0x00, // pace flow 2 of up1
+		0xff, 0x00, 0x10, 0x00,
+		0xfc, 0x04, 0x00, 0x00, // lift the limit
+		0xff, 0x00, 0x80, 0x00,
+	},
+	// Two flows of one uplink split across the two downlinks: they take
+	// the per-MTU path.
+	{0x00, 0x00,
+		0x00, 0x00, 0x03, 0x20, // 320 MTUs on flow 1 to down1
+		0x08, 0x04, 0x07, 0x20, // 320 on flow 2 to down2
+		0x7f, 0x00, 0x40, 0x20,
+		0xff, 0x00, 0x80, 0x00,
+	},
+	ffAlone,
+	ffPair,
 }
 
-// TestFastForwardCreditsMost: one train alone, carried onto its downlink,
-// has most of its events credited, so the differential fuzz target
-// exercises the fast path it checks.
+// ffAlone is one long train alone, which the segment carries onto the
+// downlink, observed every few microseconds.
+var ffAlone = []byte{0x00, 0x00, 0x00, 0x00, 0x03, 0x80, 0xff, 0x00, 0x80, 0x10, 0xff, 0x00, 0x11, 0x00, 0xff, 0x00, 0x22, 0x00,
+	0xff, 0x00, 0x33, 0x00, 0xff, 0x00, 0x44, 0x00, 0xff, 0x00, 0x55, 0x00}
+
+// ffPair is two long trains that take turns on one uplink toward one
+// downlink, observed every few microseconds.
+var ffPair = []byte{0x00, 0x00,
+	0x00, 0x00, 0x03, 0x80, // 1088 MTUs on flow 1 of up1 to down1
+	0x08, 0x04, 0x03, 0x80, // 1088 on flow 2, 300 ns later
+	0xff, 0x00, 0x80, 0x10, 0xff, 0x00, 0x11, 0x00, 0xff, 0x00, 0x22, 0x00,
+	0xff, 0x00, 0x33, 0x00, 0xff, 0x00, 0x44, 0x00, 0xff, 0x00, 0x55, 0x00}
+
+// TestFastForwardCreditsMost: one train alone, and two trains taking
+// turns, carried onto their downlink, have most of their events credited,
+// so the differential fuzz target exercises the fast path it checks.
 func TestFastForwardCreditsMost(t *testing.T) {
-	s := ffSeeds[len(ffSeeds)-1]
-	run := replayFabric(s, false, 0)
-	if steps := run.obs[len(run.obs)-1].State.Steps; run.credited*10 < steps*9 {
-		t.Errorf("%d of %d events credited, want nine in ten", run.credited, steps)
+	for name, s := range map[string][]byte{"alone": ffAlone, "pair": ffPair} {
+		run := replayFabric(s, false, 0)
+		if steps := run.obs[len(run.obs)-1].State.Steps; run.credited*10 < steps*9 {
+			t.Errorf("%s: %d of %d events credited, want nine in ten", name, run.credited, steps)
+		}
 	}
 }
 

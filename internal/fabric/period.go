@@ -187,12 +187,12 @@ func (f *group) derive() bool {
 }
 
 // jump credits, from the anchor at t, as many whole periods of the learned
-// pattern as end before the bound and the limit, every live run's last full
-// MTU, the step hook's next sampled step and a pool margin allow, in
-// closed form. Each period moves one MTU through every stage of every live
-// segment; the events held afterwards are those held now, whole periods
-// later, and each takes the seq of its place in the periods' schedule
-// order. It reports whether it credited any.
+// pattern as end before the bound and the limit, every live run's end (the
+// start of a train's last MTU), the step hook's next sampled step and a
+// pool margin allow, in closed form. Each period moves one MTU through
+// every stage of every live segment; the events held afterwards are those
+// held now, whole periods later, and each takes the seq of its place in
+// the periods' schedule order. It reports whether it credited any.
 func (f *group) jump(t, boundAt, limit sim.Time) bool {
 	p := &f.obs
 	s := f.live[0].src.mtuSer
@@ -236,19 +236,23 @@ func (f *group) jump(t, boundAt, limit sim.Time) bool {
 }
 
 // repeat applies to g's links and counters the n periods from the anchor
-// at t that jump credits: one MTU through every stage each.
+// at t that jump credits: one position through every stage each, its bytes
+// going to the rotation's flows in turn.
 func (g *segment) repeat(n uint64, t sim.Time, p *pattern) {
 	u, d := g.src, g.dst
 	mtus := int64(n)
 	u.stats.Packets += mtus
 	u.stats.Bytes += mtus * DefaultMTU
 	u.stats.BusyTime += sim.Time(n) * u.mtuSer
-	g.q.bytes += mtus * DefaultMTU
 	u.queued -= int(n)
 	d.stats.Packets += mtus
 	d.stats.Bytes += mtus * DefaultMTU
 	d.stats.BusyTime += sim.Time(n) * d.mtuSer
-	g.dq.bytes += mtus * DefaultMTU
+	for s := range g.rot {
+		r := &g.rot[s]
+		r.q.bytes += int64(g.perTurn(g.first[serUp], int(n), s)) * DefaultMTU
+		r.dq.bytes += int64(g.perTurn(g.first[serDown], int(n), s)) * DefaultMTU
+	}
 	d.stats.MaxQueued = max(d.stats.MaxQueued, 1)
 	if d.disc == RoundRobin {
 		d.rrNext = 0

@@ -1,7 +1,8 @@
 package fabric
 
 import (
-	"resex/internal/ring"
+	"math"
+
 	"resex/internal/sim"
 )
 
@@ -21,23 +22,35 @@ const (
 	stages
 )
 
-// segment carries the full-size MTUs of one train, which its source link
-// serves back to back at the healthy rate, as credited engine events (see
-// sim.Segment): no packet is built and no callback runs for them. It always
-// covers the uplink's serialization and propagation. From the first MTU that
-// reaches the switch while the destination downlink is free, it claims that
-// downlink and covers the forward, the downlink's serialization and the
-// arrival too. Until then each MTU enters the switch as a real packet, and
-// a segment that cannot claim by its second MTU ends.
+// segment carries the full-size MTUs of the trains at the heads of k flows,
+// which its source link serves back to back at the healthy rate in a fixed
+// rotation, as credited engine events (see sim.Segment): no packet is built
+// and no callback runs for them. Under FIFO, or with one flow backlogged
+// under RoundRobin, k is 1. Otherwise the k flows are the whole of the
+// uplink's ring, every head an unbuilt train toward one downlink, and the
+// uplink serves one MTU of each in turn from rrNext. A segment always
+// covers the uplink's serialization and propagation. From the first MTU
+// that reaches the switch while the destination downlink is free, it claims
+// that downlink and covers the forward, the downlink's serialization and
+// the arrival too. Until then each MTU enters the switch as a real packet,
+// and a segment that cannot claim by its second MTU ends.
+//
+// The run's MTUs are numbered by position from 0 in the order the uplink
+// starts them: position p is MTU rot[p%k].a + p/k of the train of flow
+// rot[p%k]. Each stage still handles one MTU per uplink serialization, so
+// the lanes hold positions and only the per-flow counters follow the
+// rotation.
 //
 // Every credited stage applies to the links the effects the per-MTU path
 // would, counters included, so Stats, FlowBytes and Queued are exact at any
 // instant. materialize hands the state back to the per-MTU path, building
 // the packets still on a wire, in propagation or in the switch; the link
-// calls it when the run's premise breaks: another flow queues on the source
-// under RoundRobin, any packet reaches the claimed downlink, or either link
-// is degraded, flapped or paced. The run's last MTU, which may be short and
-// which completes the message, always takes the per-MTU path.
+// calls it when the run's premise breaks: a flow outside the rotation
+// queues on the source under RoundRobin, any packet reaches the claimed
+// downlink, or either link is degraded, flapped or paced. A train's last
+// MTU, which may be short and which completes the message, always takes
+// the per-MTU path, so the run ends at the first position that would start
+// one.
 //
 // A segment's state belongs to its source link and is reused by the link's
 // later segments; its lanes are a block of its group's (see group).
@@ -45,28 +58,61 @@ type segment struct {
 	grp  *group
 	base int // the index of lane[0] in the group
 	lane [stages]*sim.Lane
-	// first is the index of the MTU at the head of each lane; a lane holds
-	// consecutive MTUs.
+	// first is the position of the MTU at the head of each lane; a lane
+	// holds consecutive positions.
 	first [stages]int
 
-	src *Link
-	tr  *Train
-	q   *flowQueue // the flow on src
-	dst *Link      // the claimed downlink, nil until claimed
-	dq  *flowQueue // the flow on dst
-	on  bool
-	// start is the run's first MTU, next the next MTU to start serializing
-	// on src and end the run's last MTU, which the per-MTU path sends.
-	start, next, end int
+	src  *Link
+	rot  []turn // the rotation's flows, in service order
+	r0   int    // rot[0]'s index in src's ring under RoundRobin
+	node int    // the destination of every train of the rotation
+	dst  *Link  // the claimed downlink, nil until claimed
+	on   bool
+	// next is the next position to start serializing on src and end the
+	// first position the per-MTU path sends: a train's last MTU.
+	next, end int
 
 	// misses counts the MTUs that reached the switch before the claim.
 	misses int
 
-	// Arrivals at the receiver: the first MTU and its arrival time, how
-	// many have arrived and how many of those the pool was told of.
+	// Arrivals at the receiver: the first position and its arrival time,
+	// how many have arrived and how many of those the pool was told of.
 	recvFirst      int
 	recvAt         sim.Time
 	recv, reported int
+}
+
+// turn is one flow of a segment's rotation: the train at its head, its
+// state on the source and, once claimed, on the downlink, and the train's
+// MTU at the flow's first position.
+type turn struct {
+	tr *Train
+	q  *flowQueue
+	dq *flowQueue
+	a  int
+}
+
+// turn returns the rotation's flow at position p.
+func (g *segment) turn(p int) *turn { return &g.rot[p%len(g.rot)] }
+
+// build returns the MTU at position p as the per-MTU path builds it.
+func (g *segment) build(p int) *Packet {
+	t := g.turn(p)
+	pkt := t.tr.New()
+	*pkt = t.tr.Template
+	pkt.Index, pkt.Bytes = t.a+p/len(g.rot), t.tr.MTU
+	return pkt
+}
+
+// perTurn returns how many of the n positions from p belong to the
+// rotation's flow s.
+func (g *segment) perTurn(p, n, s int) int {
+	k := len(g.rot)
+	c := n / k
+	if (s-p%k+k)%k < n%k {
+		c++
+	}
+	return c
 }
 
 // group is the segments of the uplinks of one switch, sharing one engine
@@ -115,44 +161,41 @@ func newSegment(src *Link) *segment {
 	return g
 }
 
-// startSegment starts a segment with the entry transmitNext is about to
-// serve when a run of its train's MTUs is certain to go out back to back:
-// the link is healthy, the entry is an unbuilt train of full-size MTUs
-// whose flow is not paced, and no other flow is backlogged under
-// RoundRobin (FIFO serves the entry whole anyway). The link must be a
-// switch's uplink and the train's downlink claimable (see claimable): a
-// segment that only covered the uplink would save too little. transmitNext
-// checks the switch and the ring, the common rejects, before calling. It
-// reports whether it started one; the link is then busy with the run's
-// first MTU.
+// startSegment starts a segment with the entries transmitNext is about to
+// serve when a run of their trains' MTUs is certain to go out back to back:
+// the link is healthy, and the entry at the head of every flow it serves is
+// an unbuilt train of full-size MTUs toward one claimable downlink (see
+// claimable), its flow not paced. Under FIFO that is the queue's head,
+// which FIFO serves whole; under RoundRobin it is the head of every flow on
+// the ring, which then take turns. The link must be a switch's uplink: a
+// segment that only covered the uplink would save too little. The front
+// flow's downlink is checked first, before the ring is scanned. It reports
+// whether it started one; the link is then busy with the run's first MTU.
 func (l *Link) startSegment() bool {
 	if l.perMTU || l.degrade != 0 || l.pool != nil {
 		return false
 	}
-	var queue *ring.Queue[entry]
-	var q *flowQueue
+	var e *entry
+	r0 := 0
 	if l.disc == FIFO {
-		queue = &l.fifo
-	} else {
-		if len(l.ring) != 1 {
+		if l.fifo.Len() == 0 {
 			return false
 		}
-		q = l.ring[0]
-		queue = &q.trains
+		e = l.fifo.Front()
+	} else {
+		if len(l.ring) == 0 {
+			return false
+		}
+		if r0 = l.rrNext; r0 >= len(l.ring) {
+			r0 = 0
+		}
+		e = l.ring[r0].trains.Front()
 	}
-	if queue.Len() == 0 {
+	if e.tr == nil {
 		return false
 	}
-	e := queue.Front()
-	tr := e.tr
-	if e.pkt != nil || tr == nil || tr.MTU != DefaultMTU || int(e.end) != tr.MTUs ||
-		tr.MTUs-1-int(e.next) < minSegment {
-		return false
-	}
-	if q == nil {
-		q = l.flow(tr.Template.Flow)
-	}
-	if q.limit > 0 || l.sw.claimable(tr.Template.DstNode, l) == nil {
+	node := e.tr.Template.DstNode
+	if l.sw.claimable(node, l) == nil {
 		return false
 	}
 	g := l.seg
@@ -160,22 +203,57 @@ func (l *Link) startSegment() bool {
 		g = newSegment(l)
 		l.seg = g
 	}
-	a := int(e.next)
-	g.tr, g.q, g.dst, g.dq, g.on = tr, q, nil, nil, true
-	g.start, g.next, g.end = a, a+1, tr.MTUs-1
-	g.first = [stages]int{serUp: a, arrUp: a}
+	g.rot = g.rot[:0]
+	var end int
+	if l.disc == FIFO {
+		if !fullTrain(e) {
+			return false
+		}
+		q := l.flow(e.tr.Template.Flow)
+		if q.limit > 0 {
+			return false
+		}
+		g.rot = append(g.rot, turn{tr: e.tr, q: q, a: int(e.next)})
+		end = e.tr.MTUs - 1 - int(e.next)
+	} else {
+		k := len(l.ring)
+		end = math.MaxInt
+		for s := 0; s < k; s++ {
+			q := l.ring[(r0+s)%k]
+			h := q.trains.Front()
+			if q.limit > 0 || !fullTrain(h) || h.tr.Template.DstNode != node {
+				return false
+			}
+			// The flow's last MTU, at position r·k+s, ends the run.
+			end = min(end, (h.tr.MTUs-1-int(h.next))*k+s)
+			g.rot = append(g.rot, turn{tr: h.tr, q: q, a: int(h.next)})
+		}
+	}
+	if end < minSegment {
+		return false
+	}
+	g.r0, g.node, g.dst, g.on = r0, node, nil, true
+	g.next, g.end = 1, end
+	g.first = [stages]int{}
 	g.recv, g.reported, g.misses = 0, 0, 0
 	f := g.grp
 	f.live = append(f.live, g)
 	f.open++
 	f.changed()
 	l.busy = true
-	l.curQ = q // admit reads it as the per-MTU path would leave it
+	l.curQ = g.rot[0].q // admit reads it as the per-MTU path would leave it
 	if l.disc == RoundRobin {
-		l.rrNext = 1 // next() took from the ring's only flow, which stays
+		l.rrNext = r0 + 1 // next() took from rot[0], which stays
 	}
 	g.startUp()
 	return true
+}
+
+// fullTrain reports whether e is a whole train of full-size MTUs, none of
+// its packets built.
+func fullTrain(e *entry) bool {
+	tr := e.tr
+	return e.pkt == nil && tr != nil && tr.MTU == DefaultMTU && int(e.end) == tr.MTUs
 }
 
 // changed forgets the group's period after its live segments changed.
@@ -187,7 +265,7 @@ func (f *group) changed() {
 	}
 }
 
-// startUp puts MTU next-1 on the source's wire.
+// startUp puts the MTU at position next-1 on the source's wire.
 func (g *segment) startUp() {
 	u := g.src
 	u.stats.BusyTime += u.mtuSer
@@ -247,14 +325,14 @@ func (g *segment) credited(x int) bool {
 }
 
 // serializedUp is Link.serialized for an MTU of the run: it starts
-// propagating and the next MTU starts serializing. After the run's last
-// full MTU it hands the link back to the per-MTU path, which sends the
-// train's last MTU, and reports false.
+// propagating and the next MTU starts serializing. Before a train's last
+// MTU it hands the link back to the per-MTU path, which sends that MTU, and
+// reports false.
 func (g *segment) serializedUp() bool {
 	u := g.src
 	u.stats.Packets++
 	u.stats.Bytes += DefaultMTU
-	g.q.bytes += DefaultMTU
+	g.turn(g.first[serUp]).q.bytes += DefaultMTU
 	u.queued--
 	g.first[serUp]++
 	g.grp.sched(g.base+arrUp, u.prop)
@@ -267,9 +345,6 @@ func (g *segment) serializedUp() bool {
 		return false
 	}
 	g.next++
-	if u.disc == RoundRobin {
-		u.rrNext = 1
-	}
 	g.startUp()
 	return true
 }
@@ -281,12 +356,12 @@ func (g *segment) serializedUp() bool {
 // finishing the previous train; a second means the downlink serves other
 // sources, so the segment ends and the downlink is left alone for a while.
 func (g *segment) arrivedUp() bool {
-	k := g.first[arrUp]
+	p := g.first[arrUp]
 	g.first[arrUp]++
-	if g.dst == nil && !g.claim(k) {
-		g.src.deliver(g.build(k))
+	if g.dst == nil && !g.claim(p) {
+		g.src.deliver(g.build(p))
 		if g.misses++; g.misses == 2 {
-			if d := g.src.sw.port(g.tr.Template.DstNode); d != nil {
+			if d := g.src.sw.port(g.node); d != nil {
 				d.backOff()
 			}
 			g.materialize()
@@ -297,13 +372,14 @@ func (g *segment) arrivedUp() bool {
 	return true
 }
 
-// claim takes the destination downlink for the run from MTU k on, which is
-// reaching the switch now, if it is claimable and nothing else can touch
-// it before k's forward: no other segment holds it, nothing waits on it or
-// in the switch for it, and the packet on its wire finishes by then.
-func (g *segment) claim(k int) bool {
+// claim takes the destination downlink for the run from position p on,
+// which is reaching the switch now, if it is claimable and nothing else can
+// touch it before p's forward: no other segment holds it, nothing waits on
+// it or in the switch for it, the packet on its wire finishes by then, and
+// it paces none of the rotation's flows.
+func (g *segment) claim(p int) bool {
 	sw := g.src.sw
-	d := sw.claimable(g.tr.Template.DstNode, g.src)
+	d := sw.claimable(g.node, g.src)
 	if d == nil || d.claim != nil {
 		return false
 	}
@@ -317,9 +393,10 @@ func (g *segment) claim(k int) bool {
 	if d.queued != busy {
 		return false
 	}
-	flow := g.tr.Template.Flow
-	if q, ok := d.flows[flow]; ok && q.limit > 0 {
-		return false
+	for i := range g.rot {
+		if q, ok := d.flows[g.rot[i].tr.Template.Flow]; ok && q.limit > 0 {
+			return false
+		}
 	}
 	for i := 0; i < sw.pending.Len(); i++ {
 		if sw.pending.At(i).egress == d {
@@ -327,9 +404,12 @@ func (g *segment) claim(k int) bool {
 		}
 	}
 	d.claim = g
-	g.dst, g.dq = d, d.flow(flow)
-	g.first[fwd], g.first[serDown], g.first[arrDown] = k, k, k
-	g.recvFirst = k
+	g.dst = d
+	for i := range g.rot {
+		g.rot[i].dq = d.flow(g.rot[i].tr.Template.Flow)
+	}
+	g.first[fwd], g.first[serDown], g.first[arrDown] = p, p, p
+	g.recvFirst = p
 	g.grp.open--
 	g.grp.changed()
 	return true
@@ -361,7 +441,7 @@ func (g *segment) serializedDown() {
 	d := g.dst
 	d.stats.Packets++
 	d.stats.Bytes += DefaultMTU
-	g.dq.bytes += DefaultMTU
+	g.turn(g.first[serDown]).dq.bytes += DefaultMTU
 	d.queued--
 	g.first[serDown]++
 	g.grp.sched(g.base+arrDown, d.prop)
@@ -387,23 +467,22 @@ func (g *segment) unread() {
 	}
 }
 
-// flush tells the downlink's pool of the arrivals it has not heard of. They
-// are consecutive MTUs one source serialization apart.
+// flush tells the downlink's pool of the arrivals it has not heard of, one
+// run per train. Consecutive positions arrive one source serialization
+// apart, so a train's MTUs arrive k of them apart.
 func (g *segment) flush() {
-	if n := g.recv - g.reported; n > 0 {
-		every := g.src.mtuSer
-		g.dst.pool.ReceiveRun(g.tr, g.recvFirst+g.reported, n, g.recvAt+sim.Time(g.reported)*every, every)
-		g.reported = g.recv
+	n := g.recv - g.reported
+	if n == 0 {
+		return
 	}
-}
-
-// build returns MTU k of the run as the per-MTU path builds it.
-func (g *segment) build(k int) *Packet {
-	tr := g.tr
-	pkt := tr.New()
-	*pkt = tr.Template
-	pkt.Index, pkt.Bytes = k, tr.MTU
-	return pkt
+	k := len(g.rot)
+	p := g.recvFirst + g.reported
+	at, every := g.recvAt+sim.Time(g.reported)*g.src.mtuSer, g.src.mtuSer
+	for j := 0; j < min(n, k); j++ {
+		t := g.turn(p + j)
+		g.dst.pool.ReceiveRun(t.tr, t.a+(p+j)/k, (n-j+k-1)/k, at+sim.Time(j)*every, sim.Time(k)*every)
+	}
+	g.reported = g.recv
 }
 
 // materialize ends the segment: every MTU it holds becomes the packet the
@@ -412,14 +491,23 @@ func (g *segment) build(k int) *Packet {
 func (g *segment) materialize() {
 	g.flush()
 	u := g.src
+	k := len(g.rot)
 	if u.disc == FIFO {
-		u.fifo.Front().next = int32(g.next)
+		u.fifo.Front().next = int32(g.rot[0].a + g.next)
 	} else {
-		g.q.trains.Front().next = int32(g.next)
+		for s := range g.rot {
+			t := &g.rot[s]
+			t.q.trains.Front().next = int32(t.a + g.perTurn(0, g.next, s))
+		}
+		if g.next > 1 {
+			// next() took the flow of position next-1. After position 0
+			// rrNext is what startSegment, or admit after it, left.
+			u.rrNext = (g.r0+g.next-1)%k + 1
+		}
 	}
 	u.cur, u.curQ = nil, nil
 	if g.lane[serUp].Len() > 0 {
-		u.cur, u.curQ = g.build(g.next-1), g.q
+		u.cur, u.curQ = g.build(g.next-1), g.turn(g.next-1).q
 	}
 	g.lane[serUp].Materialize(u.onSerialized)
 	for i := 0; i < g.lane[arrUp].Len(); i++ {
@@ -435,7 +523,7 @@ func (g *segment) materialize() {
 		}
 		g.lane[fwd].Materialize(sw.onForward)
 		if g.lane[serDown].Len() > 0 {
-			d.cur, d.curQ = g.build(g.first[serDown]), g.dq
+			d.cur, d.curQ = g.build(g.first[serDown]), g.turn(g.first[serDown]).dq
 			d.curEnd, _ = g.lane[serDown].At(0)
 		}
 		g.lane[serDown].Materialize(d.onSerialized)
@@ -447,7 +535,7 @@ func (g *segment) materialize() {
 	} else {
 		f.open--
 	}
-	g.dst, g.dq, g.on = nil, nil, false
+	g.dst, g.on = nil, false
 	for i, h := range f.live {
 		if h == g {
 			f.live = append(f.live[:i], f.live[i+1:]...)
@@ -470,16 +558,26 @@ func (l *Link) cut() {
 
 // yield materializes the segments that a packet of flow queued on l would
 // disturb: one on the downlink l, whatever the packet, and one on the
-// source l for another flow under RoundRobin. A cut claim leaves the
-// downlink alone for a while.
+// source l for a flow outside its rotation under RoundRobin. A cut claim
+// leaves the downlink alone for a while.
 func (l *Link) yield(flow uint32) {
 	if g := l.claim; g != nil {
 		g.materialize()
 		l.backOff()
 	}
-	if g := l.seg; g != nil && g.on && l.disc == RoundRobin && flow != g.tr.Template.Flow {
+	if g := l.seg; g != nil && g.on && l.disc == RoundRobin && !g.rotates(flow) {
 		g.materialize()
 	}
+}
+
+// rotates reports whether flow is one of the rotation's.
+func (g *segment) rotates(flow uint32) bool {
+	for i := range g.rot {
+		if g.rot[i].q.id == flow {
+			return true
+		}
+	}
+	return false
 }
 
 // backOff leaves the downlink l alone for the next wait, which doubles,
