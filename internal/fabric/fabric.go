@@ -53,15 +53,14 @@
 // such a train at its head and all k go to one downlink. The k flows then
 // take turns in the ring's fixed rotation, one MTU each, and the uplink
 // still starts one MTU per MTU time. The segment covers the uplink, and
-// from the first MTU that reaches the switch while the destination's
-// downlink is local, healthy and serving no other source, the forward and
-// that downlink too; until then each MTU enters the switch as a real
-// packet. A segment that cannot claim its downlink by its second MTU ends,
-// and a downlink whose claims keep being cut is left alone for a while
-// (Link.backOff). The segments of one switch's uplinks share one engine
-// entry (sim.Segment), and once they have all claimed their downlinks,
-// whole periods of them, one MTU of each through every stage, are credited
-// in closed form. A train's last MTU always takes the per-MTU path.
+// the forward and the destination's downlink too if that downlink is
+// local, healthy and serving no other source when the first MTU reaches
+// the switch. A segment that cannot claim its downlink then hands that MTU
+// to the switch as a real packet and ends, and the downlink is left alone
+// for a while (Link.backOff), as is one whose claim was cut. The segments of one
+// switch's uplinks share one engine entry (sim.Segment), and once they
+// have all claimed their downlinks, whole periods of them, one MTU of each
+// through every stage, are credited in closed form. A train's last MTU always takes the per-MTU path.
 //
 // A segment is materialized, its MTUs turned into the packets and events
 // the per-MTU path would hold at that instant, exactly when its premise

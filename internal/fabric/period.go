@@ -106,14 +106,8 @@ func (f *group) collect(t sim.Time, h *heldSet) bool {
 // anchorAt is reached at t, before the anchor lane's credit, while no
 // pattern is known. If the period observed since the previous anchor
 // repeats, it becomes the pattern. Otherwise a new observation starts
-// here: at once for the first three failures, which a pipeline still
-// filling after a change explains, then after a pause that doubles with
-// each failure, up to 63 anchors.
+// here.
 func (f *group) anchorAt(t sim.Time) {
-	if f.skip > 0 {
-		f.skip--
-		return
-	}
 	var cur heldSet
 	ok := f.collect(t, &cur)
 	p := &f.obs
@@ -124,10 +118,6 @@ func (f *group) anchorAt(t sim.Time) {
 			return
 		}
 		f.observing = false
-		f.fails++
-		if f.skip = 1<<min(max(f.fails-3, 0), 6) - 1; f.skip > 0 {
-			return
-		}
 	}
 	if !ok {
 		return

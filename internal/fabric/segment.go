@@ -29,11 +29,11 @@ const (
 // under RoundRobin, k is 1. Otherwise the k flows are the whole of the
 // uplink's ring, every head an unbuilt train toward one downlink, and the
 // uplink serves one MTU of each in turn from rrNext. A segment always
-// covers the uplink's serialization and propagation. From the first MTU
-// that reaches the switch while the destination downlink is free, it claims
-// that downlink and covers the forward, the downlink's serialization and
-// the arrival too. Until then each MTU enters the switch as a real packet,
-// and a segment that cannot claim by its second MTU ends.
+// covers the uplink's serialization and propagation. When its first MTU
+// reaches the switch, it claims the destination downlink if that is free,
+// and covers the forward, the downlink's serialization and the arrival
+// too. A segment that cannot claim it then delivers that MTU as a real
+// packet and ends.
 //
 // The run's MTUs are numbered by position from 0 in the order the uplink
 // starts them: position p is MTU rot[p%k].a + p/k of the train of flow
@@ -72,12 +72,8 @@ type segment struct {
 	// first position the per-MTU path sends: a train's last MTU.
 	next, end int
 
-	// misses counts the MTUs that reached the switch before the claim.
-	misses int
-
-	// Arrivals at the receiver: the first position and its arrival time,
-	// how many have arrived and how many of those the pool was told of.
-	recvFirst      int
+	// Arrivals at the receiver, from position 0: its arrival time, how many
+	// have arrived and how many of those the pool was told of.
 	recvAt         sim.Time
 	recv, reported int
 }
@@ -134,8 +130,6 @@ type group struct {
 	obsAt     sim.Time
 	observing bool
 	learned   bool
-	fails     int // failed observations since live last changed
-	skip      int // anchors to pass before observing again
 }
 
 func newGroup(eng *sim.Engine) *group {
@@ -235,7 +229,7 @@ func (l *Link) startSegment() bool {
 	g.r0, g.node, g.dst, g.on = r0, node, nil, true
 	g.next, g.end = 1, end
 	g.first = [stages]int{}
-	g.recv, g.reported, g.misses = 0, 0, 0
+	g.recv, g.reported = 0, 0
 	f := g.grp
 	f.live = append(f.live, g)
 	f.open++
@@ -258,7 +252,7 @@ func fullTrain(e *entry) bool {
 
 // changed forgets the group's period after its live segments changed.
 func (f *group) changed() {
-	f.observing, f.learned, f.fails, f.skip = false, false, 0, 0
+	f.observing, f.learned = false, false
 	f.anchor = -1
 	if f.open == 0 && len(f.live) > 0 {
 		f.anchor = f.live[0].base + serUp
@@ -351,33 +345,31 @@ func (g *segment) serializedUp() bool {
 
 // arrivedUp is Link.arrive for an MTU of the run: it reaches the switch. A
 // segment that holds the downlink forwards it as a credited event. One that
-// does not tries to claim the downlink now, and failing that hands the
-// switch a real packet and reports false. The first miss may be the wire
-// finishing the previous train; a second means the downlink serves other
-// sources, so the segment ends and the downlink is left alone for a while.
+// does not tries to claim the downlink now. Failing that, the downlink
+// serves other sources: the MTU goes to the switch as a real packet, the
+// segment ends, the downlink is left alone for a while, and it reports
+// false.
 func (g *segment) arrivedUp() bool {
 	p := g.first[arrUp]
 	g.first[arrUp]++
-	if g.dst == nil && !g.claim(p) {
+	if g.dst == nil && !g.claim() {
 		g.src.deliver(g.build(p))
-		if g.misses++; g.misses == 2 {
-			if d := g.src.sw.port(g.node); d != nil {
-				d.backOff()
-			}
-			g.materialize()
+		if d := g.src.sw.port(g.node); d != nil {
+			d.backOff()
 		}
+		g.materialize()
 		return false
 	}
 	g.grp.sched(g.base+fwd, g.src.sw.latency)
 	return true
 }
 
-// claim takes the destination downlink for the run from position p on,
-// which is reaching the switch now, if it is claimable and nothing else can
-// touch it before p's forward: no other segment holds it, nothing waits on
-// it or in the switch for it, the packet on its wire finishes by then, and
-// it paces none of the rotation's flows.
-func (g *segment) claim(p int) bool {
+// claim takes the destination downlink for the whole run as its first MTU
+// reaches the switch, if it is claimable and nothing else can touch it
+// before that MTU's forward: no other segment holds it, nothing waits on it
+// or in the switch for it, the packet on its wire finishes by then, and it
+// paces none of the rotation's flows.
+func (g *segment) claim() bool {
 	sw := g.src.sw
 	d := sw.claimable(g.node, g.src)
 	if d == nil || d.claim != nil {
@@ -408,8 +400,6 @@ func (g *segment) claim(p int) bool {
 	for i := range g.rot {
 		g.rot[i].dq = d.flow(g.rot[i].tr.Template.Flow)
 	}
-	g.first[fwd], g.first[serDown], g.first[arrDown] = p, p, p
-	g.recvFirst = p
 	g.grp.open--
 	g.grp.changed()
 	return true
@@ -476,7 +466,7 @@ func (g *segment) flush() {
 		return
 	}
 	k := len(g.rot)
-	p := g.recvFirst + g.reported
+	p := g.reported
 	at, every := g.recvAt+sim.Time(g.reported)*g.src.mtuSer, g.src.mtuSer
 	for j := 0; j < min(n, k); j++ {
 		t := g.turn(p + j)

@@ -10,7 +10,7 @@ type EventKey struct {
 	Seq uint64 `json:"seq"`
 }
 
-// PeriodicState is one recurring timer's position on the wheel.
+// PeriodicState is one recurring timer's next occurrence.
 type PeriodicState struct {
 	Period  Time   `json:"period"`
 	NextAt  Time   `json:"next_at"`
@@ -21,7 +21,7 @@ type PeriodicState struct {
 // EngineState is the engine's deterministic state export: the clock, the
 // step and seq counters, every pending one-shot's (at, seq) key, the
 // heap's, the delay queues' and the segments' alike, in (at, seq) order,
-// the timer wheel, and the slab pool's occupancy. Callbacks are Go
+// the recurring timers, and the slab pool's occupancy. Callbacks are Go
 // closures and cannot be serialized — restoring an engine means
 // deterministically replaying the run that produced it — so this export
 // exists to *prove* a replay landed in the same state, not to resurrect
@@ -48,7 +48,9 @@ func (e *Engine) Checkpoint() EngineState {
 	}
 	st.Events = make([]EventKey, 0, len(e.events))
 	for _, ev := range e.events {
-		st.Events = append(st.Events, EventKey{At: ev.at, Seq: ev.seq})
+		if !ev.periodic {
+			st.Events = append(st.Events, EventKey{At: ev.at, Seq: ev.seq})
+		}
 	}
 	for _, q := range e.delays {
 		for i := 0; i < q.q.Len(); i++ {
@@ -70,10 +72,10 @@ func (e *Engine) Checkpoint() EngineState {
 		}
 		return st.Events[i].Seq < st.Events[j].Seq
 	})
-	st.Wheel = make([]PeriodicState, 0, len(e.wheel))
-	for _, p := range e.wheel {
+	st.Wheel = make([]PeriodicState, 0, len(e.pers))
+	for _, p := range e.pers {
 		st.Wheel = append(st.Wheel, PeriodicState{
-			Period: p.period, NextAt: p.nextAt, Seq: p.seq, Stopped: p.stopped,
+			Period: p.period, NextAt: p.ev.at, Seq: p.ev.seq, Stopped: p.stopped,
 		})
 	}
 	return st

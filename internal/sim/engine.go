@@ -34,13 +34,15 @@ func (t *Timer) Stop() bool {
 			return false
 		}
 		p.stopped = true
-		if p.firing {
+		if p.ev.index < 0 {
 			// Stopped from inside its own tick: the pending occurrence is
-			// the one currently executing, so nothing future was canceled;
-			// the engine sees stopped after fn returns and drops the timer.
+			// the one currently executing, off the heap, so nothing future
+			// was canceled; the tick sees stopped after fn returns and
+			// drops the timer.
 			return false
 		}
-		p.eng.wheelRemove(p)
+		p.eng.events.removeAt(p.ev.index)
+		p.eng.unlist(p)
 		return true
 	}
 	if !t.live() {
@@ -71,7 +73,7 @@ func (t *Timer) When() Time {
 		return 0
 	}
 	if t.per != nil {
-		return t.per.nextAt
+		return t.per.ev.at
 	}
 	return t.at
 }
@@ -85,14 +87,14 @@ func (t *Timer) When() Time {
 //
 // The hot path is allocation-free: events are concrete structs recycled
 // through a slab-allocated free list, the queue is an inlined 4-ary indexed
-// heap (no container/heap interface boxing), recurring timers reschedule in
-// place on a wheel without touching the heap, and Timer handles are values.
-// Events scheduled a constant delay ahead — the per-MTU fabric and HCA
-// stages — skip the heap too: they wait in one FIFO per delay (see Delay),
-// and the run loop takes the earliest of the heap's top, those FIFOs' heads,
-// the segments' earliest events and the wheel's minimum.
+// heap (no container/heap interface boxing), a recurring timer reuses one
+// event of its own on that heap, and Timer handles are values. Events
+// scheduled a constant delay ahead — the per-MTU fabric and HCA stages —
+// skip the heap: they wait in one FIFO per delay (see Delay), and the run
+// loop takes the earliest of the heap's top, those FIFOs' heads and the
+// segments' earliest events.
 //
-// A Segment is the fourth source: a model (the fabric's train
+// A Segment is the third source: a model (the fabric's train
 // fast-forward) that advances a run of its own events in closed form. The
 // run loop hands it its turn with the key of the earliest other event, and
 // it credits every event of its own before that key: each counts in Steps
@@ -107,15 +109,14 @@ type Engine struct {
 	events   eventHeap
 	delays   []*Delay   // one per distinct delay, in creation order
 	segs     []*Segment // segments holding events, in no particular order
-	wmin     *periodic  // earliest wheel entry, nil when empty (wheelMin)
 	free     []*event
 	seq      uint64
 	stepped  uint64
 	stepHook func(at Time, seq uint64)
 	hookMask uint64
 	breaks   []breakpoint
-	credited uint64 // of stepped, the events segments credited
-	wheel    []*periodic
+	credited uint64      // of stepped, the events segments credited
+	pers     []*periodic // live recurring timers, in Checkpoint's order
 	procs    map[*Proc]struct{}
 }
 
@@ -203,18 +204,20 @@ func (e *Engine) After(d Time, fn func()) Timer {
 
 // Every schedules fn at now+d, now+2d, ... until the returned Timer is
 // stopped. fn observes the tick time via Engine.Now. The recurring timer
-// lives on the engine's wheel: each tick reschedules in place, so it never
-// touches the heap and never allocates. The simulator's own periodic work
-// (the ResEx interval, epochs, monitor polls) runs in Procs instead; Every
-// serves the workload tenants' SLO window.
+// owns one event, outside the pool, that waits on the heap: after each
+// tick it takes the next seq and goes back one period later, so a tick
+// never allocates. The simulator's own periodic work (the ResEx interval,
+// epochs, monitor polls) runs in Procs instead; Every serves the workload
+// tenants' SLO window.
 func (e *Engine) Every(d Time, fn func()) Timer {
 	if d <= 0 {
 		panic("sim: Every requires a positive period")
 	}
 	e.seq++
-	p := &periodic{eng: e, period: d, nextAt: e.now + d, seq: e.seq, fn: fn}
-	e.wheel = append(e.wheel, p)
-	e.wmin = e.wheelMin()
+	p := &periodic{eng: e, period: d, fn: fn}
+	p.ev = event{at: e.now + d, seq: e.seq, fn: p.tick, periodic: true}
+	e.events.push(&p.ev)
+	e.pers = append(e.pers, p)
 	return Timer{per: p}
 }
 
@@ -274,32 +277,10 @@ func (e *Engine) fireBreaks(through Time) {
 }
 
 // step executes the earliest pending event if its timestamp is <= limit,
-// after firing the breakpoints due before it. It finds that event once,
-// over the heap's top, the delay queues' heads and the wheel's minimum,
-// and reports whether it ran one.
+// after firing the breakpoints due before it, and reports whether it ran
+// one.
 func (e *Engine) step(limit Time) bool {
-	at, seq := MaxTime, noSeq
-	if len(e.events) > 0 {
-		at, seq = e.events[0].at, e.events[0].seq
-	}
-	var dq *Delay
-	for _, q := range e.delays {
-		if q.headAt < at || (q.headAt == at && q.headSeq < seq) {
-			at, seq, dq = q.headAt, q.headSeq, q
-		}
-	}
-	var sg *Segment
-	for _, g := range e.segs {
-		if g.headAt < at || (g.headAt == at && g.headSeq < seq) {
-			at, seq, sg = g.headAt, g.headSeq, g
-		}
-	}
-	w := e.wmin
-	if w != nil && (w.nextAt < at || (w.nextAt == at && w.seq < seq)) {
-		at, seq = w.nextAt, w.seq
-	} else {
-		w = nil
-	}
+	at, seq, dq, sg := e.earliest(nil)
 	if seq == noSeq || at > limit {
 		return false
 	}
@@ -308,10 +289,6 @@ func (e *Engine) step(limit Time) bool {
 		// drives the engine must not leave this step popping a stale choice.
 		e.fireBreaks(at - 1)
 		return e.step(limit)
-	}
-	if w != nil {
-		e.fireWheel(w)
-		return true
 	}
 	if sg != nil {
 		e.advanceSegment(sg, limit)
@@ -326,12 +303,36 @@ func (e *Engine) step(limit Time) bool {
 	e.now = at
 	e.stepped++
 	fn := ev.fn
-	e.release(ev)
+	if !ev.periodic {
+		e.release(ev)
+	}
 	if e.stepHook != nil && e.stepped&e.hookMask == 0 {
 		e.stepHook(at, seq)
 	}
 	fn()
 	return true
+}
+
+// earliest returns the key of the earliest pending event, leaving out the
+// segment skip, and its source: the segment sg if it is not nil, else the
+// delay queue dq if that is not nil, else the heap. The key is
+// (MaxTime, noSeq) when no event is pending.
+func (e *Engine) earliest(skip *Segment) (at Time, seq uint64, dq *Delay, sg *Segment) {
+	at, seq = MaxTime, noSeq
+	if len(e.events) > 0 {
+		at, seq = e.events[0].at, e.events[0].seq
+	}
+	for _, q := range e.delays {
+		if q.headAt < at || (q.headAt == at && q.headSeq < seq) {
+			at, seq, dq = q.headAt, q.headSeq, q
+		}
+	}
+	for _, g := range e.segs {
+		if g != skip && (g.headAt < at || (g.headAt == at && g.headSeq < seq)) {
+			at, seq, sg = g.headAt, g.headSeq, g
+		}
+	}
+	return at, seq, dq, sg
 }
 
 // Run executes events until none remain.
@@ -355,11 +356,10 @@ func (e *Engine) RunUntil(t Time) {
 }
 
 // Pending returns the number of scheduled events: the heap holds only live
-// one-shots (cancelation removes in place), the delay queues and the
-// segments hold theirs, and every wheel entry has exactly one pending
-// occurrence.
+// events (cancelation removes in place), a recurring timer's next
+// occurrence among them, and the delay queues and the segments hold theirs.
 func (e *Engine) Pending() int {
-	n := len(e.events) + len(e.wheel)
+	n := len(e.events)
 	for _, q := range e.delays {
 		n += q.q.Len()
 	}

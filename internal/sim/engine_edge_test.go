@@ -339,7 +339,7 @@ func TestTimerActive(t *testing.T) {
 	}
 }
 
-// TestPendingCountsWheel: Pending counts both heap events and pending
+// TestPendingCountsWheel: Pending counts both one-shots and pending
 // periodic occurrences.
 func TestPendingCountsWheel(t *testing.T) {
 	e := New()
@@ -351,7 +351,7 @@ func TestPendingCountsWheel(t *testing.T) {
 	}
 	e.RunUntil(7)
 	if got := e.Pending(); got != 1 {
-		t.Errorf("Pending after one-shots = %d, want 1 (the wheel entry)", got)
+		t.Errorf("Pending after one-shots = %d, want 1 (the periodic's next occurrence)", got)
 	}
 	tm.Stop()
 	if got := e.Pending(); got != 0 {

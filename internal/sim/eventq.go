@@ -10,6 +10,8 @@ type event struct {
 	gen   uint64 // incremented on release; Timers match it to detect reuse
 	fn    func()
 	index int // position in the heap, -1 once popped
+	// periodic marks a recurring timer's own event, which is never pooled.
+	periodic bool
 }
 
 // lessEv orders events by (at, seq).

@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 // TestStepHookObservesEveryEvent checks that the hook fires once per
-// executed event — heap one-shots and wheel ticks alike — with keys in
+// executed event — one-shots and periodic ticks alike — with keys in
 // strictly increasing (at, seq) order, and that the count matches Steps().
 func TestStepHookObservesEveryEvent(t *testing.T) {
 	e := New()

@@ -35,7 +35,8 @@ type Segment struct {
 	headSeq uint64
 	eng     *Engine
 	lanes   []*Lane
-	busy    []*Lane // the lanes holding events, a min-heap on their head keys
+	busy    []*Lane // the lanes holding events, in no particular order
+	head    *Lane   // the busy lane with the earliest head key, nil if none
 	held    int     // events on all lanes
 	on      bool    // listed in eng.segs
 	advance func(boundAt Time, boundSeq uint64, limit Time)
@@ -45,18 +46,13 @@ type Segment struct {
 // scheduled in (at, seq) order, as they are when every one is the same
 // delay after its scheduling instant.
 type Lane struct {
-	// Key of the head event, by value for the heap's comparisons.
+	// Key of the head event, by value for the segment's scan.
 	headAt  Time
 	headSeq uint64
 	seg     *Segment
 	i       int // position in seg.lanes
 	busy    int // position in seg.busy, -1 while empty
 	q       ring.Queue[*event]
-}
-
-// before orders lanes by their head events' keys.
-func (l *Lane) before(m *Lane) bool {
-	return l.headAt < m.headAt || (l.headAt == m.headAt && l.headSeq < m.headSeq)
 }
 
 // NewSegment returns an idle segment whose events the run loop hands to
@@ -112,18 +108,19 @@ func (l *Lane) After(d Time) {
 		l.headAt, l.headSeq = ev.at, ev.seq
 		l.busy = len(s.busy)
 		s.busy = append(s.busy, l)
-		s.up(l.busy)
-		s.sync()
+		if ev.at < s.headAt || (ev.at == s.headAt && ev.seq < s.headSeq) {
+			s.head, s.headAt, s.headSeq = l, ev.at, ev.seq
+		}
 	}
 }
 
 // Head returns the position of the lane of the segment's earliest event
 // and that event's key; -1 when the segment holds none.
 func (s *Segment) Head() (int, Time, uint64) {
-	if len(s.busy) == 0 {
+	if s.head == nil {
 		return -1, s.headAt, s.headSeq
 	}
-	return s.busy[0].i, s.headAt, s.headSeq
+	return s.head.i, s.headAt, s.headSeq
 }
 
 // Credit counts the segment's earliest event as executed: the clock moves
@@ -132,7 +129,7 @@ func (s *Segment) Head() (int, Time, uint64) {
 // The caller then applies its effects.
 func (s *Segment) Credit() {
 	e := s.eng
-	ev := s.busy[0].pop()
+	ev := s.head.pop()
 	s.held--
 	at, seq := ev.at, ev.seq
 	e.now = at
@@ -185,11 +182,9 @@ func (s *Segment) CreditPeriods(n, events uint64, now Time) {
 	e.stepped += k
 	e.credited += k
 	e.now = now
-	for i := len(s.busy) - 1; i >= 0; i-- {
-		l := s.busy[i]
+	for _, l := range s.busy {
 		ev := *l.q.Front()
 		l.headAt, l.headSeq = ev.at, ev.seq
-		s.down(i)
 	}
 	s.sync()
 }
@@ -207,75 +202,39 @@ func (l *Lane) Materialize(fn func()) {
 	s.sync()
 }
 
-// pop removes the lane's head event and restores the heap of busy lanes,
-// taking the lane out of it once it is empty.
+// pop removes the lane's head event, and takes the lane off the busy list
+// once it is empty.
 func (l *Lane) pop() *event {
 	s := l.seg
 	ev := l.q.Pop()
 	if l.q.Len() > 0 {
 		next := *l.q.Front()
 		l.headAt, l.headSeq = next.at, next.seq
-		s.down(l.busy)
 		return ev
 	}
 	i, n := l.busy, len(s.busy)-1
-	last := s.busy[n]
+	s.busy[i] = s.busy[n]
+	s.busy[i].busy = i
 	s.busy[n] = nil
 	s.busy = s.busy[:n]
 	l.busy = -1
-	if i < n {
-		s.busy[i], last.busy = last, i
-		s.down(i)
-		s.up(last.busy)
-	}
 	return ev
 }
 
-// up and down restore the heap of busy lanes after the lane at i moved
-// earlier or later.
-func (s *Segment) up(i int) {
-	h := s.busy
-	l := h[i]
-	for i > 0 {
-		p := (i - 1) / 2
-		if !l.before(h[p]) {
-			break
-		}
-		h[i], h[p].busy = h[p], i
-		i = p
-	}
-	h[i], l.busy = l, i
-}
-
-func (s *Segment) down(i int) {
-	h := s.busy
-	l := h[i]
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
-		}
-		if c+1 < len(h) && h[c+1].before(h[c]) {
-			c++
-		}
-		if !h[c].before(l) {
-			break
-		}
-		h[i], h[c].busy = h[c], i
-		i = c
-	}
-	h[i], l.busy = l, i
-}
-
-// sync loads the earliest held event's key for the run loop, and takes the
-// segment off the run loop's list once it holds none.
+// sync finds the busy lane with the earliest head and loads its key for
+// the run loop, and takes the segment off the run loop's list once it
+// holds none. A segment has few busy lanes, so a scan beats keeping them
+// ordered.
 func (s *Segment) sync() {
-	if len(s.busy) > 0 {
-		s.headAt, s.headSeq = s.busy[0].headAt, s.busy[0].headSeq
-		return
+	var head *Lane
+	at, seq := MaxTime, noSeq
+	for _, l := range s.busy {
+		if l.headAt < at || (l.headAt == at && l.headSeq < seq) {
+			head, at, seq = l, l.headAt, l.headSeq
+		}
 	}
-	s.headAt, s.headSeq = MaxTime, noSeq
-	if s.on {
+	s.head, s.headAt, s.headSeq = head, at, seq
+	if head == nil && s.on {
 		e := s.eng
 		for i, g := range e.segs {
 			if g == s {
@@ -295,23 +254,7 @@ func (s *Segment) sync() {
 // earlier of limit and the next breakpoint, and lets sg credit its events
 // up to them.
 func (e *Engine) advanceSegment(sg *Segment, limit Time) {
-	at, seq := MaxTime, noSeq
-	if len(e.events) > 0 {
-		at, seq = e.events[0].at, e.events[0].seq
-	}
-	for _, q := range e.delays {
-		if q.headAt < at || (q.headAt == at && q.headSeq < seq) {
-			at, seq = q.headAt, q.headSeq
-		}
-	}
-	for _, g := range e.segs {
-		if g != sg && (g.headAt < at || (g.headAt == at && g.headSeq < seq)) {
-			at, seq = g.headAt, g.headSeq
-		}
-	}
-	if w := e.wmin; w != nil && (w.nextAt < at || (w.nextAt == at && w.seq < seq)) {
-		at, seq = w.nextAt, w.seq
-	}
+	at, seq, _, _ := e.earliest(sg)
 	if len(e.breaks) > 0 && e.breaks[0].at < limit {
 		limit = e.breaks[0].at
 	}

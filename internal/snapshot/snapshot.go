@@ -10,7 +10,7 @@
 //  1. the generative inputs (experiment id or daemon scenario config, seed,
 //     durations, the command log),
 //  2. the capture point T (virtual time), and
-//  3. a full per-subsystem state export at T: engine queue/wheel keys and
+//  3. a full per-subsystem state export at T: engine event and timer keys and
 //     counters, RNG stream positions, Xen/HCA/ResEx ledgers, IBMon
 //     confidence state, fault-plan cursors, workload arrival and SLO-window
 //     state, invariant-auditor accumulators.
