@@ -1,5 +1,11 @@
 package resex
 
+// The root benchmarks measure what no other harness does: three
+// sensitivity sweeps that no registered driver runs, the HCA and full-stack
+// throughput of the simulator itself, and the hot-loop overhead gates of
+// the fault injector and the invariant auditor. Every registered figure and
+// ablation reproduces with `resexsim -fig <id>`, and bench/run.sh times them.
+
 import (
 	"fmt"
 	"slices"
@@ -14,165 +20,19 @@ import (
 	"resex/internal/invariant"
 	"resex/internal/resex"
 	"resex/internal/sim"
+	"resex/internal/snapshot"
 	"resex/internal/workload"
 )
 
 // benchOpts keeps per-iteration virtual time small enough for the -bench
-// runner while long enough for stable shapes. Individual figures can be
-// regenerated at full scale with cmd/resexsim.
+// runner while long enough for stable shapes.
 func benchOpts() experiments.Options {
 	return experiments.Options{Duration: 200 * sim.Millisecond, Warmup: 50 * sim.Millisecond}
 }
 
-// runFigure executes one registered figure per benchmark iteration.
-func runFigure(b *testing.B, id string) {
-	b.Helper()
-	e, err := experiments.Lookup(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig1LatencyDistribution regenerates Figure 1 (latency histogram,
-// Normal vs Interfered) and reports the two means.
-func BenchmarkFig1LatencyDistribution(b *testing.B) {
-	var last *experiments.Fig1Result
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig1(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	b.ReportMetric(last.NormalMean, "normal_us")
-	b.ReportMetric(last.InterferedMean, "interfered_us")
-	b.ReportMetric(last.InterferedStd, "interfered_sd")
-}
-
-// BenchmarkFig2MultiServer regenerates Figure 2 (components vs #servers).
-func BenchmarkFig2MultiServer(b *testing.B) { runFigure(b, "fig2") }
-
-// BenchmarkFig3BufferRatio regenerates Figure 3 (cap = 100/BufferRatio)
-// and reports the flatness of the capped-latency bars.
-func BenchmarkFig3BufferRatio(b *testing.B) {
-	var spread float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig3(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		lo, hi := r.Rows[0].Total(), r.Rows[0].Total()
-		for _, row := range r.Rows {
-			if t := row.Total(); t < lo {
-				lo = t
-			} else if t > hi {
-				hi = t
-			}
-		}
-		spread = hi / lo
-	}
-	b.ReportMetric(spread, "max/min")
-}
-
-// BenchmarkFig4CapSweep regenerates Figure 4 (latency vs interferer cap)
-// and reports the endpoints.
-func BenchmarkFig4CapSweep(b *testing.B) {
-	var uncapped, cap3, base float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig4(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		uncapped = r.Rows[0].Total()
-		cap3 = r.Rows[len(r.Rows)-2].Total()
-		base = r.Rows[len(r.Rows)-1].Total()
-	}
-	b.ReportMetric(uncapped, "uncapped_us")
-	b.ReportMetric(cap3, "cap3_us")
-	b.ReportMetric(base, "base_us")
-}
-
-// BenchmarkFig5FreeMarket regenerates Figure 5 and reports the three-way
-// latency comparison.
-func BenchmarkFig5FreeMarket(b *testing.B) {
-	var r *experiments.TimelineResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = experiments.Fig5(experiments.Options{Duration: 1200 * sim.Millisecond, Warmup: 50 * sim.Millisecond})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.BaseMean, "base_us")
-	b.ReportMetric(r.IntfMean, "interfered_us")
-	b.ReportMetric(r.PolicyMean, "freemarket_us")
-}
-
-// BenchmarkFig6ResoDepletion regenerates Figure 6 and reports how deep the
-// interferer's account fell.
-func BenchmarkFig6ResoDepletion(b *testing.B) {
-	var minFrac float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig6(experiments.Options{Duration: 1200 * sim.Millisecond, Warmup: 50 * sim.Millisecond})
-		if err != nil {
-			b.Fatal(err)
-		}
-		minFrac = r.IntfMinFraction
-	}
-	b.ReportMetric(minFrac*100, "min_balance_pct")
-}
-
-// BenchmarkFig7IOShares regenerates Figure 7 and reports the interference
-// recovery.
-func BenchmarkFig7IOShares(b *testing.B) {
-	var r *experiments.TimelineResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = experiments.Fig7(experiments.Options{Duration: 400 * sim.Millisecond, Warmup: 50 * sim.Millisecond})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.BaseMean, "base_us")
-	b.ReportMetric(r.IntfMean, "interfered_us")
-	b.ReportMetric(r.PolicyMean, "ioshares_us")
-	if r.IntfMean > r.BaseMean {
-		b.ReportMetric(100*(r.IntfMean-r.PolicyMean)/(r.IntfMean-r.BaseMean), "recovered_pct")
-	}
-}
-
-// BenchmarkFig8NoInterference regenerates Figure 8.
-func BenchmarkFig8NoInterference(b *testing.B) { runFigure(b, "fig8") }
-
-// BenchmarkFig9BufferSweep regenerates Figure 9 and reports the 1MB-buffer
-// policy separation.
-func BenchmarkFig9BufferSweep(b *testing.B) {
-	var fm, ios float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig9(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := r.Rows[len(r.Rows)-1]
-		fm, ios = last.FreeMarket, last.IOShares
-	}
-	b.ReportMetric(fm, "freemarket_1mb_us")
-	b.ReportMetric(ios, "ioshares_1mb_us")
-}
-
 // ---------------------------------------------------------------------------
-// Ablations: design choices DESIGN.md calls out.
+// Sensitivity sweeps no registered driver runs.
 // ---------------------------------------------------------------------------
-
-// BenchmarkAblationLinkDiscipline runs abl-arb: per-MTU round-robin
-// arbitration (IB virtual lanes) against FIFO head-of-line blocking for the
-// reporting VM under interference.
-func BenchmarkAblationLinkDiscipline(b *testing.B) { runFigure(b, "abl-arb") }
 
 // BenchmarkAblationIBMonPeriod sweeps the introspection sampling period and
 // reports the byte-estimation error on a deliberately small (16-entry) CQ,
@@ -235,11 +95,6 @@ func BenchmarkAblationInterfererRate(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNICRateLimit runs abl-mech: ResEx's CPU-cap mechanism
-// against the per-flow NIC rate limiting of newer adapters (which the
-// paper's introduction anticipates), both throttling the 2MB interferer.
-func BenchmarkAblationNICRateLimit(b *testing.B) { runFigure(b, "abl-mech") }
-
 // BenchmarkAblationEpochLength sweeps FreeMarket's epoch length: shorter
 // epochs replenish the interferer sooner and weaken the policy.
 func BenchmarkAblationEpochLength(b *testing.B) {
@@ -284,64 +139,9 @@ func BenchmarkAblationEpochLength(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPollingVsEvents runs abl-events: busy-polling against
-// event-driven completions for a capped server — spinning burns the cap
-// budget, events preserve it for real work.
-func BenchmarkAblationPollingVsEvents(b *testing.B) { runFigure(b, "abl-events") }
-
-// BenchmarkAblPlacement regenerates the placement ablation and reports the
-// SLA-attainment gap between interference-aware and random placement at the
-// larger fleet scale (8 hosts, 16 VMs).
-func BenchmarkAblPlacement(b *testing.B) {
-	var ia, rd float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblPlacement(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range r.Rows {
-			if row.Hosts != 8 {
-				continue
-			}
-			switch row.Strategy {
-			case "intf-aware":
-				ia = row.SLAPct
-			case "random":
-				rd = row.SLAPct
-			}
-		}
-	}
-	b.ReportMetric(ia, "intf_aware_sla_pct")
-	b.ReportMetric(rd, "random_sla_pct")
-}
-
-// BenchmarkConsolidationCapacity runs abl-capacity, the paper's motivating
-// question: exchanges run below 10% utilization, so how many
-// latency-sensitive applications can share a host within an SLA?
-func BenchmarkConsolidationCapacity(b *testing.B) { runFigure(b, "abl-capacity") }
-
 // ---------------------------------------------------------------------------
 // Microbenchmarks: simulator core performance (events/sec, messages/sec).
 // ---------------------------------------------------------------------------
-
-// BenchmarkEngineEvents measures raw event throughput of the DES core.
-// Steady state must be allocation-free: events come from the engine's pool
-// and Timer handles are values.
-func BenchmarkEngineEvents(b *testing.B) {
-	eng := sim.New()
-	var tick func()
-	n := 0
-	tick = func() {
-		n++
-		if n < b.N {
-			eng.After(100, tick)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	eng.After(100, tick)
-	eng.Run()
-}
 
 // BenchmarkHCASmallMessages measures end-to-end message throughput of the
 // HCA+fabric stack (1KB sends, completion-driven).
@@ -383,12 +183,8 @@ func BenchmarkFullStackSimSecond(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection: end-to-end ablation + hot-loop overhead budget.
+// Hot-loop overhead budgets: the fault injector and the invariant auditor.
 // ---------------------------------------------------------------------------
-
-// BenchmarkAblFaults exercises the fault-storm ablation end to end
-// (naive and degradation-aware stacks across the intensity sweep).
-func BenchmarkAblFaults(b *testing.B) { runFigure(b, "abl-faults") }
 
 // maxOverheadPct is the hot-loop budget of an observer that must not
 // change what it observes: the fault injector armed with an empty schedule,
@@ -486,22 +282,6 @@ func BenchmarkFaultsEmptyScheduleOverhead(b *testing.B) {
 	})
 }
 
-// ---------------------------------------------------------------------------
-// Workload engine: the three abl-workload studies end to end.
-// ---------------------------------------------------------------------------
-
-// BenchmarkAblWorkload runs the offered-load sweep (both policies, every
-// load point) once per iteration.
-func BenchmarkAblWorkload(b *testing.B) { runFigure(b, "abl-workload") }
-
-// BenchmarkAblWorkloadMix runs the mixed-class scenario (unmanaged,
-// FreeMarket, IOShares) once per iteration.
-func BenchmarkAblWorkloadMix(b *testing.B) { runFigure(b, "abl-workload-mix") }
-
-// ---------------------------------------------------------------------------
-// Invariant auditor: hot-loop overhead budget.
-// ---------------------------------------------------------------------------
-
 // BenchmarkAuditOverhead measures what -audit costs the hot event loop —
 // the per-event stride mask plus the sampled predicate passes — on the full
 // ResEx/IOShares interference scenario (the same rig `benchex -intf-buffer
@@ -521,14 +301,8 @@ func BenchmarkAuditOverhead(b *testing.B) {
 			s.Start()
 			return s.TB.Eng, s.Shutdown
 		}
-		a := invariant.New(s.TB.Eng, invariant.NewCollector(invariant.Audit))
-		for _, h := range s.TB.Hosts {
-			a.WatchXen(h.HV)
-			a.WatchHCA(h.HCA)
-		}
-		if s.Mgr != nil {
-			a.WatchManager(s.Mgr)
-		}
+		src := &snapshot.Source{TB: s.TB, Managers: []*resex.Manager{s.Mgr}}
+		a := src.Audit(s.TB.Eng, invariant.NewCollector(invariant.Audit))
 		s.Start()
 		return s.TB.Eng, func() { a.Close(); s.Shutdown() }
 	})

@@ -8,9 +8,10 @@
 //
 // Verbs:
 //
-//	status                        session cursor, policy, tenants, log size,
-//	                              and per-host market lines (epoch, prices,
-//	                              trades) when the exchange has settled
+//	status                        the session's current telemetry sample, as
+//	                              resextop prints it: cursor, policy, pacing,
+//	                              log size, VM and tenant tables, and per-host
+//	                              market lines under the fungible policy
 //	run                           resume stepping from the current boundary
 //	pause                         hold at the next boundary
 //	step [n]                      advance n quanta (default 1, at most 10 s
@@ -62,21 +63,13 @@ func build(args []string) daemon.Command {
 	}
 	c := daemon.Command{Cmd: verb}
 	switch verb {
-	case "status", "run", "pause", "quit", "watch":
-		if verb == "watch" && len(rest) == 1 {
-			n, err := strconv.ParseInt(rest[0], 10, 64)
-			if err != nil || n < 1 {
-				usageErr("watch count must be a positive integer, got %q", rest[0])
-			}
-			c.N = n
-			break
-		}
+	case "status", "run", "pause", "quit":
 		want(0, "no arguments")
-	case "step":
+	case "step", "watch":
 		if len(rest) == 1 {
 			n, err := strconv.ParseInt(rest[0], 10, 64)
 			if err != nil || n < 1 {
-				usageErr("step count must be a positive integer, got %q", rest[0])
+				usageErr("%s count must be a positive integer, got %q", verb, rest[0])
 			}
 			c.N = n
 			break
@@ -114,25 +107,6 @@ func build(args []string) daemon.Command {
 		usageErr("unknown verb %q", verb)
 	}
 	return c
-}
-
-func printStatus(st *daemon.Status) {
-	state := "running"
-	if st.Paused {
-		state = "paused"
-	}
-	fmt.Printf("t=%v  epoch=%d  policy=%s  %s", time.Duration(st.AtNs), st.Epoch, st.Policy, state)
-	if st.UntilNs > 0 {
-		fmt.Printf("  until=%v", time.Duration(st.UntilNs))
-	}
-	fmt.Printf("  log=%d\n", st.Log)
-	for _, t := range st.Tenants {
-		fmt.Printf("  tenant %s\n", t)
-	}
-	for _, m := range st.Market {
-		fmt.Printf("  market host%d epoch=%d cpu=%.2f fabric=%.2f trades=%d\n",
-			m.Host, m.Epoch, m.CPUPrice, m.FabricPrice, m.Trades)
-	}
 }
 
 func main() {
@@ -173,7 +147,10 @@ func main() {
 		os.Exit(1)
 	}
 	if rep.Status != nil {
-		printStatus(rep.Status)
+		if err := rep.Status.WriteText(os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "resexctl:", err)
+			os.Exit(1)
+		}
 		return
 	}
 	if rep.Msg != "" {

@@ -8,29 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"resex/internal/daemon"
 )
-
-func TestRenderScalesMTURateToPerSecond(t *testing.T) {
-	// VMStat.MTURate is MTUs per 1 ms ResEx interval: 2 per interval is
-	// 2000 per second, the unit renderVMs prints under the same header.
-	var buf bytes.Buffer
-	render(&buf, daemon.Telemetry{
-		Epoch: 1, Policy: "ioshares",
-		VMs: []daemon.VMStat{{Name: "lat-server-vm", Rate: 1, MTURate: 2}},
-	})
-	lines := strings.Split(buf.String(), "\n")
-	var row []string
-	for _, l := range lines {
-		if strings.HasPrefix(l, "lat-server-vm") {
-			row = strings.Fields(l)
-		}
-	}
-	if len(row) < 5 || row[4] != "2000" {
-		t.Fatalf("MTU/s column of %q, want 2000 in:\n%s", row, buf.String())
-	}
-}
 
 // TestMain runs main itself when a test re-executes the test binary with
 // resextopArgs set, so the flag checks are tested through the real exit

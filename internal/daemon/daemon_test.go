@@ -3,6 +3,8 @@ package daemon
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"net"
@@ -104,6 +106,73 @@ func TestSessionSnapshotRestoreDeterminism(t *testing.T) {
 	}
 }
 
+// TestTelemetryPinned pins Session.Telemetry's JSON across commits: the
+// SHA-256 of every quantum's sample in a scripted session that adds an open
+// tenant and swaps to fungible, so that books exist. The server stamps its
+// own fields on top of this sample, and bench/golden.json's daemon digests
+// hash this JSON too, so a change here moves them.
+func TestTelemetryPinned(t *testing.T) {
+	const want = "9006723c4cede6c0404c02f4d6edb235ad6eafedd7af59dfd6c35cd60aaad14e"
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	h := sha256.New()
+	for i := 0; i < 20; i++ {
+		switch i {
+		case 3:
+			err = s.Apply(Command{Cmd: "add-tenant", Name: "open1", Class: "open", Rate: 400})
+		case 6:
+			err = s.Apply(Command{Cmd: "policy", Name: "fungible"})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Step()
+		h.Write([]byte(telemetryJSON(t, s) + "\n"))
+	}
+	if len(s.Books()) == 0 {
+		t.Fatal("no trade book after the swap to fungible")
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("telemetry digest %s, want %s; last sample:\n%s", got, want, telemetryJSON(t, s))
+	}
+}
+
+// TestWriteTextScalesMTURateToPerSecond: VMStat.MTURate is MTUs per 1 ms
+// ResEx interval, so 2 per interval prints as 2000 under MTU/s, in a
+// session sample and in an engine sample, which adds the host and CPU%
+// columns.
+func TestWriteTextScalesMTURateToPerSecond(t *testing.T) {
+	for _, c := range []struct {
+		tel  Telemetry
+		head string
+		col  int
+	}{
+		{Telemetry{Epoch: 1, Policy: "ioshares"}, "VM", 4},
+		{Telemetry{Epoch: 1, Engine: 1}, "host VM CPU%", 6},
+	} {
+		c.tel.VMs = []VMStat{{Name: "lat-server-vm", Rate: 1, MTURate: 2}}
+		var buf bytes.Buffer
+		if err := c.tel.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var head, row []string
+		for _, l := range strings.Split(buf.String(), "\n") {
+			f := strings.Fields(l)
+			if strings.Contains(l, "MTU/s") {
+				head = f
+			} else if strings.Contains(l, "lat-server-vm") {
+				row = f
+			}
+		}
+		if !strings.HasPrefix(strings.Join(head, " "), c.head) || len(row) <= c.col || head[c.col] != "MTU/s" || row[c.col] != "2000" {
+			t.Errorf("MTU/s column %d of %q under %q, want 2000 in:\n%s", c.col, row, head, buf.String())
+		}
+	}
+}
+
 // TestRestoreDetectsCorruptReplay holds the verification to its promise: a
 // snapshot whose recorded state disagrees with the replay must be rejected,
 // not silently accepted.
@@ -162,11 +231,6 @@ func TestSessionCommandValidation(t *testing.T) {
 	}
 }
 
-// TestServerEndToEnd drives a live daemon over its unix socket: status,
-// stepping, a live tenant add, snapshot to disk, restore, and quit. The
-// durable command log must hold exactly the session's replay log throughout:
-// no read-only, pacing or failed verbs, and a restore rolls it back to the
-// restored session's log.
 // serveTest boots a server over a fresh session and dials it. It returns
 // the server, the channel Serve's result arrives on, and a send function
 // that writes one command and reads its reply.
@@ -342,6 +406,62 @@ func TestServerRejectsUnboundedStep(t *testing.T) {
 	}
 }
 
+// TestStatusIsTheWatchSample: status answers with the sample the watch
+// stream sent at the same boundary, server-stamped fields included, and a
+// fungible session's sample carries its market.
+func TestStatusIsTheWatchSample(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "resexd.sock")
+	_, served, send := serveTest(t, testConfig(), ServerConfig{Socket: sock})
+	if rep := send(Command{Cmd: "policy", Name: "fungible"}); !rep.OK {
+		t.Fatalf("policy: %s", rep.Error)
+	}
+	watcher := dialTest(t, sock)
+	watch, _ := json.Marshal(Command{Cmd: "watch"})
+	if _, err := watcher.Write(append(watch, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(watcher)
+	if rep, err := ReadReply(r); err != nil || !rep.OK {
+		t.Fatalf("watch: %+v (err %v)", rep, err)
+	}
+	if rep := send(Command{Cmd: "step", N: 5}); !rep.OK {
+		t.Fatalf("step: %s", rep.Error)
+	}
+	var last TelemetryLine
+	for i := 0; i < 5; i++ {
+		line, err := r.ReadBytes('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(line, &last); err != nil || last.Telemetry == nil {
+			t.Fatalf("sample %d: %q (err %v)", i, line, err)
+		}
+	}
+	rep := send(Command{Cmd: "status"})
+	if !rep.OK || rep.Status == nil {
+		t.Fatalf("status: %+v", rep)
+	}
+	sample, _ := json.Marshal(last.Telemetry)
+	status, _ := json.Marshal(rep.Status)
+	if string(sample) != string(status) {
+		t.Fatalf("status %s, want the last watch sample %s", status, sample)
+	}
+	if st := rep.Status; !st.Paused || st.Epoch != 5 || st.Log != 1 || len(st.Markets) != 1 || len(st.Markets[0].Holders) != 2 {
+		t.Fatalf("status after a fungible swap and 5 steps: %s", status)
+	}
+	if rep := send(Command{Cmd: "quit"}); !rep.OK {
+		t.Fatalf("quit: %s", rep.Error)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+}
+
+// TestServerEndToEnd drives a live daemon over its unix socket: status,
+// stepping, a live tenant add, snapshot to disk, restore, and quit. The
+// durable command log must hold exactly the session's replay log throughout:
+// no read-only, pacing or failed verbs, and a restore rolls it back to the
+// restored session's log.
 func TestServerEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	sock := filepath.Join(dir, "resexd.sock")
@@ -395,7 +515,7 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("command log %s, want the snapshot's replay log %s", durable(), logJSON(saved.Log))
 	}
 	rep = mustOK(Command{Cmd: "status"})
-	if rep.Status.Epoch != 5 || len(rep.Status.Tenants) != 3 {
+	if rep.Status.Epoch != 5 || len(rep.Status.Tenants) != 3 || rep.Status.Log != 1 {
 		t.Fatalf("post-step status: %+v", rep.Status)
 	}
 	if bad := send(Command{Cmd: "run-until", TNs: 1}); bad.OK {
@@ -477,7 +597,7 @@ func TestSimShardsConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restored.Shutdown()
-	if restored.Config().SimShards != 4 {
-		t.Errorf("restored SimShards = %d", restored.Config().SimShards)
+	if restored.cfg.SimShards != 4 {
+		t.Errorf("restored SimShards = %d", restored.cfg.SimShards)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"resex/internal/exchange"
 	"resex/internal/sim"
 	"resex/internal/snapshot"
 )
@@ -21,31 +20,10 @@ type Reply struct {
 	OK    bool   `json:"ok"`
 	Msg   string `json:"msg,omitempty"`
 	Error string `json:"error,omitempty"`
-	// Status carries the session status for the "status" verb.
-	Status *Status `json:"status,omitempty"`
-}
-
-// MarketStatus is one host's exchange snapshot inside Status: settlement
-// epoch, the board's per-dimension quotes, and cumulative trade count.
-// Present only when the active policy keeps a trade book (Fungible).
-type MarketStatus struct {
-	Host        int     `json:"host"`
-	Epoch       int64   `json:"epoch"`
-	CPUPrice    float64 `json:"cpu_price"`
-	FabricPrice float64 `json:"fabric_price"`
-	Trades      int64   `json:"trades"`
-}
-
-// Status summarizes the session for resexctl status.
-type Status struct {
-	AtNs    int64          `json:"at_ns"`
-	Epoch   int64          `json:"epoch"`
-	Policy  string         `json:"policy"`
-	Paused  bool           `json:"paused"`
-	UntilNs int64          `json:"until_ns,omitempty"`
-	Tenants []string       `json:"tenants,omitempty"`
-	Log     int            `json:"log_entries"`
-	Market  []MarketStatus `json:"market,omitempty"`
+	// Status answers the "status" verb: the sample the watch stream would
+	// send at this boundary. Its key is not "telemetry", so Watch skips a
+	// status reply that lands on a watching connection.
+	Status *Telemetry `json:"status,omitempty"`
 }
 
 // TelemetryLine wraps a telemetry sample on the watch stream, so watchers
@@ -92,6 +70,10 @@ type Server struct {
 	done    chan struct{}
 	logf    func(string, ...any)
 	session *Session
+	// paused and until are the loop's pacing state: a held session, and
+	// the run-until target (0: none). Only the loop goroutine uses them.
+	paused bool
+	until  sim.Time
 
 	mu       sync.Mutex
 	watchers map[net.Conn]*json.Encoder
@@ -118,6 +100,7 @@ func NewServer(s *Session, cfg ServerConfig) (*Server, error) {
 		done:     make(chan struct{}),
 		logf:     logf,
 		session:  s,
+		paused:   true, // sessions start held; "run" or "step" sets them moving
 		watchers: make(map[net.Conn]*json.Encoder),
 	}
 	if err := srv.saveLog(); err != nil {
@@ -227,47 +210,50 @@ func (srv *Server) serveConn(conn net.Conn) {
 // the command channel instead of spinning.
 func (srv *Server) loop() {
 	defer close(srv.done)
-	paused := true // sessions start held; "run" or "step" sets them moving
-	var until sim.Time
-	srv.broadcast(true)
+	srv.broadcast()
 	for {
-		// Apply everything already queued — commands land between quanta.
-		for {
-			select {
-			case req := <-srv.reqs:
-				if srv.handle(req, &paused, &until) {
-					return
-				}
-				continue
-			default:
-			}
-			break
-		}
-		running := !paused && (until == 0 || srv.session.Now() < until)
-		if !running {
+		if srv.paused || (srv.until != 0 && srv.session.Now() >= srv.until) {
 			// Block until someone tells us something.
-			req := <-srv.reqs
-			if srv.handle(req, &paused, &until) {
+			if srv.handle(<-srv.reqs) {
 				return
 			}
 			continue
 		}
-		srv.session.Step()
-		if until != 0 && srv.session.Now() >= until {
-			paused, until = true, 0
+		// Apply everything already queued — commands land between quanta.
+		select {
+		case req := <-srv.reqs:
+			if srv.handle(req) {
+				return
+			}
+			continue
+		default:
 		}
-		srv.broadcast(paused)
+		srv.session.Step()
+		if srv.until != 0 && srv.session.Now() >= srv.until {
+			srv.paused, srv.until = true, 0
+		}
+		srv.broadcast()
 		if srv.cfg.Throttle > 0 {
 			time.Sleep(srv.cfg.Throttle)
 		}
 	}
 }
 
-// broadcast sends one telemetry sample to every watcher, dropping
-// connections whose writes fail.
-func (srv *Server) broadcast(paused bool) {
+// sample is the session's telemetry with what only the server knows
+// stamped on: the pacing state, the command-log length and the markets.
+func (srv *Server) sample() Telemetry {
 	t := srv.session.Telemetry()
-	t.Paused = paused
+	t.Paused = srv.paused
+	t.UntilNs = int64(srv.until)
+	t.Log = len(srv.session.log)
+	t.Markets = MarketRows(srv.session.Books())
+	return t
+}
+
+// broadcast sends one sample to every watcher, dropping connections whose
+// writes fail.
+func (srv *Server) broadcast() {
+	t := srv.sample()
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
 	for conn, enc := range srv.watchers {
@@ -307,7 +293,7 @@ const maxStepSpan = 10 * sim.Second
 
 // handle executes one command at the current boundary. Returns true on
 // quit.
-func (srv *Server) handle(req request, paused *bool, until *sim.Time) bool {
+func (srv *Server) handle(req request) bool {
 	c := req.cmd
 	ok := func(format string, args ...any) {
 		req.reply <- Reply{OK: true, Msg: fmt.Sprintf(format, args...)}
@@ -326,45 +312,21 @@ func (srv *Server) handle(req request, paused *bool, until *sim.Time) bool {
 		}
 		return true
 	case "status":
-		s := srv.session
-		st := &Status{
-			AtNs:    int64(s.Now()),
-			Epoch:   s.Epoch(),
-			Policy:  s.PolicyName(),
-			Paused:  *paused,
-			UntilNs: int64(*until),
-			Log:     len(s.log),
-		}
-		for _, tn := range s.Workload().Tenants() {
-			name := tn.Spec.Name
-			if !tn.Running() {
-				name += " (stopped)"
-			}
-			st.Tenants = append(st.Tenants, name)
-		}
-		for i, bk := range s.Books() {
-			st.Market = append(st.Market, MarketStatus{
-				Host:        i,
-				Epoch:       bk.Epoch(),
-				CPUPrice:    bk.Board().Price(exchange.DimCPU),
-				FabricPrice: bk.Board().Price(exchange.DimFabric),
-				Trades:      bk.TradeCount(),
-			})
-		}
-		req.reply <- Reply{OK: true, Status: st}
+		t := srv.sample()
+		req.reply <- Reply{OK: true, Status: &t}
 	case "pause":
-		*paused = true
-		srv.broadcast(true)
+		srv.paused = true
+		srv.broadcast()
 		ok("paused at %v (epoch %d)", srv.session.Now(), srv.session.Epoch())
 	case "run":
-		*paused, *until = false, 0
+		srv.paused, srv.until = false, 0
 		ok("running from %v", srv.session.Now())
 	case "run-until":
 		if sim.Time(c.TNs) <= srv.session.Now() {
 			fail(fmt.Errorf("daemon: run-until target %v is not ahead of %v", sim.Time(c.TNs), srv.session.Now()))
 			break
 		}
-		*paused, *until = false, sim.Time(c.TNs)
+		srv.paused, srv.until = false, sim.Time(c.TNs)
 		ok("running until %v", sim.Time(c.TNs))
 	case "step":
 		n := c.N
@@ -376,11 +338,12 @@ func (srv *Server) handle(req request, paused *bool, until *sim.Time) bool {
 			fail(fmt.Errorf("daemon: step %d would advance more than %v (%d quanta of %v)", n, maxStepSpan, n, q))
 			break
 		}
+		srv.paused, srv.until = false, 0
 		for i := int64(0); i < n; i++ {
 			srv.session.Step()
-			srv.broadcast(i == n-1)
+			srv.paused = i == n-1
+			srv.broadcast()
 		}
-		*paused, *until = true, 0
 		ok("stepped %d quanta to %v (epoch %d)", n, srv.session.Now(), srv.session.Epoch())
 	case "snapshot":
 		if c.Path == "" {
@@ -410,8 +373,8 @@ func (srv *Server) handle(req request, paused *bool, until *sim.Time) bool {
 		old := srv.session
 		srv.session = s
 		old.Shutdown()
-		*paused, *until = true, 0
-		srv.broadcast(true)
+		srv.paused, srv.until = true, 0
+		srv.broadcast()
 		if err := srv.saveLog(); err != nil {
 			fail(fmt.Errorf("daemon: restored %s, but the command log was not written: %w", c.Path, err))
 			break
@@ -441,8 +404,7 @@ func Dial(socket string) (net.Conn, error) {
 // Roundtrip sends one command and reads one reply on an established
 // connection — the resexctl client's whole protocol.
 func Roundtrip(conn net.Conn, c Command) (Reply, error) {
-	enc := json.NewEncoder(conn)
-	if err := enc.Encode(c); err != nil {
+	if err := json.NewEncoder(conn).Encode(c); err != nil {
 		return Reply{}, err
 	}
 	return ReadReply(bufio.NewReader(conn))

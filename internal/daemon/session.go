@@ -11,6 +11,12 @@
 // generative inputs plus a full state export at the capture boundary —
 // restores by rebuilding, replaying the log, and verifying the replayed
 // state byte-for-byte (see internal/snapshot).
+//
+// A session has one view, the Telemetry sample: the server streams it to
+// watchers, answers the status verb with it, and Telemetry.WriteText
+// prints it for resexctl status and every resextop mode. resextop -fig
+// builds the same sample for experiment engines from the same row
+// constructors (VMRow, TenantRows, MarketRows).
 package daemon
 
 import (
@@ -156,9 +162,6 @@ func New(cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// Config returns the session's generative configuration.
-func (s *Session) Config() Config { return s.cfg }
-
 // Workload exposes the rig for telemetry readers.
 func (s *Session) Workload() *workload.Engine { return s.wl }
 
@@ -285,12 +288,8 @@ func (s *Session) Snapshot() *snapshot.Bundle {
 }
 
 // PolicyName reports the pricing policy currently governing the hosts.
-func (s *Session) PolicyName() string {
-	if len(s.wl.Mgrs) == 0 {
-		return "unmanaged"
-	}
-	return s.wl.Mgrs[0].Policy().Name()
-}
+// Sessions are always managed, so host 0 has a manager.
+func (s *Session) PolicyName() string { return s.wl.Mgrs[0].Policy().Name() }
 
 // Restore rebuilds a session from a daemon snapshot: construct from the
 // recorded config, replay the command log at its recorded quantum

@@ -63,10 +63,6 @@ func (h *Holder) Entitlement(d Dim) resos.Amount { return h.ent[d] }
 // Spent returns the spend charged against a dimension this epoch.
 func (h *Holder) Spent(d Dim) resos.Amount { return h.spent[d] }
 
-// Bought and Sold return the cumulative traded entitlement per dimension.
-func (h *Holder) Bought(d Dim) resos.Amount { return h.bought[d] }
-func (h *Holder) Sold(d Dim) resos.Amount   { return h.sold[d] }
-
 // Trade is one settled cross-dimension exchange: the buyer acquires BuyAmt
 // entitlement Resos in Buy and pays PayAmt entitlement Resos in Pay to the
 // seller at the quoted Rate (= PayAmt/BuyAmt before rounding). Each trade

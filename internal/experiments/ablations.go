@@ -14,10 +14,7 @@ import (
 
 // Ablation experiments probe design choices the paper leaves implicit.
 // They are registered alongside the figures (ids "abl-arb", "abl-mech",
-// "abl-events", "abl-capacity"); the root package's benchmarks
-// BenchmarkAblationLinkDiscipline, BenchmarkAblationNICRateLimit,
-// BenchmarkAblationPollingVsEvents and BenchmarkConsolidationCapacity run
-// them through the registry.
+// "abl-events", "abl-capacity"), and `resexsim -fig <id>` reproduces each.
 
 // ---------------------------------------------------------------------------
 // abl-arb: link arbitration discipline.

@@ -93,7 +93,6 @@ type tlSide struct {
 // constructor and collects the timeline series.
 func runTimeline(o Options, figure int, mkPolicy func() resex.Policy) (*TimelineResult, error) {
 	o = o.WithDefaults()
-	o.Timeline = true
 
 	// Each leg runs under its own point's options, so its engine arms the
 	// capture breakpoint under that point's seed at any -parallel width.
@@ -102,6 +101,7 @@ func runTimeline(o Options, figure int, mkPolicy func() resex.Policy) (*Timeline
 		if err != nil {
 			return tlSide{}, err
 		}
+		s.keepWarmup = true
 		s.RunMeasured(o)
 		st := s.RepStats()
 		return tlSide{Mean: st.Total.Mean(), Std: st.Total.StdDev()}, nil
@@ -145,6 +145,7 @@ func runTimeline(o Options, figure int, mkPolicy func() resex.Policy) (*Timeline
 				side.RepResos.Add(x, float64(repVM.Account.Balance()))
 				side.IntfResos.Add(x, float64(intfVM.Account.Balance()))
 			})
+			s.keepWarmup = true
 			s.RunMeasured(o)
 			st := s.RepStats()
 			side.Mean, side.Std = st.Total.Mean(), st.Total.StdDev()

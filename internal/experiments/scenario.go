@@ -44,8 +44,6 @@ type Options struct {
 	Duration sim.Time
 	// Warmup is discarded before measuring. Default 100 ms.
 	Warmup sim.Time
-	// Timeline retains per-request series (needed by Figures 5–7).
-	Timeline bool
 	// Seed offsets every workload generator seed, so re-runs with a
 	// different seed explore a different (but still fully deterministic)
 	// request arrival pattern. Default 0 preserves the historical outputs.
@@ -147,6 +145,9 @@ type Scenario struct {
 	Mgr       *resex.Manager
 	Mon       *ibmon.Monitor
 	agents    []*benchex.Agent
+	// keepWarmup makes RunMeasured keep the warmup's statistics: the
+	// timeline figures (runTimeline) want the convergence transient.
+	keepWarmup bool
 }
 
 // Build assembles the two-host testbed for a configuration.
@@ -240,15 +241,14 @@ func (s *Scenario) Start() {
 }
 
 // RunMeasured starts the scenario, runs the warmup (after which statistics
-// reset, unless a timeline is being recorded — the timeline figures want
-// the convergence transient), then the measured duration, and shuts the
-// simulation down.
+// reset, unless keepWarmup is set), then the measured duration, and shuts
+// the simulation down.
 func (s *Scenario) RunMeasured(o Options) {
 	// The paper scenario exports its testbed and manager, not its monitor.
 	stopAudit := o.observe(s.TB.Eng, &snapshot.Source{TB: s.TB, Managers: []*resex.Manager{s.Mgr}})
 	s.Start()
 	s.TB.Eng.RunUntil(o.Warmup)
-	if !o.Timeline {
+	if !s.keepWarmup {
 		for _, app := range s.Reporters {
 			app.Server.ResetStats()
 			app.Client.ResetStats()

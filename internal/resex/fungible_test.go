@@ -35,13 +35,16 @@ func TestFungibleChargesAndTracksDimensions(t *testing.T) {
 		}
 	}
 	// The 2MB interferer drives the fabric; its spend must dominate.
-	intf := bk.Of(r.intf.ServerVM.Dom.Name())
-	rep := bk.Of(r.rep.ServerVM.Dom.Name())
-	if intf.Spent(exchange.DimFabric)+intf.Sold(exchange.DimFabric) == 0 &&
-		intf.Bought(exchange.DimFabric) == 0 {
+	var intf exchange.HolderState
+	for _, h := range bk.Checkpoint().Holders {
+		if h.Name == r.intf.ServerVM.Dom.Name() {
+			intf = h
+		}
+	}
+	if intf.Spent[exchange.DimFabric]+intf.Sold[exchange.DimFabric] == 0 &&
+		intf.Bought[exchange.DimFabric] == 0 {
 		t.Fatal("interferer shows no fabric activity on the book")
 	}
-	_ = rep
 }
 
 func TestFungibleCapsOverdraftUnderCongestion(t *testing.T) {

@@ -92,14 +92,13 @@ type Response struct {
 	Seq      uint64
 	SentAt   sim.Time // echoed client timestamp
 	ServerAt sim.Time // server completion timestamp
-	Price    float64
 	Status   uint32
 }
 
 // Wire sizes.
 const (
 	RequestSize  = 72
-	ResponseSize = 40
+	ResponseSize = 32
 	reqMagic     = 0xB17C
 	respMagic    = 0xE8C4
 )
@@ -168,9 +167,8 @@ func (r *Response) Encode(b []byte) error {
 	le.PutUint64(b[0:], r.Seq)
 	le.PutUint64(b[8:], uint64(r.SentAt))
 	le.PutUint64(b[16:], uint64(r.ServerAt))
-	le.PutUint64(b[24:], floatBits(r.Price))
-	le.PutUint32(b[32:], r.Status)
-	le.PutUint32(b[36:], respMagic)
+	le.PutUint32(b[24:], r.Status)
+	le.PutUint32(b[28:], respMagic)
 	return nil
 }
 
@@ -180,15 +178,14 @@ func DecodeResponse(b []byte) (Response, error) {
 		return Response{}, ErrShortBuffer
 	}
 	le := binary.LittleEndian
-	if le.Uint32(b[36:]) != respMagic {
+	if le.Uint32(b[28:]) != respMagic {
 		return Response{}, ErrBadMagic
 	}
 	return Response{
 		Seq:      le.Uint64(b[0:]),
 		SentAt:   sim.Time(le.Uint64(b[8:])),
 		ServerAt: sim.Time(le.Uint64(b[16:])),
-		Price:    bitsFloat(le.Uint64(b[24:])),
-		Status:   le.Uint32(b[32:]),
+		Status:   le.Uint32(b[24:]),
 	}, nil
 }
 

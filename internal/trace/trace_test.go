@@ -59,7 +59,7 @@ func TestRequestEncodeDecodeProperty(t *testing.T) {
 }
 
 func TestResponseRoundTrip(t *testing.T) {
-	r := Response{Seq: 7, SentAt: 100, ServerAt: 300, Price: 10.4506, Status: 1}
+	r := Response{Seq: 7, SentAt: 100, ServerAt: 300, Status: 1}
 	b := make([]byte, ResponseSize)
 	if err := r.Encode(b); err != nil {
 		t.Fatal(err)
