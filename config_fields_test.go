@@ -32,6 +32,7 @@ var unsetConfigFields = map[string]string{
 	"placement.MigrationConfig.StateBytes":   "tests migrate a small image to keep runs short",
 	"placement.RebalanceConfig.Migration":    "tests hand the rebalancer a small-image cost model",
 	"placement.RebalanceConfig.RetryBackoff": "fault tests exercise the abort backoff, off by default",
+	"simpar.Config.ShardOf":                  "FuzzShardMap and TestShardCountInvariance drive adversarial host→shard maps",
 	"softrt.Config.Frames":                   "tests bound the stream to a fixed frame count",
 	"workload.Config.IntervalsPerEpoch":      "TestRandomRigsStrict and the other property tests in internal/invariant/prop shorten epochs to 50 intervals",
 	"workload.SLOSpec.Window":                "TestSLOTrackerWindows shortens the evaluation window",

@@ -8,7 +8,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"resex/internal/benchex"
 	"resex/internal/fabric"
@@ -217,29 +216,6 @@ func (h *Host) RemoveVM(vm *VM) {
 	}
 	h.free = append(h.free[:at], append([]int{pcpu}, h.free[at:]...)...)
 	vm.Host = nil
-}
-
-// ShardMap block-partitions host node ids into shards contiguous groups and
-// returns the host→shard ownership map. Ids are sorted first, so the map is
-// a pure function of the id *set* — build order cannot leak in. Shard
-// counts below 1 (or above the host count) are clamped. The sharded
-// simulation (internal/simpar) uses this as its default partition; anything
-// that needs a deterministic host grouping may share it.
-func ShardMap(nodes []int, shards int) map[int]int {
-	sorted := append([]int(nil), nodes...)
-	sort.Ints(sorted)
-	n := len(sorted)
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > n && n > 0 {
-		shards = n
-	}
-	m := make(map[int]int, n)
-	for i, node := range sorted {
-		m[node] = i * shards / n
-	}
-	return m
 }
 
 // ConnectQPs wires two QPs into an RC connection (the out-of-band

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"resex/internal/benchex"
@@ -419,46 +418,3 @@ func TestAgentReporting(t *testing.T) {
 type sinkFunc func(benchex.LatencyReport)
 
 func (f sinkFunc) LatencyReport(r benchex.LatencyReport) { f(r) }
-
-func TestShardMap(t *testing.T) {
-	m := ShardMap([]int{5, 1, 9, 3}, 2)
-	want := map[int]int{1: 0, 3: 0, 5: 1, 9: 1}
-	if !reflect.DeepEqual(m, want) {
-		t.Errorf("ShardMap = %v, want %v", m, want)
-	}
-	// The partition is a function of the id *set*: input order is irrelevant.
-	if again := ShardMap([]int{9, 5, 3, 1}, 2); !reflect.DeepEqual(again, m) {
-		t.Errorf("order-sensitive map: %v vs %v", again, m)
-	}
-	// Shard count clamps to the host count; every host still gets a shard.
-	wide := ShardMap([]int{1, 2}, 10)
-	if len(wide) != 2 || wide[1] != 0 || wide[2] != 1 {
-		t.Errorf("clamped map = %v", wide)
-	}
-	// Non-positive shard counts collapse to one shard.
-	for node, s := range ShardMap([]int{4, 2, 7}, 0) {
-		if s != 0 {
-			t.Errorf("host %d in shard %d with shards=0", node, s)
-		}
-	}
-	if m := ShardMap(nil, 3); len(m) != 0 {
-		t.Errorf("empty fleet map = %v", m)
-	}
-	// Blocks are contiguous in sorted-id order and balanced within one.
-	big := ShardMap([]int{10, 20, 30, 40, 50, 60, 70}, 3)
-	counts := map[int]int{}
-	prev := -1
-	for _, id := range []int{10, 20, 30, 40, 50, 60, 70} {
-		s := big[id]
-		if s < prev {
-			t.Errorf("non-monotone shard for host %d: %d after %d", id, s, prev)
-		}
-		prev = s
-		counts[s]++
-	}
-	for s, c := range counts {
-		if c < 2 || c > 3 {
-			t.Errorf("shard %d holds %d hosts of 7 over 3 shards", s, c)
-		}
-	}
-}

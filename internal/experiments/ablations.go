@@ -45,9 +45,9 @@ func (r *AblArbResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows) 
 // VL-style round-robin arbitration rather than from ResEx.
 func AblArb(o Options) (*AblArbResult, error) {
 	o = o.WithDefaults()
-	var points []SweepPoint[AblArbRow]
+	var points []func(Options) (AblArbRow, error)
 	for _, disc := range []fabric.Discipline{fabric.RoundRobin, fabric.FIFO} {
-		points = append(points, Point(disc.String(), func(o Options) (AblArbRow, error) {
+		points = append(points, func(o Options) (AblArbRow, error) {
 			s, err := Build(ScenarioConfig{IntfBuffer: workload.BulkBuffer, Discipline: disc, Timeline: true, Seed: o.Seed})
 			if err != nil {
 				return AblArbRow{}, err
@@ -63,7 +63,7 @@ func AblArb(o Options) (*AblArbResult, error) {
 				Mean:       st.Total.Mean(),
 				P99:        sample.Quantile(0.99),
 			}, nil
-		}))
+		})
 	}
 	rows, err := RunSweep(o, points)
 	if err != nil {
@@ -103,8 +103,8 @@ func (r *AblMechResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.Rows)
 // and NIC-limited to 30 MB/s.
 func AblMech(o Options) (*AblMechResult, error) {
 	o = o.WithDefaults()
-	mk := func(name string, prep func(*Scenario)) SweepPoint[AblMechRow] {
-		return Point(name, func(o Options) (AblMechRow, error) {
+	mk := func(name string, prep func(*Scenario)) func(Options) (AblMechRow, error) {
+		return func(o Options) (AblMechRow, error) {
 			s, err := Build(ScenarioConfig{IntfBuffer: workload.BulkBuffer, Seed: o.Seed})
 			if err != nil {
 				return AblMechRow{}, err
@@ -118,9 +118,9 @@ func AblMech(o Options) (*AblMechResult, error) {
 				IntfCPU:    s.Intf.ServerVM.Dom.CPUTime().Seconds(),
 				IntfMBs:    bytes / o.Duration.Seconds() / 1e6,
 			}, nil
-		})
+		}
 	}
-	rows, err := RunSweep(o, []SweepPoint[AblMechRow]{
+	rows, err := RunSweep(o, []func(Options) (AblMechRow, error){
 		mk("none", func(*Scenario) {}),
 		mk("cpu-cap-3", func(s *Scenario) { s.Intf.ServerVM.Dom.SetCap(3) }),
 		mk("nic-30MBps", func(s *Scenario) { s.Intf.ServerQP.SetRateLimit(30e6) }),
@@ -179,38 +179,37 @@ func (r *AblEventsResult) WriteCSV(w io.Writer) error {
 // pipelined 64KB server.
 func AblEvents(o Options) (*AblEventsResult, error) {
 	o = o.WithDefaults()
-	var points []SweepPoint[AblEventsRow]
+	var points []func(Options) (AblEventsRow, error)
 	for _, mode := range []bool{false, true} {
 		for _, cap := range []int{0, 25, 10} {
 			name := "polling"
 			if mode {
 				name = "events"
 			}
-			points = append(points, Point(fmt.Sprintf("%s cap=%d", name, cap),
-				func(o Options) (AblEventsRow, error) {
-					tb := cluster.New(cluster.Config{})
-					hostA, hostB := tb.AddHost(1), tb.AddHost(2)
-					app, err := tb.NewApp("app", hostA, hostB,
-						benchex.ServerConfig{BufferSize: 64 << 10, EventDriven: mode},
-						benchex.ClientConfig{BufferSize: 64 << 10, Window: 4, Seed: o.Seed + 1})
-					if err != nil {
-						return AblEventsRow{}, err
-					}
-					if cap > 0 {
-						app.ServerVM.Dom.SetCap(cap)
-					}
-					stopAudit := o.observe(tb.Eng, &snapshot.Source{TB: tb})
-					app.Start()
-					tb.Eng.RunUntil(o.Duration)
-					stopAudit()
-					st := app.Server.Stats()
-					row := AblEventsRow{
-						Mode: name, Cap: cap, Mean: st.Total.Mean(),
-						ReqPerS: float64(st.Served) / o.Duration.Seconds(),
-					}
-					tb.Eng.Shutdown()
-					return row, nil
-				}))
+			points = append(points, func(o Options) (AblEventsRow, error) {
+				tb := cluster.New(cluster.Config{})
+				hostA, hostB := tb.AddHost(1), tb.AddHost(2)
+				app, err := tb.NewApp("app", hostA, hostB,
+					benchex.ServerConfig{BufferSize: 64 << 10, EventDriven: mode},
+					benchex.ClientConfig{BufferSize: 64 << 10, Window: 4, Seed: o.Seed + 1})
+				if err != nil {
+					return AblEventsRow{}, err
+				}
+				if cap > 0 {
+					app.ServerVM.Dom.SetCap(cap)
+				}
+				stopAudit := o.observe(tb.Eng, &snapshot.Source{TB: tb})
+				app.Start()
+				tb.Eng.RunUntil(o.Duration)
+				stopAudit()
+				st := app.Server.Stats()
+				row := AblEventsRow{
+					Mode: name, Cap: cap, Mean: st.Total.Mean(),
+					ReqPerS: float64(st.Served) / o.Duration.Seconds(),
+				}
+				tb.Eng.Shutdown()
+				return row, nil
+			})
 		}
 	}
 	rows, err := RunSweep(o, points)
@@ -256,23 +255,22 @@ func (r *AblCapacityResult) WriteCSV(w io.Writer) error { return writeCSV(w, r.R
 func AblCapacity(o Options) (*AblCapacityResult, error) {
 	o = o.WithDefaults()
 	const sla = 233.5 * 1.25
-	var points []SweepPoint[AblCapacityRow]
+	var points []func(Options) (AblCapacityRow, error)
 	for n := 1; n <= 6; n++ {
-		points = append(points, Point(fmt.Sprintf("apps=%d", n),
-			func(o Options) (AblCapacityRow, error) {
-				s, err := Build(ScenarioConfig{Reporters: n, Seed: o.Seed})
-				if err != nil {
-					return AblCapacityRow{}, err
+		points = append(points, func(o Options) (AblCapacityRow, error) {
+			s, err := Build(ScenarioConfig{Reporters: n, Seed: o.Seed})
+			if err != nil {
+				return AblCapacityRow{}, err
+			}
+			s.RunMeasured(o)
+			worst := 0.0
+			for _, app := range s.Reporters {
+				if m := app.Server.Stats().Total.Mean(); m > worst {
+					worst = m
 				}
-				s.RunMeasured(o)
-				worst := 0.0
-				for _, app := range s.Reporters {
-					if m := app.Server.Stats().Total.Mean(); m > worst {
-						worst = m
-					}
-				}
-				return AblCapacityRow{Apps: n, WorstMean: worst, WithinSLA: worst <= sla}, nil
-			}))
+			}
+			return AblCapacityRow{Apps: n, WorstMean: worst, WithinSLA: worst <= sla}, nil
+		})
 	}
 	rows, err := RunSweep(o, points)
 	if err != nil {

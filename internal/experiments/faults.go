@@ -206,17 +206,12 @@ func runFaultsRow(o Options, stormsPerSec float64, aware bool) (AblFaultsRow, er
 // AblFaults runs the intensity × stack sweep.
 func AblFaults(o Options) (*AblFaultsResult, error) {
 	o = o.WithDefaults()
-	var points []SweepPoint[AblFaultsRow]
+	var points []func(Options) (AblFaultsRow, error)
 	for _, storms := range []float64{0, 4, 12, 24} {
 		for _, aware := range []bool{false, true} {
-			stack := "naive"
-			if aware {
-				stack = "aware"
-			}
-			points = append(points, Point(fmt.Sprintf("%g/s %s", storms, stack),
-				func(o Options) (AblFaultsRow, error) {
-					return runFaultsRow(o, storms, aware)
-				}))
+			points = append(points, func(o Options) (AblFaultsRow, error) {
+				return runFaultsRow(o, storms, aware)
+			})
 		}
 	}
 	rows, err := RunSweep(o, points)

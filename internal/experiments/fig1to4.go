@@ -59,13 +59,9 @@ type fig1Side struct {
 // without a 2MB interference generator; no ResEx.
 func Fig1(o Options) (*Fig1Result, error) {
 	o = o.WithDefaults()
-	var points []SweepPoint[fig1Side]
+	var points []func(Options) (fig1Side, error)
 	for _, interfered := range []bool{false, true} {
-		label := "normal"
-		if interfered {
-			label = "interfered"
-		}
-		points = append(points, Point(label, func(o Options) (fig1Side, error) {
+		points = append(points, func(o Options) (fig1Side, error) {
 			cfg := ScenarioConfig{Timeline: true, Seed: o.Seed}
 			if interfered {
 				cfg.IntfBuffer = workload.BulkBuffer
@@ -85,7 +81,7 @@ func Fig1(o Options) (*Fig1Result, error) {
 				side.Hist.Add(rec.Total().Microseconds())
 			}
 			return side, nil
-		}))
+		})
 	}
 	sides, err := RunSweep(o, points)
 	if err != nil {
@@ -151,35 +147,34 @@ func (r *Fig2Result) WriteCSV(w io.Writer) error {
 // with and without an added interference generator.
 func Fig2(o Options) (*Fig2Result, error) {
 	o = o.WithDefaults()
-	var points []SweepPoint[Fig2Row]
+	var points []func(Options) (Fig2Row, error)
 	for _, n := range []int{1, 2, 3} {
 		for _, loaded := range []bool{false, true} {
-			points = append(points, Point(fmt.Sprintf("n=%d loaded=%v", n, loaded),
-				func(o Options) (Fig2Row, error) {
-					cfg := ScenarioConfig{Reporters: n, Seed: o.Seed}
-					if loaded {
-						cfg.IntfBuffer = workload.BulkBuffer
-					}
-					s, err := Build(cfg)
-					if err != nil {
-						return Fig2Row{}, err
-					}
-					s.RunMeasured(o)
-					// Aggregate across the n reporting servers.
-					var c, wt, p stats.Summary
-					for _, app := range s.Reporters {
-						st := app.Server.Stats()
-						c.Merge(&st.C)
-						wt.Merge(&st.W)
-						p.Merge(&st.P)
-					}
-					return Fig2Row{
-						Servers: n, Loaded: loaded,
-						CTime: c.Mean(), CStd: c.StdDev(),
-						WTime: wt.Mean(), WStd: wt.StdDev(),
-						PTime: p.Mean(), PStd: p.StdDev(),
-					}, nil
-				}))
+			points = append(points, func(o Options) (Fig2Row, error) {
+				cfg := ScenarioConfig{Reporters: n, Seed: o.Seed}
+				if loaded {
+					cfg.IntfBuffer = workload.BulkBuffer
+				}
+				s, err := Build(cfg)
+				if err != nil {
+					return Fig2Row{}, err
+				}
+				s.RunMeasured(o)
+				// Aggregate across the n reporting servers.
+				var c, wt, p stats.Summary
+				for _, app := range s.Reporters {
+					st := app.Server.Stats()
+					c.Merge(&st.C)
+					wt.Merge(&st.W)
+					p.Merge(&st.P)
+				}
+				return Fig2Row{
+					Servers: n, Loaded: loaded,
+					CTime: c.Mean(), CStd: c.StdDev(),
+					WTime: wt.Mean(), WStd: wt.StdDev(),
+					PTime: p.Mean(), PStd: p.StdDev(),
+				}, nil
+			})
 		}
 	}
 	rows, err := RunSweep(o, points)
@@ -238,11 +233,11 @@ func (r *Fig3Result) WriteCSV(w io.Writer) error {
 // capping it at 100/BufferRatio (the relationship §V-B establishes).
 func Fig3(o Options) (*Fig3Result, error) {
 	o = o.WithDefaults()
-	var points []SweepPoint[Fig3Row]
+	var points []func(Options) (Fig3Row, error)
 	for _, buf := range []int{2 << 20, 1 << 20, 512 << 10, 256 << 10, 128 << 10, 64 << 10} {
 		ratio := buf / BaseBuffer
 		cap := 100 / ratio
-		points = append(points, Point(ByteSize(buf), func(o Options) (Fig3Row, error) {
+		points = append(points, func(o Options) (Fig3Row, error) {
 			cfg := ScenarioConfig{IntfBuffer: buf, Seed: o.Seed}
 			if cap < 100 {
 				cfg.IntfCap = cap
@@ -257,7 +252,7 @@ func Fig3(o Options) (*Fig3Result, error) {
 				BufferRatio: ratio, IntfBuffer: buf, Cap: cap,
 				CTime: st.C.Mean(), WTime: st.W.Mean(), PTime: st.P.Mean(),
 			}, nil
-		}))
+		})
 	}
 	rows, err := RunSweep(o, points)
 	if err != nil {
@@ -316,9 +311,9 @@ func (r *Fig4Result) WriteCSV(w io.Writer) error {
 // (no interferer) reference.
 func Fig4(o Options) (*Fig4Result, error) {
 	o = o.WithDefaults()
-	var points []SweepPoint[Fig4Row]
+	var points []func(Options) (Fig4Row, error)
 	for _, c := range []int{100, 90, 80, 70, 60, 50, 40, 30, 20, 10, 3, 0} { // 0 = Base
-		points = append(points, Point(fmt.Sprintf("cap=%d", c), func(o Options) (Fig4Row, error) {
+		points = append(points, func(o Options) (Fig4Row, error) {
 			cfg := ScenarioConfig{Seed: o.Seed}
 			if c > 0 {
 				cfg.IntfBuffer = workload.BulkBuffer
@@ -333,7 +328,7 @@ func Fig4(o Options) (*Fig4Result, error) {
 			s.RunMeasured(o)
 			st := s.RepStats()
 			return Fig4Row{Cap: c, CTime: st.C.Mean(), WTime: st.W.Mean(), PTime: st.P.Mean()}, nil
-		}))
+		})
 	}
 	rows, err := RunSweep(o, points)
 	if err != nil {

@@ -106,14 +106,14 @@ func runTimeline(o Options, figure int, mkPolicy func() resex.Policy) (*Timeline
 		st := s.RepStats()
 		return tlSide{Mean: st.Total.Mean(), Std: st.Total.StdDev()}, nil
 	}
-	points := []SweepPoint[tlSide]{
-		Point("base", func(o Options) (tlSide, error) {
+	points := []func(Options) (tlSide, error){
+		func(o Options) (tlSide, error) {
 			return meanStd(o, ScenarioConfig{Timeline: true, Seed: o.Seed})
-		}),
-		Point("interfered", func(o Options) (tlSide, error) {
+		},
+		func(o Options) (tlSide, error) {
 			return meanStd(o, ScenarioConfig{Timeline: true, IntfBuffer: workload.BulkBuffer, Seed: o.Seed})
-		}),
-		Point("policy", func(o Options) (tlSide, error) {
+		},
+		func(o Options) (tlSide, error) {
 			// Policy run with observers.
 			policy := mkPolicy()
 			side := tlSide{PolicyName: policy.Name()}
@@ -154,7 +154,7 @@ func runTimeline(o Options, figure int, mkPolicy func() resex.Policy) (*Timeline
 				side.Latency.Add(float64(i), rec.Total().Microseconds())
 			}
 			return side, nil
-		}),
+		},
 	}
 	sides, err := RunSweep(o, points)
 	if err != nil {
@@ -320,9 +320,9 @@ func Fig8(o Options) (*Fig8Result, error) {
 		{"FM-64KB-2MB-NoIntf", quiet(mkFM())},
 		{"IOS-64KB-2MB-NoIntf", quiet(mkIOS())},
 	}
-	var points []SweepPoint[Fig8Row]
+	var points []func(Options) (Fig8Row, error)
 	for _, c := range cases {
-		points = append(points, Point(c.name, func(o Options) (Fig8Row, error) {
+		points = append(points, func(o Options) (Fig8Row, error) {
 			s, err := Build(c.cfg)
 			if err != nil {
 				return Fig8Row{}, err
@@ -330,7 +330,7 @@ func Fig8(o Options) (*Fig8Result, error) {
 			s.RunMeasured(o)
 			st := s.RepStats()
 			return Fig8Row{Config: c.name, Mean: st.Total.Mean(), Std: st.Total.StdDev()}, nil
-		}))
+		})
 	}
 	rows, err := RunSweep(o, points)
 	if err != nil {
@@ -392,25 +392,25 @@ func Fig9(o Options) (*Fig9Result, error) {
 	}
 	// Point 0 is the shared Base reference (no interferer); then each buffer
 	// contributes a FreeMarket and an IOShares point, in that order.
-	points := []SweepPoint[float64]{
-		Point("base", func(o Options) (float64, error) {
+	points := []func(Options) (float64, error){
+		func(o Options) (float64, error) {
 			s, err := Build(ScenarioConfig{Seed: o.Seed})
 			if err != nil {
 				return 0, err
 			}
 			s.RunMeasured(o)
 			return s.RepStats().Total.Mean(), nil
-		}),
+		},
 	}
 	buffers := []int{64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20}
 	for _, buf := range buffers {
 		points = append(points,
-			Point("fm-"+ByteSize(buf), func(o Options) (float64, error) {
+			func(o Options) (float64, error) {
 				return runPolicy(o, buf, func() resex.Policy { return resex.NewFreeMarket() })
-			}),
-			Point("ios-"+ByteSize(buf), func(o Options) (float64, error) {
+			},
+			func(o Options) (float64, error) {
 				return runPolicy(o, buf, func() resex.Policy { return resex.NewIOShares() })
-			}))
+			})
 	}
 	means, err := RunSweep(o, points)
 	if err != nil {

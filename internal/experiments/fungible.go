@@ -191,13 +191,12 @@ func AblFungible(o Options) (*AblFungibleResult, error) {
 	if o.Warmup < 500*sim.Millisecond {
 		o.Warmup = 500 * sim.Millisecond
 	}
-	var points []SweepPoint[AblFungibleRow]
+	var points []func(Options) (AblFungibleRow, error)
 	for _, util := range []int{70, 80, 90, 95} {
 		for _, policy := range []string{"fungible", "ioshares", "freemarket"} {
-			points = append(points, Point(fmt.Sprintf("%d%% %s", util, policy),
-				func(o Options) (AblFungibleRow, error) {
-					return runFungibleCell(o, util, policy)
-				}))
+			points = append(points, func(o Options) (AblFungibleRow, error) {
+				return runFungibleCell(o, util, policy)
+			})
 		}
 	}
 	rows, err := RunSweep(o, points)

@@ -289,12 +289,11 @@ func RunGeoDiurnalCell(o Options, zones, shards, shift int) (AblGeoDiurnalRow, e
 // whole runs at -simshards 1 vs 8.
 func AblGeoDiurnal(o Options) (*AblGeoDiurnalResult, error) {
 	o = o.WithDefaults()
-	var points []SweepPoint[AblGeoDiurnalRow]
+	var points []func(Options) (AblGeoDiurnalRow, error)
 	for _, shards := range simParShardAxis {
-		points = append(points, Point(fmt.Sprintf("s=%d", shards),
-			func(o Options) (AblGeoDiurnalRow, error) {
-				return RunGeoDiurnalCell(o, geoZones, shards, 0)
-			}))
+		points = append(points, func(o Options) (AblGeoDiurnalRow, error) {
+			return RunGeoDiurnalCell(o, geoZones, shards, 0)
+		})
 	}
 	cells, err := RunSweep(o, points)
 	if err != nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 
 	"resex/internal/benchex"
@@ -188,17 +187,12 @@ func AblMixedCrit(o Options) (*AblMixedCritResult, error) {
 	if o.Warmup < 500*sim.Millisecond {
 		o.Warmup = 500 * sim.Millisecond
 	}
-	var points []SweepPoint[AblMixedCritRow]
+	var points []func(Options) (AblMixedCritRow, error)
 	for _, press := range []int{25, 50, 100, 200} {
 		for _, priced := range []bool{true, false} {
-			mode := "blind"
-			if priced {
-				mode = "priced"
-			}
-			points = append(points, Point(fmt.Sprintf("%d%% %s", press, mode),
-				func(o Options) (AblMixedCritRow, error) {
-					return runMixedCritCell(o, press, priced)
-				}))
+			points = append(points, func(o Options) (AblMixedCritRow, error) {
+				return runMixedCritCell(o, press, priced)
+			})
 		}
 	}
 	rows, err := RunSweep(o, points)

@@ -230,13 +230,12 @@ func servedTotal(pl *placement.Placement) int64 {
 // AblPlacement runs the strategy × scale grid.
 func AblPlacement(o Options) (*AblPlacementResult, error) {
 	o = o.WithDefaults()
-	var points []SweepPoint[AblPlacementRow]
+	var points []func(Options) (AblPlacementRow, error)
 	for _, scale := range []struct{ hosts, vms int }{{4, 8}, {8, 16}} {
 		for _, strat := range placementStrategies() {
-			points = append(points, Point(fmt.Sprintf("%s %dx%d", strat.name, scale.hosts, scale.vms),
-				func(o Options) (AblPlacementRow, error) {
-					return runPlacementRow(o, scale.hosts, scale.vms, strat)
-				}))
+			points = append(points, func(o Options) (AblPlacementRow, error) {
+				return runPlacementRow(o, scale.hosts, scale.vms, strat)
+			})
 		}
 	}
 	rows, err := RunSweep(o, points)

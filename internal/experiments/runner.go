@@ -1,81 +1,32 @@
 package experiments
 
-import "sync"
+import "resex/internal/par"
 
-// SweepPoint is one independent cell of a figure's parameter sweep: a label
-// for diagnostics and a function that builds its own testbed, runs it, and
-// returns the cell's result. Points must not share mutable state — each one
-// constructs a private engine via Build (or equivalent), which is what makes
-// them safe to execute concurrently.
-type SweepPoint[T any] struct {
-	Label string
-	Run   func(o Options) (T, error)
-}
-
-// Point is a convenience constructor for SweepPoint.
-func Point[T any](label string, run func(o Options) (T, error)) SweepPoint[T] {
-	return SweepPoint[T]{Label: label, Run: run}
-}
-
-// RunSweep executes the declared points and returns their results in
-// declaration order, one result per point.
+// RunSweep runs one function per point of a figure's parameter sweep and
+// returns their results in declaration order. Points must not share
+// mutable state: each builds its own testbed (via Build or equivalent),
+// which is what makes them safe to run concurrently.
 //
-// With o.Parallel <= 1 the points run serially in order. With o.Parallel > 1
-// they run on a bounded worker pool of min(o.Parallel, len(points))
-// goroutines; because results are merged back by point index and every point
-// receives the same derived options either way, the assembled output is
-// byte-identical to the serial run for the same seed — parallelism changes
-// wall-clock time only, never the tables.
+// par.For runs the points on up to o.Parallel goroutines. Results are
+// merged by point index and every point receives the same derived options
+// at any width, so the assembled output is byte-identical to the serial
+// run for the same seed: parallelism changes wall-clock time only.
 //
 // Each point receives a per-point copy of the options with Parallel reset to
-// 1 (a point is a leaf — it must not recurse into its own pool) and
-// PointSeed set to a splitmix64-derived stream unique to (o.Seed, index),
-// for points that want decorrelated randomness without coordinating offsets.
-// (The historical figure drivers keep their original o.Seed arithmetic so
-// recorded outputs stay stable; see EXPERIMENTS.md.)
+// 1 (a point is a leaf and must not fan out again) and PointSeed set to a
+// splitmix64-derived stream unique to (o.Seed, index), for points that want
+// decorrelated randomness without coordinating offsets. (The historical
+// figure drivers keep their original o.Seed arithmetic so recorded outputs
+// stay stable; see EXPERIMENTS.md.)
 //
-// Errors are reported in declaration order: the error returned is the one
-// from the earliest failing point, matching what the serial loop would have
-// returned first. Later points may already have run by then; their work is
-// discarded.
-func RunSweep[T any](o Options, points []SweepPoint[T]) ([]T, error) {
+// Every point runs, and the error returned is the earliest failing point's
+// in declaration order.
+func RunSweep[T any](o Options, points []func(o Options) (T, error)) ([]T, error) {
 	results := make([]T, len(points))
-	if o.Parallel <= 1 || len(points) <= 1 {
-		for i, pt := range points {
-			r, err := pt.Run(o.forPoint(i))
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-		}
-		return results, nil
-	}
-
 	errs := make([]error, len(points))
-	var next int // atomically claimed under mu: work-stealing counter
-	var mu sync.Mutex
-	workers := o.Parallel
-	if len(points) < workers {
-		workers = len(points)
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(points) {
-					return
-				}
-				results[i], errs[i] = points[i].Run(o.forPoint(i))
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(points), o.Parallel, func(i int) {
+		results[i], errs[i] = points[i](o.forPoint(i))
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -2,23 +2,23 @@ package experiments
 
 import (
 	"errors"
-	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // sleepPoint returns a point that records nothing but takes real time, to
 // force overlap between workers.
-func sleepPoint(i int) SweepPoint[int] {
-	return Point(fmt.Sprintf("p%d", i), func(o Options) (int, error) {
+func sleepPoint(i int) func(Options) (int, error) {
+	return func(o Options) (int, error) {
 		time.Sleep(time.Duration(5-i%3) * time.Millisecond)
 		return i * i, nil
-	})
+	}
 }
 
 func TestRunSweepOrderPreserved(t *testing.T) {
 	t.Parallel()
-	var points []SweepPoint[int]
+	var points []func(Options) (int, error)
 	for i := 0; i < 12; i++ {
 		points = append(points, sleepPoint(i))
 	}
@@ -42,19 +42,25 @@ func TestRunSweepErrorDeclaredOrder(t *testing.T) {
 	t.Parallel()
 	errA := errors.New("a failed")
 	errB := errors.New("b failed")
-	points := []SweepPoint[int]{
-		Point("ok", func(o Options) (int, error) { return 1, nil }),
-		Point("a", func(o Options) (int, error) {
+	var ran atomic.Int32
+	points := []func(Options) (int, error){
+		func(o Options) (int, error) { ran.Add(1); return 1, nil },
+		func(o Options) (int, error) {
+			ran.Add(1)
 			time.Sleep(10 * time.Millisecond) // fails *later* in wall time...
 			return 0, errA
-		}),
-		Point("b", func(o Options) (int, error) { return 0, errB }),
+		},
+		func(o Options) (int, error) { ran.Add(1); return 0, errB },
 	}
 	for _, par := range []int{1, 3} {
+		ran.Store(0)
 		_, err := RunSweep(Options{Parallel: par}, points)
-		// ...but the declared-order error wins, matching the serial loop.
+		// ...but the declared-order error wins.
 		if err != errA {
 			t.Errorf("Parallel=%d: err = %v, want %v", par, err, errA)
+		}
+		if n := ran.Load(); n != 3 {
+			t.Errorf("Parallel=%d: %d of 3 points ran", par, n)
 		}
 	}
 }
@@ -63,10 +69,9 @@ func TestRunSweepPointOptions(t *testing.T) {
 	t.Parallel()
 	base := Options{Seed: 42, Parallel: 8}
 	var seen []Options
-	var points []SweepPoint[Options]
+	var points []func(Options) (Options, error)
 	for i := 0; i < 4; i++ {
-		points = append(points, Point(fmt.Sprintf("p%d", i),
-			func(o Options) (Options, error) { return o, nil }))
+		points = append(points, func(o Options) (Options, error) { return o, nil })
 	}
 	got, err := RunSweep(base, points)
 	if err != nil {

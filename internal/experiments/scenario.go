@@ -48,9 +48,9 @@ type Options struct {
 	// different seed explore a different (but still fully deterministic)
 	// request arrival pattern. Default 0 preserves the historical outputs.
 	Seed int64
-	// Parallel bounds the worker pool RunSweep uses to execute a figure's
-	// independent sweep points. 1 (the default) runs points serially;
-	// higher values change wall-clock time only — results are merged in
+	// Parallel bounds the goroutines RunSweep uses to execute a figure's
+	// independent sweep points. 1 or less runs points serially; higher
+	// values change wall-clock time only — results are merged in
 	// declaration order, so output is byte-identical either way.
 	Parallel int
 	// PointSeed is set by RunSweep for each sweep point: a splitmix64
@@ -63,7 +63,7 @@ type Options struct {
 	// run one placement round's logical shards (resexsim -shards). Like
 	// Parallel it is a wall-clock knob only: shard partition, proposal
 	// order and the commit merge are all canonical, so output is
-	// byte-identical at any width. Default 1.
+	// byte-identical at any width. 1 or less runs shards serially.
 	ShardWorkers int
 	// SimShards bounds the worker goroutines a sharded-simulation
 	// coordinator (internal/simpar) uses to run one conservative window's
@@ -71,7 +71,8 @@ type Options struct {
 	// alongside Parallel and ShardWorkers: windows, merge order and
 	// message delivery are all canonical, so output — stdout, audit
 	// summaries, snapshot bundles — is byte-identical at any width.
-	// Drivers without a sharded coordinator ignore it. Default 1.
+	// Drivers without a sharded coordinator ignore it. 1 or less runs
+	// shards serially.
 	SimShards int
 	// Audit, when non-nil, attaches a runtime invariant auditor to every
 	// engine the experiment builds and merges results into this collector.
@@ -93,15 +94,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.Warmup <= 0 {
 		o.Warmup = 100 * sim.Millisecond
-	}
-	if o.Parallel <= 0 {
-		o.Parallel = 1
-	}
-	if o.ShardWorkers <= 0 {
-		o.ShardWorkers = 1
-	}
-	if o.SimShards <= 0 {
-		o.SimShards = 1
 	}
 	return o
 }

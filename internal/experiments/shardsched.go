@@ -247,11 +247,10 @@ func conflictPct(sched *schedshard.Scheduler) float64 {
 // breaks score ties toward the lowest node) then "avoid" (per-shard rotated
 // tie-break) — and the logical shard counts {1, 2, 4, 8, 16}.
 func schedGrid[R any](o Options, cell func(o Options, mode string, shards int) R) ([]R, error) {
-	var points []SweepPoint[R]
+	var points []func(Options) (R, error)
 	for _, mode := range []string{"naive", "avoid"} {
 		for _, shards := range []int{1, 2, 4, 8, 16} {
-			points = append(points, Point(fmt.Sprintf("%s s=%d", mode, shards),
-				func(o Options) (R, error) { return cell(o, mode, shards), nil }))
+			points = append(points, func(o Options) (R, error) { return cell(o, mode, shards), nil })
 		}
 	}
 	return RunSweep(o, points)

@@ -132,16 +132,10 @@ type geoRing struct {
 // seeded by specs[i].
 func buildGeoRing(specs []geoSiteSpec, shards, workers int) (*geoRing, error) {
 	n := len(specs)
-	nodes := make([]int, n)
-	for i := range nodes {
-		nodes[i] = i + 1
-	}
-	shardOf := cluster.ShardMap(nodes, shards)
 	co := simpar.New(simpar.Config{
 		Lookahead: SimParBackbone,
 		Shards:    shards,
 		Workers:   workers,
-		ShardOf:   func(node int) int { return shardOf[node] },
 	})
 	r := &geoRing{Co: co, Ic: simpar.NewInterconnect(co, SimParBackbone)}
 
@@ -205,7 +199,7 @@ func buildGeoRing(specs []geoSiteSpec, shards, workers int) (*geoRing, error) {
 // Run arms o's observers on every site, launches every site's components,
 // arms the global boundaries — the warmup stats reset, then the driver's
 // telemetry epoch — runs warmup plus the measured window, closes the
-// audits and shuts the ring down (worker pool included). Boundary
+// audits and shuts the ring down. Boundary
 // callbacks run at coordinator barriers, with every site engine stopped,
 // so they may read and mutate any site.
 func (r *geoRing) Run(o Options) {
@@ -360,13 +354,12 @@ func runSimParPoint(o Options, sites, shards int) (AblSimParRow, error) {
 // diffs whole runs at -simshards 1 vs 8.
 func AblSimPar(o Options) (*AblSimParResult, error) {
 	o = o.WithDefaults()
-	var points []SweepPoint[AblSimParRow]
+	var points []func(Options) (AblSimParRow, error)
 	for _, sites := range simParSizes(o) {
 		for _, shards := range simParShardAxis {
-			points = append(points, Point(fmt.Sprintf("n=%d s=%d", sites, shards),
-				func(o Options) (AblSimParRow, error) {
-					return runSimParPoint(o, sites, shards)
-				}))
+			points = append(points, func(o Options) (AblSimParRow, error) {
+				return runSimParPoint(o, sites, shards)
+			})
 		}
 	}
 	rows, err := RunSweep(o, points)

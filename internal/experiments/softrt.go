@@ -121,12 +121,12 @@ func SoftRT(o Options) (*SoftRTResult, error) {
 		tb.Eng.Shutdown()
 		return row, nil
 	}
-	mk := func(name string, withBulk, managed bool) SweepPoint[SoftRTRow] {
-		return Point(name, func(o Options) (SoftRTRow, error) {
+	mk := func(name string, withBulk, managed bool) func(Options) (SoftRTRow, error) {
+		return func(o Options) (SoftRTRow, error) {
 			return run(o, name, withBulk, managed)
-		})
+		}
 	}
-	rows, err := RunSweep(o, []SweepPoint[SoftRTRow]{
+	rows, err := RunSweep(o, []func(Options) (SoftRTRow, error){
 		mk("alone", false, false),
 		mk("with 2MB bulk", true, false),
 		mk("with bulk + IOShares", true, true),

@@ -133,13 +133,12 @@ func AblWorkload(o Options) (*AblWorkloadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var points []SweepPoint[AblWorkloadRow]
+	var points []func(Options) (AblWorkloadRow, error)
 	for _, load := range []int{30, 50, 70, 90, 110} {
 		for _, policy := range []string{"freemarket", "ioshares"} {
-			points = append(points, Point(fmt.Sprintf("%d%% %s", load, policy),
-				func(o Options) (AblWorkloadRow, error) {
-					return runWorkloadRow(o, perTenant, load, policy)
-				}))
+			points = append(points, func(o Options) (AblWorkloadRow, error) {
+				return runWorkloadRow(o, perTenant, load, policy)
+			})
 		}
 	}
 	rows, err := RunSweep(o, points)
@@ -239,11 +238,11 @@ func runWorkloadMixRow(o Options, policy string) (AblWorkloadMixRow, error) {
 // AblWorkloadMix runs the policy comparison.
 func AblWorkloadMix(o Options) (*AblWorkloadMixResult, error) {
 	o = o.WithDefaults()
-	var points []SweepPoint[AblWorkloadMixRow]
+	var points []func(Options) (AblWorkloadMixRow, error)
 	for _, policy := range []string{"none", "freemarket", "ioshares"} {
-		points = append(points, Point(policy, func(o Options) (AblWorkloadMixRow, error) {
+		points = append(points, func(o Options) (AblWorkloadMixRow, error) {
 			return runWorkloadMixRow(o, policy)
-		}))
+		})
 	}
 	rows, err := RunSweep(o, points)
 	if err != nil {
@@ -272,7 +271,7 @@ type AblWorkloadBurstRow struct {
 // Without admission control the bursts build queues whose drain time shows up
 // directly in p99; a small queue cap sheds the excess at the door and keeps
 // the tail flat at the cost of a bounded completion loss — the throughput/
-// latency trade the admission hook exists to expose.
+// latency trade the queue cap exists to expose.
 type AblWorkloadBurstResult struct {
 	// MeanRate is the constant mean offered rate (req/s).
 	MeanRate float64
@@ -294,7 +293,7 @@ func (r *AblWorkloadBurstResult) WriteCSV(w io.Writer) error { return writeCSV(w
 
 // runWorkloadBurstRow runs one cell: a single tenant whose MMPP2 arrivals
 // keep mean rate meanRate while the burst phase runs factor× the calm phase.
-func runWorkloadBurstRow(o Options, meanRate float64, factor int, admit workload.Admission) (AblWorkloadBurstRow, error) {
+func runWorkloadBurstRow(o Options, meanRate float64, factor, queueCap int) (AblWorkloadBurstRow, error) {
 	e := workload.New(workload.Config{Hosts: 1, ClientPCPUs: 8})
 	// Dwells are 30 ms calm / 10 ms burst, so mean = calm·(0.75 + 0.25·f).
 	calm := meanRate / (0.75 + 0.25*float64(factor))
@@ -304,10 +303,10 @@ func runWorkloadBurstRow(o Options, meanRate float64, factor int, admit workload
 			CalmRate: calm, BurstRate: calm * float64(factor),
 			CalmDwell: 30 * sim.Millisecond, BurstDwell: 10 * sim.Millisecond,
 		},
-		Window:    8,
-		SLO:       workload.SLOSpec{P99Us: 4 * workload.BaseSLAUs},
-		Admission: admit,
-		Seed:      o.PointSeed + 1,
+		Window:   8,
+		SLO:      workload.SLOSpec{P99Us: 4 * workload.BaseSLAUs},
+		QueueCap: queueCap,
+		Seed:     o.PointSeed + 1,
 	})
 	if err != nil {
 		return AblWorkloadBurstRow{}, err
@@ -318,9 +317,12 @@ func runWorkloadBurstRow(o Options, meanRate float64, factor int, admit workload
 	st := tn.Stats()
 	row := AblWorkloadBurstRow{
 		Factor:    factor,
-		Admission: admit.Name(),
+		Admission: "admit-all",
 		P99:       st.P99,
 		AttainPct: st.AttainPct,
+	}
+	if queueCap > 0 {
+		row.Admission = fmt.Sprintf("queue-cap(%d)", queueCap)
 	}
 	if st.Arrivals > 0 {
 		row.ShedPct = 100 * float64(st.Shed) / float64(st.Arrivals)
@@ -336,13 +338,12 @@ func AblWorkloadBurst(o Options) (*AblWorkloadBurstResult, error) {
 		return nil, err
 	}
 	meanRate := 0.65 * cap
-	var points []SweepPoint[AblWorkloadBurstRow]
+	var points []func(Options) (AblWorkloadBurstRow, error)
 	for _, factor := range []int{1, 2, 4, 8} {
-		for _, admit := range []workload.Admission{workload.AdmitAll{}, workload.QueueCap{Max: 32}} {
-			points = append(points, Point(fmt.Sprintf("f=%d %s", factor, admit.Name()),
-				func(o Options) (AblWorkloadBurstRow, error) {
-					return runWorkloadBurstRow(o, meanRate, factor, admit)
-				}))
+		for _, queueCap := range []int{0, 32} {
+			points = append(points, func(o Options) (AblWorkloadBurstRow, error) {
+				return runWorkloadBurstRow(o, meanRate, factor, queueCap)
+			})
 		}
 	}
 	rows, err := RunSweep(o, points)

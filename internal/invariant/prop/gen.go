@@ -68,7 +68,7 @@ func Tenants(rng *sim.Rand, n int) []workload.TenantSpec {
 			spec.LatencySensitive = true
 		}
 		if spec.Arrivals != nil && rng.Intn(2) == 0 {
-			spec.Admission = workload.QueueCap{Max: 4 + rng.Intn(28)}
+			spec.QueueCap = 4 + rng.Intn(28)
 		}
 		specs = append(specs, spec)
 	}

@@ -2,7 +2,8 @@ package schedshard
 
 import (
 	"fmt"
-	"sync"
+
+	"resex/internal/par"
 )
 
 // Config parameterizes a Scheduler.
@@ -17,7 +18,8 @@ type Config struct {
 	// Purely a wall-clock knob, exactly like experiments.Options.Parallel:
 	// shard work, proposal order and the commit merge are all keyed on the
 	// partition, never on goroutine interleaving, so output is
-	// byte-identical at any width. Default 1.
+	// byte-identical at any width. 1 or less runs the shards in order on
+	// the caller's goroutine.
 	Workers int
 	// Seed drives the splitmix64 key→shard partition hash.
 	Seed int64
@@ -31,12 +33,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	if c.Workers > c.Shards {
-		c.Workers = c.Shards
 	}
 	return c
 }
@@ -454,38 +450,11 @@ func (s *Scheduler) Round() RoundStats {
 	return rs
 }
 
-// propose runs every lane's propose step, serially or on a bounded worker
-// pool. Lanes are claimed by index from a shared counter (the same
-// work-stealing shape as experiments.RunSweep); each lane's work is
-// self-contained, so interleaving cannot affect its proposals.
+// propose runs every lane's propose step on up to Workers goroutines. Each
+// lane's work is self-contained, so interleaving cannot affect its
+// proposals.
 func (s *Scheduler) propose(snap *Snapshot) {
-	workers := s.cfg.Workers
-	if workers <= 1 {
-		for i, ln := range s.lanes {
-			s.runLane(ln, i, snap)
-		}
-		return
-	}
-	var mu sync.Mutex
-	var next int
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(s.lanes) {
-					return
-				}
-				s.runLane(s.lanes[i], i, snap)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(s.lanes), s.cfg.Workers, func(i int) { s.runLane(s.lanes[i], i, snap) })
 }
 
 // runLane executes one shard's propose step: refresh the private view from

@@ -11,7 +11,7 @@
 // The design is conservative (no rollback, no speculation):
 //
 //   - Every host runs on its own sim.Engine. Hosts are partitioned into S
-//     logical shards; a bounded worker pool executes shards concurrently.
+//     logical shards; par.For runs a window's shards concurrently.
 //   - Time advances in windows [T, E) with E = min(T+lookahead, next global
 //     boundary, horizon). Within a window each host executes only its own
 //     events — by the lookahead contract nothing generated elsewhere during
@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"sort"
 
+	"resex/internal/par"
 	"resex/internal/sim"
 )
 
@@ -188,8 +189,7 @@ type Config struct {
 	// a wall-clock concern only — output is byte-identical for any value.
 	Shards int
 	// Workers bounds the goroutines executing shards within one window.
-	// Clamped to [1, Shards]. 1 runs every shard inline on the caller's
-	// goroutine (no pool is started).
+	// 1 or less runs every shard on the caller's goroutine.
 	Workers int
 	// ShardOf overrides the default contiguous block partition with an
 	// explicit host→shard map (values are clamped into [0, Shards)). The
@@ -197,24 +197,22 @@ type Config struct {
 	ShardOf func(hostID int) int
 }
 
-// Coordinator owns the sharded run: the host set, the window/barrier loop,
-// the worker pool and the global boundary queue.
+// Coordinator owns the sharded run: the host set, the window/barrier loop
+// and the global boundary queue.
 type Coordinator struct {
 	cfg    Config
 	hosts  []*Host // ascending id
 	byID   map[int]*Host
 	shards [][]*Host
 	sealed bool
+	// runShards is c.runShard, bound once rather than per window.
+	runShards func(s int)
 
 	now    sim.Time // completed horizon: every event with at < now has run
 	curEnd sim.Time // end of the window in flight (valid in phaseWindow)
 	ph     phase
 	bounds []boundary
 	stats  Stats
-
-	pool    []chan int // one job channel per worker
-	done    chan any
-	workers int
 }
 
 // New creates a coordinator. Lookahead must be positive.
@@ -316,7 +314,7 @@ func (c *Coordinator) sortHosts() {
 	sort.Slice(c.hosts, func(i, j int) bool { return c.hosts[i].id < c.hosts[j].id })
 }
 
-// seal computes the shard partition and starts the worker pool.
+// seal computes the shard partition.
 func (c *Coordinator) seal() {
 	if c.sealed {
 		return
@@ -348,60 +346,22 @@ func (c *Coordinator) seal() {
 		h.shard = sh
 		c.shards[sh] = append(c.shards[sh], h)
 	}
-	w := c.cfg.Workers
-	if w < 1 {
-		w = 1
-	}
-	if w > s {
-		w = s
-	}
-	c.workers = w
-	if w > 1 {
-		c.done = make(chan any, w)
-		c.pool = make([]chan int, w)
-		for i := range c.pool {
-			ch := make(chan int)
-			c.pool[i] = ch
-			go c.worker(ch)
-		}
-	}
+	c.runShards = c.runShard
 }
 
-// Close stops the worker pool. The coordinator stays usable for state
-// inspection; further Run calls restart nothing and execute inline.
-func (c *Coordinator) Close() {
-	for _, ch := range c.pool {
-		close(ch)
-	}
-	c.pool = nil
-	c.workers = 1
-}
-
-// worker executes slot jobs until its channel closes. A panic inside a
-// host event is captured and re-raised on the coordinator goroutine.
-func (c *Coordinator) worker(jobs chan int) {
-	for slot := range jobs {
-		c.done <- c.runSlot(slot)
-	}
-}
-
-// runSlot executes every shard assigned to one worker slot (shards are
-// strided across slots) up to the current window end, returning a captured
-// panic value (nil on success).
-func (c *Coordinator) runSlot(slot int) (failure any) {
+// runShard advances every host of shard s to the current window end. A
+// panic inside a host event is re-raised naming the host.
+func (c *Coordinator) runShard(s int) {
 	cur := -1
 	defer func() {
 		if r := recover(); r != nil {
-			failure = fmt.Errorf("simpar: host %d: %v", cur, r)
+			panic(fmt.Errorf("simpar: host %d: %v", cur, r))
 		}
 	}()
-	for s := slot; s < len(c.shards); s += c.workers {
-		for _, h := range c.shards[s] {
-			cur = h.id
-			h.runWindow(c.curEnd)
-		}
+	for _, h := range c.shards[s] {
+		cur = h.id
+		h.runWindow(c.curEnd)
 	}
-	return nil
 }
 
 // runWindow advances one host to the window end: every own event with
@@ -496,26 +456,7 @@ func (c *Coordinator) run(until sim.Time) {
 		c.curEnd = end
 		c.ph = phaseWindow
 		c.stats.Windows++
-		if c.workers <= 1 || c.pool == nil {
-			if f := c.runSlot(0); f != nil {
-				panic(f)
-			}
-		} else {
-			// Shards stride across worker slots; each worker runs its
-			// slot's shards sequentially, all workers in parallel.
-			for w := 0; w < c.workers; w++ {
-				c.pool[w] <- w
-			}
-			var failure any
-			for w := 0; w < c.workers; w++ {
-				if f := <-c.done; f != nil && failure == nil {
-					failure = f
-				}
-			}
-			if failure != nil {
-				panic(failure)
-			}
-		}
+		par.For(len(c.shards), c.cfg.Workers, c.runShards)
 		c.ph = phaseIdle
 		// Barrier: merge every outbox. Host order is fixed (ascending id)
 		// but irrelevant — the inbox heap orders by the canonical key.
@@ -535,5 +476,4 @@ func (c *Coordinator) Shutdown() {
 	for _, h := range c.Hosts() {
 		h.eng.Shutdown()
 	}
-	c.Close()
 }

@@ -3,60 +3,39 @@ package workload
 import (
 	"testing"
 
-	"resex/internal/benchex"
 	"resex/internal/resex"
 	"resex/internal/sim"
 )
 
-// TestAdmissionEdges pins the degenerate corners of the queue cap: a
-// zero-capacity cap is a total shed (0 < 0 never holds), and a cap of one
-// admits only into an empty queue.
+// TestAdmissionEdges pins the degenerate corners of the queue cap: a cap
+// of one admits only into an empty queue.
 func TestAdmissionEdges(t *testing.T) {
 	cases := []struct {
 		name   string
-		policy Admission
-		state  AdmitState
+		queued int
 		want   bool
 	}{
-		{"queue-cap-0/empty-queue", QueueCap{Max: 0}, AdmitState{QueueLen: 0}, false},
-		{"queue-cap-0/backlog", QueueCap{Max: 0}, AdmitState{QueueLen: 7}, false},
-		{"queue-cap-1/empty-queue", QueueCap{Max: 1}, AdmitState{QueueLen: 0}, true},
-		{"queue-cap-1/at-cap", QueueCap{Max: 1}, AdmitState{QueueLen: 1}, false},
+		{"queue-cap-1/empty-queue", 0, true},
+		{"queue-cap-1/at-cap", 1, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.policy.Admit(tc.state); got != tc.want {
-				t.Fatalf("%s.Admit(%+v) = %v, want %v", tc.policy.Name(), tc.state, got, tc.want)
+			if got := admits(1, tc.queued); got != tc.want {
+				t.Fatalf("QueueCap 1 with %d queued: admitted %v, want %v", tc.queued, got, tc.want)
 			}
 		})
 	}
 }
 
-// TestQueueCapZeroShedsEverything drives a live tenant through the
-// zero-capacity edge: every open-loop arrival must be shed at the door, so
-// the tenant generates load on paper but never posts a byte.
-func TestQueueCapZeroShedsEverything(t *testing.T) {
-	e := New(Config{Hosts: 1, ClientPCPUs: 8})
-	tn, err := e.AddTenant(TenantSpec{
-		Name:      "walled",
-		Arrivals:  benchex.Poisson{Rate: 2000},
-		Admission: QueueCap{Max: 0},
-		Seed:      3,
-	})
-	if err != nil {
-		t.Fatal(err)
+// admits reports whether an open-loop arrival enters the queue of a tenant
+// with the given QueueCap and queued arrivals.
+func admits(queueCap, queued int) bool {
+	tn := &Tenant{Spec: TenantSpec{QueueCap: queueCap}}
+	for i := 0; i < queued; i++ {
+		tn.queue.Push(0)
 	}
-	e.RunMeasured(20*sim.Millisecond, 200*sim.Millisecond)
-	st := tn.Stats()
-	if st.Arrivals == 0 {
-		t.Fatal("no arrivals generated — load axis vacuous")
-	}
-	if st.Shed != st.Arrivals {
-		t.Fatalf("QueueCap(0) admitted something: %d arrivals, %d shed", st.Arrivals, st.Shed)
-	}
-	if st.Issued != 0 || st.Completed != 0 || st.Queued != 0 || st.Inflight != 0 {
-		t.Fatalf("fully-shed tenant did work: %+v", st)
-	}
+	tn.arrive(0)
+	return tn.shed == 0
 }
 
 // TestEmptyTenantSet runs managed and unmanaged engines with no tenants at

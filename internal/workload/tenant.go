@@ -16,7 +16,7 @@ import (
 // last reset.
 type TenantStats struct {
 	Arrivals  int64 // generated arrivals (open loop: admitted + shed)
-	Shed      int64 // arrivals rejected by the admission hook
+	Shed      int64 // arrivals rejected by the queue cap
 	Issued    int64 // requests posted to the HCA
 	Completed int64 // responses received and measured
 	Queued    int   // admitted arrivals currently waiting to post
@@ -192,10 +192,11 @@ func (t *Tenant) run(p *sim.Proc) {
 	}
 }
 
-// arrive processes one open-loop arrival through the admission hook.
+// arrive admits one open-loop arrival into the queue, or sheds it when the
+// queue holds Spec.QueueCap arrivals.
 func (t *Tenant) arrive(at sim.Time) {
 	t.arrivals++
-	if !t.Spec.Admission.Admit(AdmitState{QueueLen: t.queue.Len()}) {
+	if c := t.Spec.QueueCap; c > 0 && t.queue.Len() >= c {
 		t.shed++
 		return
 	}

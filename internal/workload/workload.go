@@ -23,8 +23,8 @@
 // (coordinated omission).
 //
 // Per-tenant SLOSpecs (p99 targets) are scored as time-weighted
-// attainment over fixed evaluation windows, and a pluggable Admission hook
-// can shed arrivals before they enter the queue. Unlike benchex.Client,
+// attainment over fixed evaluation windows, and a queue cap can shed
+// arrivals before they enter the queue. Unlike benchex.Client,
 // which busy-polls its completion queue, the tenant driver is event-driven
 // (completions wake it through the CQ signal), so one client VCPU can pace
 // thousands of arrivals per second without burning its host.
@@ -75,11 +75,13 @@ type TenantSpec struct {
 	Window int
 	// SLO declares the tenant's latency objectives and evaluation window.
 	SLO SLOSpec
-	// Admission is consulted for every open-loop arrival before it enters
-	// the queue; rejected arrivals are counted as shed and never issued.
-	// Default AdmitAll. Closed-loop arrivals bypass admission — shedding a
-	// closed-loop user would silently shrink the population forever.
-	Admission Admission
+	// QueueCap sheds an open-loop arrival when this many admitted arrivals
+	// already wait to post: the classic bounded-queue load shedder, which
+	// under sustained overload turns unbounded queueing delay into a shed
+	// rate. Shed arrivals are counted and never issued. 0 (the default)
+	// admits every arrival. Closed-loop arrivals bypass the cap — shedding
+	// a closed-loop user would silently shrink the population forever.
+	QueueCap int
 	// SLAUs is the latency reference (µs) handed to the host's ResEx
 	// manager; 0 lets the policy learn a baseline (bulk tenants).
 	SLAUs float64
@@ -122,9 +124,6 @@ func (s TenantSpec) withDefaults() TenantSpec {
 		}
 	}
 	s.SLO = s.SLO.withDefaults()
-	if s.Admission == nil {
-		s.Admission = AdmitAll{}
-	}
 	if s.Seed == 0 {
 		s.Seed = 1
 	}

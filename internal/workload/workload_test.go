@@ -75,11 +75,10 @@ func TestSLOTrackerWindows(t *testing.T) {
 }
 
 func TestAdmissionPolicies(t *testing.T) {
-	if !(AdmitAll{}).Admit(AdmitState{QueueLen: 1 << 20}) {
-		t.Error("AdmitAll rejected")
+	if !admits(0, 1<<12) {
+		t.Error("QueueCap 0 shed an arrival")
 	}
-	q := QueueCap{Max: 4}
-	if !q.Admit(AdmitState{QueueLen: 3}) || q.Admit(AdmitState{QueueLen: 4}) {
+	if !admits(4, 3) || admits(4, 4) {
 		t.Error("QueueCap boundary wrong")
 	}
 }
@@ -167,12 +166,12 @@ func TestQueueCapSheds(t *testing.T) {
 	e := New(Config{Hosts: 1, ClientPCPUs: 8})
 	// ~4300/s capacity for 64KB FCFS; offer 3× that with a tight queue cap.
 	tn, err := e.AddTenant(TenantSpec{
-		Name:      "hot",
-		Arrivals:  benchex.Poisson{Rate: 12000},
-		Window:    8,
-		Admission: QueueCap{Max: 16},
-		SLO:       SLOSpec{P99Us: 960},
-		Seed:      9,
+		Name:     "hot",
+		Arrivals: benchex.Poisson{Rate: 12000},
+		Window:   8,
+		QueueCap: 16,
+		SLO:      SLOSpec{P99Us: 960},
+		Seed:     9,
 	})
 	if err != nil {
 		t.Fatal(err)
