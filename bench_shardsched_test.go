@@ -133,12 +133,6 @@ type legacyFitsPCPUs struct{}
 
 func (legacyFitsPCPUs) Filter(h *schedshard.HostInfo, _ schedshard.Spec) bool { return h.FreePCPUs > 0 }
 
-type legacyHealthyHost struct{}
-
-func (legacyHealthyHost) Filter(h *schedshard.HostInfo, _ schedshard.Spec) bool {
-	return h.Health != schedshard.HealthQuarantined
-}
-
 // legacyInterferenceAware re-derives its parameters and walks the host's
 // resident VMs for both penalty sums on every call, as the plugin did.
 type legacyInterferenceAware struct {
@@ -201,7 +195,7 @@ func (legacySpreadByCPU) Score(h *schedshard.HostInfo, _ schedshard.Spec) float6
 
 func newLegacyInterferencePipeline() *legacyPipeline {
 	return &legacyPipeline{
-		filters: []legacyFilter{legacyFitsPCPUs{}, legacyHealthyHost{}},
+		filters: []legacyFilter{legacyFitsPCPUs{}},
 		scorers: []legacyWeighted{
 			{legacyInterferenceAware{}, 1},
 			{legacyResoHeadroom{}, 0.3},

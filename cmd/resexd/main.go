@@ -60,15 +60,14 @@ func (t *tenantFlags) Set(v string) error {
 func main() {
 	var tenants tenantFlags
 	var (
-		socket    = flag.String("socket", "/tmp/resexd.sock", "unix socket to listen on")
-		seed      = flag.Int64("seed", 0, "session seed (same seed + same commands = same session)")
-		hosts     = flag.Int("hosts", 1, "worker hosts")
-		policy    = flag.String("policy", "none", "initial pricing policy: none, freemarket, ioshares or fungible")
-		quantum   = flag.Duration("quantum", 100*time.Millisecond, "virtual time per step; commands land on these boundaries")
-		throttle  = flag.Duration("throttle", 100*time.Millisecond, "wall-clock pause between quanta while running (0 = free-run)")
-		cmdLog    = flag.String("log", "", "keep this file equal to the session's replay log (JSON lines), rewritten after every state command and restore")
-		restore   = flag.String("restore", "", "resume from a snapshot file instead of starting fresh")
-		simShards = flag.Int("simshards", 1, "worker width for sharded simulation; wall-clock only, output is byte-identical at any value")
+		socket   = flag.String("socket", "/tmp/resexd.sock", "unix socket to listen on")
+		seed     = flag.Int64("seed", 0, "session seed (same seed + same commands = same session)")
+		hosts    = flag.Int("hosts", 1, "worker hosts")
+		policy   = flag.String("policy", "none", "initial pricing policy: none, freemarket, ioshares or fungible")
+		quantum  = flag.Duration("quantum", 100*time.Millisecond, "virtual time per step; commands land on these boundaries")
+		throttle = flag.Duration("throttle", 100*time.Millisecond, "wall-clock pause between quanta while running (0 = free-run)")
+		cmdLog   = flag.String("log", "", "keep this file equal to the session's replay log (JSON lines), rewritten after every state command and restore")
+		restore  = flag.String("restore", "", "resume from a snapshot file instead of starting fresh")
 	)
 	flag.Var(&tenants, "tenant", "initial tenant as name:class[:rate]; repeatable (default lat:latency + bulk:bulk)")
 	flag.Parse()
@@ -76,13 +75,6 @@ func main() {
 	if *quantum <= 0 {
 		fmt.Fprintln(os.Stderr, "resexd: -quantum must be positive")
 		os.Exit(2)
-	}
-	if *simShards < 1 {
-		fmt.Fprintln(os.Stderr, "resexd: -simshards must be at least 1")
-		os.Exit(2)
-	}
-	if *simShards > *hosts {
-		fmt.Fprintf(os.Stderr, "resexd: -simshards %d exceeds -hosts %d; extra workers will idle\n", *simShards, *hosts)
 	}
 
 	var sess *daemon.Session
@@ -107,7 +99,6 @@ func main() {
 			Hosts:     *hosts,
 			Policy:    *policy,
 			QuantumNs: quantum.Nanoseconds(),
-			SimShards: *simShards,
 			Tenants:   tenants,
 		})
 	}

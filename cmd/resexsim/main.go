@@ -22,7 +22,9 @@
 // capture point is a hard error.
 //
 // The -duration flag trades fidelity for wall time; the defaults give
-// stable shapes in a few seconds per figure.
+// stable shapes in a few seconds per figure. The -parallel flag bounds every
+// wall-clock width at once — a figure's sweep points, a placement round's
+// shards and a sharded simulation's windows — and never changes output.
 package main
 
 import (
@@ -126,9 +128,7 @@ func main() {
 		duration   = flag.Duration("duration", 2*time.Second, "measured virtual time per run")
 		warmup     = flag.Duration("warmup", 100*time.Millisecond, "virtual warmup before measuring")
 		seed       = flag.Int64("seed", 0, "workload seed offset (same seed = byte-identical output)")
-		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for a figure's independent sweep points (output is byte-identical at any value)")
-		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "worker goroutines per schedshard placement round (output is byte-identical at any value; the logical shard count is the experiment's sweep axis)")
-		simShards  = flag.Int("simshards", 1, "worker goroutines per sharded-simulation window (abl-simpar; output is byte-identical at any value)")
+		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for a figure's sweep points, a placement round's shards and a sharded-simulation window (output is byte-identical at any value)")
 		audit      = flag.Bool("audit", false, "run the invariant auditor alongside every figure and print its summary (deterministic; cannot change figure output)")
 		snapFile   = flag.String("snapshot", "", "capture every engine's state into this file (requires a single -fig)")
 		snapAt     = flag.Duration("snapshot-at", 0, "virtual capture time for -snapshot, measured from engine start (default warmup + duration/2)")
@@ -145,20 +145,6 @@ func main() {
 	// window must die with usage, not misbehave minutes in.
 	if *parallel < 1 {
 		usageErr("-parallel must be >= 1 (got %d)", *parallel)
-	}
-	if *shards < 1 {
-		usageErr("-shards must be >= 1 (got %d)", *shards)
-	}
-	if *simShards < 1 {
-		usageErr("-simshards must be >= 1 (got %d)", *simShards)
-	}
-	if *simShards > runtime.GOMAXPROCS(0) {
-		// Warn, don't refuse: extra window workers beyond the CPUs (or the
-		// fleet's host count, whichever is hit first — the coordinator
-		// clamps workers to its shard count) add scheduling overhead, not
-		// speed. Output is unaffected either way.
-		fmt.Fprintf(os.Stderr, "resexsim: warning: -simshards %d exceeds %d available CPUs; extra workers add overhead, not speed\n",
-			*simShards, runtime.GOMAXPROCS(0))
 	}
 	if *duration <= 0 {
 		usageErr("-duration must be positive (got %v)", *duration)
@@ -240,8 +226,8 @@ func main() {
 		Warmup:       sim.Time(warmup.Nanoseconds()),
 		Seed:         *seed,
 		Parallel:     *parallel,
-		ShardWorkers: *shards,
-		SimShards:    *simShards,
+		ShardWorkers: *parallel,
+		SimShards:    *parallel,
 		Checkpoint:   plan,
 	}
 	var index []report.IndexEntry

@@ -21,6 +21,7 @@ var unsetConfigFields = map[string]string{
 	"benchex.ClientConfig.Requests":          "TestBoundedClientSignalsDone and the cluster tests bound a client's request count",
 	"benchex.ServerConfig.CQDepth":           "BenchmarkAblationIBMonPeriod shrinks the CQ to 16 (EXPERIMENTS.md records it)",
 	"cluster.Config.Hosts":                   "tests pre-build multi-host fabrics at New time",
+	"daemon.Config.SimShards":                "nothing reads it, but snapshot metadata carries it and bench/golden.json hashes that; TestSimShardsConfig checks it round-trips",
 	"exchange.BoardConfig.Beta":              "FuzzRateQuote sweeps the price curve's shape",
 	"exchange.BoardConfig.MaxPrice":          "FuzzRateQuote sweeps the price clamp",
 	"exchange.BoardConfig.UMax":              "FuzzRateQuote sweeps the utilization cap",

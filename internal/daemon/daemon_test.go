@@ -553,11 +553,9 @@ func TestServerEndToEnd(t *testing.T) {
 	s2.Shutdown()
 }
 
-// TestSimShardsConfig pins the -simshards mirror: the width is a wall-clock
-// knob that rides in the session config (and so in snapshot metadata), it
-// defaults to 1, and two sessions differing only in SimShards produce
-// byte-identical telemetry — quantum boundaries are global barriers, so
-// sharded stepping can never leak into observable state.
+// TestSimShardsConfig pins the SimShards field: it rides in the session
+// config (and so in snapshot metadata), it defaults to 1, and two sessions
+// differing only in SimShards produce byte-identical telemetry.
 func TestSimShardsConfig(t *testing.T) {
 	if got := (Config{}).withDefaults().SimShards; got != 1 {
 		t.Errorf("default SimShards = %d, want 1", got)

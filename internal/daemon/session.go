@@ -65,15 +65,10 @@ type Config struct {
 	Policy string `json:"policy,omitempty"`
 	// QuantumNs is the virtual step size. Default 100 ms.
 	QuantumNs int64 `json:"quantum_ns,omitempty"`
-	// SimShards is the worker width for sharded simulation (internal/
-	// simpar), mirrored from resexsim's -simshards. It is a wall-clock
-	// knob only — by the simpar determinism contract output is
-	// byte-identical at any width — but it rides in the config (and so in
-	// snapshot metadata) so a session's full generative input is pinned.
-	// Sharded stepping is always safe at the daemon's granularity: quantum
-	// boundaries are global synchronization barriers, every host is
-	// quiescent there, and commands land only on boundaries, so a command
-	// can never observe or perturb a half-advanced window. Default 1.
+	// SimShards is a sharded-simulation worker width. A session runs one
+	// engine, so nothing reads it; it stays because snapshot metadata
+	// carries it (as 1, its default) and bench/golden.json hashes that
+	// metadata. Drop it at the next snapshot-format re-pin.
 	SimShards int `json:"sim_shards,omitempty"`
 	// Tenants are booted before virtual time zero.
 	Tenants []TenantConfig `json:"tenants,omitempty"`

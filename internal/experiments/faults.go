@@ -21,8 +21,8 @@ import (
 type AblFaultsRow struct {
 	// StormsPerSec is the injected fault intensity across the fleet.
 	StormsPerSec float64 `col:"storms/s,%-10.1f,storms_per_sec"`
-	// Stack is "naive" (unconditional caps, no quarantine) or "aware"
-	// (confidence-gated caps, blackout quarantine, migration backoff).
+	// Stack is "naive" (unconditional caps) or "aware" (caps gated on
+	// IBMon confidence).
 	Stack string `col:"stack,%-7s,stack"`
 	// SLAPct is the mean per-app *time-weighted* SLA attainment (%): the
 	// fraction of the measured window each app spent serving within the SLA.
@@ -123,7 +123,6 @@ func runFaultsRow(o Options, stormsPerSec float64, aware bool) (AblFaultsRow, er
 	if aware {
 		row.Stack = "aware"
 		cfg.ConfidenceGate = 0.7
-		cfg.QuarantineBlackouts = true
 	}
 	f := placement.NewFleet(cfg)
 	snapSrc := snapshot.ForFleet(f)

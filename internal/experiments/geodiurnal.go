@@ -31,8 +31,7 @@ import (
 // is rotation-symmetric, slot s's world is identical under any shift — the
 // metamorphic test in geodiurnal_test.go pins that per-slot rows permute
 // and the integer fleet totals (received, on-time) do not move. The shard
-// axis is the usual simpar contract: byte-identical at any -simshards
-// width.
+// axis is the usual simpar contract: byte-identical at any worker width.
 // ---------------------------------------------------------------------------
 
 // geoZones is the experiment's ring size.
@@ -65,7 +64,7 @@ const geoUnitsPerZone = 2
 // is either an integer counter or derived from integer counters, so the
 // phase-shift metamorphic comparison is exact, not approximate.
 type GeoZoneRow struct {
-	// Shards is the cell's -simshards axis value; Slot is the zone's diurnal
+	// Shards is the cell's logical shard count; Slot is the zone's diurnal
 	// identity (phase -2π·Slot/zones).
 	Shards int
 	Slot   int
@@ -283,10 +282,10 @@ func RunGeoDiurnalCell(o Options, zones, shards, shift int) (AblGeoDiurnalRow, e
 	return f.Row(shards), nil
 }
 
-// AblGeoDiurnal sweeps the -simshards axis at the fixed six-zone ring,
+// AblGeoDiurnal sweeps the logical shard count at the fixed six-zone ring,
 // shift 0. As with abl-simpar, every column but the shards one must be
 // byte-identical down the table; the CI determinism gate additionally diffs
-// whole runs at -simshards 1 vs 8.
+// whole runs at -parallel 1 vs 8.
 func AblGeoDiurnal(o Options) (*AblGeoDiurnalResult, error) {
 	o = o.WithDefaults()
 	var points []func(Options) (AblGeoDiurnalRow, error)

@@ -60,14 +60,14 @@ type Options struct {
 	// keep their original Seed arithmetic to preserve recorded outputs.
 	PointSeed int64
 	// ShardWorkers bounds the goroutines a schedshard scheduler uses to
-	// run one placement round's logical shards (resexsim -shards). Like
+	// run one placement round's logical shards (resexsim -parallel). Like
 	// Parallel it is a wall-clock knob only: shard partition, proposal
 	// order and the commit merge are all canonical, so output is
 	// byte-identical at any width. 1 or less runs shards serially.
 	ShardWorkers int
 	// SimShards bounds the worker goroutines a sharded-simulation
 	// coordinator (internal/simpar) uses to run one conservative window's
-	// host shards (resexsim -simshards). The third wall-clock-only knob
+	// host shards (resexsim -parallel). The third wall-clock-only knob
 	// alongside Parallel and ShardWorkers: windows, merge order and
 	// message delivery are all canonical, so output — stdout, audit
 	// summaries, snapshot bundles — is byte-identical at any width.

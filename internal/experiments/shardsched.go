@@ -24,7 +24,7 @@ type AblShardSchedRow struct {
 	Mode string `col:"mode,%-6s,mode"`
 	// Shards is the logical shard count the pending queue is partitioned
 	// into. This is the semantic axis of the experiment — unlike the
-	// resexsim -shards worker width, which never changes output.
+	// resexsim -parallel worker width, which never changes output.
 	Shards int `col:"shards,%7d,shards"`
 	// Rounds is how many propose→merge→commit cycles draining the arrival
 	// sequence took.

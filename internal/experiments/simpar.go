@@ -44,7 +44,7 @@ type AblSimParRow struct {
 	// (Xen + HCA + ResEx + IBMon) on its own engine.
 	Sites int `col:"sites,%5d,sites"`
 	// Shards is the logical shard count the site population is partitioned
-	// into (the -simshards axis; workers are bounded by Options.SimShards).
+	// into (the sweep axis; workers are bounded by Options.SimShards).
 	Shards int `col:"shards,%6d,shards"`
 	// Windows and Boundaries are the coordinator's conservative sync
 	// counts; Messages is the cross-site deliveries merged (packets, acks).
@@ -351,7 +351,7 @@ func runSimParPoint(o Options, sites, shards int) (AblSimParRow, error) {
 // which worker executes which host — never what the hosts compute. The
 // seed feeding each cell depends on the fleet size alone, making the
 // grouped rows directly comparable; the CI determinism gate additionally
-// diffs whole runs at -simshards 1 vs 8.
+// diffs whole runs at -parallel 1 vs 8.
 func AblSimPar(o Options) (*AblSimParResult, error) {
 	o = o.WithDefaults()
 	var points []func(Options) (AblSimParRow, error)

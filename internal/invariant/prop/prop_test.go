@@ -216,9 +216,8 @@ func TestFaultPlansAudited(t *testing.T) {
 					IntervalsPerEpoch: 50,
 					ConfidenceGate:    0.7,
 				},
-				Strategy:            placement.PipelineStrategy{Label: "spread", P: schedshard.NewSpreadPipeline()},
-				Seed:                seed,
-				QuarantineBlackouts: true,
+				Strategy: placement.PipelineStrategy{Label: "spread", P: schedshard.NewSpreadPipeline()},
+				Seed:     seed,
 			})
 			col := invariant.NewCollector(invariant.Audit)
 			stop := snapshot.ForFleet(f).Audit(f.TB.Eng, col).Close

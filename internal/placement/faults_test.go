@@ -6,7 +6,6 @@ import (
 
 	"resex/internal/faults"
 	"resex/internal/resex"
-	"resex/internal/schedshard"
 	"resex/internal/sim"
 	"resex/internal/workload"
 )
@@ -233,46 +232,5 @@ func TestRebalancerRetriesThroughFaultStorm(t *testing.T) {
 	}
 	if st := bulk.App.Server.Stats(); st.Served == 0 {
 		t.Error("interferer dead after storm-era migration")
-	}
-}
-
-// TestQuarantineBlackedOutHostSteersPlacement places during a telemetry
-// blackout: with QuarantineBlackouts the blacked-out host (which spread
-// would otherwise pick) must be skipped; without it, placement proceeds
-// there as before.
-func TestQuarantineBlackedOutHostSteersPlacement(t *testing.T) {
-	run := func(quarantine bool) int {
-		f := NewFleet(Config{
-			Config:              workload.Config{Hosts: 2},
-			Seed:                5,
-			Strategy:            PipelineStrategy{Label: "spread", P: schedshard.NewSpreadPipeline()},
-			QuarantineBlackouts: quarantine,
-		})
-		inj := faults.NewInjector(f.TB.Eng)
-		f.WireFaults(inj)
-		var s faults.Schedule
-		s.Add(faults.Event{At: 5 * sim.Millisecond, Kind: faults.TelemetryBlackout,
-			Host: 1, Duration: 200 * sim.Millisecond})
-		inj.Arm(s)
-		node := 0
-		f.TB.Eng.Go("driver", func(p *sim.Proc) {
-			p.Sleep(20 * sim.Millisecond) // inside the blackout
-			pl, err := f.Place(lsWorkload("ls0", 1))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			node = f.Workers[pl.HostIdx].Node
-		})
-		f.TB.Eng.RunUntil(50 * sim.Millisecond)
-		f.TB.Eng.Shutdown()
-		return node
-	}
-	// Spread breaks the empty-fleet tie to node1; quarantine must override.
-	if node := run(false); node != 1 {
-		t.Errorf("without quarantine, placed on node%d, want node1 (tie-break)", node)
-	}
-	if node := run(true); node != 2 {
-		t.Errorf("with quarantine, placed on node%d, want node2 (node1 blacked out)", node)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"resex/internal/benchex"
 	"resex/internal/cluster"
 	"resex/internal/faults"
-	"resex/internal/ibmon"
 	"resex/internal/resex"
 	"resex/internal/schedshard"
 	"resex/internal/sim"
@@ -27,10 +26,6 @@ type Config struct {
 	Strategy Strategy
 	// Seed drives the fleet RNG (random strategy, workload shuffling).
 	Seed int64
-	// QuarantineBlackouts, when true, marks hosts whose monitor is blacked
-	// out as quarantined in scheduler snapshots: no new VM binds there and
-	// the rebalancer will not pick them as migration targets.
-	QuarantineBlackouts bool
 }
 
 func (c Config) withDefaults() Config {
@@ -155,24 +150,6 @@ func (f *Fleet) WireFaults(inj *faults.Injector) {
 	f.faults = inj
 }
 
-// HostHealth classifies one worker host (by Workers index) from its
-// monitor's observability: quarantined when blacked out and quarantining is
-// enabled, degraded when the monitor is blind or low-confidence for any
-// target, OK otherwise.
-func (f *Fleet) HostHealth(i int) schedshard.HostHealth {
-	switch f.Mons[i].Health() {
-	case ibmon.HealthBlackout:
-		if f.cfg.QuarantineBlackouts {
-			return schedshard.HealthQuarantined
-		}
-		return schedshard.HealthDegraded
-	case ibmon.HealthDegraded:
-		return schedshard.HealthDegraded
-	default:
-		return schedshard.HealthOK
-	}
-}
-
 // Placements returns every placed workload in placement order.
 func (f *Fleet) Placements() []*Placement { return f.placements }
 
@@ -224,7 +201,6 @@ func (f *Fleet) buildView() []*schedshard.HostInfo {
 			TotalPCPUs:      workload.PCPUsPerHost - 1, // dom0 owns PCPU 0
 			LinkBytesPerSec: f.cfg.WorkerLink(i),
 			ResoHeadroom:    1,
-			Health:          f.HostHealth(i),
 		}
 		for _, pl := range f.placements {
 			if pl.HostIdx != i {

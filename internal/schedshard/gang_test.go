@@ -165,14 +165,14 @@ func TestGangLargerThanFleetFailsWhole(t *testing.T) {
 
 // FuzzGangCommit feeds CommitRound adversarial bind programs — random
 // fleets, random gang shapes, corrupted gang declarations, out-of-range
-// nodes, quarantined hosts — and checks the store's gang contract on every
+// nodes, full hosts — and checks the store's gang contract on every
 // input: each gang's committed-member count is exactly 0 or its declared
 // GangSize, every bind comes back exactly once, and the installed
 // snapshot's per-host accounting stays consistent.
 func FuzzGangCommit(f *testing.F) {
 	f.Add([]byte{3, 2, 0x03, 1, 0, 0x05, 2, 1})                // two small gangs
 	f.Add([]byte{1, 1, 0x07, 0, 0, 0x02, 9, 0})                // tight host, big gang, stray singleton
-	f.Add([]byte{4, 0xC3, 0x05, 1, 1, 0x03, 2, 0, 0x01, 7, 3}) // quarantine bit
+	f.Add([]byte{4, 0xC3, 0x05, 1, 1, 0x03, 2, 0, 0x01, 7, 3}) // full-host bit
 	f.Add([]byte{2, 0x82, 0x09, 0, 1, 0x09, 1, 1})             // duplicate targets
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -182,7 +182,7 @@ func FuzzGangCommit(f *testing.F) {
 		free := 1 + int(data[1]&0x3f%6)
 		hosts := testHosts(nHosts, free)
 		if data[1]&0x40 != 0 {
-			hosts[0].Health = HealthQuarantined
+			hosts[0].FreePCPUs, hosts[0].TotalPCPUs = 0, 0 // no guest PCPU: infeasible
 		}
 		st := NewStore()
 		st.Publish(hosts)

@@ -42,8 +42,8 @@ func randomSpec(rng *rand.Rand) Spec {
 	}
 }
 
-// randomFleet builds 1–24 hosts with random headroom, health, link rates
-// and 0–6 resident VMs each, so penalties carry many float terms.
+// randomFleet builds 1–24 hosts with random headroom (a tenth of them
+// full), link rates and 0–6 resident VMs each, so penalties carry many float terms.
 func randomFleet(rng *rand.Rand) []*HostInfo {
 	hosts := make([]*HostInfo, 1+rng.Intn(24))
 	for i := range hosts {
@@ -56,7 +56,7 @@ func randomFleet(rng *rand.Rand) []*HostInfo {
 			h.LinkBytesPerSec = 1e9 * (0.5 + rng.Float64())
 		}
 		if rng.Intn(10) == 0 {
-			h.Health = HealthQuarantined
+			h.FreePCPUs = 0
 		}
 		for v := rng.Intn(7); v > 0; v-- {
 			h.VMs = append(h.VMs, VMInfo{

@@ -23,12 +23,9 @@ func NewInterferencePipeline() Pipeline {
 }
 
 // Feasible is the placement feasibility rule every pipeline (and the
-// random baseline) applies: a guest needs a dedicated PCPU, and a
-// quarantined host takes no new VM — binding one to a host that cannot be
-// observed means ResEx would manage it blind from the first interval.
-// Degraded hosts stay schedulable (their stale profiles just score worse).
+// random baseline) applies: a guest needs a dedicated PCPU.
 func Feasible(h *HostInfo) bool {
-	return h.FreePCPUs > 0 && h.Health != HealthQuarantined
+	return h.FreePCPUs > 0
 }
 
 // Pick is the serial placement decision over a Node-sorted host list (a

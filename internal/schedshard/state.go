@@ -27,7 +27,6 @@ package schedshard
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 )
 
@@ -73,43 +72,11 @@ func (v *VMInfo) EffectiveBuffer() int {
 	return v.Spec.BufferSize
 }
 
-// HostHealth classifies a host for scheduling purposes, derived from its
-// IBMon monitor's observability (see placement.Fleet.HostHealth).
-type HostHealth int
-
-// Health states.
-const (
-	// HealthOK: telemetry fully trusted.
-	HealthOK HostHealth = iota
-	// HealthDegraded: telemetry partially stale (remapping targets or low
-	// confidence); still schedulable, but its profiles may lie.
-	HealthDegraded
-	// HealthQuarantined: telemetry blacked out and quarantining enabled —
-	// no new VM binds here until the host can be observed again.
-	HealthQuarantined
-)
-
-// String names the health state.
-func (h HostHealth) String() string {
-	switch h {
-	case HealthOK:
-		return "OK"
-	case HealthDegraded:
-		return "degraded"
-	case HealthQuarantined:
-		return "quarantined"
-	default:
-		return fmt.Sprintf("health(%d)", int(h))
-	}
-}
-
 // HostInfo is one host's state snapshot, the unit a Pipeline scores.
 type HostInfo struct {
 	Node       int
 	FreePCPUs  int
 	TotalPCPUs int // guest-assignable PCPUs (excludes dom0's)
-	// Health gates schedulability: quarantined hosts fail Feasible.
-	Health HostHealth
 	// LinkBytesPerSec is the host uplink capacity.
 	LinkBytesPerSec float64
 	// IOCommitted is the fraction of the uplink the resident VMs' profiled

@@ -81,15 +81,15 @@ func TestStoreCommitConflictOnExhaustedHeadroom(t *testing.T) {
 	}
 }
 
-// TestStoreCommitConflictTargets rejects binds onto quarantined and unknown
-// nodes as conflicts.
+// TestStoreCommitConflictTargets rejects binds onto full and unknown nodes
+// as conflicts.
 func TestStoreCommitConflictTargets(t *testing.T) {
 	st := NewStore()
 	hosts := testHosts(2, 4)
-	hosts[1].Health = HealthQuarantined
+	hosts[1].FreePCPUs = 0
 	st.Publish(hosts)
 	committed, conflicted := st.CommitRound([]Bind{
-		{Key: 1, Node: 2, VM: lsVM("q", 1e6)},  // quarantined
+		{Key: 1, Node: 2, VM: lsVM("q", 1e6)},  // full
 		{Key: 2, Node: 99, VM: lsVM("x", 1e6)}, // unknown node
 		{Key: 3, Node: 1, VM: lsVM("ok", 1e6)},
 	})
@@ -106,7 +106,7 @@ func TestStoreCommitConflictTargets(t *testing.T) {
 func TestStoreAllConflictRoundKeepsSnapshot(t *testing.T) {
 	st := NewStore()
 	hosts := testHosts(1, 4)
-	hosts[0].Health = HealthQuarantined
+	hosts[0].FreePCPUs = 0
 	st.Publish(hosts)
 	prev := st.Snapshot()
 	committed, conflicted := st.CommitRound([]Bind{{Key: 1, Node: 1, VM: lsVM("q", 1e6)}})

@@ -18,7 +18,7 @@ type MessageKey struct {
 // undelivered) and leaving it (sent this window, not yet merged). It is
 // deliberately free of anything shard-shaped — no shard id, no shard
 // count, no worker count — because those are wall-clock knobs: a snapshot
-// bundle must be byte-identical at -simshards 1 and -simshards 8, and a
+// bundle must be byte-identical at 1 and at 8 window workers, and a
 // restore may replay under a different shard map than the capture ran.
 type HostState struct {
 	ID int `json:"id"`

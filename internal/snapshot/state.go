@@ -67,7 +67,7 @@ type Source struct {
 	Auditor  *invariant.Auditor
 	// SimPar is the engine's simpar host in a sharded run. Its exported
 	// state is shard-invariant by construction (see simpar.HostState), so
-	// bundles stay byte-identical across -simshards values.
+	// bundles stay byte-identical at any Options.SimShards width.
 	SimPar *simpar.Host
 }
 
