@@ -9,6 +9,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -533,4 +534,201 @@ func markPath(e ast.Expr, info *types.Info, mark func(*types.Var)) {
 			return
 		}
 	}
+}
+
+// unreadFields are the struct fields no non-test code reads, each with the
+// reason it stays. An entry "pkg.Type" covers every unread field of Type.
+var unreadFields = map[string]string{
+	"benchex.LatencyRecord.SentAt":       "TestResponsesEchoRequests checks each response echoes its request's send time",
+	"benchex.LatencyRecord.Seq":          "TestResponsesEchoRequests checks each response echoes its request's sequence number",
+	"benchex.RequestRecord.Seq":          "TestWindowedRequestsKeepTheirOwnBytes checks no request is decoded twice",
+	"experiments.AblGeoDiurnalRow.Zones": "only resexsim -json prints it",
+	"experiments.GeoZoneRow.Shards":      "only resexsim -json prints it",
+	"fabric.LinkStats":                   "TestLinkStats checks the counters, and FuzzFastForward compares them between train segments and the per-MTU path",
+	"fabric.Packet.Sent":                 "TestPacketSentStamp and TestPacketSentStampAtTimeZero check the first link's stamp, and TestEventStreamPinned hashes it",
+	"fabric.Packet.SrcNode":              "ROADMAP's re-pin item keys flows by (source node, QPN)",
+	"hca.CQE.ByteLen":                    "part of the decoded CQE layout that Poll returns",
+	"hca.CQE.Opcode":                     "part of the decoded CQE layout that Poll returns",
+	"ibmon.Usage.QPN":                    "TestExactCountsWhenSamplingKeepsUp checks the QPN IBMon parses from the CQE ring",
+	"invariant.vkey.checker":             "a map key: the first-violation index compares whole keys",
+	"invariant.vkey.scope":               "a map key: the first-violation index compares whole keys",
+	"placement.EventLog.Failures":        "TestMigrationPreCopyAbortRollsBackCleanly and the fault tests count rolled-back migrations",
+	"placement.MigrationFailure":         "TestMigrationPreCopyAbortRollsBackCleanly checks the rolled-back route",
+	"placement.MigrationRecord":          "TestMigrationMovesStateOverFabricAndResumes checks route, timing and flow bytes; TestRebalancerEvacuatesThrottleProofInterferer checks which VM moved",
+	"resex.IntervalData.Now":             "TestObserverSeesUsage checks each interval's time stamp",
+	"schedshard.RoundStats":              "TestConflictLoserRebindsNextRound checks a round's proposed, conflicted and pending counts",
+	"workload.TenantStats":               "TestEngineEndToEnd checks completions and latency; TestMemBWZeroDemandIsNoOp and TestTenantOrderPermutation compare per-tenant digests",
+}
+
+// TestFieldsAreRead keeps write-only state out: every non-embedded field of
+// a struct declared under internal/ must be read by the non-test code of
+// the module, cmd/ or bench/ (see loadModule). A read is any selection of
+// the field except the target of an assignment (=, :=, an op-assignment)
+// or of ++/--, a composite-literal key, and the first argument of an
+// append whose result is assigned back to the same field. A target stops
+// at the first selector under any index, dereference or parentheses, so
+// x.m[k] = v does not read m. A field of a generic type counts through its
+// origin. A field with a json or col tag counts as read: encoding/json and
+// the column printers read it by reflection. unreadFields lists the rest.
+func TestFieldsAreRead(t *testing.T) {
+	l := loadModule(t)
+
+	fields := map[*types.Var]string{} // field → "pkg.Type.Field"
+	canon := map[*types.Var]*types.Var{}
+	var anon []*types.Struct
+	for path, files := range l.files {
+		if !strings.HasPrefix(path, "resex/internal/") {
+			continue
+		}
+		for _, file := range files {
+			named := map[ast.Expr]string{}
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					named[n.Type] = n.Name.Name
+				case *ast.StructType:
+					owner, ok := named[n]
+					if !ok {
+						owner = "(struct)"
+						anon = append(anon, l.info.Types[n].Type.(*types.Struct))
+					}
+					for _, fld := range n.Fields.List {
+						if len(fld.Names) == 0 || isReflected(fld.Tag) {
+							continue // embedded, or read by reflection
+						}
+						for _, name := range fld.Names {
+							fields[l.info.Defs[name].(*types.Var)] = file.Name.Name + "." + owner + "." + name.Name
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	// Identical anonymous structs, such as a function's result type and the
+	// literal it returns, declare distinct fields; read them as one.
+	for i, s := range anon {
+		for _, first := range anon[:i] {
+			if types.Identical(s, first) {
+				for j := 0; j < s.NumFields(); j++ {
+					canon[s.Field(j)] = first.Field(j)
+				}
+				break
+			}
+		}
+	}
+
+	read := map[*types.Var]bool{}
+	for _, files := range l.files {
+		for _, file := range files {
+			targets := map[*ast.SelectorExpr]bool{}
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						sel := targetOf(lhs)
+						if sel == nil {
+							continue
+						}
+						targets[sel] = true
+						if len(n.Rhs) == len(n.Lhs) {
+							if arg := selfAppend(n.Rhs[i], sel, l.info); arg != nil {
+								targets[arg] = true
+							}
+						}
+					}
+				case *ast.IncDecStmt:
+					if sel := targetOf(n.X); sel != nil {
+						targets[sel] = true
+					}
+				case *ast.SelectorExpr:
+					if targets[n] {
+						return true
+					}
+					if sel, ok := l.info.Selections[n]; ok && sel.Kind() == types.FieldVal {
+						f := sel.Obj().(*types.Var).Origin()
+						read[f] = true
+						if c, ok := canon[f]; ok {
+							read[c] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var unread []string
+	used := map[string]bool{}
+	for f, name := range fields {
+		if read[f] || read[canon[f]] {
+			continue
+		}
+		entry := name
+		if _, ok := unreadFields[entry]; !ok {
+			entry = name[:strings.LastIndex(name, ".")] // pkg.Type
+		}
+		if _, ok := unreadFields[entry]; ok {
+			used[entry] = true
+		} else {
+			unread = append(unread, name)
+		}
+	}
+	for entry := range unreadFields {
+		if !used[entry] {
+			t.Errorf("unreadFields names %s, but no unread field matches it now; drop it", entry)
+		}
+	}
+	sort.Strings(unread)
+	for _, name := range unread {
+		t.Errorf("%s: no non-test code reads it; delete it or list it in unreadFields with the reason it stays", name)
+	}
+	t.Logf("%d untagged fields, %d unread, %d allowlisted", len(fields), len(unread), len(unreadFields))
+}
+
+// isReflected reports whether a field tag carries a json or col key.
+func isReflected(tag *ast.BasicLit) bool {
+	if tag == nil {
+		return false
+	}
+	st := reflect.StructTag(strings.Trim(tag.Value, "`"))
+	_, json := st.Lookup("json")
+	_, col := st.Lookup("col")
+	return json || col
+}
+
+// targetOf returns the selector an assignment to e stores into, or nil.
+func targetOf(e ast.Expr) *ast.SelectorExpr {
+	for {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			return x
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
+// selfAppend returns append's first argument when rhs is append(x.f, …)
+// and target selects the same field f, or nil.
+func selfAppend(rhs ast.Expr, target *ast.SelectorExpr, info *types.Info) *ast.SelectorExpr {
+	call, ok := rhs.(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return nil
+	}
+	if fn, ok := call.Fun.(*ast.Ident); !ok || info.Uses[fn] != types.Universe.Lookup("append") {
+		return nil
+	}
+	arg, ok := call.Args[0].(*ast.SelectorExpr)
+	if !ok || info.Selections[arg] == nil || info.Selections[target] == nil ||
+		info.Selections[arg].Obj() != info.Selections[target].Obj() {
+		return nil
+	}
+	return arg
 }

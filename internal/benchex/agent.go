@@ -9,11 +9,9 @@ import (
 // server latencies observed since the previous report.
 type LatencyReport struct {
 	Domain xen.DomID
-	At     sim.Time
 	Count  int64
 	Mean   float64 // µs
 	Std    float64 // µs
-	Max    float64 // µs
 }
 
 // ReportSink receives agent reports (implemented by the ResEx manager).
@@ -69,11 +67,9 @@ func (a *Agent) Start() {
 			a.reports++
 			a.sink.LatencyReport(LatencyReport{
 				Domain: a.dom,
-				At:     a.server.eng.Now(),
 				Count:  w.Count(),
 				Mean:   w.Mean(),
 				Std:    w.StdDev(),
-				Max:    w.Max(),
 			})
 		}
 	})

@@ -230,7 +230,6 @@ func ConnectQPs(a, b *hca.QP, aHost, bHost *Host) error {
 // App is one BenchEx application: a server VM and a client VM joined by a
 // connected QP pair.
 type App struct {
-	Name     string
 	ServerVM *VM
 	ClientVM *VM
 	Server   *benchex.Server
@@ -256,7 +255,7 @@ func (tb *Testbed) NewApp(name string, serverHost, clientHost *Host, scfg benche
 	if ccfg.BufferSize == 0 {
 		ccfg.BufferSize = scfg.BufferSize
 	}
-	app := &App{Name: name}
+	app := &App{}
 	app.ServerVM = serverHost.NewVM(name + "-server-vm")
 	app.ClientVM = clientHost.NewVM(name + "-client-vm")
 	app.Server = benchex.NewServer(tb.Eng, app.ServerVM.VCPU, app.ServerVM.PD, scfg)

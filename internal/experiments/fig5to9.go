@@ -65,7 +65,7 @@ func (r *TimelineResult) WriteText(w io.Writer) error {
 
 // WriteCSV implements Result.
 func (r *TimelineResult) WriteCSV(w io.Writer) error {
-	set := stats.NewSeriesSet(r.Title())
+	set := stats.NewSeriesSet()
 	lat := set.Add("latency_us")
 	for _, p := range r.Latency.Downsample(1000).Points() {
 		lat.Add(p.X, p.Y)
@@ -225,7 +225,7 @@ func (r *Fig6Result) WriteText(w io.Writer) error {
 
 // WriteCSV implements Result.
 func (r *Fig6Result) WriteCSV(w io.Writer) error {
-	set := stats.NewSeriesSet(r.Title())
+	set := stats.NewSeriesSet()
 	for _, col := range []struct {
 		name string
 		s    *stats.Series

@@ -118,11 +118,10 @@ func runFungibleCell(o Options, utilPct int, policy string) (AblFungibleRow, err
 	for i, bw := range []float64{fungibleFastBW, fungibleSlowBW} {
 		gen := fungibleFastBW / bw
 		t, err := e.AddTenant(workload.TenantSpec{
-			Name:             fmt.Sprintf("lat%d", i),
-			Closed:           workload.ClosedLoop{Concurrency: 1},
-			SLO:              workload.SLOSpec{P99Us: 1.5 * gen * workload.BaseSLAUs},
-			SLAUs:            gen * workload.BaseSLAUs,
-			LatencySensitive: true,
+			Name:   fmt.Sprintf("lat%d", i),
+			Closed: workload.ClosedLoop{Concurrency: 1},
+			SLO:    workload.SLOSpec{P99Us: 1.5 * gen * workload.BaseSLAUs},
+			SLAUs:  gen * workload.BaseSLAUs,
 			// Latency tenants buy the premium tier: a 3:1 entitlement split
 			// prices the bulk mover's pace at a quarter of the link, the
 			// margin that keeps 2 MB frames from crowding p99 at the SLO

@@ -112,12 +112,12 @@ func scaleSetArrivals(hosts int, seed int64) (items []scaleSetItem, gangs, gangV
 		set := &workload.ScaleSetSpec{
 			Name: fmt.Sprintf("set%d", gangs), Size: size,
 			LatencySensitive: true, BufferSize: BaseBuffer,
-			BytesPerSec: 2e6, MTUsPerSec: 2e6 / 1024,
+			BytesPerSec: 2e6,
 		}
 		if gangs%3 == 2 {
 			set.LatencySensitive = false
 			set.BufferSize = workload.BulkBuffer
-			set.BytesPerSec, set.MTUsPerSec = 60e6, 60e6/1024
+			set.BytesPerSec = 60e6
 		}
 		items = append(items, scaleSetItem{set: set})
 		gangs++

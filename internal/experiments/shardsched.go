@@ -126,7 +126,7 @@ type shardSchedArrival struct {
 func lsArrival(name string) shardSchedArrival {
 	spec := schedshard.Spec{Name: name, LatencySensitive: true, BufferSize: BaseBuffer}
 	return shardSchedArrival{spec: spec, vm: schedshard.VMInfo{
-		Spec: spec, BytesPerSec: 2e6, MTUsPerSec: 2e6 / 1024, BufferSize: BaseBuffer,
+		Spec: spec, BytesPerSec: 2e6, BufferSize: BaseBuffer,
 	}}
 }
 
@@ -134,7 +134,7 @@ func lsArrival(name string) shardSchedArrival {
 func bulkArrival(name string) shardSchedArrival {
 	spec := schedshard.Spec{Name: name, BufferSize: workload.BulkBuffer}
 	return shardSchedArrival{spec: spec, vm: schedshard.VMInfo{
-		Spec: spec, BytesPerSec: 60e6, MTUsPerSec: 60e6 / 1024, BufferSize: workload.BulkBuffer,
+		Spec: spec, BytesPerSec: 60e6, BufferSize: workload.BulkBuffer,
 	}}
 }
 

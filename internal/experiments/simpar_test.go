@@ -93,8 +93,8 @@ func TestBuildSimParFleetShape(t *testing.T) {
 		}
 		for i, s := range r.sites {
 			next := r.sites[(i+1)%len(r.sites)]
-			name := strings.TrimSuffix(s.local.Name, "-local")
-			nextName := strings.TrimSuffix(next.local.Name, "-local")
+			name := strings.TrimSuffix(s.local.Server.Config().Name, "-local-server")
+			nextName := strings.TrimSuffix(next.local.Server.Config().Name, "-local-server")
 			if got := s.replClient.Config().Name; got != name+"-repl-cli" {
 				t.Errorf("%s: site %d (%s) streams from client %q", tc.name, i, name, got)
 			}

@@ -244,7 +244,8 @@ func TestHCAStallForcesCQOverrun(t *testing.T) {
 
 func TestBlackoutDropsConfidenceThenRecovers(t *testing.T) {
 	h := newHarness(t, 256)
-	if _, err := h.mon.WatchCQ(h.gst.ID(), h.scq); err != nil {
+	tgt, err := h.mon.WatchCQ(h.gst.ID(), h.scq)
+	if err != nil {
 		t.Fatal(err)
 	}
 	h.mon.Start(h.eng)
@@ -265,7 +266,7 @@ func TestBlackoutDropsConfidenceThenRecovers(t *testing.T) {
 		}
 	})
 	h.eng.Schedule(40*sim.Millisecond, func() {
-		if c := h.mon.ConfidenceOf(h.gst.ID()); c < 0.9 {
+		if c := tgt.Confidence(); c < 0.9 {
 			t.Errorf("pre-blackout confidence %v, want ~1", c)
 		}
 		if h.mon.Health() != ibmon.HealthOK {
@@ -273,7 +274,7 @@ func TestBlackoutDropsConfidenceThenRecovers(t *testing.T) {
 		}
 	})
 	h.eng.Schedule(95*sim.Millisecond, func() {
-		if c := h.mon.ConfidenceOf(h.gst.ID()); c > 0.1 {
+		if c := tgt.Confidence(); c > 0.1 {
 			t.Errorf("confidence %v after 45ms of blackout, want ~0", c)
 		}
 		if h.mon.Health() != ibmon.HealthBlackout {
@@ -284,7 +285,7 @@ func TestBlackoutDropsConfidenceThenRecovers(t *testing.T) {
 		}
 	})
 	h.eng.RunUntil(180 * sim.Millisecond)
-	if c := h.mon.ConfidenceOf(h.gst.ID()); c < 0.9 {
+	if c := tgt.Confidence(); c < 0.9 {
 		t.Errorf("confidence %v 80ms after blackout end, want recovered", c)
 	}
 	if h.mon.Health() != ibmon.HealthOK {
@@ -334,7 +335,7 @@ func TestMapInvalidateRemapsWithBackoff(t *testing.T) {
 	if n := tgt.RemapTries(); n > 12 {
 		t.Errorf("%d remap retries in a 40ms window; backoff not applied", n)
 	}
-	if c := h.mon.ConfidenceOf(h.gst.ID()); c < 0.9 {
+	if c := tgt.Confidence(); c < 0.9 {
 		t.Errorf("confidence %v after remap recovery, want ~1", c)
 	}
 }
@@ -379,7 +380,8 @@ func TestAbortPreCopyWindowAndAttachValidation(t *testing.T) {
 func TestInjectorReplayDeterministic(t *testing.T) {
 	run := func() string {
 		h := newHarness(t, 32)
-		if _, err := h.mon.WatchCQ(h.gst.ID(), h.scq); err != nil {
+		tgt, err := h.mon.WatchCQ(h.gst.ID(), h.scq)
+		if err != nil {
 			t.Fatal(err)
 		}
 		h.mon.Start(h.eng)
@@ -405,7 +407,7 @@ func TestInjectorReplayDeterministic(t *testing.T) {
 		h.eng.RunUntil(500 * sim.Millisecond)
 		fp := fmt.Sprintf("fired=%d overruns=%d invalidations=%d blackoutPasses=%d conf=%.6f reaps=%d",
 			len(inj.Fired()), h.scq.Overruns(), h.mon.Invalidations(),
-			h.mon.BlackoutPasses(), h.mon.ConfidenceOf(h.gst.ID()), len(reaps))
+			h.mon.BlackoutPasses(), tgt.Confidence(), len(reaps))
 		for _, e := range inj.Fired() {
 			fp += fmt.Sprintf("|%v@%v", e.Kind, e.At)
 		}

@@ -88,7 +88,6 @@ type HCA struct {
 	nextKey uint32
 	nextQPN uint32
 	nextCQN uint32
-	nextPD  uint32
 
 	// free holds zeroed packets for the links to build trains and runs
 	// from; see newPacket, RunPacket and ReleasePacket.
@@ -234,7 +233,6 @@ func New(eng *sim.Engine, cfg Config) *HCA {
 		nextKey: 0x1000,
 		nextQPN: 0x40,
 		nextCQN: 1,
-		nextPD:  1,
 		procQ:   eng.Delay(ProcDelay),
 		ackQ:    eng.Delay(AckLatency),
 	}
@@ -307,8 +305,7 @@ func (h *HCA) QP(qpn uint32) *QP { return h.qps[qpn] }
 // AllocPD creates a protection domain bound to one guest address space
 // (i.e. one VM). All MRs, CQs and QPs of that VM hang off its PD.
 func (h *HCA) AllocPD(space *guestmem.Space) *PD {
-	pd := &PD{hca: h, id: h.nextPD, space: space}
-	h.nextPD++
+	pd := &PD{hca: h, space: space}
 	h.pds = append(h.pds, pd)
 	return pd
 }
@@ -347,7 +344,6 @@ func (h *HCA) ResumeCompletions() {
 // bypass device.
 type PD struct {
 	hca   *HCA
-	id    uint32
 	space *guestmem.Space
 	cqs   []*CQ
 	qps   []*QP

@@ -300,23 +300,6 @@ func (m *Monitor) InvalidateDomain(dom xen.DomID) {
 // accumulated while blind is then accounted through the normal loss path.
 func (m *Monitor) RestoreDomain(dom xen.DomID) { delete(m.revoked, dom) }
 
-// ConfidenceOf returns the minimum confidence across the domain's watched
-// CQs (1 when the domain has none): the paper's sampling-accuracy trade-off
-// turned into a live, consumable signal.
-func (m *Monitor) ConfidenceOf(dom xen.DomID) float64 {
-	conf, any := 1.0, false
-	for _, t := range m.targets {
-		if t.dom != dom {
-			continue
-		}
-		if !any || t.conf < conf {
-			conf = t.conf
-		}
-		any = true
-	}
-	return conf
-}
-
 // Health classifies the monitor's own observability.
 type Health int
 
@@ -506,31 +489,23 @@ func mtusFor(bytes int64) int64 {
 }
 
 // Profile is a per-VM I/O rate snapshot, aggregated across every watched
-// CQ of the domain: the send rate in MTUs and bytes per second over the
-// window since the previous Profiles/ProfileOf call, plus the inferred
-// application buffer size. This is the input the placement layer scores
-// with — a large BufferSize at a high MTUsPerSec identifies the
-// latency-destroying neighbor class of the paper.
+// CQ of the domain: the send rate in bytes per second over the window since
+// the previous ProfileOf call, plus the inferred application buffer size.
+// This is the input the placement layer scores with — a large BufferSize at
+// a high BytesPerSec identifies the latency-destroying neighbor class of the
+// paper.
 type Profile struct {
-	Dom xen.DomID
-	// Window is the measurement span the rates average over.
-	Window sim.Time
-	// MTUsPerSec and BytesPerSec are send-side rates over the window.
-	MTUsPerSec  float64
+	// BytesPerSec is the send-side rate over the window.
 	BytesPerSec float64
 	// BufferSize is the largest send completion seen since watch start.
 	BufferSize int
-	// Confidence is the minimum telemetry confidence across the domain's
-	// watched CQs at snapshot time (see Monitor.ConfidenceOf).
-	Confidence float64
 }
 
-// profileMark remembers the cumulative counters at the last snapshot.
+// profileMark remembers the cumulative byte count at the last snapshot.
 type profileMark struct {
-	mtus, bytes int64
-	at          sim.Time
-	mtuRate     float64 // last computed rates, reused for zero windows
-	byteRate    float64
+	bytes    int64
+	at       sim.Time
+	byteRate float64 // last computed rate, reused for zero windows
 }
 
 // ProfileOf returns the windowed profile for one domain; ok is false when
@@ -546,35 +521,26 @@ func (m *Monitor) ProfileOf(dom xen.DomID) (Profile, bool) {
 
 // profileDomain aggregates the domain's targets and advances its mark.
 func (m *Monitor) profileDomain(dom xen.DomID) Profile {
-	var mtus, bytes int64
-	bufSize := 0
+	var bytes int64
+	var p Profile
 	for _, t := range m.targets {
 		if t.dom != dom {
 			continue
 		}
 		u := t.Usage()
-		mtus += u.MTUsSent
 		bytes += u.BytesSent
-		if u.BufferSize > bufSize {
-			bufSize = u.BufferSize
+		if u.BufferSize > p.BufferSize {
+			p.BufferSize = u.BufferSize
 		}
 	}
 	now := m.hv.Engine().Now()
 	mark := m.marks[dom]
-	p := Profile{Dom: dom, Window: now - mark.at, BufferSize: bufSize,
-		Confidence: m.ConfidenceOf(dom)}
-	if p.Window > 0 {
-		secs := p.Window.Seconds()
-		p.MTUsPerSec = float64(mtus-mark.mtus) / secs
-		p.BytesPerSec = float64(bytes-mark.bytes) / secs
+	if window := now - mark.at; window > 0 {
+		p.BytesPerSec = float64(bytes-mark.bytes) / window.Seconds()
 	} else {
-		// Same-instant re-poll: repeat the previous rates.
-		p.MTUsPerSec = mark.mtuRate
+		// Same-instant re-poll: repeat the previous rate.
 		p.BytesPerSec = mark.byteRate
 	}
-	m.marks[dom] = profileMark{
-		mtus: mtus, bytes: bytes, at: now,
-		mtuRate: p.MTUsPerSec, byteRate: p.BytesPerSec,
-	}
+	m.marks[dom] = profileMark{bytes: bytes, at: now, byteRate: p.BytesPerSec}
 	return p
 }

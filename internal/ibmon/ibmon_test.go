@@ -252,3 +252,57 @@ func TestMTUConversionRoundsUp(t *testing.T) {
 	}
 	h.eng.Shutdown()
 }
+
+// TestProfileOf checks the windowed profile placement and the rebalancer
+// score with: the byte rate over the span since the previous call, the
+// same rate again on a same-instant re-poll, the largest send completion as
+// BufferSize, and ok == false for a domain IBMon does not watch.
+func TestProfileOf(t *testing.T) {
+	h := newHarness(t, 256)
+	m := New(h.hv, nil, Config{Period: 100 * sim.Microsecond})
+	if _, err := m.WatchCQ(h.guest.ID(), h.scq); err != nil {
+		t.Fatal(err)
+	}
+	m.Start(h.eng)
+	defer h.eng.Shutdown()
+
+	rate := func(want float64, p Profile) {
+		t.Helper()
+		if d := p.BytesPerSec/want - 1; d > 1e-9 || d < -1e-9 {
+			t.Errorf("BytesPerSec = %.1f, want %.1f", p.BytesPerSec, want)
+		}
+	}
+	// Window 1, [0, 5ms): ten 64 KB sends.
+	h.sendN(t, 10, 64<<10, 150*sim.Microsecond)
+	h.eng.RunUntil(5 * sim.Millisecond)
+	p, ok := m.ProfileOf(h.guest.ID())
+	if !ok {
+		t.Fatal("watched domain has no profile")
+	}
+	rate(10*(64<<10)/0.005, p)
+	if p.BufferSize != 64<<10 {
+		t.Errorf("BufferSize = %d, want %d", p.BufferSize, 64<<10)
+	}
+	again, _ := m.ProfileOf(h.guest.ID())
+	rate(p.BytesPerSec, again)
+
+	// Window 2, [5ms, 10ms): four 16 KB sends around one 128 KB send.
+	for i, sz := range []int{16 << 10, 16 << 10, 128 << 10, 16 << 10, 16 << 10} {
+		id, sz := uint64(100+i), sz
+		h.eng.Schedule(5*sim.Millisecond+sim.Time(i)*200*sim.Microsecond, func() {
+			if err := h.qp1.PostSend(hca.SendWR{ID: id, LocalAddr: h.src, LKey: h.mr1.Key(), Len: sz}); err != nil {
+				t.Errorf("post %d: %v", id, err)
+			}
+		})
+	}
+	h.eng.RunUntil(10 * sim.Millisecond)
+	p, _ = m.ProfileOf(h.guest.ID())
+	rate((4*(16<<10)+128<<10)/0.005, p)
+	if p.BufferSize != 128<<10 {
+		t.Errorf("BufferSize = %d, want the largest completion %d", p.BufferSize, 128<<10)
+	}
+
+	if _, ok := m.ProfileOf(xen.DomID(99)); ok {
+		t.Error("unwatched domain has a profile")
+	}
+}

@@ -79,7 +79,7 @@ func runGangs(t *testing.T, seed int64, shards, workers int, scan bool) gangRun 
 				Name: fmt.Sprintf("solo%d", singles), LatencySensitive: true, BufferSize: 64 << 10,
 			}
 			sched.Enqueue(spec, schedshard.VMInfo{
-				Spec: spec, BytesPerSec: 2e6, MTUsPerSec: 2e6 / 1024, BufferSize: 64 << 10,
+				Spec: spec, BytesPerSec: 2e6, BufferSize: 64 << 10,
 			})
 			singles++
 			used++

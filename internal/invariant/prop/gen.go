@@ -48,11 +48,10 @@ func Tenants(rng *sim.Rand, n int) []workload.TenantSpec {
 		}
 		switch rng.Intn(3) {
 		case 0:
-			spec.Closed = workload.ClosedLoop{
-				Concurrency: 1 + rng.Intn(3),
-				Think:       sim.Time(rng.Intn(4)) * sim.Millisecond,
-				ThinkExp:    rng.Intn(2) == 0,
-			}
+			spec.Closed = workload.ClosedLoop{Concurrency: 1 + rng.Intn(3)}
+			// Draws no field uses, kept so every later draw stays in place.
+			rng.Intn(4)
+			rng.Intn(2)
 		case 1:
 			spec.Arrivals = benchex.Poisson{Rate: 100 + float64(rng.Intn(300))}
 		default:
@@ -65,7 +64,6 @@ func Tenants(rng *sim.Rand, n int) []workload.TenantSpec {
 		}
 		if rng.Intn(2) == 0 {
 			spec.SLAUs = 200 + float64(rng.Intn(400))
-			spec.LatencySensitive = true
 		}
 		if spec.Arrivals != nil && rng.Intn(2) == 0 {
 			spec.QueueCap = 4 + rng.Intn(28)
@@ -85,13 +83,12 @@ func Tenants(rng *sim.Rand, n int) []workload.TenantSpec {
 func MixedTenants(rng *sim.Rand, bulkMemPerReq int) []workload.TenantSpec {
 	return []workload.TenantSpec{
 		{
-			Name:             "crit",
-			Closed:           workload.ClosedLoop{Concurrency: 1 + rng.Intn(2)},
-			SLAUs:            250 + float64(rng.Intn(200)),
-			LatencySensitive: true,
-			Share:            3,
-			MemBytesPerReq:   4 << 10,
-			Seed:             1 + rng.Int63n(1<<30),
+			Name:           "crit",
+			Closed:         workload.ClosedLoop{Concurrency: 1 + rng.Intn(2)},
+			SLAUs:          250 + float64(rng.Intn(200)),
+			Share:          3,
+			MemBytesPerReq: 4 << 10,
+			Seed:           1 + rng.Int63n(1<<30),
 		},
 		{
 			Name:           "bulk",
@@ -116,12 +113,11 @@ func ScaleSets(rng *sim.Rand, n int) []workload.ScaleSetSpec {
 			LatencySensitive: true,
 			BufferSize:       64 << 10,
 			BytesPerSec:      2e6,
-			MTUsPerSec:       2e6 / 1024,
 		}
 		if rng.Intn(3) == 0 {
 			s.LatencySensitive = false
 			s.BufferSize = 2 << 20
-			s.BytesPerSec, s.MTUsPerSec = 60e6, 60e6/1024
+			s.BytesPerSec = 60e6
 		}
 		sets = append(sets, s)
 	}

@@ -33,7 +33,7 @@ func membwPolicy(priced bool) func() resex.Policy {
 // ledgers, the per-tenant latency/count digests, and the book's trade count
 // and non-membw prices.
 type membwDigest struct {
-	Ledgers []resex.EpochSummary
+	Ledgers []resex.State
 	Tenants map[string]permutationFields
 	Trades  int64
 	PxCPU   float64
@@ -53,7 +53,7 @@ func runMembw(t *testing.T, seed int64, priced bool) membwDigest {
 	e := buildEngine(t, cfg, specs)
 	var d membwDigest
 	for _, mgr := range e.Mgrs {
-		mgr.ObserveEpoch(func(es resex.EpochSummary) { d.Ledgers = append(d.Ledgers, es) })
+		mgr.ObserveEpoch(func(resex.EpochSummary) { d.Ledgers = append(d.Ledgers, mgr.Checkpoint()) })
 	}
 	e.RunMeasured(20*sim.Millisecond, 400*sim.Millisecond)
 	d.Tenants = make(map[string]permutationFields)

@@ -132,14 +132,14 @@ func TestTenantOrderPermutation(t *testing.T) {
 // run's per-epoch ledger exactly as a prefix — extending the future cannot
 // rewrite the past.
 func TestEpochPrefixDeterminism(t *testing.T) {
-	run := func(horizon sim.Time) []resex.EpochSummary {
+	run := func(horizon sim.Time) []resex.State {
 		cfg := workload.Config{Hosts: 1, IntervalsPerEpoch: 50}
 		cfg.Policy = func() resex.Policy { return resex.NewFreeMarket() }
 		rng := sim.NewRand(42)
 		e := buildEngine(t, cfg, Tenants(rng, 3))
-		var ledgers []resex.EpochSummary
+		var ledgers []resex.State
 		for _, mgr := range e.Mgrs {
-			mgr.ObserveEpoch(func(es resex.EpochSummary) { ledgers = append(ledgers, es) })
+			mgr.ObserveEpoch(func(resex.EpochSummary) { ledgers = append(ledgers, mgr.Checkpoint()) })
 		}
 		e.Start()
 		e.TB.Eng.RunUntil(horizon)

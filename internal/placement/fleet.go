@@ -206,9 +206,8 @@ func (f *Fleet) buildView() []*schedshard.HostInfo {
 			if pl.HostIdx != i {
 				continue
 			}
-			vi := schedshard.VMInfo{Spec: pl.Spec, IntfPercent: pl.lastIntf, CapPct: pl.lastCap}
+			vi := schedshard.VMInfo{Spec: pl.Spec}
 			if prof, ok := f.Mons[i].ProfileOf(pl.App.ServerVM.Dom.ID()); ok {
-				vi.MTUsPerSec = prof.MTUsPerSec
 				vi.BytesPerSec = prof.BytesPerSec
 				vi.BufferSize = prof.BufferSize
 			}
@@ -290,7 +289,6 @@ func (f *Fleet) Place(w Workload) (*Placement, error) {
 	app.Start()
 	pl.Agent.Start()
 	f.placements = append(f.placements, pl)
-	f.Log.Add(f.TB.Eng.Now(), "place", "%s -> node%d (%s)", w.Name, host.Node, f.cfg.Strategy.Name())
 	return pl, nil
 }
 

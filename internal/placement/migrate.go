@@ -185,8 +185,6 @@ func (f *Fleet) Migrate(p *sim.Proc, pl *Placement, to *cluster.Host, mc Migrati
 		return MigrationRecord{}, fmt.Errorf("placement: %s already on node%d", pl.Spec.Name, to.Node)
 	}
 	rec := MigrationRecord{VM: pl.Spec.Name, From: src.Node, To: to.Node, Start: f.TB.Eng.Now()}
-	f.Log.Add(rec.Start, "migrate", "%s node%d->node%d: pre-copy %d MB",
-		pl.Spec.Name, src.Node, to.Node, mc.StateBytes>>20)
 
 	preChunks := chunks(mc.StateBytes)
 	dirtyChunks := chunks(int64(DirtyFraction * float64(mc.StateBytes)))
@@ -208,14 +206,7 @@ func (f *Fleet) Migrate(p *sim.Proc, pl *Placement, to *cluster.Host, mc Migrati
 	}
 	if err := ch.transfer(p, preChunks, abort); err != nil {
 		if errors.Is(err, ErrPreCopyAborted) {
-			rec.End = f.TB.Eng.Now()
-			f.Log.Failures = append(f.Log.Failures, MigrationFailure{
-				VM: pl.Spec.Name, From: src.Node, To: to.Node,
-				At: rec.End, Reason: "pre-copy aborted",
-			})
-			f.Log.Add(rec.End, "migrate",
-				"%s node%d->node%d: pre-copy aborted, rolled back (VM still on node%d)",
-				pl.Spec.Name, src.Node, to.Node, src.Node)
+			f.Log.Failures = append(f.Log.Failures, MigrationFailure{VM: pl.Spec.Name, From: src.Node, To: to.Node})
 		}
 		return rec, err
 	}
@@ -262,10 +253,7 @@ func (f *Fleet) Migrate(p *sim.Proc, pl *Placement, to *cluster.Host, mc Migrati
 
 	rec.End = f.TB.Eng.Now()
 	rec.Downtime = rec.End - downStart
-	rec.BytesMoved = int64(preChunks+dirtyChunks) * int64(ChunkBytes)
 	rec.FlowBytes = src.Uplink.FlowBytes(ch.srcQP.QPN())
 	f.Log.Migrations = append(f.Log.Migrations, rec)
-	f.Log.Add(rec.End, "migrate", "%s resumed on node%d (moved %d MB, blackout %v)",
-		pl.Spec.Name, to.Node, rec.BytesMoved>>20, rec.Downtime)
 	return rec, nil
 }

@@ -75,7 +75,7 @@ func TestPipelineSelectTieBreakAndDeterminism(t *testing.T) {
 func TestInterferenceAwareBeatsSpreadOnContaminatedHost(t *testing.T) {
 	bulk := schedshard.VMInfo{
 		Spec:        schedshard.Spec{Name: "bulk", BufferSize: 2 << 20},
-		BytesPerSec: 500e6, MTUsPerSec: 500e3, BufferSize: 2 << 20,
+		BytesPerSec: 500e6, BufferSize: 2 << 20,
 	}
 	ls := schedshard.VMInfo{Spec: schedshard.Spec{Name: "ls", LatencySensitive: true, BufferSize: 64 << 10}}
 	mk := func() []*schedshard.HostInfo {

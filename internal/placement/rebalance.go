@@ -127,9 +127,6 @@ func (r *Rebalancer) pass(p *sim.Proc) {
 			// The host policy still has throttle headroom; give it until
 			// 2×breachPatience epochs before forcing a move anyway (a
 			// policy like FreeMarket may never throttle on latency at all).
-			f.Log.Add(f.TB.Eng.Now(), "rebalance",
-				"%s breached %d epochs; waiting for node%d to throttle %s (cap %.0f%%)",
-				victim.Spec.Name, victim.intfEpochs, src.Node, intf.Spec.Name, intf.lastCap)
 			return
 		}
 		mover = intf
@@ -145,20 +142,9 @@ func (r *Rebalancer) pass(p *sim.Proc) {
 	// better home — when its current host wins (or ties), moving would be
 	// churn, not improvement.
 	target, err := r.pipe.Pick(f.whatIf(mover), mover.Spec)
-	if err != nil {
-		f.Log.Add(f.TB.Eng.Now(), "rebalance", "%s needs to move off node%d but %v",
-			mover.Spec.Name, src.Node, err)
+	if err != nil || target.Node == src.Node {
 		return
 	}
-	if target.Node == src.Node {
-		f.Log.Add(f.TB.Eng.Now(), "rebalance",
-			"%s stays on node%d (no strictly better host)", mover.Spec.Name, src.Node)
-		return
-	}
-	f.Log.Add(f.TB.Eng.Now(), "rebalance",
-		"victim %s (intf %.0f%% for %d epochs) -> migrating %s node%d->node%d",
-		victim.Spec.Name, victim.lastIntf, victim.intfEpochs,
-		mover.Spec.Name, src.Node, target.Node)
 	if !r.migrate(p, mover, target.Node) {
 		return
 	}
@@ -177,12 +163,7 @@ func (r *Rebalancer) migrate(p *sim.Proc, mover *Placement, targetNode int) bool
 				backoff = max
 			}
 			mover.retryAt = f.TB.Eng.Now() + backoff
-			f.Log.Add(f.TB.Eng.Now(), "rebalance",
-				"migration of %s aborted (failure %d); retry backoff %v",
-				mover.Spec.Name, mover.migFailures, backoff)
-			return false
 		}
-		f.Log.Add(f.TB.Eng.Now(), "rebalance", "migration of %s failed: %v", mover.Spec.Name, err)
 		return false
 	}
 	mover.migFailures, mover.retryAt = 0, 0

@@ -86,7 +86,6 @@ type LatencyWindow struct {
 	Count int64
 	Mean  float64 // µs
 	Std   float64 // µs
-	Max   float64 // µs
 }
 
 // ManagedVM is one VM under ResEx control.
@@ -114,15 +113,11 @@ type ManagedVM struct {
 	intervals  int64   // intervals since this VM came under management
 	confidence float64 // min IBMon confidence across targets, updated per tick
 
-	// Epoch accumulators backing the exported EpochSummary.
-	epMTUs       int64
-	epCPUPct     float64 // sum of per-interval CPU percents
-	epIntervals  int
-	epLat        stats.Summary // report means weighted by report count, µs
-	epElev       stats.Summary // per-interval elevation over baseline, %
-	epInterfered bool
-	epIOMark     resos.Amount // cumulative charges at the last boundary
-	epCPUMark    resos.Amount
+	// Epoch accumulators: the MTUs the VM sent (exported as epoch_mtus)
+	// and the per-interval elevation over baseline, in percent, behind
+	// EpochSummary's IntfPercent.
+	epMTUs int64
+	epElev stats.Summary
 }
 
 // Rate returns the VM's current charging rate.
@@ -156,9 +151,6 @@ type VMTick struct {
 	// (the DimMemBW Reso). Zero unless the VM has a meter (SetMemMeter).
 	MemUnits int64
 	Latency  LatencyWindow
-	// Confidence is the IBMon telemetry confidence behind MTUs (see
-	// ManagedVM.Confidence); 0 during a host telemetry blackout.
-	Confidence float64
 }
 
 // IntervalData is the per-interval input to a policy.
@@ -217,8 +209,6 @@ type Manager struct {
 
 // FaultStats counts the manager's cap decisions under degraded telemetry.
 type FaultStats struct {
-	// Tightenings is every applied cap decrease.
-	Tightenings int64
 	// HeldTightenings counts decreases the confidence gate refused while
 	// evidence was stale (the last-known cap held instead).
 	HeldTightenings int64
@@ -231,7 +221,6 @@ type FaultStats struct {
 // FaultStats returns the degraded-mode decision counters.
 func (m *Manager) FaultStats() FaultStats {
 	return FaultStats{
-		Tightenings:       m.tightenings,
 		HeldTightenings:   m.heldTightenings,
 		WrongfulThrottles: m.wrongfulThrottles,
 	}
@@ -502,12 +491,10 @@ func (m *Manager) tick() {
 			Count: vm.reports.Count(),
 			Mean:  vm.reports.Mean(),
 			Std:   vm.reportStd,
-			Max:   vm.reports.Max(),
 		}
 		vm.reports.Reset()
 		vm.reportStd = 0
-		d.VMs = append(d.VMs, VMTick{VM: vm, MTUs: mtus, CPUPct: pct, MemUnits: memUnits,
-			Latency: lw, Confidence: vm.confidence})
+		d.VMs = append(d.VMs, VMTick{VM: vm, MTUs: mtus, CPUPct: pct, MemUnits: memUnits, Latency: lw})
 
 		// Learn the base latency as the quietest sustained report level.
 		if lw.Count > 0 && vm.sla == 0 {
@@ -523,26 +510,12 @@ func (m *Manager) tick() {
 		// in any policy, so EpochSummary carries an interference signal no
 		// matter which pricing scheme is active.
 		vm.epMTUs += mtus
-		vm.epCPUPct += pct
-		vm.epIntervals++
-		if lw.Count > 0 {
-			vm.epLat.AddN(lw.Mean, lw.Count)
-			if vm.baseline > 0 {
-				elev := 100 * (lw.Mean - vm.baseline) / vm.baseline
-				if elev < 0 {
-					elev = 0
-				}
-				vm.epElev.Add(elev)
-			}
+		if lw.Count > 0 && vm.baseline > 0 {
+			vm.epElev.Add(max(0, 100*(lw.Mean-vm.baseline)/vm.baseline))
 		}
 	}
 
 	m.policy.Interval(m, d)
-	for _, vm := range m.vms {
-		if vm.interfered {
-			vm.epInterfered = true
-		}
-	}
 
 	if m.interval%int64(m.cfg.IntervalsPerEpoch) == 0 {
 		es := m.epochSummary()

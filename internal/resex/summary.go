@@ -1,65 +1,27 @@
 package resex
 
-import (
-	"resex/internal/resos"
-	"resex/internal/sim"
-	"resex/internal/xen"
-)
+import "resex/internal/xen"
 
-// VMEpochSummary is one VM's interference and utilization digest for one
-// epoch. It is what a fleet-level scheduler consumes: unlike the raw
-// per-interval Observer stream, it is cheap enough to export off-host every
-// second and carries exactly the signals placement needs — how interfered
-// the VM was, how hard it drove the fabric, and how much of its Reso
-// allocation it burned.
+// VMEpochSummary is one VM's interference digest for one epoch: how
+// interfered the VM was and how hard its policy throttled it. It is what
+// the fleet scheduler consumes; the full per-VM ledger is the manager's
+// Checkpoint export.
 type VMEpochSummary struct {
-	Dom  xen.DomID
-	Name string
-
-	// MTUs is the IBMon-estimated MTU count the VM sent this epoch.
-	MTUs int64
-	// MTURate is the smoothed MTUs-per-interval estimate at epoch end.
-	MTURate float64
-	// CPUPct is the mean CPU percent consumed per interval this epoch.
-	CPUPct float64
-
-	// LatencyMean is the report-weighted mean latency (µs) of the VM's
-	// agent reports this epoch; zero when the VM reported nothing.
-	LatencyMean float64
-	// Baseline is the SLA/learned reference latency (µs) at epoch end.
-	Baseline float64
+	Dom xen.DomID
 	// IntfPercent is the mean latency elevation over the baseline across
 	// the epoch's reporting intervals, in percent, floored at zero. It is
 	// computed by the manager independently of the pricing policy, so the
 	// summary carries an interference signal even under FreeMarket (which
 	// never looks at latency itself).
 	IntfPercent float64
-	// Interfered reports whether the active policy blamed an interferer
-	// for this VM in any interval of the epoch (IOShares only).
-	Interfered bool
-
-	// Rate and Cap are the VM's charging rate and CPU cap at epoch end
-	// (cap 100 = uncapped).
-	Rate float64
-	Cap  float64
-
-	// IOCharged/CPUCharged are the Resos charged this epoch; Balance and
-	// Allocation are the pre-replenishment ledger values. Utilization is
-	// (IOCharged+CPUCharged)/Allocation — the fraction of the VM's Reso
-	// grant it actually consumed.
-	IOCharged   resos.Amount
-	CPUCharged  resos.Amount
-	Balance     resos.Amount
-	Allocation  resos.Amount
-	Utilization float64
+	// Cap is the VM's CPU cap at epoch end (100 = uncapped).
+	Cap float64
 }
 
-// EpochSummary is the per-host digest exported at each epoch boundary,
-// before accounts replenish. VMs appear in manage order.
+// EpochSummary is the per-host digest exported at each epoch boundary.
+// VMs appear in manage order.
 type EpochSummary struct {
-	Epoch int64
-	Now   sim.Time
-	VMs   []VMEpochSummary
+	VMs []VMEpochSummary
 }
 
 // VM returns the summary entry for a domain, or nil.
@@ -75,49 +37,25 @@ func (es *EpochSummary) VM(dom xen.DomID) *VMEpochSummary {
 // EpochObserver receives the host digest at every epoch boundary.
 type EpochObserver func(EpochSummary)
 
-// ObserveEpoch registers an epoch observer.
+// ObserveEpoch registers an epoch observer. At an epoch boundary the
+// manager builds the summary, replenishes every account, swaps in a staged
+// policy and runs the policy's EpochStart; only then are epoch observers
+// called, so an observer sees the new epoch's ledger beside the summary
+// of the old one.
 func (m *Manager) ObserveEpoch(o EpochObserver) { m.epochObs = append(m.epochObs, o) }
 
 // epochSummary builds the digest from the per-VM epoch accumulators and
-// resets them. Called at the epoch boundary, before replenishment, so
-// Balance shows what the epoch left in each account.
+// resets them.
 func (m *Manager) epochSummary() EpochSummary {
-	es := EpochSummary{
-		Epoch: m.interval / int64(m.cfg.IntervalsPerEpoch),
-		Now:   m.eng.Now(),
-	}
+	var es EpochSummary
 	for _, vm := range m.vms {
-		io := vm.Account.IOCharged() - vm.epIOMark
-		cpu := vm.Account.CPUCharged() - vm.epCPUMark
-		vm.epIOMark = vm.Account.IOCharged()
-		vm.epCPUMark = vm.Account.CPUCharged()
-		s := VMEpochSummary{
+		es.VMs = append(es.VMs, VMEpochSummary{
 			Dom:         vm.Dom.ID(),
-			Name:        vm.Dom.Name(),
-			MTUs:        vm.epMTUs,
-			MTURate:     vm.mtuEwma,
-			LatencyMean: vm.epLat.Mean(),
-			Baseline:    vm.baseline,
 			IntfPercent: vm.epElev.Mean(),
-			Interfered:  vm.epInterfered,
-			Rate:        vm.rate,
 			Cap:         vm.cap,
-			IOCharged:   io,
-			CPUCharged:  cpu,
-			Balance:     vm.Account.Balance(),
-			Allocation:  vm.Account.Allocation(),
-		}
-		if vm.epIntervals > 0 {
-			s.CPUPct = vm.epCPUPct / float64(vm.epIntervals)
-		}
-		if s.Allocation > 0 {
-			s.Utilization = float64(io+cpu) / float64(s.Allocation)
-		}
-		es.VMs = append(es.VMs, s)
-		vm.epMTUs, vm.epCPUPct, vm.epIntervals = 0, 0, 0
-		vm.epLat.Reset()
+		})
+		vm.epMTUs = 0
 		vm.epElev.Reset()
-		vm.epInterfered = false
 	}
 	return es
 }

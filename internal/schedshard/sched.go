@@ -62,17 +62,12 @@ type ShardCounters struct {
 
 // RoundStats summarizes one Round call.
 type RoundStats struct {
-	Round      uint64
 	Proposed   int
 	Committed  int
 	Conflicted int
-	Starved    int
 	// Pending is what remains queued after the round (conflict losers and
 	// starved requests that will retry).
 	Pending int
-	// Failed is how many requests the round declared unplaceable (only
-	// when a whole round commits nothing).
-	Failed int
 }
 
 // lane is one logical shard's private working state. Everything here is
@@ -351,7 +346,7 @@ func (s *Scheduler) Round() RoundStats {
 		return RoundStats{}
 	}
 	s.rounds++
-	rs := RoundStats{Round: s.rounds}
+	var rs RoundStats
 	snap := s.store.Snapshot()
 
 	// Partition. Lane work slices are reused round over round.
@@ -374,7 +369,6 @@ func (s *Scheduler) Round() RoundStats {
 	for _, ln := range s.lanes {
 		merged = append(merged, ln.props...)
 		rs.Proposed += len(ln.props)
-		rs.Starved += len(ln.starved)
 	}
 	s.merge = merged
 	committed, conflicted := s.store.CommitRound(merged)
@@ -432,7 +426,6 @@ func (s *Scheduler) Round() RoundStats {
 		// identical. Declare the remainder unplaceable. (A conflict with
 		// zero commits is impossible — a bind only loses headroom to an
 		// earlier-keyed bind that won it.)
-		rs.Failed = len(next)
 		s.failed = append(s.failed, next...)
 		var lastGang uint64
 		for _, p := range next {

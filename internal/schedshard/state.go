@@ -48,18 +48,11 @@ type Spec struct {
 // spec plus the live signals the host's IBMon and ResEx export.
 type VMInfo struct {
 	Spec Spec
-	// MTUsPerSec/BytesPerSec are the IBMon-profiled send rates.
-	MTUsPerSec  float64
+	// BytesPerSec is the IBMon-profiled send rate.
 	BytesPerSec float64
 	// BufferSize is the IBMon-inferred buffer size (may exceed the spec's
 	// declared size; the interference score uses the larger of the two).
 	BufferSize int
-	// IntfPercent is the VM's latency elevation over its baseline in the
-	// last ResEx epoch, percent.
-	IntfPercent float64
-	// CapPct is the CPU cap the host's policy currently enforces
-	// (100 = uncapped).
-	CapPct float64
 }
 
 // EffectiveBuffer returns the larger of declared and inferred buffer size.

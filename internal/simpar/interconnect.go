@@ -32,7 +32,6 @@ type Interconnect struct {
 
 type site struct {
 	h  *Host
-	tb *cluster.Testbed
 	ch *cluster.Host
 }
 
@@ -58,7 +57,7 @@ func (ic *Interconnect) AddSite(tb *cluster.Testbed, ch *cluster.Host) *Host {
 		panic(fmt.Sprintf("simpar: site %d already added", node))
 	}
 	h := ic.co.AddHost(node, tb.Eng)
-	s := &site{h: h, tb: tb, ch: ch}
+	s := &site{h: h, ch: ch}
 	ic.sites[node] = s
 
 	// Outbound: a packet for a node not attached to this site's switch has

@@ -124,7 +124,6 @@ type Host struct {
 	id    int
 	eng   *sim.Engine
 	co    *Coordinator
-	shard int
 	seq   uint64
 	inbox msgHeap
 	out   []Message
@@ -343,7 +342,6 @@ func (c *Coordinator) seal() {
 		} else {
 			sh = i * s / n
 		}
-		h.shard = sh
 		c.shards[sh] = append(c.shards[sh], h)
 	}
 	c.runShards = c.runShard

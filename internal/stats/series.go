@@ -82,12 +82,11 @@ func (s *Series) Downsample(n int) *Series {
 // SeriesSet is a group of series sharing an X axis, e.g. the several lines
 // of one figure.
 type SeriesSet struct {
-	Title  string
 	series []*Series
 }
 
 // NewSeriesSet returns an empty set.
-func NewSeriesSet(title string) *SeriesSet { return &SeriesSet{Title: title} }
+func NewSeriesSet() *SeriesSet { return &SeriesSet{} }
 
 // Add creates (or returns the existing) series with the given name.
 func (ss *SeriesSet) Add(name string) *Series {

@@ -306,7 +306,7 @@ func TestSeriesDownsample(t *testing.T) {
 }
 
 func TestSeriesCSV(t *testing.T) {
-	ss := NewSeriesSet("fig")
+	ss := NewSeriesSet()
 	ss.Add("a,b").Add(1, 2) // name needs escaping
 	var b strings.Builder
 	if err := ss.WriteCSV(&b); err != nil {
@@ -319,7 +319,7 @@ func TestSeriesCSV(t *testing.T) {
 }
 
 func TestSeriesSet(t *testing.T) {
-	ss := NewSeriesSet("fig")
+	ss := NewSeriesSet()
 	a := ss.Add("a")
 	a2 := ss.Add("a")
 	if a != a2 {

@@ -1,15 +1,10 @@
 package trace
 
-import (
-	"fmt"
-
-	"resex/internal/sim"
-)
+import "resex/internal/sim"
 
 // Instrument is one tradable option series in the synthetic universe.
 type Instrument struct {
 	ID     uint32
-	Symbol string
 	Spot   float64
 	Strike float64
 	Vol    float64
@@ -44,7 +39,6 @@ func NewGenerator(seed int64) *Generator {
 		spot := g.rng.Uniform(20, 500)
 		g.univ = append(g.univ, Instrument{
 			ID:     uint32(i),
-			Symbol: fmt.Sprintf("SYM%03d", i),
 			Spot:   spot,
 			Strike: spot * g.rng.Uniform(0.8, 1.2),
 			Vol:    g.rng.Uniform(0.1, 0.6),

@@ -9,19 +9,18 @@ import (
 
 func TestTenantRequestAllocs(t *testing.T) {
 	// A warm 64 KB tenant allocates nothing per request, closed or open
-	// loop: its arrival and in-flight FIFOs are rings, the think wake-up is
-	// a callback bound once, the request path is the BenchEx connection
-	// the benchex client uses (TestBenchExRequestAllocs in
-	// internal/cluster), the SLO window sketch keeps its buckets across
-	// resets, and guest memory already holds every chunk it writes. What
-	// is left is the latency sketches' amortized growth.
+	// loop: its arrival and in-flight FIFOs are rings, the request path is
+	// the BenchEx connection the benchex client uses
+	// (TestBenchExRequestAllocs in internal/cluster), the SLO window sketch
+	// keeps its buckets across resets, and guest memory already holds every
+	// chunk it writes. What is left is the latency sketches' amortized
+	// growth.
 	cases := []struct {
 		name string
 		spec TenantSpec
 	}{
 		{"closed1", TenantSpec{}},
 		{"closed4", TenantSpec{Closed: ClosedLoop{Concurrency: 4}}},
-		{"closed2-think", TenantSpec{Closed: ClosedLoop{Concurrency: 2, Think: 100 * sim.Microsecond}}},
 		{"poisson", TenantSpec{Arrivals: benchex.Poisson{Rate: 2000}}},
 	}
 	for _, c := range cases {

@@ -16,12 +16,11 @@ func runMix(t *testing.T, midCheckpoint bool) State {
 	e := New(Config{Hosts: 1, ClientPCPUs: 8,
 		Policy: func() resex.Policy { return resex.NewFreeMarket() }})
 	if _, err := e.AddTenant(TenantSpec{
-		Name:             "lat",
-		Closed:           ClosedLoop{Concurrency: 1},
-		SLO:              SLOSpec{P99Us: 360},
-		SLAUs:            240,
-		LatencySensitive: true,
-		Seed:             42,
+		Name:   "lat",
+		Closed: ClosedLoop{Concurrency: 1},
+		SLO:    SLOSpec{P99Us: 360},
+		SLAUs:  240,
+		Seed:   42,
 	}); err != nil {
 		t.Fatal(err)
 	}

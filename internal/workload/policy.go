@@ -62,12 +62,11 @@ const BulkBuffer = 2 << 20
 // it is not.
 func LatencyTenant(name string, seed int64) TenantSpec {
 	return TenantSpec{
-		Name:             name,
-		Closed:           ClosedLoop{Concurrency: 1},
-		SLO:              SLOSpec{P99Us: 1.5 * BaseSLAUs},
-		SLAUs:            BaseSLAUs,
-		LatencySensitive: true,
-		Seed:             seed,
+		Name:   name,
+		Closed: ClosedLoop{Concurrency: 1},
+		SLO:    SLOSpec{P99Us: 1.5 * BaseSLAUs},
+		SLAUs:  BaseSLAUs,
+		Seed:   seed,
 	}
 }
 

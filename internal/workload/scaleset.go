@@ -17,9 +17,8 @@ type ScaleSetSpec struct {
 	// exactly as schedshard.Spec does.
 	LatencySensitive bool
 	BufferSize       int
-	// MTUsPerSec/BytesPerSec are the per-member declared send rates the
-	// binds install as resident profiles.
-	MTUsPerSec  float64
+	// BytesPerSec is the per-member declared send rate the binds install
+	// as resident profiles.
 	BytesPerSec float64
 }
 
@@ -44,10 +43,8 @@ func (s ScaleSetSpec) Base() (schedshard.Spec, schedshard.VMInfo) {
 	}
 	vm := schedshard.VMInfo{
 		Spec:        spec,
-		MTUsPerSec:  s.MTUsPerSec,
 		BytesPerSec: s.BytesPerSec,
 		BufferSize:  s.BufferSize,
-		CapPct:      100,
 	}
 	return spec, vm
 }

@@ -50,9 +50,6 @@ type Tenant struct {
 	scq     *hca.CQ
 	rcq     *hca.CQ
 	scratch []byte
-	// onThink (t.think, bound once) returns a closed-loop user to the
-	// queue when its think time ends.
-	onThink func()
 
 	work        *sim.Signal
 	queue       ring.Queue[sim.Time] // arrival stamps awaiting issue
@@ -85,7 +82,6 @@ func newTenant(eng *sim.Engine, vcpu *xen.VCPU, pd *hca.PD, spec TenantSpec) (*T
 		scratch: make([]byte, trace.RequestSize),
 		slo:     newSLOTracker(spec.SLO),
 	}
-	t.onThink = t.think
 	var err error
 	if t.conn, err = benchex.NewConn(pd, spec.BufferSize, spec.Window+2, spec.Window+2); err != nil {
 		return nil, fmt.Errorf("workload: %s: %w", spec.Name, err)
@@ -229,8 +225,8 @@ func (t *Tenant) issue(p *sim.Proc) {
 }
 
 // complete decodes one response, takes the completion interrupt, recycles
-// the slot, measures the response, and — for closed loops — schedules the
-// user's next request after think time.
+// the slot, measures the response, and — for closed loops — queues the
+// user's next request.
 func (t *Tenant) complete(p *sim.Proc, cqe hca.CQE) {
 	resp, err := t.conn.Response(p, t.vcpu, cqe, InterruptCost)
 	now := t.eng.Now()
@@ -244,30 +240,8 @@ func (t *Tenant) complete(p *sim.Proc, cqe hca.CQE) {
 		t.completed++
 	}
 	if t.Spec.Arrivals == nil {
-		t.rearm(now)
-	}
-}
-
-// rearm returns a closed-loop user to the queue after think time.
-func (t *Tenant) rearm(now sim.Time) {
-	think := t.Spec.Closed.Think
-	if t.Spec.Closed.ThinkExp && think > 0 {
-		think = t.rng.ExpDuration(think)
-	}
-	if think <= 0 {
 		t.enqueue(now)
-		return
 	}
-	t.eng.After(think, t.onThink)
-}
-
-// think ends one user's think time.
-func (t *Tenant) think() {
-	if !t.running {
-		return
-	}
-	t.enqueue(t.eng.Now())
-	t.work.Broadcast()
 }
 
 // tickWindow closes one SLO evaluation window.

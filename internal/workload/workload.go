@@ -15,8 +15,8 @@
 // Tenants are driven either open loop — a benchex.ArrivalProcess (Poisson or
 // MMPP bursts) generates arrivals regardless of how the system keeps up, the
 // litmus test for saturation behavior — or closed loop, where Concurrency
-// simulated users each wait for their response and think before the next
-// request. Open-loop latencies are measured from *arrival*,
+// simulated users each wait for their response before the next request.
+// Open-loop latencies are measured from *arrival*,
 // not from post: a request that sat in the client queue because the window
 // was full carries that wait in its latency, so saturation produces the
 // textbook hockey stick instead of being hidden by the issue window
@@ -36,18 +36,12 @@ import (
 )
 
 // ClosedLoop shapes a closed-loop tenant: a fixed population of simulated
-// users, each issuing one request, waiting for the response, thinking, and
-// repeating.
+// users, each issuing one request, waiting for the response, and issuing
+// the next one back to back.
 type ClosedLoop struct {
 	// Concurrency is the user population (max requests a closed-loop
 	// tenant can have admitted at once). Default 1.
 	Concurrency int
-	// Think is the delay between receiving a response and issuing the
-	// user's next request. Zero = back-to-back.
-	Think sim.Time
-	// ThinkExp draws think times exponentially with mean Think instead of
-	// using the fixed value.
-	ThinkExp bool
 }
 
 // InterruptCost is tenant client CPU per reaped completion — the
@@ -88,9 +82,6 @@ type TenantSpec struct {
 	// Share is the tenant's Reso allocation weight on its host's ResEx
 	// manager (entitlement priority across every pricing family). Default 1.
 	Share int
-	// LatencySensitive marks the tenant for reporting (mirrors the
-	// placement layer's classification).
-	LatencySensitive bool
 	// ProcessTime overrides the server's per-request CPU; 0 scales with
 	// BufferSize as in benchex.
 	ProcessTime sim.Time
@@ -104,7 +95,7 @@ type TenantSpec struct {
 	// book. 0 (the default) leaves the tenant unmetered and the third
 	// dimension untouched.
 	MemBytesPerReq int
-	// Seed drives the tenant's private RNG (arrivals, think times, jitter)
+	// Seed drives the tenant's private RNG (arrivals, jitter)
 	// and its request generator. Default 1.
 	Seed int64
 }
